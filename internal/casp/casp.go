@@ -188,9 +188,13 @@ func sampleViolationCounts(r *rng.Source) (int, int) {
 // verified rather than assumed).
 func plantViolations(r *rng.Source, ca, sc []geom.Vec3, clashes, bumps int) {
 	n := len(ca)
-	if n < 12 {
+	if n < 12 || clashes+bumps == 0 {
 		return
 	}
+	// cur is what ca measures now; it is recounted only after a pull
+	// changed ca, never for a plant that gave up or was reverted.
+	cur := relax.CountViolations(ca)
+	var caSnap, scSnap []geom.Vec3
 	plant := func(targetD float64, noNewClash bool) {
 		for tries := 0; tries < 300; tries++ {
 			i := r.Intn(n)
@@ -205,12 +209,9 @@ func plantViolations(r *rng.Source, ca, sc []geom.Vec3, clashes, bumps int) {
 			if d < 4.0 || d > 6.5 {
 				continue
 			}
-			var caSnap, scSnap []geom.Vec3
-			var clashesBefore int
 			if noNewClash {
-				caSnap = geom.Clone(ca)
-				scSnap = geom.Clone(sc)
-				clashesBefore = relax.CountViolations(ca).Clashes
+				caSnap = append(caSnap[:0], ca...)
+				scSnap = append(scSnap[:0], sc...)
 			}
 			dir := ca[i].Sub(ca[j]).Unit()
 			pull := d - targetD
@@ -220,25 +221,21 @@ func plantViolations(r *rng.Source, ca, sc []geom.Vec3, clashes, bumps int) {
 				ca[k] = ca[k].Add(shift)
 				sc[k] = sc[k].Add(shift)
 			}
-			if noNewClash && relax.CountViolations(ca).Clashes > clashesBefore {
+			pulled := relax.CountViolations(ca)
+			if noNewClash && pulled.Clashes > cur.Clashes {
 				copy(ca, caSnap)
 				copy(sc, scSnap)
 				continue // collateral clash: revert and try another pair
 			}
+			cur = pulled
 			return
 		}
 	}
-	for attempt := 0; attempt < clashes*8+8; attempt++ {
-		if relax.CountViolations(ca).Clashes >= clashes {
-			break
-		}
+	for attempt := 0; attempt < clashes*8+8 && cur.Clashes < clashes; attempt++ {
 		plant(1.0+0.7*r.Float64(), false)
 	}
 	wantBumps := bumps + clashes // bump counts include clash pairs
-	for attempt := 0; attempt < bumps*8+8; attempt++ {
-		if relax.CountViolations(ca).Bumps >= wantBumps {
-			break
-		}
+	for attempt := 0; attempt < bumps*8+8 && cur.Bumps < wantBumps; attempt++ {
 		plant(2.2+1.2*r.Float64(), true)
 	}
 }

@@ -48,8 +48,7 @@ type Env struct {
 	featGen   *core.CachedFeatureGen
 }
 
-// DefaultSeed is the campaign seed used by all published numbers in
-// EXPERIMENTS.md.
+// DefaultSeed is the campaign seed used by all published numbers.
 const DefaultSeed = 20220125 // the paper's arXiv date
 
 // NewEnv builds the experiment world.

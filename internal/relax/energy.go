@@ -15,6 +15,16 @@
 // CASP violation definitions the paper uses (clash: Cα–Cα < 1.9 Å, bump:
 // Cα–Cα < 3.6 Å) are defined on Cα distances, so this resolution carries
 // the full behaviour of the experiment.
+//
+// The energy kernel finds non-bonded partners through a Verlet pair list:
+// every non-excluded pair within the repulsion cutoff plus a 2 Å skin,
+// rebuilt from an O(atoms) cell grid only once some atom has moved half
+// the skin from where the list was built — a handful of times per
+// restrained minimization, not once per evaluation. The list changes
+// cost only: each atom's active pairs are summed in the order a scan of
+// its 27 surrounding cutoff-sized cells meets them, so energies, forces
+// and step counts are bitwise those of that per-evaluation scan, which
+// the tests keep as energyForcesRef.
 package relax
 
 import (
@@ -58,16 +68,27 @@ type System struct {
 	Pos []geom.Vec3 // 2N atoms
 	Ref []geom.Vec3 // restraint reference (the unrelaxed input), 2N atoms
 
-	// Reusable per-system scratch: the neighbor grid rebuilt by every
-	// EnergyForces call and the minimizer's force/velocity buffers. The
-	// energy kernel runs thousands of times per relaxation, so these are
-	// allocated once per system, not once per call. A System is therefore
-	// not safe for concurrent use — the parallel execution layer gives
-	// each worker its own System, which is the natural unit anyway.
-	nb     *grid
-	forces []geom.Vec3
-	vel    []geom.Vec3
-	ca     []geom.Vec3
+	// Reusable per-system scratch: the Verlet pair list with the grid that
+	// builds it, and the minimizer's force/velocity buffers. The energy
+	// kernel runs thousands of times per relaxation, so these are allocated
+	// once per system, not once per call. A System is therefore not safe
+	// for concurrent use — the parallel execution layer gives each worker
+	// its own System, which is the natural unit anyway.
+	//
+	// The list holds every non-excluded pair b > a within cut+skin of each
+	// other at listPos, the positions it was built from; the pairs of atom
+	// a are pairs[pairOff[a]:pairOff[a+1]]. It stays valid until the cutoff
+	// changes or some atom strays moveLimit from its listPos.
+	nb         grid
+	listCut    float64
+	listPos    []geom.Vec3
+	pairOff    []int32
+	pairs      []int32
+	hits       []hit
+	listBuilds int // list builds so far, for tests
+	forces     []geom.Vec3
+	vel        []geom.Vec3
+	ca         []geom.Vec3
 }
 
 // NewSystem builds a system from Cα and side-chain traces.
@@ -115,234 +136,127 @@ func (s *System) SC() []geom.Vec3 {
 	return out
 }
 
-// grid is a uniform neighbor grid backed by an array cell list rather
-// than a map-based spatial hash: atoms are bucketed by integer cell
-// coordinate into one flat counting-sort layout (cellStart/cellAtoms), so
-// the per-evaluation rebuild is two linear passes with no hashing and no
-// per-cell pointers — the map lookups were the dominant cost of
-// EnergyForces after the allocation diet.
-//
-// Binning uses the same floor(p/cell) keys as the original hash (the box
-// origin only offsets the array index, never the cell assignment), and
-// atoms within a cell stay in ascending index order, so pair iteration
-// order — and therefore every floating-point accumulation — is bitwise
-// identical to the map version. Buffers are grow-only: steady-state
-// rebinds allocate nothing.
-//
-// The dense layout costs memory proportional to the bounding-box volume,
-// which for a physical structure is small (a folded or even fully
-// extended chain spans few cells in at least two axes). A pathologically
-// spread geometry — coordinates flung far apart — would make the box
-// volume outgrow the atom count without bound, so rebind falls back to
-// the map-based hash beyond maxDenseCells; both paths bin and order
-// identically, keeping results bitwise equal either way.
+// grid answers "which points can lie within reach of this one" for a fixed
+// reach, in O(points) time and memory however far apart the points lie.
+// Points are binned by floor(p/cell) per axis into cubic cells a little
+// over 2·reach wide, so everything within reach of a point is in its own
+// cell or, per axis, the one cell beyond the nearer face: eight cells.
+// An open-addressing table maps each occupied cell's coordinates to a
+// dense id (in order of first appearance) and a counting sort lays the
+// points out by id. Buffers are grow-only: steady-state rebinds allocate
+// nothing. Callers are promised no visiting order — CountViolations only
+// counts, and EnergyForces orders what it sums by itself.
 type grid struct {
-	cell float64
-	// minX/minY/minZ are the integer cell coordinates of the box origin;
-	// nx/ny/nz the box dimensions in cells (dense layout only).
-	minX, minY, minZ int
-	nx, ny, nz       int
-	// keys caches each atom's packed cell index between the two passes.
-	keys []int32
-	// cellStart has nx*ny*nz+1 entries: the atoms of cell c are
-	// cellAtoms[cellStart[c]:cellStart[c+1]], ascending by atom index.
-	cellStart []int32
-	cellAtoms []int32
-	cursorBuf []int32
-
-	// Sparse fallback (box volume > maxDenseCells): the original
-	// generation-counted spatial hash, O(occupied cells) for any
-	// geometry.
-	sparse bool
-	gen    uint64
-	cells  map[[3]int]*gridCell
+	cell  float64
+	id    []int32  // per point: dense id of its cell
+	cells [][3]int // per id: cell coordinates
+	table []int32  // id+1 per slot, 0 = empty; len is a power of two >= 2*points
+	start []int32  // the points of cell id are order[start[id]:start[id+1]]
+	order []int32
+	buf   []int32 // near's result
 }
 
-// gridCell is one sparse-path occupancy list; it is live only when its
-// gen matches the grid's current generation.
-type gridCell struct {
-	atoms []int32
-	gen   uint64
+// grown returns buf with length n, reallocating only when it must.
+func grown(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
 }
 
-// maxDenseCells bounds the dense layout's bounding-box volume (4M cells
-// = 16 MB of int32 — far beyond any physical structure; a 2500-residue
-// chain occupies a few hundred thousand cells even fully extended).
-const maxDenseCells = 1 << 22
+// cellOf returns the coordinates of the cell of side cell that holds p.
+func cellOf(p geom.Vec3, cell float64) [3]int {
+	return [3]int{
+		int(math.Floor(p.X / cell)),
+		int(math.Floor(p.Y / cell)),
+		int(math.Floor(p.Z / cell)),
+	}
+}
 
-// rebind repopulates the grid for a new position set, reusing all
-// buffers.
-func (g *grid) rebind(pos []geom.Vec3, cell float64) {
-	g.cell = cell
+// slot returns the table slot of cell c: the one holding its id, or the
+// empty one where it belongs.
+func (g *grid) slot(c [3]int) int {
+	h := uint64(c[0])*0x9E3779B97F4A7C15 ^ uint64(c[1])*0xC2B2AE3D27D4EB4F ^ uint64(c[2])*0x165667B19E3779F9
+	mask := len(g.table) - 1
+	i := int(h>>32) & mask
+	for t := g.table[i]; t != 0 && g.cells[t-1] != c; t = g.table[i] {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// rebind repopulates the grid with pos, for queries within reach.
+func (g *grid) rebind(pos []geom.Vec3, reach float64) {
+	// The margin over 2·reach dwarfs the rounding of p/cell (for |p| up to
+	// ~1e9 cells), so near's choice of cells can never cost a neighbour.
+	g.cell = 2 * reach * (1 + 1e-6)
 	n := len(pos)
-	if cap(g.keys) < n {
-		g.keys = make([]int32, n)
+	size := 4
+	for size < 2*n {
+		size <<= 1
 	}
-	g.keys = g.keys[:n]
-
-	// Pass 1: integer cell coordinates (the hash's floor(p/cell) keys)
-	// and the bounding box.
-	minX, minY, minZ := math.MaxInt, math.MaxInt, math.MaxInt
-	maxX, maxY, maxZ := math.MinInt, math.MinInt, math.MinInt
-	for _, p := range pos {
-		ix := int(math.Floor(p.X / cell))
-		iy := int(math.Floor(p.Y / cell))
-		iz := int(math.Floor(p.Z / cell))
-		if ix < minX {
-			minX = ix
-		}
-		if ix > maxX {
-			maxX = ix
-		}
-		if iy < minY {
-			minY = iy
-		}
-		if iy > maxY {
-			maxY = iy
-		}
-		if iz < minZ {
-			minZ = iz
-		}
-		if iz > maxZ {
-			maxZ = iz
-		}
+	g.table = grown(g.table, size)
+	clear(g.table)
+	g.id = grown(g.id, n)
+	g.order = grown(g.order, n)
+	g.buf = grown(g.buf, n)
+	// start[id+2] counts cell id, the prefix sum turns start[id+1] into
+	// the cell's first slot in order, and the fill advances it to the
+	// cell's end — which is where cell id+1 begins.
+	g.start = grown(g.start, n+2)
+	clear(g.start)
+	if cap(g.cells) < n {
+		g.cells = make([][3]int, 0, n)
 	}
-	g.minX, g.minY, g.minZ = minX, minY, minZ
-
-	// Guard the volume computation against overflow: bail to the sparse
-	// path the moment any partial product exceeds the cap.
-	spanX := int64(maxX) - int64(minX) + 1
-	spanY := int64(maxY) - int64(minY) + 1
-	spanZ := int64(maxZ) - int64(minZ) + 1
-	vol := spanX * spanY
-	if n == 0 || spanX > maxDenseCells || spanY > maxDenseCells || spanZ > maxDenseCells ||
-		vol > maxDenseCells || vol*spanZ > maxDenseCells {
-		g.rebindSparse(pos)
-		return
-	}
-	g.sparse = false
-	g.nx, g.ny, g.nz = int(spanX), int(spanY), int(spanZ)
-
-	ncells := g.nx * g.ny * g.nz
-	if cap(g.cellStart) < ncells+1 {
-		g.cellStart = make([]int32, ncells+1)
-	}
-	g.cellStart = g.cellStart[:ncells+1]
-	for i := range g.cellStart {
-		g.cellStart[i] = 0
-	}
-
-	// Pass 2: count occupancy per cell (offset by +1 for the running
-	// prefix below) and cache each atom's cell.
+	g.cells = g.cells[:0]
 	for i, p := range pos {
-		ix := int(math.Floor(p.X/cell)) - minX
-		iy := int(math.Floor(p.Y/cell)) - minY
-		iz := int(math.Floor(p.Z/cell)) - minZ
-		c := int32((ix*g.ny+iy)*g.nz + iz)
-		g.keys[i] = c
-		g.cellStart[c+1]++
+		c := cellOf(p, g.cell)
+		sl := g.slot(c)
+		if g.table[sl] == 0 {
+			g.cells = append(g.cells, c)
+			g.table[sl] = int32(len(g.cells))
+		}
+		id := g.table[sl] - 1
+		g.id[i] = id
+		g.start[id+2]++
 	}
-	for c := 0; c < ncells; c++ {
-		g.cellStart[c+1] += g.cellStart[c]
+	for k := 1; k < len(g.cells)+2; k++ {
+		g.start[k] += g.start[k-1]
 	}
-
-	// Pass 3: place atoms. Iterating i ascending keeps each cell's
-	// occupancy list in ascending atom order — the map version's append
-	// order, which the bitwise-identity contract depends on.
-	if cap(g.cellAtoms) < n {
-		g.cellAtoms = make([]int32, n)
-	}
-	g.cellAtoms = g.cellAtoms[:n]
-	cursor := g.cursor(ncells)
-	copy(cursor, g.cellStart[:ncells])
-	for i := 0; i < n; i++ {
-		c := g.keys[i]
-		g.cellAtoms[cursor[c]] = int32(i)
-		cursor[c]++
+	for i, id := range g.id {
+		g.order[g.start[id+1]] = int32(i)
+		g.start[id+1]++
 	}
 }
 
-// rebindSparse is the original spatial hash: generation-counted map
-// cells, O(occupied cells) memory for any spread of coordinates.
-func (g *grid) rebindSparse(pos []geom.Vec3) {
-	g.sparse = true
-	if g.cells == nil {
-		g.cells = make(map[[3]int]*gridCell, len(pos))
-	}
-	g.gen++
-	for i, p := range pos {
-		k := g.key(p)
-		c := g.cells[k]
-		if c == nil {
-			c = &gridCell{}
-			g.cells[k] = c
+// near returns every point that can lie within reach of point i, itself
+// included; p is the position i was bound at. The result is valid until
+// the next call.
+func (g *grid) near(i int, p geom.Vec3) []int32 {
+	c := g.cells[g.id[i]]
+	var side [3]int // per axis, the neighbour cell beyond the nearer face
+	for ax, x := range [3]float64{p.X, p.Y, p.Z} {
+		side[ax] = c[ax] - 1
+		if q := x / g.cell; q-math.Floor(q) >= 0.5 {
+			side[ax] = c[ax] + 1
 		}
-		if c.gen != g.gen {
-			c.atoms = c.atoms[:0]
-			c.gen = g.gen
+	}
+	out := g.buf[:0]
+	for _, x := range [2]int{c[0], side[0]} {
+		for _, y := range [2]int{c[1], side[1]} {
+			for _, z := range [2]int{c[2], side[2]} {
+				if t := g.table[g.slot([3]int{x, y, z})]; t != 0 {
+					out = append(out, g.order[g.start[t-1]:g.start[t]]...)
+				}
+			}
 		}
-		c.atoms = append(c.atoms, int32(i))
 	}
-}
-
-// cursor is the fill-pass scratch, grown alongside cellStart.
-func (g *grid) cursor(ncells int) []int32 {
-	if cap(g.cursorBuf) < ncells {
-		g.cursorBuf = make([]int32, ncells)
-	}
-	g.cursorBuf = g.cursorBuf[:ncells]
-	return g.cursorBuf
-}
-
-// at returns the occupancy list of the cell with integer coordinates k
-// (the same floor(p/cell) coordinates the map keys used); cells outside
-// the bounding box are empty.
-func (g *grid) at(k [3]int) []int32 {
-	if g.sparse {
-		if c := g.cells[k]; c != nil && c.gen == g.gen {
-			return c.atoms
-		}
-		return nil
-	}
-	ix, iy, iz := k[0]-g.minX, k[1]-g.minY, k[2]-g.minZ
-	if ix < 0 || ix >= g.nx || iy < 0 || iy >= g.ny || iz < 0 || iz >= g.nz {
-		return nil
-	}
-	c := (ix*g.ny+iy)*g.nz + iz
-	return g.cellAtoms[g.cellStart[c]:g.cellStart[c+1]]
+	return out
 }
 
 // gridPool recycles grids for the package-level entry points
 // (CountViolations) that have no System to hang scratch off.
 var gridPool = sync.Pool{New: func() any { return new(grid) }}
-
-func buildGrid(pos []geom.Vec3, cell float64) *grid {
-	g := gridPool.Get().(*grid)
-	g.rebind(pos, cell)
-	return g
-}
-
-func (g *grid) key(p geom.Vec3) [3]int {
-	return [3]int{
-		int(math.Floor(p.X / g.cell)),
-		int(math.Floor(p.Y / g.cell)),
-		int(math.Floor(p.Z / g.cell)),
-	}
-}
-
-// neighbors calls fn for every atom index within one cell ring of p.
-func (g *grid) neighbors(p geom.Vec3, fn func(j int)) {
-	k := g.key(p)
-	for dx := -1; dx <= 1; dx++ {
-		for dy := -1; dy <= 1; dy++ {
-			for dz := -1; dz <= 1; dz++ {
-				for _, j := range g.at([3]int{k[0] + dx, k[1] + dy, k[2] + dz}) {
-					fn(int(j))
-				}
-			}
-		}
-	}
-}
 
 // addBond accumulates one harmonic bond term into forces, returning its
 // energy contribution (hoisted out of EnergyForces so the hot loop carries
@@ -384,50 +298,109 @@ func (s *System) EnergyForces(forces []geom.Vec3) float64 {
 		forces[i] = forces[i].Sub(d.Scale(2 * ff.RestraintK))
 	}
 
-	// Non-bonded soft-sphere repulsion via spatial hashing. The grid cell
-	// equals the largest onset distance so one ring covers all pairs; the
-	// grid itself is system-owned scratch, rebound (not reallocated) each
-	// call, and the cell ring is iterated inline — no per-atom closure.
-	cut := ff.CARepDist
-	if ff.SCRepDist > cut {
-		cut = ff.SCRepDist
+	// Non-bonded soft-sphere repulsion over the pair list. The ordering
+	// contract: a pair inside its onset distance r0 <= cut lies in adjacent
+	// floor(p/cut) cells, and the reference scan visits a's 27 such cells
+	// in (dx,dy,dz) order, ascending index within each. Summing a's hits in
+	// that order makes every sum bitwise what that scan produces.
+	cut := math.Max(ff.CARepDist, ff.SCRepDist)
+	if s.listStale(cut) {
+		s.buildPairs(cut)
 	}
-	if s.nb == nil {
-		s.nb = new(grid)
-	}
-	g := s.nb
-	g.rebind(s.Pos, cut)
-	for a := range s.Pos {
-		pa := s.Pos[a]
-		k := g.key(pa)
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				for dz := -1; dz <= 1; dz++ {
-					for _, b32 := range g.at([3]int{k[0] + dx, k[1] + dy, k[2] + dz}) {
-						b := int(b32)
-						if b <= a || s.excluded(a, b) {
-							continue
-						}
-						r0 := ff.SCRepDist
-						if a%2 == 0 && b%2 == 0 {
-							r0 = ff.CARepDist
-						}
-						d := pa.Sub(s.Pos[b])
-						r := d.Norm()
-						if r >= r0 || r < 1e-9 {
-							continue
-						}
-						dr := r0 - r
-						e += ff.RepK * dr * dr
-						f := d.Scale(2 * ff.RepK * dr / r)
-						forces[a] = forces[a].Add(f)
-						forces[b] = forces[b].Sub(f)
-					}
+	hits := s.hits
+	for a, pa := range s.Pos {
+		hits = hits[:0]
+		for _, b := range s.pairs[s.pairOff[a]:s.pairOff[a+1]] {
+			r0 := ff.SCRepDist
+			if a%2 == 0 && b%2 == 0 {
+				r0 = ff.CARepDist
+			}
+			d := pa.Sub(s.Pos[b])
+			r := d.Norm()
+			if r >= r0 || r < 1e-9 {
+				continue
+			}
+			hits = append(hits, hit{b: b, d: d, r: r, dr: r0 - r})
+		}
+		if len(hits) > 1 {
+			ka := cellOf(pa, cut)
+			for i := range hits {
+				kb := cellOf(s.Pos[hits[i].b], cut)
+				hits[i].rank = int64((kb[0]-ka[0])*9+(kb[1]-ka[1])*3+kb[2]-ka[2])<<32 + int64(hits[i].b)
+				for j := i; j > 0 && hits[j].rank < hits[j-1].rank; j-- {
+					hits[j], hits[j-1] = hits[j-1], hits[j]
 				}
 			}
 		}
+		for _, h := range hits {
+			e += ff.RepK * h.dr * h.dr
+			f := h.d.Scale(2 * ff.RepK * h.dr / h.r)
+			forces[a] = forces[a].Add(f)
+			forces[h.b] = forces[h.b].Sub(f)
+		}
 	}
+	s.hits = hits
 	return e
+}
+
+// hit is one listed pair that is inside its onset distance now. rank
+// orders a's hits: the partner's cell offset (dx,dy,dz) from a's cell,
+// then the partner's index.
+type hit struct {
+	b     int32
+	rank  int64
+	d     geom.Vec3
+	r, dr float64
+}
+
+// skin is how far beyond the cutoff the pair list reaches: two atoms may
+// each move moveLimit (a hair under skin/2, so that rounding cannot matter)
+// before a pair the list left out can come within the cutoff.
+const (
+	skin       = 2.0
+	moveLimit2 = 0.249 * skin * skin
+)
+
+func (s *System) listStale(cut float64) bool {
+	if cut != s.listCut || len(s.listPos) != len(s.Pos) {
+		return true
+	}
+	for i, p := range s.Pos {
+		if p.Sub(s.listPos[i]).Norm2() > moveLimit2 {
+			return true
+		}
+	}
+	return false
+}
+
+// buildPairs bins the atoms once and lists every non-excluded pair within
+// cut+skin. The list is sized from the atom count (the CASP-like models
+// average one such partner b > a per atom, a protein-dense packing about
+// seven), so a fresh System allocates a fixed handful of buffers and a
+// rebuild none.
+func (s *System) buildPairs(cut float64) {
+	n := len(s.Pos)
+	s.listBuilds++
+	s.listCut = cut
+	s.listPos = append(s.listPos[:0], s.Pos...)
+	s.pairOff = grown(s.pairOff, n+1)
+	if s.pairs == nil {
+		s.pairs = make([]int32, 0, 8*n)
+		s.hits = make([]hit, 0, 16)
+	}
+	s.pairs = s.pairs[:0]
+	reach := cut + skin
+	g := &s.nb
+	g.rebind(s.Pos, reach)
+	for a, pa := range s.Pos {
+		s.pairOff[a] = int32(len(s.pairs))
+		for _, b := range g.near(a, pa) {
+			if int(b) > a && !s.excluded(a, int(b)) && pa.Sub(s.Pos[b]).Norm2() < reach*reach {
+				s.pairs = append(s.pairs, b)
+			}
+		}
+	}
+	s.pairOff[n] = int32(len(s.pairs))
 }
 
 // excluded reports whether the non-bonded term is skipped for an atom pair:
@@ -461,21 +434,22 @@ func (v Violations) Clashed() bool { return v.Clashes > 4 || v.Bumps > 50 }
 // separation of at least 2.
 func CountViolations(ca []geom.Vec3) Violations {
 	var v Violations
-	g := buildGrid(ca, 3.6)
+	g := gridPool.Get().(*grid)
 	defer gridPool.Put(g)
-	for i := range ca {
-		g.neighbors(ca[i], func(j int) {
-			if j <= i || j-i < 2 {
-				return
+	g.rebind(ca, 3.6)
+	for i, p := range ca {
+		for _, j := range g.near(i, p) {
+			if int(j) < i+2 {
+				continue
 			}
-			d := ca[i].Dist(ca[j])
+			d := p.Dist(ca[j])
 			if d < 1.9 {
 				v.Clashes++
 			}
 			if d < 3.6 {
 				v.Bumps++
 			}
-		})
+		}
 	}
 	return v
 }

@@ -73,6 +73,9 @@ func DefaultOptions(p Platform) Options {
 // (minimize; while violations remain, minimize again) on PlatformAF2, and
 // the optimized single-minimization protocol otherwise.
 func Relax(ca, sc []geom.Vec3, opt Options) (*Result, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	sys, err := NewSystem(ca, sc, opt.FF)
 	if err != nil {
 		return nil, err

@@ -55,3 +55,17 @@ func BenchmarkMinimize(b *testing.B) {
 		Minimize(s, DefaultMinimizeOptions())
 	}
 }
+
+// BenchmarkCountViolations measures the violation count the AF2 protocol
+// repeats every round, on a folded Cα trace the size of T1080 (1,400
+// residues), the CASP set's largest target.
+func BenchmarkCountViolations(b *testing.B) {
+	ca := cleanChain(0xbe7c, 1400).CA
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		violationsSink = CountViolations(ca)
+	}
+}
+
+var violationsSink Violations

@@ -345,53 +345,54 @@ func BenchmarkEnergyForces300(b *testing.B) {
 	}
 }
 
-// TestGridSparseFallback: a pathologically spread geometry (box volume
-// far beyond maxDenseCells) must route the neighbor grid onto the sparse
-// map path and still find exactly the close pairs — same binning, same
-// within-cell order, bounded memory.
+// TestGridSparseFallback: the grid costs O(points) however far apart the
+// points lie (the name dates from the dense layout's map fallback). Two
+// tight pairs 1e8 Å apart — a bounding box of ~(2.6e7)^3 cells — are each
+// other's only neighbours, and no buffer outgrows the point count.
 func TestGridSparseFallback(t *testing.T) {
-	// Two tight pairs separated by an astronomical offset: the dense
-	// bounding box would need ~(2.6e7)^3 cells.
 	pos := []geom.Vec3{
 		{X: 0, Y: 0, Z: 0},
 		{X: 1, Y: 0, Z: 0},
 		{X: 1e8, Y: 1e8, Z: 1e8},
 		{X: 1e8 + 1, Y: 1e8, Z: 1e8},
 	}
-	g := buildGrid(pos, 3.6)
-	defer gridPool.Put(g)
-	if !g.sparse {
-		t.Fatal("spread geometry did not trigger the sparse fallback")
-	}
-	neighborsOf := func(i int) []int {
-		var got []int
-		g.neighbors(pos[i], func(j int) {
-			if j != i {
+	var g grid
+	g.rebind(pos, 3.6)
+	for i, want := range []int32{1, 0, 3, 2} {
+		var got []int32
+		for _, j := range g.near(i, pos[i]) {
+			if int(j) != i {
 				got = append(got, j)
 			}
-		})
-		return got
-	}
-	for i, want := range [][]int{{1}, {0}, {3}, {2}} {
-		if got := neighborsOf(i); len(got) != 1 || got[0] != want[0] {
-			t.Errorf("neighbors(%d) = %v, want %v", i, got, want)
 		}
+		if len(got) != 1 || got[0] != want {
+			t.Errorf("neighbors(%d) = %v, want [%d]", i, got, want)
+		}
+	}
+	for name, size := range map[string]int{"id": cap(g.id), "cells": cap(g.cells), "table": cap(g.table),
+		"start": cap(g.start), "order": cap(g.order), "buf": cap(g.buf)} {
+		if size > 4*len(pos) {
+			t.Errorf("grid.%s holds %d entries for %d points", name, size, len(pos))
+		}
+	}
+	if v := CountViolations(pos); v != (Violations{}) {
+		// Both pairs are sequence neighbours (|i-j| < 2): nothing to count.
+		t.Errorf("CountViolations = %+v, want none", v)
 	}
 
-	// A compact rebind of the same grid switches back to the dense path
-	// with identical neighbor semantics.
+	// Rebinding the same grid to a compact set forgets the old one.
 	compact := []geom.Vec3{{X: 0, Y: 0, Z: 0}, {X: 1, Y: 1, Z: 1}, {X: 50, Y: 0, Z: 0}}
 	g.rebind(compact, 3.6)
-	if g.sparse {
-		t.Fatal("compact geometry stayed on the sparse path")
+	if got := g.near(0, compact[0]); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Errorf("compact near(0) = %v, want [0 1]", got)
 	}
-	var got []int
-	g.neighbors(compact[0], func(j int) {
-		if j != 0 {
-			got = append(got, j)
-		}
-	})
-	if len(got) != 1 || got[0] != 1 {
-		t.Errorf("dense neighbors(0) = %v, want [1]", got)
+}
+
+// TestRelaxValidatesOptions: a zero Options value used to skip the
+// minimizer (MaxSteps 0) and report the input back as relaxed in one round.
+func TestRelaxValidatesOptions(t *testing.T) {
+	ca, sc := clashedChain(19, 90, 3, 5)
+	if res, err := Relax(ca, sc, Options{}); err == nil {
+		t.Errorf("zero Options accepted: %d rounds, %d steps", res.Rounds, res.Steps)
 	}
 }
