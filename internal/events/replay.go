@@ -245,12 +245,3 @@ func (r *Replay) WorkerBusyNS() map[string]int64 {
 	}
 	return busy
 }
-
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
