@@ -120,7 +120,7 @@ commands:
                                 run the three-stage pipeline on the simulator
   predict -species C -id ID [-out F] [-seed S]
                                 predict + relax one protein, write PDB
-  sched -listen A [-scheduler-file F] [-log-placement] [-event-log F]
+  sched -listen A [-scheduler-file F] [-event-log F]
       [-resume-log] [-max-retries N] [-heartbeat-timeout D] [-event-backlog N]
       [-batch N] [-policy fifo|fair] [-quota N] [-outbox-depth N]
       [-write-timeout D] [-http A]
@@ -440,7 +440,6 @@ func (c *connFlags) dialOptions() flow.DialOptions {
 type schedOptions struct {
 	listen           string
 	schedFile        string
-	logPlacement     bool
 	eventLog         string
 	resumeLog        bool
 	maxRetries       int
@@ -452,23 +451,11 @@ type schedOptions struct {
 	outboxDepth      int
 	writeTimeout     time.Duration
 	httpAddr         string
-	pprofAddr        string
-}
-
-// adminAddr resolves the admin endpoint address: -http, or the deprecated
-// -pprof alias it grew out of (same listener, now also serving /metrics
-// and /healthz).
-func (o *schedOptions) adminAddr() string {
-	if o.httpAddr != "" {
-		return o.httpAddr
-	}
-	return o.pprofAddr
 }
 
 func (o *schedOptions) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:8786", "address to listen on (host:port; port 0 picks one)")
 	fs.StringVar(&o.schedFile, "scheduler-file", "", "write a JSON scheduler file advertising the bound address")
-	fs.BoolVar(&o.logPlacement, "log-placement", false, "log every task assignment and completion to stdout")
 	fs.StringVar(&o.eventLog, "event-log", "", "persist the structured task-transition stream (received/queued/assigned/running/done/failed + worker join/leave) as JSONL to this file; replayable offline with events.ReadLog")
 	fs.BoolVar(&o.resumeLog, "resume-log", false, "on restart, replay an existing -event-log first: the stream continues where the crashed scheduler stopped (a torn final record is discarded), so monitors still see the full campaign backlog and `submit -resume` can skip completed tasks")
 	fs.IntVar(&o.maxRetries, "max-retries", 3, "requeue a task whose worker died at most this many times, then quarantine it with a terminal failed event (0 = requeue forever)")
@@ -480,7 +467,6 @@ func (o *schedOptions) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.outboxDepth, "outbox-depth", flow.DefaultOutboxDepth, "bound each peer connection's outbound frame queue to this many frames; a peer whose queue overflows is declared dead and its tasks requeue (size it at least as large as the biggest in-flight wave one client awaits)")
 	fs.DurationVar(&o.writeTimeout, "write-timeout", flow.DefaultWriteTimeout, "declare a peer dead when a single write to it blocks this long (its kernel buffers full and not draining); its in-flight tasks requeue to healthy workers (0 = block forever)")
 	fs.StringVar(&o.httpAddr, "http", "", "serve the admin HTTP endpoint on this address (e.g. localhost:6060): GET /metrics (live cluster metrics, Prometheus text format), /healthz (200 while serving, 503 once shutdown begins), and /debug/pprof/; off unless set; the bound address is advertised in the scheduler file so `proteomectl top -metrics-snapshot` and probes can find it")
-	fs.StringVar(&o.pprofAddr, "pprof", "", "deprecated alias for -http (the profile endpoints moved onto the admin listener)")
 }
 
 // scheduler builds the configured scheduler (not yet started).
@@ -511,15 +497,12 @@ func schedCmd(args []string, stdout io.Writer) error {
 		return err
 	}
 	s := o.scheduler()
-	if o.adminAddr() != "" {
+	if o.httpAddr != "" {
 		// Metrics ride the admin endpoint: the registry exists before
 		// Start so the event sink is attached, and the listener binds
 		// after Start so /healthz never reports 200 for a scheduler that
 		// failed to come up.
 		s.Metrics = flow.NewSchedulerMetrics(nil)
-	}
-	if o.logPlacement {
-		s.PlacementLog = stdout
 	}
 	if o.eventLog != "" {
 		var restored []events.Event
@@ -560,8 +543,8 @@ func schedCmd(args []string, stdout io.Writer) error {
 		return err
 	}
 	defer s.Close()
-	if a := o.adminAddr(); a != "" {
-		bound, err := startAdmin(a, s.Metrics.Registry(), s.Healthy)
+	if o.httpAddr != "" {
+		bound, err := startAdmin(o.httpAddr, s.Metrics.Registry(), s.Healthy)
 		if err != nil {
 			return err
 		}
@@ -809,8 +792,7 @@ func runMonitor(m eventSource, w io.Writer, raw bool) error {
 			}
 		}
 	}
-	tr := events.NewTracker()
-	firstNS := int64(-1)
+	f := events.NewFold()
 	for {
 		e, err := m.Next()
 		if err != nil {
@@ -819,10 +801,7 @@ func runMonitor(m eventSource, w io.Writer, raw bool) error {
 			}
 			break
 		}
-		tr.Observe(e)
-		if firstNS < 0 {
-			firstNS = e.TimeNS
-		}
+		f.Observe(&e)
 		subject := e.Task
 		if subject == "" {
 			subject = e.Worker
@@ -831,21 +810,22 @@ func runMonitor(m eventSource, w io.Writer, raw bool) error {
 		switch {
 		case e.Err != "":
 			detail = " err=" + e.Err
-		case e.Type == events.TaskAssigned || e.Type == events.TaskRunning ||
-			e.Type == events.TaskDone || e.Type == events.TaskFailed:
+		case e.Type.TaskScoped() && e.Worker != "":
 			detail = " worker=" + e.Worker
 		}
+		t := f.Total
 		fmt.Fprintf(w, "%12.3fs %-11s %-24s queue=%-5d busy=%-4d done=%-6d failed=%-3d workers=%d%s\n",
 			e.Seconds(), e.Type, subject,
-			tr.QueueDepth, tr.Busy(), tr.Done, tr.Failed, len(tr.Workers), detail)
+			t.Queued, t.Running, t.Done, t.Failed, f.Connected, detail)
 	}
-	span := float64(tr.LastNS-firstNS) / 1e9
+	t := f.Total
+	span := float64(f.NowNS-f.FirstNS) / 1e9
 	throughput := 0.0
 	if span > 0 {
-		throughput = float64(tr.Done) / span
+		throughput = float64(t.Done) / span
 	}
 	fmt.Fprintf(w, "monitor: %d received, %d done, %d failed, %d dropped over %.3f s (%.2f tasks/s)\n",
-		tr.Received, tr.Done, tr.Failed, tr.Dropped, span, throughput)
+		t.Received, t.Done, t.Failed, t.Dropped, span, throughput)
 	return nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"syscall"
 	"time"
 
@@ -127,7 +126,7 @@ func runTop(src eventSource, w io.Writer, opts topOptions) error {
 		}
 	}
 
-	st := newTopState()
+	f := events.NewFold()
 	var tick <-chan time.Time
 	if opts.interval > 0 {
 		ticker := time.NewTicker(opts.interval)
@@ -141,118 +140,36 @@ func runTop(src eventSource, w io.Writer, opts topOptions) error {
 				if !errors.Is(it.err, flow.ErrStreamEnd) {
 					return it.err
 				}
-				st.render(w, opts.clear)
+				render(w, f, opts.clear)
 				return nil
 			}
-			st.observe(it.e)
+			f.Observe(&it.e)
 		case <-tick:
-			st.render(w, opts.clear)
+			render(w, f, opts.clear)
 		}
 	}
 }
 
-// topWorker is one worker's accumulated execution history as seen from
-// the event stream — the live counterpart of analysis.WorkerOccupancy.
-type topWorker struct {
-	joinNS int64
-	leftNS int64 // 0 while connected
-	busyNS int64 // closed busy intervals; open ones are added at render
-	tasks  int
-}
-
-type openTask struct {
-	worker  string
-	startNS int64
-}
-
-// topState folds the event stream into everything one table render needs:
-// the global Tracker counters, per-campaign tallies, and per-worker busy
-// intervals (assigned → done/failed, cut short by a worker death — the
-// same convention analysis.ReplayOccupancy uses offline).
-type topState struct {
-	tr      *events.Tracker
-	cv      *events.CampaignView
-	workers map[string]*topWorker
-	open    map[string]openTask
-	firstNS int64
-	seen    bool
-}
-
-func newTopState() *topState {
-	return &topState{
-		tr:      events.NewTracker(),
-		cv:      events.NewCampaignView(),
-		workers: make(map[string]*topWorker),
-		open:    make(map[string]openTask),
-	}
-}
-
-func (t *topState) observe(e events.Event) {
-	if !t.seen {
-		t.firstNS = e.TimeNS
-		t.seen = true
-	}
-	t.tr.Observe(e)
-	t.cv.Observe(e)
-	switch e.Type {
-	case events.WorkerJoin:
-		t.workers[e.Worker] = &topWorker{joinNS: e.TimeNS}
-	case events.WorkerLeave, events.WorkerLost:
-		if ws := t.workers[e.Worker]; ws != nil && ws.leftNS == 0 {
-			ws.leftNS = e.TimeNS
-		}
-		for task, iv := range t.open {
-			if iv.worker == e.Worker {
-				t.closeInterval(task, e.TimeNS)
-			}
-		}
-	case events.TaskAssigned:
-		// A monitor attached mid-run can see an assignment for a worker
-		// whose join predates the backlog; invent the worker at first
-		// sight so its row still appears.
-		if t.workers[e.Worker] == nil {
-			t.workers[e.Worker] = &topWorker{joinNS: e.TimeNS}
-		}
-		t.open[e.Task] = openTask{worker: e.Worker, startNS: e.TimeNS}
-	case events.TaskDone, events.TaskFailed:
-		t.closeInterval(e.Task, e.TimeNS)
-	case events.TaskQueued:
-		if e.Attempt > 0 {
-			// Requeue after a loss: the worker_lost already closed the
-			// interval; drop any stale leftover.
-			delete(t.open, e.Task)
-		}
-	}
-}
-
-func (t *topState) closeInterval(task string, nowNS int64) {
-	iv, ok := t.open[task]
-	if !ok {
-		return
-	}
-	delete(t.open, task)
-	if ws := t.workers[iv.worker]; ws != nil {
-		ws.busyNS += nowNS - iv.startNS
-		ws.tasks++
-	}
-}
-
-func (t *topState) render(w io.Writer, clear bool) {
+// render prints one table from the fold: the global counters and dispatch
+// rate, a row per campaign, and a row per worker whose OCC% is the share of
+// its connected time it held at least one task — the live counterpart of
+// analysis.ReplayOccupancy.
+func render(w io.Writer, f *events.Fold, clear bool) {
 	if clear {
 		fmt.Fprint(w, "\x1b[2J\x1b[H")
 	}
-	tr := t.tr
+	t := f.Total
 	rate := 0.0
-	if span := tr.LastNS - t.firstNS; t.seen && span > 0 {
-		rate = float64(tr.Done) / (float64(span) / 1e9)
+	if span := f.NowNS - f.FirstNS; span > 0 {
+		rate = float64(t.Done) / (float64(span) / 1e9)
 	}
 	fmt.Fprintf(w, "top: queue=%d busy=%d workers=%d done=%d failed=%d dropped=%d %.2f tasks/s\n",
-		tr.QueueDepth, tr.Busy(), len(tr.Workers), tr.Done, tr.Failed, tr.Dropped, rate)
+		t.Queued, t.Running, f.Connected, t.Done, t.Failed, t.Dropped, rate)
 
-	if names := t.cv.Campaigns(); len(names) > 0 {
+	if names := f.Campaigns(); len(names) > 0 {
 		fmt.Fprintf(w, "\n%-24s %7s %7s %7s %7s\n", "CAMPAIGN", "QUEUED", "RUNNING", "DONE", "FAILED")
 		for _, name := range names {
-			c := t.cv.Tally(name)
+			c := f.Campaign(name)
 			label := name
 			if label == "" {
 				label = "(unnamed)"
@@ -261,34 +178,20 @@ func (t *topState) render(w io.Writer, clear bool) {
 		}
 	}
 
-	if len(t.workers) > 0 {
+	if names := f.Workers(); len(names) > 0 {
 		fmt.Fprintf(w, "\n%-16s %6s %9s %6s\n", "WORKER", "TASKS", "BUSY", "OCC%")
-		names := make([]string, 0, len(t.workers))
-		for name := range t.workers {
-			names = append(names, name)
-		}
-		sort.Strings(names)
 		for _, name := range names {
-			ws := t.workers[name]
-			busy := ws.busyNS
-			for _, iv := range t.open {
-				if iv.worker == name {
-					busy += tr.LastNS - iv.startNS
-				}
-			}
-			end := ws.leftNS
-			if end == 0 {
-				end = tr.LastNS
-			}
+			ws := f.Worker(name)
+			busy := ws.BusyNS(f.NowNS)
 			occ := 0.0
-			if span := end - ws.joinNS; span > 0 {
+			if span := ws.ConnectedNS(f.NowNS); span > 0 {
 				occ = float64(busy) / float64(span) * 100
 			}
 			gone := ""
-			if ws.leftNS != 0 {
+			if !ws.Connected {
 				gone = " gone"
 			}
-			fmt.Fprintf(w, "%-16s %6d %8.1fs %6.1f%s\n", name, ws.tasks, float64(busy)/1e9, occ, gone)
+			fmt.Fprintf(w, "%-16s %6d %8.1fs %6.1f%s\n", name, ws.Tasks, float64(busy)/1e9, occ, gone)
 		}
 	}
 }

@@ -96,6 +96,36 @@ func TestRunTopWorkerLossMarksGone(t *testing.T) {
 	}
 }
 
+// TestRunTopBatchedHandoutOccupancy: a worker handed a four-task batch it
+// acks in one frame held tasks for 1 s of its 2 s connected — 50%, not the
+// 200% that summing the four one-second intervals gave.
+func TestRunTopBatchedHandoutOccupancy(t *testing.T) {
+	evs := []events.Event{{TimeNS: 0, Type: events.WorkerJoin, Worker: "w1"}}
+	tasks := []string{"a", "b", "c", "d"}
+	for _, task := range tasks {
+		evs = append(evs,
+			events.Event{TimeNS: 0, Type: events.TaskReceived, Task: task},
+			events.Event{TimeNS: 0, Type: events.TaskQueued, Task: task})
+	}
+	for _, task := range tasks {
+		evs = append(evs, events.Event{TimeNS: 1e9, Type: events.TaskAssigned, Task: task, Worker: "w1"})
+	}
+	evs = append(evs, events.Event{TimeNS: 1e9, Type: events.TaskRunning, Task: "a", Worker: "w1"})
+	for _, task := range tasks {
+		evs = append(evs, events.Event{TimeNS: 2e9, Type: events.TaskDone, Task: task, Worker: "w1"})
+	}
+	for i := range evs {
+		evs[i].Seq = uint64(i + 1)
+	}
+	var buf bytes.Buffer
+	if err := runTop(&scriptedSource{evs: evs}, &buf, topOptions{interval: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "w1                    4      1.0s   50.0") {
+		t.Errorf("top output missing the 4-task, 1.0s, 50%% row for w1:\n%s", out)
+	}
+}
+
 // TestRunTopSnapshot: -metrics-snapshot folds the stream into the same
 // series sched -http serves and prints one Prometheus scrape.
 func TestRunTopSnapshot(t *testing.T) {

@@ -78,12 +78,14 @@
 // walks the typed state machine received → queued → assigned → running →
 // done/failed (workers join and leave the same stream), stamped
 // scheduler-side with monotonic times, persisted as JSONL (`sched
-// -event-log`), rendered as the free-text placement log (now including
-// completions), and streamed over the wire to read-only monitor clients
+// -event-log`), and streamed over the wire to read-only monitor clients
 // — flow.ConnectMonitor / `proteomectl monitor` replays the full backlog
 // and then follows live, so a monitor attaching mid-campaign observes
-// the same sequence as the persisted log, with queue depth, per-worker
-// in-flight counts, and throughput computed by events.Tracker.
+// the same sequence as the persisted log. One reducer, events.Fold,
+// interprets that state machine — global and per-campaign tallies, open
+// executions, each worker's busy and connected time — and everything an
+// operator reads is a projection of it: the lines `monitor` prints, the
+// `top` table, the /metrics series, and the offline replay.
 // events.ReplayEvents reconstructs per-worker busy intervals and
 // queue-depth-over-time from a log alone, and internal/svgplot renders
 // the Fig-2-style worker-timeline + queue-depth figure as
@@ -162,8 +164,8 @@
 // across real processes). Size -outbox-depth at least as large as the
 // biggest wave of results one client awaits; raise -write-timeout for
 // genuinely slow links rather than unbounding the queue. Event
-// persistence is off the dispatch path too: `sched -event-log` and the
-// placement log write through events.AsyncSink, a bounded buffer with
+// persistence is off the dispatch path too: `sched -event-log` writes
+// through events.AsyncSink, a bounded buffer with
 // its own writer goroutine that preserves stream order, drains fully on
 // clean shutdown (the persisted log is complete — what `-resume-log`
 // and `submit -resume` rely on), and under sustained overload drops

@@ -1,24 +1,20 @@
 package analysis
 
-import (
-	"sort"
-
-	"repro/internal/events"
-)
+import "repro/internal/events"
 
 // WorkerOccupancy is one worker's share of the campaign span spent busy —
 // the per-worker utilisation number behind the paper's Fig-2 timeline and
 // the live `proteomectl top` view, computed offline from an event log.
 type WorkerOccupancy struct {
 	Worker string
-	// BusyNS is the summed busy-interval time reconstructed from the
-	// stream (events.Replay.WorkerBusyNS).
+	// BusyNS is the wall time the worker held at least one task
+	// (events.Worker.BusyNS): a batch of tasks acked in one frame counts
+	// its span once.
 	BusyNS int64
-	// Fraction is BusyNS over the replay span, in [0, 1] for a
-	// well-formed log.
+	// Fraction is BusyNS over the replay span, in [0, 1].
 	Fraction float64
-	// Tasks counts the busy intervals (task executions, including ones
-	// cut short by a worker death).
+	// Tasks counts the worker's task executions, including ones cut short
+	// by its death.
 	Tasks int
 }
 
@@ -26,19 +22,14 @@ type WorkerOccupancy struct {
 // span, sorted by worker name. A replay with no span (zero or one event)
 // yields zero fractions.
 func ReplayOccupancy(rep *events.Replay) []WorkerOccupancy {
-	busy := rep.WorkerBusyNS()
-	tasks := make(map[string]int, len(rep.Workers))
-	for i := range rep.Intervals {
-		tasks[rep.Intervals[i].Worker]++
-	}
 	out := make([]WorkerOccupancy, 0, len(rep.Workers))
-	for _, w := range rep.Workers {
-		o := WorkerOccupancy{Worker: w, BusyNS: busy[w], Tasks: tasks[w]}
+	for _, name := range rep.Workers {
+		w := rep.Worker(name)
+		o := WorkerOccupancy{Worker: name, BusyNS: w.BusyNS(rep.SpanNS), Tasks: w.Tasks}
 		if rep.SpanNS > 0 {
 			o.Fraction = float64(o.BusyNS) / float64(rep.SpanNS)
 		}
 		out = append(out, o)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Worker < out[j].Worker })
 	return out
 }

@@ -1,10 +1,14 @@
 package analysis
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/events"
+	"repro/internal/flow"
 )
 
 func TestReplayOccupancy(t *testing.T) {
@@ -15,16 +19,16 @@ func TestReplayOccupancy(t *testing.T) {
 		{Seq: 2, TimeNS: 0, Type: events.WorkerJoin, Worker: "w2"},
 		{Seq: 3, TimeNS: 0, Type: events.TaskReceived, Task: "a"},
 		{Seq: 4, TimeNS: 0, Type: events.TaskQueued, Task: "a"},
-		{Seq: 5, TimeNS: 1e9, Type: events.TaskAssigned, Task: "a", Worker: "w1"},
-		{Seq: 6, TimeNS: 5e9, Type: events.TaskDone, Task: "a", Worker: "w1"},
-		{Seq: 7, TimeNS: 5e9, Type: events.TaskReceived, Task: "b"},
-		{Seq: 8, TimeNS: 5e9, Type: events.TaskQueued, Task: "b"},
-		{Seq: 9, TimeNS: 6e9, Type: events.TaskAssigned, Task: "b", Worker: "w1"},
-		{Seq: 10, TimeNS: 8e9, Type: events.TaskDone, Task: "b", Worker: "w1"},
-		{Seq: 11, TimeNS: 0, Type: events.TaskReceived, Task: "c"},
-		{Seq: 12, TimeNS: 0, Type: events.TaskQueued, Task: "c"},
-		{Seq: 13, TimeNS: 2e9, Type: events.TaskAssigned, Task: "c", Worker: "w2"},
-		{Seq: 14, TimeNS: 4e9, Type: events.TaskDone, Task: "c", Worker: "w2"},
+		{Seq: 5, TimeNS: 0, Type: events.TaskReceived, Task: "c"},
+		{Seq: 6, TimeNS: 0, Type: events.TaskQueued, Task: "c"},
+		{Seq: 7, TimeNS: 1e9, Type: events.TaskAssigned, Task: "a", Worker: "w1"},
+		{Seq: 8, TimeNS: 2e9, Type: events.TaskAssigned, Task: "c", Worker: "w2"},
+		{Seq: 9, TimeNS: 4e9, Type: events.TaskDone, Task: "c", Worker: "w2"},
+		{Seq: 10, TimeNS: 5e9, Type: events.TaskDone, Task: "a", Worker: "w1"},
+		{Seq: 11, TimeNS: 5e9, Type: events.TaskReceived, Task: "b"},
+		{Seq: 12, TimeNS: 5e9, Type: events.TaskQueued, Task: "b"},
+		{Seq: 13, TimeNS: 6e9, Type: events.TaskAssigned, Task: "b", Worker: "w1"},
+		{Seq: 14, TimeNS: 8e9, Type: events.TaskDone, Task: "b", Worker: "w1"},
 		{Seq: 15, TimeNS: 8e9, Type: events.TaskReceived, Task: "d"},
 		{Seq: 16, TimeNS: 8e9, Type: events.TaskQueued, Task: "d"},
 		{Seq: 17, TimeNS: 9e9, Type: events.TaskAssigned, Task: "d", Worker: "w2"},
@@ -54,6 +58,54 @@ func TestReplayOccupancy(t *testing.T) {
 	}
 	if math.Abs(w2.Fraction-0.3) > 1e-12 {
 		t.Errorf("w2 fraction = %v, want 0.3", w2.Fraction)
+	}
+}
+
+// TestReplayOccupancyBatchedHandout drives a real scheduler handing one
+// worker 16 tasks per frame: the worker is busy for at most the whole run,
+// however many tasks it held at once. Summing per-task intervals read 15.79
+// here.
+func TestReplayOccupancyBatchedHandout(t *testing.T) {
+	s := flow.NewScheduler()
+	s.Batch = 16
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	w := flow.NewWorker("w0", func(task flow.Task) (json.RawMessage, error) {
+		time.Sleep(time.Millisecond)
+		return task.Payload, nil
+	})
+	if err := w.Connect(addr); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	c, err := flow.ConnectClient(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tasks := make([]flow.Task, 64)
+	for i := range tasks {
+		tasks[i] = flow.Task{ID: fmt.Sprintf("t%02d", i), Payload: json.RawMessage(`1`)}
+	}
+	if _, err := c.Map(tasks, nil); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := events.ReplayEvents(s.Events().Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Intervals) != 64 {
+		t.Fatalf("replay has %d intervals, want one per task (64)", len(rep.Intervals))
+	}
+	occ := ReplayOccupancy(rep)
+	if len(occ) != 1 || occ[0].Tasks != 64 {
+		t.Fatalf("occupancy = %+v, want one worker with 64 tasks", occ)
+	}
+	if f := occ[0].Fraction; f <= 0 || f > 1 {
+		t.Fatalf("worker busy fraction = %.2f, want in (0, 1]", f)
 	}
 }
 

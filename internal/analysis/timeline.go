@@ -287,16 +287,12 @@ func ReplayTimeline(rep *events.Replay, title string) (*svgplot.Timeline, error)
 	simTasks := make([]cluster.SimTask, 0, len(ordered))
 	for i := range ordered {
 		iv := &ordered[i]
-		row, ok := rowOf[iv.Worker]
-		if !ok {
-			continue // interval on a worker the log never saw join
-		}
 		start, end := secs(iv.StartNS), secs(iv.EndNS)
 		if firstStart < 0 || start < firstStart {
 			firstStart = start
 		}
 		fig.Measured = append(fig.Measured, svgplot.Interval{
-			Row: row, Start: start, End: end, Label: iv.Task,
+			Row: rowOf[iv.Worker], Start: start, End: end, Label: iv.Task,
 		})
 		dur := end - start
 		simTasks = append(simTasks, cluster.SimTask{ID: iv.Task, Weight: dur, Duration: dur})

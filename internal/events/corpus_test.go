@@ -1,4 +1,4 @@
-package main
+package events_test
 
 import (
 	"bytes"
@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -24,14 +22,10 @@ import (
 // scheduler's history, and seeded simulations of the scheduler's emit
 // order.
 
-// foldStream is one corpus entry. shaped marks streams with the
-// scheduler's own invariants (every requeue carries an attempt, a leave
-// precedes its requeues, labels are unique in flight); the hand-written
-// ones break them on purpose.
+// foldStream is one corpus entry.
 type foldStream struct {
-	name   string
-	evs    []events.Event
-	shaped bool
+	name string
+	evs  []events.Event
 }
 
 // stamp numbers a scripted stream the way a Hub would.
@@ -71,7 +65,7 @@ func scriptedStreams() []foldStream {
 			E{Type: events.TaskRunning, Task: "a", Worker: "w1", TimeNS: 3},
 			E{Type: events.TaskDone, Task: "a", Worker: "w1", TimeNS: 9},
 			E{Type: events.WorkerLeave, Worker: "w1", TimeNS: 10},
-		), shaped: true},
+		)},
 		{name: "events/requeue-and-drop", evs: stamp(
 			E{Type: events.TaskQueued, Task: "a"},
 			E{Type: events.TaskAssigned, Task: "a", Worker: "w1"},
@@ -94,7 +88,7 @@ func scriptedStreams() []foldStream {
 			E{TimeNS: 13, Type: events.TaskRunning, Task: "b", Worker: "w2"},
 			E{TimeNS: 50, Type: events.TaskDone, Task: "a", Worker: "w1"},
 			E{TimeNS: 60, Type: events.TaskFailed, Task: "b", Worker: "w2", Err: "boom"},
-		), shaped: true},
+		)},
 		{name: "events/worker-death", evs: stamp(
 			E{TimeNS: 0, Type: events.WorkerJoin, Worker: "w1"},
 			E{TimeNS: 0, Type: events.WorkerJoin, Worker: "w2"},
@@ -120,7 +114,7 @@ func scriptedStreams() []foldStream {
 			E{Type: events.WorkerLost, Worker: "w1", Err: "silent", TimeNS: 20},
 			E{Type: events.TaskFailed, Task: "a", Err: "quarantined", Attempt: 1, TimeNS: 21},
 			E{Type: events.TaskQuarantined, Task: "a", Attempt: 1, TimeNS: 21},
-		), shaped: true},
+		)},
 		{name: "events/campaign-tallies", evs: stamp(
 			E{Type: events.TaskReceived, Task: "a", Campaign: "dvu"},
 			E{Type: events.TaskQueued, Task: "a", Campaign: "dvu"},
@@ -160,8 +154,18 @@ func scriptedStreams() []foldStream {
 			E{TimeNS: 8e9, Type: events.TaskQueued, Task: "d"},
 			E{TimeNS: 9e9, Type: events.TaskAssigned, Task: "d", Worker: "w2"},
 			E{TimeNS: 10e9, Type: events.WorkerLost, Worker: "w2", Err: "silent"},
-		), shaped: true},
-		{name: "top/two-tasks", evs: topEvents(), shaped: true},
+		)},
+		{name: "top/two-tasks", evs: stamp(
+			E{TimeNS: 0, Type: events.WorkerJoin, Worker: "w1"},
+			E{TimeNS: 0, Type: events.TaskReceived, Task: "a", Campaign: "dvu"},
+			E{TimeNS: 0, Type: events.TaskQueued, Task: "a", Campaign: "dvu"},
+			E{TimeNS: 0, Type: events.TaskReceived, Task: "b", Campaign: "dvu"},
+			E{TimeNS: 0, Type: events.TaskQueued, Task: "b", Campaign: "dvu"},
+			E{TimeNS: 1e9, Type: events.TaskAssigned, Task: "a", Worker: "w1", Campaign: "dvu"},
+			E{TimeNS: 3e9, Type: events.TaskDone, Task: "a", Worker: "w1", Campaign: "dvu"},
+			E{TimeNS: 3e9, Type: events.TaskAssigned, Task: "b", Worker: "w1", Campaign: "dvu"},
+			E{TimeNS: 4e9, Type: events.TaskFailed, Task: "b", Worker: "w1", Campaign: "dvu", Err: "boom"},
+		)},
 		{name: "top/worker-loss", evs: stamp(
 			E{TimeNS: 0, Type: events.WorkerJoin, Worker: "w1"},
 			E{TimeNS: 0, Type: events.TaskReceived, Task: "a"},
@@ -169,9 +173,22 @@ func scriptedStreams() []foldStream {
 			E{TimeNS: 1e9, Type: events.TaskAssigned, Task: "a", Worker: "w1"},
 			E{TimeNS: 2e9, Type: events.WorkerLost, Worker: "w1", Err: "silent"},
 			E{TimeNS: 2e9, Type: events.TaskQueued, Task: "a", Attempt: 1},
-		), shaped: true},
-		{name: "top/batch-acked-at-one-stamp", evs: batchAckEvents(), shaped: true},
-		{name: "monitor/campaign", evs: campaignEvents(), shaped: true},
+		)},
+		{name: "top/batch-acked-at-one-stamp", evs: batchAckEvents()},
+		{name: "monitor/campaign", evs: stamp(
+			E{TimeNS: 0, Type: events.WorkerJoin, Worker: "w1"},
+			E{TimeNS: 1, Type: events.TaskReceived, Task: "DVU_00001"},
+			E{TimeNS: 2, Type: events.TaskQueued, Task: "DVU_00001"},
+			E{TimeNS: 3, Type: events.TaskReceived, Task: "DVU_00002"},
+			E{TimeNS: 4, Type: events.TaskQueued, Task: "DVU_00002"},
+			E{TimeNS: 5, Type: events.TaskAssigned, Task: "DVU_00001", Worker: "w1"},
+			E{TimeNS: 6, Type: events.TaskRunning, Task: "DVU_00001", Worker: "w1"},
+			E{TimeNS: 7, Type: events.TaskDone, Task: "DVU_00001", Worker: "w1"},
+			E{TimeNS: 8, Type: events.TaskAssigned, Task: "DVU_00002", Worker: "w1"},
+			E{TimeNS: 9, Type: events.TaskRunning, Task: "DVU_00002", Worker: "w1"},
+			E{TimeNS: 10, Type: events.TaskFailed, Task: "DVU_00002", Worker: "w1", Err: "boom"},
+			E{TimeNS: 11, Type: events.WorkerLeave, Worker: "w1"},
+		)},
 	}
 }
 
@@ -200,7 +217,7 @@ func batchAckEvents() []events.Event {
 // contribute their intact prefix, as ReadLog callers get it.
 func testdataStreams(t *testing.T) []foldStream {
 	t.Helper()
-	paths, err := filepath.Glob("../../internal/events/testdata/fuzz/FuzzReadLog/*")
+	paths, err := filepath.Glob("testdata/fuzz/FuzzReadLog/*")
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no FuzzReadLog corpus found: %v", err)
 	}
@@ -227,8 +244,8 @@ func testdataStreams(t *testing.T) []foldStream {
 
 // liveStream is the history of a real scheduler under the settings the
 // bench's tuned fleet uses — fair policy, a quota, batched handout — with
-// two campaigns sharing three workers, one of which is killed while it
-// holds a batch.
+// two campaigns running the same task labels on three shared workers, one
+// of which is killed while it holds a batch.
 func liveStream(t *testing.T) foldStream {
 	t.Helper()
 	s := flow.NewScheduler()
@@ -264,7 +281,7 @@ func liveStream(t *testing.T) foldStream {
 		c.Campaign = campaign
 		tasks := make([]flow.Task, 96)
 		for i := range tasks {
-			tasks[i] = flow.Task{ID: fmt.Sprintf("%s-%03d", campaign, i), Payload: json.RawMessage(`1`)}
+			tasks[i] = flow.Task{ID: fmt.Sprintf("%s-%03d", campaign, i), Label: fmt.Sprintf("P%03d", i), Payload: json.RawMessage(`1`)}
 		}
 		go func() {
 			_, err := c.Map(tasks, nil)
@@ -296,7 +313,7 @@ func liveStream(t *testing.T) foldStream {
 	if !lost {
 		t.Fatal("live stream shows no worker death")
 	}
-	return foldStream{name: "live/fair-quota-batch", evs: evs, shaped: true}
+	return foldStream{name: "live/fair-quota-batch", evs: evs}
 }
 
 // shapedStream simulates n events in the scheduler's emit order (the
@@ -445,285 +462,98 @@ func shapedStream(seed uint64, n int, quota bool) []events.Event {
 	return evs
 }
 
+// foldCorpus is every stream above, each also as a late-attaching monitor
+// on a bounded backlog would see it: headless, behind a truncation marker.
 func foldCorpus(t *testing.T) []foldStream {
 	t.Helper()
 	corpus := append(scriptedStreams(), testdataStreams(t)...)
 	corpus = append(corpus, liveStream(t))
 	for seed := uint64(1); seed <= 8; seed++ {
 		corpus = append(corpus, foldStream{
-			name: fmt.Sprintf("shaped/seed%d", seed), evs: shapedStream(seed, 1500, seed%2 == 0), shaped: true,
+			name: fmt.Sprintf("shaped/seed%d", seed), evs: shapedStream(seed, 1500, seed%2 == 0),
 		})
+	}
+	for _, st := range corpus {
+		if cut := len(st.evs) / 3; cut > 0 {
+			marker := events.Event{Seq: st.evs[cut].Seq - 1, TimeNS: st.evs[cut-1].TimeNS, Type: events.Truncated, Err: "evicted"}
+			corpus = append(corpus, foldStream{
+				name: st.name + "/truncated", evs: append([]events.Event{marker}, st.evs[cut:]...),
+			})
+		}
 	}
 	return corpus
 }
 
-// gauge reads one series from a Prometheus text scrape (0 when absent).
-func gauge(t *testing.T, scrape, series string) float64 {
-	t.Helper()
-	for _, line := range strings.Split(scrape, "\n") {
-		if rest, ok := strings.CutPrefix(line, series+" "); ok {
-			v, err := strconv.ParseFloat(rest, 64)
-			if err != nil {
-				t.Fatalf("series %s: %v", series, err)
-			}
-			return v
-		}
-	}
-	return 0
-}
-
-// checkFold asserts what must hold of a fold after any event of any
-// stream: the total is the sum of the campaigns, no count is negative,
-// and no worker is busy longer than it was connected.
-func checkFold(t *testing.T, f *events.Fold) {
-	t.Helper()
-	var sum events.Tally
-	for _, name := range f.Campaigns() {
-		c := f.Campaign(name)
-		for _, n := range []int{c.Received, c.Done, c.Failed, c.Dropped, c.Quarantined, c.Queued, c.Running, c.Retries} {
-			if n < 0 {
-				t.Fatalf("campaign %q has a negative count: %+v", name, c)
-			}
-		}
-		sum.Received += c.Received
-		sum.Done += c.Done
-		sum.Failed += c.Failed
-		sum.Dropped += c.Dropped
-		sum.Quarantined += c.Quarantined
-		sum.Queued += c.Queued
-		sum.Running += c.Running
-		sum.Retries += c.Retries
-	}
-	if sum != f.Total {
-		t.Fatalf("total %+v is not the sum of the campaigns %+v", f.Total, sum)
-	}
-	connected := 0
-	for _, name := range f.Workers() {
-		w := f.Worker(name)
-		busy, span := w.BusyNS(f.NowNS), w.ConnectedNS(f.NowNS)
-		if busy < 0 || busy > span {
-			t.Fatalf("worker %s busy %d ns of %d ns connected", name, busy, span)
-		}
-		if w.Connected {
-			connected++
-		}
-	}
-	if connected != f.Connected || f.FirstNS > f.NowNS {
-		t.Fatalf("connected=%d (table says %d), first=%d now=%d", f.Connected, connected, f.FirstNS, f.NowNS)
-	}
-}
-
-// TestFoldMatchesOldFolds feeds the whole corpus through events.Fold and
-// through the five interpreters it replaces, and requires equal global
-// tallies, per-campaign tallies, intervals and depth series. The intended
-// differences are asserted as such:
-//
-//  1. top started an interval at assigned; the fold refines the start at
-//     running, as ReplayEvents always did. top's per-worker sum must equal
-//     the fold's executions measured from AssignedNS.
-//  2. Replay and top summed a worker's intervals; the fold takes their
-//     union, so a batch held over one second is one busy second. The
-//     union can only be smaller, and never exceeds the connected span.
-//  3. SchedulerMetrics observed flow_task_seconds for the terminal failed
-//     of a quarantine, measuring from the assignment to a worker that had
-//     died since; the fold closed that execution as Lost at the leave.
-//
-// And three places where the old folds disagreed with each other, which
-// the fold settles. Tracker retired an in-flight task on any queued
-// event, CampaignView and SchedulerMetrics only on one carrying an attempt
-// (the fold's rule — scheduler.go always stamps it), so Tracker.Busy is
-// only compared on scheduler-shaped streams. Tracker, ReplayEvents and
-// SchedulerMetrics knew only workers whose join they saw, top also those
-// first seen on an assignment (the fold's rule, and it counts them as
-// connected), so worker counts are only compared on scheduler-shaped
-// streams, where every worker joins. And a drop of a task that was never
-// queued (a quota-deferred task whose client left) took one off Tracker's
-// and SchedulerMetrics' global depth whenever any campaign had a task
-// queued, but off CampaignView's only when its own campaign had one (the
-// fold's rule, which keeps the total equal to the sum of the campaigns),
-// so the global depth is not compared after such a drop.
-func TestFoldMatchesOldFolds(t *testing.T) {
+// TestFoldInvariantsOverCorpus runs every stream through a Fold and through
+// the SchedulerMetrics that mirrors one, and checks after each event what
+// must hold whatever the stream: the total is the sum of the campaigns, no
+// count is negative, no worker is busy longer than it was connected
+// (events.CheckFold), and every gauge and counter /metrics renders equals
+// the fold's number.
+func TestFoldInvariantsOverCorpus(t *testing.T) {
 	for _, st := range foldCorpus(t) {
 		t.Run(st.name, func(t *testing.T) {
 			f := events.NewFold()
-			tr := events.NewTracker()
-			cv := events.NewCampaignView()
-			top := newTopState()
 			m := flow.NewSchedulerMetrics(nil)
-
-			var intervals []events.Interval
-			var depth []events.DepthPoint
-			fromAssigned := map[string]int64{} // worker -> Σ EndNS-AssignedNS
-			completed, phantom := 0, 0
-			lost := map[string]bool{} // tasks whose execution was closed Lost
-			lastDepth := 0
-			queued := map[string]int{} // campaign -> its tasks in the queue
-			strayDrop := false
-
+			completed := 0
 			for i := range st.evs {
 				e := st.evs[i]
 				f.Observe(&e)
-				tr.Observe(e)
-				cv.Observe(e)
-				top.observe(e)
 				m.Observe(e)
-				checkFold(t, f)
-
+				if err := events.CheckFold(f); err != nil {
+					t.Fatalf("event %d %+v: %v", i+1, e, err)
+				}
 				for _, x := range f.Closed {
-					intervals = append(intervals, x.Interval)
-					fromAssigned[x.Worker] += x.EndNS - x.AssignedNS
-					if x.Lost {
-						lost[x.Task] = true
-					} else {
+					if !x.Lost {
 						completed++
 					}
 				}
-				switch {
-				case e.Type == events.TaskFailed && lost[e.Task] && len(f.Closed) == 0:
-					phantom++ // difference 3
-					delete(lost, e.Task)
-				case e.Type == events.TaskQueued || e.Type == events.TaskAssigned:
-					delete(lost, e.Task)
-				}
-				if q := f.Total.Queued; q != lastDepth {
-					lastDepth = q
-					if n := len(depth); n > 0 && depth[n-1].TimeNS == f.NowNS {
-						depth[n-1].Depth = q
-					} else {
-						depth = append(depth, events.DepthPoint{TimeNS: f.NowNS, Depth: q})
-					}
-				}
-
-				switch e.Type {
-				case events.TaskQueued:
-					queued[e.Campaign]++
-				case events.TaskAssigned:
-					queued[e.Campaign]--
-				case events.TaskDropped:
-					if queued[e.Campaign]--; queued[e.Campaign] < 0 {
-						queued[e.Campaign], strayDrop = 0, true
-					}
-				}
-
-				// Tracker.
-				got := f.Total
-				want := events.Tally{
-					Received: tr.Received, Done: tr.Done, Failed: tr.Failed, Dropped: tr.Dropped,
-					Quarantined: tr.Quarantined, Queued: tr.QueueDepth,
-					Running: got.Running, Retries: got.Retries,
-				}
-				if strayDrop {
-					want.Queued = got.Queued
-				}
-				if st.shaped {
-					want.Running = tr.Busy()
-				}
-				if got != want || (st.shaped && f.Connected != len(tr.Workers)) || f.NowNS != tr.LastNS {
-					t.Fatalf("event %d %+v:\nfold    %+v connected=%d now=%d\ntracker %+v connected=%d now=%d",
-						i+1, e, got, f.Connected, f.NowNS, want, len(tr.Workers), tr.LastNS)
-				}
-				// CampaignView.
-				if !reflect.DeepEqual(f.Campaigns(), cv.Campaigns()) {
-					t.Fatalf("event %d: campaigns %v, old view %v", i+1, f.Campaigns(), cv.Campaigns())
-				}
-				for _, name := range cv.Campaigns() {
-					c, old := f.Campaign(name), cv.Tally(name)
-					c.Retries = 0
-					if c != (events.Tally{Received: old.Received, Done: old.Done, Failed: old.Failed, Dropped: old.Dropped,
-						Quarantined: old.Quarantined, Queued: old.Queued, Running: old.Running}) {
-						t.Fatalf("event %d %+v: campaign %q fold %+v, old view %+v", i+1, e, name, c, old)
-					}
-				}
-			}
-
-			// SchedulerMetrics: every gauge and counter the old fold kept.
-			var buf bytes.Buffer
-			if err := m.WritePrometheus(&buf); err != nil {
-				t.Fatal(err)
-			}
-			scrape := buf.String()
-			for series, want := range map[string]int{
-				"flow_queue_depth":        f.Total.Queued,
-				"flow_tasks_running":      f.Total.Running,
-				"flow_retries_total":      f.Total.Retries,
-				"flow_workers_connected":  f.Connected,
-				"flow_task_seconds_count": completed + phantom,
-			} {
-				if series == "flow_queue_depth" && strayDrop || series == "flow_workers_connected" && !st.shaped {
+				// Rendering is the slow part: long streams sample it.
+				if len(st.evs) > 200 && i%37 != 0 && i != len(st.evs)-1 {
 					continue
 				}
-				if got := gauge(t, scrape, series); got != float64(want) {
-					t.Errorf("%s = %v, fold says %d", series, got, want)
+				var buf bytes.Buffer
+				if err := m.WritePrometheus(&buf); err != nil {
+					t.Fatal(err)
 				}
-			}
-			for _, name := range f.Campaigns() {
-				c := f.Campaign(name)
-				for series, want := range map[string]int{
-					fmt.Sprintf("flow_campaign_queued{campaign=%q}", name):                   c.Queued,
-					fmt.Sprintf("flow_campaign_running{campaign=%q}", name):                  c.Running,
-					fmt.Sprintf("flow_tasks_total{event=\"received\",campaign=%q}", name):    c.Received,
-					fmt.Sprintf("flow_tasks_total{event=\"done\",campaign=%q}", name):        c.Done,
-					fmt.Sprintf("flow_tasks_total{event=\"failed\",campaign=%q}", name):      c.Failed,
-					fmt.Sprintf("flow_tasks_total{event=\"dropped\",campaign=%q}", name):     c.Dropped,
-					fmt.Sprintf("flow_tasks_total{event=\"quarantined\",campaign=%q}", name): c.Quarantined,
-				} {
-					if got := gauge(t, scrape, series); got != float64(want) {
-						t.Errorf("%s = %v, fold says %d", series, got, want)
+				scrape := parseScrape(buf.String())
+				want := map[string]int{
+					"flow_queue_depth":        f.Total.Queued,
+					"flow_tasks_running":      f.Total.Running,
+					"flow_retries_total":      f.Total.Retries,
+					"flow_workers_connected":  f.Connected,
+					"flow_task_seconds_count": completed,
+				}
+				for _, name := range f.Campaigns() {
+					c := f.Campaign(name)
+					want[fmt.Sprintf("flow_campaign_queued{campaign=%q}", name)] = c.Queued
+					want[fmt.Sprintf("flow_campaign_running{campaign=%q}", name)] = c.Running
+					for event, n := range map[events.Type]int{
+						events.TaskReceived: c.Received, events.TaskDone: c.Done, events.TaskFailed: c.Failed,
+						events.TaskDropped: c.Dropped, events.TaskQuarantined: c.Quarantined,
+					} {
+						want[fmt.Sprintf("flow_tasks_total{event=%q,campaign=%q}", event, name)] = n
 					}
 				}
-			}
-
-			// ReplayEvents. Seeds from the fuzz corpus may carry sequence
-			// gaps the replay rejects; the fold has no opinion on Seq.
-			rep, err := events.ReplayEvents(st.evs)
-			if err != nil {
-				return
-			}
-			sort.SliceStable(intervals, func(i, j int) bool {
-				a, b := &intervals[i], &intervals[j]
-				if a.Worker != b.Worker {
-					return a.Worker < b.Worker
+				for series, n := range want {
+					if got, ok := scrape[series]; !ok || got != float64(n) {
+						t.Fatalf("event %d %+v: %s = %v (present=%v), fold says %d", i+1, e, series, got, ok, n)
+					}
 				}
-				if a.StartNS != b.StartNS {
-					return a.StartNS < b.StartNS
-				}
-				return a.Task < b.Task
-			})
-			if !reflect.DeepEqual(intervals, rep.Intervals) {
-				t.Errorf("intervals differ:\nfold   %+v\nreplay %+v", intervals, rep.Intervals)
-			}
-			if !strayDrop && !reflect.DeepEqual(depth, rep.Depth) {
-				t.Errorf("depth series differ:\nfold   %+v\nreplay %+v", depth, rep.Depth)
-			}
-			if f.NowNS != rep.SpanNS {
-				t.Errorf("span: fold %d, replay %d", f.NowNS, rep.SpanNS)
-			}
-			oldSum := rep.WorkerBusyNS()
-			holding := map[string]bool{} // the old sums leave open intervals out
-			for _, iv := range top.open {
-				holding[iv.worker] = true
-			}
-			for _, name := range f.Workers() {
-				w := f.Worker(name)
-				if union := w.BusyNS(f.NowNS); st.shaped && !holding[name] && union > oldSum[name] {
-					t.Errorf("worker %s: union %d exceeds the old sum %d", name, union, oldSum[name]) // difference 2
-				}
-				// top's bookkeeping, measured the way top measured it.
-				old := top.workers[name]
-				if old == nil {
-					t.Errorf("worker %s unknown to top", name)
-					continue
-				}
-				if st.shaped && (old.tasks != w.Tasks || old.joinNS != w.JoinNS || old.leftNS != w.LeftNS) {
-					t.Errorf("worker %s: top %+v, fold %+v", name, *old, w)
-				}
-				if st.shaped && old.busyNS != fromAssigned[name] { // difference 1
-					t.Errorf("worker %s: top summed %d ns, fold's executions from assigned sum to %d", name, old.busyNS, fromAssigned[name])
-				}
-			}
-			if len(top.workers) != len(f.Workers()) {
-				t.Errorf("top knows %d workers, fold %d", len(top.workers), len(f.Workers()))
 			}
 		})
 	}
+}
+
+// parseScrape indexes a Prometheus text scrape by series name with labels.
+func parseScrape(body string) map[string]float64 {
+	series := make(map[string]float64)
+	for _, line := range strings.Split(body, "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
+			if v, err := strconv.ParseFloat(line[i+1:], 64); err == nil {
+				series[line[:i]] = v
+			}
+		}
+	}
+	return series
 }

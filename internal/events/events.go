@@ -1,8 +1,8 @@
 // Package events is the scheduler's structured observability subsystem:
 // a typed per-task state-machine event record (the transition log Dask's
 // scheduler keeps), stamped scheduler-side with monotonic times, fanned
-// out to synchronous views (the JSONL event log, the free-text placement
-// log) and to live subscribers (the `proteomectl monitor` wire stream).
+// out to sinks (the JSONL event log, the live metrics) and to live
+// subscribers (the `proteomectl monitor` wire stream).
 //
 // The task state machine is
 //
@@ -12,7 +12,12 @@
 // task whose client disconnects before assignment is dropped. Worker
 // membership changes are events too (worker_join / worker_leave), so a
 // log alone reconstructs queue depth over time and per-worker busy
-// intervals (see Replay) without any client cooperation.
+// intervals without any client cooperation.
+//
+// One reducer, Fold, interprets that machine; every view of the stream —
+// ReplayEvents offline, `proteomectl monitor` and `top` live,
+// flow.SchedulerMetrics on /metrics, analysis.ReplayOccupancy — is a
+// projection of it, so they cannot disagree about what an event means.
 //
 // Events are an observation channel only, never an input: nothing in a
 // campaign report depends on them, and emitting, logging, or streaming
@@ -70,6 +75,12 @@ const (
 	// log — only cursors observe it.
 	Truncated Type = "truncated"
 )
+
+// TaskTypes lists the task-scoped event types, in state-machine order.
+var TaskTypes = []Type{
+	TaskReceived, TaskQueued, TaskAssigned, TaskRunning,
+	TaskDone, TaskFailed, TaskDropped, TaskQuarantined,
+}
 
 // Valid reports whether t is a known event type.
 func (t Type) Valid() bool {
@@ -386,7 +397,7 @@ func (c *Cursor) Cancel() {
 // LogSink returns a synchronous sink appending every event to w as one
 // JSON document per line — the `sched -event-log` format ReadLog
 // decodes. Write errors are ignored: logging must never stall the
-// scheduler (the same contract as the free-text placement log).
+// scheduler.
 func LogSink(w io.Writer) func(Event) {
 	enc := json.NewEncoder(w)
 	return func(e Event) { _ = enc.Encode(e) }

@@ -41,10 +41,9 @@ type Execution struct {
 // Worker is one worker's history as the stream shows it.
 type Worker struct {
 	// JoinNS is the stamp of the latest join (or of the first assignment
-	// naming a worker whose join predates a truncated backlog); LeftNS the
-	// stamp of the latest leave, meaningful while !Connected.
-	JoinNS, LeftNS int64
-	Connected      bool
+	// naming a worker whose join predates a truncated backlog).
+	JoinNS    int64
+	Connected bool
 	// Tasks counts closed executions, including ones cut short by the
 	// worker's death.
 	Tasks int
@@ -60,7 +59,7 @@ type Worker struct {
 
 // BusyNS is the wall time up to nowNS during which the worker held at
 // least one task.
-func (w *Worker) BusyNS(nowNS int64) int64 {
+func (w Worker) BusyNS(nowNS int64) int64 {
 	if w.held > 0 {
 		return w.busyNS + nowNS - w.sinceNS
 	}
@@ -68,7 +67,7 @@ func (w *Worker) BusyNS(nowNS int64) int64 {
 }
 
 // ConnectedNS is the wall time up to nowNS the worker was connected.
-func (w *Worker) ConnectedNS(nowNS int64) int64 {
+func (w Worker) ConnectedNS(nowNS int64) int64 {
 	if w.Connected {
 		return w.spanNS + nowNS - w.JoinNS
 	}
@@ -254,7 +253,6 @@ func (f *Fold) disconnect(name string) {
 		}
 	}
 	w.Connected = false
-	w.LeftNS = f.NowNS
 	w.spanNS += f.NowNS - w.JoinNS
 	f.Connected--
 }

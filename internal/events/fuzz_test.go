@@ -8,7 +8,9 @@ import (
 // FuzzReadLog hardens the JSONL event-log decoder: `proteomectl` tools
 // replay logs from disk, so arbitrary bytes must yield either valid
 // events or an error — never a panic — and whatever decodes must survive
-// a write/read round trip through the LogSink encoding.
+// a write/read round trip through the LogSink encoding, and must fold
+// without breaking the Fold's invariants (ReadLog's callers replay what it
+// returns).
 func FuzzReadLog(f *testing.F) {
 	f.Add([]byte(`{"seq":1,"t_ns":0,"type":"worker_join","worker":"w1"}
 {"seq":2,"t_ns":100,"type":"received","task":"DVU_00001"}
@@ -40,6 +42,13 @@ func FuzzReadLog(f *testing.F) {
 			// (a failing log still returns its intact prefix).
 			if verr := evs[i].Validate(); verr != nil {
 				t.Fatalf("ReadLog returned invalid event %d: %v", i, verr)
+			}
+		}
+		fold := NewFold()
+		for i := range evs {
+			fold.Observe(&evs[i])
+			if ferr := checkFold(fold); ferr != nil {
+				t.Fatalf("after event %d %+v: %v", i, evs[i], ferr)
 			}
 		}
 		if err != nil {

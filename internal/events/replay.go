@@ -5,76 +5,6 @@ import (
 	"sort"
 )
 
-// Tracker is the incremental state machine a live consumer (the
-// `proteomectl monitor` client) feeds events into, one at a time and in
-// stream order. It maintains the aggregate counters of the paper's
-// dashboard view: queue depth, per-worker in-flight tasks, completion
-// counts, and the connected worker set.
-type Tracker struct {
-	// Received / Done / Failed / Dropped count task outcomes so far.
-	Received, Done, Failed, Dropped int
-	// Quarantined counts tasks removed from scheduling by the retry
-	// budget (each also counted in Failed by its terminal failed event).
-	Quarantined int
-	// QueueDepth is the number of tasks currently queued (not assigned).
-	QueueDepth int
-	// InFlight maps an assigned task to the worker running it.
-	InFlight map[string]string
-	// Workers is the set of currently connected workers.
-	Workers map[string]bool
-	// LastNS is the monotonic stamp of the last observed event.
-	LastNS int64
-}
-
-// NewTracker returns an empty tracker.
-func NewTracker() *Tracker {
-	return &Tracker{InFlight: make(map[string]string), Workers: make(map[string]bool)}
-}
-
-// Busy returns the number of tasks currently in flight across workers.
-func (t *Tracker) Busy() int { return len(t.InFlight) }
-
-// Observe advances the tracker by one event. Events must arrive in
-// stream order; unknown transitions (a done for a task never assigned)
-// still update the counters they can.
-func (t *Tracker) Observe(e Event) {
-	t.LastNS = e.TimeNS
-	switch e.Type {
-	case TaskReceived:
-		t.Received++
-	case TaskQueued:
-		t.QueueDepth++
-		// A requeue pulls the task back off its dead worker.
-		delete(t.InFlight, e.Task)
-	case TaskAssigned:
-		if t.QueueDepth > 0 {
-			t.QueueDepth--
-		}
-		t.InFlight[e.Task] = e.Worker
-	case TaskRunning:
-		// Informational refinement of assigned; placement is unchanged.
-	case TaskDone:
-		t.Done++
-		delete(t.InFlight, e.Task)
-	case TaskFailed:
-		t.Failed++
-		delete(t.InFlight, e.Task)
-	case TaskDropped:
-		t.Dropped++
-		if t.QueueDepth > 0 {
-			t.QueueDepth--
-		}
-	case TaskQuarantined:
-		// The terminal failed event preceding it already counted the
-		// failure and cleared the in-flight entry.
-		t.Quarantined++
-	case WorkerJoin:
-		t.Workers[e.Worker] = true
-	case WorkerLeave, WorkerLost:
-		delete(t.Workers, e.Worker)
-	}
-}
-
 // Interval is one task execution on one worker reconstructed from the
 // stream: the busy block a Fig-2-style worker timeline plots. An
 // interval whose worker died mid-task ends at the worker_leave stamp
@@ -109,7 +39,8 @@ type Replay struct {
 	Events int
 	// Tasks is the sorted set of task identities observed.
 	Tasks []string
-	// Workers is the sorted set of workers that ever joined.
+	// Workers is the sorted set of workers that joined, or were handed a
+	// task (a log whose head was lost shows workers it never saw join).
 	Workers []string
 	// Intervals holds the reconstructed busy intervals, sorted by
 	// (worker, start, task).
@@ -121,6 +52,8 @@ type Replay struct {
 	Done, Failed, Dropped, Quarantined int
 	// SpanNS is the stamp of the last event.
 	SpanNS int64
+
+	fold *Fold
 }
 
 // MaxDepth returns the deepest queue observed.
@@ -135,35 +68,17 @@ func (r *Replay) MaxDepth() int {
 }
 
 // ReplayEvents reconstructs a Replay from an event stream in order (as
-// returned by ReadLog or Hub.Snapshot). Every event is validated, and
-// sequence numbers must be strictly increasing — a spliced or reordered
-// log fails loudly rather than replaying nonsense.
+// returned by ReadLog or Hub.Snapshot): it runs the stream through a Fold,
+// collecting the executions each event closes and the queue depth after
+// it. Every event is validated, and sequence numbers must be strictly
+// increasing — a spliced or reordered log fails loudly rather than
+// replaying nonsense.
 func ReplayEvents(evs []Event) (*Replay, error) {
-	type open struct {
-		worker  string
-		startNS int64
-	}
-	r := &Replay{Events: len(evs)}
-	tr := NewTracker()
-	inFlight := make(map[string]open)
+	r := &Replay{Events: len(evs), fold: NewFold()}
+	f := r.fold
 	tasks := make(map[string]bool)
-	workers := make(map[string]bool)
 	lastSeq := uint64(0)
 	depth := 0
-
-	recordDepth := func(ns int64) {
-		if tr.QueueDepth == depth {
-			return
-		}
-		depth = tr.QueueDepth
-		// Coalesce same-stamp changes into the final value.
-		if n := len(r.Depth); n > 0 && r.Depth[n-1].TimeNS == ns {
-			r.Depth[n-1].Depth = depth
-			return
-		}
-		r.Depth = append(r.Depth, DepthPoint{TimeNS: ns, Depth: depth})
-	}
-
 	for i := range evs {
 		e := &evs[i]
 		if err := e.Validate(); err != nil {
@@ -173,56 +88,28 @@ func ReplayEvents(evs []Event) (*Replay, error) {
 			return nil, fmt.Errorf("events: replaying event %d: sequence %d not after %d", i+1, e.Seq, lastSeq)
 		}
 		lastSeq = e.Seq
-		if e.TimeNS > r.SpanNS {
-			r.SpanNS = e.TimeNS
-		}
 		if e.Type.TaskScoped() {
 			tasks[e.Task] = true
 		}
-
-		// Interval bookkeeping rides on top of the tracker's counters.
-		switch e.Type {
-		case TaskAssigned:
-			inFlight[e.Task] = open{worker: e.Worker, startNS: e.TimeNS}
-		case TaskRunning:
-			if o, ok := inFlight[e.Task]; ok {
-				o.startNS = e.TimeNS
-				inFlight[e.Task] = o
-			}
-		case TaskDone, TaskFailed:
-			if o, ok := inFlight[e.Task]; ok {
-				delete(inFlight, e.Task)
-				r.Intervals = append(r.Intervals, Interval{
-					Task: e.Task, Worker: o.worker,
-					StartNS: o.startNS, EndNS: e.TimeNS,
-					Failed: e.Type == TaskFailed,
-				})
-			}
-		case WorkerJoin:
-			workers[e.Worker] = true
-		case WorkerLeave, WorkerLost:
-			// The worker died (or its task send failed, or it fell silent
-			// past the heartbeat deadline): close its open interval at the
-			// leave stamp. The scheduler requeues the task right after, so
-			// the tracker's depth stays consistent.
-			for task, o := range inFlight {
-				if o.worker == e.Worker {
-					delete(inFlight, task)
-					r.Intervals = append(r.Intervals, Interval{
-						Task: task, Worker: o.worker,
-						StartNS: o.startNS, EndNS: e.TimeNS,
-						Lost: true,
-					})
-				}
+		f.Observe(e)
+		for _, x := range f.Closed {
+			r.Intervals = append(r.Intervals, x.Interval)
+		}
+		if f.Total.Queued != depth {
+			depth = f.Total.Queued
+			// Coalesce same-stamp changes into the final value.
+			if n := len(r.Depth); n > 0 && r.Depth[n-1].TimeNS == f.NowNS {
+				r.Depth[n-1].Depth = depth
+			} else {
+				r.Depth = append(r.Depth, DepthPoint{TimeNS: f.NowNS, Depth: depth})
 			}
 		}
-		tr.Observe(*e)
-		recordDepth(e.TimeNS)
 	}
 
-	r.Done, r.Failed, r.Dropped, r.Quarantined = tr.Done, tr.Failed, tr.Dropped, tr.Quarantined
+	r.Done, r.Failed, r.Dropped, r.Quarantined = f.Total.Done, f.Total.Failed, f.Total.Dropped, f.Total.Quarantined
+	r.SpanNS = f.NowNS
 	r.Tasks = sortedKeys(tasks)
-	r.Workers = sortedKeys(workers)
+	r.Workers = f.Workers()
 	sort.SliceStable(r.Intervals, func(i, j int) bool {
 		a, b := &r.Intervals[i], &r.Intervals[j]
 		if a.Worker != b.Worker {
@@ -236,12 +123,17 @@ func ReplayEvents(evs []Event) (*Replay, error) {
 	return r, nil
 }
 
-// WorkerBusyNS sums the reconstructed busy time of each worker.
+// Worker returns one worker's state at the end of the replay (zero for a
+// worker the stream never named).
+func (r *Replay) Worker(name string) Worker { return r.fold.Worker(name) }
+
+// WorkerBusyNS is each worker's busy time over the replay: the wall time
+// it held at least one task, so a batch acked in one frame counts its
+// span once, not once per task.
 func (r *Replay) WorkerBusyNS() map[string]int64 {
 	busy := make(map[string]int64, len(r.Workers))
-	for i := range r.Intervals {
-		iv := &r.Intervals[i]
-		busy[iv.Worker] += iv.EndNS - iv.StartNS
+	for _, name := range r.Workers {
+		busy[name] = r.Worker(name).BusyNS(r.SpanNS)
 	}
 	return busy
 }

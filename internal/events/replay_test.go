@@ -14,48 +14,74 @@ func stream(evs ...Event) []Event {
 	return evs
 }
 
+// observeAll feeds evs to a fresh fold.
+func observeAll(evs ...Event) *Fold {
+	f := NewFold()
+	for i := range evs {
+		f.Observe(&evs[i])
+	}
+	return f
+}
+
+// The Tracker tests predate the Fold and keep their names: they pin the
+// global counters a live monitor prints.
 func TestTrackerLifecycle(t *testing.T) {
-	tr := NewTracker()
-	tr.Observe(Event{Type: WorkerJoin, Worker: "w1", TimeNS: 1})
-	tr.Observe(Event{Type: TaskReceived, Task: "a", TimeNS: 2})
-	tr.Observe(Event{Type: TaskQueued, Task: "a", TimeNS: 2})
-	if tr.QueueDepth != 1 || tr.Received != 1 {
-		t.Fatalf("after queue: depth=%d received=%d", tr.QueueDepth, tr.Received)
+	f := NewFold()
+	obs := func(e Event) { f.Observe(&e) }
+	obs(Event{Type: WorkerJoin, Worker: "w1", TimeNS: 1})
+	obs(Event{Type: TaskReceived, Task: "a", TimeNS: 2})
+	obs(Event{Type: TaskQueued, Task: "a", TimeNS: 2})
+	if f.Total.Queued != 1 || f.Total.Received != 1 {
+		t.Fatalf("after queue: depth=%d received=%d", f.Total.Queued, f.Total.Received)
 	}
-	tr.Observe(Event{Type: TaskAssigned, Task: "a", Worker: "w1", TimeNS: 3})
-	tr.Observe(Event{Type: TaskRunning, Task: "a", Worker: "w1", TimeNS: 3})
-	if tr.QueueDepth != 0 || tr.Busy() != 1 || tr.InFlight["a"] != "w1" {
-		t.Fatalf("after assign: depth=%d busy=%d inflight=%v", tr.QueueDepth, tr.Busy(), tr.InFlight)
+	obs(Event{Type: TaskAssigned, Task: "a", Worker: "w1", TimeNS: 3})
+	obs(Event{Type: TaskRunning, Task: "a", Worker: "w1", TimeNS: 3})
+	if f.Total.Queued != 0 || f.Total.Running != 1 {
+		t.Fatalf("after assign: depth=%d busy=%d", f.Total.Queued, f.Total.Running)
 	}
-	tr.Observe(Event{Type: TaskDone, Task: "a", Worker: "w1", TimeNS: 9})
-	if tr.Done != 1 || tr.Busy() != 0 || tr.LastNS != 9 {
-		t.Fatalf("after done: done=%d busy=%d last=%d", tr.Done, tr.Busy(), tr.LastNS)
+	obs(Event{Type: TaskDone, Task: "a", Worker: "w1", TimeNS: 9})
+	if f.Total.Done != 1 || f.Total.Running != 0 || f.NowNS != 9 {
+		t.Fatalf("after done: done=%d busy=%d last=%d", f.Total.Done, f.Total.Running, f.NowNS)
 	}
-	tr.Observe(Event{Type: WorkerLeave, Worker: "w1", TimeNS: 10})
-	if len(tr.Workers) != 0 {
-		t.Fatalf("worker set after leave: %v", tr.Workers)
+	if want := []Execution{{Interval: Interval{Task: "a", Worker: "w1", StartNS: 3, EndNS: 9}, AssignedNS: 3}}; !reflect.DeepEqual(f.Closed, want) {
+		t.Fatalf("done closed %+v, want %+v", f.Closed, want)
+	}
+	obs(Event{Type: WorkerLeave, Worker: "w1", TimeNS: 10})
+	if f.Connected != 0 || len(f.Closed) != 0 {
+		t.Fatalf("after leave: connected=%d closed=%+v", f.Connected, f.Closed)
+	}
+	if w := f.Worker("w1"); w.Connected || w.Tasks != 1 || w.BusyNS(f.NowNS) != 6 || w.ConnectedNS(f.NowNS) != 9 {
+		t.Fatalf("worker after leave: %+v", w)
 	}
 }
 
 func TestTrackerRequeueAndDrop(t *testing.T) {
-	tr := NewTracker()
-	tr.Observe(Event{Type: TaskQueued, Task: "a"})
-	tr.Observe(Event{Type: TaskAssigned, Task: "a", Worker: "w1"})
-	// Worker dies: the scheduler requeues the in-flight task.
-	tr.Observe(Event{Type: WorkerLeave, Worker: "w1"})
-	tr.Observe(Event{Type: TaskQueued, Task: "a"})
-	if tr.QueueDepth != 1 || tr.Busy() != 0 {
-		t.Fatalf("after requeue: depth=%d busy=%d", tr.QueueDepth, tr.Busy())
+	f := observeAll(
+		Event{Type: TaskQueued, Task: "a"},
+		Event{Type: TaskAssigned, Task: "a", Worker: "w1"},
+		// Worker dies: the scheduler requeues the in-flight task, and
+		// until it does the task still counts as running.
+		Event{Type: WorkerLeave, Worker: "w1"},
+	)
+	if f.Total.Running != 1 || len(f.Closed) != 1 || !f.Closed[0].Lost {
+		t.Fatalf("after leave: busy=%d closed=%+v", f.Total.Running, f.Closed)
 	}
-	tr.Observe(Event{Type: TaskDropped, Task: "a"})
-	if tr.QueueDepth != 0 || tr.Dropped != 1 {
-		t.Fatalf("after drop: depth=%d dropped=%d", tr.QueueDepth, tr.Dropped)
+	f.Observe(&Event{Type: TaskQueued, Task: "a", Attempt: 1})
+	if f.Total.Queued != 1 || f.Total.Running != 0 || f.Total.Retries != 1 {
+		t.Fatalf("after requeue: %+v", f.Total)
+	}
+	f.Observe(&Event{Type: TaskDropped, Task: "a"})
+	if f.Total.Queued != 0 || f.Total.Dropped != 1 {
+		t.Fatalf("after drop: depth=%d dropped=%d", f.Total.Queued, f.Total.Dropped)
 	}
 	// Defensive: depth never goes negative on a malformed stream.
-	tr.Observe(Event{Type: TaskDropped, Task: "b"})
-	tr.Observe(Event{Type: TaskAssigned, Task: "c", Worker: "w2"})
-	if tr.QueueDepth != 0 {
-		t.Fatalf("depth went negative: %d", tr.QueueDepth)
+	f.Observe(&Event{Type: TaskDropped, Task: "b"})
+	f.Observe(&Event{Type: TaskAssigned, Task: "c", Worker: "w2"})
+	if f.Total.Queued != 0 {
+		t.Fatalf("depth went negative: %d", f.Total.Queued)
+	}
+	if err := checkFold(f); err != nil {
+		t.Fatal(err)
 	}
 }
 

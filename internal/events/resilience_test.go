@@ -246,15 +246,13 @@ func TestTrackerAndReplayNewTypes(t *testing.T) {
 	if len(r.Intervals) != 1 || !r.Intervals[0].Lost || r.Intervals[0].EndNS != 20 {
 		t.Fatalf("intervals = %+v, want one Lost interval ending at 20", r.Intervals)
 	}
-	// The tracker dropped the lost worker from the live set.
-	tr := NewTracker()
-	for _, e := range evs {
-		tr.Observe(e)
+	// The fold dropped the lost worker from the live set, and the
+	// quarantine's terminal failed retired the task it left running.
+	f := observeAll(evs...)
+	if f.Connected != 0 || f.Worker("w1").Connected {
+		t.Fatalf("fold still counts %d connected workers after worker_lost", f.Connected)
 	}
-	if len(tr.Workers) != 0 {
-		t.Fatalf("tracker still lists workers %v after worker_lost", tr.Workers)
-	}
-	if tr.Quarantined != 1 {
-		t.Fatalf("tracker Quarantined = %d, want 1", tr.Quarantined)
+	if f.Total.Quarantined != 1 || f.Total.Running != 0 {
+		t.Fatalf("fold total = %+v, want 1 quarantined and none running", f.Total)
 	}
 }

@@ -128,37 +128,6 @@ func Connect(opts flow.DialOptions) (*Flow, error) {
 	return &Flow{client: c, remote: true, specNonce: specBatchNonce()}, nil
 }
 
-// ConnectFlow dials a standalone scheduler by address.
-//
-// Deprecated: use Connect with flow.DialOptions{Addr: addr}.
-func ConnectFlow(addr string) (*Flow, error) {
-	return Connect(flow.DialOptions{Addr: addr})
-}
-
-// ConnectFlowFile dials via a scheduler file.
-//
-// Deprecated: use Connect with flow.DialOptions{SchedulerFile: path}.
-func ConnectFlowFile(path string) (*Flow, error) {
-	return Connect(flow.DialOptions{SchedulerFile: path})
-}
-
-// ConnectFlowRetry dials by address with a retry budget.
-//
-// Deprecated: use Connect with flow.DialOptions{Addr: addr, Retry:
-// budget}.
-func ConnectFlowRetry(addr string, budget time.Duration) (*Flow, error) {
-	return Connect(flow.DialOptions{Addr: addr, Retry: budget})
-}
-
-// ConnectFlowFileRetry dials via a scheduler file with one shared budget
-// covering both the file appearing and the dial.
-//
-// Deprecated: use Connect with flow.DialOptions{SchedulerFile: path,
-// Retry: budget}.
-func ConnectFlowFileRetry(path string, budget time.Duration) (*Flow, error) {
-	return Connect(flow.DialOptions{SchedulerFile: path, Retry: budget})
-}
-
 // SetResultTimeout adjusts the client's per-result progress deadline: the
 // longest a spec batch waits between consecutive scheduler messages
 // before failing. Zero disables it. Remote deployments whose individual

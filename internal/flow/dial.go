@@ -14,9 +14,7 @@ const (
 	dialBackoffMax = 2 * time.Second
 )
 
-// DialOptions is the one way to reach a scheduler. It replaces the
-// accreted helper sprawl (DialRetry, ConnectClientRetry,
-// ConnectClientFileRetry, exec.ConnectFlow*) with a single options
+// DialOptions is the one way to reach a scheduler: a single options
 // struct consumed by Dial, DialClient, DialMonitor, Worker.Dial, and
 // exec.Connect.
 type DialOptions struct {
@@ -113,13 +111,6 @@ func dialRetry(addr string, budget, attempt time.Duration) (net.Conn, error) {
 	}
 }
 
-// DialRetry dials addr with a retry budget.
-//
-// Deprecated: use Dial with DialOptions{Addr: addr, Retry: budget}.
-func DialRetry(addr string, budget time.Duration) (net.Conn, error) {
-	return dialRetry(addr, budget, dialTimeout)
-}
-
 // waitSchedulerFile reads and parses a scheduler file, retrying a missing
 // or unparseable (mid-write) file with the same backoff as dialRetry
 // until the deadline. A zero or negative budget means one attempt.
@@ -151,21 +142,4 @@ func readSchedulerFile(path string) (SchedulerFile, error) {
 		return SchedulerFile{}, fmt.Errorf("flow: reading scheduler file: %w", err)
 	}
 	return ParseSchedulerFile(data)
-}
-
-// ConnectClientRetry dials the scheduler like ConnectClient with a retry
-// budget.
-//
-// Deprecated: use DialClient with DialOptions{Addr: addr, Retry: budget}.
-func ConnectClientRetry(addr string, budget time.Duration) (*Client, error) {
-	return DialClient(DialOptions{Addr: addr, Retry: budget})
-}
-
-// ConnectClientFileRetry connects via a scheduler file, waiting for the
-// file to appear and the scheduler to accept within one shared budget.
-//
-// Deprecated: use DialClient with DialOptions{SchedulerFile: path,
-// Retry: budget}.
-func ConnectClientFileRetry(path string, budget time.Duration) (*Client, error) {
-	return DialClient(DialOptions{SchedulerFile: path, Retry: budget})
 }

@@ -128,53 +128,6 @@ func TestSchedulerEventsUseLabels(t *testing.T) {
 	}
 }
 
-// TestPlacementLogIncludesCompletions (the PlacementLog fix): the
-// free-text log now records completion and failure too, so the log alone
-// reconstructs busy intervals — not just placements.
-func TestPlacementLogIncludesCompletions(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewScheduler()
-	s.PlacementLog = &buf
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	w := NewWorker("w00", failOddHandler)
-	if err := w.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-	c, err := ConnectClient(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-
-	if _, err := c.Map(makeTasks(4), nil); err != nil {
-		t.Fatal(err)
-	}
-	// The placement log is written by an async sink; Close drains it
-	// (idempotent — the cleanup's Close is a no-op after this).
-	s.Close()
-	log := buf.String()
-	for _, want := range []string{
-		"assign t000 -> w00",
-		"done t000 <- w00",
-		"assign t001 -> w00",
-		"fail t001 <- w00: odd task 1",
-		"done t002 <- w00",
-		"fail t003 <- w00: odd task 3",
-	} {
-		if !strings.Contains(log, want) {
-			t.Errorf("placement log missing %q:\n%s", want, log)
-		}
-	}
-	if strings.Count(log, "assign ") != 4 {
-		t.Errorf("placement log has %d assign lines, want 4:\n%s", strings.Count(log, "assign "), log)
-	}
-}
-
 // TestEventLogMatchesHub: the JSONL event log decodes to exactly the
 // hub's history — the persisted artifact and the live stream are the
 // same record.

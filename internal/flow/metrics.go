@@ -12,12 +12,14 @@ import (
 // multi-minute inference tasks.
 var taskSecondsBuckets = []float64{0.0001, 0.001, 0.01, 0.1, 1, 10, 60, 300, 1800}
 
-// SchedulerMetrics folds the scheduler's event stream into live Prometheus
-// series — the scrapeable counterpart of events.Tracker. It is registered
-// as a synchronous hub sink (Scheduler.Metrics), so Observe runs under the
-// hub lock on the dispatch path and must stay allocation-free at steady
-// state: per-campaign series are resolved once and cached, and every update
-// is an atomic add. One instance serves one scheduler.
+// SchedulerMetrics publishes the scheduler's event stream as live
+// Prometheus series: an events.Fold interprets the stream, and Observe
+// mirrors what each event did into atomics a scrape can read from another
+// goroutine. It is registered as a synchronous hub sink (Scheduler.Metrics),
+// so Observe runs under the hub lock on the dispatch path and must stay
+// allocation-free at steady state: per-campaign series are resolved once
+// and cached, and every update is an atomic add. One instance serves one
+// scheduler.
 type SchedulerMetrics struct {
 	reg *obs.Registry
 
@@ -46,12 +48,11 @@ type SchedulerMetrics struct {
 	// I/O pressure.
 	outboxOverflows *obs.Counter
 
-	// campaigns caches the per-campaign series structs; Observe runs on
-	// one goroutine (the hub lock serializes emitters), so the map needs
-	// no lock of its own, but starts tracks the assigned→terminal bracket
-	// for the duration histogram on the same single-writer terms.
+	// fold interprets the stream and campaigns caches the per-campaign
+	// series structs; Observe runs on one goroutine (the hub lock
+	// serializes emitters), so neither needs a lock of its own.
+	fold      *events.Fold
 	campaigns map[string]*campaignSeries
-	starts    map[string]int64 // task label -> assigned TimeNS
 
 	// dropFns reads AsyncSink drop totals at scrape time (satellite:
 	// surface events.AsyncSink.Dropped as a queryable counter).
@@ -62,9 +63,8 @@ type SchedulerMetrics struct {
 // campaignSeries is one campaign's resolved counters — a single map lookup
 // plus atomic adds per event on the hot path.
 type campaignSeries struct {
-	received, queued, assigned, running *obs.Counter
-	done, failed, dropped, quarantined  *obs.Counter
-	qDepth, active                      *obs.Gauge
+	events         map[events.Type]*obs.Counter
+	qDepth, active *obs.Gauge
 }
 
 // NewSchedulerMetrics builds the full series set on reg (a fresh registry
@@ -112,8 +112,8 @@ func NewSchedulerMetrics(reg *obs.Registry) *SchedulerMetrics {
 		outboxOverflows: reg.Counter("flow_outbox_overflows_total",
 			"Peers declared dead because their outbound frame queue overflowed."),
 
+		fold:      events.NewFold(),
 		campaigns: make(map[string]*campaignSeries),
-		starts:    make(map[string]int64),
 	}
 	reg.CounterFunc("flow_async_sink_dropped_total",
 		"Events dropped by bounded async sinks (event log, placement log) under sustained overload.",
@@ -154,90 +154,56 @@ func (m *SchedulerMetrics) campaign(name string) *campaignSeries {
 		return cs
 	}
 	cs := &campaignSeries{
-		received:    m.tasks.With(string(events.TaskReceived), name),
-		queued:      m.tasks.With(string(events.TaskQueued), name),
-		assigned:    m.tasks.With(string(events.TaskAssigned), name),
-		running:     m.tasks.With(string(events.TaskRunning), name),
-		done:        m.tasks.With(string(events.TaskDone), name),
-		failed:      m.tasks.With(string(events.TaskFailed), name),
-		dropped:     m.tasks.With(string(events.TaskDropped), name),
-		quarantined: m.tasks.With(string(events.TaskQuarantined), name),
-		qDepth:      m.campQueued.With(name),
-		active:      m.campRunning.With(name),
+		events: make(map[events.Type]*obs.Counter, len(events.TaskTypes)),
+		qDepth: m.campQueued.With(name),
+		active: m.campRunning.With(name),
+	}
+	for _, typ := range events.TaskTypes {
+		cs.events[typ] = m.tasks.With(string(typ), name)
 	}
 	m.campaigns[name] = cs
 	return cs
 }
 
-// decNonNeg guards gauge decrements: transitions are counted from the event
-// stream alone, so a stream joined mid-flight (resume, monitor-fed metrics)
-// can see a terminal event for work it never saw start.
-func decNonNeg(g *obs.Gauge) {
-	if g.Value() > 0 {
-		g.Dec()
-	}
-}
-
-// Observe folds one event into the live series. The counting rules mirror
-// events.Tracker: a queued event with Attempt > 0 is a requeue pulling an
-// in-flight task back, assigned moves queued→running, done/failed retire a
-// running task, dropped retires a queued one, and quarantine's terminal
-// failed arrives without a matching queued.
+// Observe publishes one event: the per-type event counter, then whatever
+// the fold says the event did to the queue, the running set, the retry
+// count and the fleet, plus the assignment-to-completion time of each
+// execution a worker's result closed.
 func (m *SchedulerMetrics) Observe(e events.Event) {
-	switch e.Type {
-	case events.TaskReceived:
-		m.campaign(e.Campaign).received.Inc()
-	case events.TaskQueued:
+	did := m.fold.Observe(&e)
+	// Not only joins and leaves move this: on a stream whose head was
+	// lost, a worker is first seen when it is handed a task.
+	if n := int64(m.fold.Connected); n != m.workers.Value() {
+		m.workers.Set(n)
+	}
+	switch {
+	case e.Type.TaskScoped():
 		cs := m.campaign(e.Campaign)
-		cs.queued.Inc()
-		m.queueDepth.Inc()
-		cs.qDepth.Inc()
-		if e.Attempt > 0 { // requeue: the task was in flight
-			m.retries.Inc()
-			decNonNeg(m.tasksBusy)
-			decNonNeg(cs.active)
-			delete(m.starts, e.Task)
+		cs.events[e.Type].Inc()
+		// Locked adds are most of this function's cost; most events move
+		// one of the three.
+		if did.Queued != 0 {
+			m.queueDepth.Add(int64(did.Queued))
+			cs.qDepth.Add(int64(did.Queued))
 		}
-	case events.TaskAssigned:
-		cs := m.campaign(e.Campaign)
-		cs.assigned.Inc()
-		decNonNeg(m.queueDepth)
-		decNonNeg(cs.qDepth)
-		m.tasksBusy.Inc()
-		cs.active.Inc()
-		m.starts[e.Task] = e.TimeNS
-	case events.TaskRunning:
-		m.campaign(e.Campaign).running.Inc()
-	case events.TaskDone, events.TaskFailed:
-		cs := m.campaign(e.Campaign)
-		if e.Type == events.TaskDone {
-			cs.done.Inc()
-		} else {
-			cs.failed.Inc()
+		if did.Running != 0 {
+			m.tasksBusy.Add(int64(did.Running))
+			cs.active.Add(int64(did.Running))
 		}
-		decNonNeg(m.tasksBusy)
-		decNonNeg(cs.active)
-		if start, ok := m.starts[e.Task]; ok {
-			m.taskSeconds.Observe(float64(e.TimeNS-start) / 1e9)
-			delete(m.starts, e.Task)
+		if did.Retries != 0 {
+			m.retries.Add(uint64(did.Retries))
 		}
-	case events.TaskDropped:
-		cs := m.campaign(e.Campaign)
-		cs.dropped.Inc()
-		decNonNeg(m.queueDepth)
-		decNonNeg(cs.qDepth)
-		delete(m.starts, e.Task)
-	case events.TaskQuarantined:
-		m.campaign(e.Campaign).quarantined.Inc()
-	case events.WorkerJoin:
-		m.workers.Inc()
+		for i := range m.fold.Closed {
+			x := &m.fold.Closed[i]
+			m.taskSeconds.Observe(float64(x.EndNS-x.AssignedNS) / 1e9)
+		}
+	case e.Type == events.Truncated:
+		m.truncated.Inc()
+	case e.Type == events.WorkerJoin:
 		m.workerEvents.With(string(e.Type)).Inc()
-	case events.WorkerLeave, events.WorkerLost:
-		decNonNeg(m.workers)
+	case e.Type == events.WorkerLeave, e.Type == events.WorkerLost:
 		m.workerEvents.With(string(e.Type)).Inc()
 		m.forgetWorker(e.Worker)
-	case events.Truncated:
-		m.truncated.Inc()
 	}
 }
 

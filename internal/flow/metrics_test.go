@@ -197,8 +197,8 @@ func TestMetricsMixedFleetLegacyHeartbeat(t *testing.T) {
 }
 
 // TestMetricsObserveLifecycleRules feeds the adapter a synthetic stream and
-// checks the Tracker-mirroring counting rules that a live cluster cannot
-// deterministically produce: requeues, drops, quarantines, truncation.
+// checks the fold's counting rules as /metrics shows them, on what a live
+// cluster cannot deterministically produce: requeues, drops, quarantines, truncation.
 func TestMetricsObserveLifecycleRules(t *testing.T) {
 	m := NewSchedulerMetrics(nil)
 	obs := func(typ events.Type, task string, attempt int) {
@@ -238,6 +238,36 @@ func TestMetricsObserveLifecycleRules(t *testing.T) {
 		if got := metricValue(t, out, series); got != want {
 			t.Errorf("%s = %s, want %s", series, got, want)
 		}
+	}
+}
+
+// TestMetricsObserveDoesNotAllocate: Observe runs under the hub lock on the
+// dispatch path, so once a stream's campaigns and workers have been seen it
+// must not allocate — fold included.
+func TestMetricsObserveDoesNotAllocate(t *testing.T) {
+	m := NewSchedulerMetrics(nil)
+	m.Observe(events.Event{Type: events.WorkerJoin, Worker: "w1"})
+	var ns int64
+	wave := func() {
+		for _, campaign := range []string{"dvu", "eco"} {
+			for _, step := range []struct {
+				typ     events.Type
+				attempt int
+			}{
+				{events.TaskReceived, 0}, {events.TaskQueued, 0}, {events.TaskAssigned, 0}, {events.TaskRunning, 0},
+				{events.TaskQueued, 1}, {events.TaskAssigned, 0}, {events.TaskRunning, 0}, {events.TaskDone, 0},
+			} {
+				ns += 1000
+				m.Observe(events.Event{TimeNS: ns, Type: step.typ, Task: "t", Campaign: campaign, Worker: "w1", Attempt: step.attempt})
+			}
+		}
+	}
+	wave() // warm: series, map buckets, the fold's Closed slice
+	if allocs := testing.AllocsPerRun(100, wave); allocs != 0 {
+		t.Fatalf("Observe allocates %.1f times per 16-event wave at steady state, want 0", allocs)
+	}
+	if got := metricValue(t, scrape(t, m), "flow_task_seconds_count"); got != "204" {
+		t.Fatalf("flow_task_seconds_count = %s, want 204 (102 waves, two tasks each)", got)
 	}
 }
 

@@ -22,22 +22,14 @@ import (
 // the scheduler's Hub — the per-task state-machine record Dask's
 // scheduler keeps (received → queued → assigned → running → done/failed,
 // plus worker join/leave), stamped scheduler-side with monotonic times.
-// The free-text PlacementLog and the JSONL EventLog are synchronous views
-// over that stream, and read-only monitor connections (ConnectMonitor)
-// subscribe to it live over the wire.
+// The JSONL EventLog and the Metrics are views over that stream, and
+// read-only monitor connections (ConnectMonitor) subscribe to it live over
+// the wire.
 type Scheduler struct {
-	// PlacementLog, when set before Start, receives one line per task
-	// assignment ("assign <task> -> <worker>") and one per completion
-	// ("done <task> <- <worker>" / "fail <task> <- <worker>: <err>"), so
-	// the log alone is sufficient to reconstruct busy intervals. It is a
-	// thin view over the structured event stream; write errors are
-	// ignored (logging must never stall scheduling).
-	PlacementLog io.Writer
-
 	// EventLog, when set before Start, receives the full structured
 	// stream as JSONL (`sched -event-log`): one events.Event per line,
 	// decodable by events.ReadLog and replayable by events.ReplayEvents.
-	// Write errors are ignored, as with PlacementLog.
+	// Write errors are ignored (logging must never stall scheduling).
 	EventLog io.Writer
 
 	// Metrics, when set before Start, folds the event stream into live
@@ -241,22 +233,16 @@ func (s *Scheduler) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("flow: scheduler listen: %w", err)
 	}
-	// The views attach before any event can flow. Both file-backed views
-	// run behind async sinks so their writes happen off the dispatch
-	// path: the event loop only enqueues, a per-sink writer goroutine
-	// performs the I/O in stream order, and Hub.Close (called from
+	// The views attach before any event can flow. The file-backed view
+	// runs behind an async sink so its writes happen off the dispatch
+	// path: the event loop only enqueues, a writer goroutine performs
+	// the I/O in stream order, and Hub.Close (called from
 	// Scheduler.Close) drains whatever is buffered before returning — so
 	// a cleanly shut down scheduler persists its complete log. Only a
 	// crash, or a writer so slow the bounded buffer overflows, loses
 	// events (see events.AsyncSink).
 	if s.EventLog != nil {
 		sink := s.hub.AddAsyncSink(events.LogSink(s.EventLog), 0)
-		if s.Metrics != nil {
-			s.Metrics.AddDropSource(sink.Dropped)
-		}
-	}
-	if s.PlacementLog != nil {
-		sink := s.hub.AddAsyncSink(placementView(s.PlacementLog), 0)
 		if s.Metrics != nil {
 			s.Metrics.AddDropSource(sink.Dropped)
 		}
@@ -272,21 +258,6 @@ func (s *Scheduler) Start(addr string) (string, error) {
 	go s.acceptLoop()
 	go s.eventLoop()
 	return ln.Addr().String(), nil
-}
-
-// placementView renders the structured stream as the scheduler's
-// classic free-text placement log.
-func placementView(w io.Writer) func(events.Event) {
-	return func(e events.Event) {
-		switch e.Type {
-		case events.TaskAssigned:
-			fmt.Fprintf(w, "assign %s -> %s\n", e.Task, e.Worker)
-		case events.TaskDone:
-			fmt.Fprintf(w, "done %s <- %s\n", e.Task, e.Worker)
-		case events.TaskFailed:
-			fmt.Fprintf(w, "fail %s <- %s: %s\n", e.Task, e.Worker, e.Err)
-		}
-	}
 }
 
 // WriteSchedulerFile writes the JSON scheduler file workers use to find the
