@@ -197,7 +197,7 @@ func TestCampaignCrossCodec(t *testing.T) {
 	schedFile := e2eClusterWires(t, []string{"binary", "binary", "json"}, "-batch", "4")
 
 	// A JSON monitor rides along for the whole test: a read-only peer on
-	// the legacy wire must coexist with binary dispatch traffic.
+	// the other codec must coexist with binary dispatch traffic.
 	mon := osexec.Command(binPath, "monitor", "-scheduler-file", schedFile, "-json")
 	var monOut bytes.Buffer
 	mon.Stdout = &monOut
@@ -903,12 +903,12 @@ func TestSlowPeerFaultInjection(t *testing.T) {
 	})
 
 	// Attach the wedges while the submit is still building its world, so
-	// they are live peers when dispatch starts: one JSON hello frame
-	// each, then radio silence with a shrunken receive buffer (anything
-	// the scheduler writes blocks quickly instead of vanishing into
-	// kernel buffering).
+	// they are live peers when dispatch starts: the wire hello and one
+	// JSON frame each, then radio silence with a shrunken receive buffer
+	// (anything the scheduler writes blocks quickly instead of vanishing
+	// into kernel buffering).
 	time.Sleep(100 * time.Millisecond)
-	wedge := func(hello string) {
+	wedge := func(frame string) {
 		t.Helper()
 		conn, err := net.Dial("tcp", sf.Address)
 		if err != nil {
@@ -918,11 +918,11 @@ func TestSlowPeerFaultInjection(t *testing.T) {
 			_ = tc.SetReadBuffer(4 << 10)
 		}
 		t.Cleanup(func() { conn.Close() })
-		if _, err := conn.Write([]byte(hello + "\n")); err != nil {
+		if _, err := conn.Write([]byte("flow-wire json 1\n" + frame + "\n")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wedge(`{"type":"register","worker_id":"e2e-wedged","slots":1,"max_batch":4096}`)
+	wedge(`{"type":"register","worker_id":"e2e-wedged"}`)
 	wedge(`{"type":"subscribe"}`)
 
 	if err := submit.Wait(); err != nil {

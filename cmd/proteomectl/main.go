@@ -151,16 +151,16 @@ commands:
                                 cost; mixed -wire fleets share one scheduler)
   submit (-connect A | -scheduler-file F) -species C [-preset P] [-nodes N]
       [-seed S] [-limit K] [-stats F] [-timeline F] [-summary]
-      [-resume F] [-resume-stats F] [-dial-retry D] [-wire json|binary]
+      [-resume F] [-dial-retry D] [-wire json|binary]
       [-campaign NAME]
                                 run the campaign on the remote cluster;
                                 -stats writes the per-task processing-times
                                 CSV, -timeline the measured-vs-simulated
                                 worker-timeline SVG, -summary keeps feature
                                 and prediction payloads off the wire,
-                                -resume/-resume-stats skip tasks an
-                                interrupted run already completed (the
-                                report stays byte-identical), -campaign
+                                -resume skips tasks an interrupted run
+                                already completed (the report stays
+                                byte-identical), -campaign
                                 names the fair-share/quota namespace on a
                                 shared scheduler
   monitor (-connect A | -scheduler-file F) [-json] [-wire json|binary]
@@ -412,7 +412,7 @@ func (c *connFlags) register(fs *flag.FlagSet, retryDefault time.Duration) {
 	fs.StringVar(&c.connect, "connect", "", "scheduler address (host:port)")
 	fs.StringVar(&c.schedFile, "scheduler-file", "", "scheduler file to read the address from")
 	fs.DurationVar(&c.dialRetry, "dial-retry", retryDefault, "keep retrying the scheduler (and a missing scheduler file) with backoff for this long (0 = one attempt)")
-	fs.StringVar(&c.wire, "wire", "json", "wire codec: json (compatible with every release) or binary (length-prefixed frames — cheaper per message on dispatch-heavy fleets); peers with different -wire values interoperate on one scheduler")
+	fs.StringVar(&c.wire, "wire", "json", "wire codec: json or binary (length-prefixed frames — cheaper per message on dispatch-heavy fleets); peers with different -wire values interoperate on one scheduler, peers of different builds do not")
 }
 
 func (c *connFlags) validate(cmd string) error {
@@ -461,7 +461,7 @@ func (o *schedOptions) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.maxRetries, "max-retries", 3, "requeue a task whose worker died at most this many times, then quarantine it with a terminal failed event (0 = requeue forever)")
 	fs.DurationVar(&o.heartbeatTimeout, "heartbeat-timeout", 0, "declare a worker dead after this long without a heartbeat or result and requeue its task (0 disables; workers must send -heartbeat at a few multiples below this)")
 	fs.IntVar(&o.eventBacklog, "event-backlog", 0, "retain at most this many events in memory for late-attaching monitors, evicting oldest-first with an explicit truncated marker (0 = unbounded; the -event-log file always keeps everything)")
-	fs.IntVar(&o.batch, "batch", 1, "hand a free worker up to this many tasks per frame (acked in one frame back), amortizing per-message cost at scale; negotiated per worker, so peers that predate batching get one task per frame")
+	fs.IntVar(&o.batch, "batch", 1, "hand a free worker up to this many tasks per frame (acked in one frame back), amortizing per-message cost at scale")
 	fs.StringVar(&o.policy, "policy", flow.PolicyFIFO, "queue policy: fifo (strict arrival order) or fair (round-robin handout across campaigns sharing the fleet; tasks name their campaign via submit -campaign)")
 	fs.IntVar(&o.quota, "quota", 0, "admit at most this many unfinished tasks per campaign, deferring the rest (and their submit ack) until earlier tasks settle; 0 = unlimited")
 	fs.IntVar(&o.outboxDepth, "outbox-depth", flow.DefaultOutboxDepth, "bound each peer connection's outbound frame queue to this many frames; a peer whose queue overflows is declared dead and its tasks requeue (size it at least as large as the biggest in-flight wave one client awaits)")
@@ -625,7 +625,6 @@ type submitOptions struct {
 	resultTimeout time.Duration
 	summary       bool
 	resume        string
-	resumeStats   string
 	campaign      string
 }
 
@@ -637,42 +636,7 @@ func (o *submitOptions) register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.summary, "summary", false,
 		"summary-only results: feature kernels return a digest instead of full per-protein features, cutting wire bytes; the printed report is byte-identical")
 	fs.StringVar(&o.resume, "resume", "", "resume an interrupted campaign from a scheduler event log (sched -event-log): tasks recorded done are recomputed locally instead of re-dispatched; the report is byte-identical to an uninterrupted run")
-	fs.StringVar(&o.resumeStats, "resume-stats", "", "like -resume, from a processing-times CSV of the interrupted run (-stats); combinable with -resume")
 	fs.StringVar(&o.campaign, "campaign", "", "campaign name stamped on every submitted task: the fair-share lane and admission-quota namespace on a shared scheduler (sched -policy fair / -quota), and the monitor -campaign filter key; empty keeps single-tenant behavior")
-}
-
-// completedSet merges the -resume / -resume-stats sources into one set of
-// already-finished task IDs, or returns nil when neither flag was given.
-func (o *submitOptions) completedSet() (*events.CompletedSet, error) {
-	if o.resume == "" && o.resumeStats == "" {
-		return nil, nil
-	}
-	set := events.NewCompletedSet()
-	if o.resume != "" {
-		f, err := os.Open(o.resume)
-		if err != nil {
-			return nil, err
-		}
-		logSet, err := events.CompletedFromLog(f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		set.Merge(logSet)
-	}
-	if o.resumeStats != "" {
-		f, err := os.Open(o.resumeStats)
-		if err != nil {
-			return nil, err
-		}
-		ids, err := exec.CompletedFromStatsCSV(f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		set.AddAll(ids)
-	}
-	return set, nil
 }
 
 func submitCmd(args []string, stdout io.Writer) error {
@@ -690,11 +654,16 @@ func submitCmd(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	set, err := o.completedSet()
-	if err != nil {
-		return err
-	}
-	if set != nil {
+	if o.resume != "" {
+		f, err := os.Open(o.resume)
+		if err != nil {
+			return err
+		}
+		set, err := events.CompletedFromLog(f)
+		f.Close()
+		if err != nil {
+			return err
+		}
 		// Stderr, so the stdout report stays byte-identical to an
 		// uninterrupted run.
 		fmt.Fprintf(os.Stderr, "resume: %d tasks already completed; dispatching only the remainder\n", set.Len())

@@ -190,13 +190,6 @@ func TestCompletedSet(t *testing.T) {
 	if set.Len() != 1 {
 		t.Errorf("Len = %d, want 1", set.Len())
 	}
-	set.AddAll([]string{"x", "y", ""})
-	other := NewCompletedSet()
-	other.Add("z")
-	set.Merge(other)
-	if set.Len() != 4 || !set.Done("x") || !set.Done("z") {
-		t.Errorf("after AddAll+Merge: Len=%d x=%v z=%v", set.Len(), set.Done("x"), set.Done("z"))
-	}
 }
 
 func TestCompletedFromLog(t *testing.T) {

@@ -27,21 +27,6 @@ func (s *CompletedSet) Add(task string) {
 	}
 }
 
-// AddAll marks every task identity in tasks as completed.
-func (s *CompletedSet) AddAll(tasks []string) {
-	for _, t := range tasks {
-		s.Add(t)
-	}
-}
-
-// Merge adds every task of other into s (combining `-resume` and
-// `-resume-stats` sources).
-func (s *CompletedSet) Merge(other *CompletedSet) {
-	for t := range other.done {
-		s.done[t] = true
-	}
-}
-
 // Done reports whether the task was completed by the prior run. It is
 // the func a resumed core.Config.Resume threads into stage dispatch.
 func (s *CompletedSet) Done(task string) bool { return s.done[task] }

@@ -1,11 +1,9 @@
 package exec
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestMapSpecResumeSkipsCompleted is the resume contract on a spec-only
@@ -102,43 +100,5 @@ func TestMapSpecResumePoolIgnoresSkipSet(t *testing.T) {
 	}
 	if out[0] != 11 || out[1] != 12 || out[2] != 13 {
 		t.Fatalf("pool resume out = %v", out)
-	}
-}
-
-func TestCompletedFromStatsCSV(t *testing.T) {
-	base := time.Unix(1000, 0)
-	rows := []TaskStats{
-		{TaskID: "P001", Kernel: "campaign/feature", WorkerID: "w1", Enqueue: base, Start: base, Finish: base.Add(time.Second)},
-		{TaskID: "P002", Kernel: "campaign/feature", WorkerID: "w2", Enqueue: base, Start: base, Finish: base.Add(time.Second), Err: "boom"},
-		{TaskID: "P003", Kernel: "campaign/feature", WorkerID: "w1", Enqueue: base, Start: base, Finish: base.Add(2 * time.Second)},
-	}
-	var buf bytes.Buffer
-	if err := WriteStatsCSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-
-	done, err := CompletedFromStatsCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Failed rows are not completed — a resume re-dispatches them.
-	if len(done) != 2 || done[0] != "P001" || done[1] != "P003" {
-		t.Fatalf("completed = %v, want [P001 P003]", done)
-	}
-
-	// A torn tail (kill mid-write) yields the intact prefix.
-	torn := buf.String()
-	torn = torn[:len(torn)-10] + "\"unclosed"
-	done, err = CompletedFromStatsCSV(strings.NewReader(torn))
-	if err != nil {
-		t.Fatalf("torn CSV: %v", err)
-	}
-	if len(done) == 0 || done[0] != "P001" {
-		t.Fatalf("torn CSV completed = %v, want intact prefix starting with P001", done)
-	}
-
-	// The wrong file entirely is rejected loudly.
-	if _, err := CompletedFromStatsCSV(strings.NewReader("species,proteins\nyeast,6000\n")); err == nil {
-		t.Fatal("CompletedFromStatsCSV accepted a non-stats CSV")
 	}
 }

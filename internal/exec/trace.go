@@ -164,50 +164,6 @@ func WriteStatsCSV(w io.Writer, rows []TaskStats) error {
 	return cw.Error()
 }
 
-// CompletedFromStatsCSV reads a processing-times CSV (the StatsHeader
-// schema WriteStatsCSV emits) and returns the task_id of every row that
-// completed without error — the other resume source besides the event
-// log (`submit -resume-stats`). The header row is validated so a wrong
-// file fails loudly instead of silently resuming from nothing.
-func CompletedFromStatsCSV(r io.Reader) ([]string, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("exec: reading stats header: %w", err)
-	}
-	// Accept both the current schema and the pre-campaign one (one column
-	// shorter), locating the error column by name — a resume must keep
-	// working against a stats file written by the previous release.
-	if header[0] != StatsHeader[0] || len(header) < len(StatsHeader)-1 || len(header) > len(StatsHeader) {
-		return nil, fmt.Errorf("exec: not a processing-times CSV (header %v)", header)
-	}
-	errCol := -1
-	for i, name := range header {
-		if name == "error" {
-			errCol = i
-			break
-		}
-	}
-	if errCol < 0 {
-		return nil, fmt.Errorf("exec: not a processing-times CSV (header %v)", header)
-	}
-	var done []string
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return done, nil
-		}
-		if err != nil {
-			// A torn tail (killed writer) keeps the intact prefix, like
-			// events.ReadLog.
-			return done, nil
-		}
-		if rec[0] != "" && rec[errCol] == "" {
-			done = append(done, rec[0])
-		}
-	}
-}
-
 // Traceable is the optional Executor extension for telemetry: both back
 // ends implement it. SetTrace installs the sink every subsequent batch
 // records into (nil disables tracing); it must be called before the

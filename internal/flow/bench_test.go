@@ -166,8 +166,6 @@ func wedgeBenchPeer(b *testing.B, addr, wire, kind string) {
 	m := message{Type: kind}
 	if kind == msgRegister {
 		m.WorkerID = "wedged"
-		m.Slots = 1
-		m.MaxBatch = workerMaxBatch
 	}
 	if err := codec.Encode(&m); err != nil {
 		b.Fatal(err)

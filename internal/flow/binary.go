@@ -95,8 +95,8 @@ func (c *binaryCodec) Flush() error { return c.w.Flush() }
 
 // --- frame body encoding ---
 //
-// The layout is positional and versionless: every field of the envelope
-// is written in a fixed order, present or not. Optional pointers are a
+// The layout is positional: every field of the envelope is written in a
+// fixed order, present or not (the version lives in the hello, not here). Optional pointers are a
 // presence byte; slices are a count. That keeps the decoder branch-free
 // enough to stay cheap and makes "same message ⇒ same bytes" hold, which
 // the fuzz round-trip exploits.
@@ -104,23 +104,9 @@ func (c *binaryCodec) Flush() error { return c.w.Flush() }
 func appendMessage(b []byte, m *message) []byte {
 	b = appendString(b, m.Type)
 	b = appendString(b, m.WorkerID)
-	b = binary.AppendVarint(b, int64(m.Slots))
-	b = binary.AppendVarint(b, int64(m.MaxBatch))
-	if m.Task != nil {
-		b = append(b, 1)
-		b = appendTask(b, m.Task)
-	} else {
-		b = append(b, 0)
-	}
 	b = binary.AppendUvarint(b, uint64(len(m.Tasks)))
 	for i := range m.Tasks {
 		b = appendTask(b, &m.Tasks[i])
-	}
-	if m.Result != nil {
-		b = append(b, 1)
-		b = appendResult(b, m.Result)
-	} else {
-		b = append(b, 0)
 	}
 	b = binary.AppendUvarint(b, uint64(len(m.Results)))
 	for i := range m.Results {
@@ -134,9 +120,6 @@ func appendMessage(b []byte, m *message) []byte {
 	}
 	b = binary.AppendVarint(b, int64(m.Count))
 	b = appendString(b, m.Campaign)
-	// Append-last extension (heartbeat gauges). The presence byte is
-	// written even when nil so encoding stays canonical: decode(encode(m))
-	// re-encodes to the same bytes, which the fuzz round-trip requires.
 	if m.Gauges != nil {
 		b = append(b, 1)
 		b = binary.AppendVarint(b, int64(m.Gauges.Goroutines))
@@ -338,12 +321,6 @@ func (r *binReader) time(what string) time.Time {
 func readMessage(r *binReader, m *message) {
 	m.Type = r.str("type")
 	m.WorkerID = r.str("worker_id")
-	m.Slots = int(r.varint("slots"))
-	m.MaxBatch = int(r.varint("max_batch"))
-	if r.presence("task") {
-		m.Task = new(Task)
-		readTask(r, m.Task)
-	}
 	if n := r.count("tasks", minTaskWire); n > 0 {
 		m.Tasks = make([]Task, 0, min(n, maxSlicePrealloc))
 		for i := 0; i < n && r.err == nil; i++ {
@@ -351,10 +328,6 @@ func readMessage(r *binReader, m *message) {
 			readTask(r, &t)
 			m.Tasks = append(m.Tasks, t)
 		}
-	}
-	if r.presence("result") {
-		m.Result = new(Result)
-		readResult(r, m.Result)
 	}
 	if n := r.count("results", minResultWire); n > 0 {
 		m.Results = make([]Result, 0, min(n, maxSlicePrealloc))
@@ -370,13 +343,6 @@ func readMessage(r *binReader, m *message) {
 	}
 	m.Count = int(r.varint("count"))
 	m.Campaign = r.str("campaign")
-	// Fields introduced after the layout froze are appended last; a frame
-	// that ends here came from a legacy peer and the extension decodes as
-	// absent. The reader is otherwise strict, so this is the one point
-	// where running out of bytes is interop, not corruption.
-	if r.err != nil || len(r.b) == 0 {
-		return
-	}
 	if r.presence("gauges") {
 		m.Gauges = &WorkerGauges{
 			Goroutines:    int(r.varint("gauges goroutines")),

@@ -37,8 +37,7 @@ type Client struct {
 	// Campaign, when set before Map, names the multi-tenant namespace the
 	// submission belongs to: it travels on the submit frame, the scheduler
 	// stamps it onto every task that does not carry its own, and the
-	// fair-share policy and admission quotas key on it. Empty (the
-	// default) keeps the submit frame byte-identical to earlier releases.
+	// fair-share policy and admission quotas key on it.
 	Campaign string
 
 	mu     sync.Mutex
@@ -112,7 +111,6 @@ func (c *Client) Map(tasks []Task, observe func(*Result)) ([]Result, error) {
 	// Map return "complete" while another task's result never arrived. The
 	// first record per task wins and is the one observed and returned.
 	settled := make(map[string]bool, len(tasks))
-	accepted := false
 	for len(settled) < len(tasks) {
 		// Renew the progress deadline before every read: any message from
 		// the scheduler counts as progress, but a wedged scheduler (or a
@@ -125,40 +123,22 @@ func (c *Client) Map(tasks []Task, observe func(*Result)) ([]Result, error) {
 			return results, fmt.Errorf("flow: awaiting results (%d/%d done): %w",
 				len(settled), len(tasks), err)
 		}
-		switch m.Type {
-		case msgAccepted:
-			accepted = true
-		case msgResult:
-			// The scheduler forwards one singular frame per result today;
-			// accepting the batched form too keeps the client compatible
-			// with a future scheduler that coalesces harder.
-			for _, r := range resultsOf(&m) {
-				if !ids[r.TaskID] || settled[r.TaskID] {
-					continue
-				}
-				settled[r.TaskID] = true
-				results = append(results, r)
-				if observe != nil {
-					observe(&results[len(results)-1])
-				}
+		if m.Type != msgResult {
+			continue // the accepted ack: progress, nothing to record
+		}
+		for _, r := range m.Results {
+			if !ids[r.TaskID] || settled[r.TaskID] {
+				continue
+			}
+			settled[r.TaskID] = true
+			results = append(results, r)
+			if observe != nil {
+				observe(&results[len(results)-1])
 			}
 		}
 	}
-	_ = accepted
 	_ = c.conn.SetReadDeadline(time.Time{})
 	return results, nil
-}
-
-// resultsOf normalizes a result frame: the singular field and the batched
-// field carry the same records, and a frame may use either.
-func resultsOf(m *message) []Result {
-	if m.Result != nil {
-		if len(m.Results) == 0 {
-			return []Result{*m.Result}
-		}
-		return append([]Result{*m.Result}, m.Results...)
-	}
-	return m.Results
 }
 
 // Close disconnects the client.

@@ -6,31 +6,65 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 )
 
 // Wire codec names, as accepted by DialOptions.Codec and the proteomectl
 // -wire flag.
 const (
-	// WireJSON is the legacy newline-delimited JSON wire — the default.
-	// JSON peers send no hello, so the framing a fleet that never asks
-	// for another codec puts on the wire is unchanged from every earlier
-	// release (registration now carries the max_batch capability field,
-	// which legacy schedulers parse and ignore).
+	// WireJSON is the newline-delimited JSON wire — the default.
 	WireJSON = "json"
 	// WireBinary is the length-prefixed binary wire: 4-byte big-endian
 	// frame length followed by a positional encoding of the envelope, with
 	// per-connection reusable encode/decode buffers. Cheaper to encode and
-	// decode than JSON on the dispatch hot path; negotiated per connection,
-	// so binary workers and JSON monitors interoperate on one scheduler.
+	// decode than JSON on the dispatch hot path; chosen per connection, so
+	// binary workers and JSON monitors interoperate on one scheduler.
 	WireBinary = "binary"
 )
 
-// helloPrefix starts the one-line codec hello a non-JSON peer sends
-// immediately after connecting: "flow-wire <name>\n". JSON peers send
-// nothing — their first byte is the '{' of a JSON frame, which is how the
-// scheduler tells the two apart (no JSON frame can start with 'f').
+// wireVersion is the one protocol version this build speaks. Every peer
+// is built from this tree, so there is no negotiation and no tolerance
+// for absent fields: a dialer states the version in its hello and the
+// scheduler refuses any other before decoding a frame. Bump it whenever
+// the bytes of any frame change (TestWireGolden fails until you do).
+const wireVersion = 1
+
+// helloPrefix starts the hello line every dialer sends immediately after
+// connecting: "flow-wire <codec> <version>\n".
 const helloPrefix = "flow-wire "
+
+// helloLine is the hello a dialer of this build sends for the named codec
+// ("" selects the JSON default).
+func helloLine(name string) string {
+	if name == "" {
+		name = WireJSON
+	}
+	return fmt.Sprintf("%s%s %d\n", helloPrefix, name, wireVersion)
+}
+
+// parseHello validates a peer's hello line (without its newline) and
+// returns the codec it names. It faces untrusted bytes: anything but
+// "flow-wire <known codec> <this build's version>" is an error, and a
+// version mismatch names both sides so the operator of a mixed
+// deployment learns which build to replace.
+func parseHello(line []byte) (string, error) {
+	rest, ok := strings.CutPrefix(string(line), helloPrefix)
+	if !ok {
+		return "", fmt.Errorf("flow: peer sent no %q hello (got %.40q); this build speaks wire version %d", helloPrefix, line, wireVersion)
+	}
+	name, version, ok := strings.Cut(rest, " ")
+	if !ok {
+		return "", fmt.Errorf("flow: peer hello %q offers no wire version; this build speaks version %d", line, wireVersion)
+	}
+	if version != strconv.Itoa(wireVersion) {
+		return "", fmt.Errorf("flow: peer offers wire version %q; this build speaks version %d", version, wireVersion)
+	}
+	if name != WireJSON && name != WireBinary {
+		return "", fmt.Errorf("flow: unknown wire codec %q", name)
+	}
+	return name, nil
+}
 
 // Codec frames the wire envelope over one connection. Encode buffers
 // frames (call Flush to hit the wire — write coalescing is the point:
@@ -71,55 +105,44 @@ func newCodec(name string, r *bufio.Reader, w *bufio.Writer) (Codec, error) {
 	return nil, fmt.Errorf("flow: unknown wire codec %q", name)
 }
 
-// dialCodec is the dialer half of codec negotiation: it wraps conn in
-// buffered I/O and, for a non-JSON codec, stages the hello line in the
-// write buffer so it travels in the same packet as the first frame
-// (register, submit, subscribe). JSON dials stage nothing — the wire is
-// indistinguishable from a pre-codec peer.
+// dialCodec is the dialer half of the handshake: it wraps conn in buffered
+// I/O and stages the hello line in the write buffer, so it travels in the
+// same packet as the first frame (register, submit, subscribe).
 func dialCodec(conn net.Conn, name string) (Codec, error) {
-	if !ValidWire(name) {
-		return nil, fmt.Errorf("flow: unknown wire codec %q", name)
-	}
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-	if name != "" && name != WireJSON {
-		if _, err := w.WriteString(helloPrefix + name + "\n"); err != nil {
-			return nil, err
-		}
-	}
-	return newCodec(name, r, w)
-}
-
-// acceptCodec is the scheduler half of codec negotiation: it peeks at the
-// first byte of the connection. '{' means a JSON frame is already in
-// flight (a legacy or default peer — no hello on the wire); anything else
-// must be the hello line naming the codec the peer will speak.
-func acceptCodec(r *bufio.Reader, w *bufio.Writer) (Codec, error) {
-	first, err := r.Peek(1)
+	c, err := newCodec(name, r, w)
 	if err != nil {
 		return nil, err
 	}
-	if first[0] == '{' {
-		return newJSONCodec(r, w), nil
+	if _, err := w.WriteString(helloLine(name)); err != nil {
+		return nil, err
 	}
+	return c, nil
+}
+
+// acceptCodec is the scheduler half: it reads the hello line and refuses
+// the connection unless it names a known codec and this build's wire
+// version — before any frame is decoded, so a peer built from another
+// tree is turned away at connect instead of having its frames half
+// understood.
+func acceptCodec(r *bufio.Reader, w *bufio.Writer) (Codec, error) {
 	// ReadSlice bounds the hello by the reader's buffer, so a peer
 	// streaming garbage without a newline is cut off instead of growing a
 	// line without limit.
 	line, err := r.ReadSlice('\n')
 	if err != nil {
-		return nil, fmt.Errorf("flow: reading codec hello: %w", err)
+		return nil, fmt.Errorf("flow: reading wire hello: %w", err)
 	}
-	name, ok := strings.CutPrefix(string(bytes.TrimSuffix(line, []byte("\n"))), helloPrefix)
-	if !ok {
-		return nil, fmt.Errorf("flow: malformed codec hello %q", line)
+	name, err := parseHello(bytes.TrimSuffix(line, []byte("\n")))
+	if err != nil {
+		return nil, err
 	}
 	return newCodec(name, r, w)
 }
 
-// jsonCodec is the default codec: the newline-delimited JSON protocol
-// every release has spoken, now written through a bufio.Writer so frames
-// coalesce into one syscall per Flush. The bytes on the wire are
-// unchanged — only when they are written moves.
+// jsonCodec is the default codec: newline-delimited JSON, written through
+// a bufio.Writer so frames coalesce into one syscall per Flush.
 type jsonCodec struct {
 	enc *json.Encoder
 	dec *json.Decoder

@@ -26,24 +26,22 @@ func fullMessage() *message {
 	return &message{
 		Type:     msgResult,
 		WorkerID: "w1",
-		Slots:    3,
-		MaxBatch: 16,
-		Task: &Task{
-			ID: "t1", Label: "fold", Weight: 2.5,
-			Payload: json.RawMessage(`{"a":1}`), EnqueuedNS: 42, Attempt: 1,
-			EscalatePayload: json.RawMessage(`{"full":true}`),
-			Campaign:        "dvu-full",
-		},
 		Tasks: []Task{
+			{
+				ID: "t1", Label: "fold", Weight: 2.5,
+				Payload: json.RawMessage(`{"a":1}`), EnqueuedNS: 42, Attempt: 1,
+				EscalatePayload: json.RawMessage(`{"full":true}`),
+				Campaign:        "dvu-full",
+			},
 			{ID: "t2", Weight: -0.25, Campaign: "rru-pilot"},
 			{ID: "t3", Label: "relax", Payload: json.RawMessage(`"x"`)},
 		},
-		Result: &Result{
-			TaskID: "t1", WorkerID: "w1", EnqueuedNS: 42,
-			Start: start, End: start.Add(time.Second),
-			Payload: json.RawMessage(`"ok"`), Err: "boom",
-		},
 		Results: []Result{
+			{
+				TaskID: "t1", WorkerID: "w1", EnqueuedNS: 42,
+				Start: start, End: start.Add(time.Second),
+				Payload: json.RawMessage(`"ok"`), Err: "boom",
+			},
 			{TaskID: "t2", WorkerID: "w1", Start: start, End: start},
 		},
 		Event: &events.Event{
@@ -82,7 +80,7 @@ func TestBinaryMessageRoundTrip(t *testing.T) {
 
 	// Decoded payloads must be copies, not views into the codec's scratch
 	// buffer: a second Decode must not corrupt the first frame's payloads.
-	if err := c.Encode(&message{Type: msgTask, Task: &Task{ID: "t9", Payload: json.RawMessage(`{"overwrite":9}`)}}); err != nil {
+	if err := c.Encode(&message{Type: msgTask, Tasks: []Task{{ID: "t9", Payload: json.RawMessage(`{"overwrite":9}`)}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -92,17 +90,17 @@ func TestBinaryMessageRoundTrip(t *testing.T) {
 	if err := c.Decode(&second); err != nil {
 		t.Fatal(err)
 	}
-	if string(got.Task.Payload) != `{"a":1}` {
-		t.Errorf("first frame's payload corrupted by second Decode: %s", got.Task.Payload)
+	if string(got.Tasks[0].Payload) != `{"a":1}` {
+		t.Errorf("first frame's payload corrupted by second Decode: %s", got.Tasks[0].Payload)
 	}
 }
 
 func TestBinaryZeroTimeRoundTrip(t *testing.T) {
-	// The engine stamps zero times on results from pre-telemetry peers;
-	// IsZero must survive the wire (UnixNano would overflow here).
+	// A quarantine record carries zero times; IsZero must survive the wire
+	// (UnixNano would overflow here).
 	var buf bytes.Buffer
 	c := newBinaryCodec(bufio.NewReader(&buf), bufio.NewWriter(&buf))
-	if err := c.Encode(&message{Type: msgResult, Result: &Result{TaskID: "t"}}); err != nil {
+	if err := c.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "t"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -112,48 +110,8 @@ func TestBinaryZeroTimeRoundTrip(t *testing.T) {
 	if err := c.Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	if !got.Result.Start.IsZero() || !got.Result.End.IsZero() {
-		t.Errorf("zero times did not round trip: start=%v end=%v", got.Result.Start, got.Result.End)
-	}
-}
-
-func TestBinaryLegacyHeartbeatGaugesAbsent(t *testing.T) {
-	// A pre-gauges peer's heartbeat body ends after Campaign — exactly the
-	// current encoding minus the appended gauge section. The append-last
-	// convention requires it to decode with Gauges absent (nil), never an
-	// error and never zero-garbage; but once a presence byte claims
-	// gauges, a frame torn inside them is corruption and must fail.
-	body := appendMessage(nil, &message{Type: msgHeartbeat, WorkerID: "w-legacy"})
-	legacy := body[:len(body)-1] // strip the gauge presence byte
-
-	decode := func(body []byte) (message, error) {
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-		data := append(hdr[:], body...)
-		c := newBinaryCodec(bufio.NewReader(bytes.NewReader(data)), bufio.NewWriter(io.Discard))
-		var m message
-		err := c.Decode(&m)
-		return m, err
-	}
-
-	m, err := decode(legacy)
-	if err != nil {
-		t.Fatalf("legacy heartbeat rejected: %v", err)
-	}
-	if m.Type != msgHeartbeat || m.WorkerID != "w-legacy" {
-		t.Fatalf("legacy heartbeat mangled: %+v", m)
-	}
-	if m.Gauges != nil {
-		t.Fatalf("legacy heartbeat grew gauges: %+v", m.Gauges)
-	}
-
-	gauged := appendMessage(nil, &message{Type: msgHeartbeat, WorkerID: "w-new",
-		Gauges: &WorkerGauges{Goroutines: 7, HeapBytes: 1 << 22, TasksExecuted: 9, BusyNS: 12345}})
-	if m, err := decode(gauged); err != nil || m.Gauges == nil || m.Gauges.Goroutines != 7 {
-		t.Fatalf("gauged heartbeat: err=%v gauges=%+v", err, m.Gauges)
-	}
-	if _, err := decode(gauged[:len(gauged)-2]); err == nil {
-		t.Fatal("frame torn inside the gauge section decoded without error")
+	if !got.Results[0].Start.IsZero() || !got.Results[0].End.IsZero() {
+		t.Errorf("zero times did not round trip: start=%v end=%v", got.Results[0].Start, got.Results[0].End)
 	}
 }
 
@@ -182,11 +140,16 @@ func TestBinaryDecodeRejectsCorruptFrames(t *testing.T) {
 	// the count bound must reject it before it sizes an allocation.
 	bloated := appendString(nil, msgSubmit)        // type
 	bloated = appendString(bloated, "")            // worker_id
-	bloated = binary.AppendVarint(bloated, 0)      // slots
-	bloated = binary.AppendVarint(bloated, 0)      // max_batch
-	bloated = append(bloated, 0)                   // no single task
 	bloated = binary.AppendUvarint(bloated, 1<<30) // tasks count
+	// Every field is mandatory, the trailing gauges presence byte included:
+	// a frame that stops before it is a peer of another build, and the
+	// hello should have turned that peer away.
+	beat := appendMessage(nil, &message{Type: msgHeartbeat, WorkerID: "w1"})
+	gauged := appendMessage(nil, &message{Type: msgHeartbeat, WorkerID: "w1",
+		Gauges: &WorkerGauges{Goroutines: 7, HeapBytes: 1 << 22, TasksExecuted: 9, BusyNS: 12345}})
 	cases := map[string][]byte{
+		"no gauges presence":  frame(beat[:len(beat)-1]),
+		"torn gauges":         frame(gauged[:len(gauged)-2]),
 		"truncated body":      frame(valid)[:4+len(valid)/2],
 		"trailing bytes":      frame(append(append([]byte{}, valid...), 0xFF)),
 		"oversized length":    {0xFF, 0xFF, 0xFF, 0xFF},
@@ -279,51 +242,58 @@ func TestBinaryLargeBatchRoundTrip(t *testing.T) {
 func TestAcceptCodecNegotiation(t *testing.T) {
 	discard := bufio.NewWriter(io.Discard)
 
-	// A JSON peer sends no hello: the first byte on the wire is the '{' of
-	// a real frame, which acceptCodec must leave in place for the decoder.
-	r := bufio.NewReader(strings.NewReader(`{"type":"heartbeat","worker_id":"w"}` + "\n"))
-	c, err := acceptCodec(r, discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Name() != WireJSON {
-		t.Fatalf("JSON peer negotiated %q", c.Name())
-	}
-	var m message
-	if err := c.Decode(&m); err != nil || m.Type != msgHeartbeat || m.WorkerID != "w" {
-		t.Fatalf("first JSON frame lost in negotiation: %+v, %v", m, err)
-	}
-
-	// A binary peer announces itself with the hello line, then frames.
-	var wire bytes.Buffer
-	wire.WriteString(helloPrefix + WireBinary + "\n")
-	enc := newBinaryCodec(nil, bufio.NewWriter(&wire))
-	if err := enc.Encode(&message{Type: msgHeartbeat, WorkerID: "b"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	c, err = acceptCodec(bufio.NewReader(&wire), discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Name() != WireBinary {
-		t.Fatalf("binary peer negotiated %q", c.Name())
-	}
-	if err := c.Decode(&m); err != nil || m.Type != msgHeartbeat || m.WorkerID != "b" {
-		t.Fatalf("first binary frame lost in negotiation: %+v, %v", m, err)
-	}
-
-	// Unknown codecs and malformed hellos are rejected before any frame is
-	// decoded.
-	for _, bad := range []string{
-		helloPrefix + "msgpack\n",
-		"GET / HTTP/1.1\n",
-	} {
-		if _, err := acceptCodec(bufio.NewReader(strings.NewReader(bad)), discard); err == nil {
-			t.Errorf("acceptCodec(%q) succeeded", bad)
+	// Each codec announces itself and the wire version, then frames; the
+	// first frame must survive the hello being read off the same buffer.
+	for _, wire := range []string{WireJSON, WireBinary} {
+		var buf bytes.Buffer
+		buf.WriteString(helloLine(wire))
+		enc, err := newCodec(wire, nil, bufio.NewWriter(&buf))
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := enc.Encode(&message{Type: msgRegister, WorkerID: wire}); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		c, err := acceptCodec(bufio.NewReader(&buf), discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Name() != wire {
+			t.Fatalf("%s peer accepted as %q", wire, c.Name())
+		}
+		var m message
+		if err := c.Decode(&m); err != nil || m.Type != msgRegister || m.WorkerID != wire {
+			t.Fatalf("first %s frame lost behind the hello: %+v, %v", wire, m, err)
+		}
+	}
+
+	// Everything else is refused before any frame is decoded, and the
+	// error says which version this build speaks.
+	speaks := fmt.Sprintf("speaks version %d", wireVersion)
+	for name, bad := range map[string]string{
+		"no hello (bare JSON frame)": `{"type":"register","worker_id":"w"}` + "\n",
+		"hello without a version":    helloPrefix + WireBinary + "\n",
+		"malformed hello":            "GET / HTTP/1.1\n",
+	} {
+		_, err := acceptCodec(bufio.NewReader(strings.NewReader(bad)), discard)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(wireVersion)) {
+			t.Errorf("%s: err = %v, want a refusal naming version %d", name, err, wireVersion)
+		}
+	}
+	other := fmt.Sprintf("%s%s %d\n", helloPrefix, WireJSON, wireVersion+1)
+	_, err := acceptCodec(bufio.NewReader(strings.NewReader(other)), discard)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("offers wire version %q", fmt.Sprint(wireVersion+1))) ||
+		!strings.Contains(err.Error(), speaks) {
+		t.Errorf("version mismatch: err = %v, want offered and expected version named", err)
+	}
+	if _, err := acceptCodec(bufio.NewReader(strings.NewReader(fmt.Sprintf("%smsgpack %d\n", helloPrefix, wireVersion))), discard); err == nil {
+		t.Error("unknown codec accepted")
+	}
+	if _, err := acceptCodec(bufio.NewReader(strings.NewReader(helloPrefix+WireJSON)), discard); err == nil {
+		t.Error("hello without a newline accepted")
 	}
 }
 
@@ -336,22 +306,30 @@ func TestDialCodecStagesHello(t *testing.T) {
 		t.Error("dialCodec accepted an unknown codec")
 	}
 
-	c, err := dialCodec(client, WireBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The hello is staged, not flushed: it must travel with the first
-	// frame, so negotiation costs no extra packet.
-	go func() {
-		_ = c.Encode(&message{Type: msgHeartbeat, WorkerID: "w"})
-		_ = c.Flush()
-	}()
-	buf := make([]byte, len(helloPrefix+WireBinary)+1)
-	if _, err := io.ReadFull(server, buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != helloPrefix+WireBinary+"\n" {
-		t.Fatalf("hello on the wire = %q", buf)
+	for _, wire := range []string{WireBinary, WireJSON} {
+		c, err := dialCodec(client, wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The hello is staged, not flushed: it must travel with the first
+		// frame, so it costs no extra packet.
+		go func() {
+			_ = c.Encode(&message{Type: msgHeartbeat, WorkerID: "w"})
+			_ = c.Flush()
+		}()
+		r := bufio.NewReader(server)
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		if line != helloLine(wire) {
+			t.Fatalf("hello on the wire = %q, want %q", line, helloLine(wire))
+		}
+		var m message
+		frames, _ := newCodec(wire, r, nil)
+		if err := frames.Decode(&m); err != nil || m.Type != msgHeartbeat {
+			t.Fatalf("first %s frame after the hello: %+v, %v", wire, m, err)
+		}
 	}
 }
 
@@ -446,9 +424,6 @@ func (bw *batchWorker) serve(t *testing.T, n int) (frameSizes []int) {
 			continue
 		}
 		tasks := m.Tasks
-		if m.Task != nil {
-			tasks = append([]Task{*m.Task}, tasks...)
-		}
 		if len(tasks) == 0 {
 			t.Fatal("task frame with no tasks")
 		}
@@ -457,11 +432,7 @@ func (bw *batchWorker) serve(t *testing.T, n int) (frameSizes []int) {
 		for i, task := range tasks {
 			results[i] = Result{TaskID: task.ID, WorkerID: "batcher", Start: time.Now(), End: time.Now()}
 		}
-		ack := message{Type: msgResult, Results: results}
-		if len(results) == 1 {
-			ack = message{Type: msgResult, Result: &results[0]}
-		}
-		if err := bw.rw.enc.Encode(ack); err != nil {
+		if err := bw.rw.enc.Encode(message{Type: msgResult, Results: results}); err != nil {
 			t.Fatalf("batch worker ack: %v", err)
 		}
 		served += len(tasks)
@@ -532,72 +503,6 @@ func TestBatchedHandout(t *testing.T) {
 	}
 }
 
-// TestBatchLegacyWorkerFallback: a worker that never advertised the
-// batching capability (a pre-batching release) must receive the singular
-// one-task form even from a batching scheduler — and the campaign must
-// drain through it rather than stranding a batch the worker would ignore.
-func TestBatchLegacyWorkerFallback(t *testing.T) {
-	s := NewScheduler()
-	s.Batch = 8
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-
-	c, err := ConnectClient(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-
-	done := make(chan error, 1)
-	var results []Result
-	go func() {
-		var err error
-		results, err = c.Map(makeTasks(6), nil)
-		done <- err
-	}()
-	// Submit first so a full queue is waiting and a batch-capable worker
-	// would be handed 6 tasks in one frame.
-	time.Sleep(20 * time.Millisecond)
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	rw := &rawWorker{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(bufio.NewReader(conn))}
-	// The legacy register frame: no max_batch field.
-	if err := rw.enc.Encode(message{Type: msgRegister, WorkerID: "legacy", Slots: 1}); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	for served := 0; served < 6; {
-		var m message
-		if err := rw.dec.Decode(&m); err != nil {
-			t.Fatalf("legacy worker decode: %v", err)
-		}
-		if m.Type != msgTask {
-			continue
-		}
-		if m.Task == nil || len(m.Tasks) != 0 {
-			t.Fatalf("legacy worker handed a batched frame: %+v", m)
-		}
-		res := Result{TaskID: m.Task.ID, WorkerID: "legacy", Start: time.Now(), End: time.Now()}
-		if err := rw.enc.Encode(message{Type: msgResult, Result: &res}); err != nil {
-			t.Fatal(err)
-		}
-		served++
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 6 {
-		t.Fatalf("got %d results, want 6", len(results))
-	}
-}
-
 func TestBatchRequeueOnWorkerDeath(t *testing.T) {
 	// A worker dies holding a batch with two of four tasks acked: the two
 	// unacked tasks — and only those — must be requeued onto a survivor.
@@ -636,9 +541,6 @@ func TestBatchRequeueOnWorkerDeath(t *testing.T) {
 		}
 	}
 	got := m.Tasks
-	if m.Task != nil {
-		got = append([]Task{*m.Task}, got...)
-	}
 	if len(got) != 4 {
 		t.Fatalf("batch of %d tasks, want all 4", len(got))
 	}

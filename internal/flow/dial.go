@@ -34,10 +34,9 @@ type DialOptions struct {
 	Retry time.Duration
 
 	// Codec names the wire codec this connection will speak: "" or
-	// WireJSON (the default, wire-identical to pre-codec releases), or
-	// WireBinary. Dial itself only validates it; the connection-owning
-	// dialers (DialClient, Worker.Dial, DialMonitor) send the negotiation
-	// hello and frame accordingly.
+	// WireJSON (the default), or WireBinary. Dial itself only validates
+	// it; the connection-owning dialers (DialClient, Worker.Dial,
+	// DialMonitor) send the hello and frame accordingly.
 	Codec string
 
 	// Timeout bounds each individual dial attempt. Zero selects the

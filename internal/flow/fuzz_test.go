@@ -13,9 +13,9 @@ import (
 	"testing"
 )
 
-// -update regenerates the checked-in fuzz corpora for the binary frame
-// decoder; review the diff before committing.
-var updateCorpus = flag.Bool("update", false, "rewrite the checked-in binary-frame fuzz corpora")
+// -update regenerates the checked-in binary-frame fuzz corpora and the
+// wire goldens (testdata/wire); review the diff before committing.
+var updateCorpus = flag.Bool("update", false, "rewrite the checked-in binary-frame fuzz corpora and wire goldens")
 
 // FuzzDecodeSpec hardens the job-spec decoder: arbitrary payloads must
 // yield either a valid spec (non-empty kernel) or an error — never a
@@ -80,11 +80,11 @@ func FuzzParseSchedulerFile(f *testing.F) {
 // re-encodes losslessly (modulo JSON field order, which the re-decode
 // absorbs).
 func FuzzDecodeMessage(f *testing.F) {
-	f.Add([]byte(`{"type":"register","worker_id":"w1","slots":1}`))
-	f.Add([]byte(`{"type":"task","task":{"id":"t1","weight":2.5,"payload":{"kernel":"k"}}}`))
-	f.Add([]byte(`{"type":"task","task":{"id":"t1","enqueued_ns":1643068800000000000,"payload":{"kernel":"campaign/feature","args":{"summary":true}}}}`))
-	f.Add([]byte(`{"type":"result","result":{"task_id":"t1","worker_id":"w1","start":"2022-01-25T00:00:00Z","end":"2022-01-25T00:00:01Z","error":"boom"}}`))
-	f.Add([]byte(`{"type":"result","result":{"task_id":"t1","worker_id":"w1","enqueued_ns":1643068800000000000,"start":"2022-01-25T00:00:01Z","end":"2022-01-25T00:00:02Z","payload":{"digest":{"length":120,"depth":14,"neff":6.5,"templates":2}}}}`))
+	f.Add([]byte(`{"type":"register","worker_id":"w1"}`))
+	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","weight":2.5,"payload":{"kernel":"k"}}]}`))
+	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","enqueued_ns":1643068800000000000,"payload":{"kernel":"campaign/feature","args":{"summary":true}}}]}`))
+	f.Add([]byte(`{"type":"result","results":[{"task_id":"t1","worker_id":"w1","start":"2022-01-25T00:00:00Z","end":"2022-01-25T00:00:01Z","error":"boom"}]}`))
+	f.Add([]byte(`{"type":"result","results":[{"task_id":"t1","worker_id":"w1","enqueued_ns":1643068800000000000,"start":"2022-01-25T00:00:01Z","end":"2022-01-25T00:00:02Z","payload":{"digest":{"length":120,"depth":14,"neff":6.5,"templates":2}}}]}`))
 	f.Add([]byte(`{"type":"submit","tasks":[{"id":"a"},{"id":"b"}]}`))
 	f.Add([]byte(`{"type":"submit","tasks":[{"id":"0","label":"DVU_00001/m2","payload":{"kernel":"campaign/infer"}}]}`))
 	f.Add([]byte(`{"type":"accepted","count":2}`))
@@ -95,14 +95,14 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte(`{"type":"heartbeat","worker_id":"w1"}`))
 	f.Add([]byte(`{"type":"heartbeat","worker_id":"w1","gauges":{"goroutines":9,"heap_bytes":1048576,"tasks_executed":42,"busy_ns":1500000000}}`))
 	f.Add([]byte(`{"type":"heartbeat","worker_id":"w1","gauges":{}}`))
-	f.Add([]byte(`{"type":"task","task":{"id":"t1","attempt":2,"payload":{"mem":16},"escalate_payload":{"mem":512}}}`))
+	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","attempt":2,"payload":{"mem":16},"escalate_payload":{"mem":512}}]}`))
 	f.Add([]byte(`{"type":"event","event":{"seq":3,"t_ns":9,"type":"queued","task":"a","attempt":1}}`))
 	f.Add([]byte(`{"type":"event","event":{"seq":4,"t_ns":10,"type":"quarantined","task":"a","attempt":3}}`))
 	f.Add([]byte(`{"type":"event","event":{"seq":5,"t_ns":11,"type":"worker_lost","worker":"w1","error":"silent"}}`))
 	f.Add([]byte(`{"type":"submit","campaign":"dvu-full","tasks":[{"id":"a"},{"id":"b","campaign":"rru-pilot"}]}`))
-	f.Add([]byte(`{"type":"task","task":{"id":"t1","campaign":"dvu-full","payload":{"kernel":"k"}}}`))
+	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","campaign":"dvu-full","payload":{"kernel":"k"}}]}`))
 	f.Add([]byte(`{"type":"event","event":{"seq":9,"t_ns":12,"type":"done","task":"a","worker":"w1","campaign":"dvu-full"}}`))
-	f.Add([]byte(`{"type":"shutdown"}`))
+	f.Add([]byte(`{"type":"result","results":[{"task_id":"a","worker_id":"w1","start":"2022-01-25T00:00:00Z","end":"2022-01-25T00:00:01Z"},{"task_id":"b","worker_id":"w1","start":"2022-01-25T00:00:01Z","end":"2022-01-25T00:00:02Z","error":"boom"}]}`))
 	f.Add([]byte(`{"type":1}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[`))
@@ -122,17 +122,25 @@ func FuzzDecodeMessage(f *testing.F) {
 			t.Fatalf("re-decoding encoded message: %v", err)
 		}
 		if again.Type != m.Type || again.WorkerID != m.WorkerID || again.Count != m.Count ||
-			len(again.Tasks) != len(m.Tasks) {
+			again.Campaign != m.Campaign || len(again.Tasks) != len(m.Tasks) || len(again.Results) != len(m.Results) {
 			t.Fatalf("message changed across round trip: %+v != %+v", again, m)
 		}
-		if (again.Task == nil) != (m.Task == nil) || (again.Result == nil) != (m.Result == nil) {
-			t.Fatalf("message pointers changed across round trip")
+		// Everything the scheduler stamps or routes by rides the task: the
+		// trace label, the enqueue stamp, the retry fields (attempt counter,
+		// escalation payload) and the campaign must survive every hop.
+		for i := range m.Tasks {
+			a, b := &m.Tasks[i], &again.Tasks[i]
+			if a.ID != b.ID || a.Label != b.Label || a.EnqueuedNS != b.EnqueuedNS ||
+				a.Attempt != b.Attempt || a.Campaign != b.Campaign ||
+				compactJSON(a.EscalatePayload) != compactJSON(b.EscalatePayload) {
+				t.Fatalf("task %d changed across round trip: %+v != %+v", i, *b, *a)
+			}
 		}
-		if m.Task != nil && again.Task.ID != m.Task.ID {
-			t.Fatalf("task ID changed: %q != %q", again.Task.ID, m.Task.ID)
-		}
-		if m.Task != nil && again.Task.Label != m.Task.Label {
-			t.Fatalf("task label changed: %q != %q", again.Task.Label, m.Task.Label)
+		for i := range m.Results {
+			a, b := &m.Results[i], &again.Results[i]
+			if a.TaskID != b.TaskID || a.Err != b.Err || a.EnqueuedNS != b.EnqueuedNS {
+				t.Fatalf("result %d changed across round trip: %+v != %+v", i, *b, *a)
+			}
 		}
 		if (again.Event == nil) != (m.Event == nil) {
 			t.Fatalf("event pointer changed across round trip")
@@ -140,40 +148,42 @@ func FuzzDecodeMessage(f *testing.F) {
 		if m.Event != nil && *again.Event != *m.Event {
 			t.Fatalf("event changed across round trip: %+v != %+v", *again.Event, *m.Event)
 		}
-		if m.Task != nil && again.Task.EnqueuedNS != m.Task.EnqueuedNS {
-			t.Fatalf("task enqueue stamp changed across round trip")
-		}
-		if m.Result != nil && (again.Result.TaskID != m.Result.TaskID || again.Result.Err != m.Result.Err) {
-			t.Fatalf("result changed across round trip")
-		}
-		if m.Result != nil && again.Result.EnqueuedNS != m.Result.EnqueuedNS {
-			t.Fatalf("result enqueue stamp changed across round trip")
-		}
-		// The retry fields ride the same frame: the attempt counter and
-		// the escalation payload must survive redelivery intact.
-		if m.Task != nil && again.Task.Attempt != m.Task.Attempt {
-			t.Fatalf("task attempt changed across round trip: %d != %d", again.Task.Attempt, m.Task.Attempt)
-		}
-		if m.Task != nil && compactJSON(m.Task.EscalatePayload) != compactJSON(again.Task.EscalatePayload) {
-			t.Fatalf("escalate payload changed across round trip: %s != %s",
-				m.Task.EscalatePayload, again.Task.EscalatePayload)
-		}
-		// The multi-tenant identity rides the same frames: the submit
-		// frame's campaign namespace and each task's own campaign must
-		// survive every hop.
-		if again.Campaign != m.Campaign {
-			t.Fatalf("submit campaign changed across round trip: %q != %q", again.Campaign, m.Campaign)
-		}
-		if m.Task != nil && again.Task.Campaign != m.Task.Campaign {
-			t.Fatalf("task campaign changed across round trip: %q != %q", again.Task.Campaign, m.Task.Campaign)
-		}
-		// Heartbeat-carried worker gauges: presence (absent stays absent —
-		// the mixed-fleet contract) and values must survive the round trip.
+		// Heartbeat-carried worker gauges: presence and values must survive
+		// the round trip.
 		if (again.Gauges == nil) != (m.Gauges == nil) {
 			t.Fatalf("gauges presence changed across round trip")
 		}
 		if m.Gauges != nil && *again.Gauges != *m.Gauges {
 			t.Fatalf("gauges changed across round trip: %+v != %+v", *again.Gauges, *m.Gauges)
+		}
+	})
+}
+
+// FuzzAcceptHello hardens the first thing the scheduler does with a new
+// connection, before any codec exists: whatever bytes a peer opens with,
+// acceptCodec must either refuse them or have read exactly the hello this
+// build sends for the codec it returns.
+func FuzzAcceptHello(f *testing.F) {
+	f.Add([]byte(helloLine(WireJSON) + `{"type":"subscribe"}` + "\n"))
+	f.Add([]byte(helloLine(WireBinary)))
+	f.Add([]byte("flow-wire json\n"))
+	f.Add([]byte("flow-wire binary 0\n"))
+	f.Add([]byte("flow-wire binary 1 \n"))
+	f.Add([]byte("flow-wire  1\n"))
+	f.Add([]byte("flow-wire json 01\n"))
+	f.Add([]byte("flow-wire json 18446744073709551617\n"))
+	f.Add([]byte("flow-wire msgpack 1\n"))
+	f.Add([]byte(`{"type":"register","worker_id":"w1"}` + "\n"))
+	f.Add([]byte("GET /metrics HTTP/1.1\r\n\r\n"))
+	f.Add([]byte("flow-wire json 1"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := acceptCodec(bufio.NewReader(bytes.NewReader(data)), bufio.NewWriter(io.Discard))
+		if err != nil {
+			return
+		}
+		if !bytes.HasPrefix(data, []byte(helloLine(c.Name()))) {
+			t.Fatalf("accepted %q as a %s peer of version %d", data, c.Name(), wireVersion)
 		}
 	})
 }
@@ -191,7 +201,7 @@ func binFrame(body []byte) []byte {
 // fuzz-smoke job replays them without regenerating.
 func binaryCorpus() map[string][]byte {
 	full := appendMessage(nil, fullMessage())
-	legacyBeat := appendMessage(nil, &message{Type: msgHeartbeat, WorkerID: "w1"})
+	bareBeat := appendMessage(nil, &message{Type: msgHeartbeat, WorkerID: "w1"})
 	gaugedBeat := appendMessage(nil, &message{Type: msgHeartbeat, WorkerID: "w1",
 		Gauges: &WorkerGauges{Goroutines: 9, HeapBytes: 1 << 20, TasksExecuted: 42, BusyNS: 1500000000}})
 	batch := appendMessage(nil, &message{Type: msgTask, Tasks: []Task{
@@ -208,12 +218,10 @@ func binaryCorpus() map[string][]byte {
 		// A batched handout torn mid-task: the count field promises three
 		// tasks but the body ends inside the third.
 		"torn_batch": binFrame(batch[:len(batch)-12]),
-		// A pre-gauges heartbeat, byte-exact as a legacy worker emits it:
-		// the body ends after Campaign, before the appended gauge presence
-		// byte. Must decode with Gauges absent, not error or zero-garbage.
-		"legacy_heartbeat_no_gauges": binFrame(legacyBeat[:len(legacyBeat)-1]),
-		// A gauge-carrying heartbeat torn inside the appended extension:
-		// once the presence byte claims gauges, truncation is corruption.
+		// A heartbeat whose body ends before the gauges presence byte: every
+		// field is mandatory, so this is corruption like any other.
+		"heartbeat_no_presence_byte": binFrame(bareBeat[:len(bareBeat)-1]),
+		// A gauge-carrying heartbeat torn inside the gauges.
 		"torn_gauges": binFrame(gaugedBeat[:len(gaugedBeat)-3]),
 	}
 }
@@ -227,7 +235,7 @@ func binaryCorpus() map[string][]byte {
 // have redundant non-minimal encodings the decoder accepts.)
 func FuzzDecodeBinaryFrame(f *testing.F) {
 	f.Add(binFrame(appendMessage(nil, fullMessage())))
-	f.Add(binFrame(appendMessage(nil, &message{Type: msgRegister, WorkerID: "w1", Slots: 1})))
+	f.Add(binFrame(appendMessage(nil, &message{Type: msgRegister, WorkerID: "w1"})))
 	f.Add(binFrame(appendMessage(nil, &message{Type: msgHeartbeat, WorkerID: "w1"})))
 	f.Add(binFrame(appendMessage(nil, &message{Type: msgHeartbeat, WorkerID: "w1",
 		Gauges: &WorkerGauges{Goroutines: 9, HeapBytes: 1 << 20, TasksExecuted: 42, BusyNS: 1500000000}})))

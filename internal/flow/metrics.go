@@ -208,8 +208,8 @@ func (m *SchedulerMetrics) Observe(e events.Event) {
 }
 
 // SetWorkerGauges publishes a worker's heartbeat-carried runtime snapshot.
-// Called from the scheduler's event loop; a legacy worker never reaches
-// here, so its series simply do not exist (absent, not zero).
+// Called from the scheduler's event loop; a worker that does not beat has
+// no series (absent, not zero), and a beat without gauges changes nothing.
 func (m *SchedulerMetrics) SetWorkerGauges(worker string, g *WorkerGauges) {
 	if g == nil {
 		return

@@ -144,58 +144,6 @@ func TestSchedulerMetricsLiveCluster(t *testing.T) {
 	}
 }
 
-// TestMetricsMixedFleetLegacyHeartbeat pins the interop contract: a legacy
-// worker that beats without gauges (the pre-extension frame, both codecs'
-// JSON form here) must produce NO worker gauge series — absent, not zero —
-// while a current worker's series appear alongside it.
-func TestMetricsMixedFleetLegacyHeartbeat(t *testing.T) {
-	s := NewScheduler()
-	s.Metrics = NewSchedulerMetrics(nil)
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-
-	// Legacy worker: raw JSON frames with no gauges key at all.
-	rw := dialRawWorker(t, addr, "w-legacy")
-	t.Cleanup(func() { rw.conn.Close() })
-	beat := func() {
-		if err := rw.enc.Encode(message{Type: msgHeartbeat, WorkerID: "w-legacy"}); err != nil {
-			t.Fatalf("legacy heartbeat: %v", err)
-		}
-	}
-	beat()
-
-	// Current worker beside it.
-	w := NewWorker("w-new", echoHandler)
-	w.HeartbeatInterval = 20 * time.Millisecond
-	if err := w.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-
-	deadline := time.Now().Add(5 * time.Second)
-	var out string
-	for {
-		beat()
-		out = scrape(t, s.Metrics)
-		if strings.Contains(out, `flow_worker_goroutines{worker="w-new"}`) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("modern worker's gauges never appeared:\n%s", out)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if strings.Contains(out, `worker="w-legacy"`) {
-		t.Fatalf("legacy worker grew gauge series from bare heartbeats:\n%s", out)
-	}
-	if got := metricValue(t, out, "flow_workers_connected"); got != "2" {
-		t.Errorf("flow_workers_connected = %s, want 2 (legacy worker still counted)", got)
-	}
-}
-
 // TestMetricsObserveLifecycleRules feeds the adapter a synthetic stream and
 // checks the fold's counting rules as /metrics shows them, on what a live
 // cluster cannot deterministically produce: requeues, drops, quarantines, truncation.

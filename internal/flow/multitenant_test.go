@@ -27,21 +27,26 @@ func waitUntil(t *testing.T, timeout time.Duration, cond func() bool, desc strin
 }
 
 // fakeWorkerConn fabricates a worker connection for fault injection
-// directly into the event loop: the scheduler side of a net.Pipe, its
-// peer drained so assignments never block. Unlike dialRawWorker there is
-// no read pump, so the test fully controls which schedEvents exist and in
-// what order.
-func fakeWorkerConn(t *testing.T, id string) *workerConn {
+// directly into the event loop: the scheduler side of a net.Pipe behind
+// an outbox, exactly as serveConn builds one. Unlike dialRawWorker there
+// is no read pump, so the test fully controls which schedEvents exist and
+// in what order.
+func fakeWorkerConn(s *Scheduler, id string, sched net.Conn) *workerConn {
+	wc := &workerConn{id: id}
+	wc.ob = s.newOutbox(sched, newJSONCodec(bufio.NewReader(sched), bufio.NewWriter(sched)), func(error) {
+		s.sendEvent(schedEvent{kind: "workerGone", wc: wc})
+	})
+	return wc
+}
+
+// drainedWorkerConn is a fakeWorkerConn whose peer reads and discards
+// everything, so handouts never block.
+func drainedWorkerConn(t *testing.T, s *Scheduler, id string) *workerConn {
 	t.Helper()
 	sched, peer := net.Pipe()
 	go io.Copy(io.Discard, peer) //nolint:errcheck
 	t.Cleanup(func() { sched.Close(); peer.Close() })
-	return &workerConn{
-		id:       id,
-		codec:    newJSONCodec(bufio.NewReader(sched), bufio.NewWriter(sched)),
-		conn:     sched,
-		maxBatch: 1,
-	}
+	return fakeWorkerConn(s, id, sched)
 }
 
 // TestLateResultFromDroppedWorkerIgnored is the late-result race: a
@@ -79,14 +84,14 @@ func TestLateResultFromDroppedWorkerIgnored(t *testing.T) {
 
 	// The ghost takes the task, then its connection is declared gone —
 	// but a result frame from it is still in flight (injected below).
-	ghost := fakeWorkerConn(t, "ghost")
+	ghost := drainedWorkerConn(t, s, "ghost")
 	s.sendEvent(schedEvent{kind: "register", wc: ghost})
 	waitUntil(t, 5*time.Second, nthAssignedTo(1, "ghost"), "assignment to ghost")
 	s.sendEvent(schedEvent{kind: "workerGone", wc: ghost})
 
 	// The requeued task lands on a second worker and is in flight there
 	// when the ghost's late result arrives.
-	holder := fakeWorkerConn(t, "holder")
+	holder := drainedWorkerConn(t, s, "holder")
 	s.sendEvent(schedEvent{kind: "register", wc: holder})
 	waitUntil(t, 5*time.Second, nthAssignedTo(2, "holder"), "reassignment to holder")
 
@@ -142,17 +147,11 @@ func TestSendFailureChargesRetryBudget(t *testing.T) {
 	waitUntil(t, 5*time.Second, func() bool { return countEvents(s, events.TaskQueued) >= 1 }, "submit")
 
 	// The brittle worker's pipe peer is already closed, so the handout
-	// flush fails and the send-failure path runs.
+	// flush fails and the outbox writer reports the worker gone.
 	sched, peer := net.Pipe()
 	peer.Close()
 	t.Cleanup(func() { sched.Close() })
-	brittle := &workerConn{
-		id:       "brittle",
-		codec:    newJSONCodec(bufio.NewReader(sched), bufio.NewWriter(sched)),
-		conn:     sched,
-		maxBatch: 1,
-	}
-	s.sendEvent(schedEvent{kind: "register", wc: brittle})
+	s.sendEvent(schedEvent{kind: "register", wc: fakeWorkerConn(s, "brittle", sched)})
 	waitForEvent(t, s, events.WorkerLeave, 5*time.Second)
 
 	// The retry lands on a healthy worker with the attempt counter and
@@ -208,23 +207,27 @@ func TestMapDedupesDuplicateResults(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		dec := json.NewDecoder(conn)
+		r := bufio.NewReader(conn)
+		codec, err := acceptCodec(r, bufio.NewWriter(conn))
+		if err != nil {
+			return
+		}
 		enc := json.NewEncoder(conn)
 		var m message
-		if err := dec.Decode(&m); err != nil || m.Type != msgSubmit {
+		if err := codec.Decode(&m); err != nil || m.Type != msgSubmit {
 			return
 		}
 		enc.Encode(&message{Type: msgAccepted, Count: len(m.Tasks)})
-		enc.Encode(&message{Type: msgResult, Result: &Result{TaskID: "a", Payload: json.RawMessage(`"first"`)}})
+		enc.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "a", Payload: json.RawMessage(`"first"`)}}})
 		// A duplicate ack for a, then a result for a task never submitted:
 		// both must be ignored.
-		enc.Encode(&message{Type: msgResult, Result: &Result{TaskID: "a", Err: "late duplicate"}})
-		enc.Encode(&message{Type: msgResult, Result: &Result{TaskID: "stranger"}})
-		enc.Encode(&message{Type: msgResult, Result: &Result{TaskID: "b", Payload: json.RawMessage(`"second"`)}})
+		enc.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "a", Err: "late duplicate"}}})
+		enc.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "stranger"}}})
+		enc.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "b", Payload: json.RawMessage(`"second"`)}}})
 		// Hold the connection open so a premature extra read blocks
 		// instead of erroring.
 		var hold message
-		_ = dec.Decode(&hold)
+		_ = codec.Decode(&hold)
 	}()
 
 	c, err := ConnectClient(ln.Addr().String())
@@ -263,11 +266,7 @@ func TestQuotaDefersAdmissionAndAck(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
+	conn := dialJSON(t, addr)
 	enc := json.NewEncoder(conn)
 	if err := enc.Encode(&message{Type: msgSubmit, Campaign: "solo", Tasks: []Task{
 		{ID: "q0", Payload: json.RawMessage(`1`)},
@@ -299,13 +298,13 @@ func TestQuotaDefersAdmissionAndAck(t *testing.T) {
 		}
 		frames = append(frames, m)
 	}
-	if frames[0].Type != msgResult || frames[0].Result == nil || frames[0].Result.TaskID != "q0" {
+	if frames[0].Type != msgResult || len(frames[0].Results) != 1 || frames[0].Results[0].TaskID != "q0" {
 		t.Fatalf("frame 0 = %+v, want result for q0", frames[0])
 	}
 	if frames[1].Type != msgAccepted || frames[1].Count != 2 {
 		t.Fatalf("frame 1 = %+v, want the deferred accepted ack for the whole frame", frames[1])
 	}
-	if frames[2].Type != msgResult || frames[2].Result == nil || frames[2].Result.TaskID != "q1" {
+	if frames[2].Type != msgResult || len(frames[2].Results) != 1 || frames[2].Results[0].TaskID != "q1" {
 		t.Fatalf("frame 2 = %+v, want result for q1", frames[2])
 	}
 

@@ -30,13 +30,9 @@ func shrinkReadBuffer(t *testing.T, conn net.Conn) {
 // the wedged-but-connected peer whose handout frame can never drain.
 func wedgeWorker(t *testing.T, addr, id string) net.Conn {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialJSON(t, addr)
 	shrinkReadBuffer(t, conn)
-	t.Cleanup(func() { conn.Close() })
-	if err := json.NewEncoder(conn).Encode(message{Type: msgRegister, WorkerID: id, Slots: 1, MaxBatch: workerMaxBatch}); err != nil {
+	if err := json.NewEncoder(conn).Encode(message{Type: msgRegister, WorkerID: id}); err != nil {
 		t.Fatal(err)
 	}
 	return conn
@@ -175,12 +171,8 @@ func TestWedgedClientDoesNotStallScheduler(t *testing.T) {
 	if raceEnabled {
 		size = 16 << 10
 	}
-	wedged, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wedged := dialJSON(t, addr)
 	shrinkReadBuffer(t, wedged)
-	t.Cleanup(func() { wedged.Close() })
 	if err := json.NewEncoder(wedged).Encode(message{Type: msgSubmit, Tasks: bulkTasks(150, size)}); err != nil {
 		t.Fatal(err)
 	}
@@ -247,12 +239,8 @@ func TestStalledMonitorDoesNotStallCampaign(t *testing.T) {
 
 	// Attach a monitor that subscribes and then never reads: the backlog
 	// wave above guarantees its outbox wedges immediately.
-	mon, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mon := dialJSON(t, addr)
 	shrinkReadBuffer(t, mon)
-	t.Cleanup(func() { mon.Close() })
 	if err := json.NewEncoder(mon).Encode(message{Type: msgSubscribe}); err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,7 @@ import "fmt"
 
 // Queue policy names accepted by Scheduler.Policy (`sched -policy`).
 const (
-	// PolicyFIFO is the default: one global first-in-first-out queue,
-	// byte-identical in handout order, wire frames, and event stream to
-	// every release before the policy interface existed.
+	// PolicyFIFO is the default: one global first-in-first-out queue.
 	PolicyFIFO = "fifo"
 	// PolicyFair round-robins handout across campaigns, so a second
 	// campaign submitted mid-run starts completing tasks immediately
@@ -62,38 +60,74 @@ func newQueuePolicy(name string) (queuePolicy, error) {
 	return nil, fmt.Errorf("flow: unknown queue policy %q (want %q or %q)", name, PolicyFIFO, PolicyFair)
 }
 
-// fifoPolicy is one global first-in-first-out queue — exactly the
-// pre-policy scheduler's []queued, so the default handout order is
-// unchanged task for task.
+// fifoPolicy is one global first-in-first-out queue, kept as a ring so
+// that Pop, Push and PushFront are all O(1): a worker death requeues its
+// whole batch at the front of what may be a 16k-task lane, and must not
+// copy the lane once per task. A popped slot is cleared, so the ring
+// never pins the payload of a task that has left the queue.
 type fifoPolicy struct {
-	q []queued
+	buf  []queued
+	head int // buf index of the next task to hand out
+	n    int // live entries, at buf[head], buf[head+1], ... (wrapping)
 }
 
-func (p *fifoPolicy) Push(q queued)      { p.q = append(p.q, q) }
-func (p *fifoPolicy) PushFront(q queued) { p.q = append([]queued{q}, p.q...) }
+// at returns the i-th live slot counted from the head.
+func (p *fifoPolicy) at(i int) *queued { return &p.buf[(p.head+i)%len(p.buf)] }
+
+// grow doubles a full ring, unwrapping it to start at index 0.
+func (p *fifoPolicy) grow() {
+	buf := make([]queued, max(16, 2*len(p.buf)))
+	k := copy(buf, p.buf[p.head:])
+	copy(buf[k:], p.buf[:p.head])
+	p.buf, p.head = buf, 0
+}
+
+func (p *fifoPolicy) Push(q queued) {
+	if p.n == len(p.buf) {
+		p.grow()
+	}
+	*p.at(p.n) = q
+	p.n++
+}
+
+func (p *fifoPolicy) PushFront(q queued) {
+	if p.n == len(p.buf) {
+		p.grow()
+	}
+	p.head = (p.head + len(p.buf) - 1) % len(p.buf)
+	p.buf[p.head] = q
+	p.n++
+}
 
 func (p *fifoPolicy) Pop() (queued, bool) {
-	if len(p.q) == 0 {
+	if p.n == 0 {
 		return queued{}, false
 	}
-	q := p.q[0]
-	p.q = p.q[1:]
+	slot := p.at(0)
+	q := *slot
+	*slot = queued{}
+	p.head = (p.head + 1) % len(p.buf)
+	p.n--
 	return q, true
 }
 
-func (p *fifoPolicy) Len() int { return len(p.q) }
+func (p *fifoPolicy) Len() int { return p.n }
 
 func (p *fifoPolicy) DropClient(cc *clientConn) []queued {
 	var dropped []queued
-	kept := p.q[:0]
-	for _, q := range p.q {
-		if q.client == cc {
-			dropped = append(dropped, q)
+	kept := 0
+	for i := 0; i < p.n; i++ {
+		if q := p.at(i); q.client == cc {
+			dropped = append(dropped, *q)
 		} else {
-			kept = append(kept, q)
+			*p.at(kept) = *q
+			kept++
 		}
 	}
-	p.q = kept
+	for i := kept; i < p.n; i++ {
+		*p.at(i) = queued{}
+	}
+	p.n = kept
 	return dropped
 }
 

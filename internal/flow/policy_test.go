@@ -1,6 +1,9 @@
 package flow
 
 import (
+	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -44,9 +47,8 @@ func TestNewQueuePolicyNames(t *testing.T) {
 	}
 }
 
-// TestFIFOPolicyArrivalOrder pins the default discipline to the exact
-// pre-policy slice semantics: strict arrival order, with PushFront
-// (requeue) jumping the whole line.
+// TestFIFOPolicyArrivalOrder pins the default discipline: strict arrival
+// order, with PushFront (requeue) jumping the whole line.
 func TestFIFOPolicyArrivalOrder(t *testing.T) {
 	p, _ := newQueuePolicy("")
 	for _, id := range []string{"t0", "t1", "t2"} {
@@ -156,5 +158,95 @@ func TestFairPolicyDropClientAcrossLanes(t *testing.T) {
 	// Lane B emptied and left the rotation: the survivors alternate A, C.
 	if got := strings.Join(popIDs(t, p, 2), ","); got != "a1,c0" {
 		t.Errorf("pops = %s, want a1,c0", got)
+	}
+}
+
+// TestFIFOPolicyRequeueIntoDeepQueue is the cost of one worker death behind
+// a bulk tenant: a 16-task batch popped from a 16k-entry queue and pushed
+// back must reuse the room its pops vacated — not copy the queue once per
+// task (16 × 16k × 160 B ≈ 42 MB before the ring) — come back out in
+// handout order, and leave no popped payload pinned in the ring.
+func TestFIFOPolicyRequeueIntoDeepQueue(t *testing.T) {
+	const depth, batch = 16384, 16
+	p := &fifoPolicy{}
+	for i := 0; i < depth; i++ {
+		q := queuedTask(fmt.Sprintf("t%05d", i), "", nil)
+		q.task.Payload = json.RawMessage(`{"kernel":"k"}`)
+		p.Push(q)
+	}
+	popped := make([]queued, 0, batch)
+	for i := 0; i < batch; i++ {
+		q, _ := p.Pop()
+		popped = append(popped, q)
+	}
+	for i := range p.buf[:batch] {
+		if p.buf[i].task.Payload != nil || p.buf[i].task.ID != "" {
+			t.Fatalf("ring slot %d still holds popped task %q", i, p.buf[i].task.ID)
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := batch - 1; i >= 0; i-- {
+		p.PushFront(popped[i])
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("requeueing %d tasks into a %d-entry queue allocated %d bytes, want under 64 KiB", batch, depth, got)
+	}
+
+	if p.Len() != depth {
+		t.Fatalf("Len = %d, want %d", p.Len(), depth)
+	}
+	for i, id := range popIDs(t, p, depth) {
+		if want := fmt.Sprintf("t%05d", i); id != want {
+			t.Fatalf("pop %d = %s, want %s (requeued batch must keep handout order)", i, id, want)
+		}
+	}
+}
+
+// TestFIFOPolicyRingWraps drives head and tail around the ring's end in
+// every combination the scheduler produces (push, pop, requeue, client
+// drop) and checks the order against a plain slice.
+func TestFIFOPolicyRingWraps(t *testing.T) {
+	p := &fifoPolicy{}
+	gone, stay := &clientConn{}, &clientConn{}
+	var model []string
+	next := 0
+	push := func(cc *clientConn) {
+		id := fmt.Sprintf("t%d", next)
+		next++
+		p.Push(queuedTask(id, "", cc))
+		model = append(model, id)
+	}
+	for round := 0; round < 40; round++ {
+		for i := 0; i < 5; i++ {
+			push(stay)
+		}
+		for i := 0; i < 4; i++ {
+			q, ok := p.Pop()
+			if !ok || q.task.ID != model[0] {
+				t.Fatalf("round %d: pop = %q, %v; want %q", round, q.task.ID, ok, model[0])
+			}
+			model = model[1:]
+			if i == 0 { // the first of every four dies with its worker
+				p.PushFront(q)
+				model = append([]string{q.task.ID}, model...)
+			}
+		}
+		if round%10 == 9 {
+			push(gone)
+			push(gone)
+			if d := p.DropClient(gone); len(d) != 2 {
+				t.Fatalf("round %d: dropped %d, want 2", round, len(d))
+			}
+			model = model[:len(model)-2]
+		}
+		if p.Len() != len(model) {
+			t.Fatalf("round %d: Len = %d, want %d", round, p.Len(), len(model))
+		}
+	}
+	if got := strings.Join(popIDs(t, p, len(model)), ","); got != strings.Join(model, ",") {
+		t.Errorf("drain order diverged from the slice model:\n got %s\nwant %s", got, strings.Join(model, ","))
 	}
 }

@@ -20,12 +20,16 @@
 //     attaching mid-campaign reconstructs queue depth and per-worker
 //     in-flight work with no cooperation from the submitting client.
 //
-// The wire protocol is pluggable per connection (Codec): the default is
-// the original newline-delimited JSON over TCP, byte-identical to every
-// earlier release; a length-prefixed binary framing (WireBinary) is
-// negotiated by a one-line hello for dispatch-heavy fleets, and peers
-// speaking different codecs interoperate freely on one scheduler. Only
-// the standard library is used.
+// Every connection opens with a one-line hello naming its codec and the
+// wire version ("flow-wire json 1"), staged in the same flush as the
+// first frame. The paper starts scheduler, workers and client from one
+// software environment inside one batch job, and so does this tree: the
+// protocol has exactly one version, a peer that offers none or another
+// is refused before any frame is decoded, and every frame has exactly
+// one shape. Two codecs frame the same envelope — newline-delimited JSON
+// (the default) and a length-prefixed binary layout (WireBinary) — and
+// peers speaking different codecs share one scheduler freely. Only the
+// standard library is used.
 package flow
 
 import (
@@ -54,8 +58,8 @@ type Task struct {
 	// task enters its queue and travels with the assignment so the worker
 	// can echo it in the Result — the queue-time half of the paper's
 	// per-task processing-times telemetry. Unix nanos rather than
-	// time.Time so an unstamped task (client submit, pre-telemetry peer)
-	// really omits the field on the wire. Clients leave it zero.
+	// time.Time so an unstamped task (a client's submit) really omits the
+	// field on the wire. Clients leave it zero.
 	EnqueuedNS int64 `json:"enqueued_ns,omitempty"`
 	// Attempt is stamped by the scheduler on redelivery: 0 on the first
 	// assignment, then the number of times the task has been requeued
@@ -72,8 +76,7 @@ type Task struct {
 	// where many submitters coexist on one worker fleet. The fair-share
 	// queue policy round-robins handout across campaigns, and admission
 	// quotas are charged per campaign. Usually inherited from the submit
-	// frame's Campaign; a task-level value wins. Empty (the default)
-	// keeps the wire byte-identical to earlier releases.
+	// frame's Campaign; a task-level value wins.
 	Campaign string `json:"campaign,omitempty"`
 }
 
@@ -94,7 +97,8 @@ type Result struct {
 func (r *Result) Duration() time.Duration { return r.End.Sub(r.Start) }
 
 // EnqueuedAt returns the scheduler's enqueue stamp as a time (zero when
-// the stamp is absent — a pre-telemetry peer).
+// the result never passed through a scheduler queue — a quarantine
+// record).
 func (r *Result) EnqueuedAt() time.Time {
 	if r.EnqueuedNS == 0 {
 		return time.Time{}
@@ -115,42 +119,30 @@ func (r *Result) QueueDuration() time.Duration {
 // Failed reports whether the task handler returned an error.
 func (r *Result) Failed() bool { return r.Err != "" }
 
-// message is the wire envelope.
+// message is the wire envelope. Which fields a frame carries follows from
+// its Type alone; changing the set, the order or the encoding of fields
+// changes the bytes pinned under testdata/wire and needs a new
+// wireVersion.
 type message struct {
 	Type string `json:"type"`
-	// register
+	// register, heartbeat
 	WorkerID string `json:"worker_id,omitempty"`
-	Slots    int    `json:"slots,omitempty"`
-	// MaxBatch, on a register frame, advertises the largest batched
-	// handout (a msgTask frame carrying Tasks) the worker accepts. A
-	// legacy peer omits it, and the scheduler falls back to the singular
-	// single-task form for that worker regardless of its own -batch
-	// setting — so an old worker in a batched fleet keeps draining tasks
-	// instead of silently ignoring frames it cannot parse.
-	MaxBatch int `json:"max_batch,omitempty"`
-	// task assignment / submission
-	Task  *Task  `json:"task,omitempty"`
+	// submit (client → scheduler) and task (scheduler → worker): a handout
+	// carries between one and Scheduler.Batch tasks.
 	Tasks []Task `json:"tasks,omitempty"`
-	// result: a single ack, or a batch when the worker received a batched
-	// assignment (Scheduler.Batch > 1). The scheduler accepts either form;
-	// results forwarded to clients always use the singular field, so a
-	// batched fleet never changes what a submitting client reads.
-	Result  *Result  `json:"result,omitempty"`
+	// result: a worker acks a handout with one frame holding a record per
+	// task; the scheduler forwards each record to its client in a frame of
+	// its own.
 	Results []Result `json:"results,omitempty"`
 	// event stream (scheduler → monitor)
 	Event *events.Event `json:"event,omitempty"`
-	// batch bookkeeping
+	// accepted: how many tasks of a submit frame were admitted
 	Count int `json:"count,omitempty"`
 	// Campaign, on a submit frame, names the campaign every task in the
-	// frame belongs to (tasks carrying their own Campaign win). Absent for
-	// single-tenant submitters, keeping the classic wire byte-identical.
+	// frame belongs to (tasks carrying their own Campaign win).
 	Campaign string `json:"campaign,omitempty"`
 	// Gauges, on a heartbeat frame, carries the worker's runtime snapshot
-	// so the scheduler can expose per-worker occupancy. Introduced after
-	// the frame layout froze, so it follows the append-last convention:
-	// binary frames write it after Campaign, a legacy peer's frame simply
-	// ends earlier, and the field decodes as nil — absent, never
-	// zero-garbage (JSON gets the same via omitempty).
+	// so the scheduler can expose per-worker occupancy.
 	Gauges *WorkerGauges `json:"gauges,omitempty"`
 }
 
@@ -176,25 +168,18 @@ const (
 	msgResult   = "result"
 	msgSubmit   = "submit"
 	msgAccepted = "accepted"
-	msgShutdown = "shutdown"
 	// msgSubscribe turns a connection into a read-only monitor: the
 	// scheduler replies with its full event backlog followed by the live
 	// stream, one msgEvent frame per events.Event.
 	msgSubscribe = "subscribe"
 	msgEvent     = "event"
-	// msgHeartbeat is a worker→scheduler liveness beacon carrying only
-	// the worker ID, sent on an interval from a dedicated goroutine so a
-	// long-running handler keeps the worker alive. A worker silent past
-	// the scheduler's heartbeat deadline is declared dead (worker_lost)
-	// and its in-flight task requeued.
+	// msgHeartbeat is a worker→scheduler liveness beacon carrying the
+	// worker ID and its gauges, sent on an interval from a dedicated
+	// goroutine so a long-running handler keeps the worker alive. A worker
+	// silent past the scheduler's heartbeat deadline is declared dead
+	// (worker_lost) and its in-flight tasks requeued.
 	msgHeartbeat = "heartbeat"
 )
-
-// workerMaxBatch is the batched-handout capability this release's workers
-// advertise at registration (message.MaxBatch). The task loop handles any
-// frame size, so the value only has to exceed every plausible -batch
-// setting; it is not a promise of per-frame memory.
-const workerMaxBatch = 1 << 16
 
 // SchedulerFile is the JSON document the scheduler writes so workers and
 // clients can find it, mirroring Dask's scheduler-file mechanism on Summit.
@@ -202,9 +187,7 @@ type SchedulerFile struct {
 	Address   string    `json:"address"`
 	StartedAt time.Time `json:"started_at"`
 	// HTTP is the admin endpoint (/metrics, /healthz, /debug/pprof/) when
-	// the scheduler serves one (`sched -http`); empty otherwise. Legacy
-	// readers ignore the extra key, and omitempty keeps the document
-	// byte-identical when the endpoint is off.
+	// the scheduler serves one (`sched -http`); empty otherwise.
 	HTTP string `json:"http,omitempty"`
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -22,14 +23,26 @@ type rawWorker struct {
 	dec  *json.Decoder
 }
 
-func dialRawWorker(t *testing.T, addr, id string) *rawWorker {
+// dialJSON opens a hand-rolled peer connection: a TCP dial plus the JSON
+// hello every connection must open with, closed again when the test ends.
+func dialJSON(t *testing.T, addr string) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		t.Fatalf("raw worker dial: %v", err)
+		t.Fatalf("raw peer dial: %v", err)
 	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := io.WriteString(conn, helloLine(WireJSON)); err != nil {
+		t.Fatalf("raw peer hello: %v", err)
+	}
+	return conn
+}
+
+func dialRawWorker(t *testing.T, addr, id string) *rawWorker {
+	t.Helper()
+	conn := dialJSON(t, addr)
 	rw := &rawWorker{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(bufio.NewReader(conn))}
-	if err := rw.enc.Encode(message{Type: msgRegister, WorkerID: id, Slots: 1, MaxBatch: workerMaxBatch}); err != nil {
+	if err := rw.enc.Encode(message{Type: msgRegister, WorkerID: id}); err != nil {
 		t.Fatalf("raw worker register: %v", err)
 	}
 	return rw
@@ -44,8 +57,8 @@ func (rw *rawWorker) awaitTask(t *testing.T) Task {
 		if err := rw.dec.Decode(&m); err != nil {
 			t.Fatalf("raw worker awaiting task: %v", err)
 		}
-		if m.Type == msgTask && m.Task != nil {
-			return *m.Task
+		if m.Type == msgTask && len(m.Tasks) > 0 {
+			return m.Tasks[0]
 		}
 	}
 }

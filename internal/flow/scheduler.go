@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -53,7 +54,7 @@ type Scheduler struct {
 	// (MaxRetries+1)-th time is quarantined: a terminal failed event with
 	// the attempt history is emitted (and a failed Result returned to the
 	// submitting client) instead of requeueing forever — the poison-task
-	// guard. Zero keeps the legacy unlimited-requeue behavior.
+	// guard. Zero requeues without limit.
 	MaxRetries int
 
 	// HeartbeatTimeout, when positive, declares a worker dead once it has
@@ -69,11 +70,7 @@ type Scheduler struct {
 	// one frame (`sched -batch`); the worker runs them in order and acks
 	// them all in one frame back. Amortizing the per-frame cost (encode,
 	// write syscall, event-loop round trip) this way is what keeps a
-	// 6,000-worker handout cheap. Batching is negotiated per worker: a
-	// register frame advertises the largest handout the worker accepts
-	// (message.MaxBatch), and a legacy peer that advertises nothing gets
-	// the singular single-task form regardless of this setting — so mixed
-	// fleets of old and new workers drain one queue safely.
+	// 6,000-worker handout cheap.
 	Batch int
 
 	// Policy selects the queue discipline (`sched -policy`): PolicyFIFO
@@ -134,29 +131,23 @@ type schedEvent struct {
 	// campaign is the submit frame's campaign namespace; tasks carrying
 	// their own Campaign win over it.
 	campaign string
-	// gauges is the runtime snapshot a heartbeat frame carried; nil for
-	// legacy workers that beat without one.
+	// gauges is the runtime snapshot a heartbeat frame carried.
 	gauges *WorkerGauges
 }
 
 type workerConn struct {
-	id    string
-	codec Codec
-	conn  net.Conn
-	// maxBatch is the batched-handout capability the worker advertised at
-	// registration; 0 marks a legacy single-task peer.
-	maxBatch int
-	// current holds the task IDs of the in-flight batch, for requeue on
-	// disconnect. Only the event loop touches it.
-	current []string
+	id string
+	// current holds the unacked tasks of the worker's handout, in handout
+	// order — the scheduler's only record of in-flight work: a result
+	// settles against it, a death requeues it. Only the event loop touches
+	// it.
+	current []queued
 	busy    bool
 	// lastBeat is the last time the worker proved liveness (register,
 	// result, or heartbeat frame). Only the event loop touches it.
 	lastBeat time.Time
-	// ob is the connection's outbound frame queue, created by the event
-	// loop at registration so every handout path — including test-
-	// fabricated conns injected straight into the event channel — gets
-	// one.
+	// ob is the connection's outbound frame queue — the only way the event
+	// loop writes to, or closes, the connection.
 	ob *outbox
 	// handouts counts frames the event loop enqueued on ob; comparing it
 	// against ob.encoded tells the loop whether the writer has serialized
@@ -169,26 +160,9 @@ type workerConn struct {
 }
 
 type clientConn struct {
-	codec   Codec
-	conn    net.Conn
 	pending int // results still owed to this client
-	// ob is the outbound frame queue, created by the event loop on the
-	// client's first submit.
+	// ob is the connection's outbound frame queue (results, accepted acks).
 	ob *outbox
-}
-
-// send hands one frame (result, accepted ack) to the client's outbox;
-// the writer goroutine coalesces whatever frames are queued into one
-// flush. Conns fabricated without an outbox fall back to a synchronous
-// write.
-func (c *clientConn) send(m *message) error {
-	if c.ob != nil {
-		return c.ob.enqueue(m)
-	}
-	if err := c.codec.Encode(m); err != nil {
-		return err
-	}
-	return c.codec.Flush()
 }
 
 // NewScheduler creates a scheduler (not yet listening).
@@ -353,7 +327,7 @@ func (s *Scheduler) acceptLoop() {
 	}
 }
 
-// serveConn negotiates the connection's wire codec, reads the first frame
+// serveConn checks the connection's wire hello, reads the first frame
 // to classify the peer (worker, client, or monitor), then pumps its
 // messages into the event loop — or, for a monitor, pumps the event
 // stream out to it.
@@ -375,7 +349,13 @@ func (s *Scheduler) serveConn(conn net.Conn) {
 	}
 	switch first.Type {
 	case msgRegister:
-		wc := &workerConn{id: first.WorkerID, codec: codec, conn: conn, maxBatch: first.MaxBatch}
+		// The event loop never touches a socket: every frame it sends goes
+		// through the connection's outbox, and a write failure there
+		// reports the peer gone through the same event a read failure does.
+		wc := &workerConn{id: first.WorkerID}
+		wc.ob = s.newOutbox(conn, codec, func(error) {
+			s.sendEvent(schedEvent{kind: "workerGone", wc: wc})
+		})
 		s.sendEvent(schedEvent{kind: "register", wc: wc})
 		for {
 			var m message
@@ -383,18 +363,19 @@ func (s *Scheduler) serveConn(conn net.Conn) {
 				s.sendEvent(schedEvent{kind: "workerGone", wc: wc})
 				return
 			}
-			if m.Type == msgResult {
-				if ress := resultsOf(&m); len(ress) > 0 {
-					s.sendEvent(schedEvent{kind: "result", wc: wc, ress: ress})
-				}
+			// m is fresh each iteration, so its slices and pointers can
+			// ride the schedEvent without copying.
+			if m.Type == msgResult && len(m.Results) > 0 {
+				s.sendEvent(schedEvent{kind: "result", wc: wc, ress: m.Results})
 			} else if m.Type == msgHeartbeat {
-				// m is fresh each iteration, so Gauges can ride the
-				// schedEvent without copying; nil for legacy beats.
 				s.sendEvent(schedEvent{kind: "heartbeat", wc: wc, gauges: m.Gauges})
 			}
 		}
 	case msgSubmit:
-		cc := &clientConn{codec: codec, conn: conn}
+		cc := &clientConn{}
+		cc.ob = s.newOutbox(conn, codec, func(error) {
+			s.sendEvent(schedEvent{kind: "clientGone", cc: cc})
+		})
 		s.sendEvent(schedEvent{kind: "submit", cc: cc, tsk: first.Tasks, campaign: first.Campaign})
 		// Keep reading to detect disconnect and accept more submissions.
 		for {
@@ -490,7 +471,6 @@ func (s *Scheduler) eventLoop() {
 	queue := s.policy
 	var free []*workerConn
 	workers := map[*workerConn]bool{}
-	inFlight := map[string]queued{} // task ID -> origin, for requeue
 
 	// --- admission (quota) state ---
 	//
@@ -567,7 +547,7 @@ func (s *Scheduler) eventLoop() {
 			admit(d.q, time.Now().UnixNano())
 			d.sub.waiting--
 			if d.sub.waiting == 0 {
-				_ = d.sub.cc.send(&message{Type: msgAccepted, Count: d.sub.total})
+				_ = d.sub.cc.ob.enqueue(&message{Type: msgAccepted, Count: d.sub.total})
 			}
 		}
 		if len(list) == 0 {
@@ -606,7 +586,7 @@ func (s *Scheduler) eventLoop() {
 			s.hub.Emit(events.Event{Type: events.TaskFailed, Task: label, Err: errMsg, Attempt: q.attempts, Campaign: q.task.Campaign})
 			s.hub.Emit(events.Event{Type: events.TaskQuarantined, Task: label, Attempt: q.attempts, Campaign: q.task.Campaign})
 			if q.client != nil {
-				_ = q.client.send(&message{Type: msgResult, Result: &Result{TaskID: q.task.ID, Err: errMsg}})
+				_ = q.client.ob.enqueue(&message{Type: msgResult, Results: []Result{{TaskID: q.task.ID, Err: errMsg}}})
 			}
 			settle(&q)
 			return
@@ -623,24 +603,19 @@ func (s *Scheduler) eventLoop() {
 		s.hub.Emit(events.Event{Type: events.TaskQueued, Task: label, Attempt: q.attempts, Campaign: q.task.Campaign})
 	}
 
-	// requeueCurrent returns a dead worker's whole in-flight batch to the
-	// queue, front first in original handout order.
-	requeueCurrent := func(wc *workerConn) {
-		for i := len(wc.current) - 1; i >= 0; i-- {
-			if q, ok := inFlight[wc.current[i]]; ok {
-				delete(inFlight, wc.current[i])
-				requeue(q)
-			}
-		}
-		wc.current = nil
-	}
-
-	// dropWorker removes a worker the event loop decided is gone (lost
-	// heartbeat) — as opposed to workerGone, which reacts to its read
-	// pump failing. Stopping the outbox closes the conn, which makes the
-	// pump fail soon after; the workers map check there prevents a
-	// duplicate leave event.
-	dropWorker := func(wc *workerConn) {
+	// dropWorker is the one teardown of a worker, whoever noticed it gone:
+	// the heartbeat sweep (typ worker_lost), its read pump or outbox writer
+	// failing (worker_leave), or a handout that could not be enqueued
+	// because the outbox had already failed or overflowed (worker_leave).
+	// The worker leaves the fleet and the free list, its outbox stops —
+	// which closes the conn, so a still-running read pump fails soon after
+	// and finds the worker already gone — and its unacked handout returns
+	// to the queue back to front, so the queue head ends up in original
+	// handout order. Going through requeue charges every one of those
+	// deliveries against the retry budget: a worker dying exactly at send
+	// time must not grant its batch a free attempt, or a poison task could
+	// cycle through send failures forever.
+	dropWorker := func(wc *workerConn, typ events.Type, reason string) {
 		delete(workers, wc)
 		for i, w := range free {
 			if w == wc {
@@ -648,11 +623,12 @@ func (s *Scheduler) eventLoop() {
 				break
 			}
 		}
-		requeueCurrent(wc)
-		if wc.ob != nil {
-			wc.ob.shutdown()
+		wc.ob.shutdown()
+		s.emit(typ, "", wc.id, reason)
+		for i := len(wc.current) - 1; i >= 0; i-- {
+			requeue(wc.current[i])
 		}
-		wc.conn.Close()
+		wc.current = nil
 	}
 
 	// Sweep for heartbeat-silent workers at a fraction of the deadline,
@@ -673,108 +649,43 @@ func (s *Scheduler) eventLoop() {
 		batchSize = 1
 	}
 
-	// batchScratch stages one handout's popped tasks, reused across every
-	// assign iteration: its contents are copied out (into inFlight and
-	// the wire slice) before the next iteration overwrites it.
-	var batchScratch []queued
-
 	assign := func() {
 		for queue.Len() > 0 && len(free) > 0 {
 			w := free[0]
 			free = free[1:]
-			// Clamp to what the worker advertised at registration; a
-			// legacy peer (no max_batch on its register frame) only
-			// understands the singular form, so it gets one task per frame.
-			n := batchSize
-			if n > w.maxBatch {
-				n = w.maxBatch
-				if n < 1 {
-					n = 1
-				}
-			}
-			if n > queue.Len() {
-				n = queue.Len()
-			}
-			batch := batchScratch[:0]
-			for len(batch) < n {
-				q, ok := queue.Pop()
-				if !ok {
-					break
-				}
-				batch = append(batch, q)
-			}
-			batchScratch = batch
-			n = len(batch)
 			w.busy = true
-			w.current = w.current[:0]
 			// The worker's encode scratch (taskBuf, outMsg) is handed to
 			// its outbox writer by reference, so it may be reused only once
 			// the writer has serialized every frame this loop enqueued —
 			// the atomic counter pair is the happens-before edge. A worker
 			// re-handed work before its writer caught up (possible under
 			// partial acks) gets freshly allocated wire state instead.
-			reuse := w.ob == nil || w.ob.encoded.Load() >= w.handouts
+			reuse := w.ob.encoded.Load() >= w.handouts
 			var tasks []Task
+			m := &w.outMsg
 			if reuse {
 				tasks = w.taskBuf[:0]
+			} else {
+				m = new(message)
 			}
-			for i := range batch {
-				q := &batch[i]
+			w.current = w.current[:0]
+			for len(w.current) < batchSize {
+				q, ok := queue.Pop()
+				if !ok {
+					break
+				}
+				w.current = append(w.current, q)
 				tasks = append(tasks, q.task)
-				q.running = i == 0
-				inFlight[q.task.ID] = *q
-				w.current = append(w.current, q.task.ID)
-				s.emitQ(events.TaskAssigned, q, w.id, "")
+				s.emitQ(events.TaskAssigned, &q, w.id, "")
 			}
 			if reuse {
 				w.taskBuf = tasks
 			}
-			// One frame per handout: the singular legacy form for a lone
-			// task (wire-identical to pre-batch releases), the batched form
-			// otherwise. The outbox writer coalesces bursts of handouts
-			// into one flush.
-			var m *message
-			if reuse {
-				m = &w.outMsg
-			} else {
-				m = new(message)
-			}
-			if n == 1 {
-				*m = message{Type: msgTask, Task: &tasks[0]}
-			} else {
-				*m = message{Type: msgTask, Tasks: tasks}
-			}
-			var err error
-			if w.ob != nil {
-				err = w.ob.enqueue(m)
-			} else {
-				err = w.codec.Encode(m)
-				if err == nil {
-					err = w.codec.Flush()
-				}
-			}
-			if err != nil {
-				// Worker send failed — its outbox overflowed (peer not
-				// draining) or already died on a write: drop the worker and
-				// requeue the whole batch, back to front so the queue head
-				// ends up in original handout order. Going through requeue
-				// charges these deliveries against the retry budget like
-				// any other worker death — a worker dying exactly at send
-				// time must not grant its batch a free attempt, or a poison
-				// task could cycle through send failures forever.
-				for i := range batch {
-					delete(inFlight, batch[i].task.ID)
-				}
-				w.current = w.current[:0]
-				delete(workers, w)
-				if w.ob != nil {
-					w.ob.shutdown()
-				}
-				w.conn.Close()
-				s.emit(events.WorkerLeave, "", w.id, "")
-				for i := len(batch) - 1; i >= 0; i-- {
-					requeue(batch[i])
-				}
+			// One frame per handout; the outbox writer coalesces bursts of
+			// handouts into one flush.
+			*m = message{Type: msgTask, Tasks: tasks}
+			if err := w.ob.enqueue(m); err != nil {
+				dropWorker(w, events.WorkerLeave, "")
 				continue
 			}
 			w.handouts++
@@ -784,7 +695,8 @@ func (s *Scheduler) eventLoop() {
 			// moved on; the exact per-task execution bracket is always the
 			// Result's Start/End stamps, the event stream records when the
 			// scheduler learned of each transition.
-			s.emitQ(events.TaskRunning, &batch[0], w.id, "")
+			w.current[0].running = true
+			s.emitQ(events.TaskRunning, &w.current[0], w.id, "")
 		}
 	}
 
@@ -801,25 +713,14 @@ func (s *Scheduler) eventLoop() {
 				if silent <= s.HeartbeatTimeout {
 					continue
 				}
-				s.emit(events.WorkerLost, "", wc.id,
+				dropWorker(wc, events.WorkerLost,
 					fmt.Sprintf("flow: worker %s silent for %s (heartbeat deadline %s)",
 						wc.id, silent.Round(time.Millisecond), s.HeartbeatTimeout))
-				dropWorker(wc)
 			}
 			assign()
 		case e := <-s.events:
 			switch e.kind {
 			case "register":
-				// The event loop owns outbox creation so every delivery
-				// path — real conns and test-fabricated ones alike — sends
-				// through a writer goroutine. A write failure reports the
-				// worker gone through the same channel a read failure does.
-				if e.wc.ob == nil {
-					wc := e.wc
-					wc.ob = s.newOutbox(wc.conn, wc.codec, func(error) {
-						s.sendEvent(schedEvent{kind: "workerGone", wc: wc})
-					})
-				}
 				workers[e.wc] = true
 				free = append(free, e.wc)
 				e.wc.lastBeat = time.Now()
@@ -828,30 +729,18 @@ func (s *Scheduler) eventLoop() {
 			case "heartbeat":
 				if workers[e.wc] {
 					e.wc.lastBeat = time.Now()
-					if s.Metrics != nil && e.gauges != nil {
+					if s.Metrics != nil {
 						s.Metrics.SetWorkerGauges(e.wc.id, e.gauges)
 					}
 				}
 			case "workerGone":
-				if e.wc.ob != nil {
-					e.wc.ob.shutdown()
+				// The read pump or the outbox writer failed. Either may
+				// report after the other, or after the sweep or a failed
+				// handout already dropped the worker.
+				if workers[e.wc] {
+					dropWorker(e.wc, events.WorkerLeave, "")
+					assign()
 				}
-				if !workers[e.wc] {
-					break
-				}
-				delete(workers, e.wc)
-				s.emit(events.WorkerLeave, "", e.wc.id, "")
-				// Requeue the in-flight batch so no work is lost (subject
-				// to the retry budget).
-				requeueCurrent(e.wc)
-				// Remove from the free list if present.
-				for i, w := range free {
-					if w == e.wc {
-						free = append(free[:i], free[i+1:]...)
-						break
-					}
-				}
-				assign()
 			case "result":
 				// A result from a worker no longer in the fleet — its read
 				// pump failed, or the heartbeat sweep dropped it while this
@@ -871,32 +760,24 @@ func (s *Scheduler) eventLoop() {
 					res := &e.ress[i]
 					// The record must ack a task this worker currently holds:
 					// a duplicate reply, or a reply to a delivery that was
-					// since requeued to another worker, is dropped. This is
-					// the per-attempt identity check — inFlight alone would
-					// settle the task against the wrong (live) delivery.
-					delivered := false
-					for j, id := range e.wc.current {
-						if id == res.TaskID {
-							e.wc.current = append(e.wc.current[:j], e.wc.current[j+1:]...)
-							delivered = true
-							break
-						}
+					// since requeued to another worker, is dropped.
+					cur := e.wc.current
+					j := 0
+					for j < len(cur) && cur[j].task.ID != res.TaskID {
+						j++
 					}
-					if !delivered {
+					if j == len(cur) {
 						continue
 					}
-					q, ok := inFlight[res.TaskID]
-					if !ok {
-						continue
-					}
-					delete(inFlight, res.TaskID)
+					q := cur[j]
+					e.wc.current = slices.Delete(cur, j, j+1) // clears the vacated slot
 					if res.Err != "" {
 						s.emitQ(events.TaskFailed, &q, e.wc.id, res.Err)
 					} else {
 						s.emitQ(events.TaskDone, &q, e.wc.id, "")
 					}
 					if q.client != nil {
-						_ = q.client.send(&message{Type: msgResult, Result: res})
+						_ = q.client.ob.enqueue(&message{Type: msgResult, Results: e.ress[i : i+1 : i+1]})
 					}
 					settle(&q)
 				}
@@ -904,11 +785,9 @@ func (s *Scheduler) eventLoop() {
 				// remaining batch is the task running now. Tasks deeper in
 				// the batch stay assigned until their turn is observable.
 				if len(e.wc.current) > 0 {
-					head := e.wc.current[0]
-					if q, ok := inFlight[head]; ok && !q.running {
-						q.running = true
-						inFlight[head] = q
-						s.emitQ(events.TaskRunning, &q, e.wc.id, "")
+					if head := &e.wc.current[0]; !head.running {
+						head.running = true
+						s.emitQ(events.TaskRunning, head, e.wc.id, "")
 					}
 				}
 				// Only a worker that was actually busy — and whose batch is
@@ -930,12 +809,6 @@ func (s *Scheduler) eventLoop() {
 				// the campaign quota are deferred instead of admitted, and
 				// the accepted ack is withheld until the whole frame is in —
 				// the backpressure signal.
-				if e.cc != nil && e.cc.ob == nil {
-					cc := e.cc
-					cc.ob = s.newOutbox(cc.conn, cc.codec, func(error) {
-						s.sendEvent(schedEvent{kind: "clientGone", cc: cc})
-					})
-				}
 				sub := &submission{cc: e.cc, total: len(e.tsk)}
 				now := time.Now().UnixNano()
 				for _, t := range e.tsk {
@@ -956,13 +829,11 @@ func (s *Scheduler) eventLoop() {
 					admit(q, now)
 				}
 				if sub.waiting == 0 {
-					_ = e.cc.send(&message{Type: msgAccepted, Count: sub.total})
+					_ = e.cc.ob.enqueue(&message{Type: msgAccepted, Count: sub.total})
 				}
 				assign()
 			case "clientGone":
-				if e.cc.ob != nil {
-					e.cc.ob.shutdown()
-				}
+				e.cc.ob.shutdown()
 				// Purge this client's deferred submissions first: settling
 				// its dropped queued tasks below re-admits deferred work in
 				// the same namespace, and the gone client's own tasks must
@@ -988,10 +859,12 @@ func (s *Scheduler) eventLoop() {
 					s.emitQ(events.TaskDropped, &q, "", "")
 					settle(&q)
 				}
-				for id, q := range inFlight {
-					if q.client == e.cc {
-						q.client = nil
-						inFlight[id] = q
+				// Its in-flight tasks finish with nobody to forward to.
+				for wc := range workers {
+					for i := range wc.current {
+						if wc.current[i].client == e.cc {
+							wc.current[i].client = nil
+						}
 					}
 				}
 				// Releasing the gone client's admission slots may have

@@ -85,9 +85,9 @@ func (w *Worker) Dial(opts DialOptions) error {
 	w.conn = conn
 	w.codec = codec
 	w.stop = make(chan struct{})
-	// The codec hello (if any) and the registration travel in one flush.
+	// The wire hello and the registration travel in one flush.
 	_ = conn.SetWriteDeadline(time.Now().Add(dialTimeout))
-	err = codec.Encode(&message{Type: msgRegister, WorkerID: w.ID, Slots: 1, MaxBatch: workerMaxBatch})
+	err = codec.Encode(&message{Type: msgRegister, WorkerID: w.ID})
 	if err == nil {
 		err = codec.Flush()
 	}
@@ -198,26 +198,14 @@ func (w *Worker) loop() {
 		if err := w.codec.Decode(&m); err != nil {
 			return
 		}
-		if m.Type != msgTask {
+		if m.Type != msgTask || len(m.Tasks) == 0 {
 			continue
 		}
-		// A frame carries either one task (the singular legacy form) or a
-		// batch (Scheduler.Batch > 1). The whole frame is acked the same
-		// way it arrived: one Result, or one Results frame — so a batched
-		// handout costs one write syscall per frame on both directions.
-		single := m.Task != nil && len(m.Tasks) == 0
-		var tasks []Task
-		if single {
-			tasks = []Task{*m.Task}
-		} else {
-			tasks = m.Tasks
-		}
-		if len(tasks) == 0 {
-			continue
-		}
-		results := make([]Result, 0, len(tasks))
+		// One handout frame, one ack frame: a batched handout costs one
+		// write syscall per frame in both directions.
+		results := make([]Result, 0, len(m.Tasks))
 		var busy time.Duration
-		for _, t := range tasks {
+		for _, t := range m.Tasks {
 			start := time.Now()
 			payload, err := w.handler(t)
 			res := Result{
@@ -238,13 +226,7 @@ func (w *Worker) loop() {
 		w.processed += len(results)
 		w.busyNS += busy
 		w.mu.Unlock()
-		var out message
-		if single {
-			out = message{Type: msgResult, Result: &results[0]}
-		} else {
-			out = message{Type: msgResult, Results: results}
-		}
-		if err := w.send(&out); err != nil {
+		if err := w.send(&message{Type: msgResult, Results: results}); err != nil {
 			return
 		}
 	}
