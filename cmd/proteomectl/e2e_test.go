@@ -78,7 +78,7 @@ func e2eClusterArgs(t *testing.T, n int, schedArgs ...string) string {
 
 // e2eClusterWires is the mixed-fleet variant: one worker per entry of
 // wires, each dialing with that -wire codec ("" leaves the flag at its
-// JSON default).
+// binary default).
 func e2eClusterWires(t *testing.T, wires []string, schedArgs ...string) string {
 	t.Helper()
 	return e2eClusterFull(t, wires, nil, schedArgs...)
@@ -247,6 +247,56 @@ func TestCampaignCrossCodec(t *testing.T) {
 	}
 	if doneTasks == 0 {
 		t.Error("JSON monitor observed no completed tasks on the mixed fleet")
+	}
+}
+
+// TestCampaignDefaultFlagsMixedWire is the documented deployment as an
+// operator types it — no -batch, no -wire on sched or submit, so handouts
+// size themselves and the client speaks binary — with one worker started
+// `-wire json` beside one left at the default. Both must serve the
+// campaign, and the report must be byte-identical to `proteomectl run`.
+func TestCampaignDefaultFlagsMixedWire(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	schedFile := e2eClusterWires(t, []string{"json", ""})
+
+	// Every wave opens with one task to each free worker, so both serve
+	// provided both have joined when submit starts.
+	mon, err := flow.DialMonitor(flow.DialOptions{SchedulerFile: schedFile, Retry: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for joined := 0; joined < 2; {
+		e, err := mon.Next()
+		if err != nil {
+			t.Fatalf("waiting for the workers to join: %v", err)
+		}
+		if e.Type == events.WorkerJoin {
+			joined++
+		}
+	}
+	mon.Close()
+
+	campaign := []string{"-species", "DVU", "-preset", "genome", "-limit", "180", "-seed", "20220125"}
+	stats := filepath.Join(t.TempDir(), "stats.csv")
+	remote := runBin(t, append([]string{"submit", "-scheduler-file", schedFile, "-stats", stats}, campaign...)...)
+	local := runBin(t, append([]string{"run"}, campaign...)...)
+	if len(remote) == 0 {
+		t.Fatal("campaign produced no report")
+	}
+	if string(remote) != string(local) {
+		t.Errorf("default submit over a json + binary fleet differs from run:\n--- submit ---\n%s--- run ---\n%s", remote, local)
+	}
+
+	header, rows := readStatsCSV(t, stats)
+	col := statsColumn(t, header, "worker_id")
+	served := map[string]int{}
+	for _, row := range rows {
+		served[row[col]]++
+	}
+	if len(served) != 2 || served["e2e-w0"] == 0 || served["e2e-w1"] == 0 {
+		t.Errorf("tasks served per worker = %v, want both e2e-w0 (json) and e2e-w1 (binary)", served)
 	}
 }
 

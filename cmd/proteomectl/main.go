@@ -131,8 +131,9 @@ commands:
                                 -max-retries quarantines poison tasks,
                                 -heartbeat-timeout declares silent workers
                                 dead, -event-backlog bounds in-memory history,
-                                -batch hands a free worker up to N tasks per
-                                frame (amortizes per-message cost at scale),
+                                -batch fixes the tasks per handout frame at N
+                                (default 0: the scheduler sizes each handout
+                                to about 1 ms of handler time, at most 64),
                                 -policy fair round-robins handout across
                                 campaigns sharing the fleet, -quota defers
                                 admission beyond N in-flight tasks per campaign,
@@ -144,14 +145,16 @@ commands:
                                 (live Prometheus series), /healthz (503
                                 once shutdown begins), /debug/pprof/
   worker (-connect A | -scheduler-file F) [-id ID] [-heartbeat D] [-dial-retry D]
-      [-wire json|binary]
+      [-wire binary|json]
                                 start a worker serving the campaign kernels;
                                 -dial-retry lets it start before the scheduler,
-                                -wire picks the wire codec (binary cuts framing
-                                cost; mixed -wire fleets share one scheduler)
+                                -wire picks the wire codec (binary, the default,
+                                or json for a readable stream at about twice
+                                the framing cost; mixed -wire fleets share one
+                                scheduler)
   submit (-connect A | -scheduler-file F) -species C [-preset P] [-nodes N]
       [-seed S] [-limit K] [-stats F] [-timeline F] [-summary]
-      [-resume F] [-dial-retry D] [-wire json|binary]
+      [-resume F] [-dial-retry D] [-wire binary|json]
       [-campaign NAME]
                                 run the campaign on the remote cluster;
                                 -stats writes the per-task processing-times
@@ -163,14 +166,14 @@ commands:
                                 byte-identical), -campaign
                                 names the fair-share/quota namespace on a
                                 shared scheduler
-  monitor (-connect A | -scheduler-file F) [-json] [-wire json|binary]
+  monitor (-connect A | -scheduler-file F) [-json] [-wire binary|json]
       [-campaign NAME]
                                 tail a running campaign live (queue depth,
                                 per-worker in-flight, throughput) from the
                                 scheduler's event stream; read-only;
                                 -campaign filters to one campaign's tasks
   top (-connect A | -scheduler-file F) [-interval D] [-metrics-snapshot]
-      [-wire json|binary] [-campaign NAME]
+      [-wire binary|json] [-campaign NAME]
                                 refreshing dashboard over the same event
                                 stream: queue depth, per-campaign
                                 queued/running/done/failed, per-worker
@@ -412,7 +415,7 @@ func (c *connFlags) register(fs *flag.FlagSet, retryDefault time.Duration) {
 	fs.StringVar(&c.connect, "connect", "", "scheduler address (host:port)")
 	fs.StringVar(&c.schedFile, "scheduler-file", "", "scheduler file to read the address from")
 	fs.DurationVar(&c.dialRetry, "dial-retry", retryDefault, "keep retrying the scheduler (and a missing scheduler file) with backoff for this long (0 = one attempt)")
-	fs.StringVar(&c.wire, "wire", "json", "wire codec: json or binary (length-prefixed frames — cheaper per message on dispatch-heavy fleets); peers with different -wire values interoperate on one scheduler, peers of different builds do not")
+	fs.StringVar(&c.wire, "wire", flow.WireBinary, "wire codec: binary (length-prefixed frames) or json (newline-delimited, readable with nc and jq, at roughly twice the scheduler CPU per task); peers with different -wire values interoperate on one scheduler, peers of different builds do not")
 }
 
 func (c *connFlags) validate(cmd string) error {
@@ -461,10 +464,10 @@ func (o *schedOptions) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.maxRetries, "max-retries", 3, "requeue a task whose worker died at most this many times, then quarantine it with a terminal failed event (0 = requeue forever)")
 	fs.DurationVar(&o.heartbeatTimeout, "heartbeat-timeout", 0, "declare a worker dead after this long without a heartbeat or result and requeue its task (0 disables; workers must send -heartbeat at a few multiples below this)")
 	fs.IntVar(&o.eventBacklog, "event-backlog", 0, "retain at most this many events in memory for late-attaching monitors, evicting oldest-first with an explicit truncated marker (0 = unbounded; the -event-log file always keeps everything)")
-	fs.IntVar(&o.batch, "batch", 1, "hand a free worker up to this many tasks per frame (acked in one frame back), amortizing per-message cost at scale")
+	fs.IntVar(&o.batch, "batch", 0, "tasks per handout frame (acked in one frame back). 0: the scheduler sizes each handout itself — about 1 ms of handler time, estimated from the results each submitted wave has returned so far, at most 64 tasks; minute-long tasks go out one per worker, microsecond kernels ~20 at a time, and a task being retried after a worker death always travels alone. N >= 1: up to exactly N, whatever the tasks cost")
 	fs.StringVar(&o.policy, "policy", flow.PolicyFIFO, "queue policy: fifo (strict arrival order) or fair (round-robin handout across campaigns sharing the fleet; tasks name their campaign via submit -campaign)")
 	fs.IntVar(&o.quota, "quota", 0, "admit at most this many unfinished tasks per campaign, deferring the rest (and their submit ack) until earlier tasks settle; 0 = unlimited")
-	fs.IntVar(&o.outboxDepth, "outbox-depth", flow.DefaultOutboxDepth, "bound each peer connection's outbound frame queue to this many frames; a peer whose queue overflows is declared dead and its tasks requeue (size it at least as large as the biggest in-flight wave one client awaits)")
+	fs.IntVar(&o.outboxDepth, "outbox-depth", flow.DefaultOutboxDepth, "bound each peer connection's outbound frame queue to this many frames; a peer whose queue overflows is declared dead and its tasks requeue. A worker's ack costs its client one frame however many results it carries, so size it to the number of worker acks a client may leave unread at once (at least the fleet size), not to the wave's task count")
 	fs.DurationVar(&o.writeTimeout, "write-timeout", flow.DefaultWriteTimeout, "declare a peer dead when a single write to it blocks this long (its kernel buffers full and not draining); its in-flight tasks requeue to healthy workers (0 = block forever)")
 	fs.StringVar(&o.httpAddr, "http", "", "serve the admin HTTP endpoint on this address (e.g. localhost:6060): GET /metrics (live cluster metrics, Prometheus text format), /healthz (200 while serving, 503 once shutdown begins), and /debug/pprof/; off unless set; the bound address is advertised in the scheduler file so `proteomectl top -metrics-snapshot` and probes can find it")
 }

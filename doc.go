@@ -76,12 +76,15 @@
 // refuses a connection whose hello is missing, malformed, names an
 // unknown codec or names another version before it decodes a single
 // frame, and nothing downstream tolerates an absent field. The two
-// codecs — newline-delimited JSON and a length-prefixed binary layout —
-// frame the same envelope and mix freely on one scheduler. Tested by
+// codecs — a length-prefixed binary layout, the default of every dialer
+// and of `-wire`, and newline-delimited JSON (`-wire json`) for a stream
+// a person can read — frame the same envelope and mix freely on one
+// scheduler. Tested by
 // TestAcceptCodecNegotiation and TestSchedulerRefusesPeerWithoutHello
 // (the refusal), TestWireGolden (the bytes of every frame type are pinned
 // per version: change them without bumping wireVersion and it fails),
-// TestCrossCodecCluster and TestCampaignCrossCodec (mixed codecs),
+// TestCrossCodecCluster, TestCampaignCrossCodec and
+// TestCampaignDefaultFlagsMixedWire (mixed codecs),
 // TestBinaryDecodeRejectsCorruptFrames plus the fuzz targets
 // FuzzAcceptHello, FuzzDecodeMessage and FuzzDecodeBinaryFrame
 // (untrusted bytes).
@@ -89,8 +92,15 @@
 // One event loop. All scheduler state lives on a single goroutine: a
 // policy-owned queue (`sched -policy fifo|fair`), a free-worker list,
 // and per worker the unacked tasks of its current handout — the only
-// record of in-flight work. A handout carries up to `sched -batch`
-// tasks in one frame and is acked in one frame. The loop never touches a
+// record of in-flight work. A handout carries one or more tasks in one
+// frame, is acked in one frame, and the ack is forwarded as one frame
+// per run of results owed to the same client. By default the scheduler
+// sizes each handout itself — about 1 ms of handler time, estimated from
+// what the results of the same submit frame have reported, at most 64
+// tasks, a redelivered or not yet measured task always alone — so
+// minute-long targets go out one per worker and microsecond kernels some
+// twenty at a time; `sched -batch N` fixes the size instead
+// (internal/flow/handout.go). The loop never touches a
 // socket: each peer has a bounded outbox drained by its own writer
 // goroutine (`-outbox-depth`, `-write-timeout`), and a peer that stops
 // draining is dropped, never waited for. A worker leaves through one
@@ -102,7 +112,9 @@
 // of cycling, and an escalation payload is swapped in on redelivery (the
 // paper's high-memory wave). `sched -quota` caps a campaign's admitted
 // tasks and withholds the submit ack as backpressure. Tested in
-// internal/flow by TestBatchRequeueOnWorkerDeath,
+// internal/flow by TestFillHandoutSizing,
+// TestSelfSizedHandoutIsolatesWorkerKiller,
+// TestForwardsCoalescePerClient, TestBatchRequeueOnWorkerDeath,
 // TestHandoutFailureRequeuesWholeBatch, TestDuplicateAckFromLiveWorker,
 // TestLateResultFromDroppedWorkerIgnored,
 // TestRetryBudgetQuarantinesPoisonTask, TestQuotaDefersAdmissionAndAck,

@@ -23,7 +23,7 @@ func BenchmarkDispatchThroughput(b *testing.B) {
 		b.Run(wire, func(b *testing.B) {
 			for _, workers := range []int{256, 1024, 4096} {
 				b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-					benchDispatch(b, wire, workers, false)
+					benchDispatch(b, wire, workers, 16, false)
 				})
 			}
 		})
@@ -42,25 +42,32 @@ func BenchmarkDispatchThroughput(b *testing.B) {
 func BenchmarkDispatchSlowPeer(b *testing.B) {
 	for _, wire := range []string{WireJSON, WireBinary} {
 		b.Run(wire, func(b *testing.B) {
-			benchDispatch(b, wire, 256, true)
+			benchDispatch(b, wire, 256, 16, true)
 		})
 	}
 }
 
-func benchDispatch(b *testing.B, wire string, numWorkers int, slowPeer bool) {
+// BenchmarkDispatchSelfSized is BenchmarkDispatchThroughput/binary/w256
+// with the scheduler left at its default, Batch = 0: a no-op handler's
+// mean is far under the budget, so after each wave's first one-task
+// handouts every handout carries the 64-task cap. Gated like the other
+// dispatch rows.
+func BenchmarkDispatchSelfSized(b *testing.B) {
+	benchDispatch(b, WireBinary, 256, 0, false)
+}
+
+func benchDispatch(b *testing.B, wire string, numWorkers, batch int, slowPeer bool) {
 	tasksPerOp := 8 * numWorkers
 	s := NewScheduler()
-	s.Batch = 16
+	s.Batch = batch
 	// Live metrics on: the baselines pin the dispatch path as deployed
 	// (`sched -http` registers a SchedulerMetrics sink), so the per-event
 	// fold into the Prometheus series is part of what every row measures.
 	s.Metrics = NewSchedulerMetrics(nil)
-	// The client awaits a whole wave, so a wave's worth of result frames
-	// can be queued on its outbox before the writer goroutine runs. Size
-	// the outbox for the wave — the tuning rule `sched -outbox-depth`
-	// exists for (depth >= the largest in-flight wave per client);
-	// the default depth is sized for campaign-scale waves, not this
-	// synthetic all-results-at-once burst.
+	// The client awaits a whole wave, and every worker's ack costs its
+	// outbox one frame; with a no-op handler all of a wave's acks can be
+	// queued there before the writer goroutine runs. At most one ack per
+	// task, so a wave's worth of slots (twice over) can never overflow.
 	s.OutboxDepth = 2 * tasksPerOp
 	if slowPeer {
 		// The only reap signal for a wedged-but-connected worker is its

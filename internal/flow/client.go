@@ -60,8 +60,8 @@ func DialClient(opts DialOptions) (*Client, error) {
 	return &Client{conn: conn, codec: codec, ResultTimeout: DefaultResultTimeout}, nil
 }
 
-// ConnectClient dials the scheduler at addr (bounded by dialTimeout, JSON
-// wire). The returned client must be closed.
+// ConnectClient dials the scheduler at addr (bounded by dialTimeout,
+// default wire). The returned client must be closed.
 func ConnectClient(addr string) (*Client, error) {
 	return DialClient(DialOptions{Addr: addr})
 }

@@ -13,15 +13,26 @@ import (
 // Wire codec names, as accepted by DialOptions.Codec and the proteomectl
 // -wire flag.
 const (
-	// WireJSON is the newline-delimited JSON wire — the default.
+	// WireJSON is the newline-delimited JSON wire: readable with nc and
+	// jq, at several times the encode and decode cost.
 	WireJSON = "json"
-	// WireBinary is the length-prefixed binary wire: 4-byte big-endian
-	// frame length followed by a positional encoding of the envelope, with
-	// per-connection reusable encode/decode buffers. Cheaper to encode and
-	// decode than JSON on the dispatch hot path; chosen per connection, so
-	// binary workers and JSON monitors interoperate on one scheduler.
+	// WireBinary is the length-prefixed binary wire — the default: 4-byte
+	// big-endian frame length followed by a positional encoding of the
+	// envelope, with per-connection reusable encode/decode buffers. The
+	// codec is chosen per connection, so binary workers and JSON monitors
+	// interoperate on one scheduler.
 	WireBinary = "binary"
 )
+
+// wireOrDefault resolves the empty codec name to the default. Every peer
+// is built from this tree and says which codec it speaks in its hello, so
+// the default can be the cheap one.
+func wireOrDefault(name string) string {
+	if name == "" {
+		return WireBinary
+	}
+	return name
+}
 
 // wireVersion is the one protocol version this build speaks. Every peer
 // is built from this tree, so there is no negotiation and no tolerance
@@ -35,12 +46,9 @@ const wireVersion = 1
 const helloPrefix = "flow-wire "
 
 // helloLine is the hello a dialer of this build sends for the named codec
-// ("" selects the JSON default).
+// ("" selects the binary default).
 func helloLine(name string) string {
-	if name == "" {
-		name = WireJSON
-	}
-	return fmt.Sprintf("%s%s %d\n", helloPrefix, name, wireVersion)
+	return fmt.Sprintf("%s%s %d\n", helloPrefix, wireOrDefault(name), wireVersion)
 }
 
 // parseHello validates a peer's hello line (without its newline) and
@@ -85,10 +93,10 @@ type Codec interface {
 }
 
 // ValidWire reports whether name selects a known wire codec ("" selects
-// the JSON default).
+// the binary default).
 func ValidWire(name string) bool {
-	switch name {
-	case "", WireJSON, WireBinary:
+	switch wireOrDefault(name) {
+	case WireJSON, WireBinary:
 		return true
 	}
 	return false
@@ -96,8 +104,8 @@ func ValidWire(name string) bool {
 
 // newCodec instantiates the named codec over a buffered connection pair.
 func newCodec(name string, r *bufio.Reader, w *bufio.Writer) (Codec, error) {
-	switch name {
-	case "", WireJSON:
+	switch wireOrDefault(name) {
+	case WireJSON:
 		return newJSONCodec(r, w), nil
 	case WireBinary:
 		return newBinaryCodec(r, w), nil
@@ -141,8 +149,8 @@ func acceptCodec(r *bufio.Reader, w *bufio.Writer) (Codec, error) {
 	return newCodec(name, r, w)
 }
 
-// jsonCodec is the default codec: newline-delimited JSON, written through
-// a bufio.Writer so frames coalesce into one syscall per Flush.
+// jsonCodec is newline-delimited JSON, written through a bufio.Writer so
+// frames coalesce into one syscall per Flush.
 type jsonCodec struct {
 	enc *json.Encoder
 	dec *json.Decoder

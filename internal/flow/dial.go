@@ -34,9 +34,11 @@ type DialOptions struct {
 	Retry time.Duration
 
 	// Codec names the wire codec this connection will speak: "" or
-	// WireJSON (the default), or WireBinary. Dial itself only validates
-	// it; the connection-owning dialers (DialClient, Worker.Dial,
-	// DialMonitor) send the hello and frame accordingly.
+	// WireBinary (the default), or WireJSON for a stream a person can
+	// read. The scheduler learns it from the hello, so peers choose
+	// independently. Dial itself only validates it; the connection-owning
+	// dialers (DialClient, Worker.Dial, DialMonitor) send the hello and
+	// frame accordingly.
 	Codec string
 
 	// Timeout bounds each individual dial attempt. Zero selects the

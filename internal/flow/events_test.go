@@ -37,7 +37,11 @@ func eventsByType(evs []events.Event) map[events.Type][]events.Event {
 // joins first, all stamped with non-decreasing monotonic times and
 // consecutive sequence numbers.
 func TestSchedulerEmitsTaskLifecycle(t *testing.T) {
-	s, _, c := startCluster(t, 2, echoHandler)
+	// One task per handout: every task is a handout head, so every task
+	// has its own running event.
+	s := NewScheduler()
+	s.Batch = 1
+	_, _, c := startClusterOn(t, s, 2, echoHandler)
 	tasks := makeTasks(10)
 	if _, err := c.Map(tasks, nil); err != nil {
 		t.Fatal(err)

@@ -10,11 +10,16 @@ import (
 	"time"
 )
 
-// startCluster spins up a scheduler plus n workers running handler, and a
-// connected client. Everything is cleaned up at test end.
+// startCluster spins up a default scheduler plus n workers running
+// handler, and a connected client. Everything is cleaned up at test end.
 func startCluster(t *testing.T, n int, handler Handler) (*Scheduler, []*Worker, *Client) {
 	t.Helper()
-	s := NewScheduler()
+	return startClusterOn(t, NewScheduler(), n, handler)
+}
+
+// startClusterOn is startCluster on a scheduler the test configured.
+func startClusterOn(t *testing.T, s *Scheduler, n int, handler Handler) (*Scheduler, []*Worker, *Client) {
+	t.Helper()
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,10 @@ import (
 // multi-minute inference tasks.
 var taskSecondsBuckets = []float64{0.0001, 0.001, 0.01, 0.1, 1, 10, 60, 300, 1800}
 
+// handoutTasksBuckets resolves every size a fixed -batch is usually given
+// and the self-sizing range up to its cap.
+var handoutTasksBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
+
 // SchedulerMetrics publishes the scheduler's event stream as live
 // Prometheus series: an events.Fold interprets the stream, and Observe
 // mirrors what each event did into atomics a scrape can read from another
@@ -34,6 +38,10 @@ type SchedulerMetrics struct {
 	retries     *obs.Counter
 	truncated   *obs.Counter
 	taskSeconds *obs.Histogram
+	// handoutTasks is observed by the event loop once per handout, not
+	// from the event stream: what Scheduler.Batch, or the self-sizing in
+	// its place, chose.
+	handoutTasks *obs.Histogram
 
 	// Fleet.
 	workers      *obs.Gauge
@@ -94,6 +102,9 @@ func NewSchedulerMetrics(reg *obs.Registry) *SchedulerMetrics {
 		taskSeconds: reg.Histogram("flow_task_seconds",
 			"Assignment-to-completion duration per task, scheduler-side.",
 			taskSecondsBuckets),
+		handoutTasks: reg.Histogram("flow_handout_tasks",
+			"Tasks per handout frame, as fixed by -batch or sized by the scheduler.",
+			handoutTasksBuckets),
 
 		workers: reg.Gauge("flow_workers_connected",
 			"Workers currently registered."),

@@ -55,6 +55,10 @@ func TestSchedulerMetricsLiveCluster(t *testing.T) {
 		workers = append(workers, w)
 	}
 
+	// Connect returns once the registration is sent; the counts below are
+	// of registrations the scheduler has processed.
+	waitUntil(t, 10*time.Second, func() bool { return countEvents(s, events.WorkerJoin) == 2 }, "both workers to join")
+
 	c, err := ConnectClient(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -82,8 +86,11 @@ func TestSchedulerMetricsLiveCluster(t *testing.T) {
 		`flow_campaign_queued{campaign="dvu-pilot"}`:              "0",
 		`flow_campaign_running{campaign="dvu-pilot"}`:             "0",
 		"flow_task_seconds_count":                                 "8",
-		"flow_async_sink_dropped_total":                           "0",
-		"flow_outbox_overflows_total":                             "0",
+		// One observation per handout, of its size: however the scheduler
+		// cut the eight tasks into handouts, the sizes add up to eight.
+		"flow_handout_tasks_sum":        "8",
+		"flow_async_sink_dropped_total": "0",
+		"flow_outbox_overflows_total":   "0",
 	} {
 		if got := metricValue(t, out, series); got != want {
 			t.Errorf("%s = %s, want %s", series, got, want)

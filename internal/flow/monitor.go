@@ -72,7 +72,7 @@ func DialMonitor(opts DialOptions) (*Monitor, error) {
 	return &Monitor{conn: conn, codec: codec}, nil
 }
 
-// ConnectMonitor dials the scheduler at addr (JSON wire) and subscribes
+// ConnectMonitor dials the scheduler at addr (default wire) and subscribes
 // to its event stream. The returned monitor must be closed.
 func ConnectMonitor(addr string) (*Monitor, error) {
 	return DialMonitor(DialOptions{Addr: addr})

@@ -230,7 +230,8 @@ func TestMapDedupesDuplicateResults(t *testing.T) {
 		_ = codec.Decode(&hold)
 	}()
 
-	c, err := ConnectClient(ln.Addr().String())
+	// The scripted scheduler above writes JSON whatever the hello says.
+	c, err := DialClient(DialOptions{Addr: ln.Addr().String(), Codec: WireJSON})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,6 +261,7 @@ func TestMapDedupesDuplicateResults(t *testing.T) {
 func TestQuotaDefersAdmissionAndAck(t *testing.T) {
 	s := NewScheduler()
 	s.Quota = 1
+	s.Batch = 1 // the wire order below is read one result per frame
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -322,6 +324,53 @@ func TestQuotaDefersAdmissionAndAck(t *testing.T) {
 	}
 	if pos(events.TaskQueued, "q1") < pos(events.TaskDone, "q0") {
 		t.Error("q1 was admitted before q0 settled despite -quota 1")
+	}
+}
+
+// TestQuotaAckFollowsCoalescedResults: the same order holds when the
+// results that free the quota share one worker ack and so one forward
+// frame. With -quota 2 -batch 2 and a four-task frame, settling q1 admits
+// the frame's last deferred task and releases its accepted ack — while q0
+// and q1 are still an open forward run. The run must reach the client's
+// outbox before the ack does.
+func TestQuotaAckFollowsCoalescedResults(t *testing.T) {
+	s := NewScheduler()
+	s.Quota = 2
+	s.Batch = 2
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+
+	conn := dialJSON(t, addr)
+	if err := json.NewEncoder(conn).Encode(&message{Type: msgSubmit, Campaign: "solo", Tasks: []Task{
+		{ID: "q0"}, {ID: "q1"}, {ID: "q2"}, {ID: "q3"},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker("drainer", echoHandler)
+	if err := w.Connect(addr); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	dec := json.NewDecoder(bufio.NewReader(conn))
+	var got []string
+	for len(got) < 3 {
+		var m message
+		if err := dec.Decode(&m); err != nil {
+			t.Fatalf("reading frame %d: %v", len(got), err)
+		}
+		frame := m.Type
+		for _, r := range m.Results {
+			frame += " " + r.TaskID
+		}
+		got = append(got, frame)
+	}
+	if want := "[result q0 q1 accepted result q2 q3]"; fmt.Sprint(got) != want {
+		t.Errorf("client read %v, want %v", got, want)
 	}
 }
 

@@ -13,9 +13,10 @@ import (
 // `sched -write-timeout`).
 const (
 	// DefaultOutboxDepth is the outbound frame queue bound per peer
-	// connection when Scheduler.OutboxDepth is zero. At the default batch
-	// sizes this absorbs several full handout waves of backlog before a
-	// non-draining peer is declared dead by overflow.
+	// connection when Scheduler.OutboxDepth is zero. A worker is owed one
+	// handout at a time and a client one frame per worker ack, whatever
+	// the ack carries, so this absorbs a thousand acks a client has not
+	// read before the client is declared dead by overflow.
 	DefaultOutboxDepth = 1024
 	// DefaultWriteTimeout is the per-write deadline applied by each
 	// outbox writer when Scheduler.WriteTimeout is zero — the same bound

@@ -28,6 +28,10 @@ type queued struct {
 	// label caches taskLabel(&task) from admission time, so the emit
 	// path (six events per task at steady state) never recomputes it.
 	label string
+	// wave is the handler-time record of the submit frame the task came
+	// in, shared by every task of that frame; a self-sizing scheduler
+	// reads its handout size off it.
+	wave *wave
 }
 
 // queuePolicy is the pluggable queue discipline of the scheduler: it owns
@@ -41,6 +45,9 @@ type queuePolicy interface {
 	PushFront(q queued)
 	// Pop removes and returns the next task to hand out.
 	Pop() (queued, bool)
+	// Peek returns the task the next Pop would return, nil when none is
+	// waiting. The pointer is valid until the next call on the policy.
+	Peek() *queued
 	// Len reports how many tasks are waiting.
 	Len() int
 	// DropClient removes every queued task submitted by cc, returning
@@ -109,6 +116,13 @@ func (p *fifoPolicy) Pop() (queued, bool) {
 	p.head = (p.head + 1) % len(p.buf)
 	p.n--
 	return q, true
+}
+
+func (p *fifoPolicy) Peek() *queued {
+	if p.n == 0 {
+		return nil
+	}
+	return p.at(0)
 }
 
 func (p *fifoPolicy) Len() int { return p.n }
@@ -214,6 +228,15 @@ func (p *fairPolicy) Pop() (queued, bool) {
 		return q, true
 	}
 	return queued{}, false
+}
+
+// Peek relies on what Pop and DropClient maintain: an emptied lane leaves
+// the rotation at once, and the cursor always indexes a live lane.
+func (p *fairPolicy) Peek() *queued {
+	if len(p.order) == 0 {
+		return nil
+	}
+	return p.lanes[p.order[p.next]].Peek()
 }
 
 func (p *fairPolicy) Len() int { return p.n }

@@ -21,15 +21,16 @@
 //     in-flight work with no cooperation from the submitting client.
 //
 // Every connection opens with a one-line hello naming its codec and the
-// wire version ("flow-wire json 1"), staged in the same flush as the
+// wire version ("flow-wire binary 1"), staged in the same flush as the
 // first frame. The paper starts scheduler, workers and client from one
 // software environment inside one batch job, and so does this tree: the
 // protocol has exactly one version, a peer that offers none or another
 // is refused before any frame is decoded, and every frame has exactly
-// one shape. Two codecs frame the same envelope — newline-delimited JSON
-// (the default) and a length-prefixed binary layout (WireBinary) — and
-// peers speaking different codecs share one scheduler freely. Only the
-// standard library is used.
+// one shape. Two codecs frame the same envelope — a length-prefixed
+// binary layout (WireBinary, the default) and newline-delimited JSON
+// (WireJSON, for a stream a person can read) — and peers speaking
+// different codecs share one scheduler freely. Only the standard library
+// is used.
 package flow
 
 import (
@@ -128,11 +129,11 @@ type message struct {
 	// register, heartbeat
 	WorkerID string `json:"worker_id,omitempty"`
 	// submit (client → scheduler) and task (scheduler → worker): a handout
-	// carries between one and Scheduler.Batch tasks.
+	// carries one or more tasks (Scheduler.Batch).
 	Tasks []Task `json:"tasks,omitempty"`
 	// result: a worker acks a handout with one frame holding a record per
-	// task; the scheduler forwards each record to its client in a frame of
-	// its own.
+	// task; the scheduler forwards each run of consecutive records owed to
+	// the same client as one frame.
 	Results []Result `json:"results,omitempty"`
 	// event stream (scheduler → monitor)
 	Event *events.Event `json:"event,omitempty"`

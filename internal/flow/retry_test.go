@@ -51,6 +51,13 @@ func dialRawWorker(t *testing.T, addr, id string) *rawWorker {
 // awaitTask blocks until the scheduler assigns a task.
 func (rw *rawWorker) awaitTask(t *testing.T) Task {
 	t.Helper()
+	return rw.awaitHandout(t)[0]
+}
+
+// awaitHandout blocks until the scheduler sends a handout frame and
+// returns its tasks.
+func (rw *rawWorker) awaitHandout(t *testing.T) []Task {
+	t.Helper()
 	_ = rw.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	for {
 		var m message
@@ -58,7 +65,7 @@ func (rw *rawWorker) awaitTask(t *testing.T) Task {
 			t.Fatalf("raw worker awaiting task: %v", err)
 		}
 		if m.Type == msgTask && len(m.Tasks) > 0 {
-			return m.Tasks[0]
+			return m.Tasks
 		}
 	}
 }

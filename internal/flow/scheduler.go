@@ -66,11 +66,19 @@ type Scheduler struct {
 	// Zero disables the check.
 	HeartbeatTimeout time.Duration
 
-	// Batch, when > 1, hands a free worker up to this many queued tasks in
-	// one frame (`sched -batch`); the worker runs them in order and acks
-	// them all in one frame back. Amortizing the per-frame cost (encode,
-	// write syscall, event-loop round trip) this way is what keeps a
-	// 6,000-worker handout cheap.
+	// Batch is how many queued tasks a free worker is handed in one frame
+	// (`sched -batch`); the worker runs them in order and acks them all in
+	// one frame back, which amortizes the per-frame cost (encode, write
+	// syscall, event-loop round trip) that dominates short tasks. Zero,
+	// the default, lets the scheduler size each handout itself: about a
+	// millisecond of handler time, estimated from the running mean of the
+	// End − Start the results of the same submit frame have reported, at
+	// most 64 tasks — so the paper's minute-long targets still go out one
+	// per worker in longest-first order, and microsecond kernels some
+	// twenty at a time. A task whose frame has reported nothing yet, and
+	// any task being redelivered after its worker died, travels alone: a
+	// worker-killing task is isolated on its second delivery. N ≥ 1 hands
+	// out up to exactly N tasks, whatever they are.
 	Batch int
 
 	// Policy selects the queue discipline (`sched -policy`): PolicyFIFO
@@ -203,6 +211,9 @@ func (s *Scheduler) Start(addr string) (string, error) {
 		return "", err
 	}
 	s.policy = policy
+	if s.Batch < 0 {
+		return "", fmt.Errorf("flow: batch %d: want 0 (self-sizing handouts) or a fixed size >= 1", s.Batch)
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("flow: scheduler listen: %w", err)
@@ -482,11 +493,13 @@ func (s *Scheduler) eventLoop() {
 	// order, and their submit frame's accepted ack is withheld until the
 	// whole frame has been admitted.
 
-	// submission tracks one submit frame's deferred-ack bookkeeping.
+	// submission tracks one submit frame's deferred-ack bookkeeping and
+	// the handler times its tasks report back.
 	type submission struct {
 		cc      *clientConn
 		total   int
 		waiting int // tasks of this frame still deferred
+		wave    wave
 	}
 	type deferredTask struct {
 		q   queued
@@ -533,9 +546,27 @@ func (s *Scheduler) eventLoop() {
 		queue.Push(q)
 	}
 
+	// fwd is the open run of consecutive records of the worker ack being
+	// settled that are owed to one client. The run goes out as one frame —
+	// a sub-slice of the ack's own slice — when a record for another
+	// client, or one that is not forwarded at all, ends it, and at the end
+	// of the ack: an n-task ack costs its client's outbox one slot and one
+	// encode, not n.
+	var fwd struct {
+		cc   *clientConn
+		ress []Result
+	}
+	flushForward := func() {
+		if fwd.cc != nil {
+			_ = fwd.cc.ob.enqueue(&message{Type: msgResult, Results: fwd.ress})
+			fwd.cc, fwd.ress = nil, nil
+		}
+	}
+
 	// admitDeferred admits as many of key's deferred tasks as the quota
 	// now allows, releasing each submit's accepted ack once its last task
-	// is admitted.
+	// is admitted. The open forward run is flushed first, so the result
+	// whose settling freed the slot is enqueued no later than the ack.
 	admitDeferred := func(key any) {
 		list := deferred[key]
 		if len(list) == 0 {
@@ -547,6 +578,7 @@ func (s *Scheduler) eventLoop() {
 			admit(d.q, time.Now().UnixNano())
 			d.sub.waiting--
 			if d.sub.waiting == 0 {
+				flushForward()
 				_ = d.sub.cc.ob.enqueue(&message{Type: msgAccepted, Count: d.sub.total})
 			}
 		}
@@ -644,11 +676,6 @@ func (s *Scheduler) eventLoop() {
 		beatCheck = ticker.C
 	}
 
-	batchSize := s.Batch
-	if batchSize < 1 {
-		batchSize = 1
-	}
-
 	assign := func() {
 		for queue.Len() > 0 && len(free) > 0 {
 			w := free[0]
@@ -668,15 +695,13 @@ func (s *Scheduler) eventLoop() {
 			} else {
 				m = new(message)
 			}
-			w.current = w.current[:0]
-			for len(w.current) < batchSize {
-				q, ok := queue.Pop()
-				if !ok {
-					break
-				}
-				w.current = append(w.current, q)
-				tasks = append(tasks, q.task)
-				s.emitQ(events.TaskAssigned, &q, w.id, "")
+			w.current = fillHandout(w.current[:0], queue, s.Batch)
+			for i := range w.current {
+				tasks = append(tasks, w.current[i].task)
+				s.emitQ(events.TaskAssigned, &w.current[i], w.id, "")
+			}
+			if s.Metrics != nil {
+				s.Metrics.handoutTasks.Observe(float64(len(tasks)))
 			}
 			if reuse {
 				w.taskBuf = tasks
@@ -752,10 +777,9 @@ func (s *Scheduler) eventLoop() {
 					break
 				}
 				e.wc.lastBeat = time.Now()
-				// One frame may ack a whole batch. Each record is settled
-				// individually; client forwards land on each client's
-				// outbox, whose writer coalesces everything queued into one
-				// flush per drain.
+				// One frame may ack a whole handout. Each record is settled
+				// individually and forwarded in a frame with its neighbours
+				// for the same client (fwd).
 				for i := range e.ress {
 					res := &e.ress[i]
 					// The record must ack a task this worker currently holds:
@@ -767,6 +791,7 @@ func (s *Scheduler) eventLoop() {
 						j++
 					}
 					if j == len(cur) {
+						flushForward()
 						continue
 					}
 					q := cur[j]
@@ -776,11 +801,18 @@ func (s *Scheduler) eventLoop() {
 					} else {
 						s.emitQ(events.TaskDone, &q, e.wc.id, "")
 					}
-					if q.client != nil {
-						_ = q.client.ob.enqueue(&message{Type: msgResult, Results: e.ress[i : i+1 : i+1]})
+					q.wave.observe(res.End.Sub(res.Start))
+					if q.client != fwd.cc {
+						flushForward()
+						fwd.cc = q.client
+					}
+					if fwd.cc != nil {
+						// The run is consecutive, so it ends at record i.
+						fwd.ress = e.ress[i-len(fwd.ress) : i+1 : i+1]
 					}
 					settle(&q)
 				}
+				flushForward()
 				// A partial ack reveals the worker moved on: the head of the
 				// remaining batch is the task running now. Tasks deeper in
 				// the batch stay assigned until their turn is observable.
@@ -816,7 +848,7 @@ func (s *Scheduler) eventLoop() {
 						t.Campaign = e.campaign
 					}
 					s.emitTask(events.TaskReceived, &t, "", "")
-					q := queued{task: t, client: e.cc, label: taskLabel(&t)}
+					q := queued{task: t, client: e.cc, label: taskLabel(&t), wave: &sub.wave}
 					key := admissionKey(&q)
 					// Anything already deferred for this namespace keeps
 					// arrival order: later tasks queue behind it even if a

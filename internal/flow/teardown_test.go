@@ -125,6 +125,7 @@ func TestHandoutFailureRequeuesWholeBatch(t *testing.T) {
 // (which would hand it two batches at once).
 func TestDuplicateAckFromLiveWorker(t *testing.T) {
 	s := NewScheduler()
+	s.Batch = 1 // "one handout at a time" below reads as one task at a time
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

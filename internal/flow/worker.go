@@ -107,8 +107,8 @@ func (w *Worker) Dial(opts DialOptions) error {
 
 // ConnectFile reads a scheduler file (written by
 // Scheduler.WriteSchedulerFile) and connects to the advertised address —
-// the registration mechanism of Section 3.3 step 2, on the default JSON
-// wire. With a DialBudget set, a missing or mid-write file and an
+// the registration mechanism of Section 3.3 step 2, on the default
+// (binary) wire. With a DialBudget set, a missing or mid-write file and an
 // unreachable scheduler are both retried with backoff inside one shared
 // budget, so the worker may be started before the scheduler exists at all.
 func (w *Worker) ConnectFile(path string) error {
@@ -116,8 +116,8 @@ func (w *Worker) ConnectFile(path string) error {
 }
 
 // Connect registers with the scheduler (dial bounded by dialTimeout,
-// retried within DialBudget when set) on the default JSON wire and starts
-// the task loop in the background.
+// retried within DialBudget when set) on the default (binary) wire and
+// starts the task loop in the background.
 func (w *Worker) Connect(addr string) error {
 	return w.Dial(DialOptions{Addr: addr, Retry: w.DialBudget})
 }
