@@ -89,10 +89,22 @@
 // FuzzAcceptHello, FuzzDecodeMessage and FuzzDecodeBinaryFrame
 // (untrusted bytes).
 //
-// One event loop. All scheduler state lives on a single goroutine: a
-// policy-owned queue (`sched -policy fifo|fair`), a free-worker list,
-// and per worker the unacked tasks of its current handout — the only
-// record of in-flight work. A handout carries one or more tasks in one
+// One dispatcher. All scheduler state lives in one value
+// (internal/flow/dispatcher.go) with a method per input — register,
+// heartbeat, result, submit, a worker or a client gone, the heartbeat
+// sweep — that reads no clock, touches no socket and starts no goroutine;
+// one event-loop goroutine stamps each input with the time and calls the
+// method. Every task belongs to one tenant, its campaign or, when it
+// names none, its submitter's connection: the tenant record is resolved
+// once, when the task is received, and holds the lane the tenant's tasks
+// wait in, the admitted count `sched -quota` bounds and the tasks deferred
+// beyond it. A lane is a FIFO ring; the queue round-robins handout over
+// the lanes that hold tasks, `-policy fair` giving each tenant its own
+// lane and `-policy fifo` all of them one. Workers and tenants are kept in
+// first-seen order, so the same inputs give the same event stream.
+// Besides the queue there is a free-worker list and, per worker, the
+// unacked tasks of its current handout — the only record of in-flight
+// work. A handout carries one or more tasks in one
 // frame, is acked in one frame, and the ack is forwarded as one frame
 // per run of results owed to the same client. By default the scheduler
 // sizes each handout itself — about 1 ms of handler time, estimated from
@@ -100,9 +112,9 @@
 // tasks, a redelivered or not yet measured task always alone — so
 // minute-long targets go out one per worker and microsecond kernels some
 // twenty at a time; `sched -batch N` fixes the size instead
-// (internal/flow/handout.go). The loop never touches a
-// socket: each peer has a bounded outbox drained by its own writer
-// goroutine (`-outbox-depth`, `-write-timeout`), and a peer that stops
+// (internal/flow/handout.go). Frames leave through the peers' outboxes:
+// each is bounded and drained by its own writer goroutine
+// (`-outbox-depth`, `-write-timeout`), and a peer that stops
 // draining is dropped, never waited for. A worker leaves through one
 // teardown whatever noticed it gone — read or write failure, a handout
 // that could not be enqueued, heartbeat silence past
@@ -110,16 +122,22 @@
 // queue in handout order, each task charged one attempt; a task whose
 // worker died on every attempt (`-max-retries`) is quarantined instead
 // of cycling, and an escalation payload is swapped in on redelivery (the
-// paper's high-memory wave). `sched -quota` caps a campaign's admitted
-// tasks and withholds the submit ack as backpressure. Tested in
-// internal/flow by TestFillHandoutSizing,
+// paper's high-memory wave). `sched -quota` caps a tenant's admitted
+// tasks and withholds the submit ack as backpressure. Because the
+// dispatcher needs no socket, the same scripts run through a live
+// scheduler and straight through its methods (TestTranscripts, against
+// files recorded before the loop became a dispatcher), and seeded and
+// fuzzed interleavings of every input check after each step that no task
+// settles twice, no quota is exceeded and no dropped peer is handed
+// anything (TestDispatcherInterleavings, FuzzDispatcher). Tested in
+// internal/flow also by TestFillHandoutSizing,
 // TestSelfSizedHandoutIsolatesWorkerKiller,
 // TestForwardsCoalescePerClient, TestBatchRequeueOnWorkerDeath,
 // TestHandoutFailureRequeuesWholeBatch, TestDuplicateAckFromLiveWorker,
 // TestLateResultFromDroppedWorkerIgnored,
 // TestRetryBudgetQuarantinesPoisonTask, TestQuotaDefersAdmissionAndAck,
-// TestFairShareInterleavesTwoCampaigns,
-// TestWedgedWorkerDoesNotWedgeScheduler and
+// TestFairShareInterleavesTwoCampaigns, TestTenantsAreReleased,
+// TestSameInputsSameStream, TestWedgedWorkerDoesNotWedgeScheduler and
 // TestSchedulerLeaksNoGoroutines, and across processes by
 // TestSubmitSurvivesWorkerChurn, TestSlowPeerFaultInjection and
 // TestTwoCampaignsFairShare.

@@ -1,6 +1,9 @@
 package events
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Tally is the task counts of one scope — the whole stream (Fold.Total) or
 // one campaign (Fold.Campaign) — and also what Fold.Observe returns: the
@@ -299,6 +302,40 @@ func (f *Fold) Worker(name string) Worker {
 		return *w
 	}
 	return Worker{}
+}
+
+// CheckFold reports a violation of what must hold of a fold after any
+// event of any stream: the total is the sum of the campaigns, no count is
+// negative, no worker is busy longer than it was connected, and Connected
+// counts the connected workers.
+func CheckFold(f *Fold) error {
+	var sum Tally
+	for _, name := range f.Campaigns() {
+		c := f.Campaign(name)
+		for _, n := range []int{c.Received, c.Done, c.Failed, c.Dropped, c.Quarantined, c.Queued, c.Running, c.Retries} {
+			if n < 0 {
+				return fmt.Errorf("campaign %q has a negative count: %+v", name, c)
+			}
+		}
+		sum.add(c)
+	}
+	if sum != f.Total {
+		return fmt.Errorf("total %+v is not the sum of the campaigns %+v", f.Total, sum)
+	}
+	connected := 0
+	for _, name := range f.Workers() {
+		w := f.Worker(name)
+		if busy, span := w.BusyNS(f.NowNS), w.ConnectedNS(f.NowNS); busy < 0 || busy > span {
+			return fmt.Errorf("worker %s busy %d ns of %d ns connected", name, busy, span)
+		}
+		if w.Connected {
+			connected++
+		}
+	}
+	if connected != f.Connected || f.FirstNS < 0 || f.FirstNS > f.NowNS {
+		return fmt.Errorf("connected=%d (worker table says %d), first=%d now=%d", f.Connected, connected, f.FirstNS, f.NowNS)
+	}
+	return nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

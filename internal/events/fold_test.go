@@ -1,7 +1,6 @@
 package events
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 )
@@ -127,41 +126,7 @@ func TestFoldClampsStamps(t *testing.T) {
 	if f.FirstNS != 0 || f.NowNS != 100 || f.Closed[0].StartNS != 100 || f.Closed[0].EndNS != 100 {
 		t.Fatalf("first=%d now=%d closed=%+v", f.FirstNS, f.NowNS, f.Closed)
 	}
-	if err := checkFold(f); err != nil {
+	if err := CheckFold(f); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// checkFold reports a violation of what must hold of a fold after any
-// event of any stream: the total is the sum of the campaigns, no count is
-// negative, no worker is busy longer than it was connected, and Connected
-// counts the connected workers.
-func checkFold(f *Fold) error {
-	var sum Tally
-	for _, name := range f.Campaigns() {
-		c := f.Campaign(name)
-		for _, n := range []int{c.Received, c.Done, c.Failed, c.Dropped, c.Quarantined, c.Queued, c.Running, c.Retries} {
-			if n < 0 {
-				return fmt.Errorf("campaign %q has a negative count: %+v", name, c)
-			}
-		}
-		sum.add(c)
-	}
-	if sum != f.Total {
-		return fmt.Errorf("total %+v is not the sum of the campaigns %+v", f.Total, sum)
-	}
-	connected := 0
-	for _, name := range f.Workers() {
-		w := f.Worker(name)
-		if busy, span := w.BusyNS(f.NowNS), w.ConnectedNS(f.NowNS); busy < 0 || busy > span {
-			return fmt.Errorf("worker %s busy %d ns of %d ns connected", name, busy, span)
-		}
-		if w.Connected {
-			connected++
-		}
-	}
-	if connected != f.Connected || f.FirstNS < 0 || f.FirstNS > f.NowNS {
-		return fmt.Errorf("connected=%d (worker table says %d), first=%d now=%d", f.Connected, connected, f.FirstNS, f.NowNS)
-	}
-	return nil
 }

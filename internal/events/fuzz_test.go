@@ -47,7 +47,7 @@ func FuzzReadLog(f *testing.F) {
 		fold := NewFold()
 		for i := range evs {
 			fold.Observe(&evs[i])
-			if ferr := checkFold(fold); ferr != nil {
+			if ferr := CheckFold(fold); ferr != nil {
 				t.Fatalf("after event %d %+v: %v", i, evs[i], ferr)
 			}
 		}

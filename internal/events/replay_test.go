@@ -80,7 +80,7 @@ func TestTrackerRequeueAndDrop(t *testing.T) {
 	if f.Total.Queued != 0 {
 		t.Fatalf("depth went negative: %d", f.Total.Queued)
 	}
-	if err := checkFold(f); err != nil {
+	if err := CheckFold(f); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -54,6 +55,97 @@ func BenchmarkDispatchSlowPeer(b *testing.B) {
 // dispatch rows.
 func BenchmarkDispatchSelfSized(b *testing.B) {
 	benchDispatch(b, WireBinary, 256, 0, false)
+}
+
+// BenchmarkDispatcherCore is the dispatch path with everything but the
+// dispatcher taken away — no sockets, no codec, no outbox writers, no
+// second goroutine — which is the layer row the rows above cannot
+// produce: what the state machine itself costs per task, events and live
+// metrics included as deployed. 256 recording peers stand in for the
+// fleet; one op is a 2,048-task wave submitted, handed out and acked,
+// each worker answering its whole handout in one ack as a real one does.
+// The handler time the acks report is 2 µs, so the self-sized handouts
+// reach the 64-task cap as they do in BenchmarkDispatchSelfSized.
+func BenchmarkDispatcherCore(b *testing.B) {
+	b.Run("batch16", func(b *testing.B) { benchDispatcherCore(b, 16) })
+	b.Run("selfsized", func(b *testing.B) { benchDispatcherCore(b, 0) })
+}
+
+// benchPeer keeps the frames it is handed, uncopied.
+type benchPeer struct{ got []*message }
+
+func (p *benchPeer) enqueue(m *message) error { p.got = append(p.got, m); return nil }
+func (p *benchPeer) shutdown()                {}
+
+func benchDispatcherCore(b *testing.B, batch int) {
+	const numWorkers, tasksPerOp = 256, 2048
+	s := NewScheduler()
+	s.Batch = batch
+	s.Metrics = NewSchedulerMetrics(nil)
+	s.Events().AddSink(s.Metrics.Observe)
+	s.Events().SetLimit(1024)
+	d, err := s.newDispatcher()
+	if err != nil {
+		b.Fatal(err)
+	}
+	now := time.Unix(1_600_000_000, 0)
+	workers := make([]*workerConn, numWorkers)
+	for i := range workers {
+		workers[i] = &workerConn{id: fmt.Sprintf("w%03d", i), ob: &benchPeer{}}
+		d.register(workers[i], now)
+	}
+	client := &benchPeer{}
+	cc := &clientConn{ob: client}
+	payload := json.RawMessage(`{"job":"fold","species":"DVU","protein":"DVU_0001","preset":"reduced","seed":42}`)
+	tasks := make([]Task, tasksPerOp)
+	for i := range tasks {
+		tasks[i] = Task{ID: fmt.Sprintf("t%04d", i), Weight: float64(i % 97), Payload: payload}
+	}
+	wave := func() {
+		now = now.Add(time.Millisecond)
+		d.submit(cc, tasks, "", now)
+		for again := true; again; {
+			again = false
+			for _, w := range workers {
+				p := w.ob.(*benchPeer)
+				if len(p.got) == 0 {
+					continue
+				}
+				// A worker holds one handout at a time; its ack is a fresh
+				// slice, as the read pump's is.
+				m := p.got[0]
+				p.got = p.got[:0]
+				ress := make([]Result, len(m.Tasks))
+				for i := range m.Tasks {
+					ress[i] = Result{TaskID: m.Tasks[i].ID, WorkerID: w.id, Start: now, End: now.Add(2 * time.Microsecond)}
+				}
+				d.result(w, ress, now)
+				again = true
+			}
+		}
+		answered := 0
+		for _, m := range client.got {
+			answered += len(m.Results)
+		}
+		if answered != tasksPerOp {
+			b.Fatalf("client was answered %d of %d tasks", answered, tasksPerOp)
+		}
+		client.got = client.got[:0]
+	}
+	wave() // warms the ring, the maps and the hub
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wave()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	perTask := float64(b.N) * tasksPerOp
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perTask, "ns/task")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perTask, "allocs/task")
 }
 
 func benchDispatch(b *testing.B, wire string, numWorkers, batch int, slowPeer bool) {

@@ -45,7 +45,7 @@ func (q *queued) estimate() (time.Duration, bool) {
 // handoutBudget — so minute-long targets go out one per worker, in the
 // order the submitter sorted them, and microsecond kernels some twenty at
 // a time.
-func fillHandout(dst []queued, queue queuePolicy, batch int) []queued {
+func fillHandout(dst []queued, queue *taskQueue, batch int) []queued {
 	head, ok := queue.Pop()
 	if !ok {
 		return dst

@@ -40,10 +40,7 @@ func TestFillHandoutSizing(t *testing.T) {
 	} {
 		for _, policy := range []string{PolicyFIFO, PolicyFair} {
 			t.Run(tc.name+"/"+policy, func(t *testing.T) {
-				queue, err := newQueuePolicy(policy)
-				if err != nil {
-					t.Fatal(err)
-				}
+				queue := newTestQueue(t, policy)
 				// One lane, so that fair hands out in submission order too.
 				next := 0
 				for _, r := range tc.queue {
@@ -52,14 +49,16 @@ func TestFillHandoutSizing(t *testing.T) {
 						w.observe(r.mean)
 					}
 					for i := 0; i < r.tasks; i++ {
-						queue.Push(queued{task: Task{ID: fmt.Sprintf("t%03d", next), Campaign: "c"}, attempts: r.attempts, wave: w})
+						q := queue.task(fmt.Sprintf("t%03d", next), "c", nil)
+						q.attempts, q.wave = r.attempts, w
+						queue.Push(q)
 						next++
 					}
 				}
 				var got []int
 				popped := 0
 				for queue.Len() > 0 {
-					h := fillHandout(nil, queue, tc.batch)
+					h := fillHandout(nil, queue.taskQueue, tc.batch)
 					if len(h) == 0 {
 						t.Fatalf("empty handout with %d tasks queued", queue.Len())
 					}
@@ -74,7 +73,7 @@ func TestFillHandoutSizing(t *testing.T) {
 				if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 					t.Errorf("handout sizes = %v, want %v", got, tc.want)
 				}
-				if h := fillHandout(nil, queue, tc.batch); len(h) != 0 {
+				if h := fillHandout(nil, queue.taskQueue, tc.batch); len(h) != 0 {
 					t.Errorf("handout from an empty queue = %v", h)
 				}
 			})
@@ -86,18 +85,23 @@ func TestFillHandoutSizing(t *testing.T) {
 // from the lanes in rotation, and a lane whose head may not join — here a
 // redelivery — ends the handout without losing its turn.
 func TestFillHandoutAcrossFairLanes(t *testing.T) {
-	queue := newFairPolicy()
+	queue := newTestQueue(t, PolicyFair)
 	w := &wave{}
 	w.observe(2 * time.Microsecond)
 	for i := 0; i < 2; i++ {
-		queue.Push(queued{task: Task{ID: fmt.Sprintf("a%d", i), Campaign: "a"}, wave: w})
-		queue.Push(queued{task: Task{ID: fmt.Sprintf("b%d", i), Campaign: "b"}, wave: w})
+		for _, c := range []string{"a", "b"} {
+			q := queue.task(fmt.Sprintf("%s%d", c, i), c, nil)
+			q.wave = w
+			queue.Push(q)
+		}
 	}
-	queue.PushFront(queued{task: Task{ID: "b-retry", Campaign: "b"}, wave: w, attempts: 1})
+	retry := queue.task("b-retry", "b", nil)
+	retry.wave, retry.attempts = w, 1
+	queue.PushFront(retry)
 	var got []string
 	for queue.Len() > 0 {
 		var ids []string
-		for _, q := range fillHandout(nil, queue, 0) {
+		for _, q := range fillHandout(nil, queue.taskQueue, 0) {
 			ids = append(ids, q.task.ID)
 		}
 		got = append(got, strings.Join(ids, "+"))

@@ -6,8 +6,12 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/events"
 )
 
 // wedgedListener accepts connections and then never reads or writes — the
@@ -226,4 +230,55 @@ func TestClientDisconnectOrphansItsTasks(t *testing.T) {
 	if p := w.Processed(); p >= 55 {
 		t.Errorf("worker processed %d tasks; orphaned queue was not dropped", p)
 	}
+}
+
+// faultyListener fails Accept, up to a thousand times, for as long as
+// failing is set: the descriptor table is full.
+type faultyListener struct {
+	net.Listener
+	failing atomic.Bool
+	calls   atomic.Int64
+}
+
+func (l *faultyListener) Accept() (net.Conn, error) {
+	if l.failing.Load() && l.calls.Add(1) <= 1000 {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}
+	}
+	return l.Listener.Accept()
+}
+
+// TestAcceptLoopBacksOff: a persistent Accept error must not spin a core.
+// A loop that answers it with `continue` burns the listener's thousand
+// failures in microseconds; with the back-off (5 ms doubling: 5, 10, 20,
+// 40, 80, 160 ...) a 200 ms fault sees at most seven calls. Once the
+// fault clears, the next connection is served.
+func TestAcceptLoopBacksOff(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := &faultyListener{Listener: ln}
+	faulty.failing.Store(true)
+	s := NewScheduler()
+	d, err := s.newDispatcher()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ln = faulty
+	s.wg.Add(2)
+	go s.acceptLoop()
+	go s.eventLoop(d)
+	t.Cleanup(s.Close)
+
+	time.Sleep(200 * time.Millisecond)
+	if calls := faulty.calls.Load(); calls < 1 || calls > 7 {
+		t.Errorf("Accept was called %d times in 200 ms of failing, want 1 to 7", calls)
+	}
+	faulty.failing.Store(false)
+	w := NewWorker("after-the-fault", echoHandler)
+	if err := w.Connect(ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	waitForEvent(t, s, events.WorkerJoin, 5*time.Second)
 }

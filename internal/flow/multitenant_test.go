@@ -34,7 +34,7 @@ func waitUntil(t *testing.T, timeout time.Duration, cond func() bool, desc strin
 func fakeWorkerConn(s *Scheduler, id string, sched net.Conn) *workerConn {
 	wc := &workerConn{id: id}
 	wc.ob = s.newOutbox(sched, newJSONCodec(bufio.NewReader(sched), bufio.NewWriter(sched)), func(error) {
-		s.sendEvent(schedEvent{kind: "workerGone", wc: wc})
+		s.sendEvent(schedEvent{kind: inWorkerGone, wc: wc})
 	})
 	return wc
 }
@@ -85,21 +85,21 @@ func TestLateResultFromDroppedWorkerIgnored(t *testing.T) {
 	// The ghost takes the task, then its connection is declared gone —
 	// but a result frame from it is still in flight (injected below).
 	ghost := drainedWorkerConn(t, s, "ghost")
-	s.sendEvent(schedEvent{kind: "register", wc: ghost})
+	s.sendEvent(schedEvent{kind: inRegister, wc: ghost})
 	waitUntil(t, 5*time.Second, nthAssignedTo(1, "ghost"), "assignment to ghost")
-	s.sendEvent(schedEvent{kind: "workerGone", wc: ghost})
+	s.sendEvent(schedEvent{kind: inWorkerGone, wc: ghost})
 
 	// The requeued task lands on a second worker and is in flight there
 	// when the ghost's late result arrives.
 	holder := drainedWorkerConn(t, s, "holder")
-	s.sendEvent(schedEvent{kind: "register", wc: holder})
+	s.sendEvent(schedEvent{kind: inRegister, wc: holder})
 	waitUntil(t, 5*time.Second, nthAssignedTo(2, "holder"), "reassignment to holder")
 
 	// The late result must be dropped; the holder's genuine ack (queued
 	// behind it, so ordering is exact) settles the task.
-	s.sendEvent(schedEvent{kind: "result", wc: ghost,
+	s.sendEvent(schedEvent{kind: inResult, wc: ghost,
 		ress: []Result{{TaskID: "t0", WorkerID: "ghost", Payload: json.RawMessage(`"stale"`)}}})
-	s.sendEvent(schedEvent{kind: "result", wc: holder,
+	s.sendEvent(schedEvent{kind: inResult, wc: holder,
 		ress: []Result{{TaskID: "t0", WorkerID: "holder", Payload: json.RawMessage(`"fresh"`)}}})
 
 	var res []Result
@@ -151,7 +151,7 @@ func TestSendFailureChargesRetryBudget(t *testing.T) {
 	sched, peer := net.Pipe()
 	peer.Close()
 	t.Cleanup(func() { sched.Close() })
-	s.sendEvent(schedEvent{kind: "register", wc: fakeWorkerConn(s, "brittle", sched)})
+	s.sendEvent(schedEvent{kind: inRegister, wc: fakeWorkerConn(s, "brittle", sched)})
 	waitForEvent(t, s, events.WorkerLeave, 5*time.Second)
 
 	// The retry lands on a healthy worker with the attempt counter and

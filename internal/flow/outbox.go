@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -40,11 +39,8 @@ var errOutboxStopped = errors.New("flow: outbox stopped")
 //
 // Concurrency: the codec is shared with the connection's read pump, which
 // is safe per the Codec contract (one reader + one writer goroutine). The
-// writer is the only goroutine that encodes; `encoded` publishes its
-// progress so the event loop can reuse per-connection encode scratch once
-// every frame it handed over has been serialized (the atomic load/store
-// pair is the required happens-before edge — there is no other
-// synchronization between the loop and the writer).
+// writer is the only goroutine that encodes, and a frame belongs to it
+// from the moment it is enqueued: the enqueuer keeps no reference.
 type outbox struct {
 	conn    net.Conn
 	codec   Codec
@@ -59,9 +55,6 @@ type outbox struct {
 	ch       chan *message
 	stop     chan struct{}
 	stopOnce sync.Once
-
-	// encoded counts frames the writer has finished encoding.
-	encoded atomic.Uint64
 
 	// onOverflow, when set, is called once per overflow detected at
 	// enqueue time (on the enqueueing goroutine — an atomic counter
@@ -134,7 +127,6 @@ func (o *outbox) writeBatch(first *message) error {
 		if err := o.codec.Encode(m); err != nil {
 			return err
 		}
-		o.encoded.Add(1)
 		select {
 		case m = <-o.ch:
 		default:
@@ -199,8 +191,7 @@ func (o *outbox) fail(err error) {
 		o.failed = err
 	}
 	o.mu.Unlock()
-	o.stopOnce.Do(func() { close(o.stop) })
-	o.conn.Close()
+	o.shutdown()
 }
 
 // shutdown stops the writer without recording a failure — the peer is

@@ -12,7 +12,32 @@ func queuedTask(id, campaign string, cc *clientConn) queued {
 	return queued{task: Task{ID: id, Campaign: campaign}, client: cc}
 }
 
-func popIDs(t *testing.T, p queuePolicy, n int) []string {
+// testQueue is a dispatcher's queue with the dispatcher's tenant records
+// behind it, for tests that push entries straight into the queue.
+type testQueue struct {
+	*taskQueue
+	d *dispatcher
+}
+
+func newTestQueue(t *testing.T, policy string) testQueue {
+	t.Helper()
+	s := NewScheduler()
+	s.Policy = policy
+	d, err := s.newDispatcher()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return testQueue{&d.queue, d}
+}
+
+// task is queuedTask with the tenant the dispatcher would resolve.
+func (p testQueue) task(id, campaign string, cc *clientConn) queued {
+	q := queuedTask(id, campaign, cc)
+	q.tenant = p.d.tenantOf(campaign, cc)
+	return q
+}
+
+func popIDs(t *testing.T, p interface{ Pop() (queued, bool) }, n int) []string {
 	t.Helper()
 	ids := make([]string, 0, n)
 	for i := 0; i < n; i++ {
@@ -26,21 +51,26 @@ func popIDs(t *testing.T, p queuePolicy, n int) []string {
 }
 
 func TestNewQueuePolicyNames(t *testing.T) {
+	newQueuePolicy := func(name string) (*dispatcher, error) {
+		s := NewScheduler()
+		s.Policy = name
+		return s.newDispatcher()
+	}
 	for _, name := range []string{"", PolicyFIFO} {
 		p, err := newQueuePolicy(name)
 		if err != nil {
 			t.Fatalf("newQueuePolicy(%q): %v", name, err)
 		}
-		if _, ok := p.(*fifoPolicy); !ok {
-			t.Errorf("newQueuePolicy(%q) = %T, want *fifoPolicy", name, p)
+		if p.shared == nil {
+			t.Errorf("newQueuePolicy(%q) has no shared lane, want one", name)
 		}
 	}
 	p, err := newQueuePolicy(PolicyFair)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.(*fairPolicy); !ok {
-		t.Errorf("newQueuePolicy(fair) = %T, want *fairPolicy", p)
+	if p.shared != nil {
+		t.Errorf("newQueuePolicy(fair) has a shared lane, want one per tenant")
 	}
 	if _, err := newQueuePolicy("priority"); err == nil || !strings.Contains(err.Error(), PolicyFair) {
 		t.Errorf("unknown policy error = %v, want mention of the valid names", err)
@@ -50,9 +80,9 @@ func TestNewQueuePolicyNames(t *testing.T) {
 // TestFIFOPolicyArrivalOrder pins the default discipline: strict arrival
 // order, with PushFront (requeue) jumping the whole line.
 func TestFIFOPolicyArrivalOrder(t *testing.T) {
-	p, _ := newQueuePolicy("")
+	p := newTestQueue(t, "")
 	for _, id := range []string{"t0", "t1", "t2"} {
-		p.Push(queuedTask(id, "", nil))
+		p.Push(p.task(id, "", nil))
 	}
 	if p.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", p.Len())
@@ -60,7 +90,7 @@ func TestFIFOPolicyArrivalOrder(t *testing.T) {
 	if got := popIDs(t, p, 1); got[0] != "t0" {
 		t.Fatalf("first pop = %s, want t0", got[0])
 	}
-	p.PushFront(queuedTask("t0r", "", nil))
+	p.PushFront(p.task("t0r", "", nil))
 	if got := strings.Join(popIDs(t, p, 3), ","); got != "t0r,t1,t2" {
 		t.Errorf("pops = %s, want t0r,t1,t2 (requeue jumps the line)", got)
 	}
@@ -70,11 +100,11 @@ func TestFIFOPolicyArrivalOrder(t *testing.T) {
 }
 
 func TestFIFOPolicyDropClient(t *testing.T) {
-	p, _ := newQueuePolicy(PolicyFIFO)
+	p := newTestQueue(t, PolicyFIFO)
 	gone, stay := &clientConn{}, &clientConn{}
-	p.Push(queuedTask("g0", "", gone))
-	p.Push(queuedTask("s0", "", stay))
-	p.Push(queuedTask("g1", "", gone))
+	p.Push(p.task("g0", "", gone))
+	p.Push(p.task("s0", "", stay))
+	p.Push(p.task("g1", "", gone))
 	dropped := p.DropClient(gone)
 	if len(dropped) != 2 || dropped[0].task.ID != "g0" || dropped[1].task.ID != "g1" {
 		t.Fatalf("dropped = %+v, want g0,g1 in queue order", dropped)
@@ -91,12 +121,12 @@ func TestFIFOPolicyDropClient(t *testing.T) {
 // the second campaign's first task goes out ahead of the first campaign's
 // backlog; within a lane, order is the FIFO default.
 func TestFairPolicyRoundRobin(t *testing.T) {
-	p, _ := newQueuePolicy(PolicyFair)
+	p := newTestQueue(t, PolicyFair)
 	for _, id := range []string{"a0", "a1", "a2"} {
-		p.Push(queuedTask(id, "A", nil))
+		p.Push(p.task(id, "A", nil))
 	}
 	for _, id := range []string{"b0", "b1"} {
-		p.Push(queuedTask(id, "B", nil))
+		p.Push(p.task(id, "B", nil))
 	}
 	if p.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", p.Len())
@@ -112,14 +142,14 @@ func TestFairPolicyRoundRobin(t *testing.T) {
 // TestFairPolicyPushFrontStaysInLane: a requeued task jumps its own lane's
 // line without disturbing the rotation across lanes.
 func TestFairPolicyPushFrontStaysInLane(t *testing.T) {
-	p, _ := newQueuePolicy(PolicyFair)
-	p.Push(queuedTask("a0", "A", nil))
-	p.Push(queuedTask("a1", "A", nil))
-	p.Push(queuedTask("b0", "B", nil))
+	p := newTestQueue(t, PolicyFair)
+	p.Push(p.task("a0", "A", nil))
+	p.Push(p.task("a1", "A", nil))
+	p.Push(p.task("b0", "B", nil))
 	if got := popIDs(t, p, 1); got[0] != "a0" {
 		t.Fatalf("first pop = %s, want a0", got[0])
 	}
-	p.PushFront(queuedTask("a0r", "A", nil))
+	p.PushFront(p.task("a0r", "A", nil))
 	if got := strings.Join(popIDs(t, p, 3), ","); got != "b0,a0r,a1" {
 		t.Errorf("pops = %s, want b0,a0r,a1 (requeue heads its own lane)", got)
 	}
@@ -128,11 +158,11 @@ func TestFairPolicyPushFrontStaysInLane(t *testing.T) {
 // TestFairPolicyLanesUnnamedSubmittersByClient: tasks with no campaign
 // identity still get fair treatment — one lane per client connection.
 func TestFairPolicyLanesUnnamedSubmittersByClient(t *testing.T) {
-	p, _ := newQueuePolicy(PolicyFair)
+	p := newTestQueue(t, PolicyFair)
 	c1, c2 := &clientConn{}, &clientConn{}
-	p.Push(queuedTask("x0", "", c1))
-	p.Push(queuedTask("x1", "", c1))
-	p.Push(queuedTask("y0", "", c2))
+	p.Push(p.task("x0", "", c1))
+	p.Push(p.task("x1", "", c1))
+	p.Push(p.task("y0", "", c2))
 	if got := strings.Join(popIDs(t, p, 3), ","); got != "x0,y0,x1" {
 		t.Errorf("pops = %s, want x0,y0,x1 (per-client lanes)", got)
 	}
@@ -142,12 +172,12 @@ func TestFairPolicyLanesUnnamedSubmittersByClient(t *testing.T) {
 // vanish from every lane it touched, lanes it emptied stop costing a
 // rotation turn, and other campaigns' tasks are untouched.
 func TestFairPolicyDropClientAcrossLanes(t *testing.T) {
-	p, _ := newQueuePolicy(PolicyFair)
+	p := newTestQueue(t, PolicyFair)
 	gone, stay := &clientConn{}, &clientConn{}
-	p.Push(queuedTask("a0", "A", gone))
-	p.Push(queuedTask("a1", "A", stay))
-	p.Push(queuedTask("b0", "B", gone))
-	p.Push(queuedTask("c0", "C", stay))
+	p.Push(p.task("a0", "A", gone))
+	p.Push(p.task("a1", "A", stay))
+	p.Push(p.task("b0", "B", gone))
+	p.Push(p.task("c0", "C", stay))
 	dropped := p.DropClient(gone)
 	if len(dropped) != 2 || dropped[0].task.ID != "a0" || dropped[1].task.ID != "b0" {
 		t.Fatalf("dropped = %+v, want a0,b0", dropped)
@@ -168,7 +198,7 @@ func TestFairPolicyDropClientAcrossLanes(t *testing.T) {
 // handout order, and leave no popped payload pinned in the ring.
 func TestFIFOPolicyRequeueIntoDeepQueue(t *testing.T) {
 	const depth, batch = 16384, 16
-	p := &fifoPolicy{}
+	p := &lane{}
 	for i := 0; i < depth; i++ {
 		q := queuedTask(fmt.Sprintf("t%05d", i), "", nil)
 		q.task.Payload = json.RawMessage(`{"kernel":"k"}`)
@@ -195,8 +225,8 @@ func TestFIFOPolicyRequeueIntoDeepQueue(t *testing.T) {
 		t.Errorf("requeueing %d tasks into a %d-entry queue allocated %d bytes, want under 64 KiB", batch, depth, got)
 	}
 
-	if p.Len() != depth {
-		t.Fatalf("Len = %d, want %d", p.Len(), depth)
+	if p.n != depth {
+		t.Fatalf("Len = %d, want %d", p.n, depth)
 	}
 	for i, id := range popIDs(t, p, depth) {
 		if want := fmt.Sprintf("t%05d", i); id != want {
@@ -209,7 +239,7 @@ func TestFIFOPolicyRequeueIntoDeepQueue(t *testing.T) {
 // every combination the scheduler produces (push, pop, requeue, client
 // drop) and checks the order against a plain slice.
 func TestFIFOPolicyRingWraps(t *testing.T) {
-	p := &fifoPolicy{}
+	p := &lane{}
 	gone, stay := &clientConn{}, &clientConn{}
 	var model []string
 	next := 0
@@ -242,8 +272,8 @@ func TestFIFOPolicyRingWraps(t *testing.T) {
 			}
 			model = model[:len(model)-2]
 		}
-		if p.Len() != len(model) {
-			t.Fatalf("round %d: Len = %d, want %d", round, p.Len(), len(model))
+		if p.n != len(model) {
+			t.Fatalf("round %d: Len = %d, want %d", round, p.n, len(model))
 		}
 	}
 	if got := strings.Join(popIDs(t, p, len(model)), ","); got != strings.Join(model, ",") {

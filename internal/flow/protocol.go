@@ -20,6 +20,18 @@
 //     attaching mid-campaign reconstructs queue depth and per-worker
 //     in-flight work with no cooperation from the submitting client.
 //
+// Inside the scheduler one goroutine advances one dispatcher, a value
+// with a method per input (register, heartbeat, result, submit, a peer
+// gone, the heartbeat sweep) that reads no clock, touches no socket and
+// starts no goroutine: each input brings its own time, and what comes out
+// are events on the hub and frames on the peers' outboxes. Every task
+// belongs to a tenant — its campaign, or its submitter's connection when
+// it names none — resolved once, on receipt; the tenant record holds the
+// lane its tasks wait in, the count Scheduler.Quota bounds and the tasks
+// deferred beyond it, and is released when none is left. A lane is a FIFO
+// ring; the queue round-robins over the lanes that hold tasks, and under
+// PolicyFIFO all tenants share one.
+//
 // Every connection opens with a one-line hello naming its codec and the
 // wire version ("flow-wire binary 1"), staged in the same flush as the
 // first frame. The paper starts scheduler, workers and client from one

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"slices"
 	"sync"
 	"time"
 
@@ -16,8 +15,8 @@ import (
 
 // Scheduler is the central dataflow coordinator. It owns the task queue and
 // assigns tasks to registered workers as they become free. All state
-// transitions happen on a single event loop goroutine; connection
-// goroutines communicate with it over channels.
+// lives in one dispatcher that a single event loop goroutine advances;
+// connection goroutines communicate with it over channels.
 //
 // Every transition is also emitted as a structured events.Event through
 // the scheduler's Hub — the per-task state-machine record Dask's
@@ -82,15 +81,15 @@ type Scheduler struct {
 	Batch int
 
 	// Policy selects the queue discipline (`sched -policy`): PolicyFIFO
-	// (or empty) keeps the classic global FIFO, byte-identical in handout
-	// order and wire traffic; PolicyFair round-robins handout across
-	// campaigns so concurrent campaigns share the fleet without
+	// (or empty) keeps every tenant's tasks in one shared lane, a global
+	// FIFO; PolicyFair gives each tenant its own lane and round-robins
+	// handout across them, so concurrent campaigns share the fleet without
 	// starvation. Set before Start, which validates the name.
 	Policy string
 
-	// Quota, when positive, bounds how many tasks per campaign (per
-	// client connection for unnamed submissions) may be admitted —
-	// queued plus in flight — at once (`sched -quota`). Tasks submitted
+	// Quota, when positive, bounds how many tasks per tenant — a named
+	// campaign, or one connection's unnamed submissions — may be admitted,
+	// queued plus in flight, at once (`sched -quota`). Tasks submitted
 	// beyond the quota are deferred, and the submit's accepted ack is
 	// withheld until every task of the frame has been admitted: the
 	// backpressure signal for submitters that pace on the ack. Zero
@@ -113,10 +112,6 @@ type Scheduler struct {
 	// DefaultWriteTimeout.
 	WriteTimeout time.Duration
 
-	// policy is the queue built by Start from Policy; only the event
-	// loop touches it afterwards.
-	policy queuePolicy
-
 	hub *events.Hub
 
 	ln   net.Listener
@@ -128,49 +123,6 @@ type Scheduler struct {
 	mu     sync.Mutex
 	closed bool
 	conns  map[net.Conn]bool
-}
-
-type schedEvent struct {
-	kind string // "register", "result", "submit", "workerGone", "clientGone", "heartbeat"
-	wc   *workerConn
-	cc   *clientConn
-	ress []Result
-	tsk  []Task
-	// campaign is the submit frame's campaign namespace; tasks carrying
-	// their own Campaign win over it.
-	campaign string
-	// gauges is the runtime snapshot a heartbeat frame carried.
-	gauges *WorkerGauges
-}
-
-type workerConn struct {
-	id string
-	// current holds the unacked tasks of the worker's handout, in handout
-	// order — the scheduler's only record of in-flight work: a result
-	// settles against it, a death requeues it. Only the event loop touches
-	// it.
-	current []queued
-	busy    bool
-	// lastBeat is the last time the worker proved liveness (register,
-	// result, or heartbeat frame). Only the event loop touches it.
-	lastBeat time.Time
-	// ob is the connection's outbound frame queue — the only way the event
-	// loop writes to, or closes, the connection.
-	ob *outbox
-	// handouts counts frames the event loop enqueued on ob; comparing it
-	// against ob.encoded tells the loop whether the writer has serialized
-	// everything it was handed, and therefore whether the encode scratch
-	// below may be reused for the next handout. Only the event loop
-	// touches handouts, taskBuf, and outMsg.
-	handouts uint64
-	taskBuf  []Task
-	outMsg   message
-}
-
-type clientConn struct {
-	pending int // results still owed to this client
-	// ob is the connection's outbound frame queue (results, accepted acks).
-	ob *outbox
 }
 
 // NewScheduler creates a scheduler (not yet listening).
@@ -206,11 +158,10 @@ func (s *Scheduler) RestoreEvents(evs []events.Event) error {
 // Start listens on addr (e.g. "127.0.0.1:0") and runs the scheduler loop in
 // the background. It returns the bound address.
 func (s *Scheduler) Start(addr string) (string, error) {
-	policy, err := newQueuePolicy(s.Policy)
+	d, err := s.newDispatcher()
 	if err != nil {
 		return "", err
 	}
-	s.policy = policy
 	if s.Batch < 0 {
 		return "", fmt.Errorf("flow: batch %d: want 0 (self-sizing handouts) or a fixed size >= 1", s.Batch)
 	}
@@ -241,7 +192,7 @@ func (s *Scheduler) Start(addr string) (string, error) {
 	s.ln = ln
 	s.wg.Add(2)
 	go s.acceptLoop()
-	go s.eventLoop()
+	go s.eventLoop(d)
 	return ln.Addr().String(), nil
 }
 
@@ -323,16 +274,22 @@ func (s *Scheduler) untrack(conn net.Conn) {
 
 func (s *Scheduler) acceptLoop() {
 	defer s.wg.Done()
+	var backoff time.Duration
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
+			// An error that persists — EMFILE, at the paper's fleet sizes
+			// under a 1,024-descriptor limit — must not spin a core: wait
+			// 5 ms, doubling to a second, before asking again.
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
 			select {
 			case <-s.done:
 				return
-			default:
+			case <-time.After(backoff):
 				continue
 			}
 		}
+		backoff = 0
 		s.wg.Add(1)
 		go s.serveConn(conn)
 	}
@@ -365,38 +322,38 @@ func (s *Scheduler) serveConn(conn net.Conn) {
 		// reports the peer gone through the same event a read failure does.
 		wc := &workerConn{id: first.WorkerID}
 		wc.ob = s.newOutbox(conn, codec, func(error) {
-			s.sendEvent(schedEvent{kind: "workerGone", wc: wc})
+			s.sendEvent(schedEvent{kind: inWorkerGone, wc: wc})
 		})
-		s.sendEvent(schedEvent{kind: "register", wc: wc})
+		s.sendEvent(schedEvent{kind: inRegister, wc: wc})
 		for {
 			var m message
 			if err := codec.Decode(&m); err != nil {
-				s.sendEvent(schedEvent{kind: "workerGone", wc: wc})
+				s.sendEvent(schedEvent{kind: inWorkerGone, wc: wc})
 				return
 			}
 			// m is fresh each iteration, so its slices and pointers can
 			// ride the schedEvent without copying.
 			if m.Type == msgResult && len(m.Results) > 0 {
-				s.sendEvent(schedEvent{kind: "result", wc: wc, ress: m.Results})
+				s.sendEvent(schedEvent{kind: inResult, wc: wc, ress: m.Results})
 			} else if m.Type == msgHeartbeat {
-				s.sendEvent(schedEvent{kind: "heartbeat", wc: wc, gauges: m.Gauges})
+				s.sendEvent(schedEvent{kind: inHeartbeat, wc: wc, gauges: m.Gauges})
 			}
 		}
 	case msgSubmit:
 		cc := &clientConn{}
 		cc.ob = s.newOutbox(conn, codec, func(error) {
-			s.sendEvent(schedEvent{kind: "clientGone", cc: cc})
+			s.sendEvent(schedEvent{kind: inClientGone, cc: cc})
 		})
-		s.sendEvent(schedEvent{kind: "submit", cc: cc, tsk: first.Tasks, campaign: first.Campaign})
+		s.sendEvent(schedEvent{kind: inSubmit, cc: cc, tsk: first.Tasks, campaign: first.Campaign})
 		// Keep reading to detect disconnect and accept more submissions.
 		for {
 			var m message
 			if err := codec.Decode(&m); err != nil {
-				s.sendEvent(schedEvent{kind: "clientGone", cc: cc})
+				s.sendEvent(schedEvent{kind: inClientGone, cc: cc})
 				return
 			}
 			if m.Type == msgSubmit {
-				s.sendEvent(schedEvent{kind: "submit", cc: cc, tsk: m.Tasks, campaign: m.Campaign})
+				s.sendEvent(schedEvent{kind: inSubmit, cc: cc, tsk: m.Tasks, campaign: m.Campaign})
 			}
 		}
 	case msgSubscribe:
@@ -444,465 +401,26 @@ func (s *Scheduler) sendEvent(e schedEvent) {
 	}
 }
 
-// taskLabel is the event-stream identity of a task: the submitting
-// executor's trace tag when present, else the wire ID.
-func taskLabel(t *Task) string {
-	if t.Label != "" {
-		return t.Label
-	}
-	return t.ID
-}
-
-// emit records one structured event (Seq and TimeNS are stamped by the
-// hub). Called only from the event loop goroutine, so views observe
-// transitions in scheduling order.
-func (s *Scheduler) emit(typ events.Type, task, worker, errMsg string) {
-	s.hub.Emit(events.Event{Type: typ, Task: task, Worker: worker, Err: errMsg})
-}
-
-// emitTask records one task-scoped event, carrying the task's campaign
-// namespace so monitors and the event log can attribute the transition.
-func (s *Scheduler) emitTask(typ events.Type, t *Task, worker, errMsg string) {
-	s.hub.Emit(events.Event{Type: typ, Task: taskLabel(t), Worker: worker, Err: errMsg, Campaign: t.Campaign})
-}
-
-// emitQ is emitTask for a queued entry, using the label cached at
-// admission instead of re-deriving it — the emit path runs six times per
-// task at steady state, so the hot loop never recomputes or reallocates
-// the label string.
-func (s *Scheduler) emitQ(typ events.Type, q *queued, worker, errMsg string) {
-	s.hub.Emit(events.Event{Type: typ, Task: q.label, Worker: worker, Err: errMsg, Campaign: q.task.Campaign})
-}
-
-// eventLoop is the single-threaded heart of the scheduler: a policy-owned
-// task queue plus a free-worker list, draining in dataflow fashion.
-func (s *Scheduler) eventLoop() {
+// eventLoop is the one goroutine that advances the dispatcher: it reads
+// the clock, once per input, and hands the input over.
+func (s *Scheduler) eventLoop(d *dispatcher) {
 	defer s.wg.Done()
-
-	queue := s.policy
-	var free []*workerConn
-	workers := map[*workerConn]bool{}
-
-	// --- admission (quota) state ---
-	//
-	// A task is "admitted" from the moment it enters the queue until it
-	// settles (result forwarded, quarantined, or dropped). Admission is
-	// charged per campaign for named submissions (campAdmitted), and per
-	// client connection otherwise — clientConn.pending is that counter.
-	// Tasks submitted beyond the quota wait in deferred, in arrival
-	// order, and their submit frame's accepted ack is withheld until the
-	// whole frame has been admitted.
-
-	// submission tracks one submit frame's deferred-ack bookkeeping and
-	// the handler times its tasks report back.
-	type submission struct {
-		cc      *clientConn
-		total   int
-		waiting int // tasks of this frame still deferred
-		wave    wave
-	}
-	type deferredTask struct {
-		q   queued
-		sub *submission
-	}
-	campAdmitted := map[string]int{}      // campaign -> admitted tasks
-	deferred := map[any][]*deferredTask{} // admission key -> waiting, FIFO
-
-	// admissionKey mirrors fairLaneKey: the campaign when named, else the
-	// submitting client connection.
-	admissionKey := func(q *queued) any {
-		if q.task.Campaign != "" {
-			return q.task.Campaign
-		}
-		return q.client
-	}
-
-	// quotaOK reports whether the namespace behind key may admit one more
-	// task.
-	quotaOK := func(key any) bool {
-		if s.Quota <= 0 {
-			return true
-		}
-		switch k := key.(type) {
-		case string:
-			return campAdmitted[k] < s.Quota
-		case *clientConn:
-			return k != nil && k.pending < s.Quota
-		}
-		return true
-	}
-
-	// admit charges the task against its namespace, stamps the enqueue
-	// time, and queues it.
-	admit := func(q queued, now int64) {
-		q.task.EnqueuedNS = now
-		if q.task.Campaign != "" {
-			campAdmitted[q.task.Campaign]++
-		}
-		if q.client != nil {
-			q.client.pending++
-		}
-		s.emitQ(events.TaskQueued, &q, "", "")
-		queue.Push(q)
-	}
-
-	// fwd is the open run of consecutive records of the worker ack being
-	// settled that are owed to one client. The run goes out as one frame —
-	// a sub-slice of the ack's own slice — when a record for another
-	// client, or one that is not forwarded at all, ends it, and at the end
-	// of the ack: an n-task ack costs its client's outbox one slot and one
-	// encode, not n.
-	var fwd struct {
-		cc   *clientConn
-		ress []Result
-	}
-	flushForward := func() {
-		if fwd.cc != nil {
-			_ = fwd.cc.ob.enqueue(&message{Type: msgResult, Results: fwd.ress})
-			fwd.cc, fwd.ress = nil, nil
-		}
-	}
-
-	// admitDeferred admits as many of key's deferred tasks as the quota
-	// now allows, releasing each submit's accepted ack once its last task
-	// is admitted. The open forward run is flushed first, so the result
-	// whose settling freed the slot is enqueued no later than the ack.
-	admitDeferred := func(key any) {
-		list := deferred[key]
-		if len(list) == 0 {
-			return
-		}
-		for len(list) > 0 && quotaOK(key) {
-			d := list[0]
-			list = list[1:]
-			admit(d.q, time.Now().UnixNano())
-			d.sub.waiting--
-			if d.sub.waiting == 0 {
-				flushForward()
-				_ = d.sub.cc.ob.enqueue(&message{Type: msgAccepted, Count: d.sub.total})
-			}
-		}
-		if len(list) == 0 {
-			delete(deferred, key)
-		} else {
-			deferred[key] = list
-		}
-	}
-
-	// settle releases an admitted task's quota charge (its result was
-	// forwarded, or it was quarantined or dropped) and admits any work
-	// that was waiting on the freed slot.
-	settle := func(q *queued) {
-		if q.task.Campaign != "" {
-			if campAdmitted[q.task.Campaign]--; campAdmitted[q.task.Campaign] <= 0 {
-				delete(campAdmitted, q.task.Campaign)
-			}
-		}
-		if q.client != nil {
-			q.client.pending--
-		}
-		admitDeferred(admissionKey(q))
-	}
-
-	// requeue returns a task whose worker died to the front of the queue,
-	// charging one attempt against the retry budget. Over budget, the
-	// task is quarantined: a terminal failed event (with the attempt
-	// history) then a quarantined marker, and the submitting client gets
-	// a failed Result so its Map completes instead of waiting forever.
-	requeue := func(q queued) {
-		label := q.label
-		q.attempts++
-		if s.MaxRetries > 0 && q.attempts > s.MaxRetries {
-			errMsg := fmt.Sprintf("flow: task %s quarantined: worker died on all %d attempts (retry budget %d)",
-				label, q.attempts, s.MaxRetries)
-			s.hub.Emit(events.Event{Type: events.TaskFailed, Task: label, Err: errMsg, Attempt: q.attempts, Campaign: q.task.Campaign})
-			s.hub.Emit(events.Event{Type: events.TaskQuarantined, Task: label, Attempt: q.attempts, Campaign: q.task.Campaign})
-			if q.client != nil {
-				_ = q.client.ob.enqueue(&message{Type: msgResult, Results: []Result{{TaskID: q.task.ID, Err: errMsg}}})
-			}
-			settle(&q)
-			return
-		}
-		// Resource escalation on retry (the paper's high-memory wave,
-		// scheduler-side): a task that killed its worker is redelivered
-		// with its escalated payload.
-		if len(q.task.EscalatePayload) > 0 {
-			q.task.Payload = q.task.EscalatePayload
-		}
-		q.task.Attempt = q.attempts
-		q.running = false
-		queue.PushFront(q)
-		s.hub.Emit(events.Event{Type: events.TaskQueued, Task: label, Attempt: q.attempts, Campaign: q.task.Campaign})
-	}
-
-	// dropWorker is the one teardown of a worker, whoever noticed it gone:
-	// the heartbeat sweep (typ worker_lost), its read pump or outbox writer
-	// failing (worker_leave), or a handout that could not be enqueued
-	// because the outbox had already failed or overflowed (worker_leave).
-	// The worker leaves the fleet and the free list, its outbox stops —
-	// which closes the conn, so a still-running read pump fails soon after
-	// and finds the worker already gone — and its unacked handout returns
-	// to the queue back to front, so the queue head ends up in original
-	// handout order. Going through requeue charges every one of those
-	// deliveries against the retry budget: a worker dying exactly at send
-	// time must not grant its batch a free attempt, or a poison task could
-	// cycle through send failures forever.
-	dropWorker := func(wc *workerConn, typ events.Type, reason string) {
-		delete(workers, wc)
-		for i, w := range free {
-			if w == wc {
-				free = append(free[:i], free[i+1:]...)
-				break
-			}
-		}
-		wc.ob.shutdown()
-		s.emit(typ, "", wc.id, reason)
-		for i := len(wc.current) - 1; i >= 0; i-- {
-			requeue(wc.current[i])
-		}
-		wc.current = nil
-	}
-
 	// Sweep for heartbeat-silent workers at a fraction of the deadline,
 	// so detection lags the deadline by at most a quarter of it.
 	var beatCheck <-chan time.Time
 	if s.HeartbeatTimeout > 0 {
-		interval := s.HeartbeatTimeout / 4
-		if interval <= 0 {
-			interval = s.HeartbeatTimeout
-		}
-		ticker := time.NewTicker(interval)
+		ticker := time.NewTicker(max(s.HeartbeatTimeout/4, 1))
 		defer ticker.Stop()
 		beatCheck = ticker.C
 	}
-
-	assign := func() {
-		for queue.Len() > 0 && len(free) > 0 {
-			w := free[0]
-			free = free[1:]
-			w.busy = true
-			// The worker's encode scratch (taskBuf, outMsg) is handed to
-			// its outbox writer by reference, so it may be reused only once
-			// the writer has serialized every frame this loop enqueued —
-			// the atomic counter pair is the happens-before edge. A worker
-			// re-handed work before its writer caught up (possible under
-			// partial acks) gets freshly allocated wire state instead.
-			reuse := w.ob.encoded.Load() >= w.handouts
-			var tasks []Task
-			m := &w.outMsg
-			if reuse {
-				tasks = w.taskBuf[:0]
-			} else {
-				m = new(message)
-			}
-			w.current = fillHandout(w.current[:0], queue, s.Batch)
-			for i := range w.current {
-				tasks = append(tasks, w.current[i].task)
-				s.emitQ(events.TaskAssigned, &w.current[i], w.id, "")
-			}
-			if s.Metrics != nil {
-				s.Metrics.handoutTasks.Observe(float64(len(tasks)))
-			}
-			if reuse {
-				w.taskBuf = tasks
-			}
-			// One frame per handout; the outbox writer coalesces bursts of
-			// handouts into one flush.
-			*m = message{Type: msgTask, Tasks: tasks}
-			if err := w.ob.enqueue(m); err != nil {
-				dropWorker(w, events.WorkerLeave, "")
-				continue
-			}
-			w.handouts++
-			// Delivered: the worker starts the batch head on receipt and
-			// runs the rest in order, so only the head is running now. The
-			// others stay assigned until a partial ack reveals the worker
-			// moved on; the exact per-task execution bracket is always the
-			// Result's Start/End stamps, the event stream records when the
-			// scheduler learned of each transition.
-			w.current[0].running = true
-			s.emitQ(events.TaskRunning, &w.current[0], w.id, "")
-		}
-	}
-
 	for {
 		select {
 		case <-s.done:
 			return
 		case now := <-beatCheck:
-			// Declare workers silent past the deadline dead: wedged-but-
-			// connected processes never fail the read pump, so the only
-			// signal is the heartbeat going quiet.
-			for wc := range workers {
-				silent := now.Sub(wc.lastBeat)
-				if silent <= s.HeartbeatTimeout {
-					continue
-				}
-				dropWorker(wc, events.WorkerLost,
-					fmt.Sprintf("flow: worker %s silent for %s (heartbeat deadline %s)",
-						wc.id, silent.Round(time.Millisecond), s.HeartbeatTimeout))
-			}
-			assign()
+			d.sweep(now)
 		case e := <-s.events:
-			switch e.kind {
-			case "register":
-				workers[e.wc] = true
-				free = append(free, e.wc)
-				e.wc.lastBeat = time.Now()
-				s.emit(events.WorkerJoin, "", e.wc.id, "")
-				assign()
-			case "heartbeat":
-				if workers[e.wc] {
-					e.wc.lastBeat = time.Now()
-					if s.Metrics != nil {
-						s.Metrics.SetWorkerGauges(e.wc.id, e.gauges)
-					}
-				}
-			case "workerGone":
-				// The read pump or the outbox writer failed. Either may
-				// report after the other, or after the sweep or a failed
-				// handout already dropped the worker.
-				if workers[e.wc] {
-					dropWorker(e.wc, events.WorkerLeave, "")
-					assign()
-				}
-			case "result":
-				// A result from a worker no longer in the fleet — its read
-				// pump failed, or the heartbeat sweep dropped it while this
-				// frame sat in the channel — must not be settled: its batch
-				// was already requeued (and possibly reassigned), so settling
-				// here would duplicate the client's result and misattribute
-				// a done event to a dead worker.
-				if !workers[e.wc] {
-					break
-				}
-				e.wc.lastBeat = time.Now()
-				// One frame may ack a whole handout. Each record is settled
-				// individually and forwarded in a frame with its neighbours
-				// for the same client (fwd).
-				for i := range e.ress {
-					res := &e.ress[i]
-					// The record must ack a task this worker currently holds:
-					// a duplicate reply, or a reply to a delivery that was
-					// since requeued to another worker, is dropped.
-					cur := e.wc.current
-					j := 0
-					for j < len(cur) && cur[j].task.ID != res.TaskID {
-						j++
-					}
-					if j == len(cur) {
-						flushForward()
-						continue
-					}
-					q := cur[j]
-					e.wc.current = slices.Delete(cur, j, j+1) // clears the vacated slot
-					if res.Err != "" {
-						s.emitQ(events.TaskFailed, &q, e.wc.id, res.Err)
-					} else {
-						s.emitQ(events.TaskDone, &q, e.wc.id, "")
-					}
-					q.wave.observe(res.End.Sub(res.Start))
-					if q.client != fwd.cc {
-						flushForward()
-						fwd.cc = q.client
-					}
-					if fwd.cc != nil {
-						// The run is consecutive, so it ends at record i.
-						fwd.ress = e.ress[i-len(fwd.ress) : i+1 : i+1]
-					}
-					settle(&q)
-				}
-				flushForward()
-				// A partial ack reveals the worker moved on: the head of the
-				// remaining batch is the task running now. Tasks deeper in
-				// the batch stay assigned until their turn is observable.
-				if len(e.wc.current) > 0 {
-					if head := &e.wc.current[0]; !head.running {
-						head.running = true
-						s.emitQ(events.TaskRunning, head, e.wc.id, "")
-					}
-				}
-				// Only a worker that was actually busy — and whose batch is
-				// fully acked — returns to the free list: a stray result
-				// (unknown task, duplicate reply) must not enlist the worker
-				// twice, and a partial ack leaves it busy on the remainder.
-				if len(e.wc.current) == 0 {
-					wasBusy := e.wc.busy
-					e.wc.busy = false
-					if workers[e.wc] && wasBusy {
-						free = append(free, e.wc)
-					}
-				}
-				assign()
-			case "submit":
-				// The scheduler owns the enqueue stamp: it marks when the
-				// task entered the queue, and travels with the assignment
-				// so the worker can echo it back in the Result. Tasks beyond
-				// the campaign quota are deferred instead of admitted, and
-				// the accepted ack is withheld until the whole frame is in —
-				// the backpressure signal.
-				sub := &submission{cc: e.cc, total: len(e.tsk)}
-				now := time.Now().UnixNano()
-				for _, t := range e.tsk {
-					if t.Campaign == "" {
-						t.Campaign = e.campaign
-					}
-					s.emitTask(events.TaskReceived, &t, "", "")
-					q := queued{task: t, client: e.cc, label: taskLabel(&t), wave: &sub.wave}
-					key := admissionKey(&q)
-					// Anything already deferred for this namespace keeps
-					// arrival order: later tasks queue behind it even if a
-					// slot happens to be free right now.
-					if s.Quota > 0 && (!quotaOK(key) || len(deferred[key]) > 0) {
-						sub.waiting++
-						deferred[key] = append(deferred[key], &deferredTask{q: q, sub: sub})
-						continue
-					}
-					admit(q, now)
-				}
-				if sub.waiting == 0 {
-					_ = e.cc.ob.enqueue(&message{Type: msgAccepted, Count: sub.total})
-				}
-				assign()
-			case "clientGone":
-				e.cc.ob.shutdown()
-				// Purge this client's deferred submissions first: settling
-				// its dropped queued tasks below re-admits deferred work in
-				// the same namespace, and the gone client's own tasks must
-				// not be the ones admitted.
-				for key, list := range deferred {
-					kept := list[:0]
-					for _, d := range list {
-						if d.sub.cc == e.cc {
-							s.emitQ(events.TaskDropped, &d.q, "", "")
-						} else {
-							kept = append(kept, d)
-						}
-					}
-					if len(kept) == 0 {
-						delete(deferred, key)
-					} else {
-						deferred[key] = kept
-					}
-				}
-				// Orphan this client's queued tasks: drop them, releasing
-				// their admission slots to surviving campaign peers.
-				for _, q := range queue.DropClient(e.cc) {
-					s.emitQ(events.TaskDropped, &q, "", "")
-					settle(&q)
-				}
-				// Its in-flight tasks finish with nobody to forward to.
-				for wc := range workers {
-					for i := range wc.current {
-						if wc.current[i].client == e.cc {
-							wc.current[i].client = nil
-						}
-					}
-				}
-				// Releasing the gone client's admission slots may have
-				// admitted deferred work from surviving clients.
-				assign()
-			}
+			d.handle(e, time.Now())
 		}
 	}
 }

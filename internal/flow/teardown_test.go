@@ -50,8 +50,8 @@ func TestHandoutFailureRequeuesWholeBatch(t *testing.T) {
 		sched, peer := net.Pipe()
 		t.Cleanup(func() { sched.Close(); peer.Close() })
 		wc := fakeWorkerConn(s, id, sched)
-		wc.ob.fail(errors.New("dead before the first handout"))
-		s.sendEvent(schedEvent{kind: "register", wc: wc})
+		wc.ob.(*outbox).fail(errors.New("dead before the first handout"))
+		s.sendEvent(schedEvent{kind: inRegister, wc: wc})
 	}
 	deadOnArrival("doa-1")
 	waitUntil(t, 5*time.Second, func() bool { return countEvents(s, events.TaskQueued) == 10 }, "requeue of the first batch")

@@ -22,15 +22,18 @@ import (
 // as (type, task, worker, attempt, campaign), and every frame each peer
 // receives, step by step, with the stamps left out. They were recorded
 // from the loop as it stood before it was reshaped into a dispatcher, and
-// a change to the loop's shape must leave them byte-equal.
+// every script must reproduce its file byte for byte twice: through a
+// running Scheduler over pipes, and straight through the dispatcher's
+// methods with recording peers.
 var updateTranscripts = flag.Bool("update-transcripts", false, "rewrite testdata/transcripts from this build's scheduler")
 
 // txConfig is the scheduler a script runs against.
 type txConfig struct {
-	policy     string
-	quota      int
-	batch      int
-	maxRetries int
+	policy      string
+	quota       int
+	batch       int
+	maxRetries  int
+	beatTimeout time.Duration
 }
 
 // txWorker and txClient are the far ends of the fabricated connections:
@@ -38,7 +41,6 @@ type txConfig struct {
 type txWorker struct {
 	id      string
 	wc      *workerConn
-	ch      <-chan message
 	seen    int    // tasks received
 	held    []Task // handed out and not yet acked, as the worker sees it
 	lastAck []Result
@@ -49,8 +51,19 @@ type txClient struct {
 	name     string
 	campaign string
 	cc       *clientConn
-	ch       <-chan message
 	gone     bool
+}
+
+// txRig is what a scene drives: something that takes the dispatcher's
+// inputs and can say what came of them.
+type txRig interface {
+	newWorker(id string) *workerConn
+	newClient() *clientConn
+	send(e schedEvent)
+	// settle returns the frames each peer (by worker id or client name)
+	// has received since the last call, once all of them have arrived,
+	// and the events emitted since.
+	settle(workers []*txWorker, clients []*txClient) (map[string][]message, []events.Event)
 }
 
 // pipeRig runs a real Scheduler and fabricates its connections the way
@@ -58,37 +71,42 @@ type txClient struct {
 // no read pump, so the script alone decides which inputs exist and in
 // what order.
 type pipeRig struct {
-	t     *testing.T
-	s     *Scheduler
-	fence *txClient
+	t      *testing.T
+	s      *Scheduler
+	fence  *txClient
+	frames map[peer]<-chan message
+	evSeen int
 }
 
 func newPipeRig(t *testing.T, cfg txConfig) *pipeRig {
-	s := NewScheduler()
-	s.Policy, s.Quota, s.Batch, s.MaxRetries = cfg.policy, cfg.quota, cfg.batch, cfg.maxRetries
+	s := cfg.scheduler()
 	if _, err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	r := &pipeRig{t: t, s: s}
-	r.fence = &txClient{name: "fence"}
-	r.fence.cc, r.fence.ch = r.newClient()
+	r := &pipeRig{t: t, s: s, frames: map[peer]<-chan message{}}
+	r.fence = &txClient{name: "fence", cc: r.newClient()}
 	return r
 }
 
-func (r *pipeRig) hub() *events.Hub { return r.s.Events() }
+func (cfg txConfig) scheduler() *Scheduler {
+	s := NewScheduler()
+	s.Policy, s.Quota, s.Batch, s.MaxRetries = cfg.policy, cfg.quota, cfg.batch, cfg.maxRetries
+	s.HeartbeatTimeout = cfg.beatTimeout
+	return s
+}
 
 func (r *pipeRig) send(e schedEvent) { r.s.sendEvent(e) }
 
-// pipe returns the scheduler side of a fresh pipe and the frames its far
-// end decodes.
-func (r *pipeRig) pipe() (net.Conn, Codec, <-chan message) {
-	sched, peer := net.Pipe()
-	r.t.Cleanup(func() { sched.Close(); peer.Close() })
+// outbox returns an outbox on the scheduler side of a fresh pipe, whose
+// far end decodes what it is sent.
+func (r *pipeRig) outbox(onDead func(error)) *outbox {
+	sched, far := net.Pipe()
+	r.t.Cleanup(func() { sched.Close(); far.Close() })
 	// Sized so that the reader never blocks on a script's worth of frames.
 	ch := make(chan message, 4096)
 	go func() {
-		dec := json.NewDecoder(peer)
+		dec := json.NewDecoder(far)
 		for {
 			var m message
 			if err := dec.Decode(&m); err != nil {
@@ -97,26 +115,26 @@ func (r *pipeRig) pipe() (net.Conn, Codec, <-chan message) {
 			ch <- m
 		}
 	}()
-	return sched, newJSONCodec(bufio.NewReader(sched), bufio.NewWriter(sched)), ch
+	ob := r.s.newOutbox(sched, newJSONCodec(bufio.NewReader(sched), bufio.NewWriter(sched)), onDead)
+	r.frames[ob] = ch
+	return ob
 }
 
-func (r *pipeRig) newWorker(id string) (*workerConn, <-chan message) {
-	sched, codec, ch := r.pipe()
+func (r *pipeRig) newWorker(id string) *workerConn {
 	wc := &workerConn{id: id}
-	wc.ob = r.s.newOutbox(sched, codec, func(error) { r.s.sendEvent(schedEvent{kind: "workerGone", wc: wc}) })
-	return wc, ch
+	wc.ob = r.outbox(func(error) { r.s.sendEvent(schedEvent{kind: inWorkerGone, wc: wc}) })
+	return wc
 }
 
-func (r *pipeRig) newClient() (*clientConn, <-chan message) {
-	sched, codec, ch := r.pipe()
+func (r *pipeRig) newClient() *clientConn {
 	cc := &clientConn{}
-	cc.ob = r.s.newOutbox(sched, codec, func(error) { r.s.sendEvent(schedEvent{kind: "clientGone", cc: cc}) })
-	return cc, ch
+	cc.ob = r.outbox(func(error) { r.s.sendEvent(schedEvent{kind: inClientGone, cc: cc}) })
+	return cc
 }
 
-func (r *pipeRig) next(ch <-chan message, who string) message {
+func (r *pipeRig) next(ob peer, who string) message {
 	select {
-	case m := <-ch:
+	case m := <-r.frames[ob]:
 		return m
 	case <-time.After(10 * time.Second):
 		r.t.Fatalf("no frame reached %s", who)
@@ -129,10 +147,10 @@ func (r *pipeRig) next(ch <-chan message, who string) message {
 // so by then the loop has handled every earlier input and c has read
 // everything owed to it.
 func (r *pipeRig) sync(c *txClient) []message {
-	r.send(schedEvent{kind: "submit", cc: c.cc})
+	r.send(schedEvent{kind: inSubmit, cc: c.cc})
 	var got []message
 	for {
-		m := r.next(c.ch, c.name)
+		m := r.next(c.cc.ob, c.name)
 		if m.Type == msgAccepted && m.Count == 0 {
 			return got
 		}
@@ -141,9 +159,9 @@ func (r *pipeRig) sync(c *txClient) []message {
 }
 
 // settle waits until every frame the loop has enqueued so far has reached
-// its peer, and returns them per peer. A worker is owed exactly the tasks
-// the event stream says were assigned to it.
-func (r *pipeRig) settle(workers []*txWorker, clients []*txClient) map[string][]message {
+// its peer. A worker is owed exactly the tasks the event stream says were
+// assigned to it.
+func (r *pipeRig) settle(workers []*txWorker, clients []*txClient) (map[string][]message, []events.Event) {
 	r.sync(r.fence)
 	got := map[string][]message{}
 	for _, c := range clients {
@@ -151,32 +169,110 @@ func (r *pipeRig) settle(workers []*txWorker, clients []*txClient) map[string][]
 			got[c.name] = r.sync(c)
 		}
 	}
+	evs := r.s.Events().Snapshot()
 	assigned := map[string]int{}
-	for _, e := range r.hub().Snapshot() {
+	for _, e := range evs {
 		if e.Type == events.TaskAssigned {
 			assigned[e.Worker]++
 		}
 	}
 	for _, w := range workers {
 		for !w.gone && w.seen < assigned[w.id] {
-			m := r.next(w.ch, w.id)
+			m := r.next(w.wc.ob, w.id)
 			w.seen += len(m.Tasks)
 			got[w.id] = append(got[w.id], m)
 		}
 	}
+	evs = evs[r.evSeen:]
+	r.evSeen += len(evs)
+	return got, evs
+}
+
+// fakePeer stands in for an outbox where no socket exists: it keeps what
+// it is handed, and counts what it is handed after it was shut down.
+type fakePeer struct {
+	frames  []message
+	stopped bool
+	late    int
+}
+
+func (p *fakePeer) enqueue(m *message) error {
+	if p.stopped {
+		p.late++
+		return errOutboxStopped
+	}
+	p.frames = append(p.frames, *m)
+	return nil
+}
+
+func (p *fakePeer) shutdown() { p.stopped = true }
+
+func (p *fakePeer) take() []message {
+	got := p.frames
+	p.frames = nil
 	return got
+}
+
+// directRig calls the dispatcher's methods itself, on a clock of its own
+// that advances a millisecond per input.
+type directRig struct {
+	d   *dispatcher
+	now time.Time
+	evs []events.Event
+}
+
+func newDirectRig(t testing.TB, cfg txConfig) *directRig {
+	s := cfg.scheduler()
+	d, err := s.newDispatcher()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &directRig{d: d, now: txEpoch}
+	s.Events().SetLimit(1024) // the sink below keeps what the rig needs
+	s.Events().AddSink(func(e events.Event) { r.evs = append(r.evs, e) })
+	return r
+}
+
+func (r *directRig) newWorker(id string) *workerConn { return &workerConn{id: id, ob: &fakePeer{}} }
+
+func (r *directRig) newClient() *clientConn { return &clientConn{ob: &fakePeer{}} }
+
+func (r *directRig) send(e schedEvent) {
+	r.now = r.now.Add(time.Millisecond)
+	r.d.handle(e, r.now)
+}
+
+func (r *directRig) settle(workers []*txWorker, clients []*txClient) (map[string][]message, []events.Event) {
+	got := map[string][]message{}
+	for _, w := range workers {
+		got[w.id] = w.wc.ob.(*fakePeer).take()
+		for _, m := range got[w.id] {
+			w.seen += len(m.Tasks)
+		}
+	}
+	for _, c := range clients {
+		got[c.name] = c.cc.ob.(*fakePeer).take()
+	}
+	evs := r.evs
+	r.evs = nil
+	return got, evs
 }
 
 // scene is one script in progress: the peers it has created, and the
 // transcript so far.
 type scene struct {
-	t       *testing.T
-	rig     *pipeRig
+	rig     txRig
 	workers []*txWorker
 	clients []*txClient
 	nextID  int
-	evSeen  int
+	owner   map[string]*txClient // who submitted each task
 	out     strings.Builder
+	// sweeps lets walk draw heartbeat sweeps too; only a directRig, whose
+	// clock the scene can move, takes them.
+	sweeps bool
+	// check, when set, is called after every step with what the step
+	// produced.
+	check func(frames map[string][]message, evs []events.Event)
 }
 
 func dash(s string) string {
@@ -189,13 +285,15 @@ func dash(s string) string {
 // step sends one input and records what came of it.
 func (sc *scene) step(e schedEvent, format string, args ...any) {
 	sc.rig.send(e)
-	frames := sc.rig.settle(sc.workers, sc.clients)
-	sc.out.WriteString("> " + fmt.Sprintf(format, args...) + "\n")
-	evs := sc.rig.hub().Snapshot()
-	for _, e := range evs[sc.evSeen:] {
+	sc.record(fmt.Sprintf(format, args...))
+}
+
+func (sc *scene) record(what string) {
+	frames, evs := sc.rig.settle(sc.workers, sc.clients)
+	sc.out.WriteString("> " + what + "\n")
+	for _, e := range evs {
 		fmt.Fprintf(&sc.out, "  %s %s %s %d %s\n", e.Type, dash(e.Task), dash(e.Worker), e.Attempt, dash(e.Campaign))
 	}
-	sc.evSeen = len(evs)
 	for _, w := range sc.workers {
 		for _, m := range frames[w.id] {
 			fmt.Fprintf(&sc.out, "  %s <- %s", w.id, m.Type)
@@ -221,32 +319,43 @@ func (sc *scene) step(e schedEvent, format string, args ...any) {
 			sc.out.WriteByte('\n')
 		}
 	}
+	if sc.check != nil {
+		sc.check(frames, evs)
+	}
 }
 
 func (sc *scene) join() *txWorker {
 	w := &txWorker{id: fmt.Sprintf("w%d", len(sc.workers))}
-	w.wc, w.ch = sc.rig.newWorker(w.id)
+	w.wc = sc.rig.newWorker(w.id)
 	sc.workers = append(sc.workers, w)
-	sc.step(schedEvent{kind: "register", wc: w.wc}, "join %s", w.id)
+	sc.step(schedEvent{kind: inRegister, wc: w.wc}, "join %s", w.id)
 	return w
 }
 
 // connect adds a client that submits under campaign ("" for an unnamed
 // submitter). It is no input to the scheduler until it submits.
 func (sc *scene) connect(campaign string) *txClient {
-	c := &txClient{name: fmt.Sprintf("c%d", len(sc.clients)), campaign: campaign}
-	c.cc, c.ch = sc.rig.newClient()
+	c := &txClient{name: fmt.Sprintf("c%d", len(sc.clients)), campaign: campaign, cc: sc.rig.newClient()}
 	sc.clients = append(sc.clients, c)
 	return c
 }
 
-func (sc *scene) submit(c *txClient, n int, payload, escalate string) {
+// submit sends n fresh tasks from c in one frame; campaigns, when given,
+// names task i's own campaign (cycling), over the frame's.
+func (sc *scene) submit(c *txClient, n int, payload, escalate string, campaigns ...string) {
+	if sc.owner == nil {
+		sc.owner = map[string]*txClient{}
+	}
 	tasks := make([]Task, n)
 	for i := range tasks {
 		tasks[i] = Task{ID: fmt.Sprintf("t%03d", sc.nextID), Payload: json.RawMessage(payload), EscalatePayload: json.RawMessage(escalate)}
+		if len(campaigns) > 0 {
+			tasks[i].Campaign = campaigns[i%len(campaigns)]
+		}
+		sc.owner[tasks[i].ID] = c
 		sc.nextID++
 	}
-	sc.step(schedEvent{kind: "submit", cc: c.cc, tsk: tasks, campaign: c.campaign},
+	sc.step(schedEvent{kind: inSubmit, cc: c.cc, tsk: tasks, campaign: c.campaign},
 		"submit %s campaign=%s %s..%s", c.name, dash(c.campaign), tasks[0].ID, tasks[n-1].ID)
 }
 
@@ -271,21 +380,39 @@ func (sc *scene) ack(w *txWorker, k int, d time.Duration, failed bool) {
 	held := len(w.held)
 	w.held = slices.Delete(w.held, 0, k)
 	w.lastAck = ress
-	sc.step(schedEvent{kind: "result", wc: w.wc, ress: slices.Clone(ress)}, "%s %s %d/%d %s", what, w.id, k, held, d)
+	sc.step(schedEvent{kind: inResult, wc: w.wc, ress: slices.Clone(ress)}, "%s %s %d/%d %s", what, w.id, k, held, d)
 }
 
 func (sc *scene) dupAck(w *txWorker) {
-	sc.step(schedEvent{kind: "result", wc: w.wc, ress: slices.Clone(w.lastAck)}, "duplicate ack %s ×%d", w.id, len(w.lastAck))
+	sc.step(schedEvent{kind: inResult, wc: w.wc, ress: slices.Clone(w.lastAck)}, "duplicate ack %s ×%d", w.id, len(w.lastAck))
 }
 
 func (sc *scene) kill(w *txWorker) {
 	w.gone = true
-	sc.step(schedEvent{kind: "workerGone", wc: w.wc}, "kill %s holding %d", w.id, len(w.held))
+	sc.step(schedEvent{kind: inWorkerGone, wc: w.wc}, "kill %s holding %d", w.id, len(w.held))
 }
 
 func (sc *scene) drop(c *txClient) {
 	c.gone = true
-	sc.step(schedEvent{kind: "clientGone", cc: c.cc}, "drop %s", c.name)
+	sc.step(schedEvent{kind: inClientGone, cc: c.cc}, "drop %s", c.name)
+}
+
+// sweep moves the clock past the heartbeat deadline, lets every live
+// worker but the victims beat, and sweeps.
+func (sc *scene) sweep(victims []*txWorker) {
+	r := sc.rig.(*directRig)
+	r.now = r.now.Add(r.d.beatTimeout + time.Millisecond)
+	var lost []string
+	for _, w := range sc.live() {
+		if slices.Contains(victims, w) {
+			w.gone = true
+			lost = append(lost, w.id)
+		} else {
+			r.d.heartbeat(w.wc, nil, r.now)
+		}
+	}
+	r.d.sweep(r.now)
+	sc.record(fmt.Sprintf("sweep losing %v", lost))
 }
 
 func (sc *scene) live() (ws []*txWorker) {
@@ -332,7 +459,11 @@ func (sc *scene) walk(ch chooser, n int, campaigns []string) {
 			}
 		}
 		clients := sc.liveClients()
-		switch op := ch.Intn(20); {
+		ops := 20
+		if sc.sweeps {
+			ops = 22
+		}
+		switch op := ch.Intn(ops); {
 		case op < 5 && len(clients) > 0:
 			sc.submit(pick(ch, clients), 1+ch.Intn(9), "", "")
 		case op < 10 && len(holding) > 0:
@@ -352,6 +483,9 @@ func (sc *scene) walk(ch chooser, n int, campaigns []string) {
 			sc.drop(pick(ch, clients))
 		case op == 17 && len(clients) < 4:
 			sc.submit(sc.connect(pick(ch, campaigns)), 1+ch.Intn(9), "", "")
+		case op >= 20 && len(live) > 0:
+			off := ch.Intn(len(live))
+			sc.sweep(live[off : off+min(ch.Intn(3), len(live)-off)])
 		case len(live) < 4:
 			sc.join()
 		case len(clients) > 0:
@@ -473,12 +607,12 @@ var txScripts = []struct {
 
 func TestTranscripts(t *testing.T) {
 	for _, script := range txScripts {
-		t.Run(script.name, func(t *testing.T) {
-			sc := &scene{t: t, rig: newPipeRig(t, script.cfg)}
+		path := filepath.Join("testdata", "transcripts", script.name+".txt")
+		run := func(t *testing.T, rig txRig, update bool) {
+			sc := &scene{rig: rig}
 			script.run(sc, rng.New(script.seed))
 			got := sc.out.String()
-			path := filepath.Join("testdata", "transcripts", script.name+".txt")
-			if *updateTranscripts {
+			if update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
@@ -494,7 +628,9 @@ func TestTranscripts(t *testing.T) {
 			if got != string(want) {
 				t.Errorf("transcript differs from %s at line %d\n%s", path, firstDiff(got, string(want)), got)
 			}
-		})
+		}
+		t.Run(script.name+"/pipes", func(t *testing.T) { run(t, newPipeRig(t, script.cfg), *updateTranscripts) })
+		t.Run(script.name+"/direct", func(t *testing.T) { run(t, newDirectRig(t, script.cfg), false) })
 	}
 }
 
