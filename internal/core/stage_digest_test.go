@@ -1,0 +1,84 @@
+package core_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/fold"
+	"repro/internal/proteome"
+)
+
+// Digests of InferenceStage over the D. vulgaris campaign set at
+// experiments.DefaultSeed under all four presets: every bit of every
+// prediction, plus each report's wall time and node-hours. A change to the
+// inference engine that claims bit-identical output must leave both alone.
+const (
+	inferenceDigest      = "c7328cf00a30d7f1cc1aa6c2b93584e0772402ecdc2f16c5a0a52039369f0e02"
+	inferenceDigestShort = "0b3534488782ad106e644506f8a76db60ac6748e28fd2457968c693381b9d91f" // first 300 targets only, under -short
+)
+
+func TestInferenceStageDigest(t *testing.T) {
+	env := experiments.NewEnv(experiments.DefaultSeed)
+	proteins := env.Proteome(proteome.DVulgaris).FilterMaxLen(2500)
+	want := inferenceDigest
+	if testing.Short() {
+		proteins, want = proteins[:300], inferenceDigestShort
+	}
+	feats, err := env.FeaturesFor(proteins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var buf []byte
+	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	f64 := func(v float64) { u64(math.Float64bits(v)) }
+	str := func(s string) { u64(uint64(len(s))); buf = append(buf, s...) }
+	flag := func(b bool) {
+		if b {
+			u64(1)
+		} else {
+			u64(0)
+		}
+	}
+	for _, preset := range fold.AllPresets() {
+		cfg := core.DefaultConfig()
+		cfg.Preset = preset
+		cfg.AndesNodes, cfg.SummitNodes, cfg.HighMemNodes = 96, 200, 4
+		rep, err := core.InferenceStage(env.Engine, proteins, feats, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", preset.Name, err)
+		}
+		str(preset.Name)
+		for _, tr := range rep.Targets {
+			str(tr.ID)
+			u64(uint64(tr.Length))
+			flag(tr.OnHighMem)
+			u64(uint64(len(tr.All)))
+			for _, p := range tr.All {
+				str(p.ID)
+				u64(uint64(p.Model))
+				u64(uint64(p.Length))
+				u64(uint64(p.Recycles))
+				flag(p.Converged)
+				for _, v := range []float64{p.MeanPLDDT, p.PTMS, p.FracAbove70, p.FracAbove90, p.GPUSeconds, p.PeakMemGB} {
+					f64(v)
+				}
+				flag(p == tr.Best)
+			}
+		}
+		u64(uint64(rep.Completed))
+		u64(uint64(rep.OOMDropped))
+		f64(rep.WalltimeSec)
+		f64(rep.NodeHours)
+		h.Write(buf)
+		buf = buf[:0]
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("InferenceStage digest over %d targets x 4 presets = %s, want %s", len(proteins), got, want)
+	}
+}

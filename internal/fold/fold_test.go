@@ -3,6 +3,7 @@ package fold
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -189,17 +190,19 @@ func testEngine() *Engine {
 
 func TestInferDeterministic(t *testing.T) {
 	e := testEngine()
-	task := Task{ID: "p1", Length: 150, Features: testFeatures(150, 15, 1), Model: 2, Preset: Genome, NodeMemGB: 16}
-	a, err := e.Infer(task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := e.Infer(task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.MeanPLDDT != b.MeanPLDDT || a.PTMS != b.PTMS || a.Recycles != b.Recycles {
-		t.Error("inference not deterministic")
+	for _, coords := range []bool{false, true} {
+		task := Task{ID: "p1", Length: 150, Features: testFeatures(150, 15, 1), Model: 2, Preset: Genome, NodeMemGB: 16, WantCoords: coords}
+		a, err := e.Infer(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := e.Infer(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("inference not deterministic (WantCoords %v):\n%+v\n%+v", coords, a, b)
+		}
 	}
 }
 
