@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -188,6 +189,47 @@ func TestApplyOrderPolicies(t *testing.T) {
 	for i := range tasks {
 		if so[i].ID != tasks[i].ID {
 			t.Error("submission order must not reorder")
+		}
+	}
+}
+
+// TestApplyOrderMatchesSliceStable: ApplyOrder's result equals the one
+// sort.SliceStable gives with the less functions it used before, on a wave
+// where weights tie and (weight, ID) pairs repeat — only Duration tells
+// the duplicates apart, so a difference in stability shows.
+func TestApplyOrderMatchesSliceStable(t *testing.T) {
+	r := rng.New(11)
+	tasks := make([]SimTask, 50000)
+	for i := range tasks {
+		tasks[i] = SimTask{
+			ID:       fmt.Sprintf("T%d/m%d", r.Intn(4000), r.Intn(5)),
+			Weight:   float64(30 + r.Intn(300)),
+			Duration: float64(i),
+		}
+	}
+	less := map[OrderPolicy]func(a, b SimTask) bool{
+		LongestFirst: func(a, b SimTask) bool {
+			if a.Weight != b.Weight {
+				return a.Weight > b.Weight
+			}
+			return a.ID < b.ID
+		},
+		ShortestFirst: func(a, b SimTask) bool {
+			if a.Weight != b.Weight {
+				return a.Weight < b.Weight
+			}
+			return a.ID < b.ID
+		},
+	}
+	for p, lessFn := range less {
+		want := append([]SimTask(nil), tasks...)
+		sort.SliceStable(want, func(i, j int) bool { return lessFn(want[i], want[j]) })
+		got := append([]SimTask(nil), tasks...)
+		ApplyOrder(got, p)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%v: position %d holds %+v, sort.SliceStable put %+v there", p, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // SimTask is one task for the dataflow simulator: an identifier, the
@@ -175,21 +178,22 @@ func (p OrderPolicy) String() string {
 }
 
 // ApplyOrder sorts tasks in place per the policy (stable, ties by ID).
+// Weights are never NaN, so cmp.Compare orders them as < and > do.
 func ApplyOrder(tasks []SimTask, p OrderPolicy) {
 	switch p {
 	case LongestFirst:
-		sort.SliceStable(tasks, func(i, j int) bool {
-			if tasks[i].Weight != tasks[j].Weight {
-				return tasks[i].Weight > tasks[j].Weight
+		slices.SortStableFunc(tasks, func(a, b SimTask) int {
+			if c := cmp.Compare(b.Weight, a.Weight); c != 0 {
+				return c
 			}
-			return tasks[i].ID < tasks[j].ID
+			return strings.Compare(a.ID, b.ID)
 		})
 	case ShortestFirst:
-		sort.SliceStable(tasks, func(i, j int) bool {
-			if tasks[i].Weight != tasks[j].Weight {
-				return tasks[i].Weight < tasks[j].Weight
+		slices.SortStableFunc(tasks, func(a, b SimTask) int {
+			if c := cmp.Compare(a.Weight, b.Weight); c != 0 {
+				return c
 			}
-			return tasks[i].ID < tasks[j].ID
+			return strings.Compare(a.ID, b.ID)
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/msa"
@@ -76,12 +77,17 @@ func DefaultCalibration() Calibration {
 }
 
 // Engine runs surrogate AlphaFold inference. It is safe for concurrent use:
-// all state is immutable after construction and per-task randomness is
-// derived from (Seed, target ID, model).
+// per-task randomness is derived from (Seed, target ID, model), and the only
+// state Infer writes is a memo of a pure function of (Seed, target ID,
+// length) — the draws a target's five models share — kept in a small
+// direct-mapped table of immutable records behind atomic pointers. A hit
+// and a miss give bit-identical predictions. An Engine must not be copied.
 type Engine struct {
 	Provider NativeProvider
 	Seed     uint64
 	Cal      Calibration
+
+	draws [drawTableSize]atomic.Pointer[targetDraws]
 }
 
 // NewEngine builds an engine with default calibration.
@@ -164,21 +170,19 @@ func (e *Engine) Infer(t Task) (*Prediction, error) {
 			ErrOutOfMemory, t.ID, mem, t.NodeMemGB)
 	}
 
-	r := rng.New(e.Seed).SplitNamed("infer:" + t.ID)
+	seed := e.Seed
+	r := rng.New(seed).SplitNamed("infer:" + t.ID)
 	modelR := r.SplitNamed(fmt.Sprintf("model:%d", t.Model))
 	diff := e.difficultyOf(t, r.SplitNamed("difficulty"), modelR)
+	// Only the model stream depends on t.Model; these three are the same
+	// for every model of the target, and so are their draws.
+	pairR, fieldR, noiseR := r.SplitNamed("pairs"), r.SplitNamed("field"), r.SplitNamed("estimator")
+	draws := e.drawsOf(seed, t, *pairR, *fieldR, *noiseR)
 
 	// Recycling loop with distogram convergence, evaluated on a fixed
-	// deterministic sample of residue pairs (the distogram proxy).
-	pairR := r.SplitNamed("pairs")
-	nPairs := 256
-	type pair struct{ scale float64 } // sensitivity of this pair's distance to the error field
-	pairs := make([]pair, nPairs)
-	for i := range pairs {
-		// Pair distance sensitivity: |Δ(d_ij)| ≈ |f_i - f_j| projected; the
-		// realized magnitudes follow a folded normal around 1.
-		pairs[i] = pair{scale: math.Abs(pairR.NormFloat64()*0.5 + 1)}
-	}
+	// deterministic sample of residue pairs (the distogram proxy); each
+	// pair's scale is the sensitivity of its distance to the error field.
+	pairs := draws.pairScales()
 
 	cap := t.Preset.RecycleCap(t.Length)
 	recycles := cap
@@ -190,10 +194,10 @@ func (e *Engine) Infer(t Task) (*Prediction, error) {
 			// Mean absolute pairwise-distance change across the sampled
 			// distogram between consecutive recycles.
 			var change float64
-			for _, p := range pairs {
-				change += p.scale * (prevErr - curErr)
+			for _, scale := range pairs {
+				change += scale * (prevErr - curErr)
 			}
-			change = change / float64(nPairs) * e.Cal.DistogramGain
+			change = change / float64(len(pairs)) * e.Cal.DistogramGain
 			prevErr = curErr
 			if rr >= t.Preset.MinRecycles && change < t.Preset.Tol {
 				recycles = rr
@@ -220,34 +224,32 @@ func (e *Engine) Infer(t Task) (*Prediction, error) {
 	// field. pLDDT sees only local displacement; pTMS additionally sees the
 	// per-domain rigid offsets, which is what separates the local and
 	// global metrics for multi-domain proteins, as the paper discusses.
-	fieldR := r.SplitNamed("field")
-	noiseR := r.SplitNamed("estimator")
+	// Summary mode samples the target's shared field magnitudes and
+	// estimator noise; WantCoords draws the whole smoothed field and one
+	// noise value per residue from the same two streams instead.
 	d0 := geom.D0(t.Length)
-
-	sampleN := t.Length
-	materialize := t.WantCoords
-	if !materialize && sampleN > 256 {
-		sampleN = 256
+	mags, noise := draws.fieldMags(), draws.estimatorNormals()
+	var field []geom.Vec3
+	var plddts []float64
+	if t.WantCoords {
+		field = smoothField(fieldR, t.Length)
+		mags = make([]float64, t.Length)
+		for i := range field {
+			mags[i] = field[i].Norm()
+		}
+		noise = make([]float64, t.Length+1)
+		for i := range noise {
+			noise[i] = noiseR.NormFloat64()
+		}
+		plddts = make([]float64, t.Length)
 	}
+	sampleN := len(mags)
 
 	var sumPLDDT, sumTM float64
 	var n70, n90 int
-	var plddts []float64
-	var field []geom.Vec3
-	if materialize {
-		field = smoothField(fieldR, t.Length)
-		plddts = make([]float64, t.Length)
-	}
-	for i := 0; i < sampleN; i++ {
-		var local float64
-		var resIdx int
-		if materialize {
-			local = field[i].Norm() * finalErr
-			resIdx = i
-		} else {
-			local = math.Abs(fieldR.NormFloat64()*0.45+1) * finalErr
-			resIdx = i * t.Length / sampleN
-		}
+	for i, mag := range mags {
+		local := mag * finalErr
+		resIdx := i * t.Length / sampleN
 		dom := 0
 		if diff.domLen > 0 {
 			dom = resIdx / diff.domLen
@@ -258,7 +260,7 @@ func (e *Engine) Infer(t Task) (*Prediction, error) {
 		global := local + diff.domOff[dom]*finalErr
 
 		pl := 100/(1+math.Pow(local/e.Cal.PLDDTScale, e.Cal.PLDDTShape)) +
-			noiseR.NormFloat64()*e.Cal.PLDDTNoise
+			noise[i]*e.Cal.PLDDTNoise
 		if pl < 0 {
 			pl = 0
 		} else if pl > 100 {
@@ -271,7 +273,7 @@ func (e *Engine) Infer(t Task) (*Prediction, error) {
 		if pl > 90 {
 			n90++
 		}
-		if materialize {
+		if plddts != nil {
 			plddts[i] = pl
 		}
 		sumTM += 1 / (1 + (global/d0)*(global/d0))
@@ -279,14 +281,14 @@ func (e *Engine) Infer(t Task) (*Prediction, error) {
 	pred.MeanPLDDT = sumPLDDT / float64(sampleN)
 	pred.FracAbove70 = float64(n70) / float64(sampleN)
 	pred.FracAbove90 = float64(n90) / float64(sampleN)
-	pred.PTMS = sumTM/float64(sampleN) + noiseR.NormFloat64()*e.Cal.PTMSNoise
+	pred.PTMS = sumTM/float64(sampleN) + noise[sampleN]*e.Cal.PTMSNoise
 	if pred.PTMS > 1 {
 		pred.PTMS = 1
 	} else if pred.PTMS < 0 {
 		pred.PTMS = 0
 	}
 
-	if materialize {
+	if t.WantCoords {
 		if e.Provider == nil {
 			return nil, fmt.Errorf("fold: task %s wants coordinates but engine has no NativeProvider", t.ID)
 		}

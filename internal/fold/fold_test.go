@@ -2,6 +2,7 @@ package fold
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -411,13 +412,32 @@ func TestRanking(t *testing.T) {
 	}
 }
 
-func BenchmarkInferSummary(b *testing.B) {
+// BenchmarkInferTarget times one target's five models in summary mode, as
+// a campaign meets them: the IDs cycle over 1,024 targets, four to a slot of
+// the engine's draw table, so a target comes back only after three others
+// have overwritten its slot and every op opens with a miss.
+func BenchmarkInferTarget(b *testing.B) {
+	const length = 300
+	ids := make([]string, 4*drawTableSize)
+	filled := make([]int, drawTableSize)
+	for n, left := 0, len(ids); left > 0; n++ {
+		id := fmt.Sprintf("bench%d", n)
+		if s := drawSlot(id, length); filled[s] < 4 {
+			ids[filled[s]*drawTableSize+s] = id
+			filled[s]++
+			left--
+		}
+	}
 	e := testEngine()
-	feat := testFeatures(300, 15, 1)
+	feat := testFeatures(length, 15, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Infer(Task{ID: "bench", Length: 300, Features: feat, Model: i % 5, Preset: Genome, NodeMemGB: 16}); err != nil {
-			b.Fatal(err)
+		id := ids[i%len(ids)]
+		for m := 0; m < NumModels; m++ {
+			if _, err := e.Infer(Task{ID: id, Length: length, Features: feat, Model: m, Preset: Genome, NodeMemGB: 16}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
