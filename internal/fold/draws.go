@@ -15,16 +15,18 @@ const (
 	summaryResidues = 256
 	// drawTableSize is the number of per-target draw records an Engine
 	// keeps. Only about as many targets as there are workers are in flight
-	// at once (the five models of a target are consecutive tasks), so a
-	// small direct-mapped table catches nearly every repeat; at most
-	// ~6.5 KB a record, the full table holds under 2 MB.
+	// at once, so slot collisions are rare; at most ~6.5 KB a record, the
+	// full table holds under 2 MB. What the table saves depends on a
+	// target's models reaching the engine one after another: a model that
+	// starts while another model of its target is still filling the record
+	// misses and fills its own.
 	drawTableSize = 256
 )
 
 // targetDraws is the randomness of one target that does not depend on the
 // model index: the five models of a target split the same "pairs",
-// "field" and "estimator" streams, so their draws are made once and
-// shared. A record is immutable once published.
+// "field" and "estimator" streams, and a model that finds its target's
+// record takes its draws from it. A record is immutable once published.
 type targetDraws struct {
 	id     string // first, so the GC scans one pointer and not the array
 	seed   uint64
@@ -61,11 +63,7 @@ func (e *Engine) drawsOf(seed uint64, t Task, pairR, fieldR, noiseR rng.Source) 
 		return d
 	}
 	d := &targetDraws{id: t.ID, seed: seed, length: t.Length}
-	for i := range d.pairScales() {
-		// Pair distance sensitivity: |Δ(d_ij)| ≈ |f_i - f_j| projected; the
-		// realized magnitudes follow a folded normal around 1.
-		d.vals[i] = math.Abs(pairR.NormFloat64()*0.5 + 1)
-	}
+	drawPairScales(d.pairScales(), &pairR)
 	mags := d.fieldMags()
 	for i := range mags {
 		mags[i] = math.Abs(fieldR.NormFloat64()*0.45 + 1)
@@ -76,6 +74,15 @@ func (e *Engine) drawsOf(seed uint64, t Task, pairR, fieldR, noiseR rng.Source) 
 	}
 	slot.Store(d)
 	return d
+}
+
+// drawPairScales fills dst with the distogram pairs' sensitivities: a pair's
+// distance change is |Δ(d_ij)| ≈ |f_i - f_j| projected, and the realized
+// magnitudes follow a folded normal around 1.
+func drawPairScales(dst []float64, r *rng.Source) {
+	for i := range dst {
+		dst[i] = math.Abs(r.NormFloat64()*0.5 + 1)
+	}
 }
 
 // drawSlot maps a target to its slot: FNV-1a over the ID, then the length.

@@ -131,14 +131,18 @@ func TestInferDrawTableBitwise(t *testing.T) {
 		e := NewEngine(prov, seed)
 		for _, length := range []int{90, 300} {
 			id := fmt.Sprintf("W%d", length)
-			// Summary first, so the coordinate call finds the record cached...
+			// A coordinate call beside a cached summary record...
 			same(t, e, task(id, length, 0, Genome))
 			coords := task(id, length, 1, Genome)
 			coords.WantCoords = true
 			same(t, e, coords)
-			// ...and summary calls after a coordinate call that filled it.
+			// ...and one before any summary call, which must leave the
+			// table as it found it.
 			coords.ID += "x"
 			same(t, e, coords)
+			if d := e.draws[drawSlot(coords.ID, length)].Load(); d != nil && d.id == coords.ID {
+				t.Fatalf("coordinate call for %s published a draw record", coords.ID)
+			}
 			same(t, e, task(coords.ID, length, 2, Genome))
 			same(t, e, coords)
 		}

@@ -177,13 +177,34 @@ func (e *Engine) Infer(t Task) (*Prediction, error) {
 	// Only the model stream depends on t.Model; these three are the same
 	// for every model of the target, and so are their draws.
 	pairR, fieldR, noiseR := r.SplitNamed("pairs"), r.SplitNamed("field"), r.SplitNamed("estimator")
-	draws := e.drawsOf(seed, t, *pairR, *fieldR, *noiseR)
+
+	// Quality inputs: each pair's sensitivity to the error field, and the
+	// per-residue field magnitudes and estimator noise. Summary mode takes
+	// the sampled ones its target's models share from the draw table;
+	// WantCoords draws the whole smoothed field and one noise value per
+	// residue from the same streams instead, and leaves the table alone.
+	var pairs, mags, noise, plddts []float64
+	var field []geom.Vec3
+	if t.WantCoords {
+		plddts = make([]float64, t.Length)
+		pairs = make([]float64, distogramPairs)
+		drawPairScales(pairs, pairR)
+		field = smoothField(fieldR, t.Length)
+		mags = make([]float64, t.Length)
+		for i := range field {
+			mags[i] = field[i].Norm()
+		}
+		noise = make([]float64, t.Length+1)
+		for i := range noise {
+			noise[i] = noiseR.NormFloat64()
+		}
+	} else {
+		draws := e.drawsOf(seed, t, *pairR, *fieldR, *noiseR)
+		pairs, mags, noise = draws.pairScales(), draws.fieldMags(), draws.estimatorNormals()
+	}
 
 	// Recycling loop with distogram convergence, evaluated on a fixed
-	// deterministic sample of residue pairs (the distogram proxy); each
-	// pair's scale is the sensitivity of its distance to the error field.
-	pairs := draws.pairScales()
-
+	// deterministic sample of residue pairs (the distogram proxy).
 	cap := t.Preset.RecycleCap(t.Length)
 	recycles := cap
 	converged := false
@@ -224,25 +245,7 @@ func (e *Engine) Infer(t Task) (*Prediction, error) {
 	// field. pLDDT sees only local displacement; pTMS additionally sees the
 	// per-domain rigid offsets, which is what separates the local and
 	// global metrics for multi-domain proteins, as the paper discusses.
-	// Summary mode samples the target's shared field magnitudes and
-	// estimator noise; WantCoords draws the whole smoothed field and one
-	// noise value per residue from the same two streams instead.
 	d0 := geom.D0(t.Length)
-	mags, noise := draws.fieldMags(), draws.estimatorNormals()
-	var field []geom.Vec3
-	var plddts []float64
-	if t.WantCoords {
-		field = smoothField(fieldR, t.Length)
-		mags = make([]float64, t.Length)
-		for i := range field {
-			mags[i] = field[i].Norm()
-		}
-		noise = make([]float64, t.Length+1)
-		for i := range noise {
-			noise[i] = noiseR.NormFloat64()
-		}
-		plddts = make([]float64, t.Length)
-	}
 	sampleN := len(mags)
 
 	var sumPLDDT, sumTM float64

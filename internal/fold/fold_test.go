@@ -412,33 +412,55 @@ func TestRanking(t *testing.T) {
 	}
 }
 
-// BenchmarkInferTarget times one target's five models in summary mode, as
-// a campaign meets them: the IDs cycle over 1,024 targets, four to a slot of
-// the engine's draw table, so a target comes back only after three others
-// have overwritten its slot and every op opens with a miss.
+// BenchmarkInferTarget times five summary-mode calls per op over 1,024
+// targets of 300 residues, four to a slot of the engine's draw table, on
+// both sides of what the table depends on. consecutive: one target's five
+// models back to back, as a serial worker meets them — each op opens with a
+// miss, since a target comes back only after three others have overwritten
+// its slot. interleaved: the four targets of a slot take turns model by
+// model, so every call misses, which is what a target's models cost when
+// they never find each other's record (all of them starting before any has
+// published it).
 func BenchmarkInferTarget(b *testing.B) {
-	const length = 300
-	ids := make([]string, 4*drawTableSize)
+	const length, perSlot = 300, 4
+	ids := make([][perSlot]string, drawTableSize)
 	filled := make([]int, drawTableSize)
-	for n, left := 0, len(ids); left > 0; n++ {
+	for n, left := 0, perSlot*drawTableSize; left > 0; n++ {
 		id := fmt.Sprintf("bench%d", n)
-		if s := drawSlot(id, length); filled[s] < 4 {
-			ids[filled[s]*drawTableSize+s] = id
+		if s := drawSlot(id, length); filled[s] < perSlot {
+			ids[s][filled[s]] = id
 			filled[s]++
 			left--
 		}
 	}
-	e := testEngine()
 	feat := testFeatures(length, 15, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := ids[i%len(ids)]
-		for m := 0; m < NumModels; m++ {
-			if _, err := e.Infer(Task{ID: id, Length: length, Features: feat, Model: m, Preset: Genome, NodeMemGB: 16}); err != nil {
-				b.Fatal(err)
+	for _, interleaved := range []bool{false, true} {
+		var calls []Task
+		for s := range ids {
+			for k := 0; k < perSlot*NumModels; k++ {
+				target, model := k/NumModels, k%NumModels
+				if interleaved {
+					target, model = k%perSlot, k/perSlot
+				}
+				calls = append(calls, Task{ID: ids[s][target], Length: length, Features: feat, Model: model, Preset: Genome, NodeMemGB: 16})
 			}
 		}
+		name := "consecutive"
+		if interleaved {
+			name = "interleaved"
+		}
+		b.Run(name, func(b *testing.B) {
+			e := testEngine()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for m := 0; m < NumModels; m++ {
+					if _, err := e.Infer(calls[(i*NumModels+m)%len(calls)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 
