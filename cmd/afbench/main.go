@@ -139,7 +139,6 @@ func main() {
 	executor := flag.String("executor", "pool", "execution back end: pool (in-process) or flow (dataflow scheduler over loopback TCP); results are identical either way")
 	stats := flag.String("stats", "", "write the per-task processing-times CSV (task → worker placement, timings) for every fan-out to this file")
 	timeline := flag.String("timeline", "", "write the Fig-2-style worker-timeline SVG (the recorded fan-outs overlaid on the dataflow simulator's prediction for the same tasks) to this file")
-	summary := flag.Bool("summary", false, "summary-only remote results (core.Config.SummaryOnly); only affects executors that ship specs across processes, never a reported number")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -150,17 +149,10 @@ func main() {
 
 	env := experiments.NewEnv(*seed)
 	env.Parallelism = *par
-	env.SummaryOnly = *summary
 	ex, err := newExecutor(*executor, *par)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "afbench: %v\n", err)
 		os.Exit(2)
-	}
-	if *summary && !exec.SpecsOnly(ex) {
-		// Both of afbench's executors run closures in-process, so no
-		// feature payload ever crosses a wire; say so instead of letting
-		// the flag silently do nothing.
-		fmt.Fprintf(os.Stderr, "afbench: -summary has no effect with -executor=%s (in-process closures); it applies to spec-dispatching remote executors like `proteomectl submit`\n", *executor)
 	}
 	wantTrace := *stats != "" || *timeline != ""
 	if ex == nil && wantTrace {
@@ -244,7 +236,7 @@ func newExecutor(name string, parallelism int) (exec.Executor, error) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: afbench [-seed N] [-parallelism N] [-executor pool|flow] [-stats F] [-timeline F] [-summary] <experiment>")
+	fmt.Fprintln(os.Stderr, "usage: afbench [-seed N] [-parallelism N] [-executor pool|flow] [-stats F] [-timeline F] <experiment>")
 	fmt.Fprintln(os.Stderr, "experiments:")
 	for _, r := range runners {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", r.name, r.desc)

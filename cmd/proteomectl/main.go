@@ -153,14 +153,15 @@ commands:
                                 the framing cost; mixed -wire fleets share one
                                 scheduler)
   submit (-connect A | -scheduler-file F) -species C [-preset P] [-nodes N]
-      [-seed S] [-limit K] [-stats F] [-timeline F] [-summary]
+      [-seed S] [-limit K] [-stats F] [-timeline F]
       [-resume F] [-dial-retry D] [-wire binary|json]
       [-campaign NAME]
                                 run the campaign on the remote cluster;
-                                -stats writes the per-task processing-times
-                                CSV, -timeline the measured-vs-simulated
-                                worker-timeline SVG, -summary keeps feature
-                                and prediction payloads off the wire,
+                                workers return only the scalars the report
+                                needs (search seconds, prediction digests,
+                                relax seconds); -stats writes the per-task
+                                processing-times CSV, -timeline the
+                                measured-vs-simulated worker-timeline SVG,
                                 -resume skips tasks an interrupted run
                                 already completed (the report stays
                                 byte-identical), -campaign
@@ -626,7 +627,6 @@ type submitOptions struct {
 	conn          connFlags
 	cf            campaignFlags
 	resultTimeout time.Duration
-	summary       bool
 	resume        string
 	campaign      string
 }
@@ -636,8 +636,6 @@ func (o *submitOptions) register(fs *flag.FlagSet) {
 	o.conn.register(fs, 10*time.Second)
 	fs.DurationVar(&o.resultTimeout, "result-timeout", flow.DefaultResultTimeout,
 		"fail when no result arrives for this long (0 disables); raise it when individual tasks run long")
-	fs.BoolVar(&o.summary, "summary", false,
-		"summary-only results: feature kernels return a digest instead of full per-protein features, cutting wire bytes; the printed report is byte-identical")
 	fs.StringVar(&o.resume, "resume", "", "resume an interrupted campaign from a scheduler event log (sched -event-log): tasks recorded done are recomputed locally instead of re-dispatched; the report is byte-identical to an uninterrupted run")
 	fs.StringVar(&o.campaign, "campaign", "", "campaign name stamped on every submitted task: the fair-share lane and admission-quota namespace on a shared scheduler (sched -policy fair / -quota), and the monitor -campaign filter key; empty keeps single-tenant behavior")
 }
@@ -687,7 +685,6 @@ func submitCmd(args []string, stdout io.Writer) error {
 	}
 	cr.cfg.Executor = fl
 	cr.cfg.Remote = &core.RemoteCampaign{Seed: cf.seed, Species: cr.sp.Code}
-	cr.cfg.SummaryOnly = o.summary
 
 	rep, err := core.RunCampaign(cr.env.Engine, cr.env.FeatureGen(), cr.proteins, cr.env.FS, core.ReducedDatabase(), cr.cfg)
 	if err != nil {

@@ -59,8 +59,9 @@ type LoadBalanceReport struct {
 	MeanRunSec   float64
 	MaxRunSec    float64
 	MeanQueueSec float64
-	// WireBytes is the summed result-payload bytes — the cost the
-	// summary-only result mode shrinks.
+	// WireBytes is the summed result-payload bytes: what the workers sent
+	// back (0 for in-process batches). Campaign kernels return scalars
+	// only — search seconds, a prediction digest, relax seconds.
 	WireBytes int
 	// Hist is the task-duration histogram over [0, MaxRunSec].
 	Hist []DurationBin

@@ -9,8 +9,8 @@ import (
 )
 
 // TestPredictionDigestRoundTrip: the digest must preserve every scalar a
-// campaign consumes, so a summary-mode remote run reconstructs
-// predictions — and every reported number — identical to full mode.
+// campaign consumes, so the predictions the inference stage rebuilds from
+// it — and every reported number — equal the engine's.
 func TestPredictionDigestRoundTrip(t *testing.T) {
 	full := &fold.Prediction{
 		ID: "DVU_00042", Model: 3, Length: 517,
@@ -41,7 +41,7 @@ func TestPredictionDigestRoundTrip(t *testing.T) {
 	}
 
 	// The digest is strictly smaller on the wire than the prediction it
-	// summarises — the whole point of the summary mode.
+	// summarises.
 	fullRaw, err := json.Marshal(full)
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +52,7 @@ func TestPredictionDigestRoundTrip(t *testing.T) {
 }
 
 // TestPredictionDigestNull: the OOM encoding (a JSON null) decodes to a
-// nil digest, routing to the high-memory retry wave exactly as a nil
-// full prediction does.
+// nil digest, which routes the task to the high-memory retry wave.
 func TestPredictionDigestNull(t *testing.T) {
 	var d *PredictionDigest
 	raw, err := json.Marshal(d)

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/exec"
@@ -58,18 +58,10 @@ type Config struct {
 	// Remote identifies the campaign world to remote workers when Executor
 	// dispatches registered job specs across process boundaries
 	// (exec.Connect). Required in that case — closures cannot cross
-	// processes, so the stages ship (Seed, Species)-keyed specs instead —
-	// and ignored for in-process executors.
+	// processes, so the stages ship (Seed, Species)-keyed specs instead,
+	// and each kernel returns only the scalars the report needs (see
+	// FeatureOut, PredictionDigest) — and ignored for in-process executors.
 	Remote *RemoteCampaign
-	// SummaryOnly opts into the summary-only result mode for remote spec
-	// dispatch: feature kernels return a FeatureDigest instead of the
-	// full per-protein msa.Features payload, and inference kernels a
-	// PredictionDigest instead of the full fold.Prediction, cutting the
-	// wire bytes when the caller only needs the printed report. The
-	// printed report is byte-identical either way; only executors that
-	// ship specs across processes are affected (in-process closures
-	// return nothing over a wire to begin with).
-	SummaryOnly bool
 	// Resume, when set, reports tasks a previous interrupted run already
 	// completed (keyed by trace identity: protein ID, "target/mN",
 	// relax target ID — typically an events.CompletedSet replayed from a
@@ -80,7 +72,9 @@ type Config struct {
 	// affected; nil resumes nothing. Note the feature and relax stages
 	// share trace identities (the target ID), so a completed feature task
 	// also short-circuits that target's relax dispatch — both recompute
-	// to identical values either way.
+	// to identical values either way. An inference task is recomputed
+	// locally only when its target's features are local; otherwise it is
+	// dispatched again.
 	Resume func(task string) bool
 }
 
@@ -120,12 +114,10 @@ const highMemNodeGPUMemGB = 64
 
 // FeatureReport is the outcome of the feature-generation stage.
 type FeatureReport struct {
-	Features map[string]*msa.Features
-	// Digests holds the per-protein feature digests of a summary-only
-	// remote run (Config.SummaryOnly): the full features stayed on the
-	// workers, so Features maps to nil and this carries the MSA summary
-	// statistics instead. Empty in full mode.
-	Digests     map[string]*FeatureDigest
+	// Features maps each protein ID to its derived features. The entry is
+	// nil for a protein whose feature task ran remotely: its features
+	// stayed on the worker (see FeatureOut).
+	Features    map[string]*msa.Features
 	WalltimeSec float64
 	NodeHours   float64
 	Jobs        int
@@ -146,30 +138,26 @@ func FeatureStage(proteins []proteome.Protein, gen FeatureGen, fs fsim.Filesyste
 	// The per-protein searches are independent, so they fan out over the
 	// configured executor; results are collected by submission index so the
 	// report is identical to the serial loop's. A spec-only executor ships
-	// each protein as a KernelFeature spec instead of the closure; the
-	// registered kernel recomputes the identical FeatureOut remotely.
+	// each protein as a KernelFeature spec instead of the closure; both
+	// compute the search time with FeatureSpec.SearchSeconds.
 	x := exec.Resolve(cfg.Executor, cfg.Parallelism)
 	if err := cfg.remoteGuard(x); err != nil {
 		return nil, err
 	}
+	search := FeatureSpec{Accel: cfg.SearchAccel, JobsPerCopy: cfg.Replicas.JobsPerCopy, FS: fs, DB: db}
 	outs, err := exec.MapSpecResume(x, KernelFeature, proteins,
 		func(_ int, p proteome.Protein) string { return p.Seq.ID },
 		func(_ int, p proteome.Protein) any {
-			return FeatureSpec{
-				Seed: cfg.Remote.Seed, Species: cfg.Remote.Species, ID: p.Seq.ID,
-				Accel: cfg.SearchAccel, JobsPerCopy: cfg.Replicas.JobsPerCopy,
-				FS: fs, DB: db, Summary: cfg.SummaryOnly,
-			}
+			s := search
+			s.Seed, s.Species, s.ID = cfg.Remote.Seed, cfg.Remote.Species, p.Seq.ID
+			return s
 		},
 		func(_ int, p proteome.Protein) (FeatureOut, error) {
 			f, err := gen.Features(p)
 			if err != nil {
 				return FeatureOut{}, err
 			}
-			// FeatureCostAccel owns the accel < 1 clamp; the remote kernel
-			// relies on the same single owner, keeping both paths identical.
-			base := FeatureCostAccel(f, cfg.SearchAccel)
-			dur, err := fs.SearchTime(db, base, cfg.Replicas.JobsPerCopy)
+			dur, err := search.SearchSeconds(f)
 			if err != nil {
 				return FeatureOut{}, err
 			}
@@ -183,12 +171,6 @@ func FeatureStage(proteins []proteome.Protein, gen FeatureGen, fs fsim.Filesyste
 	tasks := make([]cluster.SimTask, 0, len(proteins))
 	for i, p := range proteins {
 		rep.Features[p.Seq.ID] = outs[i].Features
-		if outs[i].Digest != nil {
-			if rep.Digests == nil {
-				rep.Digests = make(map[string]*FeatureDigest, len(proteins))
-			}
-			rep.Digests[p.Seq.ID] = outs[i].Digest
-		}
 		tasks = append(tasks, cluster.SimTask{
 			ID:       p.Seq.ID,
 			Weight:   float64(p.Seq.Len()),
@@ -288,66 +270,44 @@ func InferenceStage(engine *fold.Engine, proteins []proteome.Protein, features m
 	inferTaskID := func(_ int, task fold.Task) string {
 		return fmt.Sprintf("%s/m%d", task.ID, task.Model)
 	}
-	inferSpec := func(memGB float64) func(int, fold.Task) any {
-		return func(_ int, task fold.Task) any {
-			return InferSpec{
-				Seed: cfg.Remote.Seed, Species: cfg.Remote.Species, ID: task.ID,
-				Model: task.Model, Preset: cfg.Preset, NodeMemGB: memGB,
-				Summary: cfg.SummaryOnly,
-			}
+	// resumable narrows cfg.Resume to tasks the closure can recompute: a
+	// target whose feature task ran remotely has no local features, so its
+	// completed inference tasks are dispatched again rather than recomputed
+	// from nil features.
+	var resumable func(string) bool
+	if cfg.Resume != nil {
+		resumable = func(tid string) bool {
+			target := tid[:strings.LastIndex(tid, "/m")]
+			return features[target] != nil && cfg.Resume(tid)
 		}
 	}
-	// inferLocal is the in-process body of one inference slot; an OOM
-	// outcome is data (a nil prediction routes to the retry wave), not
-	// failure.
-	inferLocal := func(task fold.Task, memGB float64) (*fold.Prediction, error) {
-		task.NodeMemGB = memGB
-		pred, err := engine.Infer(task)
+	// inferWave fans one wave of tasks out over the executor. Every
+	// executor yields a PredictionDigest per slot (nil on OOM), and the
+	// prediction is rebuilt from it and the task's identity.
+	inferWave := func(tasks []fold.Task, memGB float64) ([]*fold.Prediction, error) {
+		digs, err := exec.MapSpecResume(x, KernelInfer, tasks,
+			inferTaskID,
+			func(_ int, task fold.Task) any {
+				return InferSpec{
+					Seed: cfg.Remote.Seed, Species: cfg.Remote.Species, ID: task.ID,
+					Model: task.Model, Preset: cfg.Preset, NodeMemGB: memGB,
+				}
+			},
+			func(_ int, task fold.Task) (*PredictionDigest, error) {
+				task.NodeMemGB = memGB
+				return InferDigest(engine, task)
+			},
+			resumable)
 		if err != nil {
-			if errors.Is(err, fold.ErrOutOfMemory) {
-				return nil, nil
-			}
 			return nil, err
 		}
-		return pred, nil
-	}
-	// inferWave fans one wave of tasks out over the executor. In summary
-	// mode the wire unit is a PredictionDigest (the pTMS/pLDDT summary)
-	// instead of the full fold.Prediction payload; the digest carries
-	// every scalar the campaign consumes, so the reconstructed
-	// predictions — and every reported number — are identical to full
-	// mode at strictly fewer wire bytes.
-	inferWave := func(tasks []fold.Task, memGB float64) ([]*fold.Prediction, error) {
-		if cfg.SummaryOnly {
-			digs, err := exec.MapSpecResume(x, KernelInfer, tasks,
-				inferTaskID,
-				inferSpec(memGB),
-				func(_ int, task fold.Task) (*PredictionDigest, error) {
-					pred, err := inferLocal(task, memGB)
-					if err != nil || pred == nil {
-						return nil, err
-					}
-					return DigestPrediction(pred), nil
-				},
-				cfg.Resume)
-			if err != nil {
-				return nil, err
+		preds := make([]*fold.Prediction, len(tasks))
+		for i, d := range digs {
+			if d != nil {
+				preds[i] = d.Prediction(tasks[i].ID, tasks[i].Length)
 			}
-			preds := make([]*fold.Prediction, len(tasks))
-			for i, d := range digs {
-				if d != nil {
-					preds[i] = d.Prediction(tasks[i].ID, tasks[i].Length)
-				}
-			}
-			return preds, nil
 		}
-		return exec.MapSpecResume(x, KernelInfer, tasks,
-			inferTaskID,
-			inferSpec(memGB),
-			func(_ int, task fold.Task) (*fold.Prediction, error) {
-				return inferLocal(task, memGB)
-			},
-			cfg.Resume)
+		return preds, nil
 	}
 	infOuts, err := inferWave(allTasks, standardNodeGPUMemGB)
 	if err != nil {
@@ -479,14 +439,11 @@ func RelaxStage(targets []TargetResult, cfg Config, platform relax.Platform) (*R
 	// remote deployment runs all three workflow stages on its workers; the
 	// RelaxSpec is self-contained (no campaign world needed).
 	x := exec.Resolve(cfg.Executor, cfg.Parallelism)
+	spec := func(it relaxIn) RelaxSpec { return RelaxSpec{Length: it.length, Platform: int(platform)} }
 	durs, err := exec.MapSpecResume(x, KernelRelax, ins,
 		func(_ int, it relaxIn) string { return it.id },
-		func(_ int, it relaxIn) any {
-			return RelaxSpec{Length: it.length, Platform: int(platform)}
-		},
-		func(_ int, it relaxIn) (float64, error) {
-			return relax.ModelTime(platform, RelaxHeavyAtoms(it.length), 1), nil
-		},
+		func(_ int, it relaxIn) any { return spec(it) },
+		func(_ int, it relaxIn) (float64, error) { return spec(it).Seconds(), nil },
 		cfg.Resume)
 	if err != nil {
 		return nil, err

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
+
 	"repro/internal/fold"
 	"repro/internal/fsim"
 	"repro/internal/msa"
+	"repro/internal/relax"
 )
 
 // The three workflow stages register their remote bodies under these
@@ -15,9 +18,9 @@ const (
 	// KernelFeature derives one protein's folding features and its
 	// contended filesystem search time.
 	KernelFeature = "campaign/feature"
-	// KernelInfer runs one (target, model) inference task; an OOM outcome
-	// is encoded as a null prediction, exactly as the in-process closure
-	// reports it.
+	// KernelInfer runs one (target, model) inference task and returns its
+	// PredictionDigest; an OOM outcome is encoded as null, exactly as the
+	// in-process closure reports it.
 	KernelInfer = "campaign/infer"
 	// KernelRelax computes one structure's modeled relaxation time.
 	KernelRelax = "campaign/relax"
@@ -42,44 +45,27 @@ type FeatureSpec struct {
 	JobsPerCopy int             `json:"jobs_per_copy"`
 	FS          fsim.Filesystem `json:"fs"`
 	DB          fsim.Database   `json:"db"`
-	// Summary selects the summary-only result mode: the kernel returns a
-	// FeatureDigest instead of the full per-protein msa.Features payload.
-	// The digest carries everything the printed campaign report needs,
-	// at a fraction of the wire bytes; callers that consume the features
-	// themselves (the default) leave it false.
-	Summary bool `json:"summary,omitempty"`
+}
+
+// SearchSeconds is the one body of a feature task, shared by the stage's
+// in-process closure and the registered kernel: the protein's search cost
+// at the spec's accelerator factor (FeatureCostAccel owns the accel < 1
+// clamp), inflated by filesystem contention at the spec's per-copy
+// concurrency. Only the search parameters are read; the identity fields
+// locate the protein in a remote world.
+func (s FeatureSpec) SearchSeconds(f *msa.Features) (float64, error) {
+	return s.FS.SearchTime(s.DB, FeatureCostAccel(f, s.Accel), s.JobsPerCopy)
 }
 
 // FeatureOut is the per-protein result of the feature stage: the derived
-// features plus the contended search walltime. It is the JSON unit a
-// remote feature kernel returns; the in-process closure produces the same
-// value directly. In summary mode Features is nil and Digest summarises
-// it instead.
+// features plus the contended search walltime. Only Seconds crosses the
+// wire (a feature kernel returns {"seconds":…}); Features is set by the
+// in-process closure and stays nil for a protein whose task ran remotely,
+// since the report needs only the timing and a remote inference task
+// derives the features again on its worker.
 type FeatureOut struct {
-	Features *msa.Features  `json:"features,omitempty"`
-	Digest   *FeatureDigest `json:"digest,omitempty"`
-	Seconds  float64        `json:"seconds"`
-}
-
-// FeatureDigest is the summary-only stand-in for a full msa.Features
-// payload: the MSA summary statistics the report and load-balance
-// analyses consume, without the per-protein feature arrays. DigestFeatures
-// derives it, so the remote kernel and any local verification agree.
-type FeatureDigest struct {
-	Length    int     `json:"length"`
-	Depth     int     `json:"depth"`
-	Neff      float64 `json:"neff"`
-	Templates int     `json:"templates"`
-}
-
-// DigestFeatures summarises full features into the wire digest.
-func DigestFeatures(f *msa.Features) *FeatureDigest {
-	return &FeatureDigest{
-		Length:    f.Query.Len(),
-		Depth:     f.Depth,
-		Neff:      f.Neff,
-		Templates: len(f.Templates),
-	}
+	Features *msa.Features `json:"-"`
+	Seconds  float64       `json:"seconds"`
 }
 
 // InferSpec is the argument block of KernelInfer. The preset travels as a
@@ -91,21 +77,28 @@ type InferSpec struct {
 	Model     int         `json:"model"`
 	Preset    fold.Preset `json:"preset"`
 	NodeMemGB float64     `json:"node_mem_gb"`
-	// Summary selects the summary-only result mode: the kernel returns a
-	// PredictionDigest instead of the full fold.Prediction payload. The
-	// digest carries every scalar the campaign consumes (ranking,
-	// coverage fractions, cost accounting), at a fraction of the wire
-	// bytes; only the per-residue arrays — which campaign inference never
-	// materializes anyway — and the identity fields the client already
-	// knows are omitted.
-	Summary bool `json:"summary,omitempty"`
 }
 
-// PredictionDigest is the summary-only stand-in for a full
-// fold.Prediction payload: the pTMS/pLDDT summary the report, ranking,
-// and cluster simulation consume, under short JSON keys. ID and Length
-// do not travel — the submitting client reconstructs them from the task
-// it dispatched (see Prediction).
+// InferDigest is the one body of an inference task, shared by the stage's
+// in-process closure and the registered kernel: run the (target, model)
+// task and digest the prediction. An out-of-memory outcome is data, not
+// failure — a nil digest (JSON null on the wire), which the stage routes
+// to the high-memory retry wave.
+func InferDigest(engine *fold.Engine, task fold.Task) (*PredictionDigest, error) {
+	pred, err := engine.Infer(task)
+	if err != nil {
+		if errors.Is(err, fold.ErrOutOfMemory) {
+			return nil, nil
+		}
+		return nil, err
+	}
+	return DigestPrediction(pred), nil
+}
+
+// PredictionDigest is what an inference task returns on every executor:
+// the pTMS/pLDDT summary the report, ranking, and cluster simulation
+// consume, under short JSON keys. ID and Length do not travel — the
+// stage reconstructs them from the task it dispatched (see Prediction).
 type PredictionDigest struct {
 	Model       int     `json:"m"`
 	Recycles    int     `json:"rec,omitempty"`
@@ -118,7 +111,7 @@ type PredictionDigest struct {
 	PeakMemGB   float64 `json:"mem_gb,omitempty"`
 }
 
-// DigestPrediction summarises a full prediction into the wire digest.
+// DigestPrediction summarises a full prediction into its digest.
 func DigestPrediction(p *fold.Prediction) *PredictionDigest {
 	return &PredictionDigest{
 		Model:       p.Model,
@@ -134,10 +127,9 @@ func DigestPrediction(p *fold.Prediction) *PredictionDigest {
 }
 
 // Prediction reconstructs the campaign view of the prediction from the
-// digest plus the task identity the client dispatched. Per-residue
-// arrays stay nil — exactly as in a full-mode campaign, which never sets
-// fold.Task.WantCoords — so every reported number is byte-identical to
-// full mode.
+// digest plus the task identity the stage dispatched. Per-residue arrays
+// stay nil, as they are in every campaign prediction (the stage never sets
+// fold.Task.WantCoords).
 func (d *PredictionDigest) Prediction(id string, length int) *fold.Prediction {
 	return &fold.Prediction{
 		ID:          id,
@@ -161,7 +153,13 @@ type RelaxSpec struct {
 	Platform int `json:"platform"`
 }
 
+// Seconds is the one body of a relax task, shared by the stage's
+// in-process closure and the registered kernel: the modeled relaxation
+// walltime of one structure.
+func (s RelaxSpec) Seconds() float64 {
+	return relax.ModelTime(relax.Platform(s.Platform), RelaxHeavyAtoms(s.Length), 1)
+}
+
 // RelaxHeavyAtoms is the heavy-atom count of the relax cost model for a
-// chain length (~7.8 heavy atoms per residue), shared by the in-process
-// relax stage and its remote kernel.
+// chain length (~7.8 heavy atoms per residue).
 func RelaxHeavyAtoms(length int) int { return int(7.8 * float64(length)) }

@@ -34,8 +34,7 @@ type TaskStats struct {
 	Finish  time.Time
 	// PayloadBytes measures the encoded result payload that crossed the
 	// wire back to the client (0 for in-process closure batches, which
-	// return nothing over the wire). This is what the summary-only result
-	// mode shrinks.
+	// return nothing over the wire).
 	PayloadBytes int
 	// Err is the task's failure message ("" on success).
 	Err string
@@ -102,18 +101,6 @@ func (t *Trace) Rows() []TaskStats {
 		return rows[i].TaskID < rows[j].TaskID
 	})
 	return rows
-}
-
-// WireBytes sums the payload bytes of every recorded task — the measure
-// the summary-only result mode is judged by.
-func (t *Trace) WireBytes() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for i := range t.rows {
-		n += t.rows[i].PayloadBytes
-	}
-	return n
 }
 
 // WriteCSV writes the trace as the paper's processing-times CSV.

@@ -207,7 +207,6 @@ func TestRemoteDispatchRecordsTrace(t *testing.T) {
 	if len(rows) != len(items) {
 		t.Fatalf("trace rows = %d, want %d", len(rows), len(items))
 	}
-	wire := 0
 	seen := map[string]bool{}
 	for _, r := range rows {
 		seen[r.TaskID] = true
@@ -220,15 +219,11 @@ func TestRemoteDispatchRecordsTrace(t *testing.T) {
 		if r.PayloadBytes <= 0 {
 			t.Errorf("task %s: payload bytes = %d, want > 0 (results cross the wire)", r.TaskID, r.PayloadBytes)
 		}
-		wire += r.PayloadBytes
 	}
 	for _, v := range items {
 		if !seen["sq-"+strconv.Itoa(v)] {
 			t.Errorf("no trace row for sq-%d", v)
 		}
-	}
-	if trace.WireBytes() != wire {
-		t.Errorf("WireBytes = %d, want %d", trace.WireBytes(), wire)
 	}
 	// The CSV export of a real trace parses and keeps the schema width.
 	var sb strings.Builder

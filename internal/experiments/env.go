@@ -37,12 +37,6 @@ type Env struct {
 	// pool bounded at Parallelism. The Env does not own the executor — the
 	// caller closes it.
 	Executor exec.Executor
-	// SummaryOnly opts the campaign stages into summary-only remote
-	// results (core.Config.SummaryOnly): feature kernels return a digest
-	// instead of full per-protein feature payloads. It only has an effect
-	// when Executor dispatches specs across process boundaries; every
-	// reported number is identical either way.
-	SummaryOnly bool
 
 	proteomes map[string]*proteome.Proteome
 	featGen   *core.CachedFeatureGen
@@ -126,6 +120,5 @@ func (e *Env) config() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Parallelism = e.Parallelism
 	cfg.Executor = e.Executor
-	cfg.SummaryOnly = e.SummaryOnly
 	return cfg
 }

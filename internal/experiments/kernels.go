@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -10,7 +9,6 @@ import (
 	"repro/internal/flow"
 	"repro/internal/fold"
 	"repro/internal/proteome"
-	"repro/internal/relax"
 )
 
 // RegisterCampaignKernels registers the remote bodies of the three
@@ -115,9 +113,8 @@ func (w *kernelWorld) protein(species, id string) (proteome.Protein, error) {
 }
 
 // featureKernel is the remote body of the feature stage: derive one
-// protein's features and its contended filesystem search time. In summary
-// mode the full feature arrays stay on the worker and only a digest
-// crosses the wire — same compute, strictly fewer payload bytes.
+// protein's features and return its contended filesystem search time.
+// The features stay on the worker.
 func featureKernel(args json.RawMessage) (json.RawMessage, error) {
 	var s core.FeatureSpec
 	if err := json.Unmarshal(args, &s); err != nil {
@@ -132,21 +129,15 @@ func featureKernel(args json.RawMessage) (json.RawMessage, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := core.FeatureCostAccel(f, s.Accel)
-	dur, err := s.FS.SearchTime(s.DB, base, s.JobsPerCopy)
+	dur, err := s.SearchSeconds(f)
 	if err != nil {
 		return nil, err
 	}
-	if s.Summary {
-		return json.Marshal(core.FeatureOut{Digest: core.DigestFeatures(f), Seconds: dur})
-	}
-	return json.Marshal(core.FeatureOut{Features: f, Seconds: dur})
+	return json.Marshal(core.FeatureOut{Seconds: dur})
 }
 
 // inferKernel is the remote body of the inference stage: one (target,
-// model) task. An OOM outcome is data, not failure — it returns a null
-// prediction, which the stage routes to the high-memory retry wave
-// exactly as the in-process closure does.
+// model) task, returned as its core.PredictionDigest (null on OOM).
 func inferKernel(args json.RawMessage) (json.RawMessage, error) {
 	var s core.InferSpec
 	if err := json.Unmarshal(args, &s); err != nil {
@@ -161,24 +152,14 @@ func inferKernel(args json.RawMessage) (json.RawMessage, error) {
 	if err != nil {
 		return nil, err
 	}
-	pred, err := w.env.Engine.Infer(fold.Task{
+	d, err := core.InferDigest(w.env.Engine, fold.Task{
 		ID: s.ID, Length: pr.Seq.Len(), Features: f,
 		Model: s.Model, Preset: s.Preset, NodeMemGB: s.NodeMemGB,
 	})
 	if err != nil {
-		if errors.Is(err, fold.ErrOutOfMemory) {
-			// Null either way: summary and full mode agree on the OOM
-			// encoding, so the retry wave routes identically.
-			return json.Marshal((*fold.Prediction)(nil))
-		}
 		return nil, err
 	}
-	if s.Summary {
-		// Summary mode keeps the full prediction on the worker and ships
-		// the pTMS/pLDDT digest — same compute, strictly fewer bytes.
-		return json.Marshal(core.DigestPrediction(pred))
-	}
-	return json.Marshal(pred)
+	return json.Marshal(d)
 }
 
 // relaxKernel is the remote body of the relax stage: the modeled
@@ -188,6 +169,5 @@ func relaxKernel(args json.RawMessage) (json.RawMessage, error) {
 	if err := json.Unmarshal(args, &s); err != nil {
 		return nil, fmt.Errorf("experiments: decoding relax spec: %w", err)
 	}
-	dur := relax.ModelTime(relax.Platform(s.Platform), core.RelaxHeavyAtoms(s.Length), 1)
-	return json.Marshal(dur)
+	return json.Marshal(s.Seconds())
 }

@@ -1,0 +1,101 @@
+package experiments
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/flow"
+	"repro/internal/proteome"
+)
+
+var updatePayloads = flag.Bool("update", false, "rewrite the kernel payload goldens under testdata/payloads")
+
+// payloadCapture is a spec-only executor that runs every spec through the
+// process-wide kernel registry, as a worker does, and keeps the first
+// (spec, result) payload pair each kernel sees.
+type payloadCapture struct {
+	first map[string][2][]byte
+}
+
+func (*payloadCapture) Name() string         { return "capture" }
+func (*payloadCapture) Run(exec.Batch) error { return errors.New("payloadCapture runs specs only") }
+func (*payloadCapture) Close() error         { return nil }
+func (*payloadCapture) SpecsOnly() bool      { return true }
+
+func (c *payloadCapture) DispatchSpecs(kernel string, args []json.RawMessage, _ []string) ([]json.RawMessage, error) {
+	out := make([]json.RawMessage, len(args))
+	for i, a := range args {
+		t, err := flow.NewSpecTask("", 0, kernel, a)
+		if err != nil {
+			return nil, err
+		}
+		if out[i], err = flow.RunSpec(t.Payload); err != nil {
+			return nil, err
+		}
+		if _, ok := c.first[kernel]; !ok {
+			c.first[kernel] = [2][]byte{t.Payload, out[i]}
+		}
+	}
+	return out, nil
+}
+
+// TestKernelPayloadGolden pins the bytes of one spec and one result per
+// campaign kernel: the first D. vulgaris protein of `submit`'s campaign at
+// DefaultSeed, as the stages build the specs and the registered kernels
+// answer them. A worker and a submit of different builds share only the
+// wire version, so a payload change that keeps the version would be
+// accepted and misread. Change a payload and this test fails until
+// wireVersion (internal/flow/codec.go) is bumped and the goldens are
+// regenerated (`go test ./internal/experiments -run TestKernelPayloadGolden -update`).
+func TestKernelPayloadGolden(t *testing.T) {
+	RegisterCampaignKernels()
+	env := NewEnv(DefaultSeed)
+	proteins := env.Proteome(proteome.DVulgaris).FilterMaxLen(2500)[:1]
+	capture := &payloadCapture{first: map[string][2][]byte{}}
+	cfg := core.DefaultConfig()
+	cfg.Executor = capture
+	cfg.Remote = &core.RemoteCampaign{Seed: DefaultSeed, Species: proteome.DVulgaris.Code}
+	if _, err := core.RunCampaign(env.Engine, env.FeatureGen(), proteins, env.FS, core.ReducedDatabase(), cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := filepath.Join("testdata", "payloads")
+	if *updatePayloads {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, kernel := range []string{core.KernelFeature, core.KernelInfer, core.KernelRelax} {
+		pair, ok := capture.first[kernel]
+		if !ok {
+			t.Fatalf("campaign dispatched no %s spec", kernel)
+		}
+		for i, part := range []string{"spec", "result"} {
+			name := strings.ReplaceAll(kernel, "/", "_") + "." + part + ".json"
+			path := filepath.Join(dir, name)
+			got := append(bytes.Clone(pair[i]), '\n')
+			if *updatePayloads {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("no golden %s (run `go test ./internal/experiments -run TestKernelPayloadGolden -update`): %v", name, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s %s changed: a peer of the previous build would accept and misread it.\n"+
+					"Bump wireVersion in internal/flow/codec.go, then run `go test ./internal/experiments -run TestKernelPayloadGolden -update`.\n got %s\nwant %s",
+					kernel, part, got, want)
+			}
+		}
+	}
+}

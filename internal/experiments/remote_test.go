@@ -41,8 +41,10 @@ func remoteExecutor(t *testing.T, workers int) *exec.Flow {
 
 // TestCampaignRemoteSpecDispatch runs the full three-stage campaign
 // through remote spec dispatch — no closure crosses the executor — and
-// requires the report to be deeply identical to the pool executor's,
-// including every decoded feature and prediction, at two worker counts.
+// requires the report to match the pool executor's at two worker counts:
+// the feature stage's timings, and every decoded prediction, relax time
+// and ledger entry deeply. (Remote feature tasks leave their features on
+// the worker, so FeatureReport.Features is the one field that differs.)
 func TestCampaignRemoteSpecDispatch(t *testing.T) {
 	env := NewEnv(DefaultSeed)
 	proteins := env.Proteome(proteome.DVulgaris).FilterMaxLen(2500)[:90]
@@ -63,108 +65,58 @@ func TestCampaignRemoteSpecDispatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got.Feature, want.Feature) {
-				t.Error("remote feature report differs from pool")
-			}
-			if !reflect.DeepEqual(got.Inference, want.Inference) {
-				t.Error("remote inference report differs from pool")
-			}
-			if !reflect.DeepEqual(got.Relax, want.Relax) {
-				t.Error("remote relax report differs from pool")
-			}
-			if !reflect.DeepEqual(got.Ledger, want.Ledger) {
-				t.Error("remote ledger differs from pool")
-			}
+			checkRemoteReport(t, got, want)
 		})
 	}
 }
 
-// TestCampaignSummaryMode is the wire-cost contract of the summary-only
-// result mode: with Config.SummaryOnly the campaign's numbers (inference,
-// relax, ledger, feature timings) are identical to full mode, the feature
-// payloads stay off the wire (digests replace them), and the measured
-// wire bytes in the trace are strictly fewer.
-func TestCampaignSummaryMode(t *testing.T) {
+// checkRemoteReport requires a remote campaign report to equal the pool's
+// in everything a remote run carries back.
+func checkRemoteReport(t *testing.T, got, want *core.CampaignReport) {
+	t.Helper()
+	if got.Feature.WalltimeSec != want.Feature.WalltimeSec ||
+		got.Feature.NodeHours != want.Feature.NodeHours ||
+		got.Feature.Jobs != want.Feature.Jobs {
+		t.Error("remote feature timings differ from pool")
+	}
+	if !reflect.DeepEqual(got.Inference, want.Inference) {
+		t.Error("remote inference report differs from pool")
+	}
+	if !reflect.DeepEqual(got.Relax, want.Relax) {
+		t.Error("remote relax report differs from pool")
+	}
+	if !reflect.DeepEqual(got.Ledger, want.Ledger) {
+		t.Error("remote ledger differs from pool")
+	}
+}
+
+// TestCampaignRemoteResumeDispatchedFeatures resumes a remote campaign
+// whose log marks X/m0 done for five targets but none of their feature
+// tasks. Those feature tasks run remotely in this run, so X's features
+// never reach the client; recomputing X/m0 locally would infer from nil
+// features. The stage must dispatch such tasks again, and the report must
+// equal the pool's.
+func TestCampaignRemoteResumeDispatchedFeatures(t *testing.T) {
 	env := NewEnv(DefaultSeed)
-	proteins := env.Proteome(proteome.DVulgaris).FilterMaxLen(2500)[:60]
-
-	run := func(summary bool) (*core.CampaignReport, *exec.Trace) {
-		rf := remoteExecutor(t, 2)
-		trace := &exec.Trace{}
-		rf.SetTrace(trace)
-		cfg := core.DefaultConfig()
-		cfg.Executor = rf
-		cfg.Remote = &core.RemoteCampaign{Seed: DefaultSeed, Species: proteome.DVulgaris.Code}
-		cfg.SummaryOnly = summary
-		rep, err := core.RunCampaign(env.Engine, env.FeatureGen(), proteins, env.FS, core.ReducedDatabase(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, trace
-	}
-	full, fullTrace := run(false)
-	sum, sumTrace := run(true)
-
-	// Every reported number is unchanged; only the feature payload
-	// representation differs.
-	if !reflect.DeepEqual(sum.Inference, full.Inference) {
-		t.Error("summary-mode inference report differs from full mode")
-	}
-	if !reflect.DeepEqual(sum.Relax, full.Relax) {
-		t.Error("summary-mode relax report differs from full mode")
-	}
-	if !reflect.DeepEqual(sum.Ledger, full.Ledger) {
-		t.Error("summary-mode ledger differs from full mode")
-	}
-	if sum.Feature.WalltimeSec != full.Feature.WalltimeSec ||
-		sum.Feature.NodeHours != full.Feature.NodeHours ||
-		sum.Feature.Jobs != full.Feature.Jobs {
-		t.Error("summary-mode feature timings differ from full mode")
+	proteins := env.Proteome(proteome.DVulgaris).FilterMaxLen(2500)[:20]
+	want, err := core.RunCampaign(env.Engine, env.FeatureGen(), proteins, env.FS, core.ReducedDatabase(), core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// Full payloads stayed on the workers; digests summarise them.
-	for id, f := range sum.Feature.Features {
-		if f != nil {
-			t.Fatalf("summary mode shipped full features for %s", id)
-		}
-	}
-	if len(sum.Feature.Digests) != len(proteins) {
-		t.Fatalf("digests = %d, want %d", len(sum.Feature.Digests), len(proteins))
-	}
-	gen := env.FeatureGen()
+	done := map[string]bool{}
 	for _, p := range proteins[:5] {
-		f, err := gen.Features(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := core.DigestFeatures(f)
-		if got := sum.Feature.Digests[p.Seq.ID]; !reflect.DeepEqual(got, want) {
-			t.Errorf("digest for %s = %+v, want %+v", p.Seq.ID, got, want)
-		}
+		done[p.Seq.ID+"/m0"] = true
 	}
-
-	// The reduction is observable in the recorded trace: strictly fewer
-	// wire bytes overall, and specifically on the feature batch and — now
-	// that predictions travel as pTMS/pLDDT digests — the inference
-	// batch, the next-largest wire item.
-	if sumTrace.WireBytes() >= fullTrace.WireBytes() {
-		t.Errorf("summary wire bytes = %d, want < full %d", sumTrace.WireBytes(), fullTrace.WireBytes())
+	cfg := core.DefaultConfig()
+	cfg.Executor = remoteExecutor(t, 2)
+	cfg.Remote = &core.RemoteCampaign{Seed: DefaultSeed, Species: proteome.DVulgaris.Code}
+	cfg.Resume = func(task string) bool { return done[task] }
+	got, err := core.RunCampaign(env.Engine, env.FeatureGen(), proteins, env.FS, core.ReducedDatabase(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	kernelBytes := func(tr *exec.Trace, kernel string) int {
-		n := 0
-		for _, r := range tr.Rows() {
-			if r.Kernel == kernel {
-				n += r.PayloadBytes
-			}
-		}
-		return n
-	}
-	for _, kernel := range []string{core.KernelFeature, core.KernelInfer} {
-		if kernelBytes(sumTrace, kernel) >= kernelBytes(fullTrace, kernel) {
-			t.Errorf("summary %s bytes = %d, want < full %d",
-				kernel, kernelBytes(sumTrace, kernel), kernelBytes(fullTrace, kernel))
-		}
-	}
+	checkRemoteReport(t, got, want)
 }
 
 // TestKernelWorldCacheBounded: a worker serving many distinct seeds must

@@ -38,8 +38,10 @@ func wireOrDefault(name string) string {
 // is built from this tree, so there is no negotiation and no tolerance
 // for absent fields: a dialer states the version in its hello and the
 // scheduler refuses any other before decoding a frame. Bump it whenever
-// the bytes of any frame change (TestWireGolden fails until you do).
-const wireVersion = 1
+// the bytes of any frame change (TestWireGolden fails until you do), or
+// those of a campaign kernel's spec or result (pinned by
+// TestKernelPayloadGolden in internal/experiments).
+const wireVersion = 2
 
 // helloPrefix starts the hello line every dialer sends immediately after
 // connecting: "flow-wire <codec> <version>\n".

@@ -22,7 +22,7 @@ var updateCorpus = flag.Bool("update", false, "rewrite the checked-in binary-fra
 // panic, and never a spec that re-encodes unfaithfully.
 func FuzzDecodeSpec(f *testing.F) {
 	f.Add([]byte(`{"kernel":"campaign/feature","args":{"seed":1,"species":"DVU","id":"DVU_00001"}}`))
-	f.Add([]byte(`{"kernel":"campaign/feature","args":{"seed":1,"species":"DVU","id":"DVU_00001","summary":true}}`))
+	f.Add([]byte(`{"kernel":"campaign/feature","args":{"seed":1,"species":"DVU","id":"DVU_00001","accel":38,"jobs_per_copy":4}}`))
 	f.Add([]byte(`{"kernel":"campaign/infer","args":{"model":4,"preset":{"Name":"genome"}}}`))
 	f.Add([]byte(`{"kernel":"k"}`))
 	f.Add([]byte(`{"args":[1,2,3]}`))
@@ -82,9 +82,9 @@ func FuzzParseSchedulerFile(f *testing.F) {
 func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte(`{"type":"register","worker_id":"w1"}`))
 	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","weight":2.5,"payload":{"kernel":"k"}}]}`))
-	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","enqueued_ns":1643068800000000000,"payload":{"kernel":"campaign/feature","args":{"summary":true}}}]}`))
+	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","enqueued_ns":1643068800000000000,"payload":{"kernel":"campaign/feature","args":{"id":"DVU_00001"}}}]}`))
 	f.Add([]byte(`{"type":"result","results":[{"task_id":"t1","worker_id":"w1","start":"2022-01-25T00:00:00Z","end":"2022-01-25T00:00:01Z","error":"boom"}]}`))
-	f.Add([]byte(`{"type":"result","results":[{"task_id":"t1","worker_id":"w1","enqueued_ns":1643068800000000000,"start":"2022-01-25T00:00:01Z","end":"2022-01-25T00:00:02Z","payload":{"digest":{"length":120,"depth":14,"neff":6.5,"templates":2}}}]}`))
+	f.Add([]byte(`{"type":"result","results":[{"task_id":"t1","worker_id":"w1","enqueued_ns":1643068800000000000,"start":"2022-01-25T00:00:01Z","end":"2022-01-25T00:00:02Z","payload":{"seconds":412.375}}]}`))
 	f.Add([]byte(`{"type":"submit","tasks":[{"id":"a"},{"id":"b"}]}`))
 	f.Add([]byte(`{"type":"submit","tasks":[{"id":"0","label":"DVU_00001/m2","payload":{"kernel":"campaign/infer"}}]}`))
 	f.Add([]byte(`{"type":"accepted","count":2}`))
@@ -168,14 +168,14 @@ func FuzzAcceptHello(f *testing.F) {
 	f.Add([]byte(helloLine(WireBinary)))
 	f.Add([]byte("flow-wire json\n"))
 	f.Add([]byte("flow-wire binary 0\n"))
-	f.Add([]byte("flow-wire binary 1 \n"))
-	f.Add([]byte("flow-wire  1\n"))
-	f.Add([]byte("flow-wire json 01\n"))
+	f.Add([]byte("flow-wire binary 2 \n"))
+	f.Add([]byte("flow-wire  2\n"))
+	f.Add([]byte("flow-wire json 02\n"))
 	f.Add([]byte("flow-wire json 18446744073709551617\n"))
-	f.Add([]byte("flow-wire msgpack 1\n"))
+	f.Add([]byte("flow-wire msgpack 2\n"))
 	f.Add([]byte(`{"type":"register","worker_id":"w1"}` + "\n"))
 	f.Add([]byte("GET /metrics HTTP/1.1\r\n\r\n"))
-	f.Add([]byte("flow-wire json 1"))
+	f.Add([]byte("flow-wire json 2"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := acceptCodec(bufio.NewReader(bytes.NewReader(data)), bufio.NewWriter(io.Discard))

@@ -475,6 +475,13 @@ func TestMonitorCampaignFilter(t *testing.T) {
 	}
 	t.Cleanup(m.Close)
 	m.Campaign = "mine"
+	m.ReadTimeout = 10 * time.Second
+	// DialMonitor returns once the subscribe frame is sent, not once the
+	// scheduler has read it; the worker's join, the stream's first event,
+	// shows the subscription is live.
+	if e, err := m.Next(); err != nil || e.Type != events.WorkerJoin {
+		t.Fatalf("first monitor event = %+v, %v; want the worker's join", e, err)
+	}
 
 	for _, campaign := range []string{"mine", "theirs"} {
 		c, err := ConnectClient(addr)
@@ -487,28 +494,31 @@ func TestMonitorCampaignFilter(t *testing.T) {
 		}
 		c.Close()
 	}
-	s.Close() // ends the monitor stream cleanly
 
-	sawMine, sawJoin := false, false
+	foreign := func(e events.Event) {
+		if e.Campaign == "theirs" || e.Task == "theirs-0" {
+			t.Errorf("campaign-scoped monitor leaked foreign event %+v", e)
+		}
+	}
+	// Events reach the monitor independently of the clients' results, so
+	// read up to this campaign's completion before s.Close ends the
+	// stream, then drain whatever else arrives.
+	for {
+		e, err := m.Next()
+		if err != nil {
+			t.Fatalf("monitor never saw its own campaign's completion: %v", err)
+		}
+		foreign(e)
+		if e.Type == events.TaskDone && e.Campaign == "mine" {
+			break
+		}
+	}
+	s.Close() // ends the monitor stream cleanly
 	for {
 		e, err := m.Next()
 		if err != nil {
 			break
 		}
-		if e.Campaign == "theirs" || e.Task == "theirs-0" {
-			t.Errorf("campaign-scoped monitor leaked foreign event %+v", e)
-		}
-		if e.Type == events.TaskDone && e.Campaign == "mine" {
-			sawMine = true
-		}
-		if e.Type == events.WorkerJoin {
-			sawJoin = true
-		}
-	}
-	if !sawMine {
-		t.Error("monitor never saw its own campaign's completion")
-	}
-	if !sawJoin {
-		t.Error("fleet-wide worker join must pass the campaign filter")
+		foreign(e)
 	}
 }

@@ -33,7 +33,7 @@
 // PolicyFIFO all tenants share one.
 //
 // Every connection opens with a one-line hello naming its codec and the
-// wire version ("flow-wire binary 1"), staged in the same flush as the
+// wire version ("flow-wire binary 2"), staged in the same flush as the
 // first frame. The paper starts scheduler, workers and client from one
 // software environment inside one batch job, and so does this tree: the
 // protocol has exactly one version, a peer that offers none or another

@@ -35,7 +35,7 @@ func wireFrames() map[string]*message {
 		}},
 		msgResult: {Type: msgResult, Results: []Result{
 			{TaskID: "0", WorkerID: "w1", EnqueuedNS: 1643068800000000000, Start: start, End: start.Add(1500 * time.Millisecond),
-				Payload: json.RawMessage(`{"digest":{"length":312}}`)},
+				Payload: json.RawMessage(`{"seconds":412.375}`)},
 			{TaskID: "1", WorkerID: "w1", Start: start, End: start, Err: "boom"},
 		}},
 		msgSubscribe: {Type: msgSubscribe},
