@@ -44,9 +44,12 @@
 // (internal/parallel), the loopback flow cluster, and a remote flow
 // cluster dialed with exec.Connect whose workers live in other OS
 // processes. Closures cannot cross a process boundary, so campaign stages
-// ship named-job specs (flow.JobSpec: a registered kernel plus JSON
-// arguments) and each worker rebuilds the deterministic campaign world
-// from the spec's (seed, species) identity. Every table and figure is
+// ship named-job specs (flow.JobSpec: a registered kernel name plus the
+// kernel's arguments in a positional binary layout, internal/core's
+// payload.go) and each worker rebuilds the deterministic campaign world
+// from the spec's (seed, species) identity; a kernel answers with a few
+// bytes the stage decodes through the same layouts. To the engine a
+// payload is opaque bytes. Every table and figure is
 // byte-identical across executors, worker counts, codecs and injected
 // faults: TestTable1ParallelMatchesSerial, TestTable1CrossExecutor,
 // TestCampaignCrossExecutor in internal/experiments, and across real
@@ -86,8 +89,10 @@
 // TestCrossCodecCluster, TestCampaignCrossCodec and
 // TestCampaignDefaultFlagsMixedWire (mixed codecs),
 // TestBinaryDecodeRejectsCorruptFrames plus the fuzz targets
-// FuzzAcceptHello, FuzzDecodeMessage and FuzzDecodeBinaryFrame
-// (untrusted bytes).
+// FuzzAcceptHello, FuzzDecodeMessage, FuzzDecodeBinaryFrame,
+// FuzzDecodeSpec and FuzzKernelPayload (untrusted bytes). The campaign
+// kernels' spec and result bytes are pinned per version as well
+// (TestKernelPayloadGolden).
 //
 // One dispatcher. All scheduler state lives in one value
 // (internal/flow/dispatcher.go) with a method per input — register,

@@ -88,7 +88,7 @@ func TestReplayOccupancyBatchedHandout(t *testing.T) {
 	defer c.Close()
 	tasks := make([]flow.Task, 64)
 	for i := range tasks {
-		tasks[i] = flow.Task{ID: fmt.Sprintf("t%02d", i), Payload: json.RawMessage(`1`)}
+		tasks[i] = flow.Task{ID: fmt.Sprintf("t%02d", i), Payload: []byte(`1`)}
 	}
 	if _, err := c.Map(tasks, nil); err != nil {
 		t.Fatal(err)

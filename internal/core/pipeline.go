@@ -147,7 +147,7 @@ func FeatureStage(proteins []proteome.Protein, gen FeatureGen, fs fsim.Filesyste
 	search := FeatureSpec{Accel: cfg.SearchAccel, JobsPerCopy: cfg.Replicas.JobsPerCopy, FS: fs, DB: db}
 	outs, err := exec.MapSpecResume(x, KernelFeature, proteins,
 		func(_ int, p proteome.Protein) string { return p.Seq.ID },
-		func(_ int, p proteome.Protein) any {
+		func(_ int, p proteome.Protein) FeatureSpec {
 			s := search
 			s.Seed, s.Species, s.ID = cfg.Remote.Seed, cfg.Remote.Species, p.Seq.ID
 			return s
@@ -282,18 +282,18 @@ func InferenceStage(engine *fold.Engine, proteins []proteome.Protein, features m
 		}
 	}
 	// inferWave fans one wave of tasks out over the executor. Every
-	// executor yields a PredictionDigest per slot (nil on OOM), and the
-	// prediction is rebuilt from it and the task's identity.
+	// executor yields a PredictionDigest per slot (tagged OOM on OOM), and
+	// the prediction is rebuilt from it and the task's identity.
 	inferWave := func(tasks []fold.Task, memGB float64) ([]*fold.Prediction, error) {
 		digs, err := exec.MapSpecResume(x, KernelInfer, tasks,
 			inferTaskID,
-			func(_ int, task fold.Task) any {
+			func(_ int, task fold.Task) InferSpec {
 				return InferSpec{
 					Seed: cfg.Remote.Seed, Species: cfg.Remote.Species, ID: task.ID,
 					Model: task.Model, Preset: cfg.Preset, NodeMemGB: memGB,
 				}
 			},
-			func(_ int, task fold.Task) (*PredictionDigest, error) {
+			func(_ int, task fold.Task) (PredictionDigest, error) {
 				task.NodeMemGB = memGB
 				return InferDigest(engine, task)
 			},
@@ -302,9 +302,9 @@ func InferenceStage(engine *fold.Engine, proteins []proteome.Protein, features m
 			return nil, err
 		}
 		preds := make([]*fold.Prediction, len(tasks))
-		for i, d := range digs {
-			if d != nil {
-				preds[i] = d.Prediction(tasks[i].ID, tasks[i].Length)
+		for i := range digs {
+			if !digs[i].OOM {
+				preds[i] = digs[i].Prediction(tasks[i].ID, tasks[i].Length)
 			}
 		}
 		return preds, nil
@@ -442,8 +442,8 @@ func RelaxStage(targets []TargetResult, cfg Config, platform relax.Platform) (*R
 	spec := func(it relaxIn) RelaxSpec { return RelaxSpec{Length: it.length, Platform: int(platform)} }
 	durs, err := exec.MapSpecResume(x, KernelRelax, ins,
 		func(_ int, it relaxIn) string { return it.id },
-		func(_ int, it relaxIn) any { return spec(it) },
-		func(_ int, it relaxIn) (float64, error) { return spec(it).Seconds(), nil },
+		func(_ int, it relaxIn) RelaxSpec { return spec(it) },
+		func(_ int, it relaxIn) (Seconds, error) { return spec(it).Seconds(), nil },
 		cfg.Resume)
 	if err != nil {
 		return nil, err
@@ -453,7 +453,7 @@ func RelaxStage(targets []TargetResult, cfg Config, platform relax.Platform) (*R
 		tasks = append(tasks, cluster.SimTask{
 			ID:       it.id,
 			Weight:   float64(RelaxHeavyAtoms(it.length)),
-			Duration: durs[i],
+			Duration: float64(durs[i]),
 		})
 	}
 	cluster.ApplyOrder(tasks, cfg.Order)

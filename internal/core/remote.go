@@ -19,8 +19,8 @@ const (
 	// contended filesystem search time.
 	KernelFeature = "campaign/feature"
 	// KernelInfer runs one (target, model) inference task and returns its
-	// PredictionDigest; an OOM outcome is encoded as null, exactly as the
-	// in-process closure reports it.
+	// PredictionDigest; an OOM outcome is a digest tagged OOM, exactly as
+	// the in-process closure reports it.
 	KernelInfer = "campaign/infer"
 	// KernelRelax computes one structure's modeled relaxation time.
 	KernelRelax = "campaign/relax"
@@ -32,19 +32,20 @@ const (
 // another process reconstructs the exact world from these two values and
 // the per-task fields of each spec; nothing else crosses the wire.
 type RemoteCampaign struct {
-	Seed    uint64 `json:"seed"`
-	Species string `json:"species"`
+	Seed    uint64
+	Species string
 }
 
-// FeatureSpec is the argument block of KernelFeature.
+// FeatureSpec is the argument block of KernelFeature. Its byte layout is
+// in payload.go, with those of every other spec and result.
 type FeatureSpec struct {
-	Seed        uint64          `json:"seed"`
-	Species     string          `json:"species"`
-	ID          string          `json:"id"`
-	Accel       float64         `json:"accel,omitempty"`
-	JobsPerCopy int             `json:"jobs_per_copy"`
-	FS          fsim.Filesystem `json:"fs"`
-	DB          fsim.Database   `json:"db"`
+	Seed        uint64
+	Species     string
+	ID          string
+	Accel       float64
+	JobsPerCopy int
+	FS          fsim.Filesystem
+	DB          fsim.Database
 }
 
 // SearchSeconds is the one body of a feature task, shared by the stage's
@@ -59,61 +60,63 @@ func (s FeatureSpec) SearchSeconds(f *msa.Features) (float64, error) {
 
 // FeatureOut is the per-protein result of the feature stage: the derived
 // features plus the contended search walltime. Only Seconds crosses the
-// wire (a feature kernel returns {"seconds":…}); Features is set by the
+// wire, in the scalar layout of Seconds; Features is set by the
 // in-process closure and stays nil for a protein whose task ran remotely,
 // since the report needs only the timing and a remote inference task
 // derives the features again on its worker.
 type FeatureOut struct {
-	Features *msa.Features `json:"-"`
-	Seconds  float64       `json:"seconds"`
+	Features *msa.Features
+	Seconds  float64
 }
 
 // InferSpec is the argument block of KernelInfer. The preset travels as a
 // full value (not a name) so customized presets survive the trip.
 type InferSpec struct {
-	Seed      uint64      `json:"seed"`
-	Species   string      `json:"species"`
-	ID        string      `json:"id"`
-	Model     int         `json:"model"`
-	Preset    fold.Preset `json:"preset"`
-	NodeMemGB float64     `json:"node_mem_gb"`
+	Seed      uint64
+	Species   string
+	ID        string
+	Model     int
+	Preset    fold.Preset
+	NodeMemGB float64
 }
 
 // InferDigest is the one body of an inference task, shared by the stage's
 // in-process closure and the registered kernel: run the (target, model)
 // task and digest the prediction. An out-of-memory outcome is data, not
-// failure — a nil digest (JSON null on the wire), which the stage routes
-// to the high-memory retry wave.
-func InferDigest(engine *fold.Engine, task fold.Task) (*PredictionDigest, error) {
+// failure — a digest tagged OOM, which the stage routes to the
+// high-memory retry wave.
+func InferDigest(engine *fold.Engine, task fold.Task) (PredictionDigest, error) {
 	pred, err := engine.Infer(task)
 	if err != nil {
 		if errors.Is(err, fold.ErrOutOfMemory) {
-			return nil, nil
+			return PredictionDigest{OOM: true}, nil
 		}
-		return nil, err
+		return PredictionDigest{}, err
 	}
 	return DigestPrediction(pred), nil
 }
 
 // PredictionDigest is what an inference task returns on every executor:
 // the pTMS/pLDDT summary the report, ranking, and cluster simulation
-// consume, under short JSON keys. ID and Length do not travel — the
-// stage reconstructs them from the task it dispatched (see Prediction).
+// consume, or the OOM tag. ID and Length do not travel — the stage
+// reconstructs them from the task it dispatched (see Prediction).
 type PredictionDigest struct {
-	Model       int     `json:"m"`
-	Recycles    int     `json:"rec,omitempty"`
-	Converged   bool    `json:"conv,omitempty"`
-	MeanPLDDT   float64 `json:"plddt"`
-	PTMS        float64 `json:"ptms"`
-	FracAbove70 float64 `json:"f70,omitempty"`
-	FracAbove90 float64 `json:"f90,omitempty"`
-	GPUSeconds  float64 `json:"gpu_s"`
-	PeakMemGB   float64 `json:"mem_gb,omitempty"`
+	// OOM marks a task that ran out of GPU memory; no other field is set.
+	OOM         bool
+	Model       int
+	Recycles    int
+	Converged   bool
+	MeanPLDDT   float64
+	PTMS        float64
+	FracAbove70 float64
+	FracAbove90 float64
+	GPUSeconds  float64
+	PeakMemGB   float64
 }
 
 // DigestPrediction summarises a full prediction into its digest.
-func DigestPrediction(p *fold.Prediction) *PredictionDigest {
-	return &PredictionDigest{
+func DigestPrediction(p *fold.Prediction) PredictionDigest {
+	return PredictionDigest{
 		Model:       p.Model,
 		Recycles:    p.Recycles,
 		Converged:   p.Converged,
@@ -149,15 +152,15 @@ func (d *PredictionDigest) Prediction(id string, length int) *fold.Prediction {
 // RelaxSpec is the argument block of KernelRelax. It is self-contained:
 // the relaxation cost model needs no campaign world.
 type RelaxSpec struct {
-	Length   int `json:"length"`
-	Platform int `json:"platform"`
+	Length   int
+	Platform int
 }
 
 // Seconds is the one body of a relax task, shared by the stage's
 // in-process closure and the registered kernel: the modeled relaxation
 // walltime of one structure.
-func (s RelaxSpec) Seconds() float64 {
-	return relax.ModelTime(relax.Platform(s.Platform), RelaxHeavyAtoms(s.Length), 1)
+func (s RelaxSpec) Seconds() Seconds {
+	return Seconds(relax.ModelTime(relax.Platform(s.Platform), RelaxHeavyAtoms(s.Length), 1))
 }
 
 // RelaxHeavyAtoms is the heavy-atom count of the relax cost model for a

@@ -281,7 +281,7 @@ func liveStream(t *testing.T) foldStream {
 		c.Campaign = campaign
 		tasks := make([]flow.Task, 96)
 		for i := range tasks {
-			tasks[i] = flow.Task{ID: fmt.Sprintf("%s-%03d", campaign, i), Label: fmt.Sprintf("P%03d", i), Payload: json.RawMessage(`1`)}
+			tasks[i] = flow.Task{ID: fmt.Sprintf("%s-%03d", campaign, i), Label: fmt.Sprintf("P%03d", i), Payload: []byte(`1`)}
 		}
 		go func() {
 			_, err := c.Map(tasks, nil)

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -83,10 +82,10 @@ func TestFlowDispatchSpecsFeedsEventLabels(t *testing.T) {
 	}
 	t.Cleanup(func() { f.Close() })
 
-	args := make([]json.RawMessage, 3)
+	args := make([][]byte, 3)
 	ids := make([]string, 3)
 	for i := range args {
-		args[i] = json.RawMessage(fmt.Sprintf("%d", i))
+		args[i] = enc(i)
 		ids[i] = fmt.Sprintf("PROT_%05d/m%d", i, i)
 	}
 	if _, err := f.DispatchSpecs("exectest/square", args, ids); err != nil {

@@ -29,9 +29,10 @@
 package exec
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
+
+	"repro/internal/flow"
 )
 
 // Batch describes one fan-out: the item count and closure, plus the trace
@@ -114,7 +115,7 @@ func mapBatch[T, R any](ex Executor, b Batch, items []T, fn func(i int, item T) 
 // deployments: back ends whose workers live in other OS processes cannot
 // receive closures, so work is shipped as registered named-job specs
 // (flow.JobSpec) instead — a kernel name resolved against the worker's
-// registry plus JSON arguments.
+// registry plus the kernel's encoded arguments.
 type SpecDispatcher interface {
 	Executor
 	// SpecsOnly reports whether this executor can only dispatch specs
@@ -127,7 +128,7 @@ type SpecDispatcher interface {
 	// of the lowest argument index is returned. ids, when non-nil, names
 	// each argument block in the recorded trace (ids[i] for args[i]);
 	// nil falls back to decimal indices.
-	DispatchSpecs(kernel string, args []json.RawMessage, ids []string) ([]json.RawMessage, error)
+	DispatchSpecs(kernel string, args [][]byte, ids []string) ([][]byte, error)
 }
 
 // SpecsOnly reports whether ex requires named-job specs (its workers are
@@ -137,20 +138,28 @@ func SpecsOnly(ex Executor) bool {
 	return ok && sd.SpecsOnly()
 }
 
+// SpecResult constrains the result type R of a stage that can run
+// remotely: *R decodes the kernel's result payload, the inverse of the
+// kernel's encoding of the same value.
+type SpecResult[R any] interface {
+	*R
+	UnmarshalBinary(data []byte) error
+}
+
 // MapSpec is Map for stages that can also run remotely: each item carries
 // both a closure (fn) and a serializable spec (the registered kernel plus
 // per-item args built by arg). Executors whose workers share this process
-// run fn exactly as Map does; spec-only executors marshal arg(i, item),
-// dispatch the named kernel to remote workers, and decode each result
-// payload into R. The registered kernel must be the same pure function of
-// its arguments as fn, so both paths produce identical values — the
-// cross-process determinism contract TestCampaignMultiProcess enforces
-// end to end.
+// run fn exactly as Map does; spec-only executors encode arg(i, item)
+// through its binary layout, dispatch the named kernel to remote workers,
+// and decode each result payload into R through *R's UnmarshalBinary.
+// The registered kernel must be the same pure function of its arguments
+// as fn, so both paths produce identical values — the cross-process
+// determinism contract TestCampaignMultiProcess enforces end to end.
 //
 // id(i, item), when non-nil, names item i in the recorded trace on both
 // paths — the task_id column of the processing-times CSV.
-func MapSpec[T, R any](ex Executor, kernel string, items []T, id func(i int, item T) string, arg func(i int, item T) any, fn func(i int, item T) (R, error)) ([]R, error) {
-	return MapSpecResume(ex, kernel, items, id, arg, fn, nil)
+func MapSpec[T any, A flow.BinaryAppender, R any, PR SpecResult[R]](ex Executor, kernel string, items []T, id func(i int, item T) string, arg func(i int, item T) A, fn func(i int, item T) (R, error)) ([]R, error) {
+	return MapSpecResume[T, A, R, PR](ex, kernel, items, id, arg, fn, nil)
 }
 
 // MapSpecResume is MapSpec with a resume skip-set: done(taskID) reports
@@ -167,8 +176,9 @@ func MapSpec[T, R any](ex Executor, kernel string, items []T, id func(i int, ite
 // A local recompute failure surfaces immediately without dispatching:
 // the skipped item completed before under the same pure function, so a
 // failure means the resume log does not match this campaign's
-// (seed, species) world.
-func MapSpecResume[T, R any](ex Executor, kernel string, items []T, id func(i int, item T) string, arg func(i int, item T) any, fn func(i int, item T) (R, error), done func(task string) bool) ([]R, error) {
+// (seed, species) world. An empty result payload is a decode error, never
+// a zero value: no campaign kernel encodes a result as nothing.
+func MapSpecResume[T any, A flow.BinaryAppender, R any, PR SpecResult[R]](ex Executor, kernel string, items []T, id func(i int, item T) string, arg func(i int, item T) A, fn func(i int, item T) (R, error), done func(task string) bool) ([]R, error) {
 	taskID := func(int) string { return "" }
 	if id != nil {
 		taskID = func(i int) string { return id(i, items[i]) }
@@ -199,17 +209,23 @@ func MapSpecResume[T, R any](ex Executor, kernel string, items []T, id func(i in
 	if len(pending) == 0 {
 		return out, nil
 	}
-	args := make([]json.RawMessage, len(pending))
+	// The argument blocks are appended to one growing buffer, and args[k]
+	// is a capacity-capped view of block k: appends never rewrite written
+	// bytes, so a view stays valid on the array it was cut from after the
+	// buffer has moved on.
+	var buf []byte
+	args := make([][]byte, len(pending))
 	var ids []string
 	if id != nil {
 		ids = make([]string, len(pending))
 	}
 	for k, i := range pending {
-		raw, err := json.Marshal(arg(i, items[i]))
-		if err != nil {
-			return nil, fmt.Errorf("exec: marshaling %s args [%d]: %w", kernel, i, err)
+		start := len(buf)
+		var err error
+		if buf, err = arg(i, items[i]).AppendBinary(buf); err != nil {
+			return nil, fmt.Errorf("exec: encoding %s args [%d]: %w", kernel, i, err)
 		}
-		args[k] = raw
+		args[k] = buf[start:len(buf):len(buf)]
 		if ids != nil {
 			ids[k] = taskID(i)
 		}
@@ -222,11 +238,11 @@ func MapSpecResume[T, R any](ex Executor, kernel string, items []T, id func(i in
 		return nil, fmt.Errorf("exec: %s returned %d/%d results", kernel, len(payloads), len(pending))
 	}
 	for k, raw := range payloads {
-		if len(raw) == 0 {
-			continue // kernel returned no payload: zero value
-		}
 		i := pending[k]
-		if err := json.Unmarshal(raw, &out[i]); err != nil {
+		if len(raw) == 0 {
+			return nil, fmt.Errorf("exec: decoding %s result [%d]: empty payload", kernel, i)
+		}
+		if err := PR(&out[i]).UnmarshalBinary(raw); err != nil {
 			return nil, fmt.Errorf("exec: decoding %s result [%d]: %w", kernel, i, err)
 		}
 	}

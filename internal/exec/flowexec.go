@@ -203,7 +203,7 @@ func recordResult(sink TraceSink, kernel, id, campaign string, r *flow.Result) {
 func (f *Flow) SpecsOnly() bool { return f.remote }
 
 // DispatchSpecs implements SpecDispatcher: one flow task per argument
-// block, each carrying a flow.JobSpec payload, submitted as a single batch
+// block, each carrying a flow.JobSpec envelope, submitted as a single batch
 // through the client. Workers resolve the kernel name against their local
 // registry (flow.Register). Results arrive in completion order and are
 // re-keyed by task index, so the caller observes argument order; task
@@ -212,7 +212,7 @@ func (f *Flow) SpecsOnly() bool { return f.remote }
 // a TaskStats row (named by ids[i] when given) as it streams in, wire
 // bytes included — the statsCSV plumbing the paper's processing-times
 // file needs, finally end-to-end across real processes.
-func (f *Flow) DispatchSpecs(kernel string, args []json.RawMessage, ids []string) ([]json.RawMessage, error) {
+func (f *Flow) DispatchSpecs(kernel string, args [][]byte, ids []string) ([][]byte, error) {
 	if len(args) == 0 {
 		return nil, nil
 	}
@@ -232,11 +232,11 @@ func (f *Flow) DispatchSpecs(kernel string, args []json.RawMessage, ids []string
 	prefix := f.specNonce + "." + strconv.FormatUint(f.specSeq, 10) + "."
 	tasks := make([]flow.Task, len(args))
 	for i, a := range args {
-		t, err := flow.NewSpecTask(prefix+strconv.Itoa(i), 0, kernel, a)
+		payload, err := flow.EncodeSpec(flow.JobSpec{Kernel: kernel, Args: a})
 		if err != nil {
 			return nil, fmt.Errorf("exec: encoding %s spec [%d]: %w", kernel, i, err)
 		}
-		tasks[i] = t
+		tasks[i] = flow.Task{ID: prefix + strconv.Itoa(i), Payload: payload}
 	}
 	traceID := func(idx int) string {
 		if ids != nil && ids[idx] != "" {
@@ -265,7 +265,7 @@ func (f *Flow) DispatchSpecs(kernel string, args []json.RawMessage, ids []string
 	if err != nil {
 		return nil, fmt.Errorf("exec: dispatching %s batch: %w", kernel, err)
 	}
-	out := make([]json.RawMessage, len(args))
+	out := make([][]byte, len(args))
 	errIdx, errMsg := -1, ""
 	for i := range results {
 		r := &results[i]

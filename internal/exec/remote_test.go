@@ -1,14 +1,32 @@
 package exec
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/bin"
 	"repro/internal/flow"
 )
+
+// num is the test kernels' argument and result: one signed varint.
+type num int
+
+func (n num) AppendBinary(b []byte) ([]byte, error) { return binary.AppendVarint(b, int64(n)), nil }
+
+func (n *num) UnmarshalBinary(p []byte) error {
+	r := bin.NewReader(p, "exectest num")
+	*n = num(r.Int("n"))
+	return r.End()
+}
+
+// enc is n's encoding, as an argument block or a result payload.
+func enc(n int) []byte {
+	b, _ := num(n).AppendBinary(nil)
+	return b
+}
 
 // Test kernels registered once in the process-wide registry.
 var registerTestKernels sync.Once
@@ -16,28 +34,33 @@ var registerTestKernels sync.Once
 func testKernels(t *testing.T) {
 	t.Helper()
 	registerTestKernels.Do(func() {
-		// square decodes an int and returns its square.
-		err := flow.Register("exectest/square", func(args json.RawMessage) (json.RawMessage, error) {
-			var n int
-			if err := json.Unmarshal(args, &n); err != nil {
+		// square decodes a num and returns its square.
+		err := flow.Register("exectest/square", func(args []byte) ([]byte, error) {
+			var n num
+			if err := n.UnmarshalBinary(args); err != nil {
 				return nil, err
 			}
-			return json.Marshal(n * n)
+			return (n * n).AppendBinary(nil)
 		})
 		if err != nil {
 			panic(err)
 		}
 		// failodd errors on odd inputs.
-		err = flow.Register("exectest/failodd", func(args json.RawMessage) (json.RawMessage, error) {
-			var n int
-			if err := json.Unmarshal(args, &n); err != nil {
+		err = flow.Register("exectest/failodd", func(args []byte) ([]byte, error) {
+			var n num
+			if err := n.UnmarshalBinary(args); err != nil {
 				return nil, err
 			}
 			if n%2 == 1 {
 				return nil, fmt.Errorf("odd input %d", n)
 			}
-			return json.Marshal(n)
+			return n.AppendBinary(nil)
 		})
+		if err != nil {
+			panic(err)
+		}
+		// empty returns no result bytes at all.
+		err = flow.Register("exectest/empty", func([]byte) ([]byte, error) { return nil, nil })
 		if err != nil {
 			panic(err)
 		}
@@ -80,13 +103,13 @@ func TestRemoteFlowDispatchSpecs(t *testing.T) {
 		t.Fatalf("Name() = %q", f.Name())
 	}
 
-	items := make([]int, 50)
+	items := make([]num, 50)
 	for i := range items {
-		items[i] = i
+		items[i] = num(i)
 	}
 	out, err := MapSpec(f, "exectest/square", items, nil,
-		func(_ int, n int) any { return n },
-		func(_ int, n int) (int, error) { t.Fatal("closure must not run on a remote executor"); return 0, nil })
+		func(_ int, n num) num { return n },
+		func(_ int, n num) (num, error) { t.Fatal("closure must not run on a remote executor"); return 0, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +122,10 @@ func TestRemoteFlowDispatchSpecs(t *testing.T) {
 
 func TestRemoteFlowLowestIndexError(t *testing.T) {
 	f := remoteCluster(t, 4)
-	items := []int{0, 2, 5, 3, 8, 9}
+	items := []num{0, 2, 5, 3, 8, 9}
 	_, err := MapSpec(f, "exectest/failodd", items, nil,
-		func(_ int, n int) any { return n },
-		func(_ int, n int) (int, error) { return n, nil })
+		func(_ int, n num) num { return n },
+		func(_ int, n num) (num, error) { return n, nil })
 	if err == nil {
 		t.Fatal("expected error from odd inputs")
 	}
@@ -114,7 +137,7 @@ func TestRemoteFlowLowestIndexError(t *testing.T) {
 
 func TestRemoteFlowUnknownKernel(t *testing.T) {
 	f := remoteCluster(t, 1)
-	_, err := f.DispatchSpecs("exectest/unregistered", []json.RawMessage{json.RawMessage(`1`)}, nil)
+	_, err := f.DispatchSpecs("exectest/unregistered", [][]byte{enc(1)}, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown kernel") {
 		t.Fatalf("err = %v, want unknown kernel", err)
 	}
@@ -135,7 +158,7 @@ func TestRemoteFlowRejectsClosures(t *testing.T) {
 func TestRemoteFlowClosed(t *testing.T) {
 	f := remoteCluster(t, 1)
 	f.Close()
-	if _, err := f.DispatchSpecs("exectest/square", []json.RawMessage{json.RawMessage(`1`)}, nil); err == nil {
+	if _, err := f.DispatchSpecs("exectest/square", [][]byte{enc(1)}, nil); err == nil {
 		t.Fatal("DispatchSpecs on closed executor succeeded")
 	}
 }
@@ -144,10 +167,10 @@ func TestMapSpecFallsBackToClosures(t *testing.T) {
 	// Non-spec executors (the pool) and the in-process flow cluster run
 	// the closure; arg builders must not even be invoked for the pool.
 	pool := &Pool{Workers: 4}
-	items := []int{1, 2, 3}
+	items := []num{1, 2, 3}
 	out, err := MapSpec(pool, "exectest/square", items, nil,
-		func(_ int, n int) any { t.Fatal("arg builder must not run on the pool"); return nil },
-		func(_ int, n int) (int, error) { return n + 10, nil })
+		func(_ int, n num) num { t.Fatal("arg builder must not run on the pool"); return 0 },
+		func(_ int, n num) (num, error) { return n + 10, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +187,8 @@ func TestMapSpecFallsBackToClosures(t *testing.T) {
 		t.Fatal("in-process flow executor must not be specs-only")
 	}
 	out, err = MapSpec(fl, "exectest/square", items, nil,
-		func(_ int, n int) any { return n },
-		func(_ int, n int) (int, error) { return n + 20, nil })
+		func(_ int, n num) num { return n },
+		func(_ int, n num) (num, error) { return n + 20, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +207,12 @@ func TestInProcessFlowServesSpecTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fl.Close()
-	out, err := fl.DispatchSpecs("exectest/square", []json.RawMessage{
-		json.RawMessage(`3`), json.RawMessage(`4`),
-	}, nil)
+	out, err := fl.DispatchSpecs("exectest/square", [][]byte{enc(3), enc(4)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(out[0]) != "9" || string(out[1]) != "16" {
-		t.Fatalf("DispatchSpecs = %s, %s", out[0], out[1])
+	if string(out[0]) != string(enc(9)) || string(out[1]) != string(enc(16)) {
+		t.Fatalf("DispatchSpecs = %v, %v", out[0], out[1])
 	}
 }
 
@@ -231,9 +252,9 @@ func TestConcurrentClientsSharedScheduler(t *testing.T) {
 			// cross-delivered result would land in the wrong slot.
 			base := 1000 * (c + 1)
 			for r := 0; r < rounds; r++ {
-				args := make([]json.RawMessage, n)
+				args := make([][]byte, n)
 				for i := range args {
-					args[i] = json.RawMessage(fmt.Sprintf("%d", base+i))
+					args[i] = enc(base + i)
 				}
 				out, err := f.DispatchSpecs("exectest/square", args, nil)
 				if err != nil {
@@ -241,9 +262,9 @@ func TestConcurrentClientsSharedScheduler(t *testing.T) {
 					return
 				}
 				for i := range out {
-					want := fmt.Sprintf("%d", (base+i)*(base+i))
-					if string(out[i]) != want {
-						errs <- fmt.Errorf("client %d round %d: out[%d] = %s, want %s", c, r, i, out[i], want)
+					want := enc((base + i) * (base + i))
+					if string(out[i]) != string(want) {
+						errs <- fmt.Errorf("client %d round %d: out[%d] = %v, want %v", c, r, i, out[i], want)
 						return
 					}
 				}
@@ -263,5 +284,18 @@ func TestDispatchSpecsEmpty(t *testing.T) {
 	out, err := f.DispatchSpecs("exectest/square", nil, nil)
 	if err != nil || out != nil {
 		t.Fatalf("empty dispatch = %v, %v", out, err)
+	}
+}
+
+// TestMapSpecEmptyResultIsAnError: a kernel that returns no bytes is a
+// decode error, not a zero value. (For inference a zero value would read
+// as an out-of-memory digest and be rerouted silently.)
+func TestMapSpecEmptyResultIsAnError(t *testing.T) {
+	f := remoteCluster(t, 1)
+	_, err := MapSpec(f, "exectest/empty", []num{1, 2}, nil,
+		func(_ int, n num) num { return n },
+		func(_ int, n num) (num, error) { return n, nil })
+	if err == nil || !strings.Contains(err.Error(), "empty payload") {
+		t.Fatalf("err = %v, want an empty-payload decode error", err)
 	}
 }

@@ -17,13 +17,13 @@ func TestMapSpecResumeSkipsCompleted(t *testing.T) {
 		t.Fatal("remote flow executor should accept a trace")
 	}
 
-	items := []int{3, 4, 5, 6, 7, 8}
-	id := func(_ int, n int) string { return fmt.Sprintf("item-%d", n) }
+	items := []num{3, 4, 5, 6, 7, 8}
+	id := func(_ int, n num) string { return fmt.Sprintf("item-%d", n) }
 	completed := map[string]bool{"item-3": true, "item-5": true, "item-7": true}
 
 	out, err := MapSpecResume(f, "exectest/square", items, id,
-		func(_ int, n int) any { return n },
-		func(_ int, n int) (int, error) { return n * n, nil }, // same pure function the kernel computes
+		func(_ int, n num) num { return n },
+		func(_ int, n num) (num, error) { return n * n, nil }, // same pure function the kernel computes
 		func(task string) bool { return completed[task] })
 	if err != nil {
 		t.Fatal(err)
@@ -49,11 +49,11 @@ func TestMapSpecResumeAllCompleted(t *testing.T) {
 	f := remoteCluster(t, 1)
 	tr := &Trace{}
 	AttachTrace(f, tr)
-	items := []int{1, 2, 3}
+	items := []num{1, 2, 3}
 	out, err := MapSpecResume(f, "exectest/square", items,
-		func(_ int, n int) string { return fmt.Sprintf("item-%d", n) },
-		func(_ int, n int) any { t.Fatal("arg builder ran with nothing to dispatch"); return nil },
-		func(_ int, n int) (int, error) { return n * 100, nil },
+		func(_ int, n num) string { return fmt.Sprintf("item-%d", n) },
+		func(_ int, n num) num { t.Fatal("arg builder ran with nothing to dispatch"); return 0 },
+		func(_ int, n num) (num, error) { return n * 100, nil },
 		func(string) bool { return true })
 	if err != nil {
 		t.Fatal(err)
@@ -71,10 +71,10 @@ func TestMapSpecResumeAllCompleted(t *testing.T) {
 // (seed, species) world — that must surface loudly, not resume quietly.
 func TestMapSpecResumeRecomputeFailure(t *testing.T) {
 	f := remoteCluster(t, 1)
-	_, err := MapSpecResume(f, "exectest/square", []int{1, 2},
-		func(_ int, n int) string { return fmt.Sprintf("item-%d", n) },
-		func(_ int, n int) any { return n },
-		func(_ int, n int) (int, error) {
+	_, err := MapSpecResume(f, "exectest/square", []num{1, 2},
+		func(_ int, n num) string { return fmt.Sprintf("item-%d", n) },
+		func(_ int, n num) num { return n },
+		func(_ int, n num) (num, error) {
 			if n == 1 {
 				return 0, fmt.Errorf("wrong world")
 			}
@@ -91,9 +91,9 @@ func TestMapSpecResumeRecomputeFailure(t *testing.T) {
 // against `-executor pool` is just a plain run.
 func TestMapSpecResumePoolIgnoresSkipSet(t *testing.T) {
 	pool := &Pool{Workers: 2}
-	out, err := MapSpecResume(pool, "exectest/square", []int{1, 2, 3}, nil,
-		func(_ int, n int) any { t.Fatal("arg builder must not run on the pool"); return nil },
-		func(_ int, n int) (int, error) { return n + 10, nil },
+	out, err := MapSpecResume(pool, "exectest/square", []num{1, 2, 3}, nil,
+		func(_ int, n num) num { t.Fatal("arg builder must not run on the pool"); return 0 },
+		func(_ int, n num) (num, error) { return n + 10, nil },
 		func(string) bool { return true })
 	if err != nil {
 		t.Fatal(err)

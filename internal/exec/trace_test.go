@@ -80,11 +80,11 @@ func TestPoolRecordsTrace(t *testing.T) {
 	if !AttachTrace(pool, trace) {
 		t.Fatal("pool must implement Traceable")
 	}
-	items := []int{10, 20, 30, 40}
+	items := []num{10, 20, 30, 40}
 	out, err := MapSpec(pool, "test/kernel", items,
-		func(i int, v int) string { return fmt.Sprintf("item-%d", v) },
-		func(_ int, v int) any { return v },
-		func(_ int, v int) (int, error) { return v * 2, nil })
+		func(i int, v num) string { return fmt.Sprintf("item-%d", v) },
+		func(_ int, v num) num { return v },
+		func(_ int, v num) (num, error) { return v * 2, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +190,11 @@ func TestRemoteDispatchRecordsTrace(t *testing.T) {
 	f := remoteCluster(t, 2)
 	trace := &Trace{}
 	f.SetTrace(trace)
-	items := []int{7, 8, 9}
+	items := []num{7, 8, 9}
 	out, err := MapSpec(f, "exectest/square", items,
-		func(_ int, v int) string { return "sq-" + strconv.Itoa(v) },
-		func(_ int, v int) any { return v },
-		func(_ int, v int) (int, error) { t.Fatal("closure must not run remotely"); return 0, nil })
+		func(_ int, v num) string { return "sq-" + strconv.Itoa(int(v)) },
+		func(_ int, v num) num { return v },
+		func(_ int, v num) (num, error) { t.Fatal("closure must not run remotely"); return 0, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestRemoteDispatchRecordsTrace(t *testing.T) {
 		}
 	}
 	for _, v := range items {
-		if !seen["sq-"+strconv.Itoa(v)] {
+		if !seen["sq-"+strconv.Itoa(int(v))] {
 			t.Errorf("no trace row for sq-%d", v)
 		}
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -115,10 +114,10 @@ func (w *kernelWorld) protein(species, id string) (proteome.Protein, error) {
 // featureKernel is the remote body of the feature stage: derive one
 // protein's features and return its contended filesystem search time.
 // The features stay on the worker.
-func featureKernel(args json.RawMessage) (json.RawMessage, error) {
+func featureKernel(args []byte) ([]byte, error) {
 	var s core.FeatureSpec
-	if err := json.Unmarshal(args, &s); err != nil {
-		return nil, fmt.Errorf("experiments: decoding feature spec: %w", err)
+	if err := s.UnmarshalBinary(args); err != nil {
+		return nil, err
 	}
 	w := worldFor(s.Seed)
 	pr, err := w.protein(s.Species, s.ID)
@@ -133,15 +132,15 @@ func featureKernel(args json.RawMessage) (json.RawMessage, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(core.FeatureOut{Seconds: dur})
+	return core.FeatureOut{Seconds: dur}.AppendBinary(make([]byte, 0, core.SecondsMaxLen))
 }
 
 // inferKernel is the remote body of the inference stage: one (target,
-// model) task, returned as its core.PredictionDigest (null on OOM).
-func inferKernel(args json.RawMessage) (json.RawMessage, error) {
+// model) task, returned as its core.PredictionDigest (tagged OOM on OOM).
+func inferKernel(args []byte) ([]byte, error) {
 	var s core.InferSpec
-	if err := json.Unmarshal(args, &s); err != nil {
-		return nil, fmt.Errorf("experiments: decoding infer spec: %w", err)
+	if err := s.UnmarshalBinary(args); err != nil {
+		return nil, err
 	}
 	w := worldFor(s.Seed)
 	pr, err := w.protein(s.Species, s.ID)
@@ -159,15 +158,15 @@ func inferKernel(args json.RawMessage) (json.RawMessage, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(d)
+	return d.AppendBinary(make([]byte, 0, core.DigestMaxLen))
 }
 
 // relaxKernel is the remote body of the relax stage: the modeled
 // relaxation walltime of one structure.
-func relaxKernel(args json.RawMessage) (json.RawMessage, error) {
+func relaxKernel(args []byte) ([]byte, error) {
 	var s core.RelaxSpec
-	if err := json.Unmarshal(args, &s); err != nil {
-		return nil, fmt.Errorf("experiments: decoding relax spec: %w", err)
+	if err := s.UnmarshalBinary(args); err != nil {
+		return nil, err
 	}
-	return json.Marshal(s.Seconds())
+	return s.Seconds().AppendBinary(make([]byte, 0, core.SecondsMaxLen))
 }

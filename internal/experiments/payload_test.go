@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"os"
@@ -30,8 +30,8 @@ func (*payloadCapture) Run(exec.Batch) error { return errors.New("payloadCapture
 func (*payloadCapture) Close() error         { return nil }
 func (*payloadCapture) SpecsOnly() bool      { return true }
 
-func (c *payloadCapture) DispatchSpecs(kernel string, args []json.RawMessage, _ []string) ([]json.RawMessage, error) {
-	out := make([]json.RawMessage, len(args))
+func (c *payloadCapture) DispatchSpecs(kernel string, args [][]byte, _ []string) ([][]byte, error) {
+	out := make([][]byte, len(args))
 	for i, a := range args {
 		t, err := flow.NewSpecTask("", 0, kernel, a)
 		if err != nil {
@@ -55,6 +55,8 @@ func (c *payloadCapture) DispatchSpecs(kernel string, args []json.RawMessage, _ 
 // accepted and misread. Change a payload and this test fails until
 // wireVersion (internal/flow/codec.go) is bumped and the goldens are
 // regenerated (`go test ./internal/experiments -run TestKernelPayloadGolden -update`).
+// The goldens are stored hex-encoded, one file per payload, so they diff
+// as text.
 func TestKernelPayloadGolden(t *testing.T) {
 	RegisterCampaignKernels()
 	env := NewEnv(DefaultSeed)
@@ -69,6 +71,9 @@ func TestKernelPayloadGolden(t *testing.T) {
 
 	dir := filepath.Join("testdata", "payloads")
 	if *updatePayloads {
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -79,9 +84,9 @@ func TestKernelPayloadGolden(t *testing.T) {
 			t.Fatalf("campaign dispatched no %s spec", kernel)
 		}
 		for i, part := range []string{"spec", "result"} {
-			name := strings.ReplaceAll(kernel, "/", "_") + "." + part + ".json"
+			name := strings.ReplaceAll(kernel, "/", "_") + "." + part + ".hex"
 			path := filepath.Join(dir, name)
-			got := append(bytes.Clone(pair[i]), '\n')
+			got := append(hex.AppendEncode(nil, pair[i]), '\n')
 			if *updatePayloads {
 				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)

@@ -96,7 +96,7 @@ func benchDispatcherCore(b *testing.B, batch int) {
 	}
 	client := &benchPeer{}
 	cc := &clientConn{ob: client}
-	payload := json.RawMessage(`{"job":"fold","species":"DVU","protein":"DVU_0001","preset":"reduced","seed":42}`)
+	payload := []byte(`{"job":"fold","species":"DVU","protein":"DVU_0001","preset":"reduced","seed":42}`)
 	tasks := make([]Task, tasksPerOp)
 	for i := range tasks {
 		tasks[i] = Task{ID: fmt.Sprintf("t%04d", i), Weight: float64(i % 97), Payload: payload}
@@ -200,7 +200,7 @@ func benchDispatch(b *testing.B, wire string, numWorkers, batch int, slowPeer bo
 
 	// A payload in the size range of a summary-mode campaign task, built
 	// once: the benchmark measures framing, not payload construction.
-	payload := json.RawMessage(`{"job":"fold","species":"DVU","protein":"DVU_0001","preset":"reduced","seed":42}`)
+	payload := []byte(`{"job":"fold","species":"DVU","protein":"DVU_0001","preset":"reduced","seed":42}`)
 	tasks := make([]Task, tasksPerOp)
 	for i := range tasks {
 		tasks[i] = Task{ID: fmt.Sprintf("t%04d", i), Weight: float64(i % 97), Payload: payload}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bin"
 	"repro/internal/events"
 )
 
@@ -29,18 +30,18 @@ func fullMessage() *message {
 		Tasks: []Task{
 			{
 				ID: "t1", Label: "fold", Weight: 2.5,
-				Payload: json.RawMessage(`{"a":1}`), EnqueuedNS: 42, Attempt: 1,
-				EscalatePayload: json.RawMessage(`{"full":true}`),
+				Payload: []byte("\x0akernel/one\x01\x02"), EnqueuedNS: 42, Attempt: 1,
+				EscalatePayload: []byte("\x0akernel/one\x01\x03"),
 				Campaign:        "dvu-full",
 			},
 			{ID: "t2", Weight: -0.25, Campaign: "rru-pilot"},
-			{ID: "t3", Label: "relax", Payload: json.RawMessage(`"x"`)},
+			{ID: "t3", Label: "relax", Payload: []byte{0}},
 		},
 		Results: []Result{
 			{
 				TaskID: "t1", WorkerID: "w1", EnqueuedNS: 42,
 				Start: start, End: start.Add(time.Second),
-				Payload: json.RawMessage(`"ok"`), Err: "boom",
+				Payload: []byte("11.847"), Err: "boom",
 			},
 			{TaskID: "t2", WorkerID: "w1", Start: start, End: start},
 		},
@@ -80,7 +81,7 @@ func TestBinaryMessageRoundTrip(t *testing.T) {
 
 	// Decoded payloads must be copies, not views into the codec's scratch
 	// buffer: a second Decode must not corrupt the first frame's payloads.
-	if err := c.Encode(&message{Type: msgTask, Tasks: []Task{{ID: "t9", Payload: json.RawMessage(`{"overwrite":9}`)}}}); err != nil {
+	if err := c.Encode(&message{Type: msgTask, Tasks: []Task{{ID: "t9", Payload: []byte("overwrite!")}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -90,7 +91,7 @@ func TestBinaryMessageRoundTrip(t *testing.T) {
 	if err := c.Decode(&second); err != nil {
 		t.Fatal(err)
 	}
-	if string(got.Tasks[0].Payload) != `{"a":1}` {
+	if string(got.Tasks[0].Payload) != "\x0akernel/one\x01\x02" {
 		t.Errorf("first frame's payload corrupted by second Decode: %s", got.Tasks[0].Payload)
 	}
 }
@@ -138,8 +139,8 @@ func TestBinaryDecodeRejectsCorruptFrames(t *testing.T) {
 	}
 	// A frame whose task count claims ~2^30 elements in a near-empty body:
 	// the count bound must reject it before it sizes an allocation.
-	bloated := appendString(nil, msgSubmit)        // type
-	bloated = appendString(bloated, "")            // worker_id
+	bloated := bin.AppendString(nil, msgSubmit)    // type
+	bloated = bin.AppendString(bloated, "")        // worker_id
 	bloated = binary.AppendUvarint(bloated, 1<<30) // tasks count
 	// Every field is mandatory, the trailing gauges presence byte included:
 	// a frame that stops before it is a peer of another build, and the

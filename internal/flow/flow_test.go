@@ -52,7 +52,7 @@ func makeTasks(n int) []Task {
 		tasks[i] = Task{
 			ID:      fmt.Sprintf("t%03d", i),
 			Weight:  float64(i),
-			Payload: json.RawMessage(fmt.Sprintf(`{"n":%d}`, i)),
+			Payload: []byte(fmt.Sprintf(`{"n":%d}`, i)),
 		}
 	}
 	return tasks

@@ -3,6 +3,7 @@ package flow
 import (
 	"bufio"
 	"bytes"
+	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"flag"
@@ -11,26 +12,47 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/bin"
 )
 
 // -update regenerates the checked-in binary-frame fuzz corpora and the
 // wire goldens (testdata/wire); review the diff before committing.
 var updateCorpus = flag.Bool("update", false, "rewrite the checked-in binary-frame fuzz corpora and wire goldens")
 
-// FuzzDecodeSpec hardens the job-spec decoder: arbitrary payloads must
-// yield either a valid spec (non-empty kernel) or an error — never a
-// panic, and never a spec that re-encodes unfaithfully.
+// specSeeds are spec envelopes shaped like the campaign kernels' (the
+// args bytes are stand-ins: the envelope does not read them) plus the
+// malformed headers the decoder must refuse.
+func specSeeds() [][]byte {
+	spec := func(kernel string, args ...byte) []byte {
+		p, err := EncodeSpec(JobSpec{Kernel: kernel, Args: args})
+		if err != nil {
+			panic(err)
+		}
+		return p
+	}
+	return [][]byte{
+		spec("campaign/feature", 0xcd, 0xe0, 0xd2, 0x09, 0x03, 'D', 'V', 'U'),
+		spec("campaign/infer", 0xcd, 0xe0, 0xd2, 0x09, 0x00, 0x00, 0x08),
+		spec("campaign/relax", 0xb0, 0x02, 0x04),
+		spec("k"),
+		{0x00},            // empty kernel name
+		{},                // no payload
+		{0x05, 'k'},       // kernel name past the end
+		{0x81, 0x00, 'k'}, // non-minimal length varint
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, // overflowing varint
+		{0x01, 0x00}, // a NUL kernel name
+	}
+}
+
+// FuzzDecodeSpec hardens the job-spec envelope decoder: arbitrary
+// payloads must yield either a valid spec (non-empty kernel) or an error —
+// never a panic — and an accepted payload must re-encode to exactly its
+// own bytes.
 func FuzzDecodeSpec(f *testing.F) {
-	f.Add([]byte(`{"kernel":"campaign/feature","args":{"seed":1,"species":"DVU","id":"DVU_00001"}}`))
-	f.Add([]byte(`{"kernel":"campaign/feature","args":{"seed":1,"species":"DVU","id":"DVU_00001","accel":38,"jobs_per_copy":4}}`))
-	f.Add([]byte(`{"kernel":"campaign/infer","args":{"model":4,"preset":{"Name":"genome"}}}`))
-	f.Add([]byte(`{"kernel":"k"}`))
-	f.Add([]byte(`{"args":[1,2,3]}`))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(``))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`"kernel"`))
-	f.Add([]byte(`{"kernel":" "}`))
+	for _, seed := range specSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := DecodeSpec(data)
 		if err != nil {
@@ -39,17 +61,12 @@ func FuzzDecodeSpec(f *testing.F) {
 		if spec.Kernel == "" {
 			t.Fatal("DecodeSpec accepted a spec with empty kernel")
 		}
-		// A decoded spec must re-encode and decode to the same spec.
 		payload, err := EncodeSpec(spec)
 		if err != nil {
 			t.Fatalf("EncodeSpec(decoded spec): %v", err)
 		}
-		again, err := DecodeSpec(payload)
-		if err != nil {
-			t.Fatalf("DecodeSpec(re-encoded spec): %v", err)
-		}
-		if again.Kernel != spec.Kernel {
-			t.Fatalf("kernel changed across round trip: %q != %q", again.Kernel, spec.Kernel)
+		if !bytes.Equal(payload, data) {
+			t.Fatalf("spec re-encodes to %q, was %q", payload, data)
 		}
 	})
 }
@@ -80,13 +97,18 @@ func FuzzParseSchedulerFile(f *testing.F) {
 // re-encodes losslessly (modulo JSON field order, which the re-decode
 // absorbs).
 func FuzzDecodeMessage(f *testing.F) {
+	// Payloads are opaque bytes, which the JSON codec carries as base64.
+	p64 := base64.StdEncoding.EncodeToString
+	seeds := specSeeds()
+	feature, infer, k := p64(seeds[0]), p64(seeds[1]), p64(seeds[3])
+	seconds := p64([]byte("412.375"))
 	f.Add([]byte(`{"type":"register","worker_id":"w1"}`))
-	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","weight":2.5,"payload":{"kernel":"k"}}]}`))
-	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","enqueued_ns":1643068800000000000,"payload":{"kernel":"campaign/feature","args":{"id":"DVU_00001"}}}]}`))
+	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","weight":2.5,"payload":"` + k + `"}]}`))
+	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","enqueued_ns":1643068800000000000,"payload":"` + feature + `"}]}`))
 	f.Add([]byte(`{"type":"result","results":[{"task_id":"t1","worker_id":"w1","start":"2022-01-25T00:00:00Z","end":"2022-01-25T00:00:01Z","error":"boom"}]}`))
-	f.Add([]byte(`{"type":"result","results":[{"task_id":"t1","worker_id":"w1","enqueued_ns":1643068800000000000,"start":"2022-01-25T00:00:01Z","end":"2022-01-25T00:00:02Z","payload":{"seconds":412.375}}]}`))
+	f.Add([]byte(`{"type":"result","results":[{"task_id":"t1","worker_id":"w1","enqueued_ns":1643068800000000000,"start":"2022-01-25T00:00:01Z","end":"2022-01-25T00:00:02Z","payload":"` + seconds + `"}]}`))
 	f.Add([]byte(`{"type":"submit","tasks":[{"id":"a"},{"id":"b"}]}`))
-	f.Add([]byte(`{"type":"submit","tasks":[{"id":"0","label":"DVU_00001/m2","payload":{"kernel":"campaign/infer"}}]}`))
+	f.Add([]byte(`{"type":"submit","tasks":[{"id":"0","label":"DVU_00001/m2","payload":"` + infer + `"}]}`))
 	f.Add([]byte(`{"type":"accepted","count":2}`))
 	f.Add([]byte(`{"type":"subscribe"}`))
 	f.Add([]byte(`{"type":"event","event":{"seq":7,"t_ns":1500,"type":"assigned","task":"DVU_00001","worker":"w1"}}`))
@@ -95,12 +117,12 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte(`{"type":"heartbeat","worker_id":"w1"}`))
 	f.Add([]byte(`{"type":"heartbeat","worker_id":"w1","gauges":{"goroutines":9,"heap_bytes":1048576,"tasks_executed":42,"busy_ns":1500000000}}`))
 	f.Add([]byte(`{"type":"heartbeat","worker_id":"w1","gauges":{}}`))
-	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","attempt":2,"payload":{"mem":16},"escalate_payload":{"mem":512}}]}`))
+	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","attempt":2,"payload":"` + infer + `","escalate_payload":"` + p64([]byte{0x0e}) + `"}]}`))
 	f.Add([]byte(`{"type":"event","event":{"seq":3,"t_ns":9,"type":"queued","task":"a","attempt":1}}`))
 	f.Add([]byte(`{"type":"event","event":{"seq":4,"t_ns":10,"type":"quarantined","task":"a","attempt":3}}`))
 	f.Add([]byte(`{"type":"event","event":{"seq":5,"t_ns":11,"type":"worker_lost","worker":"w1","error":"silent"}}`))
 	f.Add([]byte(`{"type":"submit","campaign":"dvu-full","tasks":[{"id":"a"},{"id":"b","campaign":"rru-pilot"}]}`))
-	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","campaign":"dvu-full","payload":{"kernel":"k"}}]}`))
+	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","campaign":"dvu-full","payload":"` + k + `"}]}`))
 	f.Add([]byte(`{"type":"event","event":{"seq":9,"t_ns":12,"type":"done","task":"a","worker":"w1","campaign":"dvu-full"}}`))
 	f.Add([]byte(`{"type":"result","results":[{"task_id":"a","worker_id":"w1","start":"2022-01-25T00:00:00Z","end":"2022-01-25T00:00:01Z"},{"task_id":"b","worker_id":"w1","start":"2022-01-25T00:00:01Z","end":"2022-01-25T00:00:02Z","error":"boom"}]}`))
 	f.Add([]byte(`{"type":1}`))
@@ -132,13 +154,13 @@ func FuzzDecodeMessage(f *testing.F) {
 			a, b := &m.Tasks[i], &again.Tasks[i]
 			if a.ID != b.ID || a.Label != b.Label || a.EnqueuedNS != b.EnqueuedNS ||
 				a.Attempt != b.Attempt || a.Campaign != b.Campaign ||
-				compactJSON(a.EscalatePayload) != compactJSON(b.EscalatePayload) {
+				!bytes.Equal(a.Payload, b.Payload) || !bytes.Equal(a.EscalatePayload, b.EscalatePayload) {
 				t.Fatalf("task %d changed across round trip: %+v != %+v", i, *b, *a)
 			}
 		}
 		for i := range m.Results {
 			a, b := &m.Results[i], &again.Results[i]
-			if a.TaskID != b.TaskID || a.Err != b.Err || a.EnqueuedNS != b.EnqueuedNS {
+			if a.TaskID != b.TaskID || a.Err != b.Err || a.EnqueuedNS != b.EnqueuedNS || !bytes.Equal(a.Payload, b.Payload) {
 				t.Fatalf("result %d changed across round trip: %+v != %+v", i, *b, *a)
 			}
 		}
@@ -168,14 +190,14 @@ func FuzzAcceptHello(f *testing.F) {
 	f.Add([]byte(helloLine(WireBinary)))
 	f.Add([]byte("flow-wire json\n"))
 	f.Add([]byte("flow-wire binary 0\n"))
-	f.Add([]byte("flow-wire binary 2 \n"))
-	f.Add([]byte("flow-wire  2\n"))
-	f.Add([]byte("flow-wire json 02\n"))
+	f.Add([]byte("flow-wire binary 3 \n"))
+	f.Add([]byte("flow-wire  3\n"))
+	f.Add([]byte("flow-wire json 03\n"))
 	f.Add([]byte("flow-wire json 18446744073709551617\n"))
-	f.Add([]byte("flow-wire msgpack 2\n"))
+	f.Add([]byte("flow-wire msgpack 3\n"))
 	f.Add([]byte(`{"type":"register","worker_id":"w1"}` + "\n"))
 	f.Add([]byte("GET /metrics HTTP/1.1\r\n\r\n"))
-	f.Add([]byte("flow-wire json 2"))
+	f.Add([]byte("flow-wire json 3"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := acceptCodec(bufio.NewReader(bytes.NewReader(data)), bufio.NewWriter(io.Discard))
@@ -205,9 +227,9 @@ func binaryCorpus() map[string][]byte {
 	gaugedBeat := appendMessage(nil, &message{Type: msgHeartbeat, WorkerID: "w1",
 		Gauges: &WorkerGauges{Goroutines: 9, HeapBytes: 1 << 20, TasksExecuted: 42, BusyNS: 1500000000}})
 	batch := appendMessage(nil, &message{Type: msgTask, Tasks: []Task{
-		{ID: "t1", Payload: json.RawMessage(`{"kernel":"k"}`)},
-		{ID: "t2", Payload: json.RawMessage(`{"kernel":"k"}`)},
-		{ID: "t3", Payload: json.RawMessage(`{"kernel":"k"}`)},
+		{ID: "t1", Payload: specSeeds()[3]},
+		{ID: "t2", Payload: specSeeds()[3]},
+		{ID: "t3", Payload: specSeeds()[3]},
 	}})
 	return map[string][]byte{
 		// A frame whose header promises more body than arrives.
@@ -254,13 +276,10 @@ func FuzzDecodeBinaryFrame(f *testing.F) {
 		}
 		b1 := appendMessage(nil, &m)
 		var again message
-		r := binReader{b: b1}
+		r := bin.NewReader(b1, frameWhat)
 		readMessage(&r, &again)
-		if r.err != nil {
-			t.Fatalf("canonical re-encoding does not decode: %v", r.err)
-		}
-		if len(r.b) != 0 {
-			t.Fatalf("canonical re-encoding leaves %d trailing bytes", len(r.b))
+		if err := r.End(); err != nil {
+			t.Fatalf("canonical re-encoding does not decode: %v", err)
 		}
 		if b2 := appendMessage(nil, &again); !bytes.Equal(b1, b2) {
 			t.Fatal("canonical encoding is not a fixed point")
@@ -293,18 +312,4 @@ func TestBinaryFuzzCorpusUpToDate(t *testing.T) {
 			t.Errorf("corpus entry %s is stale; run `go test -update ./internal/flow` and review", name)
 		}
 	}
-}
-
-// compactJSON normalises a raw payload for comparison: the encoder
-// compacts RawMessage whitespace, so only the compact form is stable
-// across a round trip.
-func compactJSON(raw json.RawMessage) string {
-	if len(raw) == 0 {
-		return ""
-	}
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, raw); err != nil {
-		return string(raw)
-	}
-	return buf.String()
 }

@@ -71,7 +71,7 @@ func TestLateResultFromDroppedWorkerIgnored(t *testing.T) {
 
 	done := make(chan []Result, 1)
 	go func() {
-		res, _ := c.Map([]Task{{ID: "t0", Payload: json.RawMessage(`1`)}}, nil)
+		res, _ := c.Map([]Task{{ID: "t0", Payload: []byte(`1`)}}, nil)
 		done <- res
 	}()
 
@@ -98,9 +98,9 @@ func TestLateResultFromDroppedWorkerIgnored(t *testing.T) {
 	// The late result must be dropped; the holder's genuine ack (queued
 	// behind it, so ordering is exact) settles the task.
 	s.sendEvent(schedEvent{kind: inResult, wc: ghost,
-		ress: []Result{{TaskID: "t0", WorkerID: "ghost", Payload: json.RawMessage(`"stale"`)}}})
+		ress: []Result{{TaskID: "t0", WorkerID: "ghost", Payload: []byte(`"stale"`)}}})
 	s.sendEvent(schedEvent{kind: inResult, wc: holder,
-		ress: []Result{{TaskID: "t0", WorkerID: "holder", Payload: json.RawMessage(`"fresh"`)}}})
+		ress: []Result{{TaskID: "t0", WorkerID: "holder", Payload: []byte(`"fresh"`)}}})
 
 	var res []Result
 	select {
@@ -139,8 +139,8 @@ func TestSendFailureChargesRetryBudget(t *testing.T) {
 	go func() {
 		res, _ := c.Map([]Task{{
 			ID:              "frag",
-			Payload:         json.RawMessage(`{"mem":16}`),
-			EscalatePayload: json.RawMessage(`{"mem":512}`),
+			Payload:         []byte(`{"mem":16}`),
+			EscalatePayload: []byte(`{"mem":512}`),
 		}}, nil)
 		done <- res
 	}()
@@ -218,12 +218,12 @@ func TestMapDedupesDuplicateResults(t *testing.T) {
 			return
 		}
 		enc.Encode(&message{Type: msgAccepted, Count: len(m.Tasks)})
-		enc.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "a", Payload: json.RawMessage(`"first"`)}}})
+		enc.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "a", Payload: []byte(`"first"`)}}})
 		// A duplicate ack for a, then a result for a task never submitted:
 		// both must be ignored.
 		enc.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "a", Err: "late duplicate"}}})
 		enc.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "stranger"}}})
-		enc.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "b", Payload: json.RawMessage(`"second"`)}}})
+		enc.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "b", Payload: []byte(`"second"`)}}})
 		// Hold the connection open so a premature extra read blocks
 		// instead of erroring.
 		var hold message
@@ -271,8 +271,8 @@ func TestQuotaDefersAdmissionAndAck(t *testing.T) {
 	conn := dialJSON(t, addr)
 	enc := json.NewEncoder(conn)
 	if err := enc.Encode(&message{Type: msgSubmit, Campaign: "solo", Tasks: []Task{
-		{ID: "q0", Payload: json.RawMessage(`1`)},
-		{ID: "q1", Payload: json.RawMessage(`2`)},
+		{ID: "q0", Payload: []byte(`1`)},
+		{ID: "q1", Payload: []byte(`2`)},
 	}}); err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestFairShareInterleavesTwoCampaigns(t *testing.T) {
 	tasksFor := func(prefix string, n int) []Task {
 		tasks := make([]Task, n)
 		for i := range tasks {
-			tasks[i] = Task{ID: fmt.Sprintf("%s%d", prefix, i), Payload: json.RawMessage(`0`)}
+			tasks[i] = Task{ID: fmt.Sprintf("%s%d", prefix, i), Payload: []byte(`0`)}
 		}
 		return tasks
 	}
@@ -489,7 +489,7 @@ func TestMonitorCampaignFilter(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Campaign = campaign
-		if _, err := c.Map([]Task{{ID: campaign + "-0", Payload: json.RawMessage(`1`)}}, nil); err != nil {
+		if _, err := c.Map([]Task{{ID: campaign + "-0", Payload: []byte(`1`)}}, nil); err != nil {
 			t.Fatal(err)
 		}
 		c.Close()

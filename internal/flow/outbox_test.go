@@ -42,7 +42,7 @@ func wedgeWorker(t *testing.T, addr, id string) net.Conn {
 // batched handout frame overflows every kernel socket buffer in the path
 // and a non-reading peer genuinely blocks the write.
 func bulkTasks(n, size int) []Task {
-	payload := json.RawMessage(`"` + strings.Repeat("A", size) + `"`)
+	payload := []byte(`"` + strings.Repeat("A", size) + `"`)
 	tasks := make([]Task, n)
 	for i := range tasks {
 		tasks[i] = Task{ID: fmt.Sprintf("bulk%03d", i), Payload: payload}

@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -201,7 +200,7 @@ func TestFIFOPolicyRequeueIntoDeepQueue(t *testing.T) {
 	p := &lane{}
 	for i := 0; i < depth; i++ {
 		q := queuedTask(fmt.Sprintf("t%05d", i), "", nil)
-		q.task.Payload = json.RawMessage(`{"kernel":"k"}`)
+		q.task.Payload = []byte(`{"kernel":"k"}`)
 		p.Push(q)
 	}
 	popped := make([]queued, 0, batch)

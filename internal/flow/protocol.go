@@ -33,7 +33,7 @@
 // PolicyFIFO all tenants share one.
 //
 // Every connection opens with a one-line hello naming its codec and the
-// wire version ("flow-wire binary 2"), staged in the same flush as the
+// wire version ("flow-wire binary 3"), staged in the same flush as the
 // first frame. The paper starts scheduler, workers and client from one
 // software environment inside one batch job, and so does this tree: the
 // protocol has exactly one version, a peer that offers none or another
@@ -41,8 +41,11 @@
 // one shape. Two codecs frame the same envelope — a length-prefixed
 // binary layout (WireBinary, the default) and newline-delimited JSON
 // (WireJSON, for a stream a person can read) — and peers speaking
-// different codecs share one scheduler freely. Only the standard library
-// is used.
+// different codecs share one scheduler freely. Task and result payloads
+// are opaque bytes to the engine, carried verbatim by the binary codec
+// and as base64 by the JSON one; what they mean is between a submitter
+// and the kernel it names (see JobSpec). Only the standard library is
+// used.
 package flow
 
 import (
@@ -65,8 +68,10 @@ type Task struct {
 	Label string `json:"label,omitempty"`
 	// Weight is used by scheduling policies (e.g. sequence length for the
 	// paper's longest-first sort); the engine itself does not interpret it.
-	Weight  float64         `json:"weight,omitempty"`
-	Payload json.RawMessage `json:"payload,omitempty"`
+	Weight float64 `json:"weight,omitempty"`
+	// Payload is opaque bytes to the engine (a spec-serving worker reads
+	// a JobSpec envelope from it); the JSON codec carries it as base64.
+	Payload []byte `json:"payload,omitempty"`
 	// EnqueuedNS is stamped by the scheduler (unix nanoseconds) when the
 	// task enters its queue and travels with the assignment so the worker
 	// can echo it in the Result — the queue-time half of the paper's
@@ -83,7 +88,7 @@ type Task struct {
 	// first time the task is requeued after a worker death — the paper's
 	// high-memory retry wave moved scheduler-side, so a task that killed
 	// its worker is redelivered with escalated resources automatically.
-	EscalatePayload json.RawMessage `json:"escalate_payload,omitempty"`
+	EscalatePayload []byte `json:"escalate_payload,omitempty"`
 	// Campaign is the multi-tenant namespace of the task — the submitting
 	// campaign it belongs to, as on the paper's shared Summit scheduler
 	// where many submitters coexist on one worker fleet. The fair-share
@@ -97,13 +102,14 @@ type Task struct {
 // the paper's CSV collects: worker identity, the scheduler's enqueue
 // stamp, and the handler's start/end bracket.
 type Result struct {
-	TaskID     string          `json:"task_id"`
-	WorkerID   string          `json:"worker_id"`
-	EnqueuedNS int64           `json:"enqueued_ns,omitempty"`
-	Start      time.Time       `json:"start"`
-	End        time.Time       `json:"end"`
-	Payload    json.RawMessage `json:"payload,omitempty"`
-	Err        string          `json:"error,omitempty"`
+	TaskID     string    `json:"task_id"`
+	WorkerID   string    `json:"worker_id"`
+	EnqueuedNS int64     `json:"enqueued_ns,omitempty"`
+	Start      time.Time `json:"start"`
+	End        time.Time `json:"end"`
+	// Payload is the handler's result, opaque bytes like Task.Payload.
+	Payload []byte `json:"payload,omitempty"`
+	Err     string `json:"error,omitempty"`
 }
 
 // Duration returns the task processing time.

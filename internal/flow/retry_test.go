@@ -192,8 +192,8 @@ func TestEscalatePayloadOnRetry(t *testing.T) {
 
 	task := Task{
 		ID:              "oom",
-		Payload:         json.RawMessage(`{"mem":16}`),
-		EscalatePayload: json.RawMessage(`{"mem":512}`),
+		Payload:         []byte(`{"mem":16}`),
+		EscalatePayload: []byte(`{"mem":512}`),
 	}
 	done := make(chan []Result, 1)
 	go func() {
@@ -320,7 +320,7 @@ func TestHeartbeatKeepsSlowWorkerAlive(t *testing.T) {
 	}
 	t.Cleanup(w.Close)
 
-	res, err := c.Map([]Task{{ID: "t0", Payload: json.RawMessage(`1`)}}, nil)
+	res, err := c.Map([]Task{{ID: "t0", Payload: []byte(`1`)}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestWorkerStartsBeforeScheduler(t *testing.T) {
 	}
 	t.Cleanup(client.Close)
 
-	res, err := client.Map([]Task{{ID: "t0", Payload: json.RawMessage(`"hi"`)}}, nil)
+	res, err := client.Map([]Task{{ID: "t0", Payload: []byte(`"hi"`)}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

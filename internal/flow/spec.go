@@ -5,23 +5,37 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/bin"
 )
 
 // JobSpec is the serializable form of one unit of work: the name of a
-// registered stage kernel plus its JSON-encoded arguments. Closures cannot
+// registered stage kernel plus its encoded arguments. Closures cannot
 // cross process boundaries, so a multi-process deployment ships specs — a
 // worker in another OS process (or on another host) resolves the kernel
 // name against its local Registry and runs it. A spec travels as the
-// opaque Payload of a Task.
+// opaque Payload of a Task, in a positional envelope:
+//
+//	uvarint len(kernel) · kernel · args
+//
+// The args bytes are the kernel's own layout; the envelope does not
+// interpret them.
 type JobSpec struct {
-	Kernel string          `json:"kernel"`
-	Args   json.RawMessage `json:"args,omitempty"`
+	Kernel string
+	Args   []byte
 }
 
 // KernelFunc is the executable body of a named job: a pure function of its
-// JSON arguments. Kernels run on worker goroutines and may be invoked
-// concurrently, so they must be safe for concurrent use.
-type KernelFunc func(args json.RawMessage) (json.RawMessage, error)
+// encoded arguments, returning its encoded result. Kernels run on worker
+// goroutines and may be invoked concurrently, so they must be safe for
+// concurrent use.
+type KernelFunc func(args []byte) ([]byte, error)
+
+// BinaryAppender is an argument block that appends its binary layout to
+// b (the method set of the standard library's encoding.BinaryAppender).
+type BinaryAppender interface {
+	AppendBinary(b []byte) ([]byte, error)
+}
 
 // Registry maps kernel names to their bodies. It is safe for concurrent
 // use; registration normally happens once at worker startup.
@@ -53,14 +67,6 @@ func (r *Registry) Register(name string, fn KernelFunc) error {
 	return nil
 }
 
-// Lookup returns the kernel registered under name.
-func (r *Registry) Lookup(name string) (KernelFunc, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	fn, ok := r.kernels[name]
-	return fn, ok
-}
-
 // Names returns the registered kernel names, sorted.
 func (r *Registry) Names() []string {
 	r.mu.RLock()
@@ -73,21 +79,24 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Run decodes a task payload as a JobSpec and executes the named kernel.
-func (r *Registry) Run(payload json.RawMessage) (json.RawMessage, error) {
-	spec, err := DecodeSpec(payload)
+// Run decodes a task payload's spec envelope and executes the named
+// kernel on its args.
+func (r *Registry) Run(payload []byte) ([]byte, error) {
+	kernel, args, err := splitSpec(payload)
 	if err != nil {
 		return nil, err
 	}
-	fn, ok := r.Lookup(spec.Kernel)
+	r.mu.RLock()
+	fn, ok := r.kernels[string(kernel)]
+	r.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("flow: unknown kernel %q (registered: %v)", spec.Kernel, r.Names())
+		return nil, fmt.Errorf("flow: unknown kernel %q (registered: %v)", kernel, r.Names())
 	}
-	return fn(spec.Args)
+	return fn(args)
 }
 
 // Handler adapts the registry to a worker Handler: every received task is
-// expected to carry a JobSpec payload. This is the handler a standalone
+// expected to carry a spec payload. This is the handler a standalone
 // `proteomectl worker` process serves with.
 func (r *Registry) Handler() Handler {
 	return func(t Task) (json.RawMessage, error) {
@@ -111,46 +120,79 @@ func DefaultRegistry() *Registry { return defaultRegistry }
 func SpecHandler() Handler { return defaultRegistry.Handler() }
 
 // RunSpec executes a spec payload against the default registry.
-func RunSpec(payload json.RawMessage) (json.RawMessage, error) {
+func RunSpec(payload []byte) ([]byte, error) {
 	return defaultRegistry.Run(payload)
 }
 
-// EncodeSpec marshals a spec into a task payload.
-func EncodeSpec(spec JobSpec) (json.RawMessage, error) {
-	if spec.Kernel == "" {
+// specWhat names the spec envelope in decode errors.
+const specWhat = "flow: job spec"
+
+// appendSpecHeader appends the envelope's kernel name.
+func appendSpecHeader(b []byte, kernel string) ([]byte, error) {
+	if kernel == "" {
 		return nil, fmt.Errorf("flow: spec has empty kernel name")
 	}
-	return json.Marshal(spec)
+	return bin.AppendString(b, kernel), nil
 }
 
-// DecodeSpec parses a task payload as a JobSpec. Empty payloads, malformed
-// JSON, and specs without a kernel name are errors.
-func DecodeSpec(payload json.RawMessage) (JobSpec, error) {
+// EncodeSpec builds a task payload from a spec.
+func EncodeSpec(spec JobSpec) ([]byte, error) {
+	b, err := appendSpecHeader(make([]byte, 0, 1+len(spec.Kernel)+len(spec.Args)), spec.Kernel)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, spec.Args...), nil
+}
+
+// splitSpec parses a spec envelope without copying: the kernel name and
+// the args are views into payload.
+func splitSpec(payload []byte) (kernel, args []byte, err error) {
 	if len(payload) == 0 {
-		return JobSpec{}, fmt.Errorf("flow: task has no spec payload")
+		return nil, nil, fmt.Errorf("flow: task has no spec payload")
 	}
-	var spec JobSpec
-	if err := json.Unmarshal(payload, &spec); err != nil {
-		return JobSpec{}, fmt.Errorf("flow: decoding job spec: %w", err)
+	r := bin.NewReader(payload, specWhat)
+	if kernel = r.Raw("kernel name"); r.Err() == nil && len(kernel) == 0 {
+		r.Fail("kernel name")
 	}
-	if spec.Kernel == "" {
-		return JobSpec{}, fmt.Errorf("flow: job spec has empty kernel name")
+	if err := r.Err(); err != nil {
+		return nil, nil, err
 	}
-	return spec, nil
+	return kernel, r.Rest(), nil
 }
 
-// NewSpecTask builds a Task carrying a named-job spec, marshaling args to
-// JSON.
-func NewSpecTask(id string, weight float64, kernel string, args any) (Task, error) {
-	var raw json.RawMessage
-	if args != nil {
-		var err error
-		raw, err = json.Marshal(args)
-		if err != nil {
-			return Task{}, fmt.Errorf("flow: marshaling args for kernel %q: %w", kernel, err)
-		}
+// DecodeSpec parses a task payload as a JobSpec; Args is a view into
+// payload. Empty payloads, truncated envelopes and specs without a kernel
+// name are errors.
+func DecodeSpec(payload []byte) (JobSpec, error) {
+	kernel, args, err := splitSpec(payload)
+	if err != nil {
+		return JobSpec{}, err
 	}
-	payload, err := EncodeSpec(JobSpec{Kernel: kernel, Args: raw})
+	return JobSpec{Kernel: string(kernel), Args: args}, nil
+}
+
+// NewSpecTask builds a Task carrying a named-job spec. args is the
+// kernel's argument block: encoded bytes, a BinaryAppender that encodes
+// itself, or nil for none. Any other type is an error: the envelope has
+// one encoding.
+func NewSpecTask(id string, weight float64, kernel string, args any) (Task, error) {
+	var payload []byte
+	var err error
+	switch a := args.(type) {
+	case nil:
+		payload, err = EncodeSpec(JobSpec{Kernel: kernel})
+	case []byte:
+		payload, err = EncodeSpec(JobSpec{Kernel: kernel, Args: a})
+	case BinaryAppender:
+		// Room for a campaign spec's args, so the payload is allocated once.
+		if payload, err = appendSpecHeader(make([]byte, 0, 1+len(kernel)+128), kernel); err == nil {
+			if payload, err = a.AppendBinary(payload); err != nil {
+				err = fmt.Errorf("flow: encoding args for kernel %q: %w", kernel, err)
+			}
+		}
+	default:
+		err = fmt.Errorf("flow: args for kernel %q are a %T, neither []byte nor a BinaryAppender", kernel, args)
+	}
 	if err != nil {
 		return Task{}, err
 	}

@@ -1,14 +1,31 @@
 package flow
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/bin"
 )
+
+// varintArg is a test kernel's argument block: one signed varint.
+type varintArg int
+
+func (v varintArg) AppendBinary(b []byte) ([]byte, error) {
+	return binary.AppendVarint(b, int64(v)), nil
+}
+
+func readVarint(p []byte) (int, error) {
+	r := bin.NewReader(p, "test arg")
+	n := r.Int("n")
+	return n, r.End()
+}
 
 func TestRegistryRegisterAndRun(t *testing.T) {
 	r := NewRegistry()
-	echo := func(args json.RawMessage) (json.RawMessage, error) { return args, nil }
+	echo := func(args []byte) ([]byte, error) { return args, nil }
 	if err := r.Register("echo", echo); err != nil {
 		t.Fatal(err)
 	}
@@ -24,23 +41,20 @@ func TestRegistryRegisterAndRun(t *testing.T) {
 	if got := r.Names(); len(got) != 1 || got[0] != "echo" {
 		t.Errorf("Names() = %v", got)
 	}
-	if _, ok := r.Lookup("echo"); !ok {
-		t.Error("Lookup(echo) missed")
-	}
-	if _, ok := r.Lookup("ghost"); ok {
-		t.Error("Lookup(ghost) hit")
-	}
 
-	payload, err := EncodeSpec(JobSpec{Kernel: "echo", Args: json.RawMessage(`{"x":1}`)})
+	payload, err := EncodeSpec(JobSpec{Kernel: "echo", Args: []byte{1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := []byte("\x04echo\x01\x02\x03"); !bytes.Equal(payload, want) {
+		t.Errorf("envelope = %q, want %q", payload, want)
 	}
 	out, err := r.Run(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(out) != `{"x":1}` {
-		t.Errorf("Run = %s", out)
+	if !bytes.Equal(out, []byte{1, 2, 3}) {
+		t.Errorf("Run = %v", out)
 	}
 }
 
@@ -49,7 +63,7 @@ func TestRegistryRunErrors(t *testing.T) {
 	if _, err := r.Run(nil); err == nil {
 		t.Error("Run(nil payload) succeeded")
 	}
-	if _, err := r.Run(json.RawMessage(`{"kernel":"ghost"}`)); err == nil ||
+	if _, err := r.Run([]byte("\x05ghost")); err == nil ||
 		!strings.Contains(err.Error(), "unknown kernel") {
 		t.Errorf("Run(unknown kernel) err = %v", err)
 	}
@@ -57,14 +71,14 @@ func TestRegistryRunErrors(t *testing.T) {
 
 func TestRegistryHandler(t *testing.T) {
 	r := NewRegistry()
-	_ = r.Register("double", func(args json.RawMessage) (json.RawMessage, error) {
-		var n int
-		if err := json.Unmarshal(args, &n); err != nil {
+	_ = r.Register("double", func(args []byte) ([]byte, error) {
+		n, err := readVarint(args)
+		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(2 * n)
+		return varintArg(2 * n).AppendBinary(nil)
 	})
-	task, err := NewSpecTask("t1", 0, "double", 21)
+	task, err := NewSpecTask("t1", 0, "double", varintArg(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +86,8 @@ func TestRegistryHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(out) != "42" {
-		t.Errorf("handler = %s", out)
+	if n, err := readVarint(out); err != nil || n != 42 {
+		t.Errorf("handler = %v (%v), want 42", out, err)
 	}
 	// A task without a spec payload is an error for a spec-serving worker.
 	if _, err := r.Handler()(Task{ID: "t2"}); err == nil {
@@ -87,23 +101,26 @@ func TestDecodeSpec(t *testing.T) {
 		payload string
 		wantErr bool
 		kernel  string
+		args    string
 	}{
-		{name: "ok", payload: `{"kernel":"k","args":[1,2]}`, kernel: "k"},
-		{name: "no args", payload: `{"kernel":"k"}`, kernel: "k"},
+		{name: "ok", payload: "\x01k\x01\x02", kernel: "k", args: "\x01\x02"},
+		{name: "no args", payload: "\x01k", kernel: "k"},
 		{name: "empty payload", payload: "", wantErr: true},
-		{name: "not json", payload: `{kernel}`, wantErr: true},
+		// A JSON spec: '{' reads as a 123-byte kernel name the payload
+		// does not hold.
+		{name: "not json", payload: `{"kernel":"k"}`, wantErr: true},
 		{name: "wrong type", payload: `42`, wantErr: true},
-		{name: "missing kernel", payload: `{"args":{}}`, wantErr: true},
-		{name: "empty kernel", payload: `{"kernel":""}`, wantErr: true},
+		{name: "missing kernel", payload: "\x80", wantErr: true},
+		{name: "empty kernel", payload: "\x00\x01", wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			spec, err := DecodeSpec(json.RawMessage(tt.payload))
+			spec, err := DecodeSpec([]byte(tt.payload))
 			if (err != nil) != tt.wantErr {
 				t.Fatalf("DecodeSpec(%q) error = %v, wantErr %v", tt.payload, err, tt.wantErr)
 			}
-			if err == nil && spec.Kernel != tt.kernel {
-				t.Errorf("kernel = %q, want %q", spec.Kernel, tt.kernel)
+			if err == nil && (spec.Kernel != tt.kernel || string(spec.Args) != tt.args) {
+				t.Errorf("spec = %q %q, want %q %q", spec.Kernel, spec.Args, tt.kernel, tt.args)
 			}
 		})
 	}
@@ -113,14 +130,13 @@ func TestEncodeSpecRejectsEmptyKernel(t *testing.T) {
 	if _, err := EncodeSpec(JobSpec{}); err == nil {
 		t.Error("EncodeSpec with empty kernel succeeded")
 	}
+	if _, err := NewSpecTask("t", 0, "", nil); err == nil {
+		t.Error("NewSpecTask with empty kernel succeeded")
+	}
 }
 
 func TestNewSpecTaskRoundTrip(t *testing.T) {
-	type args struct {
-		ID string `json:"id"`
-		N  int    `json:"n"`
-	}
-	task, err := NewSpecTask("job-7", 3.5, "stage/kernel", args{ID: "p1", N: 9})
+	task, err := NewSpecTask("job-7", 3.5, "stage/kernel", varintArg(-9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,16 +147,26 @@ func TestNewSpecTaskRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got args
-	if err := json.Unmarshal(spec.Args, &got); err != nil {
-		t.Fatal(err)
+	if n, err := readVarint(spec.Args); spec.Kernel != "stage/kernel" || err != nil || n != -9 {
+		t.Errorf("spec = %q %v (%v)", spec.Kernel, n, err)
 	}
-	if got != (args{ID: "p1", N: 9}) {
-		t.Errorf("args = %+v", got)
+	// Pre-encoded args travel verbatim, and no args is an empty block.
+	for _, args := range []any{[]byte{7, 8}, nil} {
+		task, err := NewSpecTask("raw", 0, "k", args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := args.([]byte)
+		if spec, err := DecodeSpec(task.Payload); err != nil || !bytes.Equal(spec.Args, want) {
+			t.Errorf("args %v decode to %v (%v)", args, spec.Args, err)
+		}
 	}
-	// Unmarshalable args fail loudly.
-	if _, err := NewSpecTask("bad", 0, "k", func() {}); err == nil {
-		t.Error("NewSpecTask with func arg succeeded")
+	// One encoding: anything that is neither bytes nor a BinaryAppender
+	// fails loudly rather than falling back to JSON.
+	for _, args := range []any{21, "x", json.RawMessage(`1`), func() {}} {
+		if _, err := NewSpecTask("bad", 0, "k", args); err == nil {
+			t.Errorf("NewSpecTask with %T args succeeded", args)
+		}
 	}
 }
 
@@ -174,12 +200,12 @@ func TestParseSchedulerFile(t *testing.T) {
 // scheduler/worker/client round trip with a local registry handler.
 func TestSpecTasksThroughCluster(t *testing.T) {
 	r := NewRegistry()
-	_ = r.Register("inc", func(args json.RawMessage) (json.RawMessage, error) {
-		var n int
-		if err := json.Unmarshal(args, &n); err != nil {
+	_ = r.Register("inc", func(args []byte) ([]byte, error) {
+		n, err := readVarint(args)
+		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(n + 1)
+		return varintArg(n + 1).AppendBinary(nil)
 	})
 
 	s := NewScheduler()
@@ -201,7 +227,7 @@ func TestSpecTasksThroughCluster(t *testing.T) {
 
 	tasks := make([]Task, 10)
 	for i := range tasks {
-		tasks[i], err = NewSpecTask(string(rune('a'+i)), 0, "inc", i)
+		tasks[i], err = NewSpecTask(string(rune('a'+i)), 0, "inc", varintArg(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,8 +243,8 @@ func TestSpecTasksThroughCluster(t *testing.T) {
 		if res.Failed() {
 			t.Fatalf("task %s failed: %s", res.TaskID, res.Err)
 		}
-		var n int
-		if err := json.Unmarshal(res.Payload, &n); err != nil {
+		n, err := readVarint(res.Payload)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if want := int(res.TaskID[0]-'a') + 1; n != want {

@@ -143,7 +143,7 @@ func TestDuplicateAckFromLiveWorker(t *testing.T) {
 	rw := dialRawWorker(t, addr, "echoing")
 	t.Cleanup(func() { rw.conn.Close() })
 	first := rw.awaitTask(t)
-	ack := message{Type: msgResult, Results: []Result{{TaskID: first.ID, WorkerID: "echoing", Payload: json.RawMessage(`"once"`)}}}
+	ack := message{Type: msgResult, Results: []Result{{TaskID: first.ID, WorkerID: "echoing", Payload: []byte(`"once"`)}}}
 	for i := 0; i < 2; i++ { // the ack, and its duplicate
 		if err := rw.enc.Encode(ack); err != nil {
 			t.Fatal(err)

@@ -348,7 +348,7 @@ func (sc *scene) submit(c *txClient, n int, payload, escalate string, campaigns 
 	}
 	tasks := make([]Task, n)
 	for i := range tasks {
-		tasks[i] = Task{ID: fmt.Sprintf("t%03d", sc.nextID), Payload: json.RawMessage(payload), EscalatePayload: json.RawMessage(escalate)}
+		tasks[i] = Task{ID: fmt.Sprintf("t%03d", sc.nextID), Payload: []byte(payload), EscalatePayload: []byte(escalate)}
 		if len(campaigns) > 0 {
 			tasks[i].Campaign = campaigns[i%len(campaigns)]
 		}

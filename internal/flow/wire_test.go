@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,23 +18,30 @@ import (
 // peers send it.
 func wireFrames() map[string]*message {
 	start := time.Unix(1643068800, 250000000).UTC()
+	// Spec envelopes around stand-in args, and a scalar result.
+	spec := func(args ...byte) []byte {
+		p, err := EncodeSpec(JobSpec{Kernel: "campaign/feature", Args: args})
+		if err != nil {
+			panic(err)
+		}
+		return p
+	}
 	return map[string]*message{
 		msgRegister: {Type: msgRegister, WorkerID: "w1"},
 		msgHeartbeat: {Type: msgHeartbeat, WorkerID: "w1",
 			Gauges: &WorkerGauges{Goroutines: 9, HeapBytes: 1 << 20, TasksExecuted: 42, BusyNS: 1500000000}},
 		msgSubmit: {Type: msgSubmit, Campaign: "dvu-full", Tasks: []Task{
-			{ID: "0", Label: "DVU_00001", Weight: 312, Payload: json.RawMessage(`{"kernel":"campaign/feature","args":{"id":"DVU_00001"}}`),
-				EscalatePayload: json.RawMessage(`{"kernel":"campaign/feature","args":{"id":"DVU_00001","mem":512}}`)},
+			{ID: "0", Label: "DVU_00001", Weight: 312, Payload: spec(0x03, 'D', 'V', 'U'), EscalatePayload: spec(0x03, 'D', 'V', 'U', 0x80, 0x04)},
 			{ID: "1", Label: "DVU_00002", Weight: 97.5, Campaign: "rru-pilot"},
 		}},
 		msgAccepted: {Type: msgAccepted, Count: 2},
 		msgTask: {Type: msgTask, Tasks: []Task{
-			{ID: "0", Label: "DVU_00001", Weight: 312, Payload: json.RawMessage(`{"kernel":"campaign/feature","args":{"id":"DVU_00001"}}`),
+			{ID: "0", Label: "DVU_00001", Weight: 312, Payload: spec(0x03, 'D', 'V', 'U'),
 				EnqueuedNS: 1643068800000000000, Attempt: 1, Campaign: "dvu-full"},
 		}},
 		msgResult: {Type: msgResult, Results: []Result{
 			{TaskID: "0", WorkerID: "w1", EnqueuedNS: 1643068800000000000, Start: start, End: start.Add(1500 * time.Millisecond),
-				Payload: json.RawMessage(`{"seconds":412.375}`)},
+				Payload: []byte("412.375")},
 			{TaskID: "1", WorkerID: "w1", Start: start, End: start, Err: "boom"},
 		}},
 		msgSubscribe: {Type: msgSubscribe},
