@@ -22,7 +22,7 @@
 // Usage:
 //
 //	go test -run '^$' -bench ... -benchmem ./... | benchguard \
-//	    -baseline BENCH_BASELINE.json -require BenchmarkGlobalAlign,...
+//	    -baseline BENCH_BASELINE.json -require BenchmarkLocalAlign,...
 //
 // -require lists benchmarks that must appear in the input, so a renamed
 // benchmark cannot silently drop out of the gate.
@@ -72,7 +72,7 @@ type measurement struct {
 
 // benchLine matches the name and ns/op columns of e.g.
 //
-//	BenchmarkGlobalAlign-4   2577   464921 ns/op   784 B/op   3 allocs/op
+//	BenchmarkLocalAlign-4   2577   464921 ns/op   784 B/op   3 allocs/op
 //
 // The memory columns are extracted separately, because custom
 // b.ReportMetric columns (the dispatch benchmark's tasks/s) sit between

@@ -3,10 +3,11 @@
 // Supercomputer" (Gao et al., IPPS 2022, arXiv:2201.10024).
 //
 // It builds every system the paper depends on — a Dask-like dataflow
-// engine, a Summit/Andes cluster simulator, sequence libraries with k-mer
-// search and profile HMMs, an AlphaFold2 inference surrogate with the
-// paper's four presets and dynamic recycling, a molecular-mechanics
-// relaxation stage, and the structural-comparison metrics — and
+// engine, a Summit/Andes cluster simulator, sequence libraries with a
+// k-mer prefilter and Smith-Waterman search, an AlphaFold2 inference
+// surrogate with the paper's four presets and dynamic recycling, a
+// molecular-mechanics relaxation stage, and the structural-comparison
+// metrics — and
 // reproduces every table and figure of the evaluation section. This file
 // is the map: what the layers are, what each one promises, and which test
 // holds it to that. How the tree got here is in CHANGES.md.

@@ -46,28 +46,6 @@ type Set struct {
 	Models  []Model
 }
 
-// NumWithCrystal returns how many targets have ground truth (19 in the
-// paper's subset).
-func (s *Set) NumWithCrystal() int {
-	n := 0
-	for _, t := range s.Targets {
-		if t.HasCrystal {
-			n++
-		}
-	}
-	return n
-}
-
-// TargetByID returns a target.
-func (s *Set) TargetByID(id string) (*Target, error) {
-	for i := range s.Targets {
-		if s.Targets[i].ID == id {
-			return &s.Targets[i], nil
-		}
-	}
-	return nil, fmt.Errorf("casp: no target %q", id)
-}
-
 // ModelsOf returns the models of one target.
 func (s *Set) ModelsOf(id string) []Model {
 	var out []Model

@@ -19,8 +19,14 @@ func TestSetShape(t *testing.T) {
 	if len(s.Models) != 160 {
 		t.Errorf("models = %d, paper analyses 160", len(s.Models))
 	}
-	if got := s.NumWithCrystal(); got != 19 {
-		t.Errorf("crystal targets = %d, paper uses 19", got)
+	crystals := 0
+	for _, tg := range s.Targets {
+		if tg.HasCrystal {
+			crystals++
+		}
+	}
+	if crystals != 19 {
+		t.Errorf("crystal targets = %d, paper uses 19", crystals)
 	}
 	for _, m := range s.Models {
 		if len(m.CA) == 0 || len(m.CA) != len(m.SC) {
@@ -44,18 +50,20 @@ func TestDeterminism(t *testing.T) {
 
 func TestT1080Exists(t *testing.T) {
 	s := NewSet(1)
-	tg, err := s.TargetByID("T1080")
-	if err != nil {
-		t.Fatal(err)
+	var tg *Target
+	for i := range s.Targets {
+		if s.Targets[i].ID == "T1080" {
+			tg = &s.Targets[i]
+		}
+	}
+	if tg == nil {
+		t.Fatal("no target T1080")
 	}
 	if tg.Length < 1000 {
 		t.Errorf("T1080 length = %d; must be the large outlier", tg.Length)
 	}
 	if len(s.ModelsOf("T1080")) != 5 {
 		t.Errorf("T1080 models = %d", len(s.ModelsOf("T1080")))
-	}
-	if _, err := s.TargetByID("T9999"); err == nil {
-		t.Error("unknown target accepted")
 	}
 }
 

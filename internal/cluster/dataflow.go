@@ -1,3 +1,10 @@
+// Package cluster models how the paper's campaign runs on its machines:
+// a discrete-event simulation of dataflow task execution in virtual time,
+// the submission-order policies of Section 3.3, and a per-machine
+// node-hour ledger. Allocation sizes and the one-worker-per-GPU layout
+// are internal/core's per-node constants. The paper's scheduling-level
+// results (Table 1 walltimes, Fig. 2 worker timelines, node-hour budgets)
+// are reproduced on this simulator.
 package cluster
 
 import (

@@ -66,9 +66,7 @@ func TestGroundTruthFamilyConservation(t *testing.T) {
 	a := mk("A_1", 3, 100)
 	b := mk("B_1", 3, 105)
 	c := mk("C_1", 9, 100)
-	gt.RegisterProtein(a)
-	gt.RegisterProtein(b)
-	gt.RegisterProtein(c)
+	gt.Register(&proteome.Proteome{Proteins: []proteome.Protein{a, b, c}})
 	_ = u
 
 	natA := gt.NativeOf("A_1", 100)
@@ -251,8 +249,8 @@ func TestInferenceOOMRouting(t *testing.T) {
 			Divergence: 0.3,
 		}
 		longProts = append(longProts, pr)
-		gt.RegisterProtein(pr)
 	}
+	gt.Register(&proteome.Proteome{Proteins: longProts})
 	engine := fold.NewEngine(gt, 99)
 	gen := DefaultFastFeatureGen(1)
 	cfg := DefaultConfig()
@@ -379,4 +377,13 @@ func TestLongestFirstImprovesInferenceWalltime(t *testing.T) {
 		t.Errorf("longest-first spread %v worse than shortest-first %v",
 			sorted.Sim.FinishSpread(), reversed.Sim.FinishSpread())
 	}
+}
+
+// backgroundSeq returns an arbitrary valid sequence of n residues.
+func backgroundSeq(r *rng.Source, n int) string {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = seq.Alphabet[r.Intn(seq.NumAminoAcids)]
+	}
+	return string(b)
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/msa"
 	"repro/internal/proteome"
 	"repro/internal/rng"
-	"repro/internal/seq"
 	"repro/internal/seqdb"
 )
 
@@ -146,20 +145,15 @@ func (g *FastFeatureGen) Features(p proteome.Protein) (*msa.Features, error) {
 	return f, nil
 }
 
-// FeatureCost converts a feature-generation job into Andes CPU seconds.
-// The real cost is dominated by scanning the (reduced) sequence libraries —
-// roughly constant per query — with a secondary query-length term and the
-// alignment work itself. Constants are calibrated to Section 4.1/4.3.1:
-// ~240 Andes node-hours for the 3205-protein D. vulgaris proteome and
-// ~2000 for the 25,134-protein S. divinum proteome.
-func FeatureCost(f *msa.Features) float64 {
-	return FeatureCostAccel(f, 1)
-}
-
-// FeatureCostAccel is FeatureCost with the compute portion (library scan
-// and alignment, not I/O) divided by an acceleration factor — the model
-// behind the conclusion's GPU-HMMER discussion (a 38x kernel was reported
-// in 2009). accel must be >= 1.
+// FeatureCostAccel converts a feature-generation job into Andes CPU
+// seconds. The real cost is dominated by scanning the (reduced) sequence
+// libraries — roughly constant per query — with a secondary query-length
+// term and the alignment work itself. Constants are calibrated to Section
+// 4.1/4.3.1: ~240 Andes node-hours for the 3205-protein D. vulgaris
+// proteome and ~2000 for the 25,134-protein S. divinum proteome. The
+// compute portion (library scan and alignment, not I/O) is divided by an
+// acceleration factor — the model behind the conclusion's GPU-HMMER
+// discussion (a 38x kernel was reported in 2009). accel must be >= 1.
 func FeatureCostAccel(f *msa.Features, accel float64) float64 {
 	const (
 		ioSeconds      = 12   // fixed per-query I/O, unaffected by compute speed
@@ -224,12 +218,3 @@ var (
 	_ FeatureGen = (*FastFeatureGen)(nil)
 	_ FeatureGen = (*CachedFeatureGen)(nil)
 )
-
-// backgroundSeq is used by tests needing arbitrary valid sequences.
-func backgroundSeq(r *rng.Source, n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = seq.Alphabet[r.Intn(seq.NumAminoAcids)]
-	}
-	return string(b)
-}

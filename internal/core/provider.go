@@ -42,21 +42,6 @@ func (g *GroundTruth) Register(p *proteome.Proteome) {
 	}
 }
 
-// RegisterProtein adds one protein.
-func (g *GroundTruth) RegisterProtein(pr proteome.Protein) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.byID[pr.Seq.ID] = pr
-}
-
-// Protein returns the registered ground truth for an ID.
-func (g *GroundTruth) Protein(id string) (proteome.Protein, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	pr, ok := g.byID[id]
-	return pr, ok
-}
-
 // NativeOf implements fold.NativeProvider. Unknown IDs fall back to a
 // hash-seeded single-domain topology so standalone use keeps working.
 func (g *GroundTruth) NativeOf(id string, length int) *fold.Native {

@@ -20,9 +20,6 @@ type Tally struct {
 	Retries int
 }
 
-// Finished reports how many tasks reached a terminal state.
-func (t Tally) Finished() int { return t.Done + t.Failed + t.Dropped }
-
 func (t *Tally) add(d Tally) {
 	t.Received += d.Received
 	t.Done += d.Done

@@ -42,9 +42,6 @@ func TestCampaignViewTallies(t *testing.T) {
 	if got, want := v.Campaign(""), (Tally{Received: 1, Failed: 1, Quarantined: 1, Retries: 1}); got != want {
 		t.Errorf("unnamed tally = %+v, want %+v", got, want)
 	}
-	if got := v.Campaign("dvu").Finished(); got != 1 {
-		t.Errorf("dvu Finished() = %d, want 1", got)
-	}
 	if got := v.Campaign("never-seen"); got != (Tally{}) {
 		t.Errorf("unseen tally = %+v, want zero", got)
 	}

@@ -19,11 +19,6 @@ type Interval struct {
 	Lost           bool
 }
 
-// Seconds returns the interval bounds in seconds.
-func (iv *Interval) Seconds() (start, end float64) {
-	return float64(iv.StartNS) / 1e9, float64(iv.EndNS) / 1e9
-}
-
 // DepthPoint is one step of the queue-depth-over-time series.
 type DepthPoint struct {
 	TimeNS int64

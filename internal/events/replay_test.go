@@ -138,9 +138,8 @@ func TestReplayReconstructsRun(t *testing.T) {
 	if busy["w1"] != 38 || busy["w2"] != 47 {
 		t.Fatalf("busy = %v", busy)
 	}
-	s, e := r.Intervals[0].Seconds()
-	if s != 12e-9 || e != 50e-9 {
-		t.Fatalf("Seconds() = %v, %v", s, e)
+	if iv := r.Intervals[0]; iv.StartNS != 12 || iv.EndNS != 50 {
+		t.Fatalf("first interval = [%d, %d], want [12, 50]", iv.StartNS, iv.EndNS)
 	}
 }
 

@@ -80,12 +80,6 @@ type Executor interface {
 	Close() error
 }
 
-// ForEach runs fn(i) for i in [0, n) through the executor — the untagged
-// convenience wrapper over Run.
-func ForEach(ex Executor, n int, fn func(i int) error) error {
-	return ex.Run(Batch{N: n, Fn: fn})
-}
-
 // Map applies fn to every element of items through the executor and
 // returns the results in submission order — the generic entry point every
 // compute stage uses, independent of the back end.
@@ -120,8 +114,8 @@ type SpecDispatcher interface {
 	Executor
 	// SpecsOnly reports whether this executor can only dispatch specs
 	// (true for a client connected to a standalone scheduler with remote
-	// workers). When false, closures still work and MapSpec falls back to
-	// the ordinary closure path.
+	// workers). When false, closures still work and MapSpecResume falls
+	// back to the ordinary closure path.
 	SpecsOnly() bool
 	// DispatchSpecs runs the named kernel once per argument block and
 	// returns the result payloads in argument order. On failure the error
@@ -146,24 +140,22 @@ type SpecResult[R any] interface {
 	UnmarshalBinary(data []byte) error
 }
 
-// MapSpec is Map for stages that can also run remotely: each item carries
-// both a closure (fn) and a serializable spec (the registered kernel plus
-// per-item args built by arg). Executors whose workers share this process
-// run fn exactly as Map does; spec-only executors encode arg(i, item)
-// through its binary layout, dispatch the named kernel to remote workers,
-// and decode each result payload into R through *R's UnmarshalBinary.
-// The registered kernel must be the same pure function of its arguments
-// as fn, so both paths produce identical values — the cross-process
-// determinism contract TestCampaignMultiProcess enforces end to end.
+// MapSpecResume is Map for stages that can also run remotely: each item
+// carries both a closure (fn) and a serializable spec (the registered
+// kernel plus per-item args built by arg). Executors whose workers share
+// this process run fn exactly as Map does; spec-only executors encode
+// arg(i, item) through its binary layout, dispatch the named kernel to
+// remote workers, and decode each result payload into R through *R's
+// UnmarshalBinary. The registered kernel must be the same pure function of
+// its arguments as fn, so both paths produce identical values — the
+// cross-process determinism contract TestCampaignMultiProcess enforces end
+// to end.
 //
 // id(i, item), when non-nil, names item i in the recorded trace on both
 // paths — the task_id column of the processing-times CSV.
-func MapSpec[T any, A flow.BinaryAppender, R any, PR SpecResult[R]](ex Executor, kernel string, items []T, id func(i int, item T) string, arg func(i int, item T) A, fn func(i int, item T) (R, error)) ([]R, error) {
-	return MapSpecResume[T, A, R, PR](ex, kernel, items, id, arg, fn, nil)
-}
-
-// MapSpecResume is MapSpec with a resume skip-set: done(taskID) reports
-// whether an interrupted prior run already completed that item (an
+//
+// done, when non-nil, is a resume skip-set: done(taskID) reports whether
+// an interrupted prior run already completed that item (an
 // events.CompletedSet replayed from a scheduler event log). Because the
 // kernel is a pure function of its arguments, a skipped item is
 // recomputed locally via fn instead of re-dispatched to the cluster —
@@ -171,7 +163,7 @@ func MapSpec[T any, A flow.BinaryAppender, R any, PR SpecResult[R]](ex Executor,
 // run, while the cluster and the recorded trace only see the missing
 // items. The skip-set only matters on spec-only (remote) executors:
 // in-process back ends run every item locally anyway, so done is
-// ignored there (as is a nil done, which makes this exactly MapSpec).
+// ignored there.
 //
 // A local recompute failure surfaces immediately without dispatching:
 // the skipped item completed before under the same pure function, so a

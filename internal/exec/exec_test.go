@@ -60,14 +60,14 @@ func TestLowestIndexErrorAcrossExecutors(t *testing.T) {
 	}
 }
 
-func TestForEachEmptyAndSingle(t *testing.T) {
+func TestRunEmptyAndSingle(t *testing.T) {
 	for _, ex := range executors(t, 3) {
-		if err := ForEach(ex, 0, func(int) error { return errors.New("never") }); err != nil {
-			t.Errorf("%s: empty ForEach: %v", ex.Name(), err)
+		if err := ex.Run(Batch{N: 0, Fn: func(int) error { return errors.New("never") }}); err != nil {
+			t.Errorf("%s: empty Run: %v", ex.Name(), err)
 		}
 		var ran atomic.Int64
-		if err := ForEach(ex, 1, func(i int) error { ran.Add(1); return nil }); err != nil {
-			t.Errorf("%s: single ForEach: %v", ex.Name(), err)
+		if err := ex.Run(Batch{N: 1, Fn: func(i int) error { ran.Add(1); return nil }}); err != nil {
+			t.Errorf("%s: single Run: %v", ex.Name(), err)
 		}
 		if ran.Load() != 1 {
 			t.Errorf("%s: single item ran %d times", ex.Name(), ran.Load())
@@ -81,15 +81,15 @@ func TestFlowRunsEveryIndexExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fl.Close()
-	if fl.Name() != "flow" || fl.NumWorkers() != 5 {
-		t.Fatalf("identity: name=%s workers=%d", fl.Name(), fl.NumWorkers())
+	if fl.Name() != "flow" || len(fl.workers) != 5 {
+		t.Fatalf("identity: name=%s workers=%d", fl.Name(), len(fl.workers))
 	}
 	const n = 200
 	counts := make([]atomic.Int64, n)
-	if err := ForEach(fl, n, func(i int) error {
+	if err := fl.Run(Batch{N: n, Fn: func(i int) error {
 		counts[i].Add(1)
 		return nil
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range counts {
@@ -126,8 +126,8 @@ func TestFlowClosedExecutorErrors(t *testing.T) {
 	}
 	fl.Close()
 	fl.Close() // idempotent
-	if err := ForEach(fl, 3, func(int) error { return nil }); err == nil {
-		t.Error("ForEach on closed flow executor must fail")
+	if err := fl.Run(Batch{N: 3, Fn: func(int) error { return nil }}); err == nil {
+		t.Error("Run on closed flow executor must fail")
 	}
 }
 

@@ -64,7 +64,7 @@ type Flow struct {
 	closeOnce sync.Once
 }
 
-// flowBatch is the state of one in-flight ForEach call. bmu orders every
+// flowBatch is the state of one in-flight Run call. bmu orders every
 // handler's bookkeeping before the caller's final read, which also makes
 // the closure's writes (out[i] in Map) visible to the caller.
 type flowBatch struct {
@@ -118,7 +118,7 @@ func NewFlow(workers int) (*Flow, error) {
 // whole connection story — address or scheduler file, retry budget, and
 // wire codec — so every deployment shape goes through this one door. The
 // returned executor dispatches registered named-job specs only (see
-// MapSpec); running a closure batch fails, because closures cannot cross
+// MapSpecResume); running a closure batch fails, because closures cannot cross
 // process boundaries. The executor must be closed.
 func Connect(opts flow.DialOptions) (*Flow, error) {
 	c, err := flow.DialClient(opts)
@@ -291,9 +291,6 @@ func (f *Flow) DispatchSpecs(kernel string, args [][]byte, ids []string) ([][]by
 	return out, nil
 }
 
-// NumWorkers reports the size of the worker fleet (for flags and tests).
-func (f *Flow) NumWorkers() int { return len(f.workers) }
-
 // handle is the shared worker handler: spec-carrying tasks dispatch
 // against the process-wide kernel registry (so the in-process cluster can
 // also serve DispatchSpecs batches); plain tasks map the task ID back to
@@ -340,7 +337,7 @@ func (f *Flow) Run(batch Batch) error {
 		return nil
 	}
 	if f.remote {
-		return fmt.Errorf("exec: remote flow executor cannot run closures across process boundaries; dispatch registered job specs instead (exec.MapSpec)")
+		return fmt.Errorf("exec: remote flow executor cannot run closures across process boundaries; dispatch registered job specs instead (exec.MapSpecResume)")
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -107,9 +107,9 @@ func TestRemoteFlowDispatchSpecs(t *testing.T) {
 	for i := range items {
 		items[i] = num(i)
 	}
-	out, err := MapSpec(f, "exectest/square", items, nil,
+	out, err := MapSpecResume(f, "exectest/square", items, nil,
 		func(_ int, n num) num { return n },
-		func(_ int, n num) (num, error) { t.Fatal("closure must not run on a remote executor"); return 0, nil })
+		func(_ int, n num) (num, error) { t.Fatal("closure must not run on a remote executor"); return 0, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +123,9 @@ func TestRemoteFlowDispatchSpecs(t *testing.T) {
 func TestRemoteFlowLowestIndexError(t *testing.T) {
 	f := remoteCluster(t, 4)
 	items := []num{0, 2, 5, 3, 8, 9}
-	_, err := MapSpec(f, "exectest/failodd", items, nil,
+	_, err := MapSpecResume(f, "exectest/failodd", items, nil,
 		func(_ int, n num) num { return n },
-		func(_ int, n num) (num, error) { return n, nil })
+		func(_ int, n num) (num, error) { return n, nil }, nil)
 	if err == nil {
 		t.Fatal("expected error from odd inputs")
 	}
@@ -145,13 +145,13 @@ func TestRemoteFlowUnknownKernel(t *testing.T) {
 
 func TestRemoteFlowRejectsClosures(t *testing.T) {
 	f := remoteCluster(t, 1)
-	err := ForEach(f, 3, func(i int) error { return nil })
+	err := f.Run(Batch{N: 3, Fn: func(i int) error { return nil }})
 	if err == nil || !strings.Contains(err.Error(), "closures") {
-		t.Fatalf("ForEach on remote executor: err = %v, want closure rejection", err)
+		t.Fatalf("Run on remote executor: err = %v, want closure rejection", err)
 	}
 	// n == 0 short-circuits before the remote guard, like every executor.
-	if err := ForEach(f, 0, nil); err != nil {
-		t.Fatalf("ForEach(0) = %v", err)
+	if err := f.Run(Batch{N: 0}); err != nil {
+		t.Fatalf("Run of an empty batch = %v", err)
 	}
 }
 
@@ -168,14 +168,14 @@ func TestMapSpecFallsBackToClosures(t *testing.T) {
 	// the closure; arg builders must not even be invoked for the pool.
 	pool := &Pool{Workers: 4}
 	items := []num{1, 2, 3}
-	out, err := MapSpec(pool, "exectest/square", items, nil,
+	out, err := MapSpecResume(pool, "exectest/square", items, nil,
 		func(_ int, n num) num { t.Fatal("arg builder must not run on the pool"); return 0 },
-		func(_ int, n num) (num, error) { return n + 10, nil })
+		func(_ int, n num) (num, error) { return n + 10, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out[0] != 11 || out[1] != 12 || out[2] != 13 {
-		t.Fatalf("pool MapSpec = %v", out)
+		t.Fatalf("pool MapSpecResume = %v", out)
 	}
 
 	fl, err := NewFlow(2)
@@ -186,20 +186,20 @@ func TestMapSpecFallsBackToClosures(t *testing.T) {
 	if SpecsOnly(fl) {
 		t.Fatal("in-process flow executor must not be specs-only")
 	}
-	out, err = MapSpec(fl, "exectest/square", items, nil,
+	out, err = MapSpecResume(fl, "exectest/square", items, nil,
 		func(_ int, n num) num { return n },
-		func(_ int, n num) (num, error) { return n + 20, nil })
+		func(_ int, n num) (num, error) { return n + 20, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out[0] != 21 || out[1] != 22 || out[2] != 23 {
-		t.Fatalf("in-process flow MapSpec = %v", out)
+		t.Fatalf("in-process flow MapSpecResume = %v", out)
 	}
 }
 
 func TestInProcessFlowServesSpecTasks(t *testing.T) {
 	// The in-process cluster's workers also dispatch spec payloads, so
-	// DispatchSpecs works on it too (even though MapSpec prefers the
+	// DispatchSpecs works on it too (even though MapSpecResume prefers the
 	// closure path there).
 	testKernels(t)
 	fl, err := NewFlow(2)
@@ -292,9 +292,9 @@ func TestDispatchSpecsEmpty(t *testing.T) {
 // as an out-of-memory digest and be rerouted silently.)
 func TestMapSpecEmptyResultIsAnError(t *testing.T) {
 	f := remoteCluster(t, 1)
-	_, err := MapSpec(f, "exectest/empty", []num{1, 2}, nil,
+	_, err := MapSpecResume(f, "exectest/empty", []num{1, 2}, nil,
 		func(_ int, n num) num { return n },
-		func(_ int, n num) (num, error) { return n, nil })
+		func(_ int, n num) (num, error) { return n, nil }, nil)
 	if err == nil || !strings.Contains(err.Error(), "empty payload") {
 		t.Fatalf("err = %v, want an empty-payload decode error", err)
 	}

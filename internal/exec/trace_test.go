@@ -81,10 +81,10 @@ func TestPoolRecordsTrace(t *testing.T) {
 		t.Fatal("pool must implement Traceable")
 	}
 	items := []num{10, 20, 30, 40}
-	out, err := MapSpec(pool, "test/kernel", items,
+	out, err := MapSpecResume(pool, "test/kernel", items,
 		func(i int, v num) string { return fmt.Sprintf("item-%d", v) },
 		func(_ int, v num) num { return v },
-		func(_ int, v num) (num, error) { return v * 2, nil })
+		func(_ int, v num) (num, error) { return v * 2, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +127,12 @@ func TestPoolTraceRecordsErrors(t *testing.T) {
 	pool := NewPool(2)
 	trace := &Trace{}
 	pool.SetTrace(trace)
-	err := ForEach(pool, 3, func(i int) error {
+	err := pool.Run(Batch{N: 3, Fn: func(i int) error {
 		if i == 1 {
 			return fmt.Errorf("task %d exploded", i)
 		}
 		return nil
-	})
+	}})
 	if err == nil {
 		t.Fatal("expected the task error")
 	}
@@ -163,7 +163,7 @@ func TestFlowRecordsTrace(t *testing.T) {
 		t.Fatal("flow must implement Traceable")
 	}
 	const n = 20
-	if err := ForEach(fl, n, func(i int) error { return nil }); err != nil {
+	if err := fl.Run(Batch{N: n, Fn: func(i int) error { return nil }}); err != nil {
 		t.Fatal(err)
 	}
 	rows := trace.Rows()
@@ -191,10 +191,10 @@ func TestRemoteDispatchRecordsTrace(t *testing.T) {
 	trace := &Trace{}
 	f.SetTrace(trace)
 	items := []num{7, 8, 9}
-	out, err := MapSpec(f, "exectest/square", items,
+	out, err := MapSpecResume(f, "exectest/square", items,
 		func(_ int, v num) string { return "sq-" + strconv.Itoa(int(v)) },
 		func(_ int, v num) num { return v },
-		func(_ int, v num) (num, error) { t.Fatal("closure must not run remotely"); return 0, nil })
+		func(_ int, v num) (num, error) { t.Fatal("closure must not run remotely"); return 0, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,26 +2,12 @@ package flow
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/events"
 )
-
-// failOddHandler fails tasks whose payload carries an odd n.
-func failOddHandler(task Task) (json.RawMessage, error) {
-	var p struct{ N int }
-	if err := json.Unmarshal(task.Payload, &p); err != nil {
-		return nil, err
-	}
-	if p.N%2 == 1 {
-		return nil, fmt.Errorf("odd task %d", p.N)
-	}
-	return task.Payload, nil
-}
 
 // eventsByType indexes a stream for assertions.
 func eventsByType(evs []events.Event) map[events.Type][]events.Event {
@@ -187,7 +173,7 @@ func TestMonitorBacklogThenLive(t *testing.T) {
 	}
 	backlog := s.Events().Snapshot()
 
-	m, err := ConnectMonitor(s.ln.Addr().String())
+	m, err := DialMonitor(DialOptions{Addr: s.ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +226,7 @@ func TestMonitorDetachAndSchedulerClose(t *testing.T) {
 	}
 	addr := s.ln.Addr().String()
 
-	m1, err := ConnectMonitor(addr)
+	m1, err := DialMonitor(DialOptions{Addr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +236,7 @@ func TestMonitorDetachAndSchedulerClose(t *testing.T) {
 		t.Fatal("Next on a closed monitor succeeded")
 	}
 
-	m2, err := ConnectMonitor(addr)
+	m2, err := DialMonitor(DialOptions{Addr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +270,7 @@ func TestMonitorDetachReleasesConn(t *testing.T) {
 	}
 	base := connCount()
 
-	m, err := ConnectMonitor(s.ln.Addr().String())
+	m, err := DialMonitor(DialOptions{Addr: s.ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,8 +293,8 @@ func TestMonitorDetachReleasesConn(t *testing.T) {
 	}
 }
 
-// TestConnectMonitorFile mirrors the worker/client scheduler-file path.
-func TestConnectMonitorFile(t *testing.T) {
+// TestDialMonitorSchedulerFile mirrors the worker/client scheduler-file path.
+func TestDialMonitorSchedulerFile(t *testing.T) {
 	s, _, c := startCluster(t, 1, echoHandler)
 	path := t.TempDir() + "/sched.json"
 	if err := s.WriteSchedulerFile(path); err != nil {
@@ -317,7 +303,7 @@ func TestConnectMonitorFile(t *testing.T) {
 	if _, err := c.Map(makeTasks(1), nil); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ConnectMonitorFile(path)
+	m, err := DialMonitor(DialOptions{SchedulerFile: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +316,7 @@ func TestConnectMonitorFile(t *testing.T) {
 	if e.Seq != 1 {
 		t.Fatalf("first event seq = %d, want 1", e.Seq)
 	}
-	if _, err := ConnectMonitorFile(t.TempDir() + "/missing.json"); err == nil {
-		t.Fatal("ConnectMonitorFile with missing file succeeded")
+	if _, err := DialMonitor(DialOptions{SchedulerFile: t.TempDir() + "/missing.json"}); err == nil {
+		t.Fatal("DialMonitor with a missing scheduler file succeeded")
 	}
 }

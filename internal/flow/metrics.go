@@ -239,6 +239,3 @@ func (m *SchedulerMetrics) forgetWorker(worker string) {
 	m.wTasks.Delete(worker)
 	m.wBusyNS.Delete(worker)
 }
-
-// OutboxOverflows returns the overflow counter (exposed for tests).
-func (m *SchedulerMetrics) OutboxOverflows() uint64 { return m.outboxOverflows.Value() }

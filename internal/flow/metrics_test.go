@@ -310,7 +310,7 @@ func TestOutboxOverflowCounter(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if n := s.Metrics.OutboxOverflows(); n != 1 {
+	if n := s.Metrics.outboxOverflows.Value(); n != 1 {
 		t.Fatalf("flow_outbox_overflows_total = %d, want 1", n)
 	}
 }

@@ -72,18 +72,6 @@ func DialMonitor(opts DialOptions) (*Monitor, error) {
 	return &Monitor{conn: conn, codec: codec}, nil
 }
 
-// ConnectMonitor dials the scheduler at addr (default wire) and subscribes
-// to its event stream. The returned monitor must be closed.
-func ConnectMonitor(addr string) (*Monitor, error) {
-	return DialMonitor(DialOptions{Addr: addr})
-}
-
-// ConnectMonitorFile is ConnectMonitor via a scheduler file written by
-// Scheduler.WriteSchedulerFile.
-func ConnectMonitorFile(path string) (*Monitor, error) {
-	return DialMonitor(DialOptions{SchedulerFile: path})
-}
-
 // Next blocks until the next event arrives and returns it. A clean end
 // of the stream — the scheduler closed the connection, or Close was
 // called on this monitor — returns an error wrapping ErrStreamEnd;

@@ -125,16 +125,6 @@ func (r *Result) EnqueuedAt() time.Time {
 	return time.Unix(0, r.EnqueuedNS)
 }
 
-// QueueDuration returns the time the task waited between the scheduler's
-// enqueue stamp and the worker picking it up (0 when the stamp is absent).
-func (r *Result) QueueDuration() time.Duration {
-	enq := r.EnqueuedAt()
-	if enq.IsZero() || r.Start.Before(enq) {
-		return 0
-	}
-	return r.Start.Sub(enq)
-}
-
 // Failed reports whether the task handler returned an error.
 func (r *Result) Failed() bool { return r.Err != "" }
 

@@ -23,7 +23,7 @@ import (
 // scheduler keeps (received → queued → assigned → running → done/failed,
 // plus worker join/leave), stamped scheduler-side with monotonic times.
 // The JSONL EventLog and the Metrics are views over that stream, and
-// read-only monitor connections (ConnectMonitor) subscribe to it live over
+// read-only monitor connections (DialMonitor) subscribe to it live over
 // the wire.
 type Scheduler struct {
 	// EventLog, when set before Start, receives the full structured
@@ -137,7 +137,7 @@ func NewScheduler() *Scheduler {
 
 // Events returns the scheduler's event hub. Snapshot it for the full
 // history, or Subscribe for backlog-then-live consumption; in another
-// process, use ConnectMonitor instead.
+// process, use DialMonitor instead.
 func (s *Scheduler) Events() *events.Hub { return s.hub }
 
 // RestoreEvents seeds the scheduler's event hub with a previously

@@ -185,6 +185,22 @@ func stringOfLen(l int) string {
 	return string(b)
 }
 
+// SeededProvider is a NativeProvider that derives the topology seed from
+// the target ID.
+type SeededProvider struct {
+	Seed uint64
+}
+
+// NativeOf generates the structure deterministically from the id hash.
+func (p *SeededProvider) NativeOf(id string, length int) *Native {
+	h := p.Seed
+	for i := 0; i < len(id); i++ {
+		h ^= uint64(id[i])
+		h *= 1099511628211
+	}
+	return GenerateTopology(h, length)
+}
+
 func testEngine() *Engine {
 	return NewEngine(&SeededProvider{Seed: 99}, 1234)
 }

@@ -340,19 +340,3 @@ func FamilyTopologySeed(universeSeed uint64, family int) uint64 {
 	h ^= h >> 29
 	return h
 }
-
-// SeededProvider is a simple NativeProvider that derives the topology seed
-// from the target ID; useful for tests and standalone examples.
-type SeededProvider struct {
-	Seed uint64
-}
-
-// NativeOf generates the structure deterministically from the id hash.
-func (p *SeededProvider) NativeOf(id string, length int) *Native {
-	h := p.Seed
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	return GenerateTopology(h, length)
-}

@@ -13,10 +13,7 @@
 // dataset (420 GB vs 2.1 TB) matters for replication cost too.
 package fsim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Filesystem describes the shared parallel filesystem.
 type Filesystem struct {
@@ -91,70 +88,4 @@ func (fs Filesystem) SearchTime(db Database, baseSeconds float64, concurrent int
 	}
 	metaTime := db.MetaOpsPerSearch * float64(concurrent) / fs.MetaOpsPerSec
 	return baseSeconds + metaTime, nil
-}
-
-// BatchSearchTime returns the wall time to run n searches of baseSeconds
-// each under a replica layout, assuming jobs are spread evenly over copies
-// and each copy serves exactly JobsPerCopy concurrent jobs (the paper's
-// operating point). Also returns the aggregate job-seconds consumed.
-func (fs Filesystem) BatchSearchTime(db Database, l ReplicaLayout, n int, baseSeconds float64) (wall, jobSeconds float64, err error) {
-	if err := l.Validate(); err != nil {
-		return 0, 0, err
-	}
-	if n < 0 {
-		return 0, 0, fmt.Errorf("fsim: negative job count")
-	}
-	if n == 0 {
-		return 0, 0, nil
-	}
-	per, err := fs.SearchTime(db, baseSeconds, l.JobsPerCopy)
-	if err != nil {
-		return 0, 0, err
-	}
-	lanes := l.MaxConcurrency()
-	waves := math.Ceil(float64(n) / float64(lanes))
-	return waves * per, float64(n) * per, nil
-}
-
-// OptimalLayout sweeps copy counts from 1 to maxCopies and returns the
-// layout minimizing total time (replication + batch search) for n searches,
-// with the given per-copy concurrency. This is the trade the paper settled
-// at 24 copies × 4 jobs.
-func (fs Filesystem) OptimalLayout(db Database, n int, baseSeconds float64, jobsPerCopy, maxCopies int) (ReplicaLayout, float64, error) {
-	if jobsPerCopy <= 0 || maxCopies <= 0 {
-		return ReplicaLayout{}, 0, fmt.Errorf("fsim: invalid sweep bounds")
-	}
-	best := ReplicaLayout{}
-	bestTime := math.Inf(1)
-	for c := 1; c <= maxCopies; c++ {
-		l := ReplicaLayout{Copies: c, JobsPerCopy: jobsPerCopy}
-		rep, err := fs.ReplicationTime(db, l)
-		if err != nil {
-			return ReplicaLayout{}, 0, err
-		}
-		wall, _, err := fs.BatchSearchTime(db, l, n, baseSeconds)
-		if err != nil {
-			return ReplicaLayout{}, 0, err
-		}
-		if total := rep + wall; total < bestTime {
-			bestTime = total
-			best = l
-		}
-	}
-	return best, bestTime, nil
-}
-
-// NodeLocalCopyTime models the alternative the paper rejects: copying the
-// database to node-local NVMe/memory at the start of *every job allocation*
-// (shared-facility policy forbids leaving data resident). nJobs allocations
-// each pay the copy.
-func (fs Filesystem) NodeLocalCopyTime(db Database, nAllocations int, perNodeBandwidthGBps float64) (float64, error) {
-	if nAllocations < 0 {
-		return 0, fmt.Errorf("fsim: negative allocation count")
-	}
-	if perNodeBandwidthGBps <= 0 {
-		return 0, fmt.Errorf("fsim: bandwidth must be positive")
-	}
-	per := float64(db.SizeBytes) / (perNodeBandwidthGBps * 1e9)
-	return per * float64(nAllocations), nil
 }

@@ -83,85 +83,6 @@ func TestSearchTimeValidation(t *testing.T) {
 	}
 }
 
-func TestBatchSearchReplicationWins(t *testing.T) {
-	// The paper's design point: spreading 96 concurrent jobs over 24 copies
-	// beats cramming them onto fewer copies.
-	n := 3205 // one bacterial proteome
-	base := 60.0
-
-	wall24, _, err := fs.BatchSearchTime(reducedDB, ReplicaLayout{Copies: 24, JobsPerCopy: 4}, n, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wall1, _, err := fs.BatchSearchTime(reducedDB, ReplicaLayout{Copies: 1, JobsPerCopy: 96}, n, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wall24 >= wall1 {
-		t.Errorf("24 copies (%v s) not faster than 1 copy at same concurrency (%v s)", wall24, wall1)
-	}
-}
-
-func TestBatchSearchEdgeCases(t *testing.T) {
-	w, j, err := fs.BatchSearchTime(reducedDB, ReplicaLayout{Copies: 2, JobsPerCopy: 2}, 0, 60)
-	if err != nil || w != 0 || j != 0 {
-		t.Errorf("zero jobs: %v %v %v", w, j, err)
-	}
-	if _, _, err := fs.BatchSearchTime(reducedDB, ReplicaLayout{Copies: 2, JobsPerCopy: 2}, -1, 60); err == nil {
-		t.Error("negative job count accepted")
-	}
-}
-
-func TestOptimalLayoutPrefersManyCopiesForBigBatches(t *testing.T) {
-	small, _, err := fs.OptimalLayout(reducedDB, 50, 60, 4, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, _, err := fs.OptimalLayout(reducedDB, 25134, 60, 4, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.Copies <= small.Copies {
-		t.Errorf("big batch chose %d copies, small chose %d; replication should pay off at scale",
-			big.Copies, small.Copies)
-	}
-	if big.Copies < 12 {
-		t.Errorf("proteome-scale batch chose only %d copies; paper used 24", big.Copies)
-	}
-}
-
-func TestOptimalLayoutValidation(t *testing.T) {
-	if _, _, err := fs.OptimalLayout(reducedDB, 10, 60, 0, 8); err == nil {
-		t.Error("zero jobsPerCopy accepted")
-	}
-	if _, _, err := fs.OptimalLayout(reducedDB, 10, 60, 4, 0); err == nil {
-		t.Error("zero maxCopies accepted")
-	}
-}
-
-func TestNodeLocalCopyIsExpensive(t *testing.T) {
-	// The rejected alternative: re-copying the database every allocation.
-	// 50 allocations of the reduced DB at 5 GB/s node-local bandwidth.
-	tLocal, err := fs.NodeLocalCopyTime(reducedDB, 50, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Against: one-time 24-copy replication.
-	tRep, err := fs.ReplicationTime(reducedDB, ReplicaLayout{Copies: 24, JobsPerCopy: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tLocal <= tRep {
-		t.Errorf("node-local recopying (%v s) should exceed one-time replication (%v s)", tLocal, tRep)
-	}
-	if _, err := fs.NodeLocalCopyTime(reducedDB, -1, 5); err == nil {
-		t.Error("negative allocations accepted")
-	}
-	if _, err := fs.NodeLocalCopyTime(reducedDB, 1, 0); err == nil {
-		t.Error("zero bandwidth accepted")
-	}
-}
-
 func TestReducedVsFullSearchCost(t *testing.T) {
 	// Full dataset issues ~5x the metadata ops; under contention the
 	// reduced dataset's advantage compounds — the Section 4.1 rationale.

@@ -57,39 +57,8 @@ func TestCentroid(t *testing.T) {
 	}
 }
 
-func TestDihedral(t *testing.T) {
-	// Four points forming a known torsion: trans (180 degrees).
-	a := Vec3{-1, 1, 0}
-	b := Vec3{-1, 0, 0}
-	c := Vec3{1, 0, 0}
-	d := Vec3{1, -1, 0}
-	if got := Dihedral(a, b, c, d); !approxEq(math.Abs(got), math.Pi, 1e-9) {
-		t.Errorf("trans dihedral = %v, want ±pi", got)
-	}
-	// Cis: 0 degrees.
-	d2 := Vec3{1, 1, 0}
-	if got := Dihedral(a, b, c, d2); !approxEq(got, 0, 1e-9) {
-		t.Errorf("cis dihedral = %v, want 0", got)
-	}
-	// +90 degrees.
-	d3 := Vec3{1, 0, 1}
-	got := Dihedral(a, b, c, d3)
-	if !approxEq(math.Abs(got), math.Pi/2, 1e-9) {
-		t.Errorf("perpendicular dihedral = %v, want ±pi/2", got)
-	}
-}
-
-func TestAngle(t *testing.T) {
-	a := Vec3{1, 0, 0}
-	b := Vec3{0, 0, 0}
-	c := Vec3{0, 1, 0}
-	if got := Angle(a, b, c); !approxEq(got, math.Pi/2, 1e-12) {
-		t.Errorf("right angle = %v", got)
-	}
-}
-
 func TestMat3MulVecIdentity(t *testing.T) {
-	m := Identity3()
+	m := Mat3{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
 	v := Vec3{1, 2, 3}
 	if m.MulVec(v) != v {
 		t.Error("identity times v != v")
@@ -105,38 +74,6 @@ func TestRotationAboutAxis(t *testing.T) {
 	}
 	if !approxEq(r.Det(), 1, 1e-12) {
 		t.Errorf("rotation det = %v", r.Det())
-	}
-}
-
-func TestJacobiEigenDiagonal(t *testing.T) {
-	a := Mat3{{3, 0, 0}, {0, 1, 0}, {0, 0, 2}}
-	w, _ := jacobiEigen(a)
-	if !approxEq(w[0], 3, 1e-12) || !approxEq(w[1], 2, 1e-12) || !approxEq(w[2], 1, 1e-12) {
-		t.Errorf("eigenvalues = %v", w)
-	}
-}
-
-func TestJacobiEigenReconstruction(t *testing.T) {
-	r := rng.New(77)
-	for trial := 0; trial < 20; trial++ {
-		var a Mat3
-		for i := 0; i < 3; i++ {
-			for j := i; j < 3; j++ {
-				v := r.NormFloat64()
-				a[i][j] = v
-				a[j][i] = v
-			}
-		}
-		w, v := jacobiEigen(a)
-		// Check A·v_k = w_k·v_k for each eigenpair.
-		for k := 0; k < 3; k++ {
-			col := Vec3{v[0][k], v[1][k], v[2][k]}
-			av := a.MulVec(col)
-			wv := col.Scale(w[k])
-			if av.Dist(wv) > 1e-8 {
-				t.Fatalf("trial %d eigenpair %d: A·v=%v, w·v=%v", trial, k, av, wv)
-			}
-		}
 	}
 }
 
@@ -294,29 +231,6 @@ func TestTMScorePartialMatch(t *testing.T) {
 	}
 	if tm < 0.42 || tm > 0.75 {
 		t.Errorf("TM with half match = %v, want roughly 0.5", tm)
-	}
-}
-
-func TestGDTTSPerfectAndNoisy(t *testing.T) {
-	r := rng.New(23)
-	ref := chainLike(r, 60)
-	g, err := GDTTS(ref, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g < 0.999 {
-		t.Errorf("GDT-TS of identical = %v", g)
-	}
-	noisy := make([]Vec3, len(ref))
-	for i, p := range ref {
-		noisy[i] = p.Add(Vec3{r.NormFloat64() * 3, r.NormFloat64() * 3, r.NormFloat64() * 3})
-	}
-	g2, err := GDTTS(noisy, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2 >= g || g2 <= 0 {
-		t.Errorf("GDT-TS noisy = %v", g2)
 	}
 }
 

@@ -21,15 +21,6 @@ func (s *Superposition) Apply(p Vec3) Vec3 {
 	return s.R.MulVec(p.Sub(s.MobileCenter)).Add(s.TargetCenter)
 }
 
-// ApplyAll returns a new slice with every point mapped.
-func (s *Superposition) ApplyAll(pts []Vec3) []Vec3 {
-	out := make([]Vec3, len(pts))
-	for i, p := range pts {
-		out[i] = s.Apply(p)
-	}
-	return out
-}
-
 // Superpose computes the least-squares optimal rigid superposition of mobile
 // onto target (Kabsch problem) using Horn's quaternion method, which always
 // yields a proper rotation (no reflections). The two slices must have equal,

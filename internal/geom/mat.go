@@ -5,11 +5,6 @@ import "math"
 // Mat3 is a 3x3 matrix in row-major order: m[row][col].
 type Mat3 [3][3]float64
 
-// Identity3 returns the identity matrix.
-func Identity3() Mat3 {
-	return Mat3{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
-}
-
 // MulVec returns m·v.
 func (m Mat3) MulVec(v Vec3) Vec3 {
 	return Vec3{
@@ -17,30 +12,6 @@ func (m Mat3) MulVec(v Vec3) Vec3 {
 		m[1][0]*v.X + m[1][1]*v.Y + m[1][2]*v.Z,
 		m[2][0]*v.X + m[2][1]*v.Y + m[2][2]*v.Z,
 	}
-}
-
-// Mul returns the matrix product m·n.
-func (m Mat3) Mul(n Mat3) Mat3 {
-	var out Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			for k := 0; k < 3; k++ {
-				out[i][j] += m[i][k] * n[k][j]
-			}
-		}
-	}
-	return out
-}
-
-// Transpose returns mᵀ.
-func (m Mat3) Transpose() Mat3 {
-	var out Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			out[i][j] = m[j][i]
-		}
-	}
-	return out
 }
 
 // Det returns the determinant of m.
@@ -63,78 +34,4 @@ func RotationAboutAxis(axis Vec3, theta float64) Mat3 {
 		{u.Y*u.X*t + u.Z*s, c + u.Y*u.Y*t, u.Y*u.Z*t - u.X*s},
 		{u.Z*u.X*t - u.Y*s, u.Z*u.Y*t + u.X*s, c + u.Z*u.Z*t},
 	}
-}
-
-// jacobiEigen computes the eigendecomposition of a symmetric 3x3 matrix
-// using cyclic Jacobi rotations. It returns the eigenvalues (unordered on
-// entry to sorting, then sorted descending) and the matrix of column
-// eigenvectors, so a = v·diag(w)·vᵀ.
-func jacobiEigen(a Mat3) (w [3]float64, v Mat3) {
-	v = Identity3()
-	for sweep := 0; sweep < 64; sweep++ {
-		off := a[0][1]*a[0][1] + a[0][2]*a[0][2] + a[1][2]*a[1][2]
-		if off < 1e-30 {
-			break
-		}
-		for p := 0; p < 2; p++ {
-			for q := p + 1; q < 3; q++ {
-				if math.Abs(a[p][q]) < 1e-300 {
-					continue
-				}
-				// Compute the Jacobi rotation that annihilates a[p][q].
-				theta := (a[q][q] - a[p][p]) / (2 * a[p][q])
-				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				if theta < 0 {
-					t = -t
-				}
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-
-				// Apply rotation: a = Jᵀ a J (J rotates in the (p,q) plane).
-				app := a[p][p]
-				aqq := a[q][q]
-				apq := a[p][q]
-				a[p][p] = c*c*app - 2*s*c*apq + s*s*aqq
-				a[q][q] = s*s*app + 2*s*c*apq + c*c*aqq
-				a[p][q] = 0
-				a[q][p] = 0
-				for k := 0; k < 3; k++ {
-					if k != p && k != q {
-						akp := a[k][p]
-						akq := a[k][q]
-						a[k][p] = c*akp - s*akq
-						a[p][k] = a[k][p]
-						a[k][q] = s*akp + c*akq
-						a[q][k] = a[k][q]
-					}
-				}
-				for k := 0; k < 3; k++ {
-					vkp := v[k][p]
-					vkq := v[k][q]
-					v[k][p] = c*vkp - s*vkq
-					v[k][q] = s*vkp + c*vkq
-				}
-			}
-		}
-	}
-	w = [3]float64{a[0][0], a[1][1], a[2][2]}
-
-	// Sort eigenpairs descending by eigenvalue.
-	order := [3]int{0, 1, 2}
-	for i := 0; i < 2; i++ {
-		for j := i + 1; j < 3; j++ {
-			if w[order[j]] > w[order[i]] {
-				order[i], order[j] = order[j], order[i]
-			}
-		}
-	}
-	var ws [3]float64
-	var vs Mat3
-	for i, o := range order {
-		ws[i] = w[o]
-		for k := 0; k < 3; k++ {
-			vs[k][i] = v[k][o]
-		}
-	}
-	return ws, vs
 }

@@ -137,59 +137,3 @@ func equalInts(a, b []int) bool {
 	}
 	return true
 }
-
-// GDTTS computes the GDT-TS score: the mean fraction of residues within 1,
-// 2, 4 and 8 Å of the reference after a global superposition refined the
-// same way TM-score is. Values are in [0, 1].
-func GDTTS(model, ref []Vec3) (float64, error) {
-	if len(model) != len(ref) {
-		return 0, fmt.Errorf("geom: gdtts length mismatch %d vs %d", len(model), len(ref))
-	}
-	if len(ref) == 0 {
-		return 0, fmt.Errorf("geom: gdtts of empty structures")
-	}
-	n := len(ref)
-	best := [4]float64{}
-	thresholds := [4]float64{1, 2, 4, 8}
-
-	eval := func(sp *Superposition) {
-		var count [4]int
-		for i := range ref {
-			d := sp.Apply(model[i]).Dist(ref[i])
-			for t, th := range thresholds {
-				if d <= th {
-					count[t]++
-				}
-			}
-		}
-		for t := range thresholds {
-			if f := float64(count[t]) / float64(n); f > best[t] {
-				best[t] = f
-			}
-		}
-	}
-
-	// Global superposition plus fragment-seeded refinements, mirroring the
-	// TM-score search so GDT is not hostage to a bad global fit.
-	sp, err := Superpose(model, ref)
-	if err != nil {
-		return 0, err
-	}
-	eval(sp)
-	for fragLen := n; fragLen >= 4; fragLen /= 2 {
-		step := fragLen / 2
-		if step < 1 {
-			step = 1
-		}
-		for start := 0; start+fragLen <= n; start += step {
-			mSub := model[start : start+fragLen]
-			rSub := ref[start : start+fragLen]
-			spf, err := Superpose(mSub, rSub)
-			if err != nil {
-				continue
-			}
-			eval(spf)
-		}
-	}
-	return (best[0] + best[1] + best[2] + best[3]) / 4, nil
-}

@@ -1,8 +1,8 @@
 // Package geom implements the geometric and structural-comparison machinery
-// used by the reproduction: 3-vectors, 3x3 symmetric eigendecomposition,
-// Kabsch optimal superposition, RMSD, the TM-score of Zhang & Skolnick
-// (Proteins 2004), a GDT-TS variant, and a SPECS-like score that also
-// rewards side-chain placement (Alapati et al., PLoS ONE 2020).
+// used by the reproduction: 3-vectors and 3x3 rotations, Kabsch optimal
+// superposition (Horn's quaternion method), RMSD, the TM-score of Zhang &
+// Skolnick (Proteins 2004), and a SPECS-like score that also rewards
+// side-chain placement (Alapati et al., PLoS ONE 2020).
 //
 // These are real implementations, not stubs: Fig. 3 of the paper compares
 // relaxation protocols using TM-score and SPECS-score, and Section 4.6 uses
@@ -71,40 +71,6 @@ func Centroid(pts []Vec3) Vec3 {
 		c = c.Add(p)
 	}
 	return c.Scale(1 / float64(len(pts)))
-}
-
-// Translate adds t to every point in place.
-func Translate(pts []Vec3, t Vec3) {
-	for i := range pts {
-		pts[i] = pts[i].Add(t)
-	}
-}
-
-// Dihedral returns the torsion angle (radians, in (-pi, pi]) defined by four
-// points a-b-c-d around the b-c axis.
-func Dihedral(a, b, c, d Vec3) float64 {
-	b1 := b.Sub(a)
-	b2 := c.Sub(b)
-	b3 := d.Sub(c)
-	n1 := b1.Cross(b2)
-	n2 := b2.Cross(b3)
-	m := n1.Cross(b2.Unit())
-	x := n1.Dot(n2)
-	y := m.Dot(n2)
-	return math.Atan2(y, x)
-}
-
-// Angle returns the angle (radians) at vertex b in the triangle a-b-c.
-func Angle(a, b, c Vec3) float64 {
-	u := a.Sub(b).Unit()
-	v := c.Sub(b).Unit()
-	d := u.Dot(v)
-	if d > 1 {
-		d = 1
-	} else if d < -1 {
-		d = -1
-	}
-	return math.Acos(d)
 }
 
 // Clone returns a deep copy of the point slice.

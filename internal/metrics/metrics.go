@@ -1,6 +1,5 @@
-// Package metrics provides the summary statistics, histograms and table
-// rendering the benchmark harness uses to report paper-versus-measured
-// results.
+// Package metrics provides the summary statistics and table rendering the
+// benchmark harness uses to report paper-versus-measured results.
 package metrics
 
 import (
@@ -115,73 +114,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, fmt.Errorf("metrics: pearson with zero variance")
 	}
 	return cov / math.Sqrt(vx*vy), nil
-}
-
-// Histogram is a fixed-width-bin histogram.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int // samples below Lo
-	Over   int // samples at or above Hi
-}
-
-// NewHistogram makes a histogram over [lo, hi) with the given bin count.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("metrics: bins must be positive")
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("metrics: hi must exceed lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}, nil
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	if x < h.Lo {
-		h.Under++
-		return
-	}
-	if x >= h.Hi {
-		h.Over++
-		return
-	}
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-}
-
-// Total returns the number of recorded samples, including out-of-range.
-func (h *Histogram) Total() int {
-	n := h.Under + h.Over
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// Render writes an ASCII bar chart of the histogram.
-func (h *Histogram) Render(w io.Writer, width int) error {
-	if width <= 0 {
-		width = 40
-	}
-	max := 1
-	for _, c := range h.Counts {
-		if c > max {
-			max = c
-		}
-	}
-	binW := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		bar := strings.Repeat("#", c*width/max)
-		if _, err := fmt.Fprintf(w, "%10.2f-%-10.2f %6d %s\n",
-			h.Lo+float64(i)*binW, h.Lo+float64(i+1)*binW, c, bar); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Table renders aligned text tables for the bench reports.

@@ -66,38 +66,6 @@ func TestPearson(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1, 5, 9.99, 10, 15} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under/over = %d/%d", h.Under, h.Over)
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d", h.Total())
-	}
-	if h.Counts[0] != 2 { // 0 and 1
-		t.Errorf("bin0 = %d", h.Counts[0])
-	}
-	var buf bytes.Buffer
-	if err := h.Render(&buf, 20); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 5 {
-		t.Errorf("rendered %d lines", lines)
-	}
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("hi<=lo accepted")
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tab := Table{Header: []string{"Preset", "pLDDT", "Count"}}
 	tab.AddRow("reduced_db", 78.4, 559)

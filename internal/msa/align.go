@@ -12,8 +12,7 @@ type Alignment struct {
 	SubjectAln string // subject with '-' gaps
 	Score      int
 	// QueryStart/QueryEnd delimit the aligned query region (0-based,
-	// half-open); likewise for the subject. For global alignments these
-	// span the full sequences.
+	// half-open); likewise for the subject.
 	QueryStart, QueryEnd     int
 	SubjectStart, SubjectEnd int
 }
@@ -36,32 +35,6 @@ func (a *Alignment) Identity() float64 {
 		return 0
 	}
 	return float64(matched) / float64(aligned)
-}
-
-// MatchCount returns the number of identical aligned residue pairs.
-func (a *Alignment) MatchCount() int {
-	n := 0
-	for i := 0; i < len(a.QueryAln); i++ {
-		if a.QueryAln[i] != '-' && a.QueryAln[i] == a.SubjectAln[i] {
-			n++
-		}
-	}
-	return n
-}
-
-// IdentityOverShorter returns matches divided by the shorter sequence
-// length — the convention used when reporting "sequence identity match" of
-// remote homologs (robust against gappy alignments inflating per-column
-// identity).
-func (a *Alignment) IdentityOverShorter(queryLen, subjectLen int) float64 {
-	den := queryLen
-	if subjectLen < den {
-		den = subjectLen
-	}
-	if den == 0 {
-		return 0
-	}
-	return float64(a.MatchCount()) / float64(den)
 }
 
 // Coverage returns the fraction of the full query covered by the aligned
@@ -116,105 +89,6 @@ func (s *dpScratch) traceback(n int) (qa, sa []byte) {
 	}
 	buf := s.tb[:2*n]
 	return buf[:0:n], buf[n : n : 2*n]
-}
-
-// Global computes a Needleman-Wunsch global alignment with affine gaps
-// (Gotoh's algorithm).
-func Global(query, subject string, gp GapParams) (*Alignment, error) {
-	n, m := len(query), len(subject)
-	if n == 0 || m == 0 {
-		return nil, fmt.Errorf("msa: global alignment of empty sequence")
-	}
-	scratch := dpPool.Get().(*dpScratch)
-	defer dpPool.Put(scratch)
-	cols := m + 1
-	// M = match/mismatch ending, X = gap in subject (query consumed),
-	// Y = gap in query (subject consumed); cell (i, j) lives at i*cols+j.
-	M, X, Y := scratch.matrices(n+1, cols)
-	M[0] = 0
-	for i := 1; i <= n; i++ {
-		M[i*cols] = negInf
-		X[i*cols] = -(gp.Open + i*gp.Extend)
-		Y[i*cols] = negInf
-	}
-	for j := 1; j <= m; j++ {
-		M[j] = negInf
-		Y[j] = -(gp.Open + j*gp.Extend)
-		X[j] = negInf
-	}
-	X[0], Y[0] = negInf, negInf
-
-	for i := 1; i <= n; i++ {
-		row := i * cols
-		prev := row - cols
-		qc := query[i-1]
-		for j := 1; j <= m; j++ {
-			s := Score(qc, subject[j-1])
-			M[row+j] = max3(M[prev+j-1], X[prev+j-1], Y[prev+j-1]) + s
-			X[row+j] = maxInt(M[prev+j]-gp.Open-gp.Extend, X[prev+j]-gp.Extend)
-			Y[row+j] = maxInt(M[row+j-1]-gp.Open-gp.Extend, Y[row+j-1]-gp.Extend)
-		}
-	}
-
-	// Traceback from the best of the three end states.
-	state := 0
-	best := M[n*cols+m]
-	if X[n*cols+m] > best {
-		best, state = X[n*cols+m], 1
-	}
-	if Y[n*cols+m] > best {
-		best, state = Y[n*cols+m], 2
-	}
-	qa, sa := scratch.traceback(n + m)
-	i, j := n, m
-	for i > 0 || j > 0 {
-		switch state {
-		case 0: // M
-			qa = append(qa, query[i-1])
-			sa = append(sa, subject[j-1])
-			s := Score(query[i-1], subject[j-1])
-			switch M[i*cols+j] - s {
-			case M[(i-1)*cols+j-1]:
-				state = 0
-			case X[(i-1)*cols+j-1]:
-				state = 1
-			default:
-				state = 2
-			}
-			i--
-			j--
-		case 1: // X: gap in subject
-			qa = append(qa, query[i-1])
-			sa = append(sa, '-')
-			if i > 1 || j > 0 {
-				if X[i*cols+j] == M[(i-1)*cols+j]-gp.Open-gp.Extend {
-					state = 0
-				}
-			}
-			i--
-		default: // Y: gap in query
-			qa = append(qa, '-')
-			sa = append(sa, subject[j-1])
-			if j > 1 || i > 0 {
-				if Y[i*cols+j] == M[i*cols+j-1]-gp.Open-gp.Extend {
-					state = 0
-				}
-			}
-			j--
-		}
-		// Borders force gap states.
-		if i == 0 && j > 0 {
-			state = 2
-		} else if j == 0 && i > 0 {
-			state = 1
-		}
-	}
-	reverse(qa)
-	reverse(sa)
-	return &Alignment{
-		QueryAln: string(qa), SubjectAln: string(sa), Score: best,
-		QueryStart: 0, QueryEnd: n, SubjectStart: 0, SubjectEnd: m,
-	}, nil
 }
 
 // Local computes a Smith-Waterman local alignment with affine gaps.

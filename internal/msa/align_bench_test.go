@@ -1,6 +1,7 @@
 package msa
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -17,25 +18,15 @@ func benchSeq(seed uint64, n int) string {
 	return string(b)
 }
 
-// BenchmarkGlobalAlign measures the Gotoh global-alignment kernel on a
-// genome-typical pair (~300 x ~280 residues). Run with -benchmem: the
-// allocation count per call is the quantity the pooled-matrix optimization
-// targets.
-func BenchmarkGlobalAlign(b *testing.B) {
-	q := benchSeq(1, 300)
-	s := benchSeq(2, 280)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Global(q, s, DefaultGaps); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkLocalAlign measures the Smith-Waterman kernel the library search
-// path (Searcher.Search) calls for every candidate hit.
+// path (Searcher.Search) calls for every candidate hit, on a genome-typical
+// pair (~300 x ~280 residues). It runs on one P: a sync.Pool keeps its
+// last item in a per-P slot other Ps cannot take, so with more than one P
+// the benchmark goroutine moving between them makes dpPool miss and charge
+// a fresh 2 MB of matrices to a few ops. That moves B/op by up to 1 KB
+// from run to run while allocs/op stays 3.
 func BenchmarkLocalAlign(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	q := benchSeq(3, 300)
 	s := benchSeq(4, 280)
 	b.ReportAllocs()

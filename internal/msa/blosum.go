@@ -1,9 +1,9 @@
 // Package msa implements the sequence-search and feature-generation stage
-// of the pipeline (Section 3.2.1 of the paper): pairwise alignment with
-// affine gaps, profile HMM construction and scoring (the HMMER/HHblits
-// role), multiple-sequence-alignment assembly against the sequence
-// libraries, and extraction of the input features the folding stage
-// consumes (column profiles, alignment depth/Neff, template hits).
+// of the pipeline (Section 3.2.1 of the paper): Smith-Waterman local
+// alignment with affine gaps (the HMMER/HHblits role), assembly of the
+// multiple sequence alignment against the sequence libraries, and
+// extraction of the input features the folding stage consumes (column
+// profiles, alignment depth/Neff, template hits).
 package msa
 
 import "repro/internal/seq"

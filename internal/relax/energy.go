@@ -426,10 +426,6 @@ type Violations struct {
 	Bumps   int // Cα–Cα pairs closer than 3.6 Å (including clashes)
 }
 
-// Clashed reports the paper's "clashed model" criterion: more than 4
-// clashes or more than 50 bumps.
-func (v Violations) Clashed() bool { return v.Clashes > 4 || v.Bumps > 50 }
-
 // CountViolations counts clashes and bumps over Cα pairs with sequence
 // separation of at least 2.
 func CountViolations(ca []geom.Vec3) Violations {

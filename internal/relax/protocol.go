@@ -147,12 +147,6 @@ func ModelTime(p Platform, heavyAtoms, rounds int) float64 {
 	}
 }
 
-// Speedup returns t(AF2)/t(p) for a system size, the quantity Fig. 4(B)
-// plots.
-func Speedup(p Platform, heavyAtoms int) float64 {
-	return ModelTime(PlatformAF2, heavyAtoms, 1) / ModelTime(p, heavyAtoms, 1)
-}
-
 // Validate sanity-checks an Options value.
 func (o *Options) Validate() error {
 	if o.Min.MaxSteps <= 0 {

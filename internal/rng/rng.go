@@ -90,22 +90,6 @@ func (s *Source) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential deviate with rate 1.
-func (s *Source) ExpFloat64() float64 {
-	for {
-		u := s.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
-// LogNormal returns a log-normal deviate with the given location and scale
-// parameters of the underlying normal.
-func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*s.NormFloat64())
-}
-
 // Gamma returns a gamma deviate with the given shape k > 0 and scale theta,
 // using the Marsaglia-Tsang method (with Johnk boost for k < 1).
 func (s *Source) Gamma(k, theta float64) float64 {

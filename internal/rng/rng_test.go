@@ -103,18 +103,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	s := New(6)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += s.ExpFloat64()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Errorf("exponential mean = %v, want ~1", mean)
-	}
-}
-
 func TestGammaMoments(t *testing.T) {
 	s := New(8)
 	const n = 100000

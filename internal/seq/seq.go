@@ -1,6 +1,6 @@
 // Package seq provides the protein sequence model used throughout the
-// reproduction: the 20-letter amino-acid alphabet with physicochemical
-// annotations, sequence records, and FASTA I/O.
+// reproduction: the 20-letter amino-acid alphabet with residue names and
+// background frequencies, sequence records, and FASTA I/O.
 package seq
 
 import (
@@ -32,56 +32,12 @@ func init() {
 // non-canonical character (including gaps and ambiguity codes).
 func Index(c byte) int { return int(aaIndex[c]) }
 
-// Letter returns the amino-acid letter for an alphabet index.
-func Letter(i int) byte {
-	if i < 0 || i >= NumAminoAcids {
-		return 'X'
-	}
-	return Alphabet[i]
-}
-
 // ThreeLetter maps one-letter codes to PDB-style three-letter residue names.
 var ThreeLetter = map[byte]string{
 	'A': "ALA", 'C': "CYS", 'D': "ASP", 'E': "GLU", 'F': "PHE",
 	'G': "GLY", 'H': "HIS", 'I': "ILE", 'K': "LYS", 'L': "LEU",
 	'M': "MET", 'N': "ASN", 'P': "PRO", 'Q': "GLN", 'R': "ARG",
 	'S': "SER", 'T': "THR", 'V': "VAL", 'W': "TRP", 'Y': "TYR",
-}
-
-// HeavyAtoms gives the number of non-hydrogen atoms per residue type,
-// including the four backbone heavy atoms (N, CA, C, O). Used to size
-// molecular-mechanics systems the way Fig. 4 of the paper does (time vs
-// total heavy atoms).
-var HeavyAtoms = map[byte]int{
-	'G': 4, 'A': 5, 'S': 6, 'C': 6, 'T': 7, 'P': 7, 'V': 7,
-	'D': 8, 'N': 8, 'I': 8, 'L': 8, 'M': 8, 'E': 9, 'Q': 9,
-	'K': 9, 'H': 10, 'F': 11, 'R': 11, 'Y': 12, 'W': 14,
-}
-
-// Hydrophobicity is the Kyte-Doolittle scale, used by the folding surrogate
-// to derive burial propensities from sequence.
-var Hydrophobicity = map[byte]float64{
-	'A': 1.8, 'C': 2.5, 'D': -3.5, 'E': -3.5, 'F': 2.8,
-	'G': -0.4, 'H': -3.2, 'I': 4.5, 'K': -3.9, 'L': 3.8,
-	'M': 1.9, 'N': -3.5, 'P': -1.6, 'Q': -3.5, 'R': -4.5,
-	'S': -0.8, 'T': -0.7, 'V': 4.2, 'W': -0.9, 'Y': -1.3,
-}
-
-// HelixPropensity and SheetPropensity are Chou-Fasman-like conformational
-// preferences (values near 1 are neutral) used by the folding surrogate's
-// secondary-structure head.
-var HelixPropensity = map[byte]float64{
-	'A': 1.42, 'C': 0.70, 'D': 1.01, 'E': 1.51, 'F': 1.13,
-	'G': 0.57, 'H': 1.00, 'I': 1.08, 'K': 1.16, 'L': 1.21,
-	'M': 1.45, 'N': 0.67, 'P': 0.57, 'Q': 1.11, 'R': 0.98,
-	'S': 0.77, 'T': 0.83, 'V': 1.06, 'W': 1.08, 'Y': 0.69,
-}
-
-var SheetPropensity = map[byte]float64{
-	'A': 0.83, 'C': 1.19, 'D': 0.54, 'E': 0.37, 'F': 1.38,
-	'G': 0.75, 'H': 0.87, 'I': 1.60, 'K': 0.74, 'L': 1.30,
-	'M': 1.05, 'N': 0.89, 'P': 0.55, 'Q': 1.10, 'R': 0.93,
-	'S': 0.75, 'T': 1.19, 'V': 1.70, 'W': 1.37, 'Y': 1.47,
 }
 
 // BackgroundFreq is the approximate background frequency of each amino acid
@@ -115,66 +71,6 @@ func (s *Sequence) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Indices returns the alphabet-index encoding of the sequence. Invalid
-// characters map to -1; call Validate first if that matters.
-func (s *Sequence) Indices() []int8 {
-	out := make([]int8, len(s.Residues))
-	for i := 0; i < len(s.Residues); i++ {
-		out[i] = int8(Index(s.Residues[i]))
-	}
-	return out
-}
-
-// Composition returns per-amino-acid frequencies of the sequence.
-func (s *Sequence) Composition() [NumAminoAcids]float64 {
-	var freq [NumAminoAcids]float64
-	n := 0
-	for i := 0; i < len(s.Residues); i++ {
-		if k := Index(s.Residues[i]); k >= 0 {
-			freq[k]++
-			n++
-		}
-	}
-	if n > 0 {
-		for k := range freq {
-			freq[k] /= float64(n)
-		}
-	}
-	return freq
-}
-
-// TotalHeavyAtoms returns the heavy-atom count of the full chain, the size
-// metric used by the relaxation benchmarks (Fig. 4).
-func (s *Sequence) TotalHeavyAtoms() int {
-	total := 0
-	for i := 0; i < len(s.Residues); i++ {
-		if n, ok := HeavyAtoms[s.Residues[i]]; ok {
-			total += n
-		} else {
-			total += 8 // mean-ish fallback for non-canonical letters
-		}
-	}
-	return total
-}
-
-// Identity returns the fraction of identical positions between two
-// equal-length residue strings; it returns an error on length mismatch.
-func Identity(a, b string) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("seq: identity length mismatch %d vs %d", len(a), len(b))
-	}
-	if len(a) == 0 {
-		return 0, fmt.Errorf("seq: identity of empty sequences")
-	}
-	same := 0
-	for i := 0; i < len(a); i++ {
-		if a[i] == b[i] {
-			same++
-		}
-	}
-	return float64(same) / float64(len(a)), nil
 }
 
 // IsHypothetical reports whether the sequence is annotated as a hypothetical

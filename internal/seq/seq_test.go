@@ -10,9 +10,8 @@ import (
 
 func TestAlphabetRoundTrip(t *testing.T) {
 	for i := 0; i < NumAminoAcids; i++ {
-		c := Letter(i)
-		if Index(c) != i {
-			t.Errorf("Index(Letter(%d)) = %d", i, Index(c))
+		if c := Alphabet[i]; Index(c) != i {
+			t.Errorf("Index(%c) = %d, want %d", c, Index(c), i)
 		}
 	}
 	if Index('X') != -1 || Index('-') != -1 || Index('*') != -1 {
@@ -21,9 +20,6 @@ func TestAlphabetRoundTrip(t *testing.T) {
 	if Index('a') != Index('A') {
 		t.Error("lower-case must map like upper-case")
 	}
-	if Letter(-1) != 'X' || Letter(20) != 'X' {
-		t.Error("out-of-range Letter must return X")
-	}
 }
 
 func TestTablesCoverAlphabet(t *testing.T) {
@@ -31,18 +27,6 @@ func TestTablesCoverAlphabet(t *testing.T) {
 		c := Alphabet[i]
 		if _, ok := ThreeLetter[c]; !ok {
 			t.Errorf("ThreeLetter missing %c", c)
-		}
-		if _, ok := HeavyAtoms[c]; !ok {
-			t.Errorf("HeavyAtoms missing %c", c)
-		}
-		if _, ok := Hydrophobicity[c]; !ok {
-			t.Errorf("Hydrophobicity missing %c", c)
-		}
-		if _, ok := HelixPropensity[c]; !ok {
-			t.Errorf("HelixPropensity missing %c", c)
-		}
-		if _, ok := SheetPropensity[c]; !ok {
-			t.Errorf("SheetPropensity missing %c", c)
 		}
 	}
 }
@@ -72,53 +56,6 @@ func TestValidate(t *testing.T) {
 	empty := Sequence{ID: "c"}
 	if err := empty.Validate(); err == nil {
 		t.Error("empty sequence accepted")
-	}
-}
-
-func TestIndices(t *testing.T) {
-	s := Sequence{Residues: "AC-"}
-	idx := s.Indices()
-	if idx[0] != 0 || idx[1] != 1 || idx[2] != -1 {
-		t.Errorf("Indices = %v", idx)
-	}
-}
-
-func TestComposition(t *testing.T) {
-	s := Sequence{Residues: "AACC"}
-	c := s.Composition()
-	if c[Index('A')] != 0.5 || c[Index('C')] != 0.5 {
-		t.Errorf("composition = %v", c)
-	}
-	var sum float64
-	for _, f := range c {
-		sum += f
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("composition sums to %v", sum)
-	}
-}
-
-func TestTotalHeavyAtoms(t *testing.T) {
-	s := Sequence{Residues: "GA"} // 4 + 5
-	if got := s.TotalHeavyAtoms(); got != 9 {
-		t.Errorf("heavy atoms = %d, want 9", got)
-	}
-	trp := Sequence{Residues: "W"}
-	if got := trp.TotalHeavyAtoms(); got != 14 {
-		t.Errorf("TRP heavy atoms = %d, want 14", got)
-	}
-}
-
-func TestIdentity(t *testing.T) {
-	got, err := Identity("AAAA", "AACA")
-	if err != nil || got != 0.75 {
-		t.Errorf("Identity = %v, %v", got, err)
-	}
-	if _, err := Identity("AA", "AAA"); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := Identity("", ""); err == nil {
-		t.Error("empty sequences accepted")
 	}
 }
 

@@ -1,16 +1,15 @@
 // Package seqdb models the sequence libraries AlphaFold searches against
-// (UniProt/UniRef90, BFD, MGnify, and the PDB seqres set) and the two
-// database engineering steps the paper relies on:
+// (UniProt/UniRef90, BFD, MGnify, and the PDB seqres set) and the k-mer
+// index that prefilters them. Libraries are generated from the shared
+// domain universe in internal/proteome, so proteome targets have genuine
+// homologs here.
 //
-//  1. the "reduced" dataset — removing identical and near-identical
-//     sequences from the BFD with a greedy identity-clustering pass
-//     (Section 3.2.1: 2.1 TB full → 420 GB reduced, with virtually
-//     identical prediction accuracy), and
-//  2. replication across the parallel filesystem — 24 identical copies with
-//     4 concurrent jobs per copy to relieve metadata-server contention.
-//
-// Libraries are generated from the shared domain universe in
-// internal/proteome, so proteome targets have genuine homologs here.
+// The paper's two database engineering steps (Section 3.2.1) are not
+// performed on these libraries. Removing near-identical BFD sequences
+// (2.1 TB full → 420 GB reduced) and replicating the reduced set across
+// the parallel filesystem (24 copies, 4 concurrent jobs each) are modelled
+// as costs by internal/fsim: core.ReducedDatabase and core.FullDatabase
+// are its 420 GB and 2.1 TB databases, and fsim.ReplicaLayout the copies.
 package seqdb
 
 import (
@@ -35,23 +34,6 @@ type Entry struct {
 	Family int
 }
 
-// NumEntries returns the number of sequences.
-func (l *Library) NumEntries() int { return len(l.Entries) }
-
-// TotalResidues returns the summed sequence length, the proxy for on-disk
-// size used by the filesystem model.
-func (l *Library) TotalResidues() int {
-	total := 0
-	for i := range l.Entries {
-		total += l.Entries[i].Seq.Len()
-	}
-	return total
-}
-
-// SizeBytes estimates the on-disk footprint. Real HH-suite/HMMER databases
-// carry index and profile overheads of roughly 2x the raw residues.
-func (l *Library) SizeBytes() int64 { return int64(l.TotalResidues()) * 2 }
-
 // BuildSpec parameterizes library generation.
 type BuildSpec struct {
 	Name string
@@ -62,8 +44,8 @@ type BuildSpec struct {
 	// their family ancestor.
 	MinDivergence, MaxDivergence float64
 	// DuplicateFrac is the fraction of additional near-identical copies
-	// (divergence < 0.05) appended after the base entries; this is what the
-	// reduction pass removes. The real BFD is dominated by such redundancy.
+	// (divergence < 0.05) appended after the base entries. The real BFD is
+	// dominated by such redundancy.
 	DuplicateFrac float64
 }
 
@@ -197,98 +179,4 @@ func (idx *KmerIndex) Query(query string, minShared int) []Hit {
 		return hits[i].Entry < hits[j].Entry
 	})
 	return hits
-}
-
-// Reduce performs greedy identity clustering (CD-HIT-style): entries are
-// processed longest-first; an entry joins an existing cluster if it shares
-// at least identityFrac of its k-mers with the representative, otherwise it
-// founds a new cluster. The returned library holds only representatives.
-// With identityFrac ≈ 0.9 this is the "remove identical and near-identical
-// sequences from the BFD" step of Section 3.2.1.
-func Reduce(lib *Library, k int, identityFrac float64) *Library {
-	order := make([]int, len(lib.Entries))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		la := lib.Entries[order[a]].Seq.Len()
-		lb := lib.Entries[order[b]].Seq.Len()
-		if la != lb {
-			return la > lb
-		}
-		return order[a] < order[b]
-	})
-
-	reduced := &Library{Name: lib.Name + "_reduced"}
-	// Index over accepted representatives only, built incrementally.
-	repKmers := make(map[string][]int32)
-	repSets := [][]string{}
-
-	kmerSet := func(res string) []string {
-		seen := make(map[string]bool)
-		out := make([]string, 0, len(res))
-		for i := 0; i+k <= len(res); i++ {
-			w := res[i : i+k]
-			if !seen[w] {
-				seen[w] = true
-				out = append(out, w)
-			}
-		}
-		return out
-	}
-
-	for _, e := range order {
-		res := lib.Entries[e].Seq.Residues
-		words := kmerSet(res)
-		if len(words) == 0 {
-			reduced.Entries = append(reduced.Entries, lib.Entries[e])
-			continue
-		}
-		counts := make(map[int32]int)
-		for _, w := range words {
-			for _, rep := range repKmers[w] {
-				counts[rep]++
-			}
-		}
-		matched := false
-		need := int(identityFrac * float64(len(words)))
-		for _, c := range counts {
-			if c >= need {
-				matched = true
-				break
-			}
-		}
-		if matched {
-			continue // redundant with an existing representative
-		}
-		repID := int32(len(repSets))
-		repSets = append(repSets, words)
-		for _, w := range words {
-			repKmers[w] = append(repKmers[w], repID)
-		}
-		reduced.Entries = append(reduced.Entries, lib.Entries[e])
-	}
-	return reduced
-}
-
-// ReplicaSet is the filesystem replication layout of Section 3.2.1: N
-// identical copies of the reduced libraries with a bounded number of
-// concurrent jobs per copy.
-type ReplicaSet struct {
-	Copies      int
-	JobsPerCopy int
-}
-
-// PaperReplicaSet returns the deployed layout (24 copies, 4 jobs per copy).
-func PaperReplicaSet() ReplicaSet { return ReplicaSet{Copies: 24, JobsPerCopy: 4} }
-
-// MaxConcurrentJobs returns the search concurrency the layout supports.
-func (rs ReplicaSet) MaxConcurrentJobs() int { return rs.Copies * rs.JobsPerCopy }
-
-// AssignCopy deterministically maps a job index to a replica copy.
-func (rs ReplicaSet) AssignCopy(job int) int {
-	if rs.Copies <= 0 {
-		return 0
-	}
-	return job % rs.Copies
 }

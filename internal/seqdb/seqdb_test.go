@@ -13,7 +13,7 @@ func TestBuildDeterminismAndValidity(t *testing.T) {
 	spec := BuildSpec{Name: "t", EntriesPerFamily: 5, MinDivergence: 0.05, MaxDivergence: 0.5, DuplicateFrac: 0.5}
 	a := Build(u, spec, 3)
 	b := Build(u, spec, 3)
-	if a.NumEntries() != b.NumEntries() {
+	if len(a.Entries) != len(b.Entries) {
 		t.Fatal("same-seed builds differ in size")
 	}
 	for i := range a.Entries {
@@ -26,8 +26,8 @@ func TestBuildDeterminismAndValidity(t *testing.T) {
 	}
 	wantBase := 32 * 5
 	wantTotal := wantBase + wantBase/2
-	if a.NumEntries() != wantTotal {
-		t.Errorf("entries = %d, want %d", a.NumEntries(), wantTotal)
+	if len(a.Entries) != wantTotal {
+		t.Errorf("entries = %d, want %d", len(a.Entries), wantTotal)
 	}
 }
 
@@ -39,14 +39,11 @@ func TestStandardLibrariesShape(t *testing.T) {
 			t.Fatalf("missing library %s", name)
 		}
 	}
-	if libs["bfd"].NumEntries() <= libs["uniref90"].NumEntries() {
+	if len(libs["bfd"].Entries) <= len(libs["uniref90"].Entries) {
 		t.Error("BFD must dominate uniref90 in size")
 	}
-	if libs["pdb_seqres"].NumEntries() >= libs["uniref90"].NumEntries() {
+	if len(libs["pdb_seqres"].Entries) >= len(libs["uniref90"].Entries) {
 		t.Error("pdb_seqres must be the smallest")
-	}
-	if libs["bfd"].SizeBytes() <= 0 {
-		t.Error("SizeBytes must be positive")
 	}
 }
 
@@ -95,72 +92,4 @@ func TestKmerIndexRejectsBadK(t *testing.T) {
 		}
 	}()
 	NewKmerIndex(&Library{}, 1)
-}
-
-func TestReduceRemovesDuplicates(t *testing.T) {
-	u := testUniverse()
-	// Heavy duplication like the BFD.
-	full := Build(u, BuildSpec{
-		Name: "bfd", EntriesPerFamily: 10,
-		MinDivergence: 0.1, MaxDivergence: 0.6, DuplicateFrac: 4.0,
-	}, 9)
-	reduced := Reduce(full, 4, 0.8)
-
-	if reduced.NumEntries() >= full.NumEntries() {
-		t.Fatalf("reduction did not shrink: %d -> %d", full.NumEntries(), reduced.NumEntries())
-	}
-	// The paper's reduction is roughly 5x by bytes (2.1 TB -> 420 GB); with
-	// DuplicateFrac=4 the duplicate mass should mostly vanish.
-	ratio := float64(full.SizeBytes()) / float64(reduced.SizeBytes())
-	if ratio < 3 {
-		t.Errorf("reduction ratio %.2f, want >= 3 with 80%% duplicates", ratio)
-	}
-
-	// Every family must still be represented: reduction must not lose
-	// coverage (this is why accuracy is preserved).
-	covered := map[int]bool{}
-	for _, e := range reduced.Entries {
-		covered[e.Family] = true
-	}
-	for f := 0; f < u.NumFamilies(); f++ {
-		if !covered[f] {
-			t.Errorf("family %d lost by reduction", f)
-		}
-	}
-}
-
-func TestReduceIdempotent(t *testing.T) {
-	u := testUniverse()
-	full := Build(u, BuildSpec{
-		Name: "x", EntriesPerFamily: 6,
-		MinDivergence: 0.1, MaxDivergence: 0.5, DuplicateFrac: 2.0,
-	}, 10)
-	once := Reduce(full, 4, 0.8)
-	twice := Reduce(once, 4, 0.8)
-	if twice.NumEntries() != once.NumEntries() {
-		t.Errorf("reduce not idempotent: %d -> %d", once.NumEntries(), twice.NumEntries())
-	}
-}
-
-func TestReplicaSet(t *testing.T) {
-	rs := PaperReplicaSet()
-	if rs.Copies != 24 || rs.JobsPerCopy != 4 {
-		t.Errorf("paper replica set = %+v", rs)
-	}
-	if rs.MaxConcurrentJobs() != 96 {
-		t.Errorf("max concurrent jobs = %d", rs.MaxConcurrentJobs())
-	}
-	seen := map[int]int{}
-	for j := 0; j < 240; j++ {
-		c := rs.AssignCopy(j)
-		if c < 0 || c >= rs.Copies {
-			t.Fatalf("copy %d out of range", c)
-		}
-		seen[c]++
-	}
-	for c, n := range seen {
-		if n != 10 {
-			t.Errorf("copy %d assigned %d jobs, want 10", c, n)
-		}
-	}
 }
