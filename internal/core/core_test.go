@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/exec"
 	"repro/internal/fold"
 	"repro/internal/fsim"
 	"repro/internal/geom"
@@ -232,6 +235,66 @@ func TestInferenceStageCompletes(t *testing.T) {
 	}
 	if rep.NodeHours <= 0 {
 		t.Error("no node hours charged")
+	}
+}
+
+// TestInferenceStageTargetOnOneWorker: on a traced pool at every width, all
+// five X/mN tasks of a target run on one WorkerID, in both the standard and
+// the high-memory wave (a casp14 target too long for a standard GPU runs
+// its five models twice, once per wave, each batch with its own enqueue
+// stamp).
+func TestInferenceStageTargetOnOneWorker(t *testing.T) {
+	_, p, _, engine := testSetup(t, 40)
+	proteins := p.Proteins
+	r := rng.New(4)
+	for i := 0; i < 3; i++ {
+		proteins = append(proteins, proteome.Protein{
+			Seq:        seq.Sequence{ID: fmt.Sprintf("LONG_%d", i), Residues: backgroundSeq(r, 900+40*i)},
+			Divergence: 0.3,
+		})
+	}
+	cfg := DefaultConfig()
+	cfg.Preset = fold.CASP14
+	feat, err := FeatureStage(proteins, DefaultFastFeatureGen(1), fsim.DefaultFilesystem(), ReducedDatabase(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4, 8} {
+		pool := exec.NewPool(workers)
+		trace := &exec.Trace{}
+		pool.SetTrace(trace)
+		cfg.Executor = pool
+		if _, err := InferenceStage(engine, proteins, feat.Features, cfg); err != nil {
+			t.Fatal(err)
+		}
+		type unit struct {
+			wave   int64
+			target string
+		}
+		placed := map[unit]string{}
+		tasks := map[unit]int{}
+		waves := map[int64]bool{}
+		for _, row := range trace.Rows() {
+			target, _, ok := strings.Cut(row.TaskID, "/m")
+			if !ok {
+				t.Fatalf("task ID %q is not X/mN", row.TaskID)
+			}
+			u := unit{row.Enqueue.UnixNano(), target}
+			waves[u.wave] = true
+			if w, ok := placed[u]; ok && w != row.WorkerID {
+				t.Fatalf("workers=%d: %s ran on %s and %s in one wave", workers, target, w, row.WorkerID)
+			}
+			placed[u] = row.WorkerID
+			tasks[u]++
+		}
+		if len(waves) != 2 {
+			t.Fatalf("workers=%d: %d waves traced, want the standard and the high-memory one", workers, len(waves))
+		}
+		for u, n := range tasks {
+			if n != fold.NumModels {
+				t.Fatalf("workers=%d: %s has %d tasks in one wave, want %d", workers, u.target, n, fold.NumModels)
+			}
+		}
 	}
 }
 

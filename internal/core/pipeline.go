@@ -145,7 +145,7 @@ func FeatureStage(proteins []proteome.Protein, gen FeatureGen, fs fsim.Filesyste
 		return nil, err
 	}
 	search := FeatureSpec{Accel: cfg.SearchAccel, JobsPerCopy: cfg.Replicas.JobsPerCopy, FS: fs, DB: db}
-	outs, err := exec.MapSpecResume(x, KernelFeature, proteins,
+	outs, err := exec.MapSpecResume(x, KernelFeature, 1, proteins,
 		func(_ int, p proteome.Protein) string { return p.Seq.ID },
 		func(_ int, p proteome.Protein) FeatureSpec {
 			s := search
@@ -283,9 +283,12 @@ func InferenceStage(engine *fold.Engine, proteins []proteome.Protein, features m
 	}
 	// inferWave fans one wave of tasks out over the executor. Every
 	// executor yields a PredictionDigest per slot (tagged OOM on OOM), and
-	// the prediction is rebuilt from it and the task's identity.
+	// the prediction is rebuilt from it and the task's identity. Both waves
+	// hold a target's models at consecutive indices (OOM depends on the
+	// length and preset, not the model), so a pool claims them as one unit
+	// and the engine builds the target's shared draws once.
 	inferWave := func(tasks []fold.Task, memGB float64) ([]*fold.Prediction, error) {
-		digs, err := exec.MapSpecResume(x, KernelInfer, tasks,
+		digs, err := exec.MapSpecResume(x, KernelInfer, fold.NumModels, tasks,
 			inferTaskID,
 			func(_ int, task fold.Task) InferSpec {
 				return InferSpec{
@@ -440,7 +443,7 @@ func RelaxStage(targets []TargetResult, cfg Config, platform relax.Platform) (*R
 	// RelaxSpec is self-contained (no campaign world needed).
 	x := exec.Resolve(cfg.Executor, cfg.Parallelism)
 	spec := func(it relaxIn) RelaxSpec { return RelaxSpec{Length: it.length, Platform: int(platform)} }
-	durs, err := exec.MapSpecResume(x, KernelRelax, ins,
+	durs, err := exec.MapSpecResume(x, KernelRelax, 1, ins,
 		func(_ int, it relaxIn) string { return it.id },
 		func(_ int, it relaxIn) RelaxSpec { return spec(it) },
 		func(_ int, it relaxIn) (Seconds, error) { return spec(it).Seconds(), nil },

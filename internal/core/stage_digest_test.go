@@ -82,3 +82,31 @@ func TestInferenceStageDigest(t *testing.T) {
 		t.Errorf("InferenceStage digest over %d targets x 4 presets = %s, want %s", len(proteins), got, want)
 	}
 }
+
+// BenchmarkInferenceStage is the one-proteome cut of BenchmarkFullCampaign:
+// one op is InferenceStage over D. vulgaris's 3,205 targets (16,025
+// inference tasks) as experiments.Campaign configures it, on the pool at
+// Parallelism 2. Features are computed once, outside the timer, and every
+// op starts from an empty draw table.
+func BenchmarkInferenceStage(b *testing.B) {
+	env := experiments.NewEnv(experiments.DefaultSeed)
+	proteins := env.Proteome(proteome.DVulgaris).FilterMaxLen(2500)
+	feats, err := env.FeaturesFor(proteins)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.AndesNodes, cfg.SummitNodes, cfg.HighMemNodes = 96, 200, 4
+	cfg.Parallelism = 2
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := core.InferenceStage(fold.NewEngine(env.GT, env.Engine.Seed), proteins, feats, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Completed != len(proteins) {
+			b.Fatalf("%d of %d targets completed", rep.Completed, len(proteins))
+		}
+	}
+}

@@ -49,6 +49,12 @@ type Batch struct {
 	// TaskID returns the stable trace identity of item i; nil falls back
 	// to the decimal index.
 	TaskID func(i int) string
+	// Grain is the number of consecutive items the pool claims together
+	// and runs back to back on one of its goroutines (<= 1 means one at a
+	// time). A stage sets it from its own item layout, so items that share
+	// work a worker can reuse — the five models of a target — sit in one
+	// unit. It never changes results; the flow executor ignores it.
+	Grain int
 }
 
 // taskID resolves the trace identity of item i: the TaskID func's name,
@@ -154,6 +160,9 @@ type SpecResult[R any] interface {
 // id(i, item), when non-nil, names item i in the recorded trace on both
 // paths — the task_id column of the processing-times CSV.
 //
+// grain is the closure path's Batch.Grain; spec dispatch ignores it, so no
+// wire byte depends on it.
+//
 // done, when non-nil, is a resume skip-set: done(taskID) reports whether
 // an interrupted prior run already completed that item (an
 // events.CompletedSet replayed from a scheduler event log). Because the
@@ -170,14 +179,14 @@ type SpecResult[R any] interface {
 // failure means the resume log does not match this campaign's
 // (seed, species) world. An empty result payload is a decode error, never
 // a zero value: no campaign kernel encodes a result as nothing.
-func MapSpecResume[T any, A flow.BinaryAppender, R any, PR SpecResult[R]](ex Executor, kernel string, items []T, id func(i int, item T) string, arg func(i int, item T) A, fn func(i int, item T) (R, error), done func(task string) bool) ([]R, error) {
+func MapSpecResume[T any, A flow.BinaryAppender, R any, PR SpecResult[R]](ex Executor, kernel string, grain int, items []T, id func(i int, item T) string, arg func(i int, item T) A, fn func(i int, item T) (R, error), done func(task string) bool) ([]R, error) {
 	taskID := func(int) string { return "" }
 	if id != nil {
 		taskID = func(i int) string { return id(i, items[i]) }
 	}
 	sd, ok := ex.(SpecDispatcher)
 	if !ok || !sd.SpecsOnly() {
-		b := Batch{Kernel: kernel}
+		b := Batch{Kernel: kernel, Grain: grain}
 		if id != nil {
 			b.TaskID = taskID
 		}

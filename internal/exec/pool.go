@@ -32,16 +32,18 @@ func (p *Pool) Name() string { return "pool" }
 // observe; the sink must be safe for concurrent use.
 func (p *Pool) SetTrace(sink TraceSink) { p.trace = sink }
 
-// Run implements Executor by delegating to the parallel pool, which
-// collects by submission index and surfaces the lowest-index error. With a
-// trace attached, each pool worker stamps its items' timings and identity.
+// Run implements Executor by delegating to the parallel pool, which claims
+// b.Grain consecutive items at a time, collects by submission index and
+// surfaces the lowest-index error. With a trace attached, each pool worker
+// stamps its items' timings and identity.
 func (p *Pool) Run(b Batch) error {
 	if p.trace == nil {
-		return parallel.ForEach(p.Workers, b.N, b.Fn)
+		fn := b.Fn // b escapes through the traced closure below; fn does not
+		return parallel.ForEachWorker(p.Workers, b.N, b.Grain, func(_, i int) error { return fn(i) })
 	}
 	sink := p.trace
 	enqueue := time.Now()
-	return parallel.ForEachWorker(p.Workers, b.N, func(worker, i int) error {
+	return parallel.ForEachWorker(p.Workers, b.N, b.Grain, func(worker, i int) error {
 		start := time.Now()
 		err := b.Fn(i)
 		stats := TaskStats{

@@ -107,7 +107,7 @@ func TestRemoteFlowDispatchSpecs(t *testing.T) {
 	for i := range items {
 		items[i] = num(i)
 	}
-	out, err := MapSpecResume(f, "exectest/square", items, nil,
+	out, err := MapSpecResume(f, "exectest/square", 1, items, nil,
 		func(_ int, n num) num { return n },
 		func(_ int, n num) (num, error) { t.Fatal("closure must not run on a remote executor"); return 0, nil }, nil)
 	if err != nil {
@@ -123,7 +123,7 @@ func TestRemoteFlowDispatchSpecs(t *testing.T) {
 func TestRemoteFlowLowestIndexError(t *testing.T) {
 	f := remoteCluster(t, 4)
 	items := []num{0, 2, 5, 3, 8, 9}
-	_, err := MapSpecResume(f, "exectest/failodd", items, nil,
+	_, err := MapSpecResume(f, "exectest/failodd", 1, items, nil,
 		func(_ int, n num) num { return n },
 		func(_ int, n num) (num, error) { return n, nil }, nil)
 	if err == nil {
@@ -168,7 +168,7 @@ func TestMapSpecFallsBackToClosures(t *testing.T) {
 	// the closure; arg builders must not even be invoked for the pool.
 	pool := &Pool{Workers: 4}
 	items := []num{1, 2, 3}
-	out, err := MapSpecResume(pool, "exectest/square", items, nil,
+	out, err := MapSpecResume(pool, "exectest/square", 1, items, nil,
 		func(_ int, n num) num { t.Fatal("arg builder must not run on the pool"); return 0 },
 		func(_ int, n num) (num, error) { return n + 10, nil }, nil)
 	if err != nil {
@@ -186,7 +186,7 @@ func TestMapSpecFallsBackToClosures(t *testing.T) {
 	if SpecsOnly(fl) {
 		t.Fatal("in-process flow executor must not be specs-only")
 	}
-	out, err = MapSpecResume(fl, "exectest/square", items, nil,
+	out, err = MapSpecResume(fl, "exectest/square", 1, items, nil,
 		func(_ int, n num) num { return n },
 		func(_ int, n num) (num, error) { return n + 20, nil }, nil)
 	if err != nil {
@@ -292,7 +292,7 @@ func TestDispatchSpecsEmpty(t *testing.T) {
 // as an out-of-memory digest and be rerouted silently.)
 func TestMapSpecEmptyResultIsAnError(t *testing.T) {
 	f := remoteCluster(t, 1)
-	_, err := MapSpecResume(f, "exectest/empty", []num{1, 2}, nil,
+	_, err := MapSpecResume(f, "exectest/empty", 1, []num{1, 2}, nil,
 		func(_ int, n num) num { return n },
 		func(_ int, n num) (num, error) { return n, nil }, nil)
 	if err == nil || !strings.Contains(err.Error(), "empty payload") {

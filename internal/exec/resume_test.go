@@ -21,7 +21,7 @@ func TestMapSpecResumeSkipsCompleted(t *testing.T) {
 	id := func(_ int, n num) string { return fmt.Sprintf("item-%d", n) }
 	completed := map[string]bool{"item-3": true, "item-5": true, "item-7": true}
 
-	out, err := MapSpecResume(f, "exectest/square", items, id,
+	out, err := MapSpecResume(f, "exectest/square", 1, items, id,
 		func(_ int, n num) num { return n },
 		func(_ int, n num) (num, error) { return n * n, nil }, // same pure function the kernel computes
 		func(task string) bool { return completed[task] })
@@ -50,7 +50,7 @@ func TestMapSpecResumeAllCompleted(t *testing.T) {
 	tr := &Trace{}
 	AttachTrace(f, tr)
 	items := []num{1, 2, 3}
-	out, err := MapSpecResume(f, "exectest/square", items,
+	out, err := MapSpecResume(f, "exectest/square", 1, items,
 		func(_ int, n num) string { return fmt.Sprintf("item-%d", n) },
 		func(_ int, n num) num { t.Fatal("arg builder ran with nothing to dispatch"); return 0 },
 		func(_ int, n num) (num, error) { return n * 100, nil },
@@ -71,7 +71,7 @@ func TestMapSpecResumeAllCompleted(t *testing.T) {
 // (seed, species) world — that must surface loudly, not resume quietly.
 func TestMapSpecResumeRecomputeFailure(t *testing.T) {
 	f := remoteCluster(t, 1)
-	_, err := MapSpecResume(f, "exectest/square", []num{1, 2},
+	_, err := MapSpecResume(f, "exectest/square", 1, []num{1, 2},
 		func(_ int, n num) string { return fmt.Sprintf("item-%d", n) },
 		func(_ int, n num) num { return n },
 		func(_ int, n num) (num, error) {
@@ -91,7 +91,7 @@ func TestMapSpecResumeRecomputeFailure(t *testing.T) {
 // against `-executor pool` is just a plain run.
 func TestMapSpecResumePoolIgnoresSkipSet(t *testing.T) {
 	pool := &Pool{Workers: 2}
-	out, err := MapSpecResume(pool, "exectest/square", []num{1, 2, 3}, nil,
+	out, err := MapSpecResume(pool, "exectest/square", 1, []num{1, 2, 3}, nil,
 		func(_ int, n num) num { t.Fatal("arg builder must not run on the pool"); return 0 },
 		func(_ int, n num) (num, error) { return n + 10, nil },
 		func(string) bool { return true })

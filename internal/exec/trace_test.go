@@ -3,6 +3,7 @@ package exec
 import (
 	"encoding/csv"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -81,7 +82,7 @@ func TestPoolRecordsTrace(t *testing.T) {
 		t.Fatal("pool must implement Traceable")
 	}
 	items := []num{10, 20, 30, 40}
-	out, err := MapSpecResume(pool, "test/kernel", items,
+	out, err := MapSpecResume(pool, "test/kernel", 1, items,
 		func(i int, v num) string { return fmt.Sprintf("item-%d", v) },
 		func(_ int, v num) num { return v },
 		func(_ int, v num) (num, error) { return v * 2, nil }, nil)
@@ -119,6 +120,45 @@ func TestPoolRecordsTrace(t *testing.T) {
 	for _, v := range items {
 		if !seen[fmt.Sprintf("item-%d", v)] {
 			t.Errorf("no trace row for item-%d", v)
+		}
+	}
+}
+
+// TestPoolGrainOneWorkerPerUnit: a traced pool run with Batch.Grain puts
+// each unit of consecutive items on one WorkerID, at every width, and
+// collects the results the untraced serial loop does — n is not a multiple
+// of the grain, so the last unit is short.
+func TestPoolGrainOneWorkerPerUnit(t *testing.T) {
+	const n, grain = 23, 5
+	want := make([]int, n)
+	for i := range want {
+		want[i] = i*i + 1
+	}
+	for _, workers := range []int{2, 4, 8} {
+		pool := NewPool(workers)
+		trace := &Trace{}
+		pool.SetTrace(trace)
+		got := make([]int, n)
+		if err := pool.Run(Batch{N: n, Grain: grain, Fn: func(i int) error { got[i] = i*i + 1; return nil }}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: results %v, want %v", workers, got, want)
+		}
+		rows := trace.Rows()
+		if len(rows) != n {
+			t.Fatalf("workers=%d: %d trace rows, want %d", workers, len(rows), n)
+		}
+		unitWorker := map[int]string{}
+		for _, r := range rows {
+			i, err := strconv.Atoi(r.TaskID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w, ok := unitWorker[i/grain]; ok && w != r.WorkerID {
+				t.Fatalf("workers=%d: unit %d ran on %s and %s", workers, i/grain, w, r.WorkerID)
+			}
+			unitWorker[i/grain] = r.WorkerID
 		}
 	}
 }
@@ -191,7 +231,7 @@ func TestRemoteDispatchRecordsTrace(t *testing.T) {
 	trace := &Trace{}
 	f.SetTrace(trace)
 	items := []num{7, 8, 9}
-	out, err := MapSpecResume(f, "exectest/square", items,
+	out, err := MapSpecResume(f, "exectest/square", 1, items,
 		func(_ int, v num) string { return "sq-" + strconv.Itoa(int(v)) },
 		func(_ int, v num) num { return v },
 		func(_ int, v num) (num, error) { t.Fatal("closure must not run remotely"); return 0, nil }, nil)

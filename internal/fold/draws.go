@@ -19,7 +19,14 @@ const (
 	// full table holds under 2 MB. What the table saves depends on a
 	// target's models reaching the engine one after another: a model that
 	// starts while another model of its target is still filling the record
-	// misses and fills its own.
+	// misses and fills its own. The in-process pool delivers them that way
+	// by construction — core.InferenceStage hands it a target's five models
+	// as one unit — so a target misses once at any pool width, plus the
+	// rare eviction by another in-flight target sharing its slot. Flow
+	// handouts can still split a target's models across workers or run them
+	// side by side, so flow workers miss more: 1.05 times per target (79 %
+	// of calls hit) on D. vulgaris with two worker processes on a 2-vCPU
+	// machine.
 	drawTableSize = 256
 )
 
@@ -27,6 +34,8 @@ const (
 // model index: the five models of a target split the same "pairs",
 // "field" and "estimator" streams, and a model that finds its target's
 // record takes its draws from it. A record is immutable once published.
+// On the pool the first of a target's models builds it and the next four,
+// run back to back on the same goroutine, hit it.
 type targetDraws struct {
 	id     string // first, so the GC scans one pointer and not the array
 	seed   uint64

@@ -247,6 +247,7 @@ func (e *Engine) Infer(t Task) (*Prediction, error) {
 	// global metrics for multi-domain proteins, as the paper discusses.
 	d0 := geom.D0(t.Length)
 	sampleN := len(mags)
+	shape := newPowFixed(e.Cal.PLDDTShape)
 
 	var sumPLDDT, sumTM float64
 	var n70, n90 int
@@ -262,7 +263,7 @@ func (e *Engine) Infer(t Task) (*Prediction, error) {
 		}
 		global := local + diff.domOff[dom]*finalErr
 
-		pl := 100/(1+math.Pow(local/e.Cal.PLDDTScale, e.Cal.PLDDTShape)) +
+		pl := 100/(1+shape.pow(local/e.Cal.PLDDTScale)) +
 			noise[i]*e.Cal.PLDDTNoise
 		if pl < 0 {
 			pl = 0

@@ -19,6 +19,13 @@
 // Workers == 1 bypasses the pool entirely and runs the plain serial loop,
 // which is what the parallel-vs-serial equivalence tests compare against.
 //
+// A pool worker claims a unit of consecutive indices at once — one index by
+// default, `grain` of them through ForEachWorker — and runs the unit in
+// index order on its own goroutine, so items that share state a worker can
+// reuse (a target's models) reach it back to back at any width. The grain
+// changes only which goroutine runs an index; the contract above is
+// unchanged.
+//
 // This package is the pool back end of the Executor abstraction in
 // internal/exec; the generic Map over items lives there (exec.Map), so
 // the contract has a single implementation shared by every back end.
@@ -52,29 +59,24 @@ func Workers(requested, n int) int {
 // smallest index, matching serial semantics; items after a known failure
 // are skipped cooperatively.
 func ForEach(workers, n int, fn func(i int) error) error {
-	return run(workers, n, func(_, i int) error { return fn(i) })
+	return ForEachWorker(workers, n, 1, func(_, i int) error { return fn(i) })
 }
 
-// ForEachWorker is ForEach with the executing worker's identity: fn
-// receives (worker, i) where worker is the stable index of the pool
-// goroutine running the item, in [0, Workers(workers, n)). The worker
-// index exists for telemetry (task → worker placement in a recorded
-// trace) and must never influence fn's result — the determinism contract
-// is unchanged.
-func ForEachWorker(workers, n int, fn func(worker, i int) error) error {
-	return run(workers, n, fn)
-}
-
-type indexedError struct {
-	index int
-	err   error
-}
-
-func run(workers, n int, fn func(worker, i int) error) error {
+// ForEachWorker is ForEach with a claim unit and the executing worker's
+// identity. The pool hands out units of `grain` consecutive indices (<= 1
+// means one; the last unit may be short), each run in index order on one
+// goroutine, and starts at most one goroutine per unit. fn receives
+// (worker, i) where worker is the stable index of the pool goroutine
+// running the item, in [0, Workers(workers, units)). The worker index
+// exists for telemetry (task → worker placement in a recorded trace) and
+// must never influence fn's result — the determinism contract is
+// unchanged.
+func ForEachWorker(workers, n, grain int, fn func(worker, i int) error) error {
 	if n == 0 {
 		return nil
 	}
-	workers = Workers(workers, n)
+	unit := max(grain, 1)
+	workers = Workers(workers, (n+unit-1)/unit)
 	if workers == 1 {
 		// Serial reference path: the behaviour every parallel run must
 		// reproduce exactly.
@@ -97,27 +99,32 @@ func run(workers, n int, fn func(worker, i int) error) error {
 		go func(worker int) {
 			defer wg.Done()
 			for {
-				// Claim the next index and read the failure watermark in one
+				// Claim the next unit and read the failure watermark in one
 				// critical section. Cancellation is cooperative: items below
 				// the first failing index still run, because the serial loop
 				// would have run them too.
 				mu.Lock()
-				i := next
-				next++
-				skip := firstBy.index < i
+				lo := next
+				next += unit
+				skip := firstBy.index < lo
 				mu.Unlock()
-				if i >= n {
+				if lo >= n {
 					return
 				}
 				if skip {
 					continue
 				}
-				if err := fn(worker, i); err != nil {
-					mu.Lock()
-					if i < firstBy.index {
-						firstBy = indexedError{index: i, err: err}
+				for i, hi := lo, min(lo+unit, n); i < hi; i++ {
+					if err := fn(worker, i); err != nil {
+						mu.Lock()
+						if i < firstBy.index {
+							firstBy = indexedError{index: i, err: err}
+						}
+						mu.Unlock()
+						// The rest of the unit lies above a failure: the
+						// serial loop would not have run it.
+						break
 					}
-					mu.Unlock()
 				}
 			}
 		}(w)
@@ -127,4 +134,9 @@ func run(workers, n int, fn func(worker, i int) error) error {
 		return firstBy.err
 	}
 	return nil
+}
+
+type indexedError struct {
+	index int
+	err   error
 }
