@@ -16,9 +16,12 @@ import (
 func TestInferDrawTableBitwise(t *testing.T) {
 	const seed = 1234
 	prov := &SeededProvider{Seed: 99}
-	fresh := func(t *testing.T, s uint64, task Task) *Prediction {
+	// fresh answers task on a new engine with e's seed and calibration.
+	fresh := func(t *testing.T, e *Engine, task Task) *Prediction {
 		t.Helper()
-		p, err := NewEngine(prov, s).Infer(task)
+		f := NewEngine(prov, e.Seed)
+		f.Cal = e.Cal
+		p, err := f.Infer(task)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +33,7 @@ func TestInferDrawTableBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := fresh(t, e.Seed, task); !reflect.DeepEqual(got, want) {
+		if want := fresh(t, e, task); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s len %d model %d %s coords=%v, seed %d: shared engine gave\n%+v\nfresh engine gave\n%+v",
 				task.ID, task.Length, task.Model, task.Preset.Name, task.WantCoords, e.Seed, got, want)
 		}
@@ -71,7 +74,7 @@ func TestInferDrawTableBitwise(t *testing.T) {
 		}
 		wg.Wait()
 		for i, tk := range tasks {
-			if want := fresh(t, seed, tk); !reflect.DeepEqual(got[i], want) {
+			if want := fresh(t, e, tk); !reflect.DeepEqual(got[i], want) {
 				t.Fatalf("%s len %d model %d %s: shared engine gave\n%+v\nfresh engine gave\n%+v",
 					tk.ID, tk.Length, tk.Model, tk.Preset.Name, got[i], want)
 			}
@@ -123,6 +126,16 @@ func TestInferDrawTableBitwise(t *testing.T) {
 			e.Seed = s
 			for m := 0; m < NumModels; m++ {
 				same(t, e, task("S", 400, m, ReducedDBs))
+			}
+		}
+	})
+
+	t.Run("shape-changed-between-calls", func(t *testing.T) {
+		e := NewEngine(prov, seed)
+		for _, y := range []float64{e.Cal.PLDDTShape, 2.2, e.Cal.PLDDTShape, 0.7} {
+			e.Cal.PLDDTShape = y
+			for m := 0; m < NumModels; m++ {
+				same(t, e, task("Y", 400, m, ReducedDBs))
 			}
 		}
 	})

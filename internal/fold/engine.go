@@ -79,7 +79,8 @@ func DefaultCalibration() Calibration {
 // Engine runs surrogate AlphaFold inference. It is safe for concurrent use:
 // per-task randomness is derived from (Seed, target ID, model), and the only
 // state Infer writes is a memo of a pure function of (Seed, target ID,
-// length) — the draws a target's five models share — kept in a small
+// length, Cal.PLDDTShape) — the draws a target's five models share and
+// the field magnitudes' powers — kept in a small
 // direct-mapped table of immutable records behind atomic pointers. A hit
 // and a miss give bit-identical predictions. An Engine must not be copied.
 type Engine struct {
@@ -178,29 +179,32 @@ func (e *Engine) Infer(t Task) (*Prediction, error) {
 	// for every model of the target, and so are their draws.
 	pairR, fieldR, noiseR := r.SplitNamed("pairs"), r.SplitNamed("field"), r.SplitNamed("estimator")
 
-	// Quality inputs: each pair's sensitivity to the error field, and the
-	// per-residue field magnitudes and estimator noise. Summary mode takes
-	// the sampled ones its target's models share from the draw table;
+	// Quality inputs: the sum of the pairs' sensitivities to the error
+	// field, the per-residue field magnitudes with their powers
+	// mag^PLDDTShape, and the estimator noise. Summary mode takes the
+	// sampled ones its target's models share from the draw table;
 	// WantCoords draws the whole smoothed field and one noise value per
 	// residue from the same streams instead, and leaves the table alone.
-	var pairs, mags, noise, plddts []float64
+	var pairSum float64
+	var mags, magPows, noise, plddts []float64
 	var field []geom.Vec3
 	if t.WantCoords {
 		plddts = make([]float64, t.Length)
-		pairs = make([]float64, distogramPairs)
-		drawPairScales(pairs, pairR)
+		pairSum = drawPairSum(pairR)
 		field = smoothField(fieldR, t.Length)
-		mags = make([]float64, t.Length)
+		mags = make([]float64, 2*t.Length)
+		mags, magPows = mags[:t.Length], mags[t.Length:]
 		for i := range field {
 			mags[i] = field[i].Norm()
 		}
+		powAll(magPows, mags, e.Cal.PLDDTShape)
 		noise = make([]float64, t.Length+1)
 		for i := range noise {
 			noise[i] = noiseR.NormFloat64()
 		}
 	} else {
 		draws := e.drawsOf(seed, t, *pairR, *fieldR, *noiseR)
-		pairs, mags, noise = draws.pairScales(), draws.fieldMags(), draws.estimatorNormals()
+		pairSum, mags, magPows, noise = draws.pairSum, draws.fieldMags(), draws.magPows(), draws.estimatorNormals()
 	}
 
 	// Recycling loop with distogram convergence, evaluated on a fixed
@@ -213,12 +217,9 @@ func (e *Engine) Infer(t Task) (*Prediction, error) {
 		for rr := 1; rr <= cap; rr++ {
 			curErr := diff.err(rr)
 			// Mean absolute pairwise-distance change across the sampled
-			// distogram between consecutive recycles.
-			var change float64
-			for _, scale := range pairs {
-				change += scale * (prevErr - curErr)
-			}
-			change = change / float64(len(pairs)) * e.Cal.DistogramGain
+			// distogram between consecutive recycles: every pair moves by
+			// its scale times the error decrement.
+			change := pairSum * (prevErr - curErr) / distogramPairs * e.Cal.DistogramGain
 			prevErr = curErr
 			if rr >= t.Preset.MinRecycles && change < t.Preset.Tol {
 				recycles = rr
@@ -247,7 +248,9 @@ func (e *Engine) Infer(t Task) (*Prediction, error) {
 	// global metrics for multi-domain proteins, as the paper discusses.
 	d0 := geom.D0(t.Length)
 	sampleN := len(mags)
-	shape := newPowFixed(e.Cal.PLDDTShape)
+	// The kernel's power (mag·finalErr/PLDDTScale)^PLDDTShape factors into
+	// the residue's mag^PLDDTShape and this one power per model.
+	errPow := math.Pow(finalErr/e.Cal.PLDDTScale, e.Cal.PLDDTShape)
 
 	var sumPLDDT, sumTM float64
 	var n70, n90 int
@@ -263,7 +266,9 @@ func (e *Engine) Infer(t Task) (*Prediction, error) {
 		}
 		global := local + diff.domOff[dom]*finalErr
 
-		pl := 100/(1+shape.pow(local/e.Cal.PLDDTScale)) +
+		// The conversion keeps the product from fusing with the addition,
+		// so every architecture rounds it the same way.
+		pl := 100/(1+float64(magPows[i]*errPow)) +
 			noise[i]*e.Cal.PLDDTNoise
 		if pl < 0 {
 			pl = 0

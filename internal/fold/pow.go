@@ -3,7 +3,9 @@ package fold
 import "math"
 
 // powFixed evaluates math.Pow(x, y) bit for bit for one y and many x,
-// doing once the exponent split math.Pow repeats on every call.
+// doing once the exponent split math.Pow repeats on every call. Its caller
+// is powAll, which fills a draw record's field powers on a miss: 256 calls
+// per target (one per sampled residue), not per model.
 //
 // For y > 0 math.Pow takes yi, yf := math.Modf(y), moves yf into
 // [-0.5, 0.5] (yf > 0.5 gives yf-1 and yi+1), and returns
@@ -35,4 +37,12 @@ func (p powFixed) pow(x float64) float64 {
 		return float64(math.Exp(p.yf*math.Log(x)) * (x * x))
 	}
 	return math.Pow(x, p.y)
+}
+
+// powAll sets dst[i] to math.Pow(xs[i], y), bit for bit.
+func powAll(dst, xs []float64, y float64) {
+	p := newPowFixed(y)
+	for i, x := range xs {
+		dst[i] = p.pow(x)
+	}
 }

@@ -103,10 +103,9 @@ func NewUniverse(seed uint64, numFamilies, minLen, maxLen int) *Universe {
 		Domains:          make([]string, numFamilies),
 		FamilyAnnotation: make([]string, numFamilies),
 	}
-	weights := backgroundWeights()
 	for f := 0; f < numFamilies; f++ {
 		l := minLen + r.Intn(maxLen-minLen+1)
-		u.Domains[f] = randomSequence(r, l, weights)
+		u.Domains[f] = randomSequence(r, l)
 		u.FamilyAnnotation[f] = fmt.Sprintf("family-%04d domain protein", f)
 	}
 	return u
@@ -123,7 +122,6 @@ func (u *Universe) Mutate(f int, divergence float64, r *rng.Source) string {
 	if divergence <= 0 {
 		return anc
 	}
-	weights := backgroundWeights()
 	var b strings.Builder
 	b.Grow(len(anc) + 8)
 	indelRate := divergence / 10
@@ -132,10 +130,10 @@ func (u *Universe) Mutate(f int, divergence float64, r *rng.Source) string {
 			if r.Float64() < 0.5 {
 				continue // deletion
 			}
-			b.WriteByte(seq.Alphabet[r.Choice(weights)]) // insertion
+			b.WriteByte(seq.Alphabet[background.Draw(r)]) // insertion
 		}
 		if r.Float64() < divergence {
-			b.WriteByte(seq.Alphabet[r.Choice(weights)])
+			b.WriteByte(seq.Alphabet[background.Draw(r)])
 		} else {
 			b.WriteByte(anc[i])
 		}
@@ -168,7 +166,6 @@ type Proteome struct {
 func Generate(sp Species, u *Universe, seed uint64) *Proteome {
 	r := rng.New(seed).SplitNamed("proteome:" + sp.Code)
 	p := &Proteome{Species: sp, Proteins: make([]Protein, 0, sp.NumProteins)}
-	weights := backgroundWeights()
 
 	numHypo := int(float64(sp.NumProteins)*sp.HypotheticalFrac + 0.5)
 	for i := 0; i < sp.NumProteins; i++ {
@@ -203,10 +200,10 @@ func Generate(sp Species, u *Universe, seed uint64) *Proteome {
 			families = append(families, f)
 			body.WriteString(u.Mutate(f, div, r))
 			if d != nDom-1 {
-				body.WriteString(randomSequence(r, 3+r.Intn(10), weights)) // linker
+				body.WriteString(randomSequence(r, 3+r.Intn(10))) // linker
 			}
 		}
-		res := fitLength(body.String(), targetLen, r, weights)
+		res := fitLength(body.String(), targetLen, r)
 
 		desc := u.FamilyAnnotation[families[0]]
 		if hypothetical {
@@ -250,7 +247,7 @@ func (sp Species) sampleLength(r *rng.Source, hypothetical bool) int {
 }
 
 // fitLength pads or trims a sequence to exactly n residues.
-func fitLength(s string, n int, r *rng.Source, weights []float64) string {
+func fitLength(s string, n int, r *rng.Source) string {
 	if len(s) > n {
 		return s[:n]
 	}
@@ -261,27 +258,23 @@ func fitLength(s string, n int, r *rng.Source, weights []float64) string {
 	b.Grow(n)
 	b.WriteString(s)
 	for b.Len() < n {
-		b.WriteByte(seq.Alphabet[r.Choice(weights)])
+		b.WriteByte(seq.Alphabet[background.Draw(r)])
 	}
 	return b.String()
 }
 
-func randomSequence(r *rng.Source, n int, weights []float64) string {
+func randomSequence(r *rng.Source, n int) string {
 	var b strings.Builder
 	b.Grow(n)
 	for i := 0; i < n; i++ {
-		b.WriteByte(seq.Alphabet[r.Choice(weights)])
+		b.WriteByte(seq.Alphabet[background.Draw(r)])
 	}
 	return b.String()
 }
 
-func backgroundWeights() []float64 {
-	w := make([]float64, seq.NumAminoAcids)
-	for i := range w {
-		w[i] = seq.BackgroundFreq[i]
-	}
-	return w
-}
+// background draws residues at their background frequencies; every
+// generated and mutated residue comes from it.
+var background = rng.NewChoice(seq.BackgroundFreq[:])
 
 // Sequences returns just the seq.Sequence records of the proteome.
 func (p *Proteome) Sequences() []seq.Sequence {

@@ -145,10 +145,17 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Choice returns a pseudo-random index in [0, len(weights)) with probability
-// proportional to weights[i]. All weights must be non-negative and at least
-// one must be positive.
-func (s *Source) Choice(weights []float64) int {
+// Choice draws indices with probability proportional to a fixed set of
+// weights. It checks and sums the weights once, when it is made; a Choice
+// is read-only afterwards, so one can serve any number of goroutines.
+type Choice struct {
+	weights []float64
+	total   float64
+}
+
+// NewChoice returns a Choice over a copy of weights. All weights must be
+// non-negative and at least one must be positive.
+func NewChoice(weights []float64) *Choice {
 	var total float64
 	for _, w := range weights {
 		if w < 0 {
@@ -159,14 +166,20 @@ func (s *Source) Choice(weights []float64) int {
 	if total <= 0 {
 		panic("rng: all weights zero")
 	}
-	r := s.Float64() * total
-	for i, w := range weights {
+	return &Choice{weights: append([]float64(nil), weights...), total: total}
+}
+
+// Draw returns a pseudo-random index in [0, len(weights)), drawn from s,
+// with probability proportional to weights[i].
+func (c *Choice) Draw(s *Source) int {
+	r := s.Float64() * c.total
+	for i, w := range c.weights {
 		r -= w
 		if r < 0 {
 			return i
 		}
 	}
-	return len(weights) - 1
+	return len(c.weights) - 1
 }
 
 // Poisson returns a Poisson deviate with mean lambda (Knuth's algorithm for

@@ -156,8 +156,9 @@ func TestChoiceRespectsWeights(t *testing.T) {
 	counts := make([]int, 3)
 	const n = 100000
 	w := []float64{1, 2, 7}
+	c := NewChoice(w)
 	for i := 0; i < n; i++ {
-		counts[s.Choice(w)]++
+		counts[c.Draw(s)]++
 	}
 	for i, c := range counts {
 		frac := float64(c) / n
@@ -169,12 +170,75 @@ func TestChoiceRespectsWeights(t *testing.T) {
 }
 
 func TestChoicePanicsOnZeroWeights(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for all-zero weights")
+	for _, w := range [][]float64{{0, 0}, {}, {1, -0.5, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewChoice(%v) did not panic", w)
+				}
+			}()
+			NewChoice(w)
+		}()
+	}
+}
+
+// choiceOnce is the weighted draw done in one call that sums the weights
+// each time; Choice must match it draw for draw.
+func choiceOnce(s *Source, weights []float64) int {
+	var total float64
+	for _, w := range weights {
+		total += w
+	}
+	r := s.Float64() * total
+	for i, w := range weights {
+		r -= w
+		if r < 0 {
+			return i
 		}
-	}()
-	New(1).Choice([]float64{0, 0})
+	}
+	return len(weights) - 1
+}
+
+// TestChoiceMatchesPerCallSum: over random weight vectors (zeros, tiny and
+// huge weights included), a Choice built once draws the same index as
+// summing the weights on every call, draw for draw, from the same stream;
+// and it keeps its own copy of the weights.
+func TestChoiceMatchesPerCallSum(t *testing.T) {
+	r := New(13)
+	for v := 0; v < 500; v++ {
+		w := make([]float64, 1+r.Intn(30))
+		for i := range w {
+			switch r.Intn(6) {
+			case 0:
+				w[i] = 0
+			case 1:
+				w[i] = r.Float64() * 1e-300
+			case 2:
+				w[i] = r.Float64() * 1e300
+			default:
+				w[i] = r.Float64()
+			}
+		}
+		w[r.Intn(len(w))] += 1
+		c := NewChoice(w)
+		orig := append([]float64(nil), w...)
+		w[0] = -1 // the Choice must not see this
+		// A draw lands within an ulp of a boundary too rarely to show a
+		// change of summation order, so check the order on the total.
+		var total float64
+		for _, x := range orig {
+			total += x
+		}
+		if c.total != total {
+			t.Fatalf("vector %d: total %v, summing in order gives %v", v, c.total, total)
+		}
+		a, b := New(uint64(v)), New(uint64(v))
+		for d := 0; d < 200; d++ {
+			if got, want := c.Draw(a), choiceOnce(b, orig); got != want {
+				t.Fatalf("vector %d draw %d: Choice gave %d, per-call sum %d (weights %v)", v, d, got, want, orig)
+			}
+		}
+	}
 }
 
 // Property: Intn output is always within range for random n.
