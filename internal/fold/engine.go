@@ -80,9 +80,9 @@ func DefaultCalibration() Calibration {
 // per-task randomness is derived from (Seed, target ID, model), and the only
 // state Infer writes is a memo of a pure function of (Seed, target ID,
 // length, Cal.PLDDTShape) — the draws a target's five models share and
-// the field magnitudes' powers — kept in a small
-// direct-mapped table of immutable records behind atomic pointers. A hit
-// and a miss give bit-identical predictions. An Engine must not be copied.
+// the field magnitudes' powers — kept in a small direct-mapped table of
+// immutable records behind atomic pointers. A hit and a miss give
+// bit-identical predictions. An Engine must not be copied.
 type Engine struct {
 	Provider NativeProvider
 	Seed     uint64
