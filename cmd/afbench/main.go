@@ -3,15 +3,15 @@
 //
 // Usage:
 //
-//	afbench [-seed N] [-parallelism N] [-executor pool|flow] <experiment>
+//	afbench [-seed N] [-parallelism N] [-stats F] [-timeline F] <experiment>
 //
 // where <experiment> is one of: table1, fig2, fig3, fig4, features,
-// recycles, sdivinum, violations, genomerelax, annotate, campaign, or all.
+// recycles, sdivinum, violations, genomerelax, annotate, campaign,
+// ablations, gpusearch, complex, or all.
 //
-// -executor selects the execution back end: "pool" (default) fans compute
-// out over the in-process worker pool, "flow" serializes it through the
-// dataflow scheduler/worker/client protocol over loopback TCP. Results
-// are byte-identical either way.
+// Every experiment fans its compute out over the in-process worker pool
+// bounded at -parallelism; results are byte-identical at any value.
+// -stats and -timeline record that pool's per-task trace.
 package main
 
 import (
@@ -136,7 +136,6 @@ var runners = []runner{
 func main() {
 	seed := flag.Uint64("seed", experiments.DefaultSeed, "campaign seed (changing it changes every measured number)")
 	par := flag.Int("parallelism", 0, "host worker-pool size (0 = GOMAXPROCS, 1 = serial); results are identical at any value")
-	executor := flag.String("executor", "pool", "execution back end: pool (in-process) or flow (dataflow scheduler over loopback TCP); results are identical either way")
 	stats := flag.String("stats", "", "write the per-task processing-times CSV (task → worker placement, timings) for every fan-out to this file")
 	timeline := flag.String("timeline", "", "write the Fig-2-style worker-timeline SVG (the recorded fan-outs overlaid on the dataflow simulator's prediction for the same tasks) to this file")
 	flag.Usage = usage
@@ -149,24 +148,13 @@ func main() {
 
 	env := experiments.NewEnv(*seed)
 	env.Parallelism = *par
-	ex, err := newExecutor(*executor, *par)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "afbench: %v\n", err)
-		os.Exit(2)
-	}
-	wantTrace := *stats != "" || *timeline != ""
-	if ex == nil && wantTrace {
-		// The default pool is implicit in the stages; a trace needs a
-		// concrete executor to attach to.
-		ex = exec.NewPool(*par)
-	}
 	trace := &exec.Trace{}
-	if ex != nil {
-		defer ex.Close()
-		env.Executor = ex
-		if wantTrace {
-			exec.AttachTrace(ex, trace)
-		}
+	if *stats != "" || *timeline != "" {
+		// The default pool is implicit in the stages; a trace needs a
+		// concrete pool to record into.
+		pool := exec.NewPool(*par)
+		pool.SetTrace(trace)
+		env.Executor = pool
 	}
 	selected := runners
 	if name != "all" {
@@ -222,21 +210,8 @@ func main() {
 	}
 }
 
-// newExecutor builds the non-default execution back end, or nil for the
-// pool (which the Env selects when no executor is configured).
-func newExecutor(name string, parallelism int) (exec.Executor, error) {
-	switch name {
-	case "pool", "":
-		return nil, nil
-	case "flow":
-		return exec.NewFlow(parallelism)
-	default:
-		return nil, fmt.Errorf("unknown -executor %q (want pool or flow)", name)
-	}
-}
-
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: afbench [-seed N] [-parallelism N] [-executor pool|flow] [-stats F] [-timeline F] <experiment>")
+	fmt.Fprintln(os.Stderr, "usage: afbench [-seed N] [-parallelism N] [-stats F] [-timeline F] <experiment>")
 	fmt.Fprintln(os.Stderr, "experiments:")
 	for _, r := range runners {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", r.name, r.desc)

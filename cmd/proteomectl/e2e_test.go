@@ -153,8 +153,7 @@ func runBin(t *testing.T, args ...string) []byte {
 // run across separate scheduler and worker OS processes — every stage
 // shipped to the workers as named-job specs, nothing computed in the
 // client but the dataflow simulation — must produce a report
-// byte-identical to the in-process pool executor and to the loopback flow
-// executor.
+// byte-identical to the in-process pool executor.
 func TestCampaignMultiProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -167,17 +166,13 @@ func TestCampaignMultiProcess(t *testing.T) {
 	campaign := []string{"-species", "DVU", "-preset", "genome", "-limit", "220", "-seed", "20220125"}
 
 	remote := runBin(t, append([]string{"submit", "-scheduler-file", schedFile}, campaign...)...)
-	pool := runBin(t, append([]string{"run", "-executor", "pool"}, campaign...)...)
-	loopback := runBin(t, append([]string{"run", "-executor", "flow"}, campaign...)...)
+	pool := runBin(t, append([]string{"run"}, campaign...)...)
 
 	if len(remote) == 0 {
 		t.Fatal("multi-process campaign produced no report")
 	}
 	if string(remote) != string(pool) {
 		t.Errorf("multi-process report differs from pool executor:\n--- multi-process ---\n%s--- pool ---\n%s", remote, pool)
-	}
-	if string(remote) != string(loopback) {
-		t.Errorf("multi-process report differs from loopback flow executor:\n--- multi-process ---\n%s--- loopback ---\n%s", remote, loopback)
 	}
 }
 
@@ -214,7 +209,7 @@ func TestCampaignCrossCodec(t *testing.T) {
 
 	viaJSON := runBin(t, append([]string{"submit", "-scheduler-file", schedFile, "-wire", "json"}, campaign...)...)
 	viaBinary := runBin(t, append([]string{"submit", "-scheduler-file", schedFile, "-wire", "binary"}, campaign...)...)
-	pool := runBin(t, append([]string{"run", "-executor", "pool"}, campaign...)...)
+	pool := runBin(t, append([]string{"run"}, campaign...)...)
 
 	if len(viaJSON) == 0 {
 		t.Fatal("mixed-fleet campaign produced no report")
@@ -377,7 +372,7 @@ func TestSubmitElasticWorkerJoin(t *testing.T) {
 	if err := submit.Wait(); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	pool := runBin(t, append([]string{"run", "-executor", "pool"}, campaign...)...)
+	pool := runBin(t, append([]string{"run"}, campaign...)...)
 	if submitOut.String() != string(pool) {
 		t.Errorf("report with elastic worker join differs from pool executor:\n--- elastic ---\n%s--- pool ---\n%s",
 			submitOut.String(), pool)
@@ -419,7 +414,7 @@ func TestCampaignMultiSpecies(t *testing.T) {
 	for _, species := range []string{"PMER", "RRU"} {
 		campaign := []string{"-species", species, "-preset", "reduced_dbs", "-limit", "120", "-seed", "20220125"}
 		remote := runBin(t, append([]string{"submit", "-scheduler-file", schedFile}, campaign...)...)
-		pool := runBin(t, append([]string{"run", "-executor", "pool"}, campaign...)...)
+		pool := runBin(t, append([]string{"run"}, campaign...)...)
 		if string(remote) != string(pool) {
 			t.Errorf("%s: multi-process report differs from pool executor:\n--- multi-process ---\n%s--- pool ---\n%s",
 				species, remote, pool)
@@ -509,7 +504,7 @@ func TestMonitorMidCampaign(t *testing.T) {
 		t.Errorf("monitored report differs from monitor-free submit:\n--- monitored ---\n%s--- plain ---\n%s",
 			submitOut.String(), plain)
 	}
-	pool := runBin(t, append([]string{"run", "-executor", "pool"}, campaign...)...)
+	pool := runBin(t, append([]string{"run"}, campaign...)...)
 	if submitOut.String() != string(pool) {
 		t.Errorf("monitored report differs from pool executor:\n--- monitored ---\n%s--- pool ---\n%s",
 			submitOut.String(), pool)
@@ -659,7 +654,7 @@ func TestResumeAfterSchedulerKill(t *testing.T) {
 	// Phase A — references from an undisturbed world: the pool executor's
 	// report, and a full uninterrupted submit's stats CSV on its own
 	// cluster (the killed submit never writes one).
-	pool := runBin(t, append([]string{"run", "-executor", "pool"}, campaign...)...)
+	pool := runBin(t, append([]string{"run"}, campaign...)...)
 	refSched := e2eCluster(t, 2)
 	fullCSV := filepath.Join(filepath.Dir(refSched), "full.csv")
 	full := runBin(t, append([]string{"submit", "-scheduler-file", refSched, "-stats", fullCSV}, campaign...)...)
@@ -853,7 +848,7 @@ func TestSubmitSurvivesWorkerChurn(t *testing.T) {
 
 	campaign := []string{"-species", "DVU", "-preset", "reduced_dbs", "-limit", "150", "-seed", "7"}
 	remote := runBin(t, append([]string{"submit", "-scheduler-file", schedFile}, campaign...)...)
-	pool := runBin(t, append([]string{"run", "-executor", "pool"}, campaign...)...)
+	pool := runBin(t, append([]string{"run"}, campaign...)...)
 	if string(remote) != string(pool) {
 		t.Errorf("report after worker churn differs from pool executor:\n--- multi-process ---\n%s--- pool ---\n%s", remote, pool)
 	}
@@ -933,7 +928,7 @@ func TestSlowPeerFaultInjection(t *testing.T) {
 	if err := submit.Wait(); err != nil {
 		t.Fatalf("submit with wedged peers attached: %v", err)
 	}
-	pool := runBin(t, append([]string{"run", "-executor", "pool"}, campaign...)...)
+	pool := runBin(t, append([]string{"run"}, campaign...)...)
 	if submitOut.String() != string(pool) {
 		t.Errorf("report with wedged peers differs from pool executor:\n--- wedged ---\n%s--- pool ---\n%s",
 			submitOut.String(), pool)

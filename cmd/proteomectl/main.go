@@ -116,7 +116,7 @@ commands:
   species                       list the paper's four species
   generate -species C -out F    write a synthetic proteome as FASTA
   run -species C [-preset P] [-nodes N] [-seed S] [-limit K]
-      [-executor pool|flow] [-stats F] [-timeline F]
+      [-parallelism N] [-stats F] [-timeline F]
                                 run the three-stage pipeline on the simulator
   predict -species C -id ID [-out F] [-seed S]
                                 predict + relax one protein, write PDB
@@ -362,7 +362,6 @@ func runCmd(args []string, stdout io.Writer) error {
 	var cf campaignFlags
 	cf.register(fs)
 	fs.IntVar(&cf.par, "parallelism", 0, "host worker-pool size (0 = GOMAXPROCS, 1 = serial); results are identical at any value")
-	executor := fs.String("executor", "pool", "execution back end: pool (in-process) or flow (dataflow scheduler over loopback TCP); results are identical either way")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -370,27 +369,14 @@ func runCmd(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var ex exec.Executor
-	switch *executor {
-	case "pool", "":
-		// The default pool is materialized here (instead of letting the
-		// stages resolve one) so a trace can be attached to it.
-		ex = exec.NewPool(cf.par)
-	case "flow":
-		fl, err := exec.NewFlow(cf.par)
-		if err != nil {
-			return err
-		}
-		defer fl.Close()
-		ex = fl
-	default:
-		return fmt.Errorf("unknown -executor %q (want pool or flow)", *executor)
-	}
-	cr.env.Executor = ex
-	cr.cfg.Executor = ex
+	// The default pool is materialized here (instead of letting the
+	// stages resolve one) so a trace can be attached to it.
+	pool := exec.NewPool(cf.par)
+	cr.env.Executor = pool
+	cr.cfg.Executor = pool
 	trace := &exec.Trace{}
 	if cf.wantTrace() {
-		exec.AttachTrace(ex, trace)
+		pool.SetTrace(trace)
 	}
 
 	rep, err := core.RunCampaign(cr.env.Engine, cr.env.FeatureGen(), cr.proteins, cr.env.FS, core.ReducedDatabase(), cr.cfg)
@@ -618,9 +604,6 @@ func workerCmd(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// submitCmd runs the campaign against a remote cluster — terminal 3, the
-// driving script. Every stage ships named-job specs to the workers; the
-// printed report is byte-identical to `run -executor=pool`.
 // submitOptions is the `submit` flag block: the shared connection flags,
 // the campaign definition, and the submit-only result handling knobs.
 type submitOptions struct {
@@ -640,6 +623,9 @@ func (o *submitOptions) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.campaign, "campaign", "", "campaign name stamped on every submitted task: the fair-share lane and admission-quota namespace on a shared scheduler (sched -policy fair / -quota), and the monitor -campaign filter key; empty keeps single-tenant behavior")
 }
 
+// submitCmd runs the campaign against a remote cluster — terminal 3, the
+// driving script. Every stage ships named-job specs to the workers; the
+// printed report is byte-identical to `run` with the same flags.
 func submitCmd(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("submit", flag.ContinueOnError)
 	var o submitOptions

@@ -20,7 +20,7 @@
 //	internal/experiments ─► internal/core        feature → inference → relax campaign
 //	      │                   │
 //	      │                   ▼
-//	      │            internal/exec             Executor: pool | flow | remote flow
+//	      │            internal/exec             Executor: pool | remote flow
 //	      │              │          │
 //	      │              ▼          ▼
 //	      │   internal/parallel   internal/flow ─► internal/events ─► internal/obs
@@ -34,7 +34,7 @@
 // bench/ is a separate module that measures the whole stack from outside,
 // over real processes and sockets; BENCHMARK.json is its contract.
 //
-// # Execution: one contract, three back ends
+// # Execution: one contract, two back ends
 //
 // Every compute stage — feature generation, the (target × model)
 // inference fan-out, the high-memory retry wave, the relaxation
@@ -42,9 +42,9 @@
 // exec.Executor. Results are collected by submission index, never by
 // completion order, and the lowest-index error surfaces exactly as a
 // serial loop would, so the back ends are interchangeable: the pool
-// (internal/parallel), the loopback flow cluster, and a remote flow
-// cluster dialed with exec.Connect whose workers live in other OS
-// processes. Closures cannot cross a process boundary, so campaign stages
+// (internal/parallel) and a remote flow cluster dialed with exec.Connect
+// whose workers live in other OS processes. Closures cannot cross a
+// process boundary, so campaign stages
 // ship named-job specs (flow.JobSpec: a registered kernel name plus the
 // kernel's arguments in a positional binary layout, internal/core's
 // payload.go) and each worker rebuilds the deterministic campaign world
@@ -52,9 +52,10 @@
 // bytes the stage decodes through the same layouts. To the engine a
 // payload is opaque bytes. Every table and figure is
 // byte-identical across executors, worker counts, codecs and injected
-// faults: TestTable1ParallelMatchesSerial, TestTable1CrossExecutor,
-// TestCampaignCrossExecutor in internal/experiments, and across real
-// processes TestCampaignMultiProcess in cmd/proteomectl.
+// faults: TestTable1ParallelMatchesSerial and
+// TestCampaignParallelMatchesSerial in internal/experiments,
+// TestCampaignRemoteSpecDispatch (remote workers in one process), and
+// across real processes TestCampaignMultiProcess in cmd/proteomectl.
 //
 // # The flow engine
 //

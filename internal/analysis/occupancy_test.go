@@ -81,7 +81,7 @@ func TestReplayOccupancyBatchedHandout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	c, err := flow.ConnectClient(addr)
+	c, err := flow.DialClient(flow.DialOptions{Addr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TimelineFromStats(rows []exec.TaskStats, title string) (*svgplot.Timeline, 
 	sorted := statsOrder(rows)
 
 	// The time origin is the earliest stamp in the trace; rows without an
-	// enqueue stamp (pre-telemetry peers) fall back to their start.
+	// enqueue stamp (quarantine records) fall back to their start.
 	var t0 time.Time
 	for i := range sorted {
 		begin := sorted[i].Enqueue

@@ -28,7 +28,7 @@ func wavesFixture() []Wave {
 }
 
 // TestSimulateWavesMatchesSequential pins the multi-wave fan-out to the
-// serial loop over SimulateDataflow, on both executor back ends.
+// serial loop over SimulateDataflow.
 func TestSimulateWavesMatchesSequential(t *testing.T) {
 	waves := wavesFixture()
 	want := make([]*SimResult, len(waves))
@@ -40,19 +40,12 @@ func TestSimulateWavesMatchesSequential(t *testing.T) {
 		want[i] = r
 	}
 
-	fl, err := exec.NewFlow(3)
+	got, err := SimulateWaves(exec.NewPool(4), waves)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
-	for _, ex := range []exec.Executor{exec.NewPool(4), fl} {
-		got, err := SimulateWaves(ex, waves)
-		if err != nil {
-			t.Fatalf("%s: %v", ex.Name(), err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: wave results differ from sequential reference", ex.Name())
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("wave results differ from sequential reference")
 	}
 }
 

@@ -50,8 +50,8 @@ type Config struct {
 	// GOMAXPROCS; 1 forces the serial reference path.
 	Parallelism int
 	// Executor, when set, overrides the default in-process pool: every
-	// stage fans its compute out through it (e.g. exec.NewFlow serializes
-	// the campaign through the flow scheduler/worker/client protocol).
+	// stage fans its compute out through it (e.g. exec.Connect ships the
+	// campaign's stages as job specs to flow workers in other processes).
 	// Results are byte-identical across executors and worker counts; nil
 	// selects the pool bounded at Parallelism.
 	Executor exec.Executor
@@ -78,11 +78,11 @@ type Config struct {
 	Resume func(task string) bool
 }
 
-// remoteGuard rejects a spec-only executor without the campaign identity
-// the stage kernels need to rebuild the world remotely.
+// remoteGuard rejects a spec-dispatching executor without the campaign
+// identity the stage kernels need to rebuild the world remotely.
 func (c *Config) remoteGuard(x exec.Executor) error {
-	if exec.SpecsOnly(x) && c.Remote == nil {
-		return fmt.Errorf("core: executor %q dispatches remote specs; Config.Remote must identify the campaign (seed, species)", x.Name())
+	if _, ok := x.(exec.SpecDispatcher); ok && c.Remote == nil {
+		return fmt.Errorf("core: executor %T dispatches remote specs; Config.Remote must identify the campaign (seed, species)", x)
 	}
 	return nil
 }
@@ -137,9 +137,9 @@ func FeatureStage(proteins []proteome.Protein, gen FeatureGen, fs fsim.Filesyste
 	}
 	// The per-protein searches are independent, so they fan out over the
 	// configured executor; results are collected by submission index so the
-	// report is identical to the serial loop's. A spec-only executor ships
-	// each protein as a KernelFeature spec instead of the closure; both
-	// compute the search time with FeatureSpec.SearchSeconds.
+	// report is identical to the serial loop's. A spec-dispatching executor
+	// ships each protein as a KernelFeature spec instead of the closure;
+	// both compute the search time with FeatureSpec.SearchSeconds.
 	x := exec.Resolve(cfg.Executor, cfg.Parallelism)
 	if err := cfg.remoteGuard(x); err != nil {
 		return nil, err

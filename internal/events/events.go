@@ -292,13 +292,6 @@ func (h *Hub) Emit(e Event) Event {
 	return e
 }
 
-// Len reports the number of events emitted so far.
-func (h *Hub) Len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.hist)
-}
-
 // Snapshot returns a copy of the full event history.
 func (h *Hub) Snapshot() []Event {
 	h.mu.Lock()

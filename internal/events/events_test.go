@@ -64,8 +64,8 @@ func TestHubStampsAndRetains(t *testing.T) {
 	if e2.TimeNS < e1.TimeNS {
 		t.Fatalf("stamps not monotonic: %d then %d", e1.TimeNS, e2.TimeNS)
 	}
-	if h.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", h.Len())
+	if len(h.Snapshot()) != 2 {
+		t.Fatalf("Len = %d, want 2", len(h.Snapshot()))
 	}
 	snap := h.Snapshot()
 	if len(snap) != 2 || snap[0] != e1 || snap[1] != e2 {
@@ -163,8 +163,8 @@ func TestHubCloseIdempotentAndEmitAfterClose(t *testing.T) {
 	if e := h.Emit(Event{Type: TaskReceived, Task: "b"}); e.Seq != 0 {
 		t.Fatalf("Emit after Close stamped seq %d, want no-op", e.Seq)
 	}
-	if h.Len() != 1 {
-		t.Fatalf("history grew after Close: %d", h.Len())
+	if len(h.Snapshot()) != 1 {
+		t.Fatalf("history grew after Close: %d", len(h.Snapshot()))
 	}
 	// A fresh cursor still drains the retained history, then stops.
 	cur := h.Subscribe()

@@ -20,43 +20,6 @@ func doneLabels(hub *events.Hub) map[string]int {
 	return got
 }
 
-// TestFlowRunFeedsEventLabels: a closure batch's trace tags (Batch.TaskID)
-// become the task identities of the scheduler's structured event stream,
-// so a monitor names work exactly as the processing-times CSV does.
-func TestFlowRunFeedsEventLabels(t *testing.T) {
-	f, err := NewFlow(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	ids := []string{"DVU_00001", "DVU_00002", "DVU_00003"}
-	err = f.Run(Batch{
-		N:      len(ids),
-		Fn:     func(int) error { return nil },
-		Kernel: "campaign/feature",
-		TaskID: func(i int) string { return ids[i] },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := doneLabels(f.sched.Events())
-	for _, id := range ids {
-		if got[id] != 1 {
-			t.Errorf("done events for %q = %d, want 1 (all: %v)", id, got[id], got)
-		}
-	}
-
-	// An untagged batch falls back to the wire ID (the decimal index).
-	if err := f.Run(Batch{N: 2, Fn: func(int) error { return nil }}); err != nil {
-		t.Fatal(err)
-	}
-	got = doneLabels(f.sched.Events())
-	if got["0"] != 1 || got["1"] != 1 {
-		t.Errorf("untagged batch labels: %v", got)
-	}
-}
-
 // TestFlowDispatchSpecsFeedsEventLabels: the spec-dispatch path labels
 // wire tasks with the caller's trace IDs; without IDs the label is the
 // batch index — the same fallback the trace applies — never the opaque

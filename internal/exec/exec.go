@@ -1,14 +1,16 @@
 // Package exec unifies the repository's two execution back ends behind one
-// Executor abstraction: the bounded in-process worker pool of
-// internal/parallel, and the flow dataflow engine (scheduler + workers +
-// client over loopback TCP) of internal/flow.
+// Executor abstraction: Pool, the bounded in-process worker pool of
+// internal/parallel, which runs closures; and Flow, a client of a
+// standalone internal/flow scheduler (Connect) whose workers live in other
+// processes, which dispatches registered named-job specs.
 //
 // Every compute stage of the pipeline — feature generation, the
 // (target x model) inference fan-out, the high-memory retry wave,
 // relaxation, annotation, and the independent multi-wave dataflow
-// simulations — fans out through an Executor, so the same campaign can run
-// on the host pool or through the scheduler/worker/client protocol the
-// paper deploys Dask in, with byte-identical results.
+// simulations — fans out through an Executor. The campaign stages go
+// through MapSpecResume, so the same campaign runs on the host pool or
+// across the scheduler/worker/client processes the paper deploys Dask as,
+// with byte-identical results.
 //
 // The determinism contract is the one internal/parallel established:
 //
@@ -22,10 +24,13 @@
 // Alongside the results, every executor can record per-task telemetry: a
 // TaskStats record ({task, kernel, worker placement, enqueue/start/finish,
 // payload bytes}) per executed item, delivered to a pluggable TraceSink
-// (see AttachTrace). The trace is the paper's processing-times file — an
-// observation channel only, never an input: reports are byte-identical
-// with tracing on or off, which TestTable1CrossExecutor and
-// TestCampaignCrossExecutor in internal/experiments enforce end to end.
+// (Pool.SetTrace, Flow.SetTrace). The trace is the paper's processing-times
+// file — an observation channel only, never an input: reports are
+// byte-identical with tracing on or off, which
+// TestTable1ParallelMatchesSerial in internal/experiments and the
+// `submit -stats` runs of the cmd/proteomectl e2e suite
+// (TestCampaignDefaultFlagsMixedWire, TestMonitorMidCampaign) enforce end
+// to end.
 package exec
 
 import (
@@ -53,7 +58,7 @@ type Batch struct {
 	// and runs back to back on one of its goroutines (<= 1 means one at a
 	// time). A stage sets it from its own item layout, so items that share
 	// work a worker can reuse — the five models of a target — sit in one
-	// unit. It never changes results; the flow executor ignores it.
+	// unit. It never changes results; spec dispatch ignores it.
 	Grain int
 }
 
@@ -74,8 +79,6 @@ func (b *Batch) taskID(i int) string {
 // determinism contract. Implementations decide where the work runs
 // (in-process pool, flow workers); callers decide what runs.
 type Executor interface {
-	// Name identifies the back end ("pool", "flow") for flags and reports.
-	Name() string
 	// Run executes b.Fn(i) for i in [0, b.N). On failure the lowest-index
 	// error is returned and the output of other indices must be
 	// discarded. When a TraceSink is attached, Run records one TaskStats
@@ -111,31 +114,20 @@ func mapBatch[T, R any](ex Executor, b Batch, items []T, fn func(i int, item T) 
 	return out, nil
 }
 
-// SpecDispatcher is the optional Executor extension for multi-process
-// deployments: back ends whose workers live in other OS processes cannot
-// receive closures, so work is shipped as registered named-job specs
+// SpecDispatcher is the Executor extension for multi-process deployments:
+// back ends whose workers live in other OS processes cannot receive
+// closures, so work is shipped as registered named-job specs
 // (flow.JobSpec) instead — a kernel name resolved against the worker's
-// registry plus the kernel's encoded arguments.
+// registry plus the kernel's encoded arguments. Implementing it means
+// specs only: MapSpecResume never hands a SpecDispatcher a closure.
 type SpecDispatcher interface {
 	Executor
-	// SpecsOnly reports whether this executor can only dispatch specs
-	// (true for a client connected to a standalone scheduler with remote
-	// workers). When false, closures still work and MapSpecResume falls
-	// back to the ordinary closure path.
-	SpecsOnly() bool
 	// DispatchSpecs runs the named kernel once per argument block and
 	// returns the result payloads in argument order. On failure the error
 	// of the lowest argument index is returned. ids, when non-nil, names
 	// each argument block in the recorded trace (ids[i] for args[i]);
 	// nil falls back to decimal indices.
 	DispatchSpecs(kernel string, args [][]byte, ids []string) ([][]byte, error)
-}
-
-// SpecsOnly reports whether ex requires named-job specs (its workers are
-// in other processes and cannot run closures).
-func SpecsOnly(ex Executor) bool {
-	sd, ok := ex.(SpecDispatcher)
-	return ok && sd.SpecsOnly()
 }
 
 // SpecResult constrains the result type R of a stage that can run
@@ -148,10 +140,10 @@ type SpecResult[R any] interface {
 
 // MapSpecResume is Map for stages that can also run remotely: each item
 // carries both a closure (fn) and a serializable spec (the registered
-// kernel plus per-item args built by arg). Executors whose workers share
-// this process run fn exactly as Map does; spec-only executors encode
-// arg(i, item) through its binary layout, dispatch the named kernel to
-// remote workers, and decode each result payload into R through *R's
+// kernel plus per-item args built by arg). An executor that is not a
+// SpecDispatcher runs fn exactly as Map does; a SpecDispatcher encodes
+// arg(i, item) through its binary layout, dispatches the named kernel to
+// remote workers, and decodes each result payload into R through *R's
 // UnmarshalBinary. The registered kernel must be the same pure function of
 // its arguments as fn, so both paths produce identical values — the
 // cross-process determinism contract TestCampaignMultiProcess enforces end
@@ -170,9 +162,8 @@ type SpecResult[R any] interface {
 // recomputed locally via fn instead of re-dispatched to the cluster —
 // results (and the final report) stay byte-identical to an uninterrupted
 // run, while the cluster and the recorded trace only see the missing
-// items. The skip-set only matters on spec-only (remote) executors:
-// in-process back ends run every item locally anyway, so done is
-// ignored there.
+// items. The skip-set only matters on a SpecDispatcher: the closure path
+// runs every item locally anyway, so done is ignored there.
 //
 // A local recompute failure surfaces immediately without dispatching:
 // the skipped item completed before under the same pure function, so a
@@ -185,7 +176,7 @@ func MapSpecResume[T any, A flow.BinaryAppender, R any, PR SpecResult[R]](ex Exe
 		taskID = func(i int) string { return id(i, items[i]) }
 	}
 	sd, ok := ex.(SpecDispatcher)
-	if !ok || !sd.SpecsOnly() {
+	if !ok {
 		b := Batch{Kernel: kernel, Grain: grain}
 		if id != nil {
 			b.TaskID = taskID

@@ -3,39 +3,27 @@ package exec
 import (
 	crand "crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/flow"
 )
 
-// Flow is the dataflow-backed Executor: a private flow cluster (one
-// Scheduler, W Workers, one Client) over loopback TCP. Every batch is
-// serialized through the scheduler/worker/client protocol — each index
-// becomes one flow.Task, workers pull tasks in dataflow fashion, and the
-// closure runs in-process on the worker's goroutine, so campaign results
-// are written into the caller's slices exactly as the pool executor would.
+// Flow is the remote Executor: a client dialed into a standalone flow
+// scheduler (`proteomectl sched`) whose workers run in other OS processes,
+// possibly on other hosts. Closures cannot cross process boundaries, so
+// work reaches it only as registered named-job specs (DispatchSpecs, via
+// MapSpecResume); Run refuses closure batches.
 //
 // Completion order is whatever the network delivers, but nothing
 // observable depends on it: results are keyed by index and errors are
-// reduced to the lowest index, so a flow run at any worker count is
+// reduced to the lowest index, so a remote run at any worker count is
 // byte-identical to the pool and to the serial loop.
 type Flow struct {
-	sched   *flow.Scheduler
-	workers []*flow.Worker
-	client  *flow.Client
-
-	// remote marks a client-only executor connected to a standalone
-	// scheduler whose workers live in other OS processes. A remote
-	// executor cannot run closures — work reaches it only as registered
-	// named-job specs via DispatchSpecs.
-	remote bool
+	client *flow.Client
 
 	// specNonce makes this client's spec-task IDs globally unique on a
 	// shared scheduler: several submit clients may drive one standalone
@@ -45,10 +33,8 @@ type Flow struct {
 	specNonce string
 	specSeq   uint64
 
-	// mu serializes batches: the worker handler resolves tasks against the
-	// single current batch.
-	mu    sync.Mutex
-	batch atomic.Pointer[flowBatch]
+	// mu serializes batches, configuration and Close.
+	mu sync.Mutex
 
 	// trace, when set, receives one TaskStats per completed flow task:
 	// worker identity and timings come back over the wire in each
@@ -64,54 +50,6 @@ type Flow struct {
 	closeOnce sync.Once
 }
 
-// flowBatch is the state of one in-flight Run call. bmu orders every
-// handler's bookkeeping before the caller's final read, which also makes
-// the closure's writes (out[i] in Map) visible to the caller.
-type flowBatch struct {
-	fn  func(i int) error
-	bmu sync.Mutex
-	// ran guards against a task being delivered twice (the scheduler
-	// requeues on worker disconnect); in-process workers never disconnect,
-	// but the contract of fn is exactly-once per index.
-	ran  []bool
-	errs []error
-}
-
-// NewFlow starts a loopback flow cluster with the given number of workers
-// (<= 0 selects GOMAXPROCS). The returned executor must be closed.
-func NewFlow(workers int) (*Flow, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	f := &Flow{sched: flow.NewScheduler(), specNonce: specBatchNonce()}
-	addr, err := f.sched.Start("127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("exec: flow scheduler: %w", err)
-	}
-	for i := 0; i < workers; i++ {
-		w := flow.NewWorker(fmt.Sprintf("exec-w%03d", i), f.handle)
-		if err := w.Connect(addr); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("exec: flow worker %d: %w", i, err)
-		}
-		f.workers = append(f.workers, w)
-	}
-	c, err := flow.ConnectClient(addr)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("exec: flow client: %w", err)
-	}
-	// The progress deadline exists to fail fast against a wedged remote
-	// scheduler. Here scheduler, workers, and client share one process —
-	// a wedge is a bug the flow tests catch — while a single work item
-	// (a heavy stage under -race, a large simulated wave) can legitimately
-	// outlast any fixed deadline, which would hard-fail a healthy run the
-	// pool executor completes. Disable it for the in-process cluster.
-	c.ResultTimeout = 0
-	f.client = c
-	return f, nil
-}
-
 // Connect returns a remote flow executor: a client dialed into a
 // standalone scheduler (started with `proteomectl sched`) whose workers
 // run in other processes, possibly on other hosts. The options carry the
@@ -125,7 +63,7 @@ func Connect(opts flow.DialOptions) (*Flow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exec: flow connect: %w", err)
 	}
-	return &Flow{client: c, remote: true, specNonce: specBatchNonce()}, nil
+	return &Flow{client: c, specNonce: specBatchNonce()}, nil
 }
 
 // SetResultTimeout adjusts the client's per-result progress deadline: the
@@ -165,16 +103,9 @@ func specBatchNonce() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Name implements Executor.
-func (f *Flow) Name() string {
-	if f.remote {
-		return "flow-remote"
-	}
-	return "flow"
-}
-
-// SetTrace implements Traceable. Set it before the batches it should
-// observe; the sink must be safe for concurrent use.
+// SetTrace installs the sink every subsequent batch records into (nil
+// disables tracing). Set it before the batches it should observe; the sink
+// must be safe for concurrent use.
 func (f *Flow) SetTrace(sink TraceSink) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -197,10 +128,6 @@ func recordResult(sink TraceSink, kernel, id, campaign string, r *flow.Result) {
 		Campaign:     campaign,
 	})
 }
-
-// SpecsOnly implements SpecDispatcher: only the remote executor is
-// restricted to specs; the in-process cluster still runs closures.
-func (f *Flow) SpecsOnly() bool { return f.remote }
 
 // DispatchSpecs implements SpecDispatcher: one flow task per argument
 // block, each carrying a flow.JobSpec envelope, submitted as a single batch
@@ -291,120 +218,23 @@ func (f *Flow) DispatchSpecs(kernel string, args [][]byte, ids []string) ([][]by
 	return out, nil
 }
 
-// handle is the shared worker handler: spec-carrying tasks dispatch
-// against the process-wide kernel registry (so the in-process cluster can
-// also serve DispatchSpecs batches); plain tasks map the task ID back to
-// the batch index and run the batch closure on the worker's goroutine.
-func (f *Flow) handle(t flow.Task) (json.RawMessage, error) {
-	if len(t.Payload) > 0 {
-		return flow.RunSpec(t.Payload)
-	}
-	b := f.batch.Load()
-	i, err := strconv.Atoi(t.ID)
-	if b == nil || err != nil || i < 0 || i >= len(b.errs) {
-		return nil, fmt.Errorf("exec: stray flow task %q", t.ID)
-	}
-	b.bmu.Lock()
-	if b.ran[i] {
-		b.bmu.Unlock()
-		return nil, nil
-	}
-	b.ran[i] = true
-	b.bmu.Unlock()
-
-	ferr := b.fn(i)
-
-	b.bmu.Lock()
-	b.errs[i] = ferr
-	b.bmu.Unlock()
-	if ferr != nil {
-		return nil, ferr
-	}
-	return nil, nil
-}
-
-// Run implements Executor: one flow task per index, submitted as a
-// single batch through the client's Map. Unlike the pool's cooperative
-// cancellation, every index runs even after a failure — fn is pure, so the
-// only observable effect is identical: the lowest-index error.
-//
-// Batches serialize on the executor: fn must not call back into the same
-// executor (the pipeline's stages fan out one batch at a time, never
-// nested, so all call sites satisfy this).
+// Run implements Executor by refusing: closures cannot cross process
+// boundaries, so a non-empty batch fails. Stages that run remotely go
+// through MapSpecResume, which dispatches specs instead.
 func (f *Flow) Run(batch Batch) error {
-	n := batch.N
-	if n == 0 {
+	if batch.N == 0 {
 		return nil
 	}
-	if f.remote {
-		return fmt.Errorf("exec: remote flow executor cannot run closures across process boundaries; dispatch registered job specs instead (exec.MapSpecResume)")
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.client == nil {
-		return fmt.Errorf("exec: flow executor is closed")
-	}
-
-	b := &flowBatch{fn: batch.Fn, ran: make([]bool, n), errs: make([]error, n)}
-	f.batch.Store(b)
-	defer f.batch.Store(nil)
-
-	tasks := make([]flow.Task, n)
-	for i := range tasks {
-		tasks[i] = flow.Task{ID: strconv.Itoa(i)}
-		// Tag the wire task with its trace identity when the batch has
-		// one; unlabeled batches fall back to the wire ID (the decimal
-		// index), which is already the trace fallback.
-		if batch.TaskID != nil {
-			tasks[i].Label = batch.TaskID(i)
-		}
-	}
-	var observe func(*flow.Result)
-	if sink := f.trace; sink != nil {
-		campaign := f.campaign
-		observe = func(r *flow.Result) {
-			if i, err := strconv.Atoi(r.TaskID); err == nil && i >= 0 && i < n {
-				recordResult(sink, batch.Kernel, batch.taskID(i), campaign, r)
-			}
-		}
-	}
-	results, err := f.client.Map(tasks, observe)
-	if err != nil {
-		return fmt.Errorf("exec: flow batch: %w", err)
-	}
-	if len(results) != n {
-		return fmt.Errorf("exec: flow batch returned %d/%d results", len(results), n)
-	}
-
-	// Client.Map returned only after every worker finished, and each
-	// handler's errs write is ordered before this lock — so the batch (and
-	// everything fn wrote) is fully visible here.
-	b.bmu.Lock()
-	defer b.bmu.Unlock()
-	for _, e := range b.errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
+	return fmt.Errorf("exec: remote flow executor cannot run closures across process boundaries; dispatch registered job specs instead (exec.MapSpecResume)")
 }
 
-// Close tears down the client, workers, and scheduler. It waits for any
-// in-flight batch to drain first (batches and Close serialize on the same
-// lock).
+// Close closes the client connection. It waits for any in-flight batch to
+// drain first (batches and Close serialize on the same lock).
 func (f *Flow) Close() error {
 	f.closeOnce.Do(func() {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		if f.client != nil {
-			f.client.Close()
-		}
-		for _, w := range f.workers {
-			w.Close()
-		}
-		if f.sched != nil {
-			f.sched.Close()
-		}
+		f.client.Close()
 		f.client = nil
 	})
 	return nil

@@ -25,11 +25,9 @@ type Pool struct {
 // NewPool returns a pool executor bounded at workers.
 func NewPool(workers int) *Pool { return &Pool{Workers: workers} }
 
-// Name implements Executor.
-func (p *Pool) Name() string { return "pool" }
-
-// SetTrace implements Traceable. Set it before the batches it should
-// observe; the sink must be safe for concurrent use.
+// SetTrace installs the sink every subsequent batch records into (nil
+// disables tracing). Set it before the batches it should observe; the sink
+// must be safe for concurrent use.
 func (p *Pool) SetTrace(sink TraceSink) { p.trace = sink }
 
 // Run implements Executor by delegating to the parallel pool, which claims

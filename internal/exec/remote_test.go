@@ -96,13 +96,6 @@ func remoteCluster(t *testing.T, workers int) *Flow {
 
 func TestRemoteFlowDispatchSpecs(t *testing.T) {
 	f := remoteCluster(t, 3)
-	if !SpecsOnly(f) {
-		t.Fatal("remote flow executor should be specs-only")
-	}
-	if f.Name() != "flow-remote" {
-		t.Fatalf("Name() = %q", f.Name())
-	}
-
 	items := make([]num, 50)
 	for i := range items {
 		items[i] = num(i)
@@ -158,14 +151,15 @@ func TestRemoteFlowRejectsClosures(t *testing.T) {
 func TestRemoteFlowClosed(t *testing.T) {
 	f := remoteCluster(t, 1)
 	f.Close()
+	f.Close() // idempotent
 	if _, err := f.DispatchSpecs("exectest/square", [][]byte{enc(1)}, nil); err == nil {
 		t.Fatal("DispatchSpecs on closed executor succeeded")
 	}
 }
 
 func TestMapSpecFallsBackToClosures(t *testing.T) {
-	// Non-spec executors (the pool) and the in-process flow cluster run
-	// the closure; arg builders must not even be invoked for the pool.
+	// An executor that is not a SpecDispatcher (the pool) runs the
+	// closure; arg builders must not even be invoked.
 	pool := &Pool{Workers: 4}
 	items := []num{1, 2, 3}
 	out, err := MapSpecResume(pool, "exectest/square", 1, items, nil,
@@ -176,43 +170,6 @@ func TestMapSpecFallsBackToClosures(t *testing.T) {
 	}
 	if out[0] != 11 || out[1] != 12 || out[2] != 13 {
 		t.Fatalf("pool MapSpecResume = %v", out)
-	}
-
-	fl, err := NewFlow(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fl.Close()
-	if SpecsOnly(fl) {
-		t.Fatal("in-process flow executor must not be specs-only")
-	}
-	out, err = MapSpecResume(fl, "exectest/square", 1, items, nil,
-		func(_ int, n num) num { return n },
-		func(_ int, n num) (num, error) { return n + 20, nil }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 21 || out[1] != 22 || out[2] != 23 {
-		t.Fatalf("in-process flow MapSpecResume = %v", out)
-	}
-}
-
-func TestInProcessFlowServesSpecTasks(t *testing.T) {
-	// The in-process cluster's workers also dispatch spec payloads, so
-	// DispatchSpecs works on it too (even though MapSpecResume prefers the
-	// closure path there).
-	testKernels(t)
-	fl, err := NewFlow(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fl.Close()
-	out, err := fl.DispatchSpecs("exectest/square", [][]byte{enc(3), enc(4)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out[0]) != string(enc(9)) || string(out[1]) != string(enc(16)) {
-		t.Fatalf("DispatchSpecs = %v, %v", out[0], out[1])
 	}
 }
 

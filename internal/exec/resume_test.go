@@ -6,16 +6,14 @@ import (
 	"testing"
 )
 
-// TestMapSpecResumeSkipsCompleted is the resume contract on a spec-only
-// executor: completed tasks recompute locally (deterministic world), only
+// TestMapSpecResumeSkipsCompleted is the resume contract on a spec
+// dispatcher: completed tasks recompute locally (deterministic world), only
 // the pending remainder crosses the wire, and the merged output is
 // indistinguishable from a full run.
 func TestMapSpecResumeSkipsCompleted(t *testing.T) {
 	f := remoteCluster(t, 2)
 	tr := &Trace{}
-	if !AttachTrace(f, tr) {
-		t.Fatal("remote flow executor should accept a trace")
-	}
+	f.SetTrace(tr)
 
 	items := []num{3, 4, 5, 6, 7, 8}
 	id := func(_ int, n num) string { return fmt.Sprintf("item-%d", n) }
@@ -48,7 +46,7 @@ func TestMapSpecResumeSkipsCompleted(t *testing.T) {
 func TestMapSpecResumeAllCompleted(t *testing.T) {
 	f := remoteCluster(t, 1)
 	tr := &Trace{}
-	AttachTrace(f, tr)
+	f.SetTrace(tr)
 	items := []num{1, 2, 3}
 	out, err := MapSpecResume(f, "exectest/square", 1, items,
 		func(_ int, n num) string { return fmt.Sprintf("item-%d", n) },
@@ -86,9 +84,9 @@ func TestMapSpecResumeRecomputeFailure(t *testing.T) {
 	}
 }
 
-// TestMapSpecResumePoolIgnoresSkipSet: non-spec executors run the closure
-// for every item anyway, so the skip-set is irrelevant there — resume
-// against `-executor pool` is just a plain run.
+// TestMapSpecResumePoolIgnoresSkipSet: the pool runs the closure for
+// every item anyway, so the skip-set is irrelevant there — a resumed
+// in-process run is just a plain run.
 func TestMapSpecResumePoolIgnoresSkipSet(t *testing.T) {
 	pool := &Pool{Workers: 2}
 	out, err := MapSpecResume(pool, "exectest/square", 1, []num{1, 2, 3}, nil,

@@ -33,8 +33,8 @@ type TaskStats struct {
 	Start   time.Time
 	Finish  time.Time
 	// PayloadBytes measures the encoded result payload that crossed the
-	// wire back to the client (0 for in-process closure batches, which
-	// return nothing over the wire).
+	// wire back to the client (0 for pool batches, which return nothing
+	// over the wire).
 	PayloadBytes int
 	// Err is the task's failure message ("" on success).
 	Err string
@@ -124,8 +124,9 @@ func WriteStatsCSV(w io.Writer, rows []TaskStats) error {
 	}
 	for i := range rows {
 		r := &rows[i]
-		// An absent enqueue stamp (pre-telemetry peer) prints as 0, not
-		// as the zero time's nonsensical UnixNano.
+		// An absent enqueue stamp (a quarantine record, which the
+		// scheduler writes without one) prints as 0, not as the zero
+		// time's nonsensical UnixNano.
 		enqueueNS := int64(0)
 		if !r.Enqueue.IsZero() {
 			enqueueNS = r.Enqueue.UnixNano()
@@ -149,22 +150,4 @@ func WriteStatsCSV(w io.Writer, rows []TaskStats) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// Traceable is the optional Executor extension for telemetry: both back
-// ends implement it. SetTrace installs the sink every subsequent batch
-// records into (nil disables tracing); it must be called before the
-// batches it should observe.
-type Traceable interface {
-	SetTrace(TraceSink)
-}
-
-// AttachTrace installs sink on ex when the executor supports tracing,
-// reporting whether it did.
-func AttachTrace(ex Executor, sink TraceSink) bool {
-	tr, ok := ex.(Traceable)
-	if ok {
-		tr.SetTrace(sink)
-	}
-	return ok
 }

@@ -65,7 +65,7 @@ func TestTaskStatsDurations(t *testing.T) {
 	if r := s.RunSeconds(); r != 2 {
 		t.Errorf("RunSeconds = %v, want 2", r)
 	}
-	// No enqueue stamp (pre-telemetry peer): queue time degrades to 0.
+	// No enqueue stamp (a quarantine record): queue time degrades to 0.
 	s2 := TaskStats{Start: base, Finish: base}
 	if q := s2.QueueSeconds(); q != 0 {
 		t.Errorf("QueueSeconds without stamp = %v, want 0", q)
@@ -78,9 +78,7 @@ func TestTaskStatsDurations(t *testing.T) {
 func TestPoolRecordsTrace(t *testing.T) {
 	pool := NewPool(3)
 	trace := &Trace{}
-	if !AttachTrace(pool, trace) {
-		t.Fatal("pool must implement Traceable")
-	}
+	pool.SetTrace(trace)
 	items := []num{10, 20, 30, 40}
 	out, err := MapSpecResume(pool, "test/kernel", 1, items,
 		func(i int, v num) string { return fmt.Sprintf("item-%d", v) },
@@ -190,42 +188,10 @@ func TestPoolTraceRecordsErrors(t *testing.T) {
 	}
 }
 
-// TestFlowRecordsTrace: the loopback flow back end records worker identity
-// and the scheduler's enqueue stamp from the wire protocol.
-func TestFlowRecordsTrace(t *testing.T) {
-	fl, err := NewFlow(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fl.Close()
-	trace := &Trace{}
-	if !AttachTrace(fl, trace) {
-		t.Fatal("flow must implement Traceable")
-	}
-	const n = 20
-	if err := fl.Run(Batch{N: n, Fn: func(i int) error { return nil }}); err != nil {
-		t.Fatal(err)
-	}
-	rows := trace.Rows()
-	if len(rows) != n {
-		t.Fatalf("trace rows = %d, want %d", len(rows), n)
-	}
-	for _, r := range rows {
-		if !strings.HasPrefix(r.WorkerID, "exec-w") {
-			t.Errorf("worker = %q, want a flow worker", r.WorkerID)
-		}
-		if r.Enqueue.IsZero() {
-			t.Errorf("task %s has no scheduler enqueue stamp", r.TaskID)
-		}
-		if r.Start.Before(r.Enqueue) || r.Finish.Before(r.Start) {
-			t.Errorf("task %s: timings out of order", r.TaskID)
-		}
-	}
-}
-
 // TestRemoteDispatchRecordsTrace: spec dispatch across the scheduler
-// records the caller's task IDs and the measured wire bytes of each
-// result payload.
+// records the caller's task IDs, worker identity and the scheduler's
+// enqueue stamp from the wire protocol, and the measured wire bytes of
+// each result payload.
 func TestRemoteDispatchRecordsTrace(t *testing.T) {
 	f := remoteCluster(t, 2)
 	trace := &Trace{}
@@ -256,6 +222,12 @@ func TestRemoteDispatchRecordsTrace(t *testing.T) {
 		if !strings.HasPrefix(r.WorkerID, "spec-w") {
 			t.Errorf("worker = %q", r.WorkerID)
 		}
+		if r.Enqueue.IsZero() {
+			t.Errorf("task %s has no scheduler enqueue stamp", r.TaskID)
+		}
+		if r.Start.Before(r.Enqueue) || r.Finish.Before(r.Start) {
+			t.Errorf("task %s: timings out of order", r.TaskID)
+		}
 		if r.PayloadBytes <= 0 {
 			t.Errorf("task %s: payload bytes = %d, want > 0 (results cross the wire)", r.TaskID, r.PayloadBytes)
 		}
@@ -283,15 +255,3 @@ func TestRemoteDispatchRecordsTrace(t *testing.T) {
 		}
 	}
 }
-
-func TestAttachTraceUnsupported(t *testing.T) {
-	if AttachTrace(nopExecutor{}, &Trace{}) {
-		t.Error("AttachTrace on a sink-less executor must report false")
-	}
-}
-
-type nopExecutor struct{}
-
-func (nopExecutor) Name() string      { return "nop" }
-func (nopExecutor) Run(b Batch) error { return nil }
-func (nopExecutor) Close() error      { return nil }

@@ -12,7 +12,8 @@ import (
 // byte-identical results to the serial reference path. Table 1 exercises
 // the full feature-generation + inference pipeline over all four presets,
 // so agreement here covers the memoized feature generator, the inference
-// fan-out, and the dataflow accounting.
+// fan-out, and the dataflow accounting. A traced pool must agree too:
+// the trace is an observation channel, never an input.
 func TestTable1ParallelMatchesSerial(t *testing.T) {
 	serialEnv := NewEnv(DefaultSeed)
 	serialEnv.Parallelism = 1
@@ -39,6 +40,22 @@ func TestTable1ParallelMatchesSerial(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, par) {
 		t.Error("Table1 results differ between parallelism 1 and 8")
+	}
+
+	tracedEnv := NewEnv(DefaultSeed)
+	pool := exec.NewPool(8)
+	trace := &exec.Trace{}
+	pool.SetTrace(trace)
+	tracedEnv.Executor = pool
+	traced, err := Table1(tracedEnv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trace.Rows()) == 0 {
+		t.Error("traced pool recorded no task stats")
+	}
+	if !reflect.DeepEqual(serial, traced) {
+		t.Error("Table1 under a traced pool-8 differs from the serial reference")
 	}
 }
 
@@ -85,76 +102,6 @@ func TestFeaturesForParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestTable1CrossExecutor is the cross-executor equivalence suite: the
-// same Table 1 workload driven through the serial reference path, the
-// in-process pool, and flow executors at two worker counts must report
-// byte-identical results. This is the contract that lets a campaign move
-// between the host pool and the scheduler/worker/client protocol freely.
-func TestTable1CrossExecutor(t *testing.T) {
-	run := func(ex exec.Executor, par int) *Table1Result {
-		t.Helper()
-		env := NewEnv(DefaultSeed)
-		env.Parallelism = par
-		env.Executor = ex
-		res, err := Table1(env)
-		if err != nil {
-			name := "pool"
-			if ex != nil {
-				name = ex.Name()
-			}
-			t.Fatalf("%s/%d: %v", name, par, err)
-		}
-		return res
-	}
-
-	serial := run(nil, 1)
-
-	flow2, err := exec.NewFlow(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer flow2.Close()
-	flow8, err := exec.NewFlow(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer flow8.Close()
-
-	// Tracing is observation only: executors with a TraceSink attached
-	// must stay byte-identical to untraced runs on every back end.
-	tracedPool := exec.NewPool(8)
-	poolTrace := &exec.Trace{}
-	tracedPool.SetTrace(poolTrace)
-	tracedFlow, err := exec.NewFlow(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tracedFlow.Close()
-	flowTrace := &exec.Trace{}
-	tracedFlow.SetTrace(flowTrace)
-
-	variants := []struct {
-		name string
-		res  *Table1Result
-	}{
-		{"pool-8", run(nil, 8)},
-		{"flow-2", run(flow2, 0)},
-		{"flow-8", run(flow8, 0)},
-		{"pool-8-traced", run(tracedPool, 0)},
-		{"flow-4-traced", run(tracedFlow, 0)},
-	}
-	for name, tr := range map[string]*exec.Trace{"pool": poolTrace, "flow": flowTrace} {
-		if tr.Len() == 0 {
-			t.Errorf("%s executor recorded no task stats", name)
-		}
-	}
-	for _, v := range variants {
-		if !reflect.DeepEqual(serial, v.res) {
-			t.Errorf("Table1 under %s differs from the serial reference", v.name)
-		}
-	}
-}
-
 // TestCampaignParallelMatchesSerial runs one full species campaign (the
 // smallest proteome) at both parallelism settings and compares the
 // inference fan-out, high-memory retry wave, and relax accounting.
@@ -177,40 +124,5 @@ func TestCampaignParallelMatchesSerial(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, par) {
 		t.Errorf("SDivinum results differ:\nserial   %+v\nparallel %+v", serial, par)
-	}
-}
-
-// TestCampaignCrossExecutor drives the full three-stage campaign (feature
-// generation, inference + high-memory retry, relaxation) through the flow
-// executor and compares it against the pool, at two worker counts — the
-// acceptance gate for the executor abstraction: campaign output under
-// -executor=flow is byte-identical to -executor=pool at any worker count.
-func TestCampaignCrossExecutor(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-pipeline equivalence is not a -short test")
-	}
-	run := func(ex exec.Executor) (*SDivinumResult, error) {
-		env := NewEnv(DefaultSeed)
-		env.Parallelism = 4
-		env.Executor = ex
-		return SDivinum(env)
-	}
-	pool, err := run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 6} {
-		fl, err := exec.NewFlow(workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, ferr := run(fl)
-		fl.Close()
-		if ferr != nil {
-			t.Fatalf("flow-%d: %v", workers, ferr)
-		}
-		if !reflect.DeepEqual(pool, res) {
-			t.Errorf("campaign under flow-%d differs from pool", workers)
-		}
 	}
 }

@@ -30,12 +30,11 @@ type Env struct {
 	// at any value are byte-identical. <= 0 selects GOMAXPROCS; 1 forces
 	// the serial reference path the determinism tests compare against.
 	Parallelism int
-	// Executor, when set, replaces the default in-process pool with an
-	// alternative back end (exec.NewFlow drives every experiment through
-	// the flow scheduler/worker/client protocol). Results are
-	// byte-identical across executors and worker counts; nil selects the
-	// pool bounded at Parallelism. The Env does not own the executor — the
-	// caller closes it.
+	// Executor, when set, replaces the default pool bounded at Parallelism
+	// (e.g. a traced exec.NewPool, or exec.Connect for a campaign whose
+	// stages ship as job specs to remote flow workers). Results are
+	// byte-identical across executors and worker counts. The Env does not
+	// own the executor — the caller closes it.
 	Executor exec.Executor
 
 	proteomes map[string]*proteome.Proteome

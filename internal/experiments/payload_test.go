@@ -18,17 +18,15 @@ import (
 
 var updatePayloads = flag.Bool("update", false, "rewrite the kernel payload goldens under testdata/payloads")
 
-// payloadCapture is a spec-only executor that runs every spec through the
+// payloadCapture is a spec dispatcher that runs every spec through the
 // process-wide kernel registry, as a worker does, and keeps the first
 // (spec, result) payload pair each kernel sees.
 type payloadCapture struct {
 	first map[string][2][]byte
 }
 
-func (*payloadCapture) Name() string         { return "capture" }
 func (*payloadCapture) Run(exec.Batch) error { return errors.New("payloadCapture runs specs only") }
 func (*payloadCapture) Close() error         { return nil }
-func (*payloadCapture) SpecsOnly() bool      { return true }
 
 func (c *payloadCapture) DispatchSpecs(kernel string, args [][]byte, _ []string) ([][]byte, error) {
 	out := make([][]byte, len(args))
@@ -37,7 +35,7 @@ func (c *payloadCapture) DispatchSpecs(kernel string, args [][]byte, _ []string)
 		if err != nil {
 			return nil, err
 		}
-		if out[i], err = flow.RunSpec(t.Payload); err != nil {
+		if out[i], err = flow.DefaultRegistry().Run(t.Payload); err != nil {
 			return nil, err
 		}
 		if _, ok := c.first[kernel]; !ok {

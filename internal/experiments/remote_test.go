@@ -135,7 +135,7 @@ func TestKernelWorldCacheBounded(t *testing.T) {
 	}
 }
 
-// TestRemoteGuardRequiresCampaignIdentity: a spec-only executor without
+// TestRemoteGuardRequiresCampaignIdentity: a spec-dispatching executor without
 // Config.Remote must fail loudly, not fall back to closures.
 func TestRemoteGuardRequiresCampaignIdentity(t *testing.T) {
 	env := NewEnv(DefaultSeed)
@@ -145,7 +145,7 @@ func TestRemoteGuardRequiresCampaignIdentity(t *testing.T) {
 	cfg.Executor = rf // Remote left nil
 	_, err := core.RunCampaign(env.Engine, env.FeatureGen(), proteins, env.FS, core.ReducedDatabase(), cfg)
 	if err == nil {
-		t.Fatal("campaign with spec-only executor and nil Remote succeeded")
+		t.Fatal("campaign with spec-dispatching executor and nil Remote succeeded")
 	}
 }
 

@@ -60,12 +60,6 @@ func DialClient(opts DialOptions) (*Client, error) {
 	return &Client{conn: conn, codec: codec, ResultTimeout: DefaultResultTimeout}, nil
 }
 
-// ConnectClient dials the scheduler at addr (bounded by dialTimeout,
-// default wire). The returned client must be closed.
-func ConnectClient(addr string) (*Client, error) {
-	return DialClient(DialOptions{Addr: addr})
-}
-
 // ConnectClientFile dials via a scheduler file.
 func ConnectClientFile(path string) (*Client, error) {
 	return DialClient(DialOptions{SchedulerFile: path})

@@ -450,7 +450,7 @@ func TestBatchedHandout(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +515,7 @@ func TestBatchRequeueOnWorkerDeath(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func TestEventLogMatchesHub(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Close)
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestMonitorDetachAndSchedulerClose(t *testing.T) {
 	}
 	t.Cleanup(m2.Close)
 	m2.ReadTimeout = 10 * time.Second
-	want := s.Events().Len()
+	want := len(s.Events().Snapshot())
 	for i := 0; i < want; i++ {
 		if _, err := m2.Next(); err != nil {
 			t.Fatalf("draining backlog (%d/%d): %v", i, want, err)

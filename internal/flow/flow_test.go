@@ -12,6 +12,11 @@ import (
 	"repro/internal/events"
 )
 
+// connectClient dials the scheduler at addr on the default wire.
+func connectClient(addr string) (*Client, error) {
+	return DialClient(DialOptions{Addr: addr})
+}
+
 // startCluster spins up a default scheduler plus n workers running
 // handler, and a connected client. Everything is cleaned up at test end.
 func startCluster(t *testing.T, n int, handler Handler) (*Scheduler, []*Worker, *Client) {
@@ -53,7 +58,7 @@ func startClusterOn(t *testing.T, s *Scheduler, n int, handler Handler) (*Schedu
 			t.Fatalf("%d of %d workers joined", joins, n)
 		}
 	}
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +243,7 @@ func TestWorkerJoinsMidBatch(t *testing.T) {
 	}
 	t.Cleanup(w1.Close)
 
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +302,7 @@ func TestWorkerCrashRequeuesTask(t *testing.T) {
 		return nil, nil
 	})
 
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +406,7 @@ func BenchmarkMapThroughput(b *testing.B) {
 		}
 		defer w.Close()
 	}
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -193,7 +193,7 @@ func TestSelfSizedHandoutIsolatesWorkerKiller(t *testing.T) {
 	spawn()
 	spawn()
 
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

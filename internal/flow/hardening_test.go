@@ -42,7 +42,7 @@ func wedgedListener(t *testing.T) string {
 // test binary times out.
 func TestClientMapFailsFastOnWedgedScheduler(t *testing.T) {
 	addr := wedgedListener(t)
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestIdleWorkerDisconnectReschedules(t *testing.T) {
 	}
 	ghost.Close() // dies idle: scheduler must drop it from the free list
 
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestClientDisconnectOrphansItsTasks(t *testing.T) {
 
 	// The doomed client submits a long batch and disconnects while the
 	// single slow worker is still chewing on it.
-	doomed, err := ConnectClient(addr)
+	doomed, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestClientDisconnectOrphansItsTasks(t *testing.T) {
 
 	// A fresh client's batch must still complete: the orphaned queue was
 	// dropped, the orphaned in-flight result discarded, the worker freed.
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

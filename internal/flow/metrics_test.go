@@ -59,7 +59,7 @@ func TestSchedulerMetricsLiveCluster(t *testing.T) {
 	// of registrations the scheduler has processed.
 	waitUntil(t, 10*time.Second, func() bool { return countEvents(s, events.WorkerJoin) == 2 }, "both workers to join")
 
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

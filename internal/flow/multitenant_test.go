@@ -63,7 +63,7 @@ func TestLateResultFromDroppedWorkerIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSendFailureChargesRetryBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,13 +387,13 @@ func TestFairShareInterleavesTwoCampaigns(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 
-	ca, err := ConnectClient(addr)
+	ca, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(ca.Close)
 	ca.Campaign = "alpha"
-	cb, err := ConnectClient(addr)
+	cb, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestMonitorCampaignFilter(t *testing.T) {
 	}
 
 	for _, campaign := range []string{"mine", "theirs"} {
-		c, err := ConnectClient(addr)
+		c, err := connectClient(addr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,7 +68,7 @@ func TestWedgedWorkerDoesNotWedgeScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestWedgedClientDoesNotStallScheduler(t *testing.T) {
 	}
 
 	// A healthy campaign runs concurrently and must complete promptly.
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestWedgedClientDoesNotStallScheduler(t *testing.T) {
 	}
 
 	// The fleet is still fully serviceable for a fresh client.
-	c2, err := ConnectClient(addr)
+	c2, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestStalledMonitorDoesNotStallCampaign(t *testing.T) {
 		}
 		t.Cleanup(w.Close)
 	}
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestSlowEventLogDoesNotStallDispatch(t *testing.T) {
 		}
 		t.Cleanup(w.Close)
 	}
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func TestRetryBudgetQuarantinesPoisonTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRetryBudgetQuarantinesPoisonTask(t *testing.T) {
 		rw.conn.Close()
 		// The death must be processed before the next worker joins, or
 		// the join order could outrun the requeue.
-		for s.Events().Len() == 0 || countEvents(s, events.WorkerLeave) < i+1 {
+		for len(s.Events().Snapshot()) == 0 || countEvents(s, events.WorkerLeave) < i+1 {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
@@ -184,7 +184,7 @@ func TestEscalatePayloadOnRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestHeartbeatTimeoutRequeuesToSurvivor(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestHeartbeatKeepsSlowWorkerAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

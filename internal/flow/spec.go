@@ -119,11 +119,6 @@ func DefaultRegistry() *Registry { return defaultRegistry }
 // registry.
 func SpecHandler() Handler { return defaultRegistry.Handler() }
 
-// RunSpec executes a spec payload against the default registry.
-func RunSpec(payload []byte) ([]byte, error) {
-	return defaultRegistry.Run(payload)
-}
-
 // specWhat names the spec envelope in decode errors.
 const specWhat = "flow: job spec"
 

@@ -219,7 +219,7 @@ func TestSpecTasksThroughCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestHandoutFailureRequeuesWholeBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	c, err := ConnectClient(addr)
+	c, err := connectClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestSchedulerRefusesPeerWithoutHello(t *testing.T) {
 		}
 		conn.Close()
 	}
-	if n := s.Events().Len(); n != 0 {
+	if n := len(s.Events().Snapshot()); n != 0 {
 		t.Errorf("refused peers left %d events: %+v", n, s.Events().Snapshot())
 	}
 }
