@@ -182,31 +182,9 @@ func main() {
 		}
 		fmt.Printf("[%s completed in %.1fs]\n", r.name, time.Since(start).Seconds())
 	}
-	if *stats != "" {
-		rows := trace.Rows()
-		f, err := os.Create(*stats)
-		if err == nil {
-			err = exec.WriteStatsCSV(f, rows)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "afbench: writing -stats: %v\n", err)
-			os.Exit(1)
-		}
-		if err := analysis.LoadBalance(rows, 10).Render(os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "afbench: rendering load balance: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *timeline != "" {
-		rows := trace.Rows()
-		title := fmt.Sprintf("afbench %s: %d tasks, measured vs simulated", name, len(rows))
-		if err := analysis.WriteTimelineFile(*timeline, rows, title); err != nil {
-			fmt.Fprintf(os.Stderr, "afbench: writing -timeline: %v\n", err)
-			os.Exit(1)
-		}
+	if err := analysis.WriteTraceFiles(trace.Rows(), *stats, *timeline, "afbench "+name, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "afbench: %v\n", err)
+		os.Exit(1)
 	}
 }
 

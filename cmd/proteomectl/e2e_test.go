@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/events"
 	"repro/internal/flow"
 )
@@ -546,10 +545,9 @@ func TestMonitorMidCampaign(t *testing.T) {
 	}
 
 	// Offline reconstruction: the log alone replays to per-worker busy
-	// intervals and queue depth, and renders the measured-vs-simulated
-	// timeline figure. The monitored run's delta alone must account for
-	// one busy interval per CSV row — the full-log replay would also be
-	// satisfied by baseline events.
+	// intervals and queue depth. The monitored run's delta alone must
+	// account for one busy interval per CSV row — the full-log replay
+	// would also be satisfied by baseline events.
 	var delta []events.Event
 	for _, e := range logged {
 		if e.Seq > baseSeq {
@@ -563,26 +561,19 @@ func TestMonitorMidCampaign(t *testing.T) {
 	if len(deltaRep.Intervals) < len(rows) {
 		t.Errorf("monitored run replayed to %d busy intervals, want >= %d (one per CSV row)", len(deltaRep.Intervals), len(rows))
 	}
-	if deltaRep.MaxDepth() == 0 {
+	maxDepth := 0
+	for _, d := range deltaRep.Depth {
+		maxDepth = max(maxDepth, d.Depth)
+	}
+	if maxDepth == 0 {
 		t.Error("monitored run observed no queue depth on a 2-worker campaign")
 	}
 	rep, err := events.ReplayEvents(logged)
 	if err != nil {
 		t.Fatalf("replaying event log: %v", err)
 	}
-	if len(rep.Workers) != 2 {
-		t.Errorf("replay workers = %v, want the 2 e2e workers", rep.Workers)
-	}
-	fig, err := analysis.ReplayTimeline(rep, "e2e campaign")
-	if err != nil {
-		t.Fatalf("building replay timeline: %v", err)
-	}
-	var svg bytes.Buffer
-	if err := fig.Render(&svg); err != nil {
-		t.Fatalf("rendering replay timeline: %v", err)
-	}
-	if !strings.Contains(svg.String(), "</svg>") || len(fig.Simulated) == 0 {
-		t.Error("replay timeline did not render a complete overlay figure")
+	if len(rep.Workers()) != 2 {
+		t.Errorf("replay workers = %v, want the 2 e2e workers", rep.Workers())
 	}
 
 	// The monitor observed the same event sequence as the persisted log:

@@ -266,38 +266,10 @@ func (c *campaignFlags) register(fs *flag.FlagSet) {
 // wantTrace reports whether any output flag needs a recorded trace.
 func (c *campaignFlags) wantTrace() bool { return c.stats != "" || c.timeline != "" }
 
-// finishStats writes the recorded trace as the processing-times CSV
-// and/or the worker-timeline figure, and prints the load-balance summary
-// to stderr — stderr, so the stdout report stays byte-identical with
-// tracing on or off.
+// finishStats writes the recorded trace to the -stats and -timeline
+// files, with the load-balance summary on stderr.
 func (c *campaignFlags) finishStats(trace *exec.Trace) error {
-	if !c.wantTrace() {
-		return nil
-	}
-	rows := trace.Rows()
-	if c.stats != "" {
-		f, err := os.Create(c.stats)
-		if err != nil {
-			return err
-		}
-		if err := exec.WriteStatsCSV(f, rows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if err := analysis.LoadBalance(rows, 10).Render(os.Stderr); err != nil {
-			return err
-		}
-	}
-	if c.timeline != "" {
-		title := fmt.Sprintf("%s campaign: %d tasks, measured vs simulated", c.species, len(rows))
-		if err := analysis.WriteTimelineFile(c.timeline, rows, title); err != nil {
-			return err
-		}
-	}
-	return nil
+	return analysis.WriteTraceFiles(trace.Rows(), c.stats, c.timeline, c.species+" campaign", os.Stderr)
 }
 
 // campaignRun is the resolved world a `run` or `submit` operates on.

@@ -152,8 +152,8 @@ func runTop(src eventSource, w io.Writer, opts topOptions) error {
 
 // render prints one table from the fold: the global counters and dispatch
 // rate, a row per campaign, and a row per worker whose OCC% is the share of
-// its connected time it held at least one task — the live counterpart of
-// analysis.ReplayOccupancy.
+// its connected time it held at least one task (events.Worker.BusyNS over
+// ConnectedNS).
 func render(w io.Writer, f *events.Fold, clear bool) {
 	if clear {
 		fmt.Fprint(w, "\x1b[2J\x1b[H")

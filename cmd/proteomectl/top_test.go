@@ -72,7 +72,7 @@ func TestRunTopClearScreen(t *testing.T) {
 }
 
 // TestRunTopWorkerLossMarksGone: a lost worker's open interval is cut at
-// the loss stamp and its row is flagged, mirroring ReplayOccupancy.
+// the loss stamp and its row is flagged.
 func TestRunTopWorkerLossMarksGone(t *testing.T) {
 	evs := []events.Event{
 		{Seq: 1, TimeNS: 0, Type: events.WorkerJoin, Worker: "w1"},

@@ -158,10 +158,11 @@
 // streamed to monitors, backlog first. One reducer, events.Fold,
 // interprets that state machine, and everything an operator reads is a
 // projection of it: `monitor`, `top`, the Prometheus series behind
-// `sched -http` (internal/obs), events.ReplayEvents and the Fig-2-style
-// timelines of internal/svgplot. Submitting executors record the other
-// half, an exec.TaskStats row per task (`submit -stats`: the paper's
-// processing-times CSV). Observation never changes a report. Tested by
+// `sched -http` (internal/obs), and events.ReplayEvents offline.
+// Submitting executors record the other half, an exec.TaskStats row per
+// task (`submit -stats`: the paper's processing-times CSV), and the
+// Fig-2-style timeline (`-timeline`, internal/svgplot) is drawn from those
+// rows. Observation never changes a report. Tested by
 // TestFoldInvariantsOverCorpus, TestMonitorMidCampaign (a monitor
 // attached mid-campaign sees the persisted log's sequence, and the log's
 // task set equals the stats CSV's), TestMetricsEndpointMatchesEventLog

@@ -8,46 +8,26 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/events"
 	"repro/internal/exec"
 	"repro/internal/svgplot"
 )
 
 // This file builds the paper's Fig-2-style worker-timeline figure from
-// the two observability records the system keeps — the client-side
-// per-task trace (exec.TaskStats) and the scheduler-side structured
-// event log (events.Replay) — and overlays each recorded run on
-// cluster.SimulateDataflow's prediction for the same task set: the
-// measured-vs-simulated comparison the ROADMAP's load-balance figure
-// asks for.
+// the client-side per-task trace (exec.TaskStats) and overlays the
+// recorded run on cluster.SimulateDataflow's prediction for the same task
+// set: the measured-vs-simulated comparison behind the paper's
+// load-balance figure.
 
-// statsOrder sorts rows chronologically (enqueue, start, task ID) — the
-// submission order the simulator replays.
-func statsOrder(rows []exec.TaskStats) []exec.TaskStats {
-	sorted := append([]exec.TaskStats(nil), rows...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		a, b := &sorted[i], &sorted[j]
-		if !a.Enqueue.Equal(b.Enqueue) {
-			return a.Enqueue.Before(b.Enqueue)
-		}
-		if !a.Start.Equal(b.Start) {
-			return a.Start.Before(b.Start)
-		}
-		return a.TaskID < b.TaskID
-	})
-	return sorted
-}
-
-// SimTasksFromStats converts a recorded trace into the simulator's task
-// list: one SimTask per row in enqueue order, with the measured run time
-// as both duration and weight. Feeding it to cluster.SimulateDataflow
-// with the run's worker count predicts the timeline an ideal
-// earliest-free-worker dataflow would have produced for the same tasks.
+// SimTasksFromStats converts a recorded trace, in trace order
+// (exec.SortStats), into the simulator's task list: one SimTask per row,
+// with the measured run time as both duration and weight. Feeding it to
+// cluster.SimulateDataflow with the run's worker count predicts the
+// timeline an ideal earliest-free-worker dataflow would have produced for
+// the same tasks.
 func SimTasksFromStats(rows []exec.TaskStats) []cluster.SimTask {
-	sorted := statsOrder(rows)
-	tasks := make([]cluster.SimTask, len(sorted))
-	for i := range sorted {
-		r := &sorted[i]
+	tasks := make([]cluster.SimTask, len(rows))
+	for i := range rows {
+		r := &rows[i]
 		tasks[i] = cluster.SimTask{
 			ID:       r.TaskID,
 			Weight:   r.RunSeconds(),
@@ -67,7 +47,8 @@ func TimelineFromStats(rows []exec.TaskStats, title string) (*svgplot.Timeline, 
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("analysis: timeline needs a non-empty trace")
 	}
-	sorted := statsOrder(rows)
+	sorted := append([]exec.TaskStats(nil), rows...)
+	exec.SortStats(sorted)
 
 	// The time origin is the earliest stamp in the trace; rows without an
 	// enqueue stamp (quarantine records) fall back to their start.
@@ -195,25 +176,18 @@ func TimelineFromStats(rows []exec.TaskStats, title string) (*svgplot.Timeline, 
 	if len(realRows) == 0 {
 		realRows = []int{0} // a fully unplaced trace still gets a 1-worker prediction
 	}
-	sim, err := cluster.SimulateDataflow(SimTasksFromStats(rows), cluster.DataflowOptions{
+	sim, err := cluster.SimulateDataflow(SimTasksFromStats(sorted), cluster.DataflowOptions{
 		Workers:      len(realRows),
 		StartupDelay: firstStart,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("analysis: simulating recorded tasks: %w", err)
 	}
-	fig.Simulated = simIntervals(sim, func(w int) int { return realRows[w] })
-	return fig, nil
-}
-
-// simIntervals converts a simulation result into figure blocks; rowFor
-// maps a simulated worker index onto its figure row.
-func simIntervals(sim *cluster.SimResult, rowFor func(int) int) []svgplot.Interval {
-	out := make([]svgplot.Interval, len(sim.Intervals))
+	fig.Simulated = make([]svgplot.Interval, len(sim.Intervals))
 	for i, iv := range sim.Intervals {
-		out[i] = svgplot.Interval{Row: rowFor(iv.Worker), Start: iv.Start, End: iv.End, Label: iv.TaskID}
+		fig.Simulated[i] = svgplot.Interval{Row: realRows[iv.Worker], Start: iv.Start, End: iv.End, Label: iv.TaskID}
 	}
-	return out
+	return fig, nil
 }
 
 // WriteTimelineSVG renders the measured-vs-simulated figure for a
@@ -227,87 +201,40 @@ func WriteTimelineSVG(w io.Writer, rows []exec.TaskStats, title string) error {
 	return fig.Render(w)
 }
 
-// WriteTimelineFile is WriteTimelineSVG to a file path — the shared body
-// of the CLI -timeline flags.
-func WriteTimelineFile(path string, rows []exec.TaskStats, title string) error {
+// WriteTraceFiles writes a recorded trace to the files behind the CLIs'
+// -stats and -timeline flags, skipping either whose path is empty: the
+// processing-times CSV at statsPath, followed by the load-balance summary
+// on summary, then the measured-vs-simulated figure at timelinePath,
+// titled "<label>: N tasks, measured vs simulated". The CLIs pass stderr
+// as summary, so their stdout report is byte-identical with tracing on or
+// off.
+func WriteTraceFiles(rows []exec.TaskStats, statsPath, timelinePath, label string, summary io.Writer) error {
+	if statsPath != "" {
+		if err := writeFile(statsPath, func(w io.Writer) error { return exec.WriteStatsCSV(w, rows) }); err != nil {
+			return fmt.Errorf("writing stats CSV: %w", err)
+		}
+		if err := LoadBalance(rows, 10).Render(summary); err != nil {
+			return fmt.Errorf("rendering load balance: %w", err)
+		}
+	}
+	if timelinePath != "" {
+		title := fmt.Sprintf("%s: %d tasks, measured vs simulated", label, len(rows))
+		if err := writeFile(timelinePath, func(w io.Writer) error { return WriteTimelineSVG(w, rows, title) }); err != nil {
+			return fmt.Errorf("writing timeline: %w", err)
+		}
+	}
+	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := WriteTimelineSVG(f, rows, title); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
-}
-
-// ReplayTimeline builds the same figure from a scheduler event-log
-// replay instead of a client-side trace: busy intervals and queue depth
-// come from the structured stream alone (no client cooperation), and the
-// overlay simulates the reconstructed durations at the replay's worker
-// count.
-func ReplayTimeline(rep *events.Replay, title string) (*svgplot.Timeline, error) {
-	if len(rep.Intervals) == 0 {
-		return nil, fmt.Errorf("analysis: replay has no busy intervals")
-	}
-	rowOf := make(map[string]int, len(rep.Workers))
-	for i, w := range rep.Workers {
-		rowOf[w] = i
-	}
-
-	// Time origin: the first queue or interval activity in the log (the
-	// scheduler may have idled long before the campaign).
-	t0 := rep.Intervals[0].StartNS
-	for i := range rep.Intervals {
-		if rep.Intervals[i].StartNS < t0 {
-			t0 = rep.Intervals[i].StartNS
-		}
-	}
-	for _, d := range rep.Depth {
-		if d.TimeNS < t0 {
-			t0 = d.TimeNS
-		}
-	}
-	secs := func(ns int64) float64 { return float64(ns-t0) / 1e9 }
-
-	fig := &svgplot.Timeline{
-		Title:          title,
-		Rows:           rep.Workers,
-		MeasuredLabel:  "replayed",
-		SimulatedLabel: "simulated",
-	}
-	firstStart := -1.0
-	ordered := append([]events.Interval(nil), rep.Intervals...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		if ordered[i].StartNS != ordered[j].StartNS {
-			return ordered[i].StartNS < ordered[j].StartNS
-		}
-		return ordered[i].Task < ordered[j].Task
-	})
-	simTasks := make([]cluster.SimTask, 0, len(ordered))
-	for i := range ordered {
-		iv := &ordered[i]
-		start, end := secs(iv.StartNS), secs(iv.EndNS)
-		if firstStart < 0 || start < firstStart {
-			firstStart = start
-		}
-		fig.Measured = append(fig.Measured, svgplot.Interval{
-			Row: rowOf[iv.Worker], Start: start, End: end, Label: iv.Task,
-		})
-		dur := end - start
-		simTasks = append(simTasks, cluster.SimTask{ID: iv.Task, Weight: dur, Duration: dur})
-	}
-	for _, d := range rep.Depth {
-		fig.Depth = append(fig.Depth, svgplot.DepthPoint{T: secs(d.TimeNS), Depth: d.Depth})
-	}
-
-	sim, err := cluster.SimulateDataflow(simTasks, cluster.DataflowOptions{
-		Workers:      len(rep.Workers),
-		StartupDelay: firstStart,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("analysis: simulating replayed tasks: %w", err)
-	}
-	fig.Simulated = simIntervals(sim, func(w int) int { return w })
-	return fig, nil
 }

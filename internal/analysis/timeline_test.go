@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/events"
 	"repro/internal/exec"
 )
 
@@ -28,7 +27,7 @@ func TestSimTasksFromStats(t *testing.T) {
 	if len(tasks) != 3 {
 		t.Fatalf("tasks = %d, want 3", len(tasks))
 	}
-	// Enqueue order with task-ID tiebreak: a, b, c.
+	// Trace order, one task per row: a, b, c.
 	if tasks[0].ID != "a" || tasks[1].ID != "b" || tasks[2].ID != "c" {
 		t.Fatalf("order = %s, %s, %s", tasks[0].ID, tasks[1].ID, tasks[2].ID)
 	}
@@ -139,22 +138,48 @@ func TestTimelineUnplacedRowsNotSimulated(t *testing.T) {
 	}
 }
 
+// TestWriteTimelineFile: the CLIs' -stats/-timeline writer puts the CSV
+// and the figure at their paths and the load-balance summary on the
+// summary writer, skips an output whose path is empty, and fails on an
+// uncreatable path or an empty trace.
 func TestWriteTimelineFile(t *testing.T) {
-	path := t.TempDir() + "/timeline.svg"
-	if err := WriteTimelineFile(path, fakeStats(), "file test"); err != nil {
+	dir := t.TempDir()
+	var summary bytes.Buffer
+	if err := WriteTraceFiles(fakeStats(), dir+"/stats.csv", dir+"/timeline.svg", "file test", &summary); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(dir + "/timeline.svg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "</svg>") {
-		t.Fatal("timeline file is not a complete SVG")
+	if !strings.Contains(string(data), "</svg>") || !strings.Contains(string(data), "file test: 3 tasks, measured vs simulated") {
+		t.Fatal("timeline file is not a complete, titled SVG")
 	}
-	if err := WriteTimelineFile(t.TempDir()+"/no/such/dir.svg", fakeStats(), "t"); err == nil {
-		t.Fatal("uncreatable path succeeded")
+	csv, err := os.ReadFile(dir + "/stats.csv")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := WriteTimelineFile(t.TempDir()+"/empty.svg", nil, "t"); err == nil {
+	if lines := strings.Count(string(csv), "\n"); lines != 4 {
+		t.Fatalf("stats CSV has %d lines, want header + 3 rows", lines)
+	}
+	if summary.Len() == 0 {
+		t.Fatal("no load-balance summary written")
+	}
+
+	summary.Reset()
+	if err := WriteTraceFiles(fakeStats(), "", dir+"/only.svg", "t", &summary); err != nil || summary.Len() != 0 {
+		t.Fatalf("timeline only: err %v, summary %q", err, summary.String())
+	}
+	if err := WriteTraceFiles(fakeStats(), "", "", "t", &summary); err != nil {
+		t.Fatalf("no outputs: %v", err)
+	}
+	if err := WriteTraceFiles(fakeStats(), "", dir+"/no/such/dir.svg", "t", &summary); err == nil {
+		t.Fatal("uncreatable timeline path succeeded")
+	}
+	if err := WriteTraceFiles(fakeStats(), dir+"/no/such/dir.csv", "", "t", &summary); err == nil {
+		t.Fatal("uncreatable stats path succeeded")
+	}
+	if err := WriteTraceFiles(nil, "", dir+"/empty.svg", "t", &summary); err == nil {
 		t.Fatal("empty trace succeeded")
 	}
 }
@@ -181,51 +206,5 @@ func TestTimelineClockSkewClampsDepth(t *testing.T) {
 	var buf bytes.Buffer
 	if err := fig.Render(&buf); err != nil {
 		t.Fatalf("skewed figure failed to render: %v", err)
-	}
-}
-
-func TestReplayTimeline(t *testing.T) {
-	evs := []events.Event{
-		{Seq: 1, TimeNS: 0, Type: events.WorkerJoin, Worker: "w0"},
-		{Seq: 2, TimeNS: 0, Type: events.WorkerJoin, Worker: "w1"},
-		{Seq: 3, TimeNS: 1e9, Type: events.TaskReceived, Task: "a"},
-		{Seq: 4, TimeNS: 1e9, Type: events.TaskQueued, Task: "a"},
-		{Seq: 5, TimeNS: 1e9, Type: events.TaskReceived, Task: "b"},
-		{Seq: 6, TimeNS: 1e9, Type: events.TaskQueued, Task: "b"},
-		{Seq: 7, TimeNS: 2e9, Type: events.TaskAssigned, Task: "a", Worker: "w0"},
-		{Seq: 8, TimeNS: 2e9, Type: events.TaskRunning, Task: "a", Worker: "w0"},
-		{Seq: 9, TimeNS: 2e9, Type: events.TaskAssigned, Task: "b", Worker: "w1"},
-		{Seq: 10, TimeNS: 2e9, Type: events.TaskRunning, Task: "b", Worker: "w1"},
-		{Seq: 11, TimeNS: 5e9, Type: events.TaskDone, Task: "a", Worker: "w0"},
-		{Seq: 12, TimeNS: 7e9, Type: events.TaskDone, Task: "b", Worker: "w1"},
-	}
-	rep, err := events.ReplayEvents(evs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig, err := ReplayTimeline(rep, "replayed run")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Rows) != 2 || len(fig.Measured) != 2 || len(fig.Simulated) != 2 {
-		t.Fatalf("rows=%d measured=%d simulated=%d", len(fig.Rows), len(fig.Measured), len(fig.Simulated))
-	}
-	// Origin is the first queue activity (t=1s in scheduler time), so
-	// block a runs 1–4s on the figure axis.
-	for _, iv := range fig.Measured {
-		if iv.Label == "a" && (iv.Row != 0 || iv.Start != 1 || iv.End != 4) {
-			t.Errorf("block a = %+v", iv)
-		}
-	}
-	var buf bytes.Buffer
-	if err := fig.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "replayed") {
-		t.Error("legend missing the replayed label")
-	}
-
-	if _, err := ReplayTimeline(&events.Replay{}, "empty"); err == nil {
-		t.Fatal("empty replay produced a figure")
 	}
 }

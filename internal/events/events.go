@@ -15,9 +15,9 @@
 // intervals without any client cooperation.
 //
 // One reducer, Fold, interprets that machine; every view of the stream —
-// ReplayEvents offline, `proteomectl monitor` and `top` live,
-// flow.SchedulerMetrics on /metrics, analysis.ReplayOccupancy — is a
-// projection of it, so they cannot disagree about what an event means.
+// `proteomectl monitor` and `top` live, flow.SchedulerMetrics on
+// /metrics, ReplayEvents offline — is a projection of it, so they cannot
+// disagree about what an event means.
 //
 // Events are an observation channel only, never an input: nothing in a
 // campaign report depends on them, and emitting, logging, or streaming

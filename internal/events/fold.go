@@ -31,13 +31,6 @@ func (t *Tally) add(d Tally) {
 	t.Retries += d.Retries
 }
 
-// Execution is a closed Interval plus the stamp of the assignment that
-// opened it (StartNS may have been moved later by a running event).
-type Execution struct {
-	Interval
-	AssignedNS int64
-}
-
 // Worker is one worker's history as the stream shows it.
 type Worker struct {
 	// JoinNS is the stamp of the latest join (or of the first assignment
@@ -93,9 +86,8 @@ type openExec struct {
 // Fold is the one interpreter of the task state machine: fed a stream one
 // event at a time and in order, it maintains the global and per-campaign
 // tallies, the open executions, and each worker's busy and connected
-// time. The live views (`proteomectl monitor` and `top`, /metrics) and the
-// offline ones (ReplayEvents, analysis.ReplayOccupancy) are all
-// projections of it.
+// time. The live views (`proteomectl monitor` and `top`, /metrics) are
+// projections of it, and ReplayEvents runs one over a recorded stream.
 //
 // The rules: queued adds to the depth and, when it carries an attempt (a
 // requeue pulling an in-flight task back), retires a running task and
@@ -127,7 +119,7 @@ type Fold struct {
 	// Closed holds the executions the last observed event closed: one for
 	// a done or failed, a whole batch for a worker's leave. It is reused
 	// by the next Observe.
-	Closed []Execution
+	Closed []Interval
 
 	campaigns map[string]*Tally
 	workers   map[string]*Worker
@@ -264,8 +256,8 @@ func (f *Fold) close(key execKey, x openExec, how Interval) {
 	x.w.release(f.NowNS)
 	x.w.Tasks++
 	how.Task, how.Worker = key.task, x.worker
-	how.StartNS, how.EndNS = x.startNS, f.NowNS
-	f.Closed = append(f.Closed, Execution{Interval: how, AssignedNS: x.assignedNS})
+	how.AssignedNS, how.StartNS, how.EndNS = x.assignedNS, x.startNS, f.NowNS
+	f.Closed = append(f.Closed, how)
 }
 
 // abandon forgets an open execution the stream never closed (a requeue or

@@ -97,6 +97,45 @@ func TestFoldBatchIsOneBusyStretch(t *testing.T) {
 	}
 }
 
+// TestFoldWorkerBusyTime: w1 is busy 6 s of the 10 s span across two
+// tasks; w2 runs one task for 2 s and is lost mid-second-task at 10 s, so
+// that execution is cut at the loss stamp.
+func TestFoldWorkerBusyTime(t *testing.T) {
+	f := observeAll(
+		Event{TimeNS: 0, Type: WorkerJoin, Worker: "w1"},
+		Event{TimeNS: 0, Type: WorkerJoin, Worker: "w2"},
+		Event{TimeNS: 0, Type: TaskReceived, Task: "a"},
+		Event{TimeNS: 0, Type: TaskQueued, Task: "a"},
+		Event{TimeNS: 0, Type: TaskReceived, Task: "c"},
+		Event{TimeNS: 0, Type: TaskQueued, Task: "c"},
+		Event{TimeNS: 1e9, Type: TaskAssigned, Task: "a", Worker: "w1"},
+		Event{TimeNS: 2e9, Type: TaskAssigned, Task: "c", Worker: "w2"},
+		Event{TimeNS: 4e9, Type: TaskDone, Task: "c", Worker: "w2"},
+		Event{TimeNS: 5e9, Type: TaskDone, Task: "a", Worker: "w1"},
+		Event{TimeNS: 5e9, Type: TaskReceived, Task: "b"},
+		Event{TimeNS: 5e9, Type: TaskQueued, Task: "b"},
+		Event{TimeNS: 6e9, Type: TaskAssigned, Task: "b", Worker: "w1"},
+		Event{TimeNS: 8e9, Type: TaskDone, Task: "b", Worker: "w1"},
+		Event{TimeNS: 8e9, Type: TaskReceived, Task: "d"},
+		Event{TimeNS: 8e9, Type: TaskQueued, Task: "d"},
+		Event{TimeNS: 9e9, Type: TaskAssigned, Task: "d", Worker: "w2"},
+		Event{TimeNS: 10e9, Type: WorkerLost, Worker: "w2", Err: "silent"},
+	)
+	if got := f.Workers(); !reflect.DeepEqual(got, []string{"w1", "w2"}) {
+		t.Fatalf("workers = %v, want w1, w2", got)
+	}
+	if w1 := f.Worker("w1"); w1.BusyNS(f.NowNS) != 6e9 || w1.Tasks != 2 {
+		t.Errorf("w1 = %+v busy %d, want busy 6e9 over 2 tasks", w1, w1.BusyNS(f.NowNS))
+	}
+	// w2: task c 2 s + task d cut at the 10 s loss stamp = 3 s busy.
+	if w2 := f.Worker("w2"); w2.BusyNS(f.NowNS) != 3e9 || w2.Tasks != 2 || w2.Connected {
+		t.Errorf("w2 = %+v busy %d, want busy 3e9 over 2 tasks, gone", w2, w2.BusyNS(f.NowNS))
+	}
+	if len(f.Closed) != 1 || !f.Closed[0].Lost || f.Closed[0].Task != "d" || f.Closed[0].EndNS != 10e9 {
+		t.Errorf("loss closed %+v, want task d cut at 10e9", f.Closed)
+	}
+}
+
 // TestFoldSameLabelTwoCampaigns: labels are unique within a campaign only,
 // so two tenants running the same species do not share an execution.
 func TestFoldSameLabelTwoCampaigns(t *testing.T) {

@@ -12,11 +12,12 @@ import (
 type Interval struct {
 	Task   string
 	Worker string
+	// AssignedNS is the stamp of the assignment that opened the execution.
 	// StartNS/EndNS are monotonic stamps: assignment (refined by the
 	// running transition) to completion.
-	StartNS, EndNS int64
-	Failed         bool
-	Lost           bool
+	AssignedNS, StartNS, EndNS int64
+	Failed                     bool
+	Lost                       bool
 }
 
 // DepthPoint is one step of the queue-depth-over-time series.
@@ -25,41 +26,20 @@ type DepthPoint struct {
 	Depth  int
 }
 
-// Replay is the offline reconstruction of one recorded event stream —
-// everything the live monitor shows, recomputed from a log alone: the
-// per-worker busy intervals and the queue depth over time, with no
-// client cooperation required.
+// Replay is the offline reconstruction of one recorded event stream: the
+// Fold it ran, as of the last event (tallies, workers and their busy
+// time, Events, NowNS), plus what only a replay keeps — the task set,
+// every closed execution and the queue depth over time.
 type Replay struct {
-	// Events is the number of events replayed.
-	Events int
+	*Fold
 	// Tasks is the sorted set of task identities observed.
 	Tasks []string
-	// Workers is the sorted set of workers that joined, or were handed a
-	// task (a log whose head was lost shows workers it never saw join).
-	Workers []string
 	// Intervals holds the reconstructed busy intervals, sorted by
 	// (worker, start, task).
 	Intervals []Interval
 	// Depth is the queue-depth series: one point per change, starting at
 	// the first event's stamp.
 	Depth []DepthPoint
-	// Done / Failed / Dropped / Quarantined count task outcomes.
-	Done, Failed, Dropped, Quarantined int
-	// SpanNS is the stamp of the last event.
-	SpanNS int64
-
-	fold *Fold
-}
-
-// MaxDepth returns the deepest queue observed.
-func (r *Replay) MaxDepth() int {
-	max := 0
-	for _, d := range r.Depth {
-		if d.Depth > max {
-			max = d.Depth
-		}
-	}
-	return max
 }
 
 // ReplayEvents reconstructs a Replay from an event stream in order (as
@@ -69,8 +49,8 @@ func (r *Replay) MaxDepth() int {
 // increasing — a spliced or reordered log fails loudly rather than
 // replaying nonsense.
 func ReplayEvents(evs []Event) (*Replay, error) {
-	r := &Replay{Events: len(evs), fold: NewFold()}
-	f := r.fold
+	f := NewFold()
+	r := &Replay{Fold: f}
 	tasks := make(map[string]bool)
 	lastSeq := uint64(0)
 	depth := 0
@@ -87,9 +67,7 @@ func ReplayEvents(evs []Event) (*Replay, error) {
 			tasks[e.Task] = true
 		}
 		f.Observe(e)
-		for _, x := range f.Closed {
-			r.Intervals = append(r.Intervals, x.Interval)
-		}
+		r.Intervals = append(r.Intervals, f.Closed...)
 		if f.Total.Queued != depth {
 			depth = f.Total.Queued
 			// Coalesce same-stamp changes into the final value.
@@ -101,10 +79,7 @@ func ReplayEvents(evs []Event) (*Replay, error) {
 		}
 	}
 
-	r.Done, r.Failed, r.Dropped, r.Quarantined = f.Total.Done, f.Total.Failed, f.Total.Dropped, f.Total.Quarantined
-	r.SpanNS = f.NowNS
 	r.Tasks = sortedKeys(tasks)
-	r.Workers = f.Workers()
 	sort.SliceStable(r.Intervals, func(i, j int) bool {
 		a, b := &r.Intervals[i], &r.Intervals[j]
 		if a.Worker != b.Worker {
@@ -116,19 +91,4 @@ func ReplayEvents(evs []Event) (*Replay, error) {
 		return a.Task < b.Task
 	})
 	return r, nil
-}
-
-// Worker returns one worker's state at the end of the replay (zero for a
-// worker the stream never named).
-func (r *Replay) Worker(name string) Worker { return r.fold.Worker(name) }
-
-// WorkerBusyNS is each worker's busy time over the replay: the wall time
-// it held at least one task, so a batch acked in one frame counts its
-// span once, not once per task.
-func (r *Replay) WorkerBusyNS() map[string]int64 {
-	busy := make(map[string]int64, len(r.Workers))
-	for _, name := range r.Workers {
-		busy[name] = r.Worker(name).BusyNS(r.SpanNS)
-	}
-	return busy
 }

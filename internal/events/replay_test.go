@@ -43,7 +43,7 @@ func TestTrackerLifecycle(t *testing.T) {
 	if f.Total.Done != 1 || f.Total.Running != 0 || f.NowNS != 9 {
 		t.Fatalf("after done: done=%d busy=%d last=%d", f.Total.Done, f.Total.Running, f.NowNS)
 	}
-	if want := []Execution{{Interval: Interval{Task: "a", Worker: "w1", StartNS: 3, EndNS: 9}, AssignedNS: 3}}; !reflect.DeepEqual(f.Closed, want) {
+	if want := []Interval{{Task: "a", Worker: "w1", AssignedNS: 3, StartNS: 3, EndNS: 9}}; !reflect.DeepEqual(f.Closed, want) {
 		t.Fatalf("done closed %+v, want %+v", f.Closed, want)
 	}
 	obs(Event{Type: WorkerLeave, Worker: "w1", TimeNS: 10})
@@ -107,18 +107,18 @@ func TestReplayReconstructsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Events != len(evs) || r.SpanNS != 60 {
-		t.Fatalf("events=%d span=%d", r.Events, r.SpanNS)
+	if r.Events != len(evs) || r.NowNS != 60 {
+		t.Fatalf("events=%d now=%d", r.Events, r.NowNS)
 	}
 	if !reflect.DeepEqual(r.Tasks, []string{"a", "b"}) {
 		t.Fatalf("tasks = %v", r.Tasks)
 	}
-	if !reflect.DeepEqual(r.Workers, []string{"w1", "w2"}) {
-		t.Fatalf("workers = %v", r.Workers)
+	if !reflect.DeepEqual(r.Workers(), []string{"w1", "w2"}) {
+		t.Fatalf("workers = %v", r.Workers())
 	}
 	wantIntervals := []Interval{
-		{Task: "a", Worker: "w1", StartNS: 12, EndNS: 50},
-		{Task: "b", Worker: "w2", StartNS: 13, EndNS: 60, Failed: true},
+		{Task: "a", Worker: "w1", AssignedNS: 11, StartNS: 12, EndNS: 50},
+		{Task: "b", Worker: "w2", AssignedNS: 13, StartNS: 13, EndNS: 60, Failed: true},
 	}
 	if !reflect.DeepEqual(r.Intervals, wantIntervals) {
 		t.Fatalf("intervals = %+v", r.Intervals)
@@ -131,12 +131,15 @@ func TestReplayReconstructsRun(t *testing.T) {
 	if !reflect.DeepEqual(r.Depth, wantDepth) {
 		t.Fatalf("depth = %+v", r.Depth)
 	}
-	if r.Done != 1 || r.Failed != 1 || r.MaxDepth() != 2 {
-		t.Fatalf("done=%d failed=%d maxdepth=%d", r.Done, r.Failed, r.MaxDepth())
+	maxDepth := 0
+	for _, d := range r.Depth {
+		maxDepth = max(maxDepth, d.Depth)
 	}
-	busy := r.WorkerBusyNS()
-	if busy["w1"] != 38 || busy["w2"] != 47 {
-		t.Fatalf("busy = %v", busy)
+	if r.Total.Done != 1 || r.Total.Failed != 1 || maxDepth != 2 {
+		t.Fatalf("done=%d failed=%d maxdepth=%d", r.Total.Done, r.Total.Failed, maxDepth)
+	}
+	if w1, w2 := r.Worker("w1").BusyNS(r.NowNS), r.Worker("w2").BusyNS(r.NowNS); w1 != 38 || w2 != 47 {
+		t.Fatalf("busy = %d, %d, want 38, 47", w1, w2)
 	}
 	if iv := r.Intervals[0]; iv.StartNS != 12 || iv.EndNS != 50 {
 		t.Fatalf("first interval = [%d, %d], want [12, 50]", iv.StartNS, iv.EndNS)
@@ -164,8 +167,8 @@ func TestReplayWorkerDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantIntervals := []Interval{
-		{Task: "a", Worker: "w1", StartNS: 6, EndNS: 20, Lost: true},
-		{Task: "a", Worker: "w2", StartNS: 21, EndNS: 40},
+		{Task: "a", Worker: "w1", AssignedNS: 6, StartNS: 6, EndNS: 20, Lost: true},
+		{Task: "a", Worker: "w2", AssignedNS: 21, StartNS: 21, EndNS: 40},
 	}
 	if !reflect.DeepEqual(r.Intervals, wantIntervals) {
 		t.Fatalf("intervals = %+v", r.Intervals)
@@ -180,8 +183,8 @@ func TestReplayWorkerDeath(t *testing.T) {
 	if !reflect.DeepEqual(r.Depth, wantDepth) {
 		t.Fatalf("depth = %+v", r.Depth)
 	}
-	if r.Done != 1 {
-		t.Fatalf("done = %d", r.Done)
+	if r.Total.Done != 1 {
+		t.Fatalf("done = %d", r.Total.Done)
 	}
 }
 
@@ -202,9 +205,10 @@ func TestReplayRejectsBadStreams(t *testing.T) {
 	if _, err := ReplayEvents(bad); err == nil {
 		t.Error("replay accepted an invalid event")
 	}
-	// An empty stream replays to an empty result.
+	// An empty stream replays to an empty result: no interval, no worker,
+	// no span.
 	r, err := ReplayEvents(nil)
-	if err != nil || r.Events != 0 || len(r.Intervals) != 0 {
+	if err != nil || r.Events != 0 || len(r.Intervals) != 0 || len(r.Workers()) != 0 || r.NowNS != 0 {
 		t.Errorf("empty replay: %+v, %v", r, err)
 	}
 }
@@ -218,7 +222,7 @@ func TestReplayDoneForUnknownTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Done != 1 || len(r.Intervals) != 0 {
-		t.Fatalf("done=%d intervals=%d", r.Done, len(r.Intervals))
+	if r.Total.Done != 1 || len(r.Intervals) != 0 {
+		t.Fatalf("done=%d intervals=%d", r.Total.Done, len(r.Intervals))
 	}
 }

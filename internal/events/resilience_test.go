@@ -232,8 +232,8 @@ func TestTrackerAndReplayNewTypes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReplayEvents: %v", err)
 	}
-	if r.Quarantined != 1 || r.Failed != 1 {
-		t.Fatalf("Quarantined=%d Failed=%d, want 1 and 1", r.Quarantined, r.Failed)
+	if r.Total.Quarantined != 1 || r.Total.Failed != 1 {
+		t.Fatalf("Quarantined=%d Failed=%d, want 1 and 1", r.Total.Quarantined, r.Total.Failed)
 	}
 	// The worker-lost event closed the open interval as Lost.
 	if len(r.Intervals) != 1 || !r.Intervals[0].Lost || r.Intervals[0].EndNS != 20 {

@@ -23,7 +23,7 @@
 //
 // Alongside the results, every executor can record per-task telemetry: a
 // TaskStats record ({task, kernel, worker placement, enqueue/start/finish,
-// payload bytes}) per executed item, delivered to a pluggable TraceSink
+// payload bytes}) per executed item, recorded into a Trace
 // (Pool.SetTrace, Flow.SetTrace). The trace is the paper's processing-times
 // file — an observation channel only, never an input: reports are
 // byte-identical with tracing on or off, which
@@ -81,7 +81,7 @@ func (b *Batch) taskID(i int) string {
 type Executor interface {
 	// Run executes b.Fn(i) for i in [0, b.N). On failure the lowest-index
 	// error is returned and the output of other indices must be
-	// discarded. When a TraceSink is attached, Run records one TaskStats
+	// discarded. When a Trace is attached, Run records one TaskStats
 	// per executed item.
 	Run(b Batch) error
 	// Close releases executor resources (workers, connections). Close is

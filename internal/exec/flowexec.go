@@ -40,7 +40,7 @@ type Flow struct {
 	// worker identity and timings come back over the wire in each
 	// flow.Result (the scheduler stamps the enqueue, the worker brackets
 	// the handler), and PayloadBytes measures the encoded result payload.
-	trace TraceSink
+	trace *Trace
 
 	// campaign is the multi-tenant namespace every submission travels
 	// under (SetCampaign); it rides the submit frame and is echoed into
@@ -103,19 +103,18 @@ func specBatchNonce() string {
 	return hex.EncodeToString(b[:])
 }
 
-// SetTrace installs the sink every subsequent batch records into (nil
-// disables tracing). Set it before the batches it should observe; the sink
-// must be safe for concurrent use.
-func (f *Flow) SetTrace(sink TraceSink) {
+// SetTrace installs the trace every subsequent batch records into (nil
+// disables tracing). Set it before the batches it should observe.
+func (f *Flow) SetTrace(trace *Trace) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.trace = sink
+	f.trace = trace
 }
 
 // recordResult converts one flow completion record into a TaskStats row.
 // id is the stable trace identity of the item (the wire task ID is a
 // batch-internal index and never surfaces in the trace).
-func recordResult(sink TraceSink, kernel, id, campaign string, r *flow.Result) {
+func recordResult(sink *Trace, kernel, id, campaign string, r *flow.Result) {
 	sink.Record(TaskStats{
 		TaskID:       id,
 		Kernel:       kernel,

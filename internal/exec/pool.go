@@ -19,16 +19,15 @@ type Pool struct {
 	// workers stamp enqueue (batch submission), start, and finish times
 	// around the closure. PayloadBytes is always 0 — nothing crosses a
 	// wire in-process.
-	trace TraceSink
+	trace *Trace
 }
 
 // NewPool returns a pool executor bounded at workers.
 func NewPool(workers int) *Pool { return &Pool{Workers: workers} }
 
-// SetTrace installs the sink every subsequent batch records into (nil
-// disables tracing). Set it before the batches it should observe; the sink
-// must be safe for concurrent use.
-func (p *Pool) SetTrace(sink TraceSink) { p.trace = sink }
+// SetTrace installs the trace every subsequent batch records into (nil
+// disables tracing). Set it before the batches it should observe.
+func (p *Pool) SetTrace(trace *Trace) { p.trace = trace }
 
 // Run implements Executor by delegating to the parallel pool, which claims
 // b.Grain consecutive items at a time, collects by submission index and

@@ -55,23 +55,16 @@ func (s *TaskStats) QueueSeconds() float64 {
 // RunSeconds is the handler execution time.
 func (s *TaskStats) RunSeconds() float64 { return s.Finish.Sub(s.Start).Seconds() }
 
-// TraceSink receives one TaskStats record per executed task. Sinks must be
-// safe for concurrent use: pool workers and the flow client record from
-// their own goroutines. Executors treat the sink as fire-and-forget — a
-// sink must never block on the caller.
-type TraceSink interface {
-	Record(TaskStats)
-}
-
-// Trace is the standard in-memory TraceSink: an append-only, concurrency-
-// safe collector with CSV export in the paper's processing-times schema.
-// The zero value is ready to use.
+// Trace receives one TaskStats record per executed task: an append-only
+// collector with CSV export in the paper's processing-times schema. It is
+// safe for concurrent use, since pool workers and the flow client record
+// from their own goroutines. The zero value is ready to use.
 type Trace struct {
 	mu   sync.Mutex
 	rows []TaskStats
 }
 
-// Record implements TraceSink.
+// Record appends one task's stats.
 func (t *Trace) Record(s TaskStats) {
 	t.mu.Lock()
 	t.rows = append(t.rows, s)
@@ -86,21 +79,29 @@ func (t *Trace) Len() int {
 }
 
 // Rows returns a copy of the recorded stats in chronological order
-// (enqueue, then start, with task ID as the deterministic tiebreaker).
+// (SortStats).
 func (t *Trace) Rows() []TaskStats {
 	t.mu.Lock()
 	rows := append([]TaskStats(nil), t.rows...)
 	t.mu.Unlock()
-	sort.SliceStable(rows, func(i, j int) bool {
-		if !rows[i].Enqueue.Equal(rows[j].Enqueue) {
-			return rows[i].Enqueue.Before(rows[j].Enqueue)
-		}
-		if !rows[i].Start.Equal(rows[j].Start) {
-			return rows[i].Start.Before(rows[j].Start)
-		}
-		return rows[i].TaskID < rows[j].TaskID
-	})
+	SortStats(rows)
 	return rows
+}
+
+// SortStats puts rows in chronological order: enqueue, then start, with
+// task ID as the deterministic tiebreaker — the submission order the
+// dataflow simulator replays.
+func SortStats(rows []TaskStats) {
+	sort.SliceStable(rows, func(i, j int) bool {
+		a, b := &rows[i], &rows[j]
+		if !a.Enqueue.Equal(b.Enqueue) {
+			return a.Enqueue.Before(b.Enqueue)
+		}
+		if !a.Start.Equal(b.Start) {
+			return a.Start.Before(b.Start)
+		}
+		return a.TaskID < b.TaskID
+	})
 }
 
 // WriteCSV writes the trace as the paper's processing-times CSV.
@@ -122,22 +123,23 @@ func WriteStatsCSV(w io.Writer, rows []TaskStats) error {
 	if err := cw.Write(StatsHeader); err != nil {
 		return fmt.Errorf("exec: writing stats header: %w", err)
 	}
+	// An absent stamp (a quarantine record, which the scheduler writes
+	// with none) prints as 0, not as the zero time's nonsensical UnixNano.
+	unixNS := func(t time.Time) string {
+		if t.IsZero() {
+			return "0"
+		}
+		return strconv.FormatInt(t.UnixNano(), 10)
+	}
 	for i := range rows {
 		r := &rows[i]
-		// An absent enqueue stamp (a quarantine record, which the
-		// scheduler writes without one) prints as 0, not as the zero
-		// time's nonsensical UnixNano.
-		enqueueNS := int64(0)
-		if !r.Enqueue.IsZero() {
-			enqueueNS = r.Enqueue.UnixNano()
-		}
 		rec := []string{
 			r.TaskID,
 			r.Kernel,
 			r.WorkerID,
-			strconv.FormatInt(enqueueNS, 10),
-			strconv.FormatInt(r.Start.UnixNano(), 10),
-			strconv.FormatInt(r.Finish.UnixNano(), 10),
+			unixNS(r.Enqueue),
+			unixNS(r.Start),
+			unixNS(r.Finish),
 			strconv.FormatFloat(r.QueueSeconds(), 'f', 6, 64),
 			strconv.FormatFloat(r.RunSeconds(), 'f', 6, 64),
 			strconv.Itoa(r.PayloadBytes),

@@ -27,6 +27,9 @@ func TestStatsCSVGoldenSchema(t *testing.T) {
 			Finish: base.Add(2 * time.Second), PayloadBytes: 0, Err: "boom",
 			Campaign: "dvu-full",
 		},
+		// A quarantine record: the scheduler builds it from the task ID
+		// and the error alone, so it has no stamps and no placement.
+		{TaskID: "DVU_00003", Kernel: "campaign/relax", Err: "flow: task DVU_00003 quarantined", Campaign: "dvu-full"},
 	}
 	var sb strings.Builder
 	if err := WriteStatsCSV(&sb, rows); err != nil {
@@ -34,7 +37,8 @@ func TestStatsCSVGoldenSchema(t *testing.T) {
 	}
 	golden := "task_id,kernel,worker_id,enqueued_unix_ns,start_unix_ns,finish_unix_ns,queue_s,run_s,payload_bytes,error,campaign\n" +
 		"DVU_00001,campaign/feature,w01,1643068800000000000,1643068800250000000,1643068801250000000,0.250000,1.000000,512,,\n" +
-		"DVU_00002/m3,campaign/infer,w02,1643068801000000000,1643068801500000000,1643068802000000000,0.500000,0.500000,0,boom,dvu-full\n"
+		"DVU_00002/m3,campaign/infer,w02,1643068801000000000,1643068801500000000,1643068802000000000,0.500000,0.500000,0,boom,dvu-full\n" +
+		"DVU_00003,campaign/relax,,0,0,0,0.000000,0.000000,0,flow: task DVU_00003 quarantined,dvu-full\n"
 	if sb.String() != golden {
 		t.Errorf("stats CSV schema changed:\n--- got ---\n%s--- want ---\n%s", sb.String(), golden)
 	}
@@ -65,10 +69,10 @@ func TestTaskStatsDurations(t *testing.T) {
 	if r := s.RunSeconds(); r != 2 {
 		t.Errorf("RunSeconds = %v, want 2", r)
 	}
-	// No enqueue stamp (a quarantine record): queue time degrades to 0.
-	s2 := TaskStats{Start: base, Finish: base}
-	if q := s2.QueueSeconds(); q != 0 {
-		t.Errorf("QueueSeconds without stamp = %v, want 0", q)
+	// A quarantine record carries no stamps at all: both durations are 0.
+	s2 := TaskStats{TaskID: "q", Err: "quarantined"}
+	if q, r := s2.QueueSeconds(), s2.RunSeconds(); q != 0 || r != 0 {
+		t.Errorf("quarantine record: QueueSeconds = %v, RunSeconds = %v, want 0, 0", q, r)
 	}
 }
 

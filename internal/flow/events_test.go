@@ -83,11 +83,11 @@ func TestSchedulerEmitsTaskLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Intervals) != len(tasks) || rep.Done != len(tasks) {
-		t.Fatalf("replay: %d intervals, %d done, want %d", len(rep.Intervals), rep.Done, len(tasks))
+	if len(rep.Intervals) != len(tasks) || rep.Total.Done != len(tasks) {
+		t.Fatalf("replay: %d intervals, %d done, want %d", len(rep.Intervals), rep.Total.Done, len(tasks))
 	}
-	if len(rep.Workers) != 2 {
-		t.Fatalf("replay workers = %v", rep.Workers)
+	if len(rep.Workers()) != 2 {
+		t.Fatalf("replay workers = %v", rep.Workers())
 	}
 }
 
