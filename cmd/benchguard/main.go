@@ -39,12 +39,17 @@ import (
 	"strings"
 )
 
-// baselineFile mirrors the layout of BENCH_BASELINE.json.
+// baselineFile mirrors the layout of BENCH_BASELINE.json. Each row's
+// "current" entry carries, besides the gated numbers, a "note" saying what
+// was measured and how, and the "machine" it was measured on; the gate
+// reads neither.
 type baselineFile struct {
-	Machine    string                      `json:"machine"`
 	Benchmarks map[string]baselineVariants `json:"benchmarks"`
 }
 
+// baselineVariants is one row. Current is what the gate compares against;
+// Seed, where present, is the row's first measurement, before the change
+// that put it under the gate, and is kept for the record only.
 type baselineVariants struct {
 	Seed    *baselineEntry `json:"seed"`
 	Current *baselineEntry `json:"current"`

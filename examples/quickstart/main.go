@@ -72,7 +72,7 @@ func main() {
 				log.Fatal(err)
 			}
 			if best == nil || pred.PTMS > best.PTMS {
-				best = pred
+				best = &pred
 			}
 		}
 

@@ -49,7 +49,7 @@ func BuildPDB70(u *proteome.Universe, families []int, universeSeed uint64) *Stru
 		if f < 0 || f >= u.NumFamilies() {
 			continue
 		}
-		seqRes := u.Mutate(f, 0.8, r)
+		seqRes := u.Mutate(f, 0.8, &r)
 		nat := fold.GenerateTopology(fold.FamilyTopologySeed(universeSeed, f), len(seqRes))
 		e := StructEntry{
 			ID:       fmt.Sprintf("pdb70|fam%04d", f),

@@ -106,7 +106,7 @@ func NewSet(seed uint64) *Set {
 
 			// Model error: smooth displacement, better models for lower m.
 			errScale := 0.6 + 0.5*float64(m-1) + 0.4*mr.Float64()
-			field := smoothNoise(mr, t.Length)
+			field := smoothNoise(&mr, t.Length)
 			for k := range ca {
 				d := field[k].Scale(errScale)
 				ca[k] = ca[k].Add(d)
@@ -117,11 +117,11 @@ func NewSet(seed uint64) *Set {
 			// distribution across the 160 models; one designated model
 			// carries the extreme tail (the paper's max was 148 bumps in a
 			// single structure).
-			clashes, bumps := sampleViolationCounts(mr)
+			clashes, bumps := sampleViolationCounts(&mr)
 			if i == 14 && m == 3 { // T1080: the paper's pathological model
 				clashes, bumps = 2, 130
 			}
-			plantViolations(mr, ca, sc, clashes, bumps)
+			plantViolations(&mr, ca, sc, clashes, bumps)
 
 			s.Models = append(s.Models, Model{
 				TargetID:   t.ID,

@@ -9,7 +9,6 @@ package cluster
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
 	"slices"
 	"sort"
@@ -76,30 +75,40 @@ func (r *SimResult) FinishSpread() float64 {
 	return max - min
 }
 
-// workerHeap orders workers by next-free time (ties by index for
-// determinism).
+// workerItem is one worker of the simulator's heap.
 type workerItem struct {
 	index    int
 	freeTime float64
 }
 
+// workerHeap is a binary min-heap of workers ordered by next-free time,
+// ties by index for determinism. The order is strict, so the root is the
+// one earliest-free worker whatever shape the heap has.
 type workerHeap []workerItem
 
-func (h workerHeap) Len() int { return len(h) }
-func (h workerHeap) Less(i, j int) bool {
+func (h workerHeap) less(i, j int) bool {
 	if h[i].freeTime != h[j].freeTime {
 		return h[i].freeTime < h[j].freeTime
 	}
 	return h[i].index < h[j].index
 }
-func (h workerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *workerHeap) Push(x any)   { *h = append(*h, x.(workerItem)) }
-func (h *workerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// down restores heap order below h[i] after its freeTime grew.
+func (h workerHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // DataflowOptions configure the simulation.
@@ -130,17 +139,18 @@ func SimulateDataflow(tasks []SimTask, opt DataflowOptions) (*SimResult, error) 
 		WorkerBusy:    make([]float64, opt.Workers),
 		WorkerLastEnd: make([]float64, opt.Workers),
 	}
+	// Every worker starts free at StartupDelay, in index order: already a
+	// heap. Each task goes to the root, whose freeTime then grows in place.
 	h := make(workerHeap, opt.Workers)
 	for i := range h {
 		h[i] = workerItem{index: i, freeTime: opt.StartupDelay}
 	}
-	heap.Init(&h)
 
 	for _, t := range tasks {
 		if t.Duration < 0 {
 			return nil, fmt.Errorf("cluster: task %s has negative duration", t.ID)
 		}
-		w := heap.Pop(&h).(workerItem)
+		w := &h[0]
 		start := w.freeTime + opt.DispatchOverhead
 		end := start + t.Duration
 		res.Intervals = append(res.Intervals, Interval{
@@ -153,7 +163,7 @@ func SimulateDataflow(tasks []SimTask, opt DataflowOptions) (*SimResult, error) 
 			res.Makespan = end
 		}
 		w.freeTime = end
-		heap.Push(&h, w)
+		h.down(0)
 	}
 	res.Overhead = res.Makespan*float64(opt.Workers) - res.TotalWork
 	return res, nil

@@ -37,7 +37,7 @@ func TestPredictionDigestRoundTrip(t *testing.T) {
 	}
 
 	got := decoded.Prediction(full.ID, full.Length)
-	if !reflect.DeepEqual(got, full) {
+	if !reflect.DeepEqual(&got, full) {
 		t.Fatalf("reconstructed prediction differs:\ngot  %+v\nwant %+v", got, full)
 	}
 

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/cluster"
@@ -228,17 +228,13 @@ type InferenceReport struct {
 // InferenceStage runs (target × model) inference tasks under the dataflow
 // model on the Summit allocation: tasks are sorted by the configured
 // policy, OOM failures are retried on the high-memory partition when
-// configured, and per-target predictions are ranked by pTMS.
+// configured, and per-target predictions are ranked by pTMS. Target IDs
+// must be unique, as everywhere in the pipeline (features and trace
+// identities are keyed by them); the report lists targets in ID order.
 func InferenceStage(engine *fold.Engine, proteins []proteome.Protein, features map[string]*msa.Features, cfg Config) (*InferenceReport, error) {
 	if cfg.SummitNodes <= 0 {
 		return nil, fmt.Errorf("core: inference stage needs nodes")
 	}
-	type taskKey struct {
-		target string
-		model  int
-	}
-	preds := make(map[taskKey]*fold.Prediction, len(proteins)*fold.NumModels)
-	byID := make(map[string]proteome.Protein, len(proteins))
 
 	// Flatten the (target x model) fan-out — the task granularity the
 	// paper's Dask deployment uses — and execute it over the executor.
@@ -246,9 +242,9 @@ func InferenceStage(engine *fold.Engine, proteins []proteome.Protein, features m
 	// and the OOM outcomes are data, not control flow, so each slot records
 	// either a prediction or its OOM task and the serial assembly below
 	// reconstructs the exact serial-order stdTasks and oomTasks slices.
+	// allTasks is target-major: protein i's model m is task i*NumModels+m.
 	allTasks := make([]fold.Task, 0, len(proteins)*fold.NumModels)
 	for _, p := range proteins {
-		byID[p.Seq.ID] = p
 		f := features[p.Seq.ID]
 		for m := 0; m < fold.NumModels; m++ {
 			allTasks = append(allTasks, fold.Task{
@@ -267,9 +263,7 @@ func InferenceStage(engine *fold.Engine, proteins []proteome.Protein, features m
 	}
 	// inferTaskID is the trace identity of one (target, model) slot — the
 	// task granularity of the paper's processing-times file.
-	inferTaskID := func(_ int, task fold.Task) string {
-		return fmt.Sprintf("%s/m%d", task.ID, task.Model)
-	}
+	inferTaskID := func(_ int, task fold.Task) string { return inferID(task) }
 	// resumable narrows cfg.Resume to tasks the closure can recompute: a
 	// target whose feature task ran remotely has no local features, so its
 	// completed inference tasks are dispatched again rather than recomputed
@@ -282,13 +276,13 @@ func InferenceStage(engine *fold.Engine, proteins []proteome.Protein, features m
 		}
 	}
 	// inferWave fans one wave of tasks out over the executor. Every
-	// executor yields a PredictionDigest per slot (tagged OOM on OOM), and
-	// the prediction is rebuilt from it and the task's identity. Both waves
-	// hold a target's models at consecutive indices (OOM depends on the
-	// length and preset, not the model), so a pool claims them as one unit
-	// and the engine builds the target's shared draws once.
-	inferWave := func(tasks []fold.Task, memGB float64) ([]*fold.Prediction, error) {
-		digs, err := exec.MapSpecResume(x, KernelInfer, fold.NumModels, tasks,
+	// executor yields a PredictionDigest per slot (tagged OOM on OOM), from
+	// which the caller rebuilds the prediction with the task's identity.
+	// Both waves hold a target's models at consecutive indices (OOM depends
+	// on the length and preset, not the model), so a pool claims them as
+	// one unit and the engine builds the target's shared draws once.
+	inferWave := func(tasks []fold.Task, memGB float64) ([]PredictionDigest, error) {
+		return exec.MapSpecResume(x, KernelInfer, fold.NumModels, tasks,
 			inferTaskID,
 			func(_ int, task fold.Task) InferSpec {
 				return InferSpec{
@@ -301,37 +295,29 @@ func InferenceStage(engine *fold.Engine, proteins []proteome.Protein, features m
 				return InferDigest(engine, task)
 			},
 			resumable)
-		if err != nil {
-			return nil, err
-		}
-		preds := make([]*fold.Prediction, len(tasks))
-		for i := range digs {
-			if !digs[i].OOM {
-				preds[i] = digs[i].Prediction(tasks[i].ID, tasks[i].Length)
-			}
-		}
-		return preds, nil
 	}
-	infOuts, err := inferWave(allTasks, standardNodeGPUMemGB)
+	digs, err := inferWave(allTasks, standardNodeGPUMemGB)
 	if err != nil {
 		return nil, err
 	}
 
+	// preds holds every prediction by value at its task's allTasks index;
+	// missing[k] marks a task with no prediction (OOM, and not recovered
+	// on the high-memory partition).
+	preds := make([]fold.Prediction, len(allTasks))
+	missing := make([]bool, len(allTasks))
 	stdTasks := make([]cluster.SimTask, 0, len(allTasks))
 	var oomTasks []fold.Task
-	onHighMem := make(map[string]bool)
-	for i, task := range allTasks {
-		pred := infOuts[i]
-		if pred == nil {
+	var oomAt []int // allTasks index of each oomTasks entry
+	for k, task := range allTasks {
+		if digs[k].OOM {
+			missing[k] = true
 			oomTasks = append(oomTasks, task)
+			oomAt = append(oomAt, k)
 			continue
 		}
-		preds[taskKey{task.ID, task.Model}] = pred
-		stdTasks = append(stdTasks, cluster.SimTask{
-			ID:       fmt.Sprintf("%s/m%d", task.ID, task.Model),
-			Weight:   float64(task.Length),
-			Duration: pred.GPUSeconds,
-		})
+		preds[k] = digs[k].Prediction(task.ID, task.Length)
+		stdTasks = append(stdTasks, simTask(task, preds[k].GPUSeconds))
 	}
 
 	cluster.ApplyOrder(stdTasks, cfg.Order)
@@ -349,24 +335,22 @@ func InferenceStage(engine *fold.Engine, proteins []proteome.Protein, features m
 
 	// High-memory retry wave for OOM tasks, fanned out the same way (a
 	// task that OOMs even there is dropped).
+	onHighMem := make([]bool, len(proteins))
 	if len(oomTasks) > 0 && cfg.HighMemNodes > 0 {
-		hmOuts, err := inferWave(oomTasks, highMemNodeGPUMemGB)
+		hmDigs, err := inferWave(oomTasks, highMemNodeGPUMemGB)
 		if err != nil {
 			return nil, err
 		}
 		hmTasks := make([]cluster.SimTask, 0, len(oomTasks))
-		for i, t := range oomTasks {
-			pred := hmOuts[i]
-			if pred == nil {
+		for j, t := range oomTasks {
+			if hmDigs[j].OOM {
 				continue
 			}
-			preds[taskKey{t.ID, t.Model}] = pred
-			onHighMem[t.ID] = true
-			hmTasks = append(hmTasks, cluster.SimTask{
-				ID:       fmt.Sprintf("%s/m%d", t.ID, t.Model),
-				Weight:   float64(t.Length),
-				Duration: pred.GPUSeconds,
-			})
+			k := oomAt[j]
+			preds[k] = hmDigs[j].Prediction(t.ID, t.Length)
+			missing[k] = false
+			onHighMem[k/fold.NumModels] = true
+			hmTasks = append(hmTasks, simTask(t, preds[k].GPUSeconds))
 		}
 		if len(hmTasks) > 0 {
 			cluster.ApplyOrder(hmTasks, cfg.Order)
@@ -386,20 +370,27 @@ func InferenceStage(engine *fold.Engine, proteins []proteome.Protein, features m
 		}
 	}
 
-	// Assemble per-target results, ranked by pTMS as in the paper.
-	ids := make([]string, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
+	// Assemble per-target results in ID order, ranked by pTMS as in the
+	// paper. All and Best point into preds; each target's All is a
+	// capacity-capped window of one shared pointer slice.
+	order := make([]int, len(proteins))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Strings(ids)
-	rep.Targets = make([]TargetResult, 0, len(ids))
-	for _, id := range ids {
-		p := byID[id]
-		tr := TargetResult{ID: id, Length: p.Seq.Len(), OnHighMem: onHighMem[id]}
-		for m := 0; m < fold.NumModels; m++ {
-			if pred, ok := preds[taskKey{id, m}]; ok {
-				tr.All = append(tr.All, pred)
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(proteins[a].Seq.ID, proteins[b].Seq.ID) })
+	ptrs := make([]*fold.Prediction, 0, len(allTasks))
+	rep.Targets = make([]TargetResult, 0, len(proteins))
+	for _, i := range order {
+		p := proteins[i]
+		tr := TargetResult{ID: p.Seq.ID, Length: p.Seq.Len(), OnHighMem: onHighMem[i]}
+		first := len(ptrs)
+		for k := i * fold.NumModels; k < (i+1)*fold.NumModels; k++ {
+			if !missing[k] {
+				ptrs = append(ptrs, &preds[k])
 			}
+		}
+		if len(ptrs) > first {
+			tr.All = ptrs[first:len(ptrs):len(ptrs)]
 		}
 		if best := fold.RankByPTMS(tr.All); best >= 0 {
 			tr.Best = tr.All[best]
@@ -410,6 +401,17 @@ func InferenceStage(engine *fold.Engine, proteins []proteome.Protein, features m
 		rep.Targets = append(rep.Targets, tr)
 	}
 	return rep, nil
+}
+
+// modelSuffixes are the "/mN" tails of the inference trace identities.
+var modelSuffixes = [fold.NumModels]string{"/m0", "/m1", "/m2", "/m3", "/m4"}
+
+// inferID is the trace identity of an inference task, "target/mN".
+func inferID(t fold.Task) string { return t.ID + modelSuffixes[t.Model] }
+
+// simTask is the simulator's view of a completed inference task.
+func simTask(t fold.Task, gpuSeconds float64) cluster.SimTask {
+	return cluster.SimTask{ID: inferID(t), Weight: float64(t.Length), Duration: gpuSeconds}
 }
 
 // RelaxReport is the outcome of the geometry-optimization stage.

@@ -93,13 +93,14 @@ func InferDigest(engine *fold.Engine, task fold.Task) (PredictionDigest, error) 
 		}
 		return PredictionDigest{}, err
 	}
-	return DigestPrediction(pred), nil
+	return DigestPrediction(&pred), nil
 }
 
 // PredictionDigest is what an inference task returns on every executor:
 // the pTMS/pLDDT summary the report, ranking, and cluster simulation
 // consume, or the OOM tag. ID and Length do not travel — the stage
-// reconstructs them from the task it dispatched (see Prediction).
+// rebuilds the prediction, as a value, from the digest and the task it
+// dispatched (see Prediction).
 type PredictionDigest struct {
 	// OOM marks a task that ran out of GPU memory; no other field is set.
 	OOM         bool
@@ -130,11 +131,11 @@ func DigestPrediction(p *fold.Prediction) PredictionDigest {
 }
 
 // Prediction reconstructs the campaign view of the prediction from the
-// digest plus the task identity the stage dispatched. Per-residue arrays
-// stay nil, as they are in every campaign prediction (the stage never sets
-// fold.Task.WantCoords).
-func (d *PredictionDigest) Prediction(id string, length int) *fold.Prediction {
-	return &fold.Prediction{
+// digest plus the task identity the stage dispatched, as a value the stage
+// stores in place. Per-residue arrays stay nil, as they are in every
+// campaign prediction (the stage never sets fold.Task.WantCoords).
+func (d *PredictionDigest) Prediction(id string, length int) fold.Prediction {
+	return fold.Prediction{
 		ID:          id,
 		Model:       d.Model,
 		Length:      length,

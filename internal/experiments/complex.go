@@ -63,7 +63,7 @@ func ComplexScreen(env *Env) (*ComplexScreenResult, error) {
 		if err != nil {
 			return chain{}, err
 		}
-		return chain{id: p.Seq.ID, l: p.Seq.Len(), feat: pred, neff: f.Neff, tmpl: len(f.Templates) > 0}, nil
+		return chain{id: p.Seq.ID, l: p.Seq.Len(), feat: &pred, neff: f.Neff, tmpl: len(f.Templates) > 0}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -20,6 +20,6 @@ func foldTask(p proteome.Protein, f *msa.Features, model int) fold.Task {
 }
 
 // newShuffleSource returns a deterministic source for task shuffling.
-func newShuffleSource(seed uint64) *rng.Source {
+func newShuffleSource(seed uint64) rng.Source {
 	return rng.New(seed).SplitNamed("shuffle")
 }

@@ -138,10 +138,10 @@ func RecycleGains(env *Env) (*RecycleGainsResult, error) {
 				continue
 			}
 			if shortBest == nil || ps.PTMS > shortBest.PTMS {
-				shortBest = ps
+				shortBest = &ps
 			}
 			if longBest == nil || pl.PTMS > longBest.PTMS {
-				longBest = pl
+				longBest = &pl
 			}
 		}
 		if shortBest == nil || longBest == nil {

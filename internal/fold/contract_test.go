@@ -224,7 +224,7 @@ func TestInferContract(t *testing.T) {
 							}
 							worstRes = max(worstRes, d)
 						}
-						rest := *got
+						rest := got
 						rest.MeanPLDDT, rest.PLDDT = want.MeanPLDDT, want.PLDDT
 						if !reflect.DeepEqual(&rest, want) {
 							t.Fatalf("%s: a field other than pLDDT differs from the oracle:\n%+v\n%+v", where, got, want)

@@ -15,8 +15,10 @@ const (
 	summaryResidues = 256
 	// drawTableSize is the number of per-target draw records an Engine
 	// keeps. Only about as many targets as there are workers are in flight
-	// at once, so slot collisions are rare; at most ~6.5 KB a record, the
-	// full table holds under 2 MB. What the table saves depends on a
+	// at once, so slot collisions are rare. A record is one 6,528-byte
+	// allocation (the size class of its 6,200 bytes), so the full table
+	// holds under 1.7 MB; a summary-mode call that hits allocates nothing,
+	// and a miss allocates only its record. What the table saves depends on a
 	// target's models reaching the engine one after another: a model that
 	// starts while another model of its target is still filling the record
 	// misses and fills its own, field powers included. The in-process pool
@@ -46,10 +48,12 @@ type targetDraws struct {
 	// draw order: the recycling loop moves every pair by the same error
 	// decrement, so the sum is all it needs of them.
 	pairSum float64
-	// vals holds, in one allocation: min(length, summaryResidues) sampled
-	// field magnitudes |N·0.45+1|, then one more estimator normal than that
-	// (the last one is the pTMS estimator's), then each magnitude raised to
-	// shape.
+	// vals holds, in the record's one allocation: min(length,
+	// summaryResidues) sampled field magnitudes |N·0.45+1|, then one more
+	// estimator normal than that (the last one is the pTMS estimator's),
+	// then each magnitude raised to shape. It is sized for the longest
+	// target: a slice sized by sampled() saves 13 % of InferenceStage's
+	// bytes for a second allocation per miss, and measured no faster.
 	vals [3*summaryResidues + 1]float64
 }
 
@@ -80,7 +84,7 @@ func (e *Engine) drawsOf(seed uint64, t Task, pairR, fieldR, noiseR rng.Source) 
 	if d := slot.Load(); d != nil && d.seed == seed && d.length == t.Length && d.shape == shape && d.id == t.ID {
 		return d
 	}
-	d := &targetDraws{id: t.ID, seed: seed, length: t.Length, shape: shape, pairSum: drawPairSum(&pairR)}
+	d := &targetDraws{id: t.ID, seed: seed, length: t.Length, shape: shape, pairSum: drawPairSum(pairR)}
 	mags := d.fieldMags()
 	for i := range mags {
 		mags[i] = math.Abs(fieldR.NormFloat64()*0.45 + 1)
@@ -94,10 +98,11 @@ func (e *Engine) drawsOf(seed uint64, t Task, pairR, fieldR, noiseR rng.Source) 
 	return d
 }
 
-// drawPairSum draws the distogram pairs' sensitivities and returns their
-// sum in draw order: a pair's distance change is |Δ(d_ij)| ≈ |f_i - f_j|
-// projected, and the realized magnitudes follow a folded normal around 1.
-func drawPairSum(r *rng.Source) float64 {
+// drawPairSum draws the distogram pairs' sensitivities from its own copy of
+// r and returns their sum in draw order: a pair's distance change is
+// |Δ(d_ij)| ≈ |f_i - f_j| projected, and the realized magnitudes follow a
+// folded normal around 1.
+func drawPairSum(r rng.Source) float64 {
 	var sum float64
 	for range distogramPairs {
 		sum += math.Abs(r.NormFloat64()*0.5 + 1)

@@ -17,7 +17,7 @@ func TestInferDrawTableBitwise(t *testing.T) {
 	const seed = 1234
 	prov := &SeededProvider{Seed: 99}
 	// fresh answers task on a new engine with e's seed and calibration.
-	fresh := func(t *testing.T, e *Engine, task Task) *Prediction {
+	fresh := func(t *testing.T, e *Engine, task Task) Prediction {
 		t.Helper()
 		f := NewEngine(prov, e.Seed)
 		f.Cal = e.Cal
@@ -54,7 +54,7 @@ func TestInferDrawTableBitwise(t *testing.T) {
 		}
 		order := rng.New(7).Perm(len(tasks))
 		e := NewEngine(prov, seed)
-		got := make([]*Prediction, len(tasks))
+		got := make([]Prediction, len(tasks))
 		const workers = 8
 		var wg sync.WaitGroup
 		wg.Add(workers)

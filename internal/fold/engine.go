@@ -136,14 +136,30 @@ type Prediction struct {
 	PeakMemGB  float64
 }
 
+// maxDomains caps the rigid domains of the global-error model.
+const maxDomains = 6
+
 // difficulty is the per-(target, model) latent quality model.
 type difficulty struct {
-	errInf float64   // asymptotic mean displacement
-	gap    float64   // extra displacement at recycle 0
-	tau    float64   // recycle decay constant
-	domOff []float64 // per-domain global displacement multipliers
-	domLen int       // residues per domain (last domain takes the rest)
+	errInf float64             // asymptotic mean displacement
+	gap    float64             // extra displacement at recycle 0
+	tau    float64             // recycle decay constant
+	domOff [maxDomains]float64 // per-domain global displacement multipliers
+	nDom   int                 // domains in use: domOff[:nDom]
+	domLen int                 // residues per domain (last domain takes the rest)
 }
+
+// domain returns the domain of residue i (the last one takes the rest).
+func (d *difficulty) domain(i int) int {
+	if d.domLen <= 0 {
+		return 0
+	}
+	return min(i/d.domLen, d.nDom-1)
+}
+
+// modelStreams names each model's stream, so a task derives it without
+// formatting a string.
+var modelStreams = [NumModels]string{"model:0", "model:1", "model:2", "model:3", "model:4"}
 
 // err returns the expected mean displacement after r recycles.
 func (d *difficulty) err(r int) float64 {
@@ -158,22 +174,26 @@ func (e *Engine) PeakMemGB(p Preset, length int) float64 {
 
 // Infer runs one task. The error is ErrOutOfMemory when the task cannot
 // fit; callers reroute such tasks to high-memory nodes as the paper did.
-func (e *Engine) Infer(t Task) (*Prediction, error) {
+// The prediction is returned by value: in summary mode it holds no
+// per-residue slices, and a call whose draw record is already in the table
+// allocates nothing (for a target ID of up to 26 bytes; a longer one costs
+// one short string, its stream label).
+func (e *Engine) Infer(t Task) (Prediction, error) {
 	if t.Length <= 0 {
-		return nil, fmt.Errorf("fold: task %s has no length", t.ID)
+		return Prediction{}, fmt.Errorf("fold: task %s has no length", t.ID)
 	}
 	if t.Model < 0 || t.Model >= NumModels {
-		return nil, fmt.Errorf("fold: task %s model %d out of range", t.ID, t.Model)
+		return Prediction{}, fmt.Errorf("fold: task %s model %d out of range", t.ID, t.Model)
 	}
 	mem := e.PeakMemGB(t.Preset, t.Length)
 	if t.NodeMemGB > 0 && mem > t.NodeMemGB {
-		return nil, fmt.Errorf("%w: %s needs %.1f GB, node has %.1f GB",
+		return Prediction{}, fmt.Errorf("%w: %s needs %.1f GB, node has %.1f GB",
 			ErrOutOfMemory, t.ID, mem, t.NodeMemGB)
 	}
 
 	seed := e.Seed
 	r := rng.New(seed).SplitNamed("infer:" + t.ID)
-	modelR := r.SplitNamed(fmt.Sprintf("model:%d", t.Model))
+	modelR := r.SplitNamed(modelStreams[t.Model])
 	diff := e.difficultyOf(t, r.SplitNamed("difficulty"), modelR)
 	// Only the model stream depends on t.Model; these three are the same
 	// for every model of the target, and so are their draws.
@@ -203,7 +223,7 @@ func (e *Engine) Infer(t Task) (*Prediction, error) {
 			noise[i] = noiseR.NormFloat64()
 		}
 	} else {
-		draws := e.drawsOf(seed, t, *pairR, *fieldR, *noiseR)
+		draws := e.drawsOf(seed, t, pairR, fieldR, noiseR)
 		pairSum, mags, magPows, noise = draws.pairSum, draws.fieldMags(), draws.magPows(), draws.estimatorNormals()
 	}
 
@@ -233,7 +253,7 @@ func (e *Engine) Infer(t Task) (*Prediction, error) {
 
 	finalErr := diff.err(recycles)
 
-	pred := &Prediction{
+	pred := Prediction{
 		ID: t.ID, Model: t.Model, Length: t.Length,
 		Recycles: recycles, Converged: converged,
 		GPUSeconds: e.Cal.CostBase + e.Cal.CostScale*
@@ -256,14 +276,7 @@ func (e *Engine) Infer(t Task) (*Prediction, error) {
 	var n70, n90 int
 	for i, mag := range mags {
 		local := mag * finalErr
-		resIdx := i * t.Length / sampleN
-		dom := 0
-		if diff.domLen > 0 {
-			dom = resIdx / diff.domLen
-			if dom >= len(diff.domOff) {
-				dom = len(diff.domOff) - 1
-			}
-		}
+		dom := diff.domain(i * t.Length / sampleN)
 		global := local + diff.domOff[dom]*finalErr
 
 		// The conversion keeps the product from fusing with the addition,
@@ -299,24 +312,18 @@ func (e *Engine) Infer(t Task) (*Prediction, error) {
 
 	if t.WantCoords {
 		if e.Provider == nil {
-			return nil, fmt.Errorf("fold: task %s wants coordinates but engine has no NativeProvider", t.ID)
+			return Prediction{}, fmt.Errorf("fold: task %s wants coordinates but engine has no NativeProvider", t.ID)
 		}
 		nat := e.Provider.NativeOf(t.ID, t.Length)
 		if nat.Len() != t.Length {
-			return nil, fmt.Errorf("fold: provider returned %d residues for %s (want %d)",
+			return Prediction{}, fmt.Errorf("fold: provider returned %d residues for %s (want %d)",
 				nat.Len(), t.ID, t.Length)
 		}
 		pred.CA = make([]geom.Vec3, t.Length)
 		pred.SC = make([]geom.Vec3, t.Length)
 		scR := r.SplitNamed("sc")
 		for i := 0; i < t.Length; i++ {
-			dom := 0
-			if diff.domLen > 0 {
-				dom = i / diff.domLen
-				if dom >= len(diff.domOff) {
-					dom = len(diff.domOff) - 1
-				}
-			}
+			dom := diff.domain(i)
 			// Domain offset displaces the whole domain coherently along a
 			// per-domain direction; local field displaces per residue.
 			disp := field[i].Scale(finalErr).
@@ -340,8 +347,9 @@ func (d *difficulty) domDir(dom int) geom.Vec3 {
 }
 
 // difficultyOf derives the latent difficulty of a (target, model) pair from
-// the MSA features and deterministic per-target randomness.
-func (e *Engine) difficultyOf(t Task, targetR, modelR *rng.Source) difficulty {
+// the MSA features and deterministic per-target randomness, drawn from its
+// own copies of the two streams.
+func (e *Engine) difficultyOf(t Task, targetR, modelR rng.Source) difficulty {
 	neff := 8.0
 	hasTemplates := false
 	if t.Features != nil {
@@ -394,19 +402,12 @@ func (e *Engine) difficultyOf(t Task, targetR, modelR *rng.Source) difficulty {
 	d.errInf *= mult
 	d.gap *= mult
 
-	// Domain decomposition for the global-error model: one rigid offset per
-	// ~220 residues.
-	nDom := 1 + t.Length/200
-	if nDom > 6 {
-		nDom = 6
-	}
-	d.domLen = (t.Length + nDom - 1) / nDom
-	d.domOff = make([]float64, nDom)
-	for i := range d.domOff {
-		if i == 0 {
-			d.domOff[i] = 0 // anchor domain defines the frame
-			continue
-		}
+	// Domain decomposition for the global-error model: 1 + L/200 rigid
+	// domains (integer division), at most maxDomains.
+	d.nDom = min(1+t.Length/200, maxDomains)
+	d.domLen = (t.Length + d.nDom - 1) / d.nDom
+	// Domain 0 is the anchor that defines the frame: its offset stays 0.
+	for i := 1; i < d.nDom; i++ {
 		d.domOff[i] = 1.4 + 3.7*targetR.Float64()
 	}
 	return d
@@ -414,8 +415,8 @@ func (e *Engine) difficultyOf(t Task, targetR, modelR *rng.Source) difficulty {
 
 // smoothField generates a per-residue displacement field with unit mean
 // magnitude, smoothed along the chain so displacement is spatially
-// correlated the way real model error is.
-func smoothField(r *rng.Source, n int) []geom.Vec3 {
+// correlated the way real model error is. It draws from its own copy of r.
+func smoothField(r rng.Source, n int) []geom.Vec3 {
 	raw := make([]geom.Vec3, n)
 	for i := range raw {
 		raw[i] = geom.Vec3{X: r.NormFloat64(), Y: r.NormFloat64(), Z: r.NormFloat64()}

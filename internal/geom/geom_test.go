@@ -202,7 +202,8 @@ func TestTMScoreDecreasesWithNoise(t *testing.T) {
 func TestTMScoreRandomStructuresLow(t *testing.T) {
 	r := rng.New(17)
 	a := chainLike(r, 150)
-	b := chainLike(r.Split(), 150)
+	child := r.Split()
+	b := chainLike(&child, 150)
 	tm, err := TMScore(a, b)
 	if err != nil {
 		t.Fatal(err)

@@ -105,7 +105,7 @@ func NewUniverse(seed uint64, numFamilies, minLen, maxLen int) *Universe {
 	}
 	for f := 0; f < numFamilies; f++ {
 		l := minLen + r.Intn(maxLen-minLen+1)
-		u.Domains[f] = randomSequence(r, l)
+		u.Domains[f] = randomSequence(&r, l)
 		u.FamilyAnnotation[f] = fmt.Sprintf("family-%04d domain protein", f)
 	}
 	return u
@@ -170,7 +170,7 @@ func Generate(sp Species, u *Universe, seed uint64) *Proteome {
 	numHypo := int(float64(sp.NumProteins)*sp.HypotheticalFrac + 0.5)
 	for i := 0; i < sp.NumProteins; i++ {
 		hypothetical := i < numHypo
-		targetLen := sp.sampleLength(r, hypothetical)
+		targetLen := sp.sampleLength(&r, hypothetical)
 
 		// Eukaryotes carry more domains per protein on average.
 		maxDomains := 1 + targetLen/250
@@ -198,12 +198,12 @@ func Generate(sp Species, u *Universe, seed uint64) *Proteome {
 		for d := 0; d < nDom; d++ {
 			f := r.Intn(u.NumFamilies())
 			families = append(families, f)
-			body.WriteString(u.Mutate(f, div, r))
+			body.WriteString(u.Mutate(f, div, &r))
 			if d != nDom-1 {
-				body.WriteString(randomSequence(r, 3+r.Intn(10))) // linker
+				body.WriteString(randomSequence(&r, 3+r.Intn(10))) // linker
 			}
 		}
-		res := fitLength(body.String(), targetLen, r)
+		res := fitLength(body.String(), targetLen, &r)
 
 		desc := u.FamilyAnnotation[families[0]]
 		if hypothetical {

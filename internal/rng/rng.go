@@ -4,8 +4,10 @@
 // Reproducibility is a hard requirement for this project: every table and
 // figure reproduction must regenerate identical numbers on every run. The
 // global generators in math/rand are therefore avoided entirely; instead
-// each component receives an explicit *rng.Source seeded from a campaign
-// seed, and parallel components derive independent streams with Split.
+// each component draws from its own Source, derived from a campaign seed
+// with New and split into independent streams with Split or SplitNamed.
+// New returns a *Source; the splits return Source values, so a hot path
+// that derives several streams per task keeps them all on its stack.
 //
 // The core generator is splitmix64 (Steele, Lea, Flood 2014), which has a
 // 64-bit state, passes BigCrush, and is trivially splittable by deriving a
@@ -29,19 +31,19 @@ func New(seed uint64) *Source {
 // Split derives an independent child stream from s. The child's sequence
 // does not overlap with s's subsequent outputs in practice, because the
 // child is seeded from a full 64-bit draw pushed through an extra mix.
-func (s *Source) Split() *Source {
+func (s *Source) Split() Source {
 	v := s.Uint64()
 	// Extra avalanche so Split(New(k)) differs from New(k).Uint64() streams.
 	v ^= 0x9e3779b97f4a7c15
 	v *= 0xbf58476d1ce4e5b9
 	v ^= v >> 31
-	return &Source{state: v}
+	return Source{state: v}
 }
 
 // SplitNamed derives a child stream whose identity also depends on a string
 // label, so independently named subsystems get decorrelated streams even if
 // they split in the same order.
-func (s *Source) SplitNamed(name string) *Source {
+func (s *Source) SplitNamed(name string) Source {
 	h := uint64(14695981039346656037) // FNV-1a offset basis
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])
@@ -50,7 +52,7 @@ func (s *Source) SplitNamed(name string) *Source {
 	v := s.Uint64() ^ h
 	v *= 0x94d049bb133111eb
 	v ^= v >> 29
-	return &Source{state: v}
+	return Source{state: v}
 }
 
 // Uint64 returns the next 64 pseudo-random bits.

@@ -53,6 +53,34 @@ func TestSplitNamedDecorrelates(t *testing.T) {
 	}
 }
 
+// TestSplitGolden pins the first outputs of the derivations every stream in
+// the repository comes from, so no change to how a split is returned or
+// stored can move a derived stream.
+func TestSplitGolden(t *testing.T) {
+	for _, c := range []struct {
+		seed         uint64
+		split, named [3]uint64
+	}{
+		{20220125,
+			[3]uint64{0xc3ec5a433a3cdfa7, 0xeffd3dbdc2a68670, 0x7d76807ed6bfa980},
+			[3]uint64{0x5bfc201992eadd42, 0x6ea410f0555bff58, 0xca3b65d557a27ea0}},
+		{7,
+			[3]uint64{0x25ee1e8ebe65ffcb, 0x97e259b040244717, 0x8025887048db90dd},
+			[3]uint64{0x97fdd27f6c59e57a, 0xf79a122ca05ba692, 0x06847616c3804f27}},
+	} {
+		split := New(c.seed).Split()
+		named := New(c.seed).SplitNamed("infer:DVU_00001")
+		for i := range 3 {
+			if got := split.Uint64(); got != c.split[i] {
+				t.Errorf("New(%d).Split() output %d = %#x, want %#x", c.seed, i, got, c.split[i])
+			}
+			if got := named.Uint64(); got != c.named[i] {
+				t.Errorf("New(%d).SplitNamed(%q) output %d = %#x, want %#x", c.seed, "infer:DVU_00001", i, got, c.named[i])
+			}
+		}
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	s := New(3)
 	for i := 0; i < 10000; i++ {

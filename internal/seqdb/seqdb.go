@@ -61,7 +61,7 @@ func Build(u *proteome.Universe, spec BuildSpec, seed uint64) *Library {
 				Seq: seq.Sequence{
 					ID:          fmt.Sprintf("%s|%06d", spec.Name, n),
 					Description: fmt.Sprintf("family-%04d homolog", f),
-					Residues:    u.Mutate(f, div, r),
+					Residues:    u.Mutate(f, div, &r),
 				},
 				Family: f,
 			})
