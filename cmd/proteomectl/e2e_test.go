@@ -909,7 +909,7 @@ func TestSlowPeerFaultInjection(t *testing.T) {
 			_ = tc.SetReadBuffer(4 << 10)
 		}
 		t.Cleanup(func() { conn.Close() })
-		if _, err := conn.Write([]byte("flow-wire json 3\n" + frame + "\n")); err != nil {
+		if _, err := conn.Write([]byte("flow-wire json 4\n" + frame + "\n")); err != nil {
 			t.Fatal(err)
 		}
 	}

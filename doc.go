@@ -77,10 +77,11 @@
 // built from this tree, so the protocol has exactly one version
 // (wireVersion in internal/flow/codec.go) and every frame exactly one
 // shape. Each connection opens with a hello line, "flow-wire <codec>
-// <version>", in the same flush as its first frame. The scheduler
-// refuses a connection whose hello is missing, malformed, names an
-// unknown codec or names another version before it decodes a single
-// frame, and nothing downstream tolerates an absent field. The two
+// <version>", in the same write as its first frame
+// (TestHandshakeIsOneWrite). The scheduler refuses a connection whose
+// hello is missing, malformed, names an unknown codec or names another
+// version before it decodes a single frame, and nothing downstream
+// tolerates an absent field. The two
 // codecs — a length-prefixed binary layout, the default of every dialer
 // and of `-wire`, and newline-delimited JSON (`-wire json`) for a stream
 // a person can read — frame the same envelope and mix freely on one
@@ -128,9 +129,10 @@
 // `-heartbeat-timeout` — and its handout returns to the head of the
 // queue in handout order, each task charged one attempt; a task whose
 // worker died on every attempt (`-max-retries`) is quarantined instead
-// of cycling, and an escalation payload is swapped in on redelivery (the
-// paper's high-memory wave). `sched -quota` caps a tenant's admitted
-// tasks and withholds the submit ack as backpressure. Because the
+// of cycling. A redelivery is the task as submitted: the paper's
+// high-memory rerun is the campaign's own second inference wave
+// (core.InferenceStage). `sched -quota` caps a tenant's admitted tasks
+// and withholds the submit ack as backpressure. Because the
 // dispatcher needs no socket, the same scripts run through a live
 // scheduler and straight through its methods (TestTranscripts, against
 // files recorded before the loop became a dispatcher), and seeded and

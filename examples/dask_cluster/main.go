@@ -61,7 +61,7 @@ func main() {
 	}
 	for i := 0; i < 6; i++ {
 		w := flow.NewWorker(fmt.Sprintf("gpu%d", i), handler)
-		if err := w.ConnectFile(schedFile); err != nil {
+		if err := w.Dial(flow.DialOptions{SchedulerFile: schedFile}); err != nil {
 			log.Fatal(err)
 		}
 		defer w.Close()
@@ -69,7 +69,7 @@ func main() {
 	fmt.Println("6 workers registered (one per GPU)")
 
 	// 3. Client: batch of (target, model) tasks, longest-first.
-	client, err := flow.ConnectClientFile(schedFile)
+	client, err := flow.DialClient(flow.DialOptions{SchedulerFile: schedFile})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -258,18 +258,11 @@ func wedgeBenchPeer(b *testing.B, addr, wire, kind string) {
 		_ = tc.SetReadBuffer(4 << 10)
 	}
 	b.Cleanup(func() { conn.Close() })
-	codec, err := dialCodec(conn, wire)
-	if err != nil {
-		b.Fatal(err)
-	}
 	m := message{Type: kind}
 	if kind == msgRegister {
 		m.WorkerID = "wedged"
 	}
-	if err := codec.Encode(&m); err != nil {
-		b.Fatal(err)
-	}
-	if err := codec.Flush(); err != nil {
+	if _, err := handshake(conn, wire, &m); err != nil {
 		b.Fatal(err)
 	}
 }

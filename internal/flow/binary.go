@@ -129,8 +129,6 @@ func appendTask(b []byte, t *Task) []byte {
 	b = bin.AppendFloat64(b, t.Weight)
 	b = bin.AppendBytes(b, t.Payload)
 	b = binary.AppendVarint(b, t.EnqueuedNS)
-	b = binary.AppendVarint(b, int64(t.Attempt))
-	b = bin.AppendBytes(b, t.EscalatePayload)
 	b = bin.AppendString(b, t.Campaign)
 	return b
 }
@@ -178,7 +176,7 @@ const frameWhat = "flow: binary frame"
 // remaining body is corrupt and must be rejected before it sizes an
 // allocation.
 const (
-	minTaskWire   = 15 // id, label, weight (8), payload, enqueued_ns, attempt, escalate_payload, campaign
+	minTaskWire   = 13 // id, label, weight (8), payload, enqueued_ns, campaign
 	minResultWire = 9  // task_id, worker_id, enqueued_ns, 2×time (2 bytes each), payload, error
 )
 
@@ -231,8 +229,6 @@ func readTask(r *bin.Reader, t *Task) {
 	t.Weight = r.Float64("task weight")
 	t.Payload = r.Bytes("task payload")
 	t.EnqueuedNS = r.Varint("task enqueued_ns")
-	t.Attempt = r.Int("task attempt")
-	t.EscalatePayload = r.Bytes("task escalate_payload")
 	t.Campaign = r.String("task campaign")
 }
 

@@ -46,23 +46,14 @@ type Client struct {
 
 // DialClient connects a submitting client to the scheduler: the one dial
 // path, covering plain addresses, scheduler files, retry budgets, and
-// wire-codec selection. The returned client must be closed.
+// wire-codec selection. Its wire hello waits to leave with Map's submit
+// frame. The returned client must be closed.
 func DialClient(opts DialOptions) (*Client, error) {
-	conn, err := Dial(opts)
+	conn, codec, err := dialPeer(opts, "client", nil)
 	if err != nil {
-		return nil, fmt.Errorf("flow: client dial: %w", err)
-	}
-	codec, err := dialCodec(conn, opts.Codec)
-	if err != nil {
-		conn.Close()
 		return nil, err
 	}
 	return &Client{conn: conn, codec: codec, ResultTimeout: DefaultResultTimeout}, nil
-}
-
-// ConnectClientFile dials via a scheduler file.
-func ConnectClientFile(path string) (*Client, error) {
-	return DialClient(DialOptions{SchedulerFile: path})
 }
 
 // Map submits all tasks in one batch and blocks until every result has
@@ -86,17 +77,9 @@ func (c *Client) Map(tasks []Task, observe func(*Result)) ([]Result, error) {
 		ids[t.ID] = true
 	}
 
-	if c.ResultTimeout > 0 {
-		_ = c.conn.SetWriteDeadline(time.Now().Add(c.ResultTimeout))
-	}
-	err := c.codec.Encode(&message{Type: msgSubmit, Tasks: tasks, Campaign: c.Campaign})
-	if err == nil {
-		err = c.codec.Flush()
-	}
-	if err != nil {
+	if err := writeFrame(c.conn, c.codec, c.ResultTimeout, &message{Type: msgSubmit, Tasks: tasks, Campaign: c.Campaign}); err != nil {
 		return nil, fmt.Errorf("flow: submit: %w", err)
 	}
-	_ = c.conn.SetWriteDeadline(time.Time{})
 
 	results := make([]Result, 0, len(tasks))
 	// settled dedupes by TaskID: a duplicate or stray result frame (a

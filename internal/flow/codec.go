@@ -8,6 +8,7 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // Wire codec names, as accepted by DialOptions.Codec and the proteomectl
@@ -41,7 +42,7 @@ func wireOrDefault(name string) string {
 // the bytes of any frame change (TestWireGolden fails until you do), or
 // those of a campaign kernel's spec or result (pinned by
 // TestKernelPayloadGolden in internal/experiments).
-const wireVersion = 3
+const wireVersion = 4
 
 // helloPrefix starts the hello line every dialer sends immediately after
 // connecting: "flow-wire <codec> <version>\n".
@@ -115,20 +116,38 @@ func newCodec(name string, r *bufio.Reader, w *bufio.Writer) (Codec, error) {
 	return nil, fmt.Errorf("flow: unknown wire codec %q", name)
 }
 
-// dialCodec is the dialer half of the handshake: it wraps conn in buffered
-// I/O and stages the hello line in the write buffer, so it travels in the
-// same packet as the first frame (register, submit, subscribe).
-func dialCodec(conn net.Conn, name string) (Codec, error) {
-	r := bufio.NewReader(conn)
+// handshake is the dialer half of opening a connection: it wraps conn in
+// buffered I/O and stages the hello line naming the codec, then writes
+// first (register, subscribe) behind it, so hello and frame leave in one
+// write. A nil first leaves the hello staged for the peer's own first
+// frame (a client's submit).
+func handshake(conn net.Conn, name string, first *message) (Codec, error) {
 	w := bufio.NewWriter(conn)
-	c, err := newCodec(name, r, w)
+	c, err := newCodec(name, bufio.NewReader(conn), w)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := w.WriteString(helloLine(name)); err != nil {
-		return nil, err
+	// Cannot fail: the buffer is empty and larger than any hello.
+	_, _ = w.WriteString(helloLine(name))
+	if first != nil {
+		err = writeFrame(conn, c, dialTimeout, first)
 	}
-	return c, nil
+	return c, err
+}
+
+// writeFrame encodes and flushes one frame with the connection's write
+// deadline set d ahead (no deadline when d is zero), so a peer that
+// stopped reading cannot wedge the sender forever.
+func writeFrame(conn net.Conn, c Codec, d time.Duration, m *message) error {
+	if d > 0 {
+		_ = conn.SetWriteDeadline(time.Now().Add(d))
+	}
+	err := c.Encode(m)
+	if err == nil {
+		err = c.Flush()
+	}
+	_ = conn.SetWriteDeadline(time.Time{})
+	return err
 }
 
 // acceptCodec is the scheduler half: it reads the hello line and refuses

@@ -30,9 +30,8 @@ func fullMessage() *message {
 		Tasks: []Task{
 			{
 				ID: "t1", Label: "fold", Weight: 2.5,
-				Payload: []byte("\x0akernel/one\x01\x02"), EnqueuedNS: 42, Attempt: 1,
-				EscalatePayload: []byte("\x0akernel/one\x01\x03"),
-				Campaign:        "dvu-full",
+				Payload: []byte("\x0akernel/one\x01\x02"), EnqueuedNS: 42,
+				Campaign: "dvu-full",
 			},
 			{ID: "t2", Weight: -0.25, Campaign: "rru-pilot"},
 			{ID: "t3", Label: "relax", Payload: []byte{0}},
@@ -284,11 +283,19 @@ func TestAcceptCodecNegotiation(t *testing.T) {
 			t.Errorf("%s: err = %v, want a refusal naming version %d", name, err, wireVersion)
 		}
 	}
-	other := fmt.Sprintf("%s%s %d\n", helloPrefix, WireJSON, wireVersion+1)
-	_, err := acceptCodec(bufio.NewReader(strings.NewReader(other)), discard)
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("offers wire version %q", fmt.Sprint(wireVersion+1))) ||
-		!strings.Contains(err.Error(), speaks) {
-		t.Errorf("version mismatch: err = %v, want offered and expected version named", err)
+	// A peer of the previous or the next build is refused before its
+	// frame is read, with both versions named.
+	for _, v := range []int{wireVersion - 1, wireVersion + 1} {
+		other := fmt.Sprintf("%s%s %d\n", helloPrefix, WireJSON, v) + `{"type":"register","worker_id":"w"}` + "\n"
+		r := bufio.NewReader(strings.NewReader(other))
+		_, err := acceptCodec(r, discard)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("offers wire version %q", fmt.Sprint(v))) ||
+			!strings.Contains(err.Error(), speaks) {
+			t.Errorf("version %d: err = %v, want offered and expected version named", v, err)
+		}
+		if rest, _ := io.ReadAll(r); !strings.HasPrefix(string(rest), `{"type":"register"`) {
+			t.Errorf("version %d: refusal consumed frame bytes, %q left", v, rest)
+		}
 	}
 	if _, err := acceptCodec(bufio.NewReader(strings.NewReader(fmt.Sprintf("%smsgpack %d\n", helloPrefix, wireVersion))), discard); err == nil {
 		t.Error("unknown codec accepted")
@@ -303,19 +310,20 @@ func TestDialCodecStagesHello(t *testing.T) {
 	defer client.Close()
 	defer server.Close()
 
-	if _, err := dialCodec(client, "msgpack"); err == nil {
-		t.Error("dialCodec accepted an unknown codec")
+	if _, err := handshake(client, "msgpack", nil); err == nil {
+		t.Error("handshake accepted an unknown codec")
 	}
 
 	for _, wire := range []string{WireBinary, WireJSON} {
-		c, err := dialCodec(client, wire)
+		// With no first frame (a client's), the hello is staged, not
+		// flushed: it must travel with the submit, so it costs no extra
+		// packet.
+		c, err := handshake(client, wire, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The hello is staged, not flushed: it must travel with the first
-		// frame, so it costs no extra packet.
 		go func() {
-			_ = c.Encode(&message{Type: msgHeartbeat, WorkerID: "w"})
+			_ = c.Encode(&message{Type: msgSubmit, Tasks: []Task{{ID: "t"}}})
 			_ = c.Flush()
 		}()
 		r := bufio.NewReader(server)
@@ -328,8 +336,52 @@ func TestDialCodecStagesHello(t *testing.T) {
 		}
 		var m message
 		frames, _ := newCodec(wire, r, nil)
-		if err := frames.Decode(&m); err != nil || m.Type != msgHeartbeat {
+		if err := frames.Decode(&m); err != nil || m.Type != msgSubmit {
 			t.Fatalf("first %s frame after the hello: %+v, %v", wire, m, err)
+		}
+	}
+}
+
+// writeCounter is a conn that records each Write it is handed.
+type writeCounter struct {
+	net.Conn
+	writes [][]byte
+}
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, bytes.Clone(p))
+	return len(p), nil
+}
+
+func (c *writeCounter) SetWriteDeadline(time.Time) error { return nil }
+
+// TestHandshakeIsOneWrite pins what Worker.Dial and DialMonitor promise:
+// the hello and the whole first frame (register, subscribe) reach the
+// connection in one write, the hello first.
+func TestHandshakeIsOneWrite(t *testing.T) {
+	for _, wire := range []string{WireBinary, WireJSON} {
+		for _, first := range []*message{
+			{Type: msgRegister, WorkerID: "w1"},
+			{Type: msgSubscribe},
+		} {
+			conn := &writeCounter{}
+			if _, err := handshake(conn, wire, first); err != nil {
+				t.Fatal(err)
+			}
+			if len(conn.writes) != 1 {
+				t.Fatalf("%s %s handshake took %d writes, want 1", wire, first.Type, len(conn.writes))
+			}
+			var frame bytes.Buffer
+			enc, _ := newCodec(wire, nil, bufio.NewWriter(&frame))
+			if err := enc.Encode(first); err != nil {
+				t.Fatal(err)
+			}
+			if err := enc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if want := helloLine(wire) + frame.String(); string(conn.writes[0]) != want {
+				t.Errorf("%s %s handshake wrote %q, want hello and frame %q", wire, first.Type, conn.writes[0], want)
+			}
 		}
 	}
 }

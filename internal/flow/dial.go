@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Dial retry backoff: first retry after dialBackoffMin, doubling up to
+// Retry backoff of dial: first retry after dialBackoffMin, doubling up to
 // dialBackoffMax until the budget is exhausted.
 const (
 	dialBackoffMin = 50 * time.Millisecond
@@ -15,7 +15,7 @@ const (
 )
 
 // DialOptions is the one way to reach a scheduler: a single options
-// struct consumed by Dial, DialClient, DialMonitor, Worker.Dial, and
+// struct consumed by DialClient, DialMonitor, Worker.Dial, and
 // exec.Connect.
 type DialOptions struct {
 	// Addr is the scheduler address (host:port). Exactly one of Addr and
@@ -36,28 +36,14 @@ type DialOptions struct {
 	// Codec names the wire codec this connection will speak: "" or
 	// WireBinary (the default), or WireJSON for a stream a person can
 	// read. The scheduler learns it from the hello, so peers choose
-	// independently. Dial itself only validates it; the connection-owning
-	// dialers (DialClient, Worker.Dial, DialMonitor) send the hello and
-	// frame accordingly.
+	// independently.
 	Codec string
-
-	// Timeout bounds each individual dial attempt. Zero selects the
-	// package default (10s).
-	Timeout time.Duration
 }
 
-// attemptTimeout resolves the per-attempt dial timeout.
-func (o DialOptions) attemptTimeout() time.Duration {
-	if o.Timeout > 0 {
-		return o.Timeout
-	}
-	return dialTimeout
-}
-
-// Dial resolves the scheduler address (waiting on the scheduler file when
-// asked) and dials it, retrying both within one shared budget. It is the
-// single transport entry point every higher-level dialer goes through.
-func Dial(opts DialOptions) (net.Conn, error) {
+// dial resolves the scheduler address (waiting on the scheduler file when
+// asked) and dials it, each attempt bounded by dialTimeout, retrying both
+// within one shared budget.
+func dial(opts DialOptions) (net.Conn, error) {
 	if !ValidWire(opts.Codec) {
 		return nil, fmt.Errorf("flow: unknown wire codec %q", opts.Codec)
 	}
@@ -66,9 +52,15 @@ func Dial(opts DialOptions) (net.Conn, error) {
 	}
 	addr := opts.Addr
 	budget := opts.Retry
-	if opts.SchedulerFile != "" {
+	if path := opts.SchedulerFile; path != "" {
 		deadline := time.Now().Add(budget)
-		sf, err := waitSchedulerFile(opts.SchedulerFile, budget)
+		// A missing or unparseable (mid-write) file is retried like a
+		// refused dial.
+		var sf SchedulerFile
+		err := backoff("flow: scheduler file "+path, budget, func(time.Duration) (err error) {
+			sf, err = readSchedulerFile(path)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -77,64 +69,56 @@ func Dial(opts DialOptions) (net.Conn, error) {
 			budget = time.Until(deadline)
 		}
 	}
-	return dialRetry(addr, budget, opts.attemptTimeout())
+	var conn net.Conn
+	err := backoff("flow: dial "+addr, budget, func(left time.Duration) (err error) {
+		timeout := dialTimeout
+		if left > 0 {
+			timeout = min(timeout, left)
+		}
+		conn, err = net.DialTimeout("tcp", addr, timeout)
+		return err
+	})
+	if err != nil && budget <= 0 {
+		return nil, fmt.Errorf("flow: dial %s: %w", addr, err)
+	}
+	return conn, err
 }
 
-// dialRetry dials addr, retrying with exponential backoff (50ms doubling,
-// capped at 2s) until the connection succeeds or the budget elapses. The
-// first attempt is always made; a zero or negative budget means exactly
-// one attempt (plain dial).
-func dialRetry(addr string, budget, attempt time.Duration) (net.Conn, error) {
+// backoff calls try until it succeeds or the budget is spent, sleeping
+// dialBackoffMin, doubling up to dialBackoffMax, between attempts; try is
+// told how much of the budget is left. The first attempt is always made,
+// and a zero or negative budget means exactly that one, whose error comes
+// back as it is. Running out of a positive budget names it after what.
+func backoff(what string, budget time.Duration, try func(left time.Duration) error) error {
 	deadline := time.Now().Add(budget)
-	backoff := dialBackoffMin
+	wait := dialBackoffMin
 	for {
-		timeout := attempt
-		if budget > 0 {
-			if rem := time.Until(deadline); rem > 0 && rem < timeout {
-				timeout = rem
-			}
+		err := try(time.Until(deadline))
+		if err == nil || budget <= 0 {
+			return err
 		}
-		conn, err := net.DialTimeout("tcp", addr, timeout)
-		if err == nil {
-			return conn, nil
+		if time.Now().Add(wait).After(deadline) {
+			return fmt.Errorf("%s: retry budget %s exhausted: %w", what, budget, err)
 		}
-		if budget <= 0 {
-			return nil, fmt.Errorf("flow: dial %s: %w", addr, err)
-		}
-		if time.Now().Add(backoff).After(deadline) {
-			return nil, fmt.Errorf("flow: dial %s: retry budget %s exhausted: %w", addr, budget, err)
-		}
-		time.Sleep(backoff)
-		backoff *= 2
-		if backoff > dialBackoffMax {
-			backoff = dialBackoffMax
-		}
+		time.Sleep(wait)
+		wait = min(2*wait, dialBackoffMax)
 	}
 }
 
-// waitSchedulerFile reads and parses a scheduler file, retrying a missing
-// or unparseable (mid-write) file with the same backoff as dialRetry
-// until the deadline. A zero or negative budget means one attempt.
-func waitSchedulerFile(path string, budget time.Duration) (SchedulerFile, error) {
-	deadline := time.Now().Add(budget)
-	backoff := dialBackoffMin
-	for {
-		sf, err := readSchedulerFile(path)
-		if err == nil {
-			return sf, nil
-		}
-		if budget <= 0 {
-			return SchedulerFile{}, err
-		}
-		if time.Now().Add(backoff).After(deadline) {
-			return SchedulerFile{}, fmt.Errorf("flow: scheduler file %s: retry budget %s exhausted: %w", path, budget, err)
-		}
-		time.Sleep(backoff)
-		backoff *= 2
-		if backoff > dialBackoffMax {
-			backoff = dialBackoffMax
-		}
+// dialPeer is how every peer opens its connection: dial, then the
+// handshake with the peer's first frame (nil for a client, whose first
+// frame is its submit). who names the peer in errors.
+func dialPeer(opts DialOptions, who string, first *message) (net.Conn, Codec, error) {
+	conn, err := dial(opts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("flow: %s dial: %w", who, err)
 	}
+	c, err := handshake(conn, opts.Codec, first)
+	if err != nil {
+		conn.Close()
+		return nil, nil, fmt.Errorf("flow: %s handshake: %w", who, err)
+	}
+	return conn, c, nil
 }
 
 func readSchedulerFile(path string) (SchedulerFile, error) {

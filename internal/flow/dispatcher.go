@@ -207,10 +207,11 @@ func (d *dispatcher) settle(q *queued, now time.Time) {
 }
 
 // requeue returns a task whose worker died to the front of its lane,
-// charging one attempt against the retry budget. Over budget, the task is
-// quarantined: a terminal failed event (with the attempt history) then a
-// quarantined marker, and the submitting client gets a failed Result so
-// its Map completes instead of waiting forever.
+// unchanged, charging one attempt against the retry budget; the queued
+// event records the attempt, the worker is never told. Over budget, the
+// task is quarantined: a terminal failed event (with the attempt history)
+// then a quarantined marker, and the submitting client gets a failed
+// Result so its Map completes instead of waiting forever.
 func (d *dispatcher) requeue(q queued, now time.Time) {
 	q.attempts++
 	if d.maxRetries > 0 && q.attempts > d.maxRetries {
@@ -224,13 +225,6 @@ func (d *dispatcher) requeue(q queued, now time.Time) {
 		d.settle(&q, now)
 		return
 	}
-	// Resource escalation on retry (the paper's high-memory wave,
-	// scheduler-side): a task that killed its worker is redelivered with
-	// its escalated payload.
-	if len(q.task.EscalatePayload) > 0 {
-		q.task.Payload = q.task.EscalatePayload
-	}
-	q.task.Attempt = q.attempts
 	q.running = false
 	d.queue.PushFront(q)
 	d.hub.Emit(events.Event{Type: events.TaskQueued, Task: q.label, Attempt: q.attempts, Campaign: q.task.Campaign})

@@ -20,11 +20,11 @@ func TestSameInputsSameStream(t *testing.T) {
 	run := func() string {
 		sc := &scene{rig: newDirectRig(t, txConfig{policy: PolicyFair, quota: 2, batch: 2, beatTimeout: time.Second})}
 		leaver, stayer := sc.connect(""), sc.connect("")
-		sc.submit(leaver, 8, "", "", "x", "y") // two admitted and two deferred in each campaign
-		sc.submit(stayer, 4, "", "", "y", "x")
+		sc.submit(leaver, 8, "", "x", "y") // two admitted and two deferred in each campaign
+		sc.submit(stayer, 4, "", "y", "x")
 		w0, _, w2 := sc.join(), sc.join(), sc.join()
 		sc.drop(leaver)
-		sc.submit(stayer, 6, "", "", "x", "y", "z")
+		sc.submit(stayer, 6, "", "x", "y", "z")
 		sc.sweep([]*txWorker{w2, w0})
 		sc.drain()
 		return sc.out.String()

@@ -204,12 +204,12 @@ func TestSchedulerFileRegistration(t *testing.T) {
 		atomic.AddInt64(&calls, 1)
 		return nil, nil
 	})
-	if err := w.ConnectFile(path); err != nil {
+	if err := w.Dial(DialOptions{SchedulerFile: path}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Close)
 
-	c, err := ConnectClientFile(path)
+	c, err := DialClient(DialOptions{SchedulerFile: path})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte(`{"type":"heartbeat","worker_id":"w1"}`))
 	f.Add([]byte(`{"type":"heartbeat","worker_id":"w1","gauges":{"goroutines":9,"heap_bytes":1048576,"tasks_executed":42,"busy_ns":1500000000}}`))
 	f.Add([]byte(`{"type":"heartbeat","worker_id":"w1","gauges":{}}`))
-	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","attempt":2,"payload":"` + infer + `","escalate_payload":"` + p64([]byte{0x0e}) + `"}]}`))
+	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","label":"DVU_00001/m2","weight":312,"enqueued_ns":1,"payload":"` + infer + `","campaign":"dvu-full"}]}`))
 	f.Add([]byte(`{"type":"event","event":{"seq":3,"t_ns":9,"type":"queued","task":"a","attempt":1}}`))
 	f.Add([]byte(`{"type":"event","event":{"seq":4,"t_ns":10,"type":"quarantined","task":"a","attempt":3}}`))
 	f.Add([]byte(`{"type":"event","event":{"seq":5,"t_ns":11,"type":"worker_lost","worker":"w1","error":"silent"}}`))
@@ -148,13 +148,12 @@ func FuzzDecodeMessage(f *testing.F) {
 			t.Fatalf("message changed across round trip: %+v != %+v", again, m)
 		}
 		// Everything the scheduler stamps or routes by rides the task: the
-		// trace label, the enqueue stamp, the retry fields (attempt counter,
-		// escalation payload) and the campaign must survive every hop.
+		// trace label, the enqueue stamp and the campaign must survive every
+		// hop.
 		for i := range m.Tasks {
 			a, b := &m.Tasks[i], &again.Tasks[i]
 			if a.ID != b.ID || a.Label != b.Label || a.EnqueuedNS != b.EnqueuedNS ||
-				a.Attempt != b.Attempt || a.Campaign != b.Campaign ||
-				!bytes.Equal(a.Payload, b.Payload) || !bytes.Equal(a.EscalatePayload, b.EscalatePayload) {
+				a.Campaign != b.Campaign || !bytes.Equal(a.Payload, b.Payload) {
 				t.Fatalf("task %d changed across round trip: %+v != %+v", i, *b, *a)
 			}
 		}
@@ -190,14 +189,16 @@ func FuzzAcceptHello(f *testing.F) {
 	f.Add([]byte(helloLine(WireBinary)))
 	f.Add([]byte("flow-wire json\n"))
 	f.Add([]byte("flow-wire binary 0\n"))
-	f.Add([]byte("flow-wire binary 3 \n"))
-	f.Add([]byte("flow-wire  3\n"))
-	f.Add([]byte("flow-wire json 03\n"))
+	// Near misses of this build's own hello.
+	v := func(format string) []byte { return fmt.Appendf(nil, format, wireVersion) }
+	f.Add(v("flow-wire binary %d \n"))
+	f.Add(v("flow-wire  %d\n"))
+	f.Add(v("flow-wire json 0%d\n"))
 	f.Add([]byte("flow-wire json 18446744073709551617\n"))
-	f.Add([]byte("flow-wire msgpack 3\n"))
+	f.Add(v("flow-wire msgpack %d\n"))
 	f.Add([]byte(`{"type":"register","worker_id":"w1"}` + "\n"))
 	f.Add([]byte("GET /metrics HTTP/1.1\r\n\r\n"))
-	f.Add([]byte("flow-wire json 3"))
+	f.Add(v("flow-wire json %d"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := acceptCodec(bufio.NewReader(bytes.NewReader(data)), bufio.NewWriter(io.Discard))

@@ -47,28 +47,13 @@ type Monitor struct {
 
 // DialMonitor connects a monitor through the unified dial options —
 // address or scheduler file, retry budget, and wire codec — and
-// subscribes to the scheduler's event stream. The returned monitor must
-// be closed.
+// subscribes to the scheduler's event stream; the wire hello and the
+// subscribe leave in one write. The returned monitor must be closed.
 func DialMonitor(opts DialOptions) (*Monitor, error) {
-	conn, err := Dial(opts)
+	conn, codec, err := dialPeer(opts, "monitor", &message{Type: msgSubscribe})
 	if err != nil {
-		return nil, fmt.Errorf("flow: monitor dial: %w", err)
-	}
-	codec, err := dialCodec(conn, opts.Codec)
-	if err != nil {
-		conn.Close()
 		return nil, err
 	}
-	_ = conn.SetWriteDeadline(time.Now().Add(dialTimeout))
-	err = codec.Encode(&message{Type: msgSubscribe})
-	if err == nil {
-		err = codec.Flush()
-	}
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("flow: monitor subscribe: %w", err)
-	}
-	_ = conn.SetWriteDeadline(time.Time{})
 	return &Monitor{conn: conn, codec: codec}, nil
 }
 

@@ -33,7 +33,7 @@
 // PolicyFIFO all tenants share one.
 //
 // Every connection opens with a one-line hello naming its codec and the
-// wire version ("flow-wire binary 3"), staged in the same flush as the
+// wire version ("flow-wire binary 4"), staged in the same flush as the
 // first frame. The paper starts scheduler, workers and client from one
 // software environment inside one batch job, and so does this tree: the
 // protocol has exactly one version, a peer that offers none or another
@@ -56,7 +56,10 @@ import (
 	"repro/internal/events"
 )
 
-// Task is one unit of work. Payload is opaque to the engine.
+// Task is one unit of work. Payload is opaque to the engine. A task
+// whose worker died goes out again exactly as it was submitted: the
+// paper's high-memory rerun of out-of-memory targets is the campaign's
+// own second wave (core.InferenceStage), not something the scheduler does.
 type Task struct {
 	ID string `json:"id"`
 	// Label is the stable, human-meaningful trace identity of the task (a
@@ -79,16 +82,6 @@ type Task struct {
 	// time.Time so an unstamped task (a client's submit) really omits the
 	// field on the wire. Clients leave it zero.
 	EnqueuedNS int64 `json:"enqueued_ns,omitempty"`
-	// Attempt is stamped by the scheduler on redelivery: 0 on the first
-	// assignment, then the number of times the task has been requeued
-	// after a worker death. Workers may use it to adjust execution (the
-	// paper reruns OOM-failed targets with more memory).
-	Attempt int `json:"attempt,omitempty"`
-	// EscalatePayload, when set by the submitter, replaces Payload the
-	// first time the task is requeued after a worker death — the paper's
-	// high-memory retry wave moved scheduler-side, so a task that killed
-	// its worker is redelivered with escalated resources automatically.
-	EscalatePayload []byte `json:"escalate_payload,omitempty"`
 	// Campaign is the multi-tenant namespace of the task — the submitting
 	// campaign it belongs to, as on the paper's shared Summit scheduler
 	// where many submitters coexist on one worker fleet. The fair-share

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -176,71 +175,6 @@ func countEvents(s *Scheduler, typ events.Type) int {
 	return n
 }
 
-func TestEscalatePayloadOnRetry(t *testing.T) {
-	s := NewScheduler()
-	s.MaxRetries = 3
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	c, err := connectClient(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-
-	task := Task{
-		ID:              "oom",
-		Payload:         []byte(`{"mem":16}`),
-		EscalatePayload: []byte(`{"mem":512}`),
-	}
-	done := make(chan []Result, 1)
-	go func() {
-		res, _ := c.Map([]Task{task}, nil)
-		done <- res
-	}()
-
-	// First delivery kills its worker (the OOM).
-	rw := dialRawWorker(t, addr, "small-mem")
-	got := rw.awaitTask(t)
-	if string(got.Payload) != `{"mem":16}` || got.Attempt != 0 {
-		t.Fatalf("first delivery payload=%s attempt=%d, want original payload attempt 0", got.Payload, got.Attempt)
-	}
-	rw.conn.Close()
-	waitForEvent(t, s, events.WorkerLeave, 5*time.Second)
-
-	// The retry lands on a healthy worker with the escalated payload and
-	// the attempt counter visible worker-side.
-	var seenAttempt atomic.Int64
-	w := NewWorker("big-mem", func(tk Task) (json.RawMessage, error) {
-		seenAttempt.Store(int64(tk.Attempt))
-		return tk.Payload, nil
-	})
-	if err := w.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-
-	select {
-	case res := <-done:
-		if len(res) != 1 || res[0].Err != "" {
-			t.Fatalf("results = %+v, want one success", res)
-		}
-		if string(res[0].Payload) != `{"mem":512}` {
-			t.Fatalf("retry ran with payload %s, want escalated {\"mem\":512}", res[0].Payload)
-		}
-		if res[0].WorkerID != "big-mem" {
-			t.Fatalf("retry ran on %s, want big-mem", res[0].WorkerID)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Map did not return")
-	}
-	if seenAttempt.Load() != 1 {
-		t.Fatalf("worker saw Attempt=%d, want 1", seenAttempt.Load())
-	}
-}
-
 func TestHeartbeatTimeoutRequeuesToSurvivor(t *testing.T) {
 	s := NewScheduler()
 	s.HeartbeatTimeout = 300 * time.Millisecond
@@ -344,30 +278,30 @@ func TestDialRetryExhaustsBudget(t *testing.T) {
 	ln.Close()
 
 	start := time.Now()
-	_, err = Dial(DialOptions{Addr: addr, Retry: 250 * time.Millisecond})
+	_, err = dial(DialOptions{Addr: addr, Retry: 250 * time.Millisecond})
 	if err == nil {
-		t.Fatal("Dial succeeded against a closed port")
+		t.Fatal("dial succeeded against a closed port")
 	}
 	if !strings.Contains(err.Error(), "retry budget") {
 		t.Fatalf("error %q does not mention the retry budget", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("Dial took %s for a 250ms budget", elapsed)
+		t.Fatalf("dial took %s for a 250ms budget", elapsed)
 	}
 	// Zero budget: exactly one attempt, no budget language.
-	if _, err := Dial(DialOptions{Addr: addr}); err == nil || strings.Contains(err.Error(), "retry budget") {
+	if _, err := dial(DialOptions{Addr: addr}); err == nil || strings.Contains(err.Error(), "retry budget") {
 		t.Fatalf("zero-budget error = %v, want plain dial failure", err)
 	}
 	// The options must name exactly one locator, and a codec typo fails
 	// up front instead of producing a half-negotiated connection.
-	if _, err := Dial(DialOptions{}); err == nil {
-		t.Fatal("Dial accepted empty options")
+	if _, err := dial(DialOptions{}); err == nil {
+		t.Fatal("dial accepted empty options")
 	}
-	if _, err := Dial(DialOptions{Addr: addr, SchedulerFile: "x"}); err == nil {
-		t.Fatal("Dial accepted both Addr and SchedulerFile")
+	if _, err := dial(DialOptions{Addr: addr, SchedulerFile: "x"}); err == nil {
+		t.Fatal("dial accepted both Addr and SchedulerFile")
 	}
-	if _, err := Dial(DialOptions{Addr: addr, Codec: "msgpack"}); err == nil {
-		t.Fatal("Dial accepted an unknown codec")
+	if _, err := dial(DialOptions{Addr: addr, Codec: "msgpack"}); err == nil {
+		t.Fatal("dial accepted an unknown codec")
 	}
 }
 
@@ -384,8 +318,7 @@ func TestWorkerStartsBeforeScheduler(t *testing.T) {
 	workerDone := make(chan connected, 1)
 	go func() {
 		w := NewWorker("early", echoHandler)
-		w.DialBudget = 10 * time.Second
-		err := w.ConnectFile(path)
+		err := w.Dial(DialOptions{SchedulerFile: path, Retry: 10 * time.Second})
 		workerDone <- connected{w, err}
 	}()
 	clientDone := make(chan error, 1)

@@ -76,7 +76,8 @@ func TestHandoutFailureRequeuesWholeBatch(t *testing.T) {
 	}
 
 	// A live worker now receives the same four, in the original order,
-	// ahead of t004 and t005, each stamped with the attempt it was charged.
+	// ahead of t004 and t005, each last queued by the requeue that charged
+	// it an attempt.
 	rw := dialRawWorker(t, addr, "witness")
 	_ = rw.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var m message
@@ -85,9 +86,15 @@ func TestHandoutFailureRequeuesWholeBatch(t *testing.T) {
 			t.Fatalf("witness decode: %v", err)
 		}
 	}
+	charged := map[string]int{}
+	for _, e := range s.Events().Snapshot() {
+		if e.Type == events.TaskQueued {
+			charged[e.Task] = e.Attempt
+		}
+	}
 	var got []string
 	for _, task := range m.Tasks {
-		got = append(got, fmt.Sprintf("%s/%d", task.ID, task.Attempt))
+		got = append(got, fmt.Sprintf("%s/%d", task.ID, charged[task.ID]))
 	}
 	if fmt.Sprint(got) != "[t000/1 t001/1 t002/1 t003/1]" {
 		t.Errorf("redelivered batch = %v, want [t000/1 t001/1 t002/1 t003/1]", got)

@@ -298,7 +298,7 @@ func (sc *scene) record(what string) {
 		for _, m := range frames[w.id] {
 			fmt.Fprintf(&sc.out, "  %s <- %s", w.id, m.Type)
 			for _, t := range m.Tasks {
-				fmt.Fprintf(&sc.out, " %s#%d@%s%s", t.ID, t.Attempt, dash(t.Campaign), t.Payload)
+				fmt.Fprintf(&sc.out, " %s@%s%s", t.ID, dash(t.Campaign), t.Payload)
 			}
 			sc.out.WriteByte('\n')
 			w.held = append(w.held, m.Tasks...)
@@ -342,13 +342,13 @@ func (sc *scene) connect(campaign string) *txClient {
 
 // submit sends n fresh tasks from c in one frame; campaigns, when given,
 // names task i's own campaign (cycling), over the frame's.
-func (sc *scene) submit(c *txClient, n int, payload, escalate string, campaigns ...string) {
+func (sc *scene) submit(c *txClient, n int, payload string, campaigns ...string) {
 	if sc.owner == nil {
 		sc.owner = map[string]*txClient{}
 	}
 	tasks := make([]Task, n)
 	for i := range tasks {
-		tasks[i] = Task{ID: fmt.Sprintf("t%03d", sc.nextID), Payload: []byte(payload), EscalatePayload: []byte(escalate)}
+		tasks[i] = Task{ID: fmt.Sprintf("t%03d", sc.nextID), Payload: []byte(payload)}
 		if len(campaigns) > 0 {
 			tasks[i].Campaign = campaigns[i%len(campaigns)]
 		}
@@ -465,7 +465,7 @@ func (sc *scene) walk(ch chooser, n int, campaigns []string) {
 		}
 		switch op := ch.Intn(ops); {
 		case op < 5 && len(clients) > 0:
-			sc.submit(pick(ch, clients), 1+ch.Intn(9), "", "")
+			sc.submit(pick(ch, clients), 1+ch.Intn(9), "")
 		case op < 10 && len(holding) > 0:
 			w := pick(ch, holding)
 			sc.ack(w, len(w.held), pick(ch, txDurations), false)
@@ -482,16 +482,16 @@ func (sc *scene) walk(ch chooser, n int, campaigns []string) {
 		case op == 16 && len(clients) > 1:
 			sc.drop(pick(ch, clients))
 		case op == 17 && len(clients) < 4:
-			sc.submit(sc.connect(pick(ch, campaigns)), 1+ch.Intn(9), "", "")
+			sc.submit(sc.connect(pick(ch, campaigns)), 1+ch.Intn(9), "")
 		case op >= 20 && len(live) > 0:
 			off := ch.Intn(len(live))
 			sc.sweep(live[off : off+min(ch.Intn(3), len(live)-off)])
 		case len(live) < 4:
 			sc.join()
 		case len(clients) > 0:
-			sc.submit(pick(ch, clients), 1+ch.Intn(4), "", "")
+			sc.submit(pick(ch, clients), 1+ch.Intn(4), "")
 		default:
-			sc.submit(sc.connect(pick(ch, campaigns)), 1+ch.Intn(4), "", "")
+			sc.submit(sc.connect(pick(ch, campaigns)), 1+ch.Intn(4), "")
 		}
 	}
 }
@@ -524,8 +524,8 @@ var txScripts = []struct {
 }{
 	{"fifo-batch4-death-mid-batch", txConfig{policy: PolicyFIFO, batch: 4}, 1, func(sc *scene, r *rng.Source) {
 		a, b := sc.connect(""), sc.connect("")
-		sc.submit(a, 6+r.Intn(4), "", "")
-		sc.submit(b, 3+r.Intn(3), "", "")
+		sc.submit(a, 6+r.Intn(4), "")
+		sc.submit(b, 3+r.Intn(3), "")
 		w0, w1 := sc.join(), sc.join()
 		sc.ack(w0, 1+r.Intn(3), 40*time.Microsecond, false) // partial: w0 moves on mid-batch
 		sc.kill(w0)                                         // and dies there
@@ -537,9 +537,9 @@ var txScripts = []struct {
 	}},
 	{"fair-batch4-quota", txConfig{policy: PolicyFair, quota: 6, batch: 4}, 2, func(sc *scene, r *rng.Source) {
 		a, b, u := sc.connect("alpha"), sc.connect("beta"), sc.connect("")
-		sc.submit(a, 9+r.Intn(4), "", "")
-		sc.submit(b, 2+r.Intn(3), "", "")
-		sc.submit(u, 7+r.Intn(3), "", "")
+		sc.submit(a, 9+r.Intn(4), "")
+		sc.submit(b, 2+r.Intn(3), "")
+		sc.submit(u, 7+r.Intn(3), "")
 		w0, w1 := sc.join(), sc.join()
 		sc.ack(w0, 2, 40*time.Microsecond, false)
 		sc.ack(w1, len(w1.held), 40*time.Microsecond, false)
@@ -549,7 +549,7 @@ var txScripts = []struct {
 	}},
 	{"fifo-selfsized", txConfig{policy: PolicyFIFO}, 3, func(sc *scene, r *rng.Source) {
 		a := sc.connect("")
-		sc.submit(a, 90+r.Intn(20), "", "")
+		sc.submit(a, 90+r.Intn(20), "")
 		w0, w1 := sc.join(), sc.join()
 		sc.ack(w0, 1, 20*time.Microsecond, false) // the wave's first sample: handouts grow
 		sc.ack(w1, 1, 20*time.Microsecond, false)
@@ -561,10 +561,10 @@ var txScripts = []struct {
 	}},
 	{"fair-selfsized-quota", txConfig{policy: PolicyFair, quota: 40}, 4, func(sc *scene, r *rng.Source) {
 		a, b := sc.connect("bulk"), sc.connect("pilot")
-		sc.submit(a, 70+r.Intn(20), "", "")
+		sc.submit(a, 70+r.Intn(20), "")
 		w0 := sc.join()
 		sc.ack(w0, 1, 5*time.Microsecond, false)
-		sc.submit(b, 4+r.Intn(4), "", "")
+		sc.submit(b, 4+r.Intn(4), "")
 		sc.join()
 		sc.ack(w0, len(w0.held), 5*time.Microsecond, false)
 		sc.walk(r, 30, []string{"bulk", "pilot"})
@@ -572,9 +572,9 @@ var txScripts = []struct {
 	}},
 	{"fair-quota-client-loss-deferred", txConfig{policy: PolicyFair, quota: 5, batch: 4}, 5, func(sc *scene, r *rng.Source) {
 		a, b, c := sc.connect("shared"), sc.connect("shared"), sc.connect("other")
-		sc.submit(a, 8+r.Intn(4), "", "") // over quota: the tail is deferred, the ack withheld
-		sc.submit(b, 3+r.Intn(3), "", "") // behind a's deferred work in the same campaign
-		sc.submit(c, 2, "", "")
+		sc.submit(a, 8+r.Intn(4), "") // over quota: the tail is deferred, the ack withheld
+		sc.submit(b, 3+r.Intn(3), "") // behind a's deferred work in the same campaign
+		sc.submit(c, 2, "")
 		w0 := sc.join()
 		sc.drop(a) // queued and deferred work dropped, in-flight orphaned, b's admitted
 		sc.ack(w0, len(w0.held), 40*time.Microsecond, false)
@@ -583,9 +583,9 @@ var txScripts = []struct {
 	}},
 	{"fifo-quarantine-retries1", txConfig{policy: PolicyFIFO, batch: 4, maxRetries: 1}, 6, func(sc *scene, r *rng.Source) {
 		a := sc.connect("")
-		sc.submit(a, 5+r.Intn(3), `{"mem":16}`, `{"mem":512}`)
+		sc.submit(a, 5+r.Intn(3), `{"mem":16}`)
 		w0 := sc.join()
-		sc.kill(w0) // first death: requeued with the escalated payload
+		sc.kill(w0) // first death: requeued unchanged
 		w1 := sc.join()
 		sc.ack(w1, 1, 40*time.Microsecond, false)
 		sc.kill(w1) // second death of what w1 still held: quarantined
@@ -595,8 +595,8 @@ var txScripts = []struct {
 	}},
 	{"fifo-quota-unnamed", txConfig{policy: PolicyFIFO, quota: 3, batch: 1}, 7, func(sc *scene, r *rng.Source) {
 		a, b := sc.connect(""), sc.connect("")
-		sc.submit(a, 5+r.Intn(3), "", "")
-		sc.submit(b, 4+r.Intn(3), "", "")
+		sc.submit(a, 5+r.Intn(3), "")
+		sc.submit(b, 4+r.Intn(3), "")
 		w0 := sc.join()
 		sc.ack(w0, 1, 40*time.Microsecond, false)
 		sc.drop(b)

@@ -31,13 +31,13 @@ func wireFrames() map[string]*message {
 		msgHeartbeat: {Type: msgHeartbeat, WorkerID: "w1",
 			Gauges: &WorkerGauges{Goroutines: 9, HeapBytes: 1 << 20, TasksExecuted: 42, BusyNS: 1500000000}},
 		msgSubmit: {Type: msgSubmit, Campaign: "dvu-full", Tasks: []Task{
-			{ID: "0", Label: "DVU_00001", Weight: 312, Payload: spec(0x03, 'D', 'V', 'U'), EscalatePayload: spec(0x03, 'D', 'V', 'U', 0x80, 0x04)},
+			{ID: "0", Label: "DVU_00001", Weight: 312, Payload: spec(0x03, 'D', 'V', 'U')},
 			{ID: "1", Label: "DVU_00002", Weight: 97.5, Campaign: "rru-pilot"},
 		}},
 		msgAccepted: {Type: msgAccepted, Count: 2},
 		msgTask: {Type: msgTask, Tasks: []Task{
 			{ID: "0", Label: "DVU_00001", Weight: 312, Payload: spec(0x03, 'D', 'V', 'U'),
-				EnqueuedNS: 1643068800000000000, Attempt: 1, Campaign: "dvu-full"},
+				EnqueuedNS: 1643068800000000000, Campaign: "dvu-full"},
 		}},
 		msgResult: {Type: msgResult, Results: []Result{
 			{TaskID: "0", WorkerID: "w1", EnqueuedNS: 1643068800000000000, Start: start, End: start.Add(1500 * time.Millisecond),

@@ -2,7 +2,6 @@ package flow
 
 import (
 	"encoding/json"
-	"fmt"
 	"net"
 	"runtime"
 	rtmetrics "runtime/metrics"
@@ -21,21 +20,14 @@ type Worker struct {
 	ID      string
 	handler Handler
 
-	// ReadTimeout, when set before Connect, bounds how long the worker
+	// ReadTimeout, when set before Dial, bounds how long the worker
 	// waits for the next scheduler message. An idle worker legitimately
 	// waits forever, so the default (zero) disables it; set it in tests or
 	// supervised deployments where a wedged scheduler should fail the
 	// worker fast instead of leaving it hanging.
 	ReadTimeout time.Duration
 
-	// DialBudget, when set before Connect/ConnectFile, keeps retrying the
-	// scheduler (and, for ConnectFile, a missing scheduler file) with
-	// backoff for this long — so a worker started before its scheduler
-	// converges instead of exiting. Zero means one attempt. Worker.Dial
-	// takes the budget from its DialOptions instead.
-	DialBudget time.Duration
-
-	// HeartbeatInterval, when set before Connect, sends a heartbeat frame
+	// HeartbeatInterval, when set before Dial, sends a heartbeat frame
 	// to the scheduler on this interval from a dedicated goroutine, so a
 	// worker stays alive through a long-running handler but a wedged
 	// process or dead network path is detected by the scheduler's
@@ -71,31 +63,16 @@ func NewWorker(id string, h Handler) *Worker {
 
 // Dial registers with the scheduler through the unified dial options —
 // address or scheduler file, retry budget, and wire codec — and starts
-// the task loop in the background.
+// the task loop in the background. The wire hello and the registration
+// leave in one write.
 func (w *Worker) Dial(opts DialOptions) error {
-	conn, err := Dial(opts)
+	conn, codec, err := dialPeer(opts, "worker", &message{Type: msgRegister, WorkerID: w.ID})
 	if err != nil {
-		return fmt.Errorf("flow: worker dial: %w", err)
-	}
-	codec, err := dialCodec(conn, opts.Codec)
-	if err != nil {
-		conn.Close()
 		return err
 	}
 	w.conn = conn
 	w.codec = codec
 	w.stop = make(chan struct{})
-	// The wire hello and the registration travel in one flush.
-	_ = conn.SetWriteDeadline(time.Now().Add(dialTimeout))
-	err = codec.Encode(&message{Type: msgRegister, WorkerID: w.ID})
-	if err == nil {
-		err = codec.Flush()
-	}
-	if err != nil {
-		conn.Close()
-		return fmt.Errorf("flow: worker register: %w", err)
-	}
-	_ = conn.SetWriteDeadline(time.Time{})
 	if w.HeartbeatInterval > 0 {
 		w.wg.Add(1)
 		go w.heartbeatLoop()
@@ -105,36 +82,17 @@ func (w *Worker) Dial(opts DialOptions) error {
 	return nil
 }
 
-// ConnectFile reads a scheduler file (written by
-// Scheduler.WriteSchedulerFile) and connects to the advertised address —
-// the registration mechanism of Section 3.3 step 2, on the default
-// (binary) wire. With a DialBudget set, a missing or mid-write file and an
-// unreachable scheduler are both retried with backoff inside one shared
-// budget, so the worker may be started before the scheduler exists at all.
-func (w *Worker) ConnectFile(path string) error {
-	return w.Dial(DialOptions{SchedulerFile: path, Retry: w.DialBudget})
-}
-
-// Connect registers with the scheduler (dial bounded by dialTimeout,
-// retried within DialBudget when set) on the default (binary) wire and
-// starts the task loop in the background.
+// Connect is Dial with one attempt at addr on the default (binary) wire.
 func (w *Worker) Connect(addr string) error {
-	return w.Dial(DialOptions{Addr: addr, Retry: w.DialBudget})
+	return w.Dial(DialOptions{Addr: addr})
 }
 
-// send writes one frame under the connection write lock with a bounded
-// deadline, so heartbeats and results never interleave bytes and a
-// scheduler that stopped reading cannot wedge the sender forever.
+// send writes one frame under the connection write lock, so heartbeats
+// and results never interleave bytes.
 func (w *Worker) send(m *message) error {
 	w.writeMu.Lock()
 	defer w.writeMu.Unlock()
-	_ = w.conn.SetWriteDeadline(time.Now().Add(resultWriteTimeout))
-	err := w.codec.Encode(m)
-	if err == nil {
-		err = w.codec.Flush()
-	}
-	_ = w.conn.SetWriteDeadline(time.Time{})
-	return err
+	return writeFrame(w.conn, w.codec, resultWriteTimeout, m)
 }
 
 // heartbeatLoop sends liveness beacons on the configured interval. It
