@@ -136,6 +136,27 @@ func e2eClusterFull(t *testing.T, wires []string, workerArgs []string, schedArgs
 	return schedFile
 }
 
+// waitEvent polls a scheduler's -event-log until it holds an event match
+// accepts, so a test can order its next step after something the
+// scheduler has seen rather than after a guessed sleep.
+func waitEvent(t *testing.T, path string, match func(events.Event) bool) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		data, _ := os.ReadFile(path)
+		logged, _ := events.ReadLog(bytes.NewReader(data)) // a torn last record keeps the prefix
+		for _, e := range logged {
+			if match(e) {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no awaited event in %s in time", path)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // run invokes the built proteomectl binary and returns its stdout.
 func runBin(t *testing.T, args ...string) []byte {
 	t.Helper()
@@ -337,12 +358,16 @@ func TestSubmitElasticWorkerJoin(t *testing.T) {
 	if buildErr != nil {
 		t.Fatal(buildErr)
 	}
-	// Start with a single worker so the queue stays deep while the late
-	// worker registers.
-	schedFile := e2eCluster(t, 1)
-	statsFile := filepath.Join(filepath.Dir(schedFile), "tasks.csv")
+	// Start with a single worker and the whole of D. vulgaris (3,205
+	// targets, several hundred ms on one worker) so the queue stays deep
+	// while the late worker registers.
+	dir := t.TempDir()
+	eventLog := filepath.Join(dir, "events.jsonl")
+	schedFile := e2eClusterArgs(t, 1, "-event-log", eventLog)
+	statsFile := filepath.Join(dir, "tasks.csv")
 
-	campaign := []string{"-species", "DVU", "-preset", "genome", "-limit", "300", "-seed", "20220125"}
+	const targets = 3205
+	campaign := []string{"-species", "DVU", "-preset", "genome", "-limit", strconv.Itoa(targets), "-seed", "20220125"}
 
 	submit := osexec.Command(binPath,
 		append([]string{"submit", "-scheduler-file", schedFile, "-stats", statsFile}, campaign...)...)
@@ -353,10 +378,9 @@ func TestSubmitElasticWorkerJoin(t *testing.T) {
 		t.Fatalf("starting submit: %v", err)
 	}
 
-	// Elastic scale-up: a second worker joins shortly after the campaign
-	// starts (the binary takes longer than this to build its world, so
-	// the join lands while the first batch is still queued).
-	time.Sleep(100 * time.Millisecond)
+	// Elastic scale-up: a second worker joins once the scheduler has
+	// received the campaign's first task, while the rest is still queued.
+	waitEvent(t, eventLog, func(e events.Event) bool { return e.Type == events.TaskReceived })
 	late := osexec.Command(binPath, "worker", "-scheduler-file", schedFile, "-id", "e2e-late")
 	late.Stdout = os.Stderr
 	late.Stderr = os.Stderr
@@ -378,11 +402,11 @@ func TestSubmitElasticWorkerJoin(t *testing.T) {
 	}
 
 	header, rows := readStatsCSV(t, statsFile)
-	// One row per task across all three stages: 300 feature tasks plus
-	// 300×5 (target, model) inference slots, plus one relax task per
-	// completed target (and any high-memory retries).
-	if len(rows) < 300+300*5 {
-		t.Errorf("stats CSV has %d rows, want at least %d (one per task)", len(rows), 300+300*5)
+	// One row per task across all three stages: a feature task per
+	// target plus 5 (target, model) inference slots, plus one relax task
+	// per completed target (and any high-memory retries).
+	if len(rows) < targets+targets*5 {
+		t.Errorf("stats CSV has %d rows, want at least %d (one per task)", len(rows), targets+targets*5)
 	}
 	wcol := statsColumn(t, header, "worker_id")
 	perWorker := map[string]int{}
@@ -880,25 +904,10 @@ func TestSlowPeerFaultInjection(t *testing.T) {
 
 	campaign := []string{"-species", "DVU", "-preset", "reduced_dbs", "-limit", "150", "-seed", "7"}
 
-	submit := osexec.Command(binPath,
-		append([]string{"submit", "-scheduler-file", schedFile}, campaign...)...)
-	var submitOut bytes.Buffer
-	submit.Stdout = &submitOut
-	submit.Stderr = os.Stderr
-	if err := submit.Start(); err != nil {
-		t.Fatalf("starting submit: %v", err)
-	}
-	t.Cleanup(func() {
-		_ = submit.Process.Kill()
-		_, _ = submit.Process.Wait()
-	})
-
-	// Attach the wedges while the submit is still building its world, so
-	// they are live peers when dispatch starts: the wire hello and one
-	// JSON frame each, then radio silence with a shrunken receive buffer
-	// (anything the scheduler writes blocks quickly instead of vanishing
-	// into kernel buffering).
-	time.Sleep(100 * time.Millisecond)
+	// Attach the wedges before the submit starts, so they are live peers
+	// when dispatch starts: the wire hello and one JSON frame each, then
+	// radio silence with a shrunken receive buffer (anything the scheduler
+	// writes blocks quickly instead of vanishing into kernel buffering).
 	wedge := func(frame string) {
 		t.Helper()
 		conn, err := net.Dial("tcp", sf.Address)
@@ -915,6 +924,22 @@ func TestSlowPeerFaultInjection(t *testing.T) {
 	}
 	wedge(`{"type":"register","worker_id":"e2e-wedged"}`)
 	wedge(`{"type":"subscribe"}`)
+	waitEvent(t, eventLog, func(e events.Event) bool {
+		return e.Type == events.WorkerJoin && e.Worker == "e2e-wedged"
+	})
+
+	submit := osexec.Command(binPath,
+		append([]string{"submit", "-scheduler-file", schedFile}, campaign...)...)
+	var submitOut bytes.Buffer
+	submit.Stdout = &submitOut
+	submit.Stderr = os.Stderr
+	if err := submit.Start(); err != nil {
+		t.Fatalf("starting submit: %v", err)
+	}
+	t.Cleanup(func() {
+		_ = submit.Process.Kill()
+		_, _ = submit.Process.Wait()
+	})
 
 	if err := submit.Wait(); err != nil {
 		t.Fatalf("submit with wedged peers attached: %v", err)

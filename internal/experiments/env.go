@@ -46,10 +46,11 @@ const DefaultSeed = 20220125 // the paper's arXiv date
 
 // NewEnv builds the experiment world.
 func NewEnv(seed uint64) *Env {
+	u := proteome.NewUniverse(seed, 96, 60, 240)
 	gt := core.NewGroundTruth(seed)
 	return &Env{
 		Seed:      seed,
-		Universe:  newUniverse(seed),
+		Universe:  u,
 		GT:        gt,
 		Engine:    fold.NewEngine(gt, seed^0xabcdef),
 		FS:        fsim.DefaultFilesystem(),
@@ -64,20 +65,10 @@ func (e *Env) Proteome(sp proteome.Species) *proteome.Proteome {
 	if p, ok := e.proteomes[sp.Code]; ok {
 		return p
 	}
-	p := generate(sp, e.Universe, e.Seed)
+	p := proteome.Generate(sp, e.Universe, e.Seed+uint64(len(sp.Code)))
 	e.GT.Register(p)
 	e.proteomes[sp.Code] = p
 	return p
-}
-
-// newUniverse and generate are the two halves of every Env's world: the
-// domain universe, and one species' proteome drawn from it.
-func newUniverse(seed uint64) *proteome.Universe {
-	return proteome.NewUniverse(seed, 96, 60, 240)
-}
-
-func generate(sp proteome.Species, u *proteome.Universe, seed uint64) *proteome.Proteome {
-	return proteome.Generate(sp, u, seed+uint64(len(sp.Code)))
 }
 
 // Benchmark559 returns the paper's 559-sequence D. vulgaris benchmark set:

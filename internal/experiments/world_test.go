@@ -47,15 +47,15 @@ func putString(h hash.Hash, s string) {
 	h.Write([]byte(s))
 }
 
-// buildWorld builds the universe and the four paper proteomes the way an
-// Env does.
+// buildWorld builds the universe and the four paper proteomes through an
+// Env, the way every experiment does.
 func buildWorld(seed uint64) (*proteome.Universe, []*proteome.Proteome) {
-	u := newUniverse(seed)
+	e := NewEnv(seed)
 	var ps []*proteome.Proteome
 	for _, sp := range proteome.PaperSpecies() {
-		ps = append(ps, generate(sp, u, seed))
+		ps = append(ps, e.Proteome(sp))
 	}
-	return u, ps
+	return e.Universe, ps
 }
 
 // TestGenerateGolden pins every generated byte of the campaign world at two
@@ -76,14 +76,5 @@ func TestGenerateGolden(t *testing.T) {
 		if got := worldDigest(buildWorld(c.seed)); got != c.want {
 			t.Errorf("seed %d: world digest %s, want %s", c.seed, got, c.want)
 		}
-	}
-}
-
-// BenchmarkGenerateWorld builds the campaign world at DefaultSeed: the
-// universe and the four paper proteomes.
-func BenchmarkGenerateWorld(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buildWorld(DefaultSeed)
 	}
 }

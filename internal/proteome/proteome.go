@@ -9,8 +9,7 @@
 package proteome
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/rng"
 	"repro/internal/seq"
@@ -103,10 +102,15 @@ func NewUniverse(seed uint64, numFamilies, minLen, maxLen int) *Universe {
 		Domains:          make([]string, numFamilies),
 		FamilyAnnotation: make([]string, numFamilies),
 	}
+	var buf []byte
 	for f := 0; f < numFamilies; f++ {
 		l := minLen + r.Intn(maxLen-minLen+1)
-		u.Domains[f] = randomSequence(&r, l)
-		u.FamilyAnnotation[f] = fmt.Sprintf("family-%04d domain protein", f)
+		buf = appendRandom(buf[:0], &r, l)
+		u.Domains[f] = string(buf)
+		buf = append(buf[:0], "family-"...)
+		buf = appendPadded(buf, f, 4)
+		buf = append(buf, " domain protein"...)
+		u.FamilyAnnotation[f] = string(buf)
 	}
 	return u
 }
@@ -118,30 +122,37 @@ func (u *Universe) NumFamilies() int { return len(u.Domains) }
 // (expected fraction of positions substituted; small indels are applied at
 // divergence/10 rate). divergence 0 returns the ancestor verbatim.
 func (u *Universe) Mutate(f int, divergence float64, r *rng.Source) string {
+	if divergence <= 0 {
+		return u.Domains[f]
+	}
+	return string(u.appendMutant(make([]byte, 0, len(u.Domains[f])+8), f, divergence, r))
+}
+
+// appendMutant appends Mutate's descendant of family f to dst.
+func (u *Universe) appendMutant(dst []byte, f int, divergence float64, r *rng.Source) []byte {
 	anc := u.Domains[f]
 	if divergence <= 0 {
-		return anc
+		return append(dst, anc...)
 	}
-	var b strings.Builder
-	b.Grow(len(anc) + 8)
-	indelRate := divergence / 10
+	start := len(dst)
+	indel, sub := rng.NewBernoulli(divergence/10), rng.NewBernoulli(divergence)
 	for i := 0; i < len(anc); i++ {
-		if r.Float64() < indelRate {
-			if r.Float64() < 0.5 {
-				continue // deletion
+		if indel.Draw(r) {
+			if deletion.Draw(r) {
+				continue
 			}
-			b.WriteByte(seq.Alphabet[background.Draw(r)]) // insertion
+			dst = append(dst, seq.Alphabet[background.Draw(r)]) // insertion
 		}
-		if r.Float64() < divergence {
-			b.WriteByte(seq.Alphabet[background.Draw(r)])
+		if sub.Draw(r) {
+			dst = append(dst, seq.Alphabet[background.Draw(r)])
 		} else {
-			b.WriteByte(anc[i])
+			dst = append(dst, anc[i])
 		}
 	}
-	if b.Len() == 0 {
-		return anc[:1]
+	if len(dst) == start {
+		return append(dst, anc[0])
 	}
-	return b.String()
+	return dst
 }
 
 // Protein is a generated proteome entry with its ground truth: which
@@ -168,6 +179,9 @@ func Generate(sp Species, u *Universe, seed uint64) *Proteome {
 	p := &Proteome{Species: sp, Proteins: make([]Protein, 0, sp.NumProteins)}
 
 	numHypo := int(float64(sp.NumProteins)*sp.HypotheticalFrac + 0.5)
+	// Every protein's residues, then its ID, are built in buf, which each
+	// protein reuses; each becomes a string once.
+	var buf []byte
 	for i := 0; i < sp.NumProteins; i++ {
 		hypothetical := i < numHypo
 		targetLen := sp.sampleLength(&r, hypothetical)
@@ -193,17 +207,21 @@ func Generate(sp Species, u *Universe, seed uint64) *Proteome {
 			div = 0.05 + 0.30*r.Float64()
 		}
 
-		var body strings.Builder
+		buf = buf[:0]
 		families := make([]int, 0, nDom)
 		for d := 0; d < nDom; d++ {
 			f := r.Intn(u.NumFamilies())
 			families = append(families, f)
-			body.WriteString(u.Mutate(f, div, &r))
+			buf = u.appendMutant(buf, f, div, &r)
 			if d != nDom-1 {
-				body.WriteString(randomSequence(&r, 3+r.Intn(10))) // linker
+				buf = appendRandom(buf, &r, 3+r.Intn(10)) // linker
 			}
 		}
-		res := fitLength(body.String(), targetLen, &r)
+		buf = fitLength(buf, targetLen, &r)
+		res := string(buf)
+		buf = append(buf[:0], sp.Code...)
+		buf = append(buf, '_')
+		buf = appendPadded(buf, i+1, 5)
 
 		desc := u.FamilyAnnotation[families[0]]
 		if hypothetical {
@@ -211,7 +229,7 @@ func Generate(sp Species, u *Universe, seed uint64) *Proteome {
 		}
 		p.Proteins = append(p.Proteins, Protein{
 			Seq: seq.Sequence{
-				ID:          fmt.Sprintf("%s_%05d", sp.Code, i+1),
+				ID:          string(buf),
 				Description: desc,
 				Residues:    res,
 			},
@@ -247,34 +265,41 @@ func (sp Species) sampleLength(r *rng.Source, hypothetical bool) int {
 }
 
 // fitLength pads or trims a sequence to exactly n residues.
-func fitLength(s string, n int, r *rng.Source) string {
-	if len(s) > n {
+func fitLength(s []byte, n int, r *rng.Source) []byte {
+	if len(s) >= n {
 		return s[:n]
 	}
-	if len(s) == n {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteString(s)
-	for b.Len() < n {
-		b.WriteByte(seq.Alphabet[background.Draw(r)])
-	}
-	return b.String()
+	return appendRandom(s, r, n-len(s))
 }
 
-func randomSequence(r *rng.Source, n int) string {
-	var b strings.Builder
-	b.Grow(n)
+// appendRandom appends n residues drawn at background frequencies.
+func appendRandom(dst []byte, r *rng.Source, n int) []byte {
 	for i := 0; i < n; i++ {
-		b.WriteByte(seq.Alphabet[background.Draw(r)])
+		dst = append(dst, seq.Alphabet[background.Draw(r)])
 	}
-	return b.String()
+	return dst
+}
+
+// appendPadded appends non-negative n in decimal, zero-padded to width
+// digits: fmt's %0*d.
+func appendPadded(dst []byte, n, width int) []byte {
+	digits := 1
+	for m := n; m >= 10; m /= 10 {
+		digits++
+	}
+	for ; digits < width; digits++ {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(n), 10)
 }
 
 // background draws residues at their background frequencies; every
-// generated and mutated residue comes from it.
-var background = rng.NewChoice(seq.BackgroundFreq[:])
+// generated and mutated residue comes from it. Half of a mutation's indels
+// are deletions.
+var (
+	background = rng.NewChoice(seq.BackgroundFreq[:])
+	deletion   = rng.NewBernoulli(0.5)
+)
 
 // Sequences returns just the seq.Sequence records of the proteome.
 func (p *Proteome) Sequences() []seq.Sequence {
@@ -308,7 +333,7 @@ func (p *Proteome) MeanLength() float64 {
 	return float64(total) / float64(len(p.Proteins))
 }
 
-// FilterMaxLen returns the proteins not exceeding maxLen residues; the paper
+// FilterMaxLen returns the proteins shorter than maxLen residues; the paper
 // excludes sequences of 2500 AA and above from the main runs.
 func (p *Proteome) FilterMaxLen(maxLen int) []Protein {
 	var out []Protein

@@ -1,6 +1,7 @@
 package proteome
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -224,6 +225,32 @@ func TestHypotheticalsHaveHighDivergence(t *testing.T) {
 	for _, h := range p.Hypotheticals() {
 		if h.Divergence < 0.72 {
 			t.Errorf("hypothetical %s divergence %v < 0.72", h.Seq.ID, h.Divergence)
+		}
+	}
+}
+
+// TestAppendPadded holds the locus-tag and family-label digits to fmt's
+// zero-padded verb.
+func TestAppendPadded(t *testing.T) {
+	for _, width := range []int{4, 5} {
+		for _, n := range []int{0, 1, 9, 10, 99, 999, 1000, 9999, 10000, 25134, 99999, 100000, 1234567} {
+			if got, want := string(appendPadded([]byte("x"), n, width)), fmt.Sprintf("x%0*d", width, n); got != want {
+				t.Errorf("appendPadded(%d, %d) = %q, want %q", n, width, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkGenerateWorld builds the campaign world: the universe and the
+// four paper proteomes at the published seed, with the parameters
+// experiments.NewEnv and Env.Proteome use.
+func BenchmarkGenerateWorld(b *testing.B) {
+	const seed = 20220125
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		u := NewUniverse(seed, 96, 60, 240)
+		for _, sp := range PaperSpecies() {
+			Generate(sp, u, seed+uint64(len(sp.Code)))
 		}
 	}
 }

@@ -1,9 +1,12 @@
 package rng
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/seq"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -227,10 +230,65 @@ func choiceOnce(s *Source, weights []float64) int {
 	return len(weights) - 1
 }
 
+// sourceAt returns a Source whose next Uint64 is word, by running
+// splitmix64's output mix backwards.
+func sourceAt(word uint64) *Source {
+	z := unxorshift(word, 31)
+	z *= inverse(0x94d049bb133111eb)
+	z = unxorshift(z, 27)
+	z *= inverse(0xbf58476d1ce4e5b9)
+	z = unxorshift(z, 30)
+	return &Source{state: z - 0x9e3779b97f4a7c15}
+}
+
+// unxorshift inverts y = x ^ x>>k.
+func unxorshift(y uint64, k uint) uint64 {
+	x := y
+	for s := k; s < 64; s += k {
+		x ^= y >> s
+	}
+	return x
+}
+
+// inverse returns the multiplicative inverse of odd a modulo 2⁶⁴ (Newton's
+// iteration: each step doubles the correct low bits, from 3).
+func inverse(a uint64) uint64 {
+	x := a
+	for range 5 {
+		x *= 2 - a*x
+	}
+	return x
+}
+
+// checkChoice holds c's Draw to choiceOnce over weights at the 64-bit word
+// and at every threshold of c and its neighbours, the uniforms where an
+// inexact threshold would show.
+func checkChoice(t *testing.T, c *Choice, weights []float64, word uint64) {
+	t.Helper()
+	words := []uint64{word}
+	low := word & (1<<(64-uniformBits) - 1)
+	for _, th := range c.thresh {
+		for _, m := range []uint64{th - 1, th, th + 1} {
+			if m < 1<<uniformBits {
+				words = append(words, m<<(64-uniformBits)|low)
+			}
+		}
+	}
+	for _, w := range words {
+		if got := sourceAt(w).Uint64(); got != w {
+			t.Fatalf("sourceAt(%#x) yields %#x", w, got)
+		}
+		if got, want := c.Draw(sourceAt(w)), choiceOnce(sourceAt(w), weights); got != want {
+			t.Fatalf("word %#x: Draw gave %d, the float scan %d (weights %v)", w, got, want, weights)
+		}
+	}
+}
+
 // TestChoiceMatchesPerCallSum: over random weight vectors (zeros, tiny and
 // huge weights included), a Choice built once draws the same index as
-// summing the weights on every call, draw for draw, from the same stream;
-// and it keeps its own copy of the weights.
+// summing the weights on every call, draw for draw, from the same stream,
+// and at every threshold; and it does not read the weights after it is
+// made.
 func TestChoiceMatchesPerCallSum(t *testing.T) {
 	r := New(13)
 	for v := 0; v < 500; v++ {
@@ -251,19 +309,78 @@ func TestChoiceMatchesPerCallSum(t *testing.T) {
 		c := NewChoice(w)
 		orig := append([]float64(nil), w...)
 		w[0] = -1 // the Choice must not see this
-		// A draw lands within an ulp of a boundary too rarely to show a
-		// change of summation order, so check the order on the total.
-		var total float64
-		for _, x := range orig {
-			total += x
-		}
-		if c.total != total {
-			t.Fatalf("vector %d: total %v, summing in order gives %v", v, c.total, total)
-		}
+		checkChoice(t, c, orig, r.Uint64())
 		a, b := New(uint64(v)), New(uint64(v))
 		for d := 0; d < 200; d++ {
 			if got, want := c.Draw(a), choiceOnce(b, orig); got != want {
 				t.Fatalf("vector %d draw %d: Choice gave %d, per-call sum %d (weights %v)", v, d, got, want, orig)
+			}
+		}
+	}
+}
+
+// FuzzChoiceDraw holds Draw to the float scan over arbitrary weight vectors
+// (up to 64 entries, eight bytes each read as a float64 with the sign
+// cleared; non-finite entries read as 0) and arbitrary 64-bit words.
+func FuzzChoiceDraw(f *testing.F) {
+	enc := func(ws ...float64) []byte {
+		var b []byte
+		for _, w := range ws {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(w))
+		}
+		return b
+	}
+	f.Add(enc(seq.BackgroundFreq[:]...), uint64(0))
+	f.Add(enc(seq.BackgroundFreq[:]...), uint64(0x9e3779b97f4a7c15))
+	f.Add(enc(seq.BackgroundFreq[:]...), ^uint64(0))
+	f.Add(enc(0, 1e-300, 1, 0, 1e300, 0), uint64(1)<<63)
+	f.Add(enc(1e-300, 1e-300, 0), uint64(12345))
+	many := make([]float64, 64)
+	for i := range many {
+		many[i] = float64(i%7) * 1e-3
+	}
+	f.Add(enc(many...), uint64(0x7ff))
+	f.Fuzz(func(t *testing.T, raw []byte, word uint64) {
+		n := min(len(raw)/8, 64)
+		weights := make([]float64, n)
+		var total float64
+		for i := range weights {
+			w := math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:])))
+			if math.IsInf(w, 0) || math.IsNaN(w) {
+				w = 0
+			}
+			weights[i] = w
+			total += w
+		}
+		if total <= 0 {
+			return // NewChoice refuses these; TestChoicePanicsOnZeroWeights
+		}
+		checkChoice(t, NewChoice(weights), weights, word)
+	})
+}
+
+// TestBernoulliMatchesFloat64: a Bernoulli coin lands true exactly when
+// Float64 on the same word is below p, at the coin's cut and its
+// neighbours and at random words, for edge and random p.
+func TestBernoulliMatchesFloat64(t *testing.T) {
+	r := New(14)
+	ps := []float64{0, math.Copysign(0, -1), -1, math.NaN(), 1, 1.5, math.Inf(1), 0.5,
+		math.SmallestNonzeroFloat64, 1e-300, 0x1p-53, 0x1p-54, 1 - 0x1p-53, math.Nextafter(1, 0), 0.1, 0.072}
+	for range 200 {
+		ps = append(ps, r.Float64())
+	}
+	for _, p := range ps {
+		b := NewBernoulli(p)
+		low := r.Uint64() & (1<<(64-uniformBits) - 1)
+		words := []uint64{r.Uint64(), r.Uint64()}
+		for _, m := range []uint64{uint64(b) - 1, uint64(b), uint64(b) + 1} {
+			if m < 1<<uniformBits {
+				words = append(words, m<<(64-uniformBits)|low)
+			}
+		}
+		for _, w := range words {
+			if got, want := b.Draw(sourceAt(w)), sourceAt(w).Float64() < p; got != want {
+				t.Fatalf("p=%v word %#x: Bernoulli %v, Float64() < p %v", p, w, got, want)
 			}
 		}
 	}
@@ -312,5 +429,22 @@ func BenchmarkNormFloat64(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = s.NormFloat64()
+	}
+}
+
+// BenchmarkChoiceDraw draws residues at background frequencies, the draw
+// every generated residue makes.
+func BenchmarkChoiceDraw(b *testing.B) {
+	c := NewChoice(seq.BackgroundFreq[:])
+	s := New(1)
+	for i := 0; i < b.N; i++ {
+		_ = c.Draw(s)
+	}
+}
+
+// BenchmarkNewChoice is the one-time cost of a 20-weight Choice.
+func BenchmarkNewChoice(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		_ = NewChoice(seq.BackgroundFreq[:])
 	}
 }
