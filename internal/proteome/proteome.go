@@ -128,12 +128,10 @@ func (u *Universe) Mutate(f int, divergence float64, r *rng.Source) string {
 	return string(u.appendMutant(make([]byte, 0, len(u.Domains[f])+8), f, divergence, r))
 }
 
-// appendMutant appends Mutate's descendant of family f to dst.
+// appendMutant appends Mutate's descendant of family f to dst, for
+// divergence > 0.
 func (u *Universe) appendMutant(dst []byte, f int, divergence float64, r *rng.Source) []byte {
 	anc := u.Domains[f]
-	if divergence <= 0 {
-		return append(dst, anc...)
-	}
 	start := len(dst)
 	indel, sub := rng.NewBernoulli(divergence/10), rng.NewBernoulli(divergence)
 	for i := 0; i < len(anc); i++ {
