@@ -156,6 +156,13 @@ func (e *Event) Validate() error {
 // the persisted log), fans events out to synchronous sinks, and wakes
 // blocking subscriber cursors.
 //
+// The history is kept in fixed-size blocks of blockLen events: an event
+// stays where it was first written, appending never copies the events
+// before it, and a bounded hub recycles the blocks it evicts. A retained
+// event costs about 104 B plus its strings, so a paper-sized campaign
+// (about 250k tasks, some four events each) holds some 10⁶ events,
+// about 100 MB, unless bounded with SetLimit.
+//
 // Emit is safe for concurrent use, though the scheduler calls it from
 // its single event-loop goroutine; sinks run on the emitting goroutine
 // under the hub lock, in stream order — they must be fast and must never
@@ -167,7 +174,7 @@ type Hub struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	start  time.Time
-	hist   []Event
+	hist   history
 	sinks  []func(Event)
 	closed bool
 
@@ -179,11 +186,66 @@ type Hub struct {
 	// lastSeq is the sequence of the most recently stamped (or restored)
 	// event; it keeps counting even when eviction shrinks hist.
 	lastSeq uint64
-	// limit bounds len(hist); 0 means unbounded.
+	// limit bounds hist.n; 0 means unbounded.
 	limit int
 	// evictedNS is the TimeNS of the newest evicted event — the stamp the
 	// synthesized Truncated marker carries.
 	evictedNS int64
+}
+
+// blockLen is the number of events in one history block (about 104 KB).
+const blockLen = 1024
+
+// history is the hub's retained events, oldest first, in blocks of
+// blockLen: event i of the window is at(i). Only the tail block has free
+// slots; dropping from the front releases a block once all of its events
+// are gone.
+type history struct {
+	blocks [][]Event
+	off    int // index in blocks[0] of the oldest retained event
+	n      int // retained events
+	// spare is a released block, cleared, that the next push needing a
+	// block takes instead of allocating one: a bounded hub's window slides
+	// without allocating.
+	spare []Event
+}
+
+// at returns the i-th retained event, 0 being the oldest.
+func (h *history) at(i int) *Event {
+	i += h.off
+	return &h.blocks[i/blockLen][i%blockLen]
+}
+
+func (h *history) push(e Event) {
+	if h.off+h.n == len(h.blocks)*blockLen {
+		b := h.spare
+		if b == nil {
+			b = make([]Event, blockLen)
+		}
+		h.blocks, h.spare = append(h.blocks, b), nil
+	}
+	*h.at(h.n) = e
+	h.n++
+}
+
+// dropFront forgets the k oldest events. A block they emptied becomes
+// the spare, cleared so it pins none of their strings, unless there is
+// one already.
+func (h *history) dropFront(k int) {
+	h.off += k
+	h.n -= k
+	for h.off >= blockLen {
+		if h.spare == nil {
+			h.spare = h.blocks[0]
+			clear(h.spare)
+		}
+		// Shift rather than re-slice, so the block list's array is reused
+		// by the next push instead of sliding out of its capacity.
+		copy(h.blocks, h.blocks[1:])
+		h.blocks[len(h.blocks)-1] = nil
+		h.blocks = h.blocks[:len(h.blocks)-1]
+		h.off -= blockLen
+	}
 }
 
 // NewHub creates a hub whose monotonic clock starts now.
@@ -207,12 +269,14 @@ func (h *Hub) AddSink(fn func(Event)) {
 
 // SetLimit bounds the in-memory backlog to at most n events, evicting
 // oldest-first (the hub-scaling fix for proteome-sized campaigns: a
-// 6,000-worker run emits millions of events and the hub must not hold
-// them all). A cursor that falls behind the retained window receives a
-// single synthesized Truncated marker and resumes at the oldest retained
-// event. n <= 0 restores the default unbounded retention. Sinks (the
-// persisted JSONL log) are unaffected — they observe every event as it
-// is emitted.
+// 6,000-worker run emits millions of events, about 104 B each plus their
+// strings, and the hub must not hold them all). A block whose events are
+// all evicted is cleared and reused as the next tail block, so a bounded
+// hub allocates nothing once its window has filled. A cursor that falls
+// behind the retained window receives a single synthesized Truncated
+// marker and resumes at the oldest retained event. n <= 0 restores the
+// default unbounded retention. Sinks (the persisted JSONL log) are
+// unaffected — they observe every event as it is emitted.
 func (h *Hub) SetLimit(n int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -224,14 +288,21 @@ func (h *Hub) SetLimit(n int) {
 	h.evict()
 }
 
+// record appends e to the history and evicts beyond the limit, oldest
+// first. Caller holds mu.
+func (h *Hub) record(e Event) {
+	h.hist.push(e)
+	h.evict()
+}
+
 // evict drops history beyond the limit, oldest first. Caller holds mu.
 func (h *Hub) evict() {
-	if h.limit <= 0 || len(h.hist) <= h.limit {
+	if h.limit <= 0 || h.hist.n <= h.limit {
 		return
 	}
-	k := len(h.hist) - h.limit
-	h.evictedNS = h.hist[k-1].TimeNS
-	h.hist = h.hist[k:]
+	k := h.hist.n - h.limit
+	h.evictedNS = h.hist.at(k - 1).TimeNS
+	h.hist.dropFront(k)
 }
 
 // Restore seeds a fresh hub with a previously recorded stream (a
@@ -263,11 +334,12 @@ func (h *Hub) Restore(evs []Event) error {
 	if len(evs) == 0 {
 		return nil
 	}
-	h.hist = append([]Event(nil), evs...)
+	for i := range evs {
+		h.record(evs[i])
+	}
 	last := evs[len(evs)-1]
 	h.lastSeq = last.Seq
 	h.start = time.Now().Add(-time.Duration(last.TimeNS))
-	h.evict()
 	return nil
 }
 
@@ -283,8 +355,7 @@ func (h *Hub) Emit(e Event) Event {
 	h.lastSeq++
 	e.Seq = h.lastSeq
 	e.TimeNS = time.Since(h.start).Nanoseconds()
-	h.hist = append(h.hist, e)
-	h.evict()
+	h.record(e)
 	for _, fn := range h.sinks {
 		fn(e)
 	}
@@ -292,11 +363,15 @@ func (h *Hub) Emit(e Event) Event {
 	return e
 }
 
-// Snapshot returns a copy of the full event history.
+// Snapshot returns a copy of the retained event history.
 func (h *Hub) Snapshot() []Event {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return append([]Event(nil), h.hist...)
+	out := make([]Event, h.hist.n)
+	for i := range out {
+		out[i] = *h.hist.at(i)
+	}
+	return out
 }
 
 // Close wakes every blocked cursor; once the backlog is drained their
@@ -348,7 +423,7 @@ func (c *Cursor) Next() (Event, bool) {
 		if c.cancelled {
 			return Event{}, false
 		}
-		if c.nextSeq <= h.lastSeq && len(h.hist) > 0 {
+		if c.nextSeq <= h.lastSeq && h.hist.n > 0 {
 			break
 		}
 		if h.closed {
@@ -356,7 +431,7 @@ func (c *Cursor) Next() (Event, bool) {
 		}
 		h.cond.Wait()
 	}
-	first := h.hist[0].Seq
+	first := h.hist.at(0).Seq
 	if c.nextSeq < first {
 		// The events between the cursor and the retained window were
 		// evicted: surface that explicitly instead of silently jumping.
@@ -370,7 +445,7 @@ func (c *Cursor) Next() (Event, bool) {
 		c.nextSeq = first
 		return marker, true
 	}
-	e := h.hist[c.nextSeq-first]
+	e := *h.hist.at(int(c.nextSeq - first))
 	c.nextSeq++
 	return e, true
 }

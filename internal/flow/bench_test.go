@@ -78,7 +78,32 @@ func (p *benchPeer) enqueue(m *message) error { p.got = append(p.got, m); return
 func (p *benchPeer) shutdown()                {}
 
 func benchDispatcherCore(b *testing.B, batch int) {
-	const numWorkers, tasksPerOp = 256, 2048
+	_, wave := dispatcherCore(b, batch)
+	wave() // warms the ring, the maps and the hub
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wave()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	perTask := float64(b.N) * coreWave
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perTask, "ns/task")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perTask, "allocs/task")
+}
+
+// coreWave is the tasks of one dispatcherCore wave.
+const coreWave = 2048
+
+// dispatcherCore builds the rig of BenchmarkDispatcherCore — a dispatcher
+// with live metrics and a hub bounded to 1,024 events, 256 recording
+// workers and one client — and returns its scheduler and one wave: 2,048
+// tasks submitted, handed out and acked.
+func dispatcherCore(tb testing.TB, batch int) (*Scheduler, func()) {
+	const numWorkers = 256
 	s := NewScheduler()
 	s.Batch = batch
 	s.Metrics = NewSchedulerMetrics(nil)
@@ -86,7 +111,7 @@ func benchDispatcherCore(b *testing.B, batch int) {
 	s.Events().SetLimit(1024)
 	d, err := s.newDispatcher()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	now := time.Unix(1_600_000_000, 0)
 	workers := make([]*workerConn, numWorkers)
@@ -97,7 +122,7 @@ func benchDispatcherCore(b *testing.B, batch int) {
 	client := &benchPeer{}
 	cc := &clientConn{ob: client}
 	payload := []byte(`{"job":"fold","species":"DVU","protein":"DVU_0001","preset":"reduced","seed":42}`)
-	tasks := make([]Task, tasksPerOp)
+	tasks := make([]Task, coreWave)
 	for i := range tasks {
 		tasks[i] = Task{ID: fmt.Sprintf("t%04d", i), Weight: float64(i % 97), Payload: payload}
 	}
@@ -127,25 +152,12 @@ func benchDispatcherCore(b *testing.B, batch int) {
 		for _, m := range client.got {
 			answered += len(m.Results)
 		}
-		if answered != tasksPerOp {
-			b.Fatalf("client was answered %d of %d tasks", answered, tasksPerOp)
+		if answered != coreWave {
+			tb.Fatalf("client was answered %d of %d tasks", answered, coreWave)
 		}
 		client.got = client.got[:0]
 	}
-	wave() // warms the ring, the maps and the hub
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wave()
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	perTask := float64(b.N) * tasksPerOp
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perTask, "ns/task")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perTask, "allocs/task")
+	return s, wave
 }
 
 func benchDispatch(b *testing.B, wire string, numWorkers, batch int, slowPeer bool) {

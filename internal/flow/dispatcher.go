@@ -188,18 +188,17 @@ func (d *dispatcher) flushForward() {
 func (d *dispatcher) settle(q *queued, now time.Time) {
 	t := q.tenant
 	t.admitted--
-	for len(t.deferred) > 0 && t.admitted < d.quota {
-		df := t.deferred[0]
-		t.deferred[0] = deferredTask{}
-		t.deferred = t.deferred[1:]
-		d.admit(df.q, now)
-		df.sub.waiting--
-		if df.sub.waiting == 0 {
+	for t.deferred.n > 0 && t.admitted < d.quota {
+		next, _ := t.deferred.Pop()
+		d.admit(next, now)
+		sub := next.sub
+		sub.waiting--
+		if sub.waiting == 0 {
 			d.flushForward()
-			_ = df.sub.cc.ob.enqueue(&message{Type: msgAccepted, Count: df.sub.total})
+			_ = sub.cc.ob.enqueue(&message{Type: msgAccepted, Count: sub.total})
 		}
 	}
-	if t.admitted == 0 && len(t.deferred) == 0 {
+	if t.admitted == 0 && t.deferred.n == 0 {
 		delete(d.byKey, t.key)
 		i := slices.Index(d.tenants, t)
 		d.tenants = slices.Delete(d.tenants, i, i+1)
@@ -361,7 +360,7 @@ func (d *dispatcher) result(wc *workerConn, ress []Result, now time.Time) {
 		} else {
 			d.emitQ(events.TaskDone, &q, wc.id, "")
 		}
-		q.wave.observe(res.End.Sub(res.Start))
+		q.sub.wave.observe(res.End.Sub(res.Start))
 		cc := q.client
 		if cc.gone {
 			cc = nil
@@ -412,13 +411,13 @@ func (d *dispatcher) submit(cc *clientConn, tasks []Task, campaign string, now t
 		if tn == nil || tn.key.campaign != t.Campaign {
 			tn = d.tenantOf(t.Campaign, cc)
 		}
-		q := queued{task: t, client: cc, tenant: tn, label: label, wave: &sub.wave}
+		q := queued{task: t, client: cc, tenant: tn, label: label, sub: sub}
 		// Anything already deferred for this tenant keeps arrival order:
 		// later tasks queue behind it even if a slot happens to be free
 		// right now.
-		if d.quota > 0 && (tn.admitted >= d.quota || len(tn.deferred) > 0) {
+		if d.quota > 0 && (tn.admitted >= d.quota || tn.deferred.n > 0) {
 			sub.waiting++
-			tn.deferred = append(tn.deferred, deferredTask{q: q, sub: sub})
+			tn.deferred.Push(q)
 			continue
 		}
 		d.admit(q, now)
@@ -436,16 +435,9 @@ func (d *dispatcher) clientGone(cc *clientConn, now time.Time) {
 	// queued tasks below re-admits deferred work of the same tenant, and
 	// the gone client's own tasks must not be the ones admitted.
 	for _, t := range d.tenants {
-		kept := t.deferred[:0]
-		for _, df := range t.deferred {
-			if df.sub.cc == cc {
-				d.emitQ(events.TaskDropped, &df.q, "", "")
-			} else {
-				kept = append(kept, df)
-			}
+		for _, q := range t.deferred.DropClient(cc) {
+			d.emitQ(events.TaskDropped, &q, "", "")
 		}
-		clear(t.deferred[len(kept):])
-		t.deferred = kept
 	}
 	// Orphan this client's queued tasks: drop them, releasing their
 	// admission slots to surviving campaign peers.

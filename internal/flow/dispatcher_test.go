@@ -61,11 +61,15 @@ type invariants struct {
 	received map[string]bool
 	settled  map[string]int  // terminal events per task
 	answered map[string]bool // tasks whose result reached their client
+	// waiting lists each tenant's tasks received and not yet admitted, in
+	// arrival order: a tenant admits, deferred or not, only its oldest.
+	waiting map[string][]string
 }
 
 func watch(t testing.TB, sc *scene) *invariants {
 	v := &invariants{t: t, sc: sc, d: sc.rig.(*directRig).d, fold: events.NewFold(),
-		received: map[string]bool{}, settled: map[string]int{}, answered: map[string]bool{}}
+		received: map[string]bool{}, settled: map[string]int{}, answered: map[string]bool{},
+		waiting: map[string][]string{}}
 	sc.check = v.step
 	return v
 }
@@ -75,12 +79,29 @@ func (v *invariants) step(frames map[string][]message, evs []events.Event) {
 	for i := range evs {
 		e := &evs[i]
 		v.fold.Observe(e)
+		tenant := e.Campaign
+		if tenant == "" && e.Type.TaskScoped() {
+			tenant = "client " + v.sc.owner[e.Task].name
+		}
 		switch e.Type {
 		case events.TaskReceived:
 			v.received[e.Task] = true
+			v.waiting[tenant] = append(v.waiting[tenant], e.Task)
+		case events.TaskQueued:
+			if e.Attempt == 0 { // an admission, not a requeue
+				w := v.waiting[tenant]
+				if len(w) == 0 || w[0] != e.Task {
+					t.Fatalf("%s admitted task %s out of arrival order: waiting, oldest first, %v", tenant, e.Task, w)
+				}
+				v.waiting[tenant] = w[1:]
+			}
 		case events.TaskDone, events.TaskFailed, events.TaskDropped:
 			if v.settled[e.Task]++; v.settled[e.Task] > 1 {
 				t.Fatalf("task %s settled twice (%s)", e.Task, e.Type)
+			}
+			if e.Type == events.TaskDropped {
+				// Dropped before admission: it leaves the line it waited in.
+				v.waiting[tenant] = slices.DeleteFunc(v.waiting[tenant], func(id string) bool { return id == e.Task })
 			}
 		case events.TaskAssigned:
 			if i := slices.IndexFunc(v.sc.workers, func(w *txWorker) bool { return w.id == e.Worker }); v.sc.workers[i].gone {
@@ -113,8 +134,8 @@ func (v *invariants) step(frames map[string][]message, evs []events.Event) {
 		t.Fatalf("%d tenants listed, %d indexed", len(v.d.tenants), len(v.d.byKey))
 	}
 	for _, tn := range v.d.tenants {
-		if tn.admitted < 0 || (v.d.quota > 0 && tn.admitted > v.d.quota) || (len(tn.deferred) > 0 && tn.admitted < v.d.quota) {
-			t.Fatalf("tenant %+v: admitted %d, deferred %d under quota %d", tn.key, tn.admitted, len(tn.deferred), v.d.quota)
+		if tn.admitted < 0 || (v.d.quota > 0 && tn.admitted > v.d.quota) || (tn.deferred.n > 0 && tn.admitted < v.d.quota) {
+			t.Fatalf("tenant %+v: admitted %d, deferred %d under quota %d", tn.key, tn.admitted, tn.deferred.n, v.d.quota)
 		}
 	}
 }
@@ -335,8 +356,65 @@ func TestTenantCountsOnlyItsOwnTasks(t *testing.T) {
 		t.Errorf("accepted acks = %v, want [2 2]: the two deferred frames' acks are withheld", acks)
 	}
 	for _, tn := range d.tenants {
-		if tn.admitted != 2 || len(tn.deferred) != 1 {
-			t.Errorf("tenant %+v: admitted %d, deferred %d; want 2 and 1", tn.key, tn.admitted, len(tn.deferred))
+		if tn.admitted != 2 || tn.deferred.n != 1 {
+			t.Errorf("tenant %+v: admitted %d, deferred %d; want 2 and 1", tn.key, tn.admitted, tn.deferred.n)
 		}
+	}
+}
+
+// TestDeferredRingWrapsThenClientLeaves: two clients of one campaign
+// queue behind its quota until the deferred lane has wrapped around its
+// ring; then one client leaves. Only the leaver's tasks are dropped, and
+// the survivor's are admitted in the order they arrived.
+func TestDeferredRingWrapsThenClientLeaves(t *testing.T) {
+	sc := &scene{rig: newDirectRig(t, txConfig{policy: PolicyFair, quota: 2, batch: 1})}
+	v := watch(t, sc)
+	var evs []events.Event
+	sc.check = func(frames map[string][]message, got []events.Event) {
+		evs = append(evs, got...)
+		v.step(frames, got)
+	}
+	a, b := sc.connect("c"), sc.connect("c")
+	w := sc.join()
+	sc.submit(a, 8, "") // t000, t001 admitted; t002..t007 deferred
+	sc.submit(b, 6, "") // t008..t013 deferred
+	for i := 0; i < 4; i++ {
+		sc.ack(w, 1, 40*time.Microsecond, false) // each admits the deferred head
+	}
+	sc.submit(a, 4, "") // t014..t017
+	sc.submit(b, 4, "") // t018..t021
+	d := v.d
+	if len(d.tenants) != 1 {
+		t.Fatalf("%d tenants, want the one campaign", len(d.tenants))
+	}
+	if l := &d.tenants[0].deferred; l.head+l.n <= len(l.buf) {
+		t.Fatalf("deferred ring head %d, %d tasks in %d slots: it has not wrapped", l.head, l.n, len(l.buf))
+	}
+	evs = nil
+	sc.drop(a)
+	var dropped []string
+	for _, e := range evs {
+		if e.Type == events.TaskDropped {
+			dropped = append(dropped, e.Task)
+		}
+	}
+	// The leaver's deferred tasks first, then its queued one; t004 is on
+	// the worker and finishes orphaned.
+	if want := "[t006 t007 t014 t015 t016 t017 t005]"; fmt.Sprint(dropped) != want {
+		t.Errorf("dropped %v, want %s", dropped, want)
+	}
+	sc.drain()
+	v.quiescent()
+	var admitted []string
+	for _, e := range evs {
+		if e.Type == events.TaskQueued && sc.owner[e.Task] == b {
+			admitted = append(admitted, e.Task)
+		}
+	}
+	if want := "[t008 t009 t010 t011 t012 t013 t018 t019 t020 t021]"; fmt.Sprint(admitted) != want {
+		t.Errorf("survivor's tasks admitted as %v, want %s", admitted, want)
+	}
+	if t.Failed() {
+		t.Logf("transcript:\n%s", sc.out.String())
 	}
 }

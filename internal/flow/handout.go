@@ -32,10 +32,10 @@ func (w *wave) observe(d time.Duration) {
 // back, and for any redelivery: a task that was on a worker when it died
 // may be what killed it, and must not take neighbours along again.
 func (q *queued) estimate() (time.Duration, bool) {
-	if q.attempts > 0 || q.wave == nil || q.wave.n == 0 {
+	if q.attempts > 0 || q.sub == nil || q.sub.wave.n == 0 {
 		return 0, false
 	}
-	return time.Duration(q.wave.sumNS / q.wave.n), true
+	return time.Duration(q.sub.wave.sumNS / q.sub.wave.n), true
 }
 
 // fillHandout pops the tasks of one handout off queue and appends them to

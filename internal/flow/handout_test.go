@@ -44,13 +44,13 @@ func TestFillHandoutSizing(t *testing.T) {
 				// One lane, so that fair hands out in submission order too.
 				next := 0
 				for _, r := range tc.queue {
-					w := &wave{}
+					sub := &submission{}
 					if r.mean > 0 {
-						w.observe(r.mean)
+						sub.wave.observe(r.mean)
 					}
 					for i := 0; i < r.tasks; i++ {
 						q := queue.task(fmt.Sprintf("t%03d", next), "c", nil)
-						q.attempts, q.wave = r.attempts, w
+						q.attempts, q.sub = r.attempts, sub
 						queue.Push(q)
 						next++
 					}
@@ -86,17 +86,17 @@ func TestFillHandoutSizing(t *testing.T) {
 // redelivery — ends the handout without losing its turn.
 func TestFillHandoutAcrossFairLanes(t *testing.T) {
 	queue := newTestQueue(t, PolicyFair)
-	w := &wave{}
-	w.observe(2 * time.Microsecond)
+	sub := &submission{}
+	sub.wave.observe(2 * time.Microsecond)
 	for i := 0; i < 2; i++ {
 		for _, c := range []string{"a", "b"} {
 			q := queue.task(fmt.Sprintf("%s%d", c, i), c, nil)
-			q.wave = w
+			q.sub = sub
 			queue.Push(q)
 		}
 	}
 	retry := queue.task("b-retry", "b", nil)
-	retry.wave, retry.attempts = w, 1
+	retry.sub, retry.attempts = sub, 1
 	queue.PushFront(retry)
 	var got []string
 	for queue.Len() > 0 {
@@ -114,13 +114,13 @@ func TestFillHandoutAcrossFairLanes(t *testing.T) {
 // TestWaveMean: the estimate is the plain mean of what was observed, and
 // a backwards clock on a worker counts as zero, not as negative time.
 func TestWaveMean(t *testing.T) {
-	q := queued{wave: &wave{}}
+	q := queued{sub: &submission{}}
 	if _, ok := q.estimate(); ok {
 		t.Error("estimate before any sample")
 	}
-	q.wave.observe(10 * time.Microsecond)
-	q.wave.observe(30 * time.Microsecond)
-	q.wave.observe(-time.Hour)
+	q.sub.wave.observe(10 * time.Microsecond)
+	q.sub.wave.observe(30 * time.Microsecond)
+	q.sub.wave.observe(-time.Hour)
 	if d, ok := q.estimate(); !ok || d != 40*time.Microsecond/3 {
 		t.Errorf("estimate = %v, %v; want %v", d, ok, 40*time.Microsecond/3)
 	}

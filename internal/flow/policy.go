@@ -29,10 +29,10 @@ type queued struct {
 	// label caches the task's event-stream name from admission time, so
 	// the emit path (some five events per task) never recomputes it.
 	label string
-	// wave is the handler-time record of the submit frame the task came
-	// in, shared by every task of that frame; a self-sizing scheduler
-	// reads its handout size off it.
-	wave *wave
+	// sub is the submit frame the task came in: its accepted ack waits on
+	// the task's admission, and a self-sizing scheduler reads its handout
+	// size off the frame's wave.
+	sub *submission
 }
 
 // tenantKey names one admission namespace: a named campaign, whoever
@@ -44,15 +44,16 @@ type tenantKey struct {
 
 // tenant is everything the scheduler keeps per namespace: the lane its
 // tasks wait in, how many of them are admitted — queued or in flight,
-// which is what Scheduler.Quota bounds — and the ones submitted beyond
-// the quota, in arrival order. A task's tenant is resolved once, when the
-// task is received, and carried on its queued entry; the record is
-// released when nothing is admitted or deferred any more.
+// which is what Scheduler.Quota bounds — and the lane of the ones
+// submitted beyond the quota, in arrival order. A task's tenant is
+// resolved once, when the task is received, and carried on its queued
+// entry; the record is released when nothing is admitted or deferred any
+// more.
 type tenant struct {
 	key      tenantKey
 	lane     *lane // its own under PolicyFair, the one shared lane under PolicyFIFO
 	admitted int
-	deferred []deferredTask
+	deferred lane
 }
 
 // submission is one submit frame: the accepted ack it is owed once every
@@ -62,11 +63,6 @@ type submission struct {
 	total   int
 	waiting int // tasks of this frame still deferred
 	wave    wave
-}
-
-type deferredTask struct {
-	q   queued
-	sub *submission
 }
 
 // lane is one first-in-first-out queue of waiting tasks, kept as a ring

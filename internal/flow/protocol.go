@@ -27,10 +27,10 @@
 // are events on the hub and frames on the peers' outboxes. Every task
 // belongs to a tenant — its campaign, or its submitter's connection when
 // it names none — resolved once, on receipt; the tenant record holds the
-// lane its tasks wait in, the count Scheduler.Quota bounds and the tasks
-// deferred beyond it, and is released when none is left. A lane is a FIFO
-// ring; the queue round-robins over the lanes that hold tasks, and under
-// PolicyFIFO all tenants share one.
+// lane its tasks wait in, the count Scheduler.Quota bounds and the lane
+// of tasks deferred beyond it, and is released when none is left. A lane
+// is a FIFO ring; the queue round-robins over the lanes that hold tasks,
+// and under PolicyFIFO all tenants share one.
 //
 // Every connection opens with a one-line hello naming its codec and the
 // wire version ("flow-wire binary 4"), staged in the same flush as the

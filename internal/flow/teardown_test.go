@@ -328,3 +328,41 @@ func TestSchedulerLeaksNoGoroutines(t *testing.T) {
 		t.Errorf("%d goroutines after Close, baseline %d:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
 	}
 }
+
+// TestSchedulerHeapStaysFlat is the memory twin of
+// TestSchedulerLeaksNoGoroutines: a million tasks through the dispatcher
+// core, with the event backlog bounded as `sched -event-backlog 4096`
+// does, must leave the live heap where two hundred thousand left it.
+// Whatever the dispatcher keeps per task — tenant records, lanes, the
+// hub's blocks, metric series — would show here as growth.
+func TestSchedulerHeapStaysFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a million tasks: skipped under -short")
+	}
+	const warm, total = 200_000, 1_000_000
+	// 256 KB is two and a half history blocks, and far below what a
+	// million tasks would leave at even one byte apiece.
+	const slack = 256 << 10
+	s, wave := dispatcherCore(t, 16)
+	s.Events().SetLimit(4096)
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapInuse
+	}
+	var atWarm uint64
+	for n := 0; n < total; n += coreWave {
+		if n >= warm && atWarm == 0 {
+			atWarm = heap()
+		}
+		wave()
+	}
+	end := heap()
+	runtime.KeepAlive(wave) // the rig is live at both readings
+	t.Logf("HeapInuse %d KB after %d tasks, %d KB after %d", atWarm>>10, warm, end>>10, total)
+	if end > atWarm+slack {
+		t.Errorf("HeapInuse grew %d KB between %d and %d tasks, past the %d KB slack",
+			(end-atWarm)>>10, warm, total, slack>>10)
+	}
+}
