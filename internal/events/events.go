@@ -1,8 +1,9 @@
 // Package events is the scheduler's structured observability subsystem:
 // a typed per-task state-machine event record (the transition log Dask's
-// scheduler keeps), stamped scheduler-side with monotonic times, fanned
-// out to sinks (the JSONL event log, the live metrics) and to live
-// subscribers (the `proteomectl monitor` wire stream).
+// scheduler keeps), each event stamped with the time of the scheduler
+// input that caused it, fanned out to sinks (the JSONL event log, the
+// live metrics) and to live subscribers (the `proteomectl monitor` wire
+// stream).
 //
 // The task state machine is
 //
@@ -29,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 )
 
 // Type is the kind of one scheduler event.
@@ -103,10 +103,12 @@ func (t Type) TaskScoped() bool {
 	return false
 }
 
-// Event is one scheduler-side state transition. Seq and TimeNS are
-// stamped by the Hub: Seq is the 1-based position in the stream and
-// TimeNS the monotonic nanoseconds since the hub (scheduler) started, so
-// an event log replays identically regardless of wall-clock adjustments.
+// Event is one scheduler-side state transition. The Hub stamps Seq, the
+// 1-based position in the stream. TimeNS is the emitter's: the scheduler
+// stamps every event of one input with that input's monotonic time, in
+// nanoseconds since the scheduler's epoch (its start, less the stream it
+// restored), so an event log replays identically regardless of
+// wall-clock adjustments and a virtual clock stamps exactly.
 type Event struct {
 	Seq    uint64 `json:"seq"`
 	TimeNS int64  `json:"t_ns"`
@@ -130,7 +132,7 @@ type Event struct {
 	Campaign string `json:"campaign,omitempty"`
 }
 
-// Seconds returns the monotonic stamp in seconds since the hub started.
+// Seconds returns the stamp in seconds since the scheduler's epoch.
 func (e *Event) Seconds() float64 { return float64(e.TimeNS) / 1e9 }
 
 // Validate checks the structural invariants a decoded event must hold:
@@ -150,11 +152,11 @@ func (e *Event) Validate() error {
 }
 
 // Hub is the scheduler-side event recorder: it stamps every emitted
-// event with a sequence number and a monotonic time, retains the history
-// (all of it by default, or a bounded tail under SetLimit — so a
-// subscriber that attaches mid-campaign observes the same sequence as
-// the persisted log), fans events out to synchronous sinks, and wakes
-// blocking subscriber cursors.
+// event with a sequence number (and reads no clock: TimeNS is the
+// emitter's), retains the history (all of it by default, or a bounded
+// tail under SetLimit — so a subscriber that attaches mid-campaign
+// observes the same sequence as the persisted log), fans events out to
+// synchronous sinks, and wakes blocking subscriber cursors.
 //
 // The history is kept in fixed-size blocks of blockLen events: an event
 // stays where it was first written, appending never copies the events
@@ -173,7 +175,6 @@ func (e *Event) Validate() error {
 type Hub struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	start  time.Time
 	hist   history
 	sinks  []func(Event)
 	closed bool
@@ -248,9 +249,9 @@ func (h *history) dropFront(k int) {
 	}
 }
 
-// NewHub creates a hub whose monotonic clock starts now.
+// NewHub creates an empty hub.
 func NewHub() *Hub {
-	h := &Hub{start: time.Now()}
+	h := &Hub{}
 	h.cond = sync.NewCond(&h.mu)
 	return h
 }
@@ -307,11 +308,10 @@ func (h *Hub) evict() {
 
 // Restore seeds a fresh hub with a previously recorded stream (a
 // restarted `sched -event-log` replaying its own log), so sequence
-// numbers and monotonic stamps continue where the crashed scheduler
-// stopped and late subscribers still see the full campaign backlog.
-// Events must be valid with contiguous sequences; the hub must not have
-// emitted yet. The monotonic clock is rebased so the next Emit stamps a
-// time after the last restored event.
+// numbers continue where the crashed scheduler stopped and late
+// subscribers still see the full campaign backlog. Events must be valid
+// with contiguous sequences; the hub must not have emitted yet. Restore
+// touches no time: continuing the stamps is the emitter's business.
 func (h *Hub) Restore(evs []Event) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -337,15 +337,13 @@ func (h *Hub) Restore(evs []Event) error {
 	for i := range evs {
 		h.record(evs[i])
 	}
-	last := evs[len(evs)-1]
-	h.lastSeq = last.Seq
-	h.start = time.Now().Add(-time.Duration(last.TimeNS))
+	h.lastSeq = evs[len(evs)-1].Seq
 	return nil
 }
 
-// Emit stamps e (Seq, TimeNS), appends it to the history, feeds the
-// sinks, wakes subscribers, and returns the stamped event. Emitting on a
-// closed hub is a no-op returning the zero event.
+// Emit stamps e's Seq, keeping its TimeNS, appends it to the history,
+// feeds the sinks, wakes subscribers, and returns the stamped event.
+// Emitting on a closed hub is a no-op returning the zero event.
 func (h *Hub) Emit(e Event) Event {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -354,7 +352,6 @@ func (h *Hub) Emit(e Event) Event {
 	}
 	h.lastSeq++
 	e.Seq = h.lastSeq
-	e.TimeNS = time.Since(h.start).Nanoseconds()
 	h.record(e)
 	for _, fn := range h.sinks {
 		fn(e)

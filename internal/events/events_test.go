@@ -54,15 +54,19 @@ func TestEventValidate(t *testing.T) {
 	}
 }
 
+// TestHubStampsAndRetains: Emit assigns the next Seq, whatever the caller
+// put there, and keeps the caller's TimeNS — the hub reads no clock, so
+// ordering the stamps is the emitter's business — and retains what it
+// stamped.
 func TestHubStampsAndRetains(t *testing.T) {
 	h := NewHub()
-	e1 := h.Emit(Event{Type: WorkerJoin, Worker: "w1"})
-	e2 := h.Emit(Event{Type: TaskReceived, Task: "a"})
+	e1 := h.Emit(Event{TimeNS: 7, Type: WorkerJoin, Worker: "w1"})
+	e2 := h.Emit(Event{Seq: 99, TimeNS: 5, Type: TaskReceived, Task: "a"})
 	if e1.Seq != 1 || e2.Seq != 2 {
 		t.Fatalf("sequence = %d, %d, want 1, 2", e1.Seq, e2.Seq)
 	}
-	if e2.TimeNS < e1.TimeNS {
-		t.Fatalf("stamps not monotonic: %d then %d", e1.TimeNS, e2.TimeNS)
+	if e1.TimeNS != 7 || e2.TimeNS != 5 {
+		t.Fatalf("stamps = %d, %d, want the emitter's 7, 5", e1.TimeNS, e2.TimeNS)
 	}
 	if len(h.Snapshot()) != 2 {
 		t.Fatalf("Len = %d, want 2", len(h.Snapshot()))

@@ -2,6 +2,7 @@ package events
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -109,12 +110,16 @@ func TestCursorNoMarkerWithoutEviction(t *testing.T) {
 	}
 }
 
+// TestHubRestoreContinuesStream: a restored hub continues the sequence and
+// touches no time — the restored events keep their stamps, and the next
+// Emit keeps the one its caller gave, earlier than the last restored or not
+// (continuing the clock is the scheduler's business).
 func TestHubRestoreContinuesStream(t *testing.T) {
 	// Record a stream on one hub (the crashed scheduler)...
 	h1 := NewHub()
-	h1.Emit(Event{Type: WorkerJoin, Worker: "w1"})
-	h1.Emit(Event{Type: TaskReceived, Task: "a"})
-	h1.Emit(Event{Type: TaskQueued, Task: "a"})
+	h1.Emit(Event{TimeNS: 10, Type: WorkerJoin, Worker: "w1"})
+	h1.Emit(Event{TimeNS: 20, Type: TaskReceived, Task: "a"})
+	h1.Emit(Event{TimeNS: 30, Type: TaskQueued, Task: "a"})
 	recorded := h1.Snapshot()
 
 	// ...and restore it into a fresh one (the restarted scheduler).
@@ -122,12 +127,15 @@ func TestHubRestoreContinuesStream(t *testing.T) {
 	if err := h2.Restore(recorded); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	e := h2.Emit(Event{Type: TaskAssigned, Task: "a", Worker: "w1"})
+	e := h2.Emit(Event{TimeNS: 3, Type: TaskAssigned, Task: "a", Worker: "w1"})
 	if e.Seq != 4 {
 		t.Fatalf("post-restore Seq = %d, want 4", e.Seq)
 	}
-	if e.TimeNS < recorded[2].TimeNS {
-		t.Fatalf("post-restore stamp %d went backwards (last restored %d)", e.TimeNS, recorded[2].TimeNS)
+	if e.TimeNS != 3 {
+		t.Fatalf("post-restore stamp = %d, want the emitter's 3", e.TimeNS)
+	}
+	if got := h2.Snapshot()[:3]; !slices.Equal(got, recorded) {
+		t.Fatalf("restored events = %+v, want them as recorded, %+v", got, recorded)
 	}
 	// A subscriber attaching after the restart replays the full stream.
 	h2.Close()

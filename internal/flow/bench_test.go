@@ -74,8 +74,8 @@ func BenchmarkDispatcherCore(b *testing.B) {
 // benchPeer keeps the frames it is handed, uncopied.
 type benchPeer struct{ got []*message }
 
-func (p *benchPeer) enqueue(m *message) error { p.got = append(p.got, m); return nil }
-func (p *benchPeer) shutdown()                {}
+func (p *benchPeer) enqueue(m *message) { p.got = append(p.got, m) }
+func (p *benchPeer) shutdown()          {}
 
 func benchDispatcherCore(b *testing.B, batch int) {
 	_, wave := dispatcherCore(b, batch)
@@ -109,11 +109,11 @@ func dispatcherCore(tb testing.TB, batch int) (*Scheduler, func()) {
 	s.Metrics = NewSchedulerMetrics(nil)
 	s.Events().AddSink(s.Metrics.Observe)
 	s.Events().SetLimit(1024)
-	d, err := s.newDispatcher()
+	now := time.Unix(1_600_000_000, 0)
+	d, err := s.newDispatcher(now)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	now := time.Unix(1_600_000_000, 0)
 	workers := make([]*workerConn, numWorkers)
 	for i := range workers {
 		workers[i] = &workerConn{id: fmt.Sprintf("w%03d", i), ob: &benchPeer{}}

@@ -10,11 +10,13 @@ import (
 )
 
 // peer is the dispatcher's end of one connection, a queue of outbound
-// frames that never blocks the caller: an outbox, or a recorder in tests
-// that drive the dispatcher without sockets.
+// frames that never blocks the caller and never fails: an outbox, or a
+// recorder in tests that drive the dispatcher without sockets. A peer
+// that can no longer take frames drops them; its death reaches the
+// dispatcher as an input from the connection's read pump.
 type peer interface {
-	// enqueue hands over one frame, or reports the peer dead.
-	enqueue(m *message) error
+	// enqueue hands over one frame.
+	enqueue(m *message)
 	// shutdown drops the peer: frames still queued are discarded.
 	shutdown()
 }
@@ -74,8 +76,11 @@ type schedEvent struct {
 type dispatcher struct {
 	quota, batch, maxRetries int
 	beatTimeout              time.Duration
-	hub                      *events.Hub
-	metrics                  *SchedulerMetrics
+	// epoch is time zero of the event stream: an input at now stamps its
+	// events now − epoch.
+	epoch   time.Time
+	hub     *events.Hub
+	metrics *SchedulerMetrics
 
 	queue taskQueue
 	// shared is the one lane of every tenant under PolicyFIFO; under
@@ -99,10 +104,10 @@ type dispatcher struct {
 }
 
 // newDispatcher builds the state machine of a scheduler configured as s
-// is, validating the policy name.
-func (s *Scheduler) newDispatcher() (*dispatcher, error) {
+// is, whose event stream starts at epoch, validating the policy name.
+func (s *Scheduler) newDispatcher(epoch time.Time) (*dispatcher, error) {
 	d := &dispatcher{
-		quota: s.Quota, batch: s.Batch, maxRetries: s.MaxRetries, beatTimeout: s.HeartbeatTimeout,
+		quota: s.Quota, batch: s.Batch, maxRetries: s.MaxRetries, beatTimeout: s.HeartbeatTimeout, epoch: epoch,
 		hub: s.hub, metrics: s.Metrics, byKey: map[tenantKey]*tenant{},
 	}
 	switch s.Policy {
@@ -115,7 +120,7 @@ func (s *Scheduler) newDispatcher() (*dispatcher, error) {
 	return d, nil
 }
 
-// handle applies one input from a connection's read pump or outbox.
+// handle applies one input from a connection's read pump.
 func (d *dispatcher) handle(e schedEvent, now time.Time) {
 	switch e.kind {
 	case inRegister:
@@ -133,13 +138,19 @@ func (d *dispatcher) handle(e schedEvent, now time.Time) {
 	}
 }
 
-// emitQ records one task-scoped event (Seq and TimeNS are stamped by the
-// hub, so views observe transitions in scheduling order), carrying the
-// task's campaign namespace so monitors and the event log can attribute
-// the transition, and the label cached at admission — the emit path runs
-// some five times per task, so it never recomputes the label string.
-func (d *dispatcher) emitQ(typ events.Type, q *queued, worker, errMsg string) {
-	d.hub.Emit(events.Event{Type: typ, Task: q.label, Worker: worker, Err: errMsg, Campaign: q.task.Campaign})
+// emit records one event at the time of the input that caused it; the
+// hub adds the sequence number.
+func (d *dispatcher) emit(e events.Event, now time.Time) {
+	e.TimeNS = now.Sub(d.epoch).Nanoseconds()
+	d.hub.Emit(e)
+}
+
+// emitQ records one task-scoped event, carrying the task's campaign
+// namespace so monitors and the event log can attribute the transition,
+// and the label cached at admission — the emit path runs some five times
+// per task, so it never recomputes the label string.
+func (d *dispatcher) emitQ(typ events.Type, q *queued, worker, errMsg string, now time.Time) {
+	d.emit(events.Event{Type: typ, Task: q.label, Worker: worker, Err: errMsg, Campaign: q.task.Campaign}, now)
 }
 
 // tenantOf is the one place that answers "whose task is this?": the
@@ -168,13 +179,13 @@ func (d *dispatcher) tenantOf(campaign string, cc *clientConn) *tenant {
 func (d *dispatcher) admit(q queued, now time.Time) {
 	q.task.EnqueuedNS = now.UnixNano()
 	q.tenant.admitted++
-	d.emitQ(events.TaskQueued, &q, "", "")
+	d.emitQ(events.TaskQueued, &q, "", "", now)
 	d.queue.Push(q)
 }
 
 func (d *dispatcher) flushForward() {
 	if d.fwdTo != nil {
-		_ = d.fwdTo.ob.enqueue(&message{Type: msgResult, Results: d.fwd})
+		d.fwdTo.ob.enqueue(&message{Type: msgResult, Results: d.fwd})
 		d.fwdTo, d.fwd = nil, nil
 	}
 }
@@ -195,7 +206,7 @@ func (d *dispatcher) settle(q *queued, now time.Time) {
 		sub.waiting--
 		if sub.waiting == 0 {
 			d.flushForward()
-			_ = sub.cc.ob.enqueue(&message{Type: msgAccepted, Count: sub.total})
+			sub.cc.ob.enqueue(&message{Type: msgAccepted, Count: sub.total})
 		}
 	}
 	if t.admitted == 0 && t.deferred.n == 0 {
@@ -216,37 +227,36 @@ func (d *dispatcher) requeue(q queued, now time.Time) {
 	if d.maxRetries > 0 && q.attempts > d.maxRetries {
 		errMsg := fmt.Sprintf("flow: task %s quarantined: worker died on all %d attempts (retry budget %d)",
 			q.label, q.attempts, d.maxRetries)
-		d.hub.Emit(events.Event{Type: events.TaskFailed, Task: q.label, Err: errMsg, Attempt: q.attempts, Campaign: q.task.Campaign})
-		d.hub.Emit(events.Event{Type: events.TaskQuarantined, Task: q.label, Attempt: q.attempts, Campaign: q.task.Campaign})
+		d.emit(events.Event{Type: events.TaskFailed, Task: q.label, Err: errMsg, Attempt: q.attempts, Campaign: q.task.Campaign}, now)
+		d.emit(events.Event{Type: events.TaskQuarantined, Task: q.label, Attempt: q.attempts, Campaign: q.task.Campaign}, now)
 		if !q.client.gone {
-			_ = q.client.ob.enqueue(&message{Type: msgResult, Results: []Result{{TaskID: q.task.ID, Err: errMsg}}})
+			q.client.ob.enqueue(&message{Type: msgResult, Results: []Result{{TaskID: q.task.ID, Err: errMsg}}})
 		}
 		d.settle(&q, now)
 		return
 	}
 	q.running = false
 	d.queue.PushFront(q)
-	d.hub.Emit(events.Event{Type: events.TaskQueued, Task: q.label, Attempt: q.attempts, Campaign: q.task.Campaign})
+	d.emit(events.Event{Type: events.TaskQueued, Task: q.label, Attempt: q.attempts, Campaign: q.task.Campaign}, now)
 }
 
-// dropWorker is the one teardown of a worker, whoever noticed it gone:
-// the heartbeat sweep (typ worker_lost), its read pump or outbox writer
-// failing (worker_leave), or a handout that could not be enqueued because
-// the outbox had already failed or overflowed (worker_leave). The worker
-// leaves the fleet and the free list, its outbox stops — which closes the
-// conn, so a still-running read pump fails soon after and finds the
-// worker already gone — and its unacked handout returns to the queue back
-// to front, so the queue head ends up in original handout order. Going
-// through requeue charges every one of those deliveries against the retry
-// budget: a worker dying exactly at send time must not grant its batch a
-// free attempt, or a poison task could cycle through send failures
-// forever.
+// dropWorker is the one teardown of a worker, with two callers: the
+// heartbeat sweep (typ worker_lost) and workerGone (worker_leave), which
+// is how a failed or overflowed outbox is reported too, since it closes
+// the conn under the read pump. The worker leaves the fleet and the free
+// list, its outbox stops — which closes the conn, so a still-running read
+// pump fails soon after and finds the worker already gone — and its
+// unacked handout returns to the queue back to front, so the queue head
+// ends up in original handout order. Going through requeue charges every
+// one of those deliveries against the retry budget: a worker dying
+// exactly at send time must not grant its batch a free attempt, or a
+// poison task could cycle through send failures forever.
 func (d *dispatcher) dropWorker(wc *workerConn, typ events.Type, reason string, now time.Time) {
 	wc.live = false
 	d.workers = slices.DeleteFunc(d.workers, func(w *workerConn) bool { return w == wc })
 	d.free = slices.DeleteFunc(d.free, func(w *workerConn) bool { return w == wc })
 	wc.ob.shutdown()
-	d.hub.Emit(events.Event{Type: typ, Worker: wc.id, Err: reason})
+	d.emit(events.Event{Type: typ, Worker: wc.id, Err: reason}, now)
 	for i := len(wc.current) - 1; i >= 0; i-- {
 		d.requeue(wc.current[i], now)
 	}
@@ -263,25 +273,22 @@ func (d *dispatcher) assign(now time.Time) {
 		tasks := make([]Task, len(w.current))
 		for i := range w.current {
 			tasks[i] = w.current[i].task
-			d.emitQ(events.TaskAssigned, &w.current[i], w.id, "")
+			d.emitQ(events.TaskAssigned, &w.current[i], w.id, "", now)
 		}
 		if d.metrics != nil {
 			d.metrics.handoutTasks.Observe(float64(len(tasks)))
 		}
 		// One frame per handout; the outbox writer coalesces bursts of
-		// handouts into one flush.
-		if err := w.ob.enqueue(&message{Type: msgTask, Tasks: tasks}); err != nil {
-			d.dropWorker(w, events.WorkerLeave, "", now)
-			continue
-		}
-		// Delivered: the worker starts the batch head on receipt and runs
-		// the rest in order, so only the head is running now. The others
-		// stay assigned until a partial ack reveals the worker moved on;
-		// the exact per-task execution bracket is always the Result's
-		// Start/End stamps, the event stream records when the scheduler
-		// learned of each transition.
+		// handouts into one flush. The worker starts the batch head on
+		// receipt and runs the rest in order, so only the head is running
+		// now — even if the write then fails, which the read pump reports
+		// as the worker gone. The others stay assigned until a partial ack
+		// reveals the worker moved on; the exact per-task execution bracket
+		// is always the Result's Start/End stamps, the event stream records
+		// when the scheduler learned of each transition.
+		w.ob.enqueue(&message{Type: msgTask, Tasks: tasks})
 		w.current[0].running = true
-		d.emitQ(events.TaskRunning, &w.current[0], w.id, "")
+		d.emitQ(events.TaskRunning, &w.current[0], w.id, "", now)
 	}
 }
 
@@ -289,7 +296,7 @@ func (d *dispatcher) register(wc *workerConn, now time.Time) {
 	wc.live, wc.lastBeat = true, now
 	d.workers = append(d.workers, wc)
 	d.free = append(d.free, wc)
-	d.hub.Emit(events.Event{Type: events.WorkerJoin, Worker: wc.id})
+	d.emit(events.Event{Type: events.WorkerJoin, Worker: wc.id}, now)
 	d.assign(now)
 }
 
@@ -302,9 +309,9 @@ func (d *dispatcher) heartbeat(wc *workerConn, gauges *WorkerGauges, now time.Ti
 	}
 }
 
-// workerGone: the read pump or the outbox writer failed. Either may
-// report after the other, or after the sweep or a failed handout already
-// dropped the worker.
+// workerGone: the read pump failed — the peer closed the conn, or the
+// outbox did after a failed write or an overflow. It may report after the
+// sweep already dropped the worker.
 func (d *dispatcher) workerGone(wc *workerConn, now time.Time) {
 	if wc.live {
 		d.dropWorker(wc, events.WorkerLeave, "", now)
@@ -356,9 +363,9 @@ func (d *dispatcher) result(wc *workerConn, ress []Result, now time.Time) {
 		q := wc.current[j]
 		wc.current = slices.Delete(wc.current, j, j+1) // clears the vacated slot
 		if res.Err != "" {
-			d.emitQ(events.TaskFailed, &q, wc.id, res.Err)
+			d.emitQ(events.TaskFailed, &q, wc.id, res.Err, now)
 		} else {
-			d.emitQ(events.TaskDone, &q, wc.id, "")
+			d.emitQ(events.TaskDone, &q, wc.id, "", now)
 		}
 		q.sub.wave.observe(res.End.Sub(res.Start))
 		cc := q.client
@@ -382,7 +389,7 @@ func (d *dispatcher) result(wc *workerConn, ress []Result, now time.Time) {
 	if len(wc.current) > 0 {
 		if head := &wc.current[0]; !head.running {
 			head.running = true
-			d.emitQ(events.TaskRunning, head, wc.id, "")
+			d.emitQ(events.TaskRunning, head, wc.id, "", now)
 		}
 	} else if busy {
 		// Only a worker that was actually busy — and whose batch is fully
@@ -407,7 +414,7 @@ func (d *dispatcher) submit(cc *clientConn, tasks []Task, campaign string, now t
 		// The event stream names a task by the submitting executor's trace
 		// tag when it has one, else by its wire ID.
 		label := cmp.Or(t.Label, t.ID)
-		d.hub.Emit(events.Event{Type: events.TaskReceived, Task: label, Campaign: t.Campaign})
+		d.emit(events.Event{Type: events.TaskReceived, Task: label, Campaign: t.Campaign}, now)
 		if tn == nil || tn.key.campaign != t.Campaign {
 			tn = d.tenantOf(t.Campaign, cc)
 		}
@@ -423,7 +430,7 @@ func (d *dispatcher) submit(cc *clientConn, tasks []Task, campaign string, now t
 		d.admit(q, now)
 	}
 	if sub.waiting == 0 {
-		_ = cc.ob.enqueue(&message{Type: msgAccepted, Count: sub.total})
+		cc.ob.enqueue(&message{Type: msgAccepted, Count: sub.total})
 	}
 	d.assign(now)
 }
@@ -436,13 +443,13 @@ func (d *dispatcher) clientGone(cc *clientConn, now time.Time) {
 	// the gone client's own tasks must not be the ones admitted.
 	for _, t := range d.tenants {
 		for _, q := range t.deferred.DropClient(cc) {
-			d.emitQ(events.TaskDropped, &q, "", "")
+			d.emitQ(events.TaskDropped, &q, "", "", now)
 		}
 	}
 	// Orphan this client's queued tasks: drop them, releasing their
 	// admission slots to surviving campaign peers.
 	for _, q := range d.queue.DropClient(cc) {
-		d.emitQ(events.TaskDropped, &q, "", "")
+		d.emitQ(events.TaskDropped, &q, "", "", now)
 		d.settle(&q, now)
 	}
 	// Releasing the gone client's admission slots may have admitted

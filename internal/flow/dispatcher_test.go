@@ -64,6 +64,8 @@ type invariants struct {
 	// waiting lists each tenant's tasks received and not yet admitted, in
 	// arrival order: a tenant admits, deferred or not, only its oldest.
 	waiting map[string][]string
+	// last is the latest event seen.
+	last events.Event
 }
 
 func watch(t testing.TB, sc *scene) *invariants {
@@ -76,8 +78,18 @@ func watch(t testing.TB, sc *scene) *invariants {
 
 func (v *invariants) step(frames map[string][]message, evs []events.Event) {
 	t := v.t
+	// One clock: a step is one input (a sweep with its heartbeats), and
+	// every event it emits carries that input's time since the epoch.
+	stamp := v.sc.rig.(*directRig).now.Sub(v.d.epoch).Nanoseconds()
 	for i := range evs {
 		e := &evs[i]
+		if e.TimeNS != stamp {
+			t.Fatalf("%s event #%d stamped %d ns, want its input's %d ns", e.Type, e.Seq, e.TimeNS, stamp)
+		}
+		if e.Seq != v.last.Seq+1 || e.TimeNS < v.last.TimeNS {
+			t.Fatalf("event #%d at %d ns follows event #%d at %d ns", e.Seq, e.TimeNS, v.last.Seq, v.last.TimeNS)
+		}
+		v.last = *e
 		v.fold.Observe(e)
 		tenant := e.Campaign
 		if tenant == "" && e.Type.TaskScoped() {
@@ -251,7 +263,7 @@ func TestTenantsAreReleased(t *testing.T) {
 	s := NewScheduler()
 	s.Policy, s.Quota, s.Batch = PolicyFair, quota, 3
 	s.Events().SetLimit(64)
-	d, err := s.newDispatcher()
+	d, err := s.newDispatcher(txEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +344,7 @@ func TestTenantsAreReleased(t *testing.T) {
 func TestTenantCountsOnlyItsOwnTasks(t *testing.T) {
 	s := NewScheduler()
 	s.Quota = 2
-	d, err := s.newDispatcher()
+	d, err := s.newDispatcher(txEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,6 +163,34 @@ func TestEventLogMatchesHub(t *testing.T) {
 	}
 }
 
+// TestRestoreEventsContinuesClock: a scheduler restarted on its own log
+// continues the stream, the hub its sequence and Start its clock, so the
+// first event after the restart follows the last restored one in both.
+func TestRestoreEventsContinuesClock(t *testing.T) {
+	const last = int64(time.Hour) // far past anything a fresh clock reads
+	s := NewScheduler()
+	if err := s.RestoreEvents([]events.Event{
+		{Seq: 1, TimeNS: 0, Type: events.WorkerJoin, Worker: "w0"},
+		{Seq: 2, TimeNS: last, Type: events.WorkerLeave, Worker: "w0"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	w := NewWorker("w1", echoHandler)
+	if err := w.Connect(addr); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	waitUntil(t, 5*time.Second, func() bool { return len(s.Events().Snapshot()) == 3 }, "the first event after the restart")
+	if e := s.Events().Snapshot()[2]; e.Seq != 3 || e.Type != events.WorkerJoin || e.TimeNS < last {
+		t.Fatalf("first event after the restart = %+v, want worker_join #3 at %d ns or later", e, last)
+	}
+}
+
 // TestMonitorBacklogThenLive: a monitor that attaches mid-campaign first
 // observes the full backlog, then live events — the same sequence as the
 // persisted record, with no client cooperation.

@@ -66,28 +66,6 @@ func TestClientMapFailsFastOnWedgedScheduler(t *testing.T) {
 	}
 }
 
-// TestWorkerReadTimeoutUnblocksLoop: a worker with a read deadline pointed
-// at a scheduler that never assigns work exits its loop instead of
-// blocking Close forever.
-func TestWorkerReadTimeoutUnblocksLoop(t *testing.T) {
-	addr := wedgedListener(t)
-	w := NewWorker("deadlined", echoHandler)
-	w.ReadTimeout = 100 * time.Millisecond
-	if err := w.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		w.Close() // waits for the loop, which only exits via the deadline
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker loop did not exit on read timeout")
-	}
-}
-
 func TestMapObserverSeesHandlerErrors(t *testing.T) {
 	h := func(task Task) (json.RawMessage, error) {
 		if task.ID == "t001" {
@@ -260,7 +238,7 @@ func TestAcceptLoopBacksOff(t *testing.T) {
 	faulty := &faultyListener{Listener: ln}
 	faulty.failing.Store(true)
 	s := NewScheduler()
-	d, err := s.newDispatcher()
+	d, err := s.newDispatcher(time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -280,9 +280,9 @@ func TestSchedulerHealthz(t *testing.T) {
 	}
 }
 
-// TestOutboxOverflowCounter: a peer that never drains overflows its outbox;
-// the overflow — which never reaches the event stream — must land on the
-// counter.
+// TestOutboxOverflowCounter: a peer that never drains overflows its outbox,
+// which stops its writer; the overflow — which never reaches the event
+// stream — must land on the counter, once.
 func TestOutboxOverflowCounter(t *testing.T) {
 	s := NewScheduler()
 	s.Metrics = NewSchedulerMetrics(nil)
@@ -297,19 +297,22 @@ func TestOutboxOverflowCounter(t *testing.T) {
 	// overflows.
 	us, them := net.Pipe()
 	t.Cleanup(func() { us.Close(); them.Close() })
-	ob := s.newOutbox(them, newJSONCodec(bufio.NewReader(them), bufio.NewWriter(them)), nil)
+	ob := s.newOutbox(them, newJSONCodec(bufio.NewReader(them), bufio.NewWriter(them)))
 	defer ob.shutdown()
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := ob.enqueue(&message{Type: msgEvent})
-		if err != nil {
-			break
+	for stopped := false; !stopped; {
+		ob.enqueue(&message{Type: msgEvent})
+		select {
+		case <-ob.stop:
+			stopped = true
+		default:
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("outbox never overflowed")
 		}
 		time.Sleep(time.Millisecond)
 	}
+	ob.enqueue(&message{Type: msgEvent}) // after the overflow: dropped, not counted
 	if n := s.Metrics.outboxOverflows.Value(); n != 1 {
 		t.Fatalf("flow_outbox_overflows_total = %d, want 1", n)
 	}

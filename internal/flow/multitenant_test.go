@@ -29,13 +29,9 @@ func waitUntil(t *testing.T, timeout time.Duration, cond func() bool, desc strin
 // directly into the event loop: the scheduler side of a net.Pipe behind
 // an outbox, exactly as serveConn builds one. Unlike dialRawWorker there
 // is no read pump, so the test fully controls which schedEvents exist and
-// in what order.
+// in what order — it sends inWorkerGone itself where the pump would.
 func fakeWorkerConn(s *Scheduler, id string, sched net.Conn) *workerConn {
-	wc := &workerConn{id: id}
-	wc.ob = s.newOutbox(sched, newJSONCodec(bufio.NewReader(sched), bufio.NewWriter(sched)), func(error) {
-		s.sendEvent(schedEvent{kind: inWorkerGone, wc: wc})
-	})
-	return wc
+	return &workerConn{id: id, ob: s.newOutbox(sched, newJSONCodec(bufio.NewReader(sched), bufio.NewWriter(sched)))}
 }
 
 // drainedWorkerConn is a fakeWorkerConn whose peer reads and discards
@@ -142,11 +138,19 @@ func TestSendFailureChargesRetryBudget(t *testing.T) {
 	waitUntil(t, 5*time.Second, func() bool { return countEvents(s, events.TaskQueued) >= 1 }, "submit")
 
 	// The brittle worker's pipe peer is already closed, so the handout
-	// flush fails and the outbox writer reports the worker gone.
+	// flush fails and the outbox closes the conn; the read pump a real
+	// connection has would then fail and report the worker gone.
 	sched, peer := net.Pipe()
 	peer.Close()
 	t.Cleanup(func() { sched.Close() })
-	s.sendEvent(schedEvent{kind: inRegister, wc: fakeWorkerConn(s, "brittle", sched)})
+	brittle := fakeWorkerConn(s, "brittle", sched)
+	s.sendEvent(schedEvent{kind: inRegister, wc: brittle})
+	select {
+	case <-brittle.ob.(*outbox).stop:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the failed handout write did not stop the outbox")
+	}
+	s.sendEvent(schedEvent{kind: inWorkerGone, wc: brittle})
 	waitForEvent(t, s, events.WorkerLeave, 5*time.Second)
 
 	// The retry lands on a healthy worker, unchanged.

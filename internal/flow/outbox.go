@@ -2,7 +2,6 @@ package flow
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -23,7 +22,7 @@ const (
 	DefaultWriteTimeout = 30 * time.Second
 )
 
-// errOutboxStopped reports an enqueue on an outbox whose writer has
+// errOutboxStopped reports an enqueueWait on an outbox whose writer has
 // already been stopped (peer gone, scheduler closing).
 var errOutboxStopped = errors.New("flow: outbox stopped")
 
@@ -32,10 +31,12 @@ var errOutboxStopped = errors.New("flow: outbox stopped")
 // blocking and without touching the socket; the writer coalesces every
 // frame queued at wake-up into a single Flush (many frames per syscall),
 // brackets each batch with a write deadline, and on any write failure —
-// or on queue overflow, the non-draining-peer signal — reports the peer
-// dead so the event loop can requeue its work through the normal retry
-// path. This is what keeps one wedged peer from stalling dispatch to the
-// rest of the fleet: the event loop never performs peer I/O itself.
+// or on queue overflow, the non-draining-peer signal — shuts down: the
+// conn closes, the connection's read pump fails, and the event loop
+// learns the peer is gone from it and requeues its work through the
+// normal retry path. Frames enqueued after that are dropped. This is what
+// keeps one wedged peer from stalling dispatch to the rest of the fleet:
+// the event loop never performs peer I/O itself.
 //
 // Concurrency: the codec is shared with the connection's read pump, which
 // is safe per the Codec contract (one reader + one writer goroutine). The
@@ -45,12 +46,6 @@ type outbox struct {
 	conn    net.Conn
 	codec   Codec
 	timeout time.Duration
-	// onDead, when set, is called (from the writer goroutine, exactly
-	// once) after a write failure so the owner can report the peer gone to
-	// the event loop. Overflow detected at enqueue time does not call it:
-	// the enqueueing event loop sees the error synchronously and must not
-	// block sending itself an event.
-	onDead func(error)
 
 	ch       chan *message
 	stop     chan struct{}
@@ -61,14 +56,11 @@ type outbox struct {
 	// increment, nothing that can block the event loop). Overflows never
 	// reach the event stream, so the metrics view counts them here.
 	onOverflow func()
-
-	mu     sync.Mutex
-	failed error
 }
 
 // newOutbox creates the queue and starts its writer goroutine, tracked by
 // the scheduler's WaitGroup and stopped by scheduler shutdown (parent).
-func (s *Scheduler) newOutbox(conn net.Conn, codec Codec, onDead func(error)) *outbox {
+func (s *Scheduler) newOutbox(conn net.Conn, codec Codec) *outbox {
 	depth := s.OutboxDepth
 	if depth <= 0 {
 		depth = DefaultOutboxDepth
@@ -81,7 +73,6 @@ func (s *Scheduler) newOutbox(conn net.Conn, codec Codec, onDead func(error)) *o
 		conn:    conn,
 		codec:   codec,
 		timeout: timeout,
-		onDead:  onDead,
 		ch:      make(chan *message, depth),
 		stop:    make(chan struct{}),
 	}
@@ -104,10 +95,7 @@ func (o *outbox) run(parent <-chan struct{}, wg *sync.WaitGroup) {
 			return
 		case m := <-o.ch:
 			if err := o.writeBatch(m); err != nil {
-				o.fail(err)
-				if o.onDead != nil {
-					o.onDead(err)
-				}
+				o.shutdown()
 				return
 			}
 		}
@@ -140,32 +128,22 @@ func (o *outbox) writeBatch(first *message) error {
 }
 
 // enqueue hands one frame to the writer without ever blocking the event
-// loop. A full queue means the peer has not drained an entire queue's
-// worth of frames: the peer is declared dead on the spot (conn closed,
-// writer stopped) and the error returned so the caller can clean up
-// synchronously — onDead is deliberately not called from here.
-func (o *outbox) enqueue(m *message) error {
-	o.mu.Lock()
-	failed := o.failed
-	o.mu.Unlock()
-	if failed != nil {
-		return failed
-	}
+// loop, or drops it once the outbox has shut down. A full queue means the
+// peer has not drained an entire queue's worth of frames: the outbox
+// shuts down on the spot, and the read pump reports the peer gone.
+func (o *outbox) enqueue(m *message) {
 	select {
 	case <-o.stop:
-		return errOutboxStopped
+		return
 	default:
 	}
 	select {
 	case o.ch <- m:
-		return nil
 	default:
 		if o.onOverflow != nil {
 			o.onOverflow()
 		}
-		err := fmt.Errorf("flow: outbox overflow: peer not draining (%d frames queued)", cap(o.ch))
-		o.fail(err)
-		return err
+		o.shutdown()
 	}
 }
 
@@ -183,20 +161,10 @@ func (o *outbox) enqueueWait(m *message, parent <-chan struct{}) error {
 	}
 }
 
-// fail records the first failure, stops the writer, and severs the
-// connection so the peer's read pump unblocks too.
-func (o *outbox) fail(err error) {
-	o.mu.Lock()
-	if o.failed == nil {
-		o.failed = err
-	}
-	o.mu.Unlock()
-	o.shutdown()
-}
-
-// shutdown stops the writer without recording a failure — the peer is
-// known gone (read pump failed, heartbeat sweep) and any frames still
-// queued are discarded. Idempotent.
+// shutdown stops the writer, discarding any frames still queued, and
+// closes the conn, so the peer's read pump fails too — whoever calls it:
+// the writer after a failed write, enqueue on overflow, the dispatcher
+// dropping the peer, or scheduler shutdown. Idempotent.
 func (o *outbox) shutdown() {
 	o.stopOnce.Do(func() { close(o.stop) })
 	o.conn.Close()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -317,9 +318,10 @@ func TestSlowEventLogDoesNotStallDispatch(t *testing.T) {
 	}
 }
 
-// TestOutboxEnqueueAfterFailure: once an outbox died (overflow or write
-// failure) every further enqueue reports the recorded error instead of
-// silently dropping frames.
+// TestOutboxEnqueueAfterFailure: an outbox that overflows stops its
+// writer and closes its conn — which is how the peer's read pump learns
+// the peer is gone — and every later enqueue returns at once without
+// queueing the frame.
 func TestOutboxEnqueueAfterFailure(t *testing.T) {
 	s := NewScheduler()
 	s.OutboxDepth = 1
@@ -332,17 +334,31 @@ func TestOutboxEnqueueAfterFailure(t *testing.T) {
 	// the second fills the queue, the third overflows.
 	sched, peer := net.Pipe()
 	t.Cleanup(func() { sched.Close(); peer.Close() })
-	ob := s.newOutbox(sched, newJSONCodec(bufio.NewReader(sched), bufio.NewWriter(sched)), nil)
+	ob := s.newOutbox(sched, newJSONCodec(bufio.NewReader(sched), bufio.NewWriter(sched)))
 	m := &message{Type: msgHeartbeat}
-	var overflowed error
-	for i := 0; i < 10 && overflowed == nil; i++ {
-		overflowed = ob.enqueue(m)
+	stopped := func() bool {
+		select {
+		case <-ob.stop:
+			return true
+		default:
+			return false
+		}
+	}
+	for i := 0; i < 10 && !stopped(); i++ {
+		ob.enqueue(m)
 		time.Sleep(time.Millisecond)
 	}
-	if overflowed == nil {
+	if !stopped() {
 		t.Fatal("outbox never overflowed against a non-draining pipe")
 	}
-	if err := ob.enqueue(m); err == nil {
-		t.Fatal("enqueue after failure succeeded")
+	// The conn is closed under the read pump: a read on the scheduler's
+	// side fails at once.
+	if _, err := sched.Read(make([]byte, 1)); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("read on the overflowed conn = %v, want %v", err, io.ErrClosedPipe)
+	}
+	queued := len(ob.ch)
+	ob.enqueue(m)
+	if len(ob.ch) != queued {
+		t.Fatal("enqueue after the failure queued its frame")
 	}
 }

@@ -22,7 +22,7 @@ func newTestQueue(t *testing.T, policy string) testQueue {
 	t.Helper()
 	s := NewScheduler()
 	s.Policy = policy
-	d, err := s.newDispatcher()
+	d, err := s.newDispatcher(txEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestNewQueuePolicyNames(t *testing.T) {
 	newQueuePolicy := func(name string) (*dispatcher, error) {
 		s := NewScheduler()
 		s.Policy = name
-		return s.newDispatcher()
+		return s.newDispatcher(txEpoch)
 	}
 	for _, name := range []string{"", PolicyFIFO} {
 		p, err := newQueuePolicy(name)

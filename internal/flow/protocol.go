@@ -23,8 +23,13 @@
 // Inside the scheduler one goroutine advances one dispatcher, a value
 // with a method per input (register, heartbeat, result, submit, a peer
 // gone, the heartbeat sweep) that reads no clock, touches no socket and
-// starts no goroutine: each input brings its own time, and what comes out
-// are events on the hub and frames on the peers' outboxes. Every task
+// starts no goroutine: each input brings its own time, which stamps
+// every event the input emits — the hub reads no clock, so a run's stream
+// has one clock and a virtual one drives it exactly — and what comes out
+// are events on the hub and frames on the peers' outboxes. A peer's death
+// reaches the dispatcher only through its connection's read pump: an
+// outbox that cannot write, or that overflows, closes its connection, so
+// the pump's next read fails and reports the peer gone. Every task
 // belongs to a tenant — its campaign, or its submitter's connection when
 // it names none — resolved once, on receipt; the tenant record holds the
 // lane its tasks wait in, the count Scheduler.Quota bounds and the lane

@@ -21,7 +21,8 @@ import (
 // Every transition is also emitted as a structured events.Event through
 // the scheduler's Hub — the per-task state-machine record Dask's
 // scheduler keeps (received → queued → assigned → running → done/failed,
-// plus worker join/leave), stamped scheduler-side with monotonic times.
+// plus worker join/leave), each stamped with the monotonic time of the
+// input that caused it.
 // The JSONL EventLog and the Metrics are views over that stream, and
 // read-only monitor connections (DialMonitor) subscribe to it live over
 // the wire.
@@ -113,6 +114,9 @@ type Scheduler struct {
 	WriteTimeout time.Duration
 
 	hub *events.Hub
+	// restoredNS is the stamp of the last event RestoreEvents restored:
+	// Start sets the stream's epoch that far back, so the stamps continue.
+	restoredNS int64
 
 	ln   net.Listener
 	done chan struct{}
@@ -142,23 +146,29 @@ func (s *Scheduler) Events() *events.Hub { return s.hub }
 
 // RestoreEvents seeds the scheduler's event hub with a previously
 // persisted stream before Start — how a restarted `sched -event-log`
-// rebuilds its record from its own log, so sequence numbers and
-// monotonic stamps continue where the crashed scheduler stopped and a
-// monitor attaching after the restart still replays the full campaign
-// backlog. Task payloads do not survive a restart (the log records
-// transitions, not work): interrupted clients re-submit, skipping
-// completed tasks via `submit -resume`.
+// rebuilds its record from its own log, so sequence numbers and stamps
+// continue where the crashed scheduler stopped (the hub continues the
+// sequence, Start the clock) and a monitor attaching after the restart
+// still replays the full campaign backlog. Task payloads do not survive
+// a restart (the log records transitions, not work): interrupted clients
+// re-submit, skipping completed tasks via `submit -resume`.
 func (s *Scheduler) RestoreEvents(evs []events.Event) error {
 	if s.ln != nil {
 		return fmt.Errorf("flow: RestoreEvents after Start")
 	}
-	return s.hub.Restore(evs)
+	if err := s.hub.Restore(evs); err != nil {
+		return err
+	}
+	if len(evs) > 0 {
+		s.restoredNS = evs[len(evs)-1].TimeNS
+	}
+	return nil
 }
 
 // Start listens on addr (e.g. "127.0.0.1:0") and runs the scheduler loop in
 // the background. It returns the bound address.
 func (s *Scheduler) Start(addr string) (string, error) {
-	d, err := s.newDispatcher()
+	d, err := s.newDispatcher(time.Now().Add(-time.Duration(s.restoredNS)))
 	if err != nil {
 		return "", err
 	}
@@ -318,12 +328,10 @@ func (s *Scheduler) serveConn(conn net.Conn) {
 	switch first.Type {
 	case msgRegister:
 		// The event loop never touches a socket: every frame it sends goes
-		// through the connection's outbox, and a write failure there
-		// reports the peer gone through the same event a read failure does.
-		wc := &workerConn{id: first.WorkerID}
-		wc.ob = s.newOutbox(conn, codec, func(error) {
-			s.sendEvent(schedEvent{kind: inWorkerGone, wc: wc})
-		})
+		// through the connection's outbox, and a write failure there closes
+		// the conn, so this pump's next Decode fails and reports the peer
+		// gone — the one way a peer's death reaches the event loop.
+		wc := &workerConn{id: first.WorkerID, ob: s.newOutbox(conn, codec)}
 		s.sendEvent(schedEvent{kind: inRegister, wc: wc})
 		for {
 			var m message
@@ -340,10 +348,7 @@ func (s *Scheduler) serveConn(conn net.Conn) {
 			}
 		}
 	case msgSubmit:
-		cc := &clientConn{}
-		cc.ob = s.newOutbox(conn, codec, func(error) {
-			s.sendEvent(schedEvent{kind: inClientGone, cc: cc})
-		})
+		cc := &clientConn{ob: s.newOutbox(conn, codec)}
 		s.sendEvent(schedEvent{kind: inSubmit, cc: cc, tsk: first.Tasks, campaign: first.Campaign})
 		// Keep reading to detect disconnect and accept more submissions.
 		for {
@@ -366,7 +371,7 @@ func (s *Scheduler) serveConn(conn net.Conn) {
 		// This pump blocks (enqueueWait) when the outbox fills — it is a
 		// dedicated goroutine, so parking it costs the fleet nothing.
 		cur := s.hub.Subscribe()
-		ob := s.newOutbox(conn, codec, nil)
+		ob := s.newOutbox(conn, codec)
 		// Peer-close watchdog: monitors never send after subscribing, so
 		// any read result means the monitor went away. Cancelling the
 		// cursor unblocks the pump below even when no events are flowing
@@ -402,7 +407,9 @@ func (s *Scheduler) sendEvent(e schedEvent) {
 }
 
 // eventLoop is the one goroutine that advances the dispatcher: it reads
-// the clock, once per input, and hands the input over.
+// the clock, once per input, and hands the input over. A sweep reads it
+// too, rather than taking the ticker's send time, so that a late sweep
+// never stamps an event before the input handled ahead of it.
 func (s *Scheduler) eventLoop(d *dispatcher) {
 	defer s.wg.Done()
 	// Sweep for heartbeat-silent workers at a fraction of the deadline,
@@ -417,8 +424,8 @@ func (s *Scheduler) eventLoop(d *dispatcher) {
 		select {
 		case <-s.done:
 			return
-		case now := <-beatCheck:
-			d.sweep(now)
+		case <-beatCheck:
+			d.sweep(time.Now())
 		case e := <-s.events:
 			d.handle(e, time.Now())
 		}

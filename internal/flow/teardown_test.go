@@ -15,13 +15,14 @@ import (
 	"repro/internal/events"
 )
 
-// TestHandoutFailureRequeuesWholeBatch reaches the one worker teardown
-// from its third caller: assign's enqueue fails because the worker's
-// outbox is already dead when the handout is made. The worker must leave
-// exactly once, with none of its batch marked running; the whole batch
-// must return to the head of the queue in handout order, each task one
-// attempt poorer; and a second such death must exhaust MaxRetries for
-// every task of the batch, not just its head.
+// TestHandoutFailureRequeuesWholeBatch: a worker's outbox is already dead
+// when a handout is made, so the handout is dropped, and the worker's
+// death arrives as its read pump reports it. The worker must leave
+// exactly once, with only the batch head marked running, as for any
+// handout whose write fails; the whole batch must return to the head of
+// the queue in handout order, each task one attempt poorer; and a second
+// such death must exhaust MaxRetries for every task of the batch, not
+// just its head.
 func TestHandoutFailureRequeuesWholeBatch(t *testing.T) {
 	s := NewScheduler()
 	s.Batch = 4
@@ -50,16 +51,17 @@ func TestHandoutFailureRequeuesWholeBatch(t *testing.T) {
 		sched, peer := net.Pipe()
 		t.Cleanup(func() { sched.Close(); peer.Close() })
 		wc := fakeWorkerConn(s, id, sched)
-		wc.ob.(*outbox).fail(errors.New("dead before the first handout"))
+		wc.ob.(*outbox).shutdown() // dead before the first handout
 		s.sendEvent(schedEvent{kind: inRegister, wc: wc})
+		s.sendEvent(schedEvent{kind: inWorkerGone, wc: wc}) // as its read pump would
 	}
 	deadOnArrival("doa-1")
 	waitUntil(t, 5*time.Second, func() bool { return countEvents(s, events.TaskQueued) == 10 }, "requeue of the first batch")
 
-	var afterLeave []string
+	var running, afterLeave []string
 	for _, e := range s.Events().Snapshot() {
 		if e.Worker == "doa-1" && e.Type == events.TaskRunning {
-			t.Errorf("task %s marked running on a worker that never received it", e.Task)
+			running = append(running, e.Task)
 		}
 		if e.Type == events.WorkerLeave {
 			afterLeave = afterLeave[:0]
@@ -69,6 +71,9 @@ func TestHandoutFailureRequeuesWholeBatch(t *testing.T) {
 	}
 	if n := countEvents(s, events.WorkerLeave); n != 1 {
 		t.Fatalf("worker_leave ×%d, want exactly 1", n)
+	}
+	if got := fmt.Sprint(running); got != "[t000]" {
+		t.Errorf("running on doa-1 = %v, want the batch head alone, [t000]", got)
 	}
 	// Back to front, so that the queue head ends up in handout order.
 	if got := fmt.Sprint(afterLeave); got != "[t003 t002 t001 t000]" {

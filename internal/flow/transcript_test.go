@@ -24,7 +24,8 @@ import (
 // from the loop as it stood before it was reshaped into a dispatcher, and
 // every script must reproduce its file byte for byte twice: through a
 // running Scheduler over pipes, and straight through the dispatcher's
-// methods with recording peers.
+// methods with recording peers, where every step is also held to the
+// invariants of the seeded interleavings, its events' stamps included.
 var updateTranscripts = flag.Bool("update-transcripts", false, "rewrite testdata/transcripts from this build's scheduler")
 
 // txConfig is the scheduler a script runs against.
@@ -69,7 +70,8 @@ type txRig interface {
 // pipeRig runs a real Scheduler and fabricates its connections the way
 // fakeWorkerConn does: the scheduler side of a net.Pipe behind an outbox,
 // no read pump, so the script alone decides which inputs exist and in
-// what order.
+// what order — a peer's death included, which a script sends as the pump
+// would.
 type pipeRig struct {
 	t      *testing.T
 	s      *Scheduler
@@ -100,7 +102,7 @@ func (r *pipeRig) send(e schedEvent) { r.s.sendEvent(e) }
 
 // outbox returns an outbox on the scheduler side of a fresh pipe, whose
 // far end decodes what it is sent.
-func (r *pipeRig) outbox(onDead func(error)) *outbox {
+func (r *pipeRig) outbox() *outbox {
 	sched, far := net.Pipe()
 	r.t.Cleanup(func() { sched.Close(); far.Close() })
 	// Sized so that the reader never blocks on a script's worth of frames.
@@ -115,22 +117,14 @@ func (r *pipeRig) outbox(onDead func(error)) *outbox {
 			ch <- m
 		}
 	}()
-	ob := r.s.newOutbox(sched, newJSONCodec(bufio.NewReader(sched), bufio.NewWriter(sched)), onDead)
+	ob := r.s.newOutbox(sched, newJSONCodec(bufio.NewReader(sched), bufio.NewWriter(sched)))
 	r.frames[ob] = ch
 	return ob
 }
 
-func (r *pipeRig) newWorker(id string) *workerConn {
-	wc := &workerConn{id: id}
-	wc.ob = r.outbox(func(error) { r.s.sendEvent(schedEvent{kind: inWorkerGone, wc: wc}) })
-	return wc
-}
+func (r *pipeRig) newWorker(id string) *workerConn { return &workerConn{id: id, ob: r.outbox()} }
 
-func (r *pipeRig) newClient() *clientConn {
-	cc := &clientConn{}
-	cc.ob = r.outbox(func(error) { r.s.sendEvent(schedEvent{kind: inClientGone, cc: cc}) })
-	return cc
-}
+func (r *pipeRig) newClient() *clientConn { return &clientConn{ob: r.outbox()} }
 
 func (r *pipeRig) next(ob peer, who string) message {
 	select {
@@ -196,13 +190,12 @@ type fakePeer struct {
 	late    int
 }
 
-func (p *fakePeer) enqueue(m *message) error {
+func (p *fakePeer) enqueue(m *message) {
 	if p.stopped {
 		p.late++
-		return errOutboxStopped
+		return
 	}
 	p.frames = append(p.frames, *m)
-	return nil
 }
 
 func (p *fakePeer) shutdown() { p.stopped = true }
@@ -214,7 +207,8 @@ func (p *fakePeer) take() []message {
 }
 
 // directRig calls the dispatcher's methods itself, on a clock of its own
-// that advances a millisecond per input.
+// that starts at txEpoch, the stream's epoch, and advances a millisecond
+// per input — so every event's stamp is known exactly.
 type directRig struct {
 	d   *dispatcher
 	now time.Time
@@ -223,7 +217,7 @@ type directRig struct {
 
 func newDirectRig(t testing.TB, cfg txConfig) *directRig {
 	s := cfg.scheduler()
-	d, err := s.newDispatcher()
+	d, err := s.newDispatcher(txEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,6 +604,9 @@ func TestTranscripts(t *testing.T) {
 		path := filepath.Join("testdata", "transcripts", script.name+".txt")
 		run := func(t *testing.T, rig txRig, update bool) {
 			sc := &scene{rig: rig}
+			if _, direct := rig.(*directRig); direct {
+				watch(t, sc) // every step held to the interleavings' invariants too
+			}
 			script.run(sc, rng.New(script.seed))
 			got := sc.out.String()
 			if update {

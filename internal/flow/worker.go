@@ -20,13 +20,6 @@ type Worker struct {
 	ID      string
 	handler Handler
 
-	// ReadTimeout, when set before Dial, bounds how long the worker
-	// waits for the next scheduler message. An idle worker legitimately
-	// waits forever, so the default (zero) disables it; set it in tests or
-	// supervised deployments where a wedged scheduler should fail the
-	// worker fast instead of leaving it hanging.
-	ReadTimeout time.Duration
-
 	// HeartbeatInterval, when set before Dial, sends a heartbeat frame
 	// to the scheduler on this interval from a dedicated goroutine, so a
 	// worker stays alive through a long-running handler but a wedged
@@ -143,15 +136,12 @@ func (w *Worker) stopHeartbeat() {
 
 func (w *Worker) loop() {
 	defer w.wg.Done()
-	// The loop can now exit on a healthy connection (read/write deadline
+	// The loop can exit on a healthy connection (a result write's deadline
 	// fired); close it so the scheduler observes workerGone and requeues
 	// any in-flight task instead of assigning into a dead worker.
 	defer w.conn.Close()
 	defer w.stopHeartbeat()
 	for {
-		if w.ReadTimeout > 0 {
-			_ = w.conn.SetReadDeadline(time.Now().Add(w.ReadTimeout))
-		}
 		var m message
 		if err := w.codec.Decode(&m); err != nil {
 			return
