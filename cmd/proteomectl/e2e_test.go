@@ -653,10 +653,10 @@ func TestMonitorMidCampaign(t *testing.T) {
 // TestResumeAfterSchedulerKill is the crash-recovery acceptance test: a
 // scheduler killed mid-campaign loses nothing that matters. Its event log
 // survives; a restarted scheduler (-resume-log) continues the stream; a
-// resumed submit (-resume) skips every task the interrupted run completed
-// — recomputing them locally from the deterministic world — and produces
-// a report byte-identical to an uninterrupted run while strictly fewer
-// tasks cross the wire.
+// resumed submit (-resume) reads back from the log the result of every
+// task the interrupted run finished, dispatching none of them, and
+// produces a report byte-identical to an uninterrupted run while strictly
+// fewer tasks cross the wire.
 func TestResumeAfterSchedulerKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -769,9 +769,10 @@ func TestResumeAfterSchedulerKill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading the crashed scheduler's log: %v", err)
 	}
-	if completed.Len() == 0 {
+	if len(completed) == 0 {
 		t.Fatal("crashed run completed no tasks; the kill landed too early")
 	}
+	prefix, _ := events.ReadLog(bytes.NewReader(logData))
 
 	// Phase C — recovery: a fresh scheduler resumes the event stream from
 	// its own log, fresh workers join, and the submit resumes from the
@@ -793,25 +794,17 @@ func TestResumeAfterSchedulerKill(t *testing.T) {
 		t.Errorf("resumed report differs from pool executor:\n--- resumed ---\n%s--- pool ---\n%s", resumed, pool)
 	}
 
-	// Strictly fewer tasks crossed the wire, and none of them was a task
-	// the crashed run already completed.
-	fullHeader, fullRows := readStatsCSV(t, fullCSV)
-	resHeader, resRows := readStatsCSV(t, resumedCSV)
+	// Strictly fewer tasks crossed the wire.
+	_, fullRows := readStatsCSV(t, fullCSV)
+	_, resRows := readStatsCSV(t, resumedCSV)
 	if len(resRows) >= len(fullRows) {
 		t.Errorf("resumed run dispatched %d tasks, want strictly fewer than the full run's %d", len(resRows), len(fullRows))
 	}
 	if len(resRows) == 0 {
 		t.Error("resumed run dispatched nothing; the crashed run had already finished")
 	}
-	_ = fullHeader
-	idCol := statsColumn(t, resHeader, "task_id")
-	for _, row := range resRows {
-		if completed.Done(row[idCol]) {
-			t.Errorf("task %s was completed before the crash but re-dispatched on resume", row[idCol])
-		}
-	}
 	t.Logf("resume: %d tasks completed pre-crash, %d of %d re-dispatched",
-		completed.Len(), len(resRows), len(fullRows))
+		len(completed), len(resRows), len(fullRows))
 
 	// The restarted scheduler's log is one continuous, replayable stream:
 	// the crashed run's intact prefix plus everything the resumed
@@ -824,8 +817,16 @@ func TestResumeAfterSchedulerKill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decoding the restarted scheduler's log: %v", err)
 	}
-	if len(finalEvents) <= completed.Len() {
+	if len(finalEvents) <= len(prefix) {
 		t.Errorf("final log has %d events; expected the crashed prefix plus the resumed campaign", len(finalEvents))
+	}
+	// None of the dispatched tasks was one the crashed run finished: every
+	// task the resumed submit sent was received after the restored prefix,
+	// carrying its spec, and no such spec has a result in the crashed log.
+	for _, e := range finalEvents[min(len(prefix), len(finalEvents)):] {
+		if _, ok := completed[string(e.Payload)]; ok && e.Type == events.TaskReceived {
+			t.Errorf("task %s was completed before the crash but re-dispatched on resume", e.Task)
+		}
 	}
 	if _, err := events.ReplayEvents(finalEvents); err != nil {
 		t.Fatalf("replaying the stitched log across the restart: %v", err)
@@ -918,7 +919,7 @@ func TestSlowPeerFaultInjection(t *testing.T) {
 			_ = tc.SetReadBuffer(4 << 10)
 		}
 		t.Cleanup(func() { conn.Close() })
-		if _, err := conn.Write([]byte("flow-wire json 4\n" + frame + "\n")); err != nil {
+		if _, err := conn.Write([]byte("flow-wire json 5\n" + frame + "\n")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -162,9 +162,10 @@ commands:
                                 relax seconds); -stats writes the per-task
                                 processing-times CSV, -timeline the
                                 measured-vs-simulated worker-timeline SVG,
-                                -resume skips tasks an interrupted run
-                                already completed (the report stays
-                                byte-identical), -campaign
+                                -resume reads back from a scheduler event
+                                log the results of tasks an interrupted run
+                                finished and dispatches only the rest (the
+                                report stays byte-identical), -campaign
                                 names the fair-share/quota namespace on a
                                 shared scheduler
   monitor (-connect A | -scheduler-file F) [-json] [-wire binary|json]
@@ -418,11 +419,11 @@ type schedOptions struct {
 func (o *schedOptions) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:8786", "address to listen on (host:port; port 0 picks one)")
 	fs.StringVar(&o.schedFile, "scheduler-file", "", "write a JSON scheduler file advertising the bound address")
-	fs.StringVar(&o.eventLog, "event-log", "", "persist the structured task-transition stream (received/queued/assigned/running/done/failed + worker join/leave) as JSONL to this file; replayable offline with events.ReadLog")
-	fs.BoolVar(&o.resumeLog, "resume-log", false, "on restart, replay an existing -event-log first: the stream continues where the crashed scheduler stopped (a torn final record is discarded), so monitors still see the full campaign backlog and `submit -resume` can skip completed tasks")
+	fs.StringVar(&o.eventLog, "event-log", "", "persist the structured task-transition stream (received/queued/assigned/running/done/failed + worker join/leave) as JSONL to this file; replayable offline with events.ReadLog. received events carry the task's payload and done events the result's, which `submit -resume` reads back")
+	fs.BoolVar(&o.resumeLog, "resume-log", false, "on restart, replay an existing -event-log first: the stream continues where the crashed scheduler stopped (a torn final record is discarded), so monitors still see the full campaign backlog and `submit -resume` can read back the results of completed tasks")
 	fs.IntVar(&o.maxRetries, "max-retries", 3, "requeue a task whose worker died at most this many times, then quarantine it with a terminal failed event (0 = requeue forever)")
 	fs.DurationVar(&o.heartbeatTimeout, "heartbeat-timeout", 0, "declare a worker dead after this long without a heartbeat or result and requeue its task (0 disables; workers must send -heartbeat at a few multiples below this)")
-	fs.IntVar(&o.eventBacklog, "event-backlog", 0, "retain at most this many events in memory for late-attaching monitors, evicting oldest-first with an explicit truncated marker (0 = unbounded: each event costs ~104 B plus its strings, ~100 MB for a paper-sized campaign's ~10^6 events; the -event-log file always keeps everything)")
+	fs.IntVar(&o.eventBacklog, "event-backlog", 0, "retain at most this many events in memory for late-attaching monitors, evicting oldest-first with an explicit truncated marker (0 = unbounded: each event costs 128 B plus its strings and payload, over 130 MB for a paper-sized campaign's ~10^6 events). The bound is on memory only: the -event-log file is written behind a 32,768-event buffer, which under sustained overload drops events and then ends the file with a truncated marker")
 	fs.IntVar(&o.batch, "batch", 0, "tasks per handout frame (acked in one frame back). 0: the scheduler sizes each handout itself — about 1 ms of handler time, estimated from the results each submitted wave has returned so far, at most 64 tasks; minute-long tasks go out one per worker, microsecond kernels ~20 at a time, and a task being retried after a worker death always travels alone. N >= 1: up to exactly N, whatever the tasks cost")
 	fs.StringVar(&o.policy, "policy", flow.PolicyFIFO, "queue policy: fifo (strict arrival order) or fair (round-robin handout across campaigns sharing the fleet; tasks name their campaign via submit -campaign)")
 	fs.IntVar(&o.quota, "quota", 0, "admit at most this many unfinished tasks per campaign, deferring the rest (and their submit ack) until earlier tasks settle; 0 = unlimited")
@@ -591,7 +592,7 @@ func (o *submitOptions) register(fs *flag.FlagSet) {
 	o.conn.register(fs, 10*time.Second)
 	fs.DurationVar(&o.resultTimeout, "result-timeout", flow.DefaultResultTimeout,
 		"fail when no result arrives for this long (0 disables); raise it when individual tasks run long")
-	fs.StringVar(&o.resume, "resume", "", "resume an interrupted campaign from a scheduler event log (sched -event-log): tasks recorded done are recomputed locally instead of re-dispatched; the report is byte-identical to an uninterrupted run")
+	fs.StringVar(&o.resume, "resume", "", "resume an interrupted campaign from a scheduler event log (sched -event-log): a task the log records done is not dispatched again, its result is read back from the log; the report is byte-identical to an uninterrupted run")
 	fs.StringVar(&o.campaign, "campaign", "", "campaign name stamped on every submitted task: the fair-share lane and admission-quota namespace on a shared scheduler (sched -policy fair / -quota), and the monitor -campaign filter key; empty keeps single-tenant behavior")
 }
 
@@ -618,15 +619,15 @@ func submitCmd(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		set, err := events.CompletedFromLog(f)
+		done, err := events.CompletedFromLog(f)
 		f.Close()
 		if err != nil {
 			return err
 		}
 		// Stderr, so the stdout report stays byte-identical to an
 		// uninterrupted run.
-		fmt.Fprintf(os.Stderr, "resume: %d tasks already completed; dispatching only the remainder\n", set.Len())
-		cr.cfg.Resume = set.Done
+		fmt.Fprintf(os.Stderr, "resume: %d task results read from the log; dispatching only the remainder\n", len(done))
+		cr.cfg.Resume = done
 	}
 	fl, err := exec.Connect(o.conn.dialOptions())
 	if err != nil {

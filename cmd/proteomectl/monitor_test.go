@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -102,7 +103,7 @@ func TestRunMonitorRawJSONL(t *testing.T) {
 		t.Fatalf("raw stream decoded to %d events, want %d", len(got), len(evs))
 	}
 	for i := range evs {
-		if got[i] != evs[i] {
+		if !reflect.DeepEqual(got[i], evs[i]) {
 			t.Fatalf("event %d changed: %+v != %+v", i, got[i], evs[i])
 		}
 	}

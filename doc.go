@@ -172,10 +172,11 @@
 //
 // The same log makes a campaign crash-safe: a killed scheduler restores
 // its stream from its own log (`sched -resume-log`), and `submit -resume
-// events.jsonl` recomputes locally what the log records as done — every
-// stage value is a pure function of (seed, species, task) — and
-// dispatches only the remainder, for a byte-identical report
-// (TestResumeAfterSchedulerKill).
+// events.jsonl` reads back the results the log records as done (a
+// received event carries the task's spec, a done event its result) and
+// dispatches only the remainder, computing nothing locally, for a
+// byte-identical report (TestResumeAfterSchedulerKill,
+// TestCampaignRemoteResumeComputesNothing).
 //
 // # Performance contract
 //

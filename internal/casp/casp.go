@@ -85,7 +85,7 @@ func NewSet(seed uint64) *Set {
 		// after shuffling by index parity mix.
 		if (i*7+3)%32 < 19 {
 			target.HasCrystal = true
-			target.Crystal = fold.GenerateTopology(seed^uint64(i*2654435761+1), length)
+			target.Crystal = fold.GenerateTopology(seed^(uint64(i)*2654435761+1), length)
 		}
 		s.Targets = append(s.Targets, target)
 	}
@@ -97,7 +97,7 @@ func NewSet(seed uint64) *Set {
 		t := &s.Targets[i]
 		native := t.Crystal
 		if native == nil {
-			native = fold.GenerateTopology(seed^uint64(i*2654435761+1), t.Length)
+			native = fold.GenerateTopology(seed^(uint64(i)*2654435761+1), t.Length)
 		}
 		for m := 1; m <= 5; m++ {
 			mr := r.SplitNamed(fmt.Sprintf("%s-m%d", t.ID, m))

@@ -106,10 +106,9 @@ func kernelPayloads() []kernelPayload {
 
 // BenchmarkKernelPayload is the payload layer of one remote task, with a
 // kernel that only decodes its spec and encodes its result: submit
-// encodes the spec (into a reused buffer, as exec.MapSpecResume encodes a
-// batch) and wraps it in the spec envelope (exec.Flow.DispatchSpecs), the
-// worker's registry opens the envelope and runs the kernel, and submit
-// decodes the result.
+// encodes the spec into a reused buffer and wraps it in the spec envelope,
+// as exec.MapSpecResume does for every item, the worker's registry opens
+// the envelope and runs the kernel, and submit decodes the result.
 func BenchmarkKernelPayload(b *testing.B) {
 	for _, k := range kernelPayloads() {
 		b.Run(k.name, func(b *testing.B) {

@@ -62,20 +62,15 @@ type Config struct {
 	// and each kernel returns only the scalars the report needs (see
 	// FeatureOut, PredictionDigest) — and ignored for in-process executors.
 	Remote *RemoteCampaign
-	// Resume, when set, reports tasks a previous interrupted run already
-	// completed (keyed by trace identity: protein ID, "target/mN",
-	// relax target ID — typically an events.CompletedSet replayed from a
-	// scheduler event log via `submit -resume`). Stages recompute those
-	// tasks locally instead of re-dispatching them, so the report stays
-	// byte-identical to an uninterrupted run while the cluster only sees
-	// the missing tasks. Only spec-dispatching (remote) executors are
-	// affected; nil resumes nothing. Note the feature and relax stages
-	// share trace identities (the target ID), so a completed feature task
-	// also short-circuits that target's relax dispatch — both recompute
-	// to identical values either way. An inference task is recomputed
-	// locally only when its target's features are local; otherwise it is
-	// dispatched again.
-	Resume func(task string) bool
+	// Resume, when set, holds the results a previous interrupted run
+	// already returned: each task's spec envelope mapped to its result
+	// payload, as events.CompletedFromLog reads them from a scheduler
+	// event log (`submit -resume`). A stage decodes those results as if
+	// they had just come back and dispatches only the other tasks, so the
+	// report stays byte-identical to an uninterrupted run while the
+	// cluster only sees the missing tasks. Only spec-dispatching (remote)
+	// executors are affected; nil resumes nothing.
+	Resume map[string][]byte
 }
 
 // remoteGuard rejects a spec-dispatching executor without the campaign
@@ -264,17 +259,6 @@ func InferenceStage(engine *fold.Engine, proteins []proteome.Protein, features m
 	// inferTaskID is the trace identity of one (target, model) slot — the
 	// task granularity of the paper's processing-times file.
 	inferTaskID := func(_ int, task fold.Task) string { return inferID(task) }
-	// resumable narrows cfg.Resume to tasks the closure can recompute: a
-	// target whose feature task ran remotely has no local features, so its
-	// completed inference tasks are dispatched again rather than recomputed
-	// from nil features.
-	var resumable func(string) bool
-	if cfg.Resume != nil {
-		resumable = func(tid string) bool {
-			target := tid[:strings.LastIndex(tid, "/m")]
-			return features[target] != nil && cfg.Resume(tid)
-		}
-	}
 	// inferWave fans one wave of tasks out over the executor. Every
 	// executor yields a PredictionDigest per slot (tagged OOM on OOM), from
 	// which the caller rebuilds the prediction with the task's identity.
@@ -294,7 +278,7 @@ func InferenceStage(engine *fold.Engine, proteins []proteome.Protein, features m
 				task.NodeMemGB = memGB
 				return InferDigest(engine, task)
 			},
-			resumable)
+			cfg.Resume)
 	}
 	digs, err := inferWave(allTasks, standardNodeGPUMemGB)
 	if err != nil {

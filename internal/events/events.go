@@ -20,9 +20,11 @@
 // /metrics, ReplayEvents offline — is a projection of it, so they cannot
 // disagree about what an event means.
 //
-// Events are an observation channel only, never an input: nothing in a
-// campaign report depends on them, and emitting, logging, or streaming
-// them must never change a result byte.
+// Emitting, logging, or streaming events must never change a result
+// byte. The stream feeds back into a campaign in one place only: the
+// received and done events carry the task and result payloads, so a
+// resumed campaign (`submit -resume`) reads a finished task's result back
+// from the log (CompletedFromLog) instead of dispatching it again.
 package events
 
 import (
@@ -130,6 +132,11 @@ type Event struct {
 	// single-tenant submissions and worker-membership events, keeping the
 	// JSONL log byte-identical to earlier releases in that case.
 	Campaign string `json:"campaign,omitempty"`
+	// Payload is the task payload as submitted on a received event and
+	// the worker's result payload on a done event; nil on every other
+	// type. The scheduler shares the bytes it holds instead of copying
+	// them, so nothing may write to them.
+	Payload []byte `json:"payload,omitempty"`
 }
 
 // Seconds returns the stamp in seconds since the scheduler's epoch.
@@ -161,9 +168,9 @@ func (e *Event) Validate() error {
 // The history is kept in fixed-size blocks of blockLen events: an event
 // stays where it was first written, appending never copies the events
 // before it, and a bounded hub recycles the blocks it evicts. A retained
-// event costs about 104 B plus its strings, so a paper-sized campaign
-// (about 250k tasks, some four events each) holds some 10⁶ events,
-// about 100 MB, unless bounded with SetLimit.
+// event costs 128 B plus its strings and payload, so a paper-sized
+// campaign (about 250k tasks, some four events each) holds some 10⁶
+// events, about 130 MB before payloads, unless bounded with SetLimit.
 //
 // Emit is safe for concurrent use, though the scheduler calls it from
 // its single event-loop goroutine; sinks run on the emitting goroutine
@@ -194,7 +201,7 @@ type Hub struct {
 	evictedNS int64
 }
 
-// blockLen is the number of events in one history block (about 104 KB).
+// blockLen is the number of events in one history block (128 KB).
 const blockLen = 1024
 
 // history is the hub's retained events, oldest first, in blocks of
@@ -270,14 +277,14 @@ func (h *Hub) AddSink(fn func(Event)) {
 
 // SetLimit bounds the in-memory backlog to at most n events, evicting
 // oldest-first (the hub-scaling fix for proteome-sized campaigns: a
-// 6,000-worker run emits millions of events, about 104 B each plus their
-// strings, and the hub must not hold them all). A block whose events are
-// all evicted is cleared and reused as the next tail block, so a bounded
-// hub allocates nothing once its window has filled. A cursor that falls
-// behind the retained window receives a single synthesized Truncated
-// marker and resumes at the oldest retained event. n <= 0 restores the
-// default unbounded retention. Sinks (the persisted JSONL log) are
-// unaffected — they observe every event as it is emitted.
+// 6,000-worker run emits millions of events, 128 B each plus their
+// strings and payloads, and the hub must not hold them all). A block
+// whose events are all evicted is cleared and reused as the next tail
+// block, so a bounded hub allocates nothing once its window has filled.
+// A cursor that falls behind the retained window receives a single
+// synthesized Truncated marker and resumes at the oldest retained event.
+// n <= 0 restores the default unbounded retention. Sinks (the persisted
+// JSONL log) are unaffected — they observe every event as it is emitted.
 func (h *Hub) SetLimit(n int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

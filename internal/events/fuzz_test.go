@@ -51,6 +51,19 @@ func FuzzReadLog(f *testing.F) {
 				t.Fatalf("after event %d %+v: %v", i, evs[i], ferr)
 			}
 		}
+		// The resume reader pairs only payloads some received event carried.
+		done, _ := CompletedFromLog(bytes.NewReader(data))
+		received := map[string]bool{}
+		for i := range evs {
+			if evs[i].Type == TaskReceived {
+				received[string(evs[i].Payload)] = true
+			}
+		}
+		for spec := range done {
+			if !received[spec] {
+				t.Fatalf("resume reader paired %q, which no received event carried", spec)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -68,7 +81,7 @@ func FuzzReadLog(f *testing.F) {
 			t.Fatalf("round trip changed event count: %d != %d", len(again), len(evs))
 		}
 		for i := range evs {
-			if again[i] != evs[i] {
+			if !sameEvent(again[i], evs[i]) {
 				t.Fatalf("event %d changed across round trip: %+v != %+v", i, again[i], evs[i])
 			}
 		}

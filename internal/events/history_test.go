@@ -23,7 +23,7 @@ func checkWindow(t *testing.T, h *Hub, all []Event, limit int) {
 		t.Fatalf("Snapshot holds %d events, want %d", len(snap), len(want))
 	}
 	for i := range want {
-		if snap[i] != want[i] {
+		if !sameEvent(snap[i], want[i]) {
 			t.Fatalf("Snapshot[%d] = %+v, want %+v", i, snap[i], want[i])
 		}
 	}
@@ -39,7 +39,7 @@ func checkWindow(t *testing.T, h *Hub, all []Event, limit int) {
 		}
 	}
 	for i := range want {
-		if e, _ := cur.Next(); e != want[i] {
+		if e, _ := cur.Next(); !sameEvent(e, want[i]) {
 			t.Fatalf("late cursor's event %d = %+v, want %+v", i, e, want[i])
 		}
 	}
@@ -114,7 +114,7 @@ func TestHistoryReusesEvictedBlocks(t *testing.T) {
 		t.Fatal("no released block was kept for reuse")
 	}
 	for i, e := range h.hist.spare {
-		if e != (Event{}) {
+		if !sameEvent(e, Event{}) {
 			t.Fatalf("released block's slot %d still holds %+v", i, e)
 		}
 	}

@@ -2,6 +2,7 @@ package events
 
 import (
 	"bytes"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -134,7 +135,7 @@ func TestHubRestoreContinuesStream(t *testing.T) {
 	if e.TimeNS != 3 {
 		t.Fatalf("post-restore stamp = %d, want the emitter's 3", e.TimeNS)
 	}
-	if got := h2.Snapshot()[:3]; !slices.Equal(got, recorded) {
+	if got := h2.Snapshot()[:3]; !slices.EqualFunc(got, recorded, sameEvent) {
 		t.Fatalf("restored events = %+v, want them as recorded, %+v", got, recorded)
 	}
 	// A subscriber attaching after the restart replays the full stream.
@@ -175,53 +176,98 @@ func TestHubRestoreRejectsBadStreams(t *testing.T) {
 	}
 }
 
-func TestCompletedSet(t *testing.T) {
-	evs := []Event{
-		{Seq: 1, Type: TaskReceived, Task: "a"},
-		{Seq: 2, Type: TaskQueued, Task: "a"},
-		{Seq: 3, Type: TaskDone, Task: "a", Worker: "w1"},
-		{Seq: 4, Type: TaskReceived, Task: "b"},
-		{Seq: 5, Type: TaskFailed, Task: "b", Worker: "w1", Err: "boom"},
-		{Seq: 6, Type: TaskReceived, Task: "c"},
-		{Seq: 7, Type: TaskQuarantined, Task: "c", Attempt: 3},
-		{Seq: 8, Type: TaskReceived, Task: "d"},
-	}
-	set := CompletedFromEvents(evs)
-	if !set.Done("a") {
-		t.Error("done task a not in completed set")
-	}
-	for _, task := range []string{"b", "c", "d", "nope", ""} {
-		if set.Done(task) {
-			t.Errorf("task %q should not be completed", task)
-		}
-	}
-	if set.Len() != 1 {
-		t.Errorf("Len = %d, want 1", set.Len())
-	}
-}
-
-func TestCompletedFromLog(t *testing.T) {
+// logOf encodes events as a JSONL event log, stamping sequences.
+func logOf(evs ...Event) *bytes.Buffer {
 	var buf bytes.Buffer
 	h := NewHub()
 	h.AddSink(LogSink(&buf))
-	h.Emit(Event{Type: TaskReceived, Task: "a"})
-	h.Emit(Event{Type: TaskDone, Task: "a", Worker: "w1"})
-	h.Emit(Event{Type: TaskReceived, Task: "b"})
-	// Simulate a kill mid-write: the final record is torn.
-	data := buf.Bytes()
-	torn := append(append([]byte(nil), data...), []byte(`{"seq":4,"t_ns":9,"type":"do`)...)
+	for _, e := range evs {
+		h.Emit(e)
+	}
+	return &buf
+}
 
-	set, err := CompletedFromLog(bytes.NewReader(torn))
+// TestCompletedFromLogPairsLifecycles: a done event maps the payload its
+// lifecycle was received with to the result it carries; failed, dropped
+// and unfinished tasks map nothing, and a (campaign, task) pair is one
+// lifecycle key, so one task name in two campaigns pairs twice.
+func TestCompletedFromLogPairsLifecycles(t *testing.T) {
+	log := logOf(
+		Event{Type: TaskReceived, Task: "a", Payload: []byte("spec-a")},
+		Event{Type: TaskQueued, Task: "a"},
+		Event{Type: TaskReceived, Task: "a", Campaign: "pilot", Payload: []byte("spec-a2")},
+		Event{Type: TaskDone, Task: "a", Worker: "w1", Payload: []byte("res-a")},
+		Event{Type: TaskReceived, Task: "b", Payload: []byte("spec-b")},
+		Event{Type: TaskFailed, Task: "b", Worker: "w1", Err: "boom"},
+		Event{Type: TaskReceived, Task: "c", Payload: []byte("spec-c")},
+		Event{Type: TaskDropped, Task: "c"},
+		Event{Type: TaskReceived, Task: "d", Payload: []byte("spec-d")},
+		Event{Type: TaskDone, Task: "a", Campaign: "pilot", Worker: "w2", Payload: []byte("res-a2")},
+		// A done with no open lifecycle pairs nothing.
+		Event{Type: TaskDone, Task: "e", Worker: "w1", Payload: []byte("res-e")},
+		// The relax task of a target whose feature task finished above:
+		// same name, another spec.
+		Event{Type: TaskReceived, Task: "a", Payload: []byte("relax-a")},
+	)
+	got, err := CompletedFromLog(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{"spec-a": []byte("res-a"), "spec-a2": []byte("res-a2")}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("CompletedFromLog = %q, want %q", got, want)
+	}
+}
+
+// TestCompletedFromLogReceivedTwice: a task name received again with
+// another payload while its first lifecycle is open cannot say which
+// result belongs to which payload, so neither pairs and a resume
+// dispatches both again. Received again with the same payload (a client
+// re-submitting after a scheduler restart), the result is the same
+// either way and pairs.
+func TestCompletedFromLogReceivedTwice(t *testing.T) {
+	got, err := CompletedFromLog(logOf(
+		Event{Type: TaskReceived, Task: "x", Payload: []byte("spec-1")},
+		Event{Type: TaskReceived, Task: "x", Payload: []byte("spec-2")},
+		Event{Type: TaskDone, Task: "x", Worker: "w1", Payload: []byte("res-1")},
+		Event{Type: TaskDone, Task: "x", Worker: "w1", Payload: []byte("res-2")},
+		// Both lifecycles are closed: the name is free again.
+		Event{Type: TaskReceived, Task: "x", Payload: []byte("spec-3")},
+		Event{Type: TaskDone, Task: "x", Worker: "w1", Payload: []byte("res-3")},
+		Event{Type: TaskReceived, Task: "y", Payload: []byte("spec-y")},
+		Event{Type: TaskReceived, Task: "y", Payload: []byte("spec-y")},
+		Event{Type: TaskDone, Task: "y", Worker: "w1", Payload: []byte("res-y")},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{"spec-3": []byte("res-3"), "spec-y": []byte("res-y")}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("CompletedFromLog = %q, want %q", got, want)
+	}
+}
+
+// TestCompletedFromLog: a log torn by a killed scheduler keeps
+// its intact prefix; a file that is not a log is an error.
+func TestCompletedFromLog(t *testing.T) {
+	log := logOf(
+		Event{Type: TaskReceived, Task: "a", Payload: []byte("spec-a")},
+		Event{Type: TaskDone, Task: "a", Worker: "w1", Payload: []byte("res-a")},
+		Event{Type: TaskReceived, Task: "b", Payload: []byte("spec-b")},
+	)
+	torn := append(log.Bytes(), `{"seq":4,"t_ns":9,"type":"done","task":"b","worker":"w1","payl`...)
+	got, err := CompletedFromLog(bytes.NewReader(torn))
 	if err != nil {
 		t.Fatalf("CompletedFromLog on torn log: %v", err)
 	}
-	if !set.Done("a") || set.Done("b") || set.Len() != 1 {
-		t.Fatalf("torn log resume: a=%v b=%v len=%d", set.Done("a"), set.Done("b"), set.Len())
+	if want := map[string][]byte{"spec-a": []byte("res-a")}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("torn log resume = %q, want %q", got, want)
 	}
 
-	// A log yielding nothing at all fails loudly (wrong file).
-	if _, err := CompletedFromLog(strings.NewReader("not a log\n")); err == nil {
-		t.Fatal("CompletedFromLog accepted a non-log file")
+	for _, bad := range []string{"not a log\n", `{"type":"warp","task":"a"}`} {
+		if _, err := CompletedFromLog(strings.NewReader(bad)); err == nil {
+			t.Errorf("CompletedFromLog accepted %q", bad)
+		}
 	}
 }
 

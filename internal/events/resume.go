@@ -1,62 +1,66 @@
 package events
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 )
 
-// CompletedSet is the skip-set a resumed campaign consults: the trace
-// identities of tasks a previous (interrupted) run already completed.
-// Because every stage value is a pure function of (seed, species, task),
-// a resumed run recomputes a completed task locally instead of
-// re-dispatching it to the cluster — the report stays byte-identical to
-// an uninterrupted run while the cluster only sees the missing tasks.
-type CompletedSet struct {
-	done map[string]bool
-}
-
-// NewCompletedSet returns an empty set.
-func NewCompletedSet() *CompletedSet {
-	return &CompletedSet{done: make(map[string]bool)}
-}
-
-// Add marks one task identity as completed.
-func (s *CompletedSet) Add(task string) {
-	if task != "" {
-		s.done[task] = true
-	}
-}
-
-// Done reports whether the task was completed by the prior run. It is
-// the func a resumed core.Config.Resume threads into stage dispatch.
-func (s *CompletedSet) Done(task string) bool { return s.done[task] }
-
-// Len reports the number of completed tasks recorded.
-func (s *CompletedSet) Len() int { return len(s.done) }
-
-// CompletedFromEvents collects every task with a done event. Failed,
-// dropped, or quarantined tasks are not completed — a resumed run
-// re-dispatches them.
-func CompletedFromEvents(evs []Event) *CompletedSet {
-	s := NewCompletedSet()
-	for i := range evs {
-		if evs[i].Type == TaskDone {
-			s.Add(evs[i].Task)
-		}
-	}
-	return s
-}
-
-// CompletedFromLog reads a JSONL event log (`sched -event-log`) and
-// collects the completed tasks. A log truncated mid-record by a killed
-// scheduler is expected: the intact prefix is used and the torn tail
-// ignored. Only a log yielding no events at all fails, so a wrong path
-// or a non-log file is caught loudly instead of silently resuming from
-// nothing.
-func CompletedFromLog(r io.Reader) (*CompletedSet, error) {
+// CompletedFromLog reads a JSONL event log (`sched -event-log`) and maps
+// the payload of every task the logged run finished, as submitted, to
+// the result payload its worker returned. The payload is the task's spec
+// envelope, so a finished task is known by what it computed, not by its
+// trace identity: a target's feature and relax tasks, or an inference
+// task's 16 GB and 64 GB specs, never stand for each other, and a log of
+// another seed, species or preset matches nothing.
+//
+// A done event pairs with the received event of the same lifecycle,
+// keyed by (campaign, task); failed and dropped events close a lifecycle
+// without a result. A (campaign, task) received again with another
+// payload while its first lifecycle is open pairs nothing, so a resumed
+// run dispatches it again; a gapped log (an overloaded async sink
+// dropped events) likewise loses pairs, never gains a wrong one.
+//
+// A log torn mid-record by a killed scheduler is expected: the intact
+// prefix is used. Only a log yielding no events at all fails, so a wrong
+// path or a non-log file is caught loudly instead of silently resuming
+// from nothing.
+func CompletedFromLog(r io.Reader) (map[string][]byte, error) {
 	evs, err := ReadLog(r)
 	if err != nil && len(evs) == 0 {
 		return nil, fmt.Errorf("events: resume log unreadable: %w", err)
 	}
-	return CompletedFromEvents(evs), nil
+	type key struct{ campaign, task string }
+	type lifecycle struct {
+		payload []byte
+		open    int  // lifecycles received and not yet closed
+		mixed   bool // two of them carried different payloads
+	}
+	open := make(map[key]*lifecycle)
+	done := make(map[string][]byte)
+	for i := range evs {
+		e := &evs[i]
+		k := key{e.Campaign, e.Task}
+		switch e.Type {
+		case TaskReceived:
+			if l := open[k]; l != nil {
+				l.open++
+				l.mixed = l.mixed || !bytes.Equal(l.payload, e.Payload)
+			} else {
+				open[k] = &lifecycle{payload: e.Payload, open: 1}
+			}
+		case TaskDone, TaskFailed, TaskDropped:
+			l := open[k]
+			if l == nil {
+				continue
+			}
+			if e.Type == TaskDone && !l.mixed {
+				done[string(l.payload)] = e.Payload
+			}
+			if l.open--; l.open == 0 {
+				delete(open, k)
+			}
+		}
+	}
+	return done, nil
 }

@@ -45,13 +45,13 @@ func TestFlowDispatchSpecsFeedsEventLabels(t *testing.T) {
 	}
 	t.Cleanup(func() { f.Close() })
 
-	args := make([][]byte, 3)
+	specs := make([][]byte, 3)
 	ids := make([]string, 3)
-	for i := range args {
-		args[i] = enc(i)
+	for i := range specs {
+		specs[i] = specOf("exectest/square", i)
 		ids[i] = fmt.Sprintf("PROT_%05d/m%d", i, i)
 	}
-	if _, err := f.DispatchSpecs("exectest/square", args, ids); err != nil {
+	if _, err := f.DispatchSpecs("exectest/square", specs, ids); err != nil {
 		t.Fatal(err)
 	}
 	hub := sched.Events()
@@ -62,7 +62,7 @@ func TestFlowDispatchSpecsFeedsEventLabels(t *testing.T) {
 		}
 	}
 
-	if _, err := f.DispatchSpecs("exectest/square", args[:2], nil); err != nil {
+	if _, err := f.DispatchSpecs("exectest/square", specs[:2], nil); err != nil {
 		t.Fatal(err)
 	}
 	got = doneLabels(hub)

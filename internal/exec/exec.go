@@ -122,12 +122,12 @@ func mapBatch[T, R any](ex Executor, b Batch, items []T, fn func(i int, item T) 
 // specs only: MapSpecResume never hands a SpecDispatcher a closure.
 type SpecDispatcher interface {
 	Executor
-	// DispatchSpecs runs the named kernel once per argument block and
-	// returns the result payloads in argument order. On failure the error
-	// of the lowest argument index is returned. ids, when non-nil, names
-	// each argument block in the recorded trace (ids[i] for args[i]);
-	// nil falls back to decimal indices.
-	DispatchSpecs(kernel string, args [][]byte, ids []string) ([][]byte, error)
+	// DispatchSpecs runs each spec envelope (flow.EncodeSpec of the named
+	// kernel) once and returns the result payloads in spec order. On
+	// failure the error of the lowest spec index is returned. ids, when
+	// non-nil, names each spec in the recorded trace (ids[i] for
+	// specs[i]); nil falls back to decimal indices.
+	DispatchSpecs(kernel string, specs [][]byte, ids []string) ([][]byte, error)
 }
 
 // SpecResult constrains the result type R of a stage that can run
@@ -141,13 +141,13 @@ type SpecResult[R any] interface {
 // MapSpecResume is Map for stages that can also run remotely: each item
 // carries both a closure (fn) and a serializable spec (the registered
 // kernel plus per-item args built by arg). An executor that is not a
-// SpecDispatcher runs fn exactly as Map does; a SpecDispatcher encodes
-// arg(i, item) through its binary layout, dispatches the named kernel to
-// remote workers, and decodes each result payload into R through *R's
-// UnmarshalBinary. The registered kernel must be the same pure function of
-// its arguments as fn, so both paths produce identical values — the
-// cross-process determinism contract TestCampaignMultiProcess enforces end
-// to end.
+// SpecDispatcher runs fn exactly as Map does; a SpecDispatcher never calls
+// fn: it wraps arg(i, item)'s binary layout in the kernel's spec envelope,
+// dispatches the envelopes to remote workers, and decodes each result
+// payload into R through *R's UnmarshalBinary. The registered kernel must
+// be the same pure function of its arguments as fn, so both paths produce
+// identical values — the cross-process determinism contract
+// TestCampaignMultiProcess enforces end to end.
 //
 // id(i, item), when non-nil, names item i in the recorded trace on both
 // paths — the task_id column of the processing-times CSV.
@@ -155,74 +155,65 @@ type SpecResult[R any] interface {
 // grain is the closure path's Batch.Grain; spec dispatch ignores it, so no
 // wire byte depends on it.
 //
-// done, when non-nil, is a resume skip-set: done(taskID) reports whether
-// an interrupted prior run already completed that item (an
-// events.CompletedSet replayed from a scheduler event log). Because the
-// kernel is a pure function of its arguments, a skipped item is
-// recomputed locally via fn instead of re-dispatched to the cluster —
-// results (and the final report) stay byte-identical to an uninterrupted
-// run, while the cluster and the recorded trace only see the missing
-// items. The skip-set only matters on a SpecDispatcher: the closure path
-// runs every item locally anyway, so done is ignored there.
-//
-// A local recompute failure surfaces immediately without dispatching:
-// the skipped item completed before under the same pure function, so a
-// failure means the resume log does not match this campaign's
-// (seed, species) world. An empty result payload is a decode error, never
+// done, when non-nil, holds the results of an interrupted prior run:
+// spec envelope to result payload, as events.CompletedFromLog reads them
+// from a scheduler event log. An item whose envelope is in done is decoded
+// from the logged result exactly as a dispatched result would be, and is
+// neither dispatched nor computed; the cluster and the recorded trace only
+// see the remaining items. The closure path runs every item anyway, so
+// done is ignored there. An empty result payload is a decode error, never
 // a zero value: no campaign kernel encodes a result as nothing.
-func MapSpecResume[T any, A flow.BinaryAppender, R any, PR SpecResult[R]](ex Executor, kernel string, grain int, items []T, id func(i int, item T) string, arg func(i int, item T) A, fn func(i int, item T) (R, error), done func(task string) bool) ([]R, error) {
-	taskID := func(int) string { return "" }
-	if id != nil {
-		taskID = func(i int) string { return id(i, items[i]) }
-	}
+func MapSpecResume[T any, A flow.BinaryAppender, R any, PR SpecResult[R]](ex Executor, kernel string, grain int, items []T, id func(i int, item T) string, arg func(i int, item T) A, fn func(i int, item T) (R, error), done map[string][]byte) ([]R, error) {
 	sd, ok := ex.(SpecDispatcher)
 	if !ok {
 		b := Batch{Kernel: kernel, Grain: grain}
 		if id != nil {
-			b.TaskID = taskID
+			b.TaskID = func(i int) string { return id(i, items[i]) }
 		}
 		return mapBatch(ex, b, items, fn)
 	}
 	out := make([]R, len(items))
+	decode := func(i int, raw []byte) error {
+		if len(raw) == 0 {
+			return fmt.Errorf("exec: decoding %s result [%d]: empty payload", kernel, i)
+		}
+		if err := PR(&out[i]).UnmarshalBinary(raw); err != nil {
+			return fmt.Errorf("exec: decoding %s result [%d]: %w", kernel, i, err)
+		}
+		return nil
+	}
 	pending := make([]int, 0, len(items))
+	specs := make([][]byte, 0, len(items))
+	var ids []string
+	if id != nil {
+		ids = make([]string, 0, len(items))
+	}
+	var args []byte
 	for i, item := range items {
-		if done != nil {
-			if tid := taskID(i); tid != "" && done(tid) {
-				r, err := fn(i, item)
-				if err != nil {
-					return nil, fmt.Errorf("exec: recomputing completed %s task %s [%d]: %w", kernel, tid, i, err)
-				}
-				out[i] = r
-				continue
+		var err error
+		if args, err = arg(i, item).AppendBinary(args[:0]); err != nil {
+			return nil, fmt.Errorf("exec: encoding %s args [%d]: %w", kernel, i, err)
+		}
+		spec, err := flow.EncodeSpec(flow.JobSpec{Kernel: kernel, Args: args})
+		if err != nil {
+			return nil, fmt.Errorf("exec: encoding %s spec [%d]: %w", kernel, i, err)
+		}
+		if raw, ok := done[string(spec)]; ok {
+			if err := decode(i, raw); err != nil {
+				return nil, fmt.Errorf("%w (result read from the resume log)", err)
 			}
+			continue
 		}
 		pending = append(pending, i)
+		specs = append(specs, spec)
+		if id != nil {
+			ids = append(ids, id(i, item))
+		}
 	}
 	if len(pending) == 0 {
 		return out, nil
 	}
-	// The argument blocks are appended to one growing buffer, and args[k]
-	// is a capacity-capped view of block k: appends never rewrite written
-	// bytes, so a view stays valid on the array it was cut from after the
-	// buffer has moved on.
-	var buf []byte
-	args := make([][]byte, len(pending))
-	var ids []string
-	if id != nil {
-		ids = make([]string, len(pending))
-	}
-	for k, i := range pending {
-		start := len(buf)
-		var err error
-		if buf, err = arg(i, items[i]).AppendBinary(buf); err != nil {
-			return nil, fmt.Errorf("exec: encoding %s args [%d]: %w", kernel, i, err)
-		}
-		args[k] = buf[start:len(buf):len(buf)]
-		if ids != nil {
-			ids[k] = taskID(i)
-		}
-	}
-	payloads, err := sd.DispatchSpecs(kernel, args, ids)
+	payloads, err := sd.DispatchSpecs(kernel, specs, ids)
 	if err != nil {
 		return nil, err
 	}
@@ -230,12 +221,8 @@ func MapSpecResume[T any, A flow.BinaryAppender, R any, PR SpecResult[R]](ex Exe
 		return nil, fmt.Errorf("exec: %s returned %d/%d results", kernel, len(payloads), len(pending))
 	}
 	for k, raw := range payloads {
-		i := pending[k]
-		if len(raw) == 0 {
-			return nil, fmt.Errorf("exec: decoding %s result [%d]: empty payload", kernel, i)
-		}
-		if err := PR(&out[i]).UnmarshalBinary(raw); err != nil {
-			return nil, fmt.Errorf("exec: decoding %s result [%d]: %w", kernel, i, err)
+		if err := decode(pending[k], raw); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

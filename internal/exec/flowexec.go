@@ -128,22 +128,22 @@ func recordResult(sink *Trace, kernel, id, campaign string, r *flow.Result) {
 	})
 }
 
-// DispatchSpecs implements SpecDispatcher: one flow task per argument
-// block, each carrying a flow.JobSpec envelope, submitted as a single batch
-// through the client. Workers resolve the kernel name against their local
-// registry (flow.Register). Results arrive in completion order and are
-// re-keyed by task index, so the caller observes argument order; task
-// failures reduce to the lowest-index error — the same contract as
-// closure batches. With a trace attached, every completion record becomes
-// a TaskStats row (named by ids[i] when given) as it streams in, wire
-// bytes included — the statsCSV plumbing the paper's processing-times
-// file needs, finally end-to-end across real processes.
-func (f *Flow) DispatchSpecs(kernel string, args [][]byte, ids []string) ([][]byte, error) {
-	if len(args) == 0 {
+// DispatchSpecs implements SpecDispatcher: one flow task per spec
+// envelope, submitted as a single batch through the client. Workers
+// resolve the kernel name against their local registry (flow.Register).
+// Results arrive in completion order and are re-keyed by task index, so
+// the caller observes spec order; task failures reduce to the
+// lowest-index error — the same contract as closure batches. With a trace
+// attached, every completion record becomes a TaskStats row (named by
+// ids[i] when given) as it streams in, wire bytes included — the
+// statsCSV plumbing the paper's processing-times file needs, finally
+// end-to-end across real processes.
+func (f *Flow) DispatchSpecs(kernel string, specs [][]byte, ids []string) ([][]byte, error) {
+	if len(specs) == 0 {
 		return nil, nil
 	}
-	if ids != nil && len(ids) != len(args) {
-		return nil, fmt.Errorf("exec: %s batch has %d ids for %d args", kernel, len(ids), len(args))
+	if ids != nil && len(ids) != len(specs) {
+		return nil, fmt.Errorf("exec: %s batch has %d ids for %d specs", kernel, len(ids), len(specs))
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -156,13 +156,9 @@ func (f *Flow) DispatchSpecs(kernel string, args [][]byte, ids []string) ([][]by
 	// across clients and cross-deliver results.
 	f.specSeq++
 	prefix := f.specNonce + "." + strconv.FormatUint(f.specSeq, 10) + "."
-	tasks := make([]flow.Task, len(args))
-	for i, a := range args {
-		payload, err := flow.EncodeSpec(flow.JobSpec{Kernel: kernel, Args: a})
-		if err != nil {
-			return nil, fmt.Errorf("exec: encoding %s spec [%d]: %w", kernel, i, err)
-		}
-		tasks[i] = flow.Task{ID: prefix + strconv.Itoa(i), Payload: payload}
+	tasks := make([]flow.Task, len(specs))
+	for i, spec := range specs {
+		tasks[i] = flow.Task{ID: prefix + strconv.Itoa(i), Payload: spec}
 	}
 	traceID := func(idx int) string {
 		if ids != nil && ids[idx] != "" {
@@ -181,7 +177,7 @@ func (f *Flow) DispatchSpecs(kernel string, args [][]byte, ids []string) ([][]by
 		campaign := f.campaign
 		observe = func(r *flow.Result) {
 			if suffix, ok := strings.CutPrefix(r.TaskID, prefix); ok {
-				if idx, err := strconv.Atoi(suffix); err == nil && idx >= 0 && idx < len(args) {
+				if idx, err := strconv.Atoi(suffix); err == nil && idx >= 0 && idx < len(specs) {
 					recordResult(sink, kernel, traceID(idx), campaign, r)
 				}
 			}
@@ -191,7 +187,7 @@ func (f *Flow) DispatchSpecs(kernel string, args [][]byte, ids []string) ([][]by
 	if err != nil {
 		return nil, fmt.Errorf("exec: dispatching %s batch: %w", kernel, err)
 	}
-	out := make([][]byte, len(args))
+	out := make([][]byte, len(specs))
 	errIdx, errMsg := -1, ""
 	for i := range results {
 		r := &results[i]
@@ -200,7 +196,7 @@ func (f *Flow) DispatchSpecs(kernel string, args [][]byte, ids []string) ([][]by
 			return nil, fmt.Errorf("exec: stray result %q in %s batch", r.TaskID, kernel)
 		}
 		idx, err := strconv.Atoi(suffix)
-		if err != nil || idx < 0 || idx >= len(args) {
+		if err != nil || idx < 0 || idx >= len(specs) {
 			return nil, fmt.Errorf("exec: stray result %q in %s batch", r.TaskID, kernel)
 		}
 		if r.Failed() {

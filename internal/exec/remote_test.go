@@ -28,6 +28,16 @@ func enc(n int) []byte {
 	return b
 }
 
+// specOf is the spec envelope of kernel on argument n, as MapSpecResume
+// builds it for dispatch and for the resume lookup.
+func specOf(kernel string, n int) []byte {
+	p, err := flow.EncodeSpec(flow.JobSpec{Kernel: kernel, Args: enc(n)})
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // Test kernels registered once in the process-wide registry.
 var registerTestKernels sync.Once
 
@@ -130,7 +140,7 @@ func TestRemoteFlowLowestIndexError(t *testing.T) {
 
 func TestRemoteFlowUnknownKernel(t *testing.T) {
 	f := remoteCluster(t, 1)
-	_, err := f.DispatchSpecs("exectest/unregistered", [][]byte{enc(1)}, nil)
+	_, err := f.DispatchSpecs("exectest/unregistered", [][]byte{specOf("exectest/unregistered", 1)}, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown kernel") {
 		t.Fatalf("err = %v, want unknown kernel", err)
 	}
@@ -152,7 +162,7 @@ func TestRemoteFlowClosed(t *testing.T) {
 	f := remoteCluster(t, 1)
 	f.Close()
 	f.Close() // idempotent
-	if _, err := f.DispatchSpecs("exectest/square", [][]byte{enc(1)}, nil); err == nil {
+	if _, err := f.DispatchSpecs("exectest/square", [][]byte{specOf("exectest/square", 1)}, nil); err == nil {
 		t.Fatal("DispatchSpecs on closed executor succeeded")
 	}
 }
@@ -209,11 +219,11 @@ func TestConcurrentClientsSharedScheduler(t *testing.T) {
 			// cross-delivered result would land in the wrong slot.
 			base := 1000 * (c + 1)
 			for r := 0; r < rounds; r++ {
-				args := make([][]byte, n)
-				for i := range args {
-					args[i] = enc(base + i)
+				specs := make([][]byte, n)
+				for i := range specs {
+					specs[i] = specOf("exectest/square", base+i)
 				}
-				out, err := f.DispatchSpecs("exectest/square", args, nil)
+				out, err := f.DispatchSpecs("exectest/square", specs, nil)
 				if err != nil {
 					errs <- fmt.Errorf("client %d round %d: %w", c, r, err)
 					return

@@ -28,18 +28,15 @@ type payloadCapture struct {
 func (*payloadCapture) Run(exec.Batch) error { return errors.New("payloadCapture runs specs only") }
 func (*payloadCapture) Close() error         { return nil }
 
-func (c *payloadCapture) DispatchSpecs(kernel string, args [][]byte, _ []string) ([][]byte, error) {
-	out := make([][]byte, len(args))
-	for i, a := range args {
-		t, err := flow.NewSpecTask("", 0, kernel, a)
-		if err != nil {
-			return nil, err
-		}
-		if out[i], err = flow.DefaultRegistry().Run(t.Payload); err != nil {
+func (c *payloadCapture) DispatchSpecs(kernel string, specs [][]byte, _ []string) ([][]byte, error) {
+	out := make([][]byte, len(specs))
+	for i, spec := range specs {
+		var err error
+		if out[i], err = flow.DefaultRegistry().Run(spec); err != nil {
 			return nil, err
 		}
 		if _, ok := c.first[kernel]; !ok {
-			c.first[kernel] = [2][]byte{t.Payload, out[i]}
+			c.first[kernel] = [2][]byte{spec, out[i]}
 		}
 	}
 	return out, nil

@@ -1,14 +1,21 @@
 package experiments
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/exec"
 	"repro/internal/flow"
+	"repro/internal/fold"
+	"repro/internal/msa"
 	"repro/internal/proteome"
+	"repro/internal/relax"
 )
 
 // remoteExecutor builds the multi-process topology inside the test
@@ -16,6 +23,13 @@ import (
 // executor. The campaign kernels resolve against the process-wide
 // registry, exactly as in a `proteomectl worker` process.
 func remoteExecutor(t *testing.T, workers int) *exec.Flow {
+	f, _ := remoteCluster(t, workers)
+	return f
+}
+
+// remoteCluster is remoteExecutor that also returns the scheduler, whose
+// event stream a resume test reads results back from.
+func remoteCluster(t *testing.T, workers int) (*exec.Flow, *flow.Scheduler) {
 	t.Helper()
 	RegisterCampaignKernels()
 	sched := flow.NewScheduler()
@@ -36,7 +50,69 @@ func remoteExecutor(t *testing.T, workers int) *exec.Flow {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close() })
-	return f
+	return f, sched
+}
+
+// onRemote is cfg on a remote executor.
+func onRemote(cfg core.Config, x exec.Executor) core.Config {
+	cfg.Executor = x
+	cfg.Remote = &core.RemoteCampaign{Seed: DefaultSeed, Species: proteome.DVulgaris.Code}
+	return cfg
+}
+
+// loggedRun runs the campaign once on a fresh remote cluster and returns
+// what a resume reads from its scheduler's event log: the stream is
+// written as the JSONL log `sched -event-log` keeps and read back by
+// events.CompletedFromLog.
+func loggedRun(t *testing.T, env *Env, proteins []proteome.Protein, cfg core.Config) map[string][]byte {
+	t.Helper()
+	f, sched := remoteCluster(t, 2)
+	if _, err := core.RunCampaign(env.Engine, env.FeatureGen(), proteins, env.FS, core.ReducedDatabase(), onRemote(cfg, f)); err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer
+	sink := events.LogSink(&log)
+	for _, e := range sched.Events().Snapshot() {
+		sink(e)
+	}
+	done, err := events.CompletedFromLog(&log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return done
+}
+
+// resumedRun runs the campaign on a fresh remote cluster resumed from
+// done, and returns its report and the tasks it dispatched.
+func resumedRun(t *testing.T, engine *fold.Engine, gen core.FeatureGen, env *Env, proteins []proteome.Protein, cfg core.Config, done map[string][]byte) (*core.CampaignReport, []exec.TaskStats) {
+	t.Helper()
+	f := remoteExecutor(t, 2)
+	tr := &exec.Trace{}
+	f.SetTrace(tr)
+	cfg = onRemote(cfg, f)
+	cfg.Resume = done
+	rep, err := core.RunCampaign(engine, gen, proteins, env.FS, core.ReducedDatabase(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, tr.Rows()
+}
+
+// loggedInfer decodes one key of a resume map as an inference spec; ok
+// is false for another kernel's spec.
+func loggedInfer(t *testing.T, key string) (in core.InferSpec, ok bool) {
+	t.Helper()
+	spec, err := flow.DecodeSpec([]byte(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Kernel != core.KernelInfer {
+		return in, false
+	}
+	if err := in.UnmarshalBinary(spec.Args); err != nil {
+		t.Fatal(err)
+	}
+	return in, true
 }
 
 // TestCampaignRemoteSpecDispatch runs the full three-stage campaign
@@ -91,11 +167,11 @@ func checkRemoteReport(t *testing.T, got, want *core.CampaignReport) {
 }
 
 // TestCampaignRemoteResumeDispatchedFeatures resumes a remote campaign
-// whose log marks X/m0 done for five targets but none of their feature
-// tasks. Those feature tasks run remotely in this run, so X's features
-// never reach the client; recomputing X/m0 locally would infer from nil
-// features. The stage must dispatch such tasks again, and the report must
-// equal the pool's.
+// from a log that holds X/m0's result for five targets but none of their
+// feature tasks. Those feature tasks run remotely in this run, so X's
+// features never reach the client; X/m0 must still come from the log,
+// never be inferred from nil features, and the report must equal the
+// pool's.
 func TestCampaignRemoteResumeDispatchedFeatures(t *testing.T) {
 	env := NewEnv(DefaultSeed)
 	proteins := env.Proteome(proteome.DVulgaris).FilterMaxLen(2500)[:20]
@@ -104,19 +180,159 @@ func TestCampaignRemoteResumeDispatchedFeatures(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	done := map[string]bool{}
+	full := loggedRun(t, env, proteins, core.DefaultConfig())
+	resumed := map[string]bool{}
 	for _, p := range proteins[:5] {
-		done[p.Seq.ID+"/m0"] = true
+		resumed[p.Seq.ID] = true
 	}
-	cfg := core.DefaultConfig()
-	cfg.Executor = remoteExecutor(t, 2)
-	cfg.Remote = &core.RemoteCampaign{Seed: DefaultSeed, Species: proteome.DVulgaris.Code}
-	cfg.Resume = func(task string) bool { return done[task] }
-	got, err := core.RunCampaign(env.Engine, env.FeatureGen(), proteins, env.FS, core.ReducedDatabase(), cfg)
+	done := map[string][]byte{}
+	for key, res := range full {
+		if in, ok := loggedInfer(t, key); ok && resumed[in.ID] && in.Model == 0 {
+			done[key] = res
+		}
+	}
+	if len(done) != 5 {
+		t.Fatalf("log holds %d of the five X/m0 results", len(done))
+	}
+	got, rows := resumedRun(t, env.Engine, env.FeatureGen(), env, proteins, core.DefaultConfig(), done)
+	checkRemoteReport(t, got, want)
+	for _, row := range rows {
+		if id, ok := strings.CutSuffix(row.TaskID, "/m0"); ok && resumed[id] {
+			t.Errorf("logged task %s was dispatched", row.TaskID)
+		}
+	}
+	if wantRows := 20 + 20*fold.NumModels - 5 + want.Relax.Structures; len(rows) < wantRows {
+		t.Errorf("resumed run dispatched %d tasks, want at least %d", len(rows), wantRows)
+	}
+}
+
+// failingGen is a feature generator that must never run.
+type failingGen struct{}
+
+func (failingGen) Features(proteome.Protein) (*msa.Features, error) {
+	return nil, errors.New("feature generator called on a resumed campaign")
+}
+
+// TestCampaignRemoteResumeComputesNothing resumes from the log of a run
+// that finished every task. The resume reads every result back: it has no
+// engine and a feature generator that fails if called, dispatches no
+// task, and still reports exactly what the pool does.
+func TestCampaignRemoteResumeComputesNothing(t *testing.T) {
+	env := NewEnv(DefaultSeed)
+	proteins := env.Proteome(proteome.DVulgaris).FilterMaxLen(2500)[:30]
+	want, err := core.RunCampaign(env.Engine, env.FeatureGen(), proteins, env.FS, core.ReducedDatabase(), core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := core.DefaultConfig()
+	got, rows := resumedRun(t, nil, failingGen{}, env, proteins, cfg, loggedRun(t, env, proteins, cfg))
 	checkRemoteReport(t, got, want)
+	if len(rows) != 0 {
+		t.Fatalf("a fully logged campaign dispatched %d tasks (first: %+v)", len(rows), rows[0])
+	}
+}
+
+// TestCampaignRemoteResumeFeatureIsNotRelax: a target's feature and relax
+// tasks share its ID. A log in which X's feature task finished but its
+// relax task did not must still send X's relax to the cluster.
+func TestCampaignRemoteResumeFeatureIsNotRelax(t *testing.T) {
+	env := NewEnv(DefaultSeed)
+	proteins := env.Proteome(proteome.DVulgaris).FilterMaxLen(2500)[:10]
+	want, err := core.RunCampaign(env.Engine, env.FeatureGen(), proteins, env.FS, core.ReducedDatabase(), core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := proteins[3]
+	relaxOfX, err := flow.EncodeSpec(flow.JobSpec{Kernel: core.KernelRelax,
+		Args: mustAppend(t, core.RelaxSpec{Length: x.Seq.Len(), Platform: int(relax.PlatformGPU)})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := loggedRun(t, env, proteins, core.DefaultConfig())
+	if _, ok := done[string(relaxOfX)]; !ok {
+		t.Fatal("the full run's log holds no result for X's relax spec")
+	}
+	delete(done, string(relaxOfX))
+
+	got, rows := resumedRun(t, nil, failingGen{}, env, proteins, core.DefaultConfig(), done)
+	checkRemoteReport(t, got, want)
+	dispatched := false
+	for _, row := range rows {
+		if row.Kernel != core.KernelRelax {
+			t.Errorf("logged %s task %s was dispatched", row.Kernel, row.TaskID)
+		}
+		dispatched = dispatched || row.TaskID == x.Seq.ID
+	}
+	if !dispatched {
+		t.Fatalf("X's relax was not dispatched; rows %+v", rows)
+	}
+}
+
+// TestCampaignRemoteResumeHighMemory: the high-memory wave reuses an
+// OOM'd task's trace identity X/mN with another spec. A log holding X/mN's
+// OOM-tagged 16 GB result but not its 64 GB one must still send the 64 GB
+// spec to the high-memory wave. The casp14 preset's eight ensembles put
+// long targets over 16 GB.
+func TestCampaignRemoteResumeHighMemory(t *testing.T) {
+	env := NewEnv(DefaultSeed)
+	cfg := core.DefaultConfig()
+	cfg.Preset = fold.CASP14
+	var proteins []proteome.Protein
+	oom := 0
+	for _, p := range env.Proteome(proteome.DVulgaris).FilterMaxLen(2500) {
+		mem := env.Engine.PeakMemGB(cfg.Preset, p.Seq.Len())
+		switch {
+		case mem > 16 && mem <= 64 && oom < 2:
+			oom++
+		case mem <= 16 && len(proteins) < 10:
+		default:
+			continue
+		}
+		proteins = append(proteins, p)
+	}
+	if oom == 0 {
+		t.Fatal("no D. vulgaris target needs the high-memory partition")
+	}
+	want, err := core.RunCampaign(env.Engine, env.FeatureGen(), proteins, env.FS, core.ReducedDatabase(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Inference.HighMemSim == nil {
+		t.Fatal("the pool ran no high-memory wave")
+	}
+
+	done := loggedRun(t, env, proteins, cfg)
+	highMem := 0
+	for key := range done {
+		if in, ok := loggedInfer(t, key); ok && in.NodeMemGB > 16 {
+			delete(done, key)
+			highMem++
+		}
+	}
+	if highMem != oom*fold.NumModels {
+		t.Fatalf("log holds %d high-memory results, want %d", highMem, oom*fold.NumModels)
+	}
+
+	got, rows := resumedRun(t, nil, failingGen{}, env, proteins, cfg, done)
+	checkRemoteReport(t, got, want)
+	if len(rows) != highMem {
+		t.Fatalf("resumed run dispatched %d tasks, want the %d high-memory ones", len(rows), highMem)
+	}
+	for _, row := range rows {
+		if row.Kernel != core.KernelInfer {
+			t.Errorf("logged %s task %s was dispatched", row.Kernel, row.TaskID)
+		}
+	}
+}
+
+// mustAppend is a spec's binary layout.
+func mustAppend(t *testing.T, a flow.BinaryAppender) []byte {
+	t.Helper()
+	b, err := a.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestKernelWorldCacheBounded: a worker serving many distinct seeds must

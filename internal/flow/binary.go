@@ -153,6 +153,7 @@ func appendEvent(b []byte, e *events.Event) []byte {
 	b = bin.AppendString(b, e.Err)
 	b = binary.AppendVarint(b, int64(e.Attempt))
 	b = bin.AppendString(b, e.Campaign)
+	b = bin.AppendBytes(b, e.Payload)
 	return b
 }
 
@@ -251,6 +252,7 @@ func readEvent(r *bin.Reader, e *events.Event) {
 	e.Err = r.String("event error")
 	e.Attempt = r.Int("event attempt")
 	e.Campaign = r.String("event campaign")
+	e.Payload = r.Bytes("event payload")
 }
 
 func readTime(r *bin.Reader, what string) time.Time {

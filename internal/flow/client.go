@@ -66,15 +66,21 @@ func (c *Client) Map(tasks []Task, observe func(*Result)) ([]Result, error) {
 	if len(tasks) == 0 {
 		return nil, nil
 	}
-	ids := make(map[string]bool, len(tasks))
+	// settled holds every submitted task ID, true once its result is in.
+	// A duplicate or stray result frame (a retried task whose first
+	// worker's ack raced its death, a buggy peer) must not count toward
+	// completion — without this, one duplicate lets Map return "complete"
+	// while another task's result never arrived. The first record per
+	// task wins and is the one observed and returned.
+	settled := make(map[string]bool, len(tasks))
 	for _, t := range tasks {
 		if t.ID == "" {
 			return nil, fmt.Errorf("flow: task with empty ID")
 		}
-		if ids[t.ID] {
+		if _, dup := settled[t.ID]; dup {
 			return nil, fmt.Errorf("flow: duplicate task ID %q", t.ID)
 		}
-		ids[t.ID] = true
+		settled[t.ID] = false
 	}
 
 	if err := writeFrame(c.conn, c.codec, c.ResultTimeout, &message{Type: msgSubmit, Tasks: tasks, Campaign: c.Campaign}); err != nil {
@@ -82,13 +88,7 @@ func (c *Client) Map(tasks []Task, observe func(*Result)) ([]Result, error) {
 	}
 
 	results := make([]Result, 0, len(tasks))
-	// settled dedupes by TaskID: a duplicate or stray result frame (a
-	// retried task whose first worker's ack raced its death, a buggy peer)
-	// must not count toward completion — without this, one duplicate lets
-	// Map return "complete" while another task's result never arrived. The
-	// first record per task wins and is the one observed and returned.
-	settled := make(map[string]bool, len(tasks))
-	for len(settled) < len(tasks) {
+	for len(results) < len(tasks) {
 		// Renew the progress deadline before every read: any message from
 		// the scheduler counts as progress, but a wedged scheduler (or a
 		// dead cluster) surfaces as a timeout error instead of a hang.
@@ -98,13 +98,13 @@ func (c *Client) Map(tasks []Task, observe func(*Result)) ([]Result, error) {
 		var m message
 		if err := c.codec.Decode(&m); err != nil {
 			return results, fmt.Errorf("flow: awaiting results (%d/%d done): %w",
-				len(settled), len(tasks), err)
+				len(results), len(tasks), err)
 		}
 		if m.Type != msgResult {
 			continue // the accepted ack: progress, nothing to record
 		}
 		for _, r := range m.Results {
-			if !ids[r.TaskID] || settled[r.TaskID] {
+			if done, ok := settled[r.TaskID]; !ok || done {
 				continue
 			}
 			settled[r.TaskID] = true

@@ -42,7 +42,7 @@ func wireOrDefault(name string) string {
 // the bytes of any frame change (TestWireGolden fails until you do), or
 // those of a campaign kernel's spec or result (pinned by
 // TestKernelPayloadGolden in internal/experiments).
-const wireVersion = 4
+const wireVersion = 5
 
 // helloPrefix starts the hello line every dialer sends immediately after
 // connecting: "flow-wire <codec> <version>\n".

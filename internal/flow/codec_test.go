@@ -47,7 +47,7 @@ func fullMessage() *message {
 		Event: &events.Event{
 			Seq: 7, TimeNS: 99, Type: events.TaskDone,
 			Task: "t1", Worker: "w1", Err: "e", Attempt: 2,
-			Campaign: "dvu-full",
+			Campaign: "dvu-full", Payload: []byte("11.847"),
 		},
 		Count:    -5,
 		Campaign: "dvu-full",

@@ -365,7 +365,9 @@ func (d *dispatcher) result(wc *workerConn, ress []Result, now time.Time) {
 		if res.Err != "" {
 			d.emitQ(events.TaskFailed, &q, wc.id, res.Err, now)
 		} else {
-			d.emitQ(events.TaskDone, &q, wc.id, "", now)
+			// The result payload rides the done event: a resumed campaign
+			// reads it back from the log.
+			d.emit(events.Event{Type: events.TaskDone, Task: q.label, Worker: wc.id, Campaign: q.task.Campaign, Payload: res.Payload}, now)
 		}
 		q.sub.wave.observe(res.End.Sub(res.Start))
 		cc := q.client
@@ -414,7 +416,7 @@ func (d *dispatcher) submit(cc *clientConn, tasks []Task, campaign string, now t
 		// The event stream names a task by the submitting executor's trace
 		// tag when it has one, else by its wire ID.
 		label := cmp.Or(t.Label, t.ID)
-		d.emit(events.Event{Type: events.TaskReceived, Task: label, Campaign: t.Campaign}, now)
+		d.emit(events.Event{Type: events.TaskReceived, Task: label, Campaign: t.Campaign, Payload: t.Payload}, now)
 		if tn == nil || tn.key.campaign != t.Campaign {
 			tn = d.tenantOf(t.Campaign, cc)
 		}

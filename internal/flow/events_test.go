@@ -2,6 +2,7 @@ package flow
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -157,7 +158,7 @@ func TestEventLogMatchesHub(t *testing.T) {
 		t.Fatalf("log has %d events, hub has %d", len(logged), len(hist))
 	}
 	for i := range hist {
-		if logged[i] != hist[i] {
+		if !reflect.DeepEqual(logged[i], hist[i]) {
 			t.Fatalf("event %d differs: log %+v, hub %+v", i, logged[i], hist[i])
 		}
 	}
@@ -213,7 +214,7 @@ func TestMonitorBacklogThenLive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("backlog event %d: %v", i, err)
 		}
-		if got != want {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("backlog event %d = %+v, want %+v", i, got, want)
 		}
 	}

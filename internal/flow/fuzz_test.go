@@ -11,9 +11,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/bin"
+	"repro/internal/events"
 )
 
 // -update regenerates the checked-in binary-frame fuzz corpora and the
@@ -166,8 +168,15 @@ func FuzzDecodeMessage(f *testing.F) {
 		if (again.Event == nil) != (m.Event == nil) {
 			t.Fatalf("event pointer changed across round trip")
 		}
-		if m.Event != nil && *again.Event != *m.Event {
-			t.Fatalf("event changed across round trip: %+v != %+v", *again.Event, *m.Event)
+		if m.Event != nil {
+			a, b := *m.Event, *again.Event
+			if !bytes.Equal(a.Payload, b.Payload) {
+				t.Fatalf("event payload changed across round trip: %q != %q", b.Payload, a.Payload)
+			}
+			a.Payload, b.Payload = nil, nil
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("event changed across round trip: %+v != %+v", b, a)
+			}
 		}
 		// Heartbeat-carried worker gauges: presence and values must survive
 		// the round trip.
@@ -227,6 +236,10 @@ func binaryCorpus() map[string][]byte {
 	bareBeat := appendMessage(nil, &message{Type: msgHeartbeat, WorkerID: "w1"})
 	gaugedBeat := appendMessage(nil, &message{Type: msgHeartbeat, WorkerID: "w1",
 		Gauges: &WorkerGauges{Goroutines: 9, HeapBytes: 1 << 20, TasksExecuted: 42, BusyNS: 1500000000}})
+	// A done event carrying its result payload, as the monitor stream
+	// relays it.
+	doneEvent := appendMessage(nil, &message{Type: msgEvent, Event: &events.Event{Seq: 6, TimeNS: 9000,
+		Type: events.TaskDone, Task: "DVU_00001", Worker: "w1", Payload: []byte("412.375")}})
 	batch := appendMessage(nil, &message{Type: msgTask, Tasks: []Task{
 		{ID: "t1", Payload: specSeeds()[3]},
 		{ID: "t2", Payload: specSeeds()[3]},
@@ -246,6 +259,8 @@ func binaryCorpus() map[string][]byte {
 		"heartbeat_no_presence_byte": binFrame(bareBeat[:len(bareBeat)-1]),
 		// A gauge-carrying heartbeat torn inside the gauges.
 		"torn_gauges": binFrame(gaugedBeat[:len(gaugedBeat)-3]),
+		// An intact event frame whose event carries a payload.
+		"event_with_payload": binFrame(doneEvent),
 	}
 }
 

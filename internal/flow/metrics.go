@@ -62,8 +62,7 @@ type SchedulerMetrics struct {
 	fold      *events.Fold
 	campaigns map[string]*campaignSeries
 
-	// dropFns reads AsyncSink drop totals at scrape time (satellite:
-	// surface events.AsyncSink.Dropped as a queryable counter).
+	// dropFns reads AsyncSink drop totals at scrape time.
 	dropMu  sync.Mutex
 	dropFns []func() uint64
 }
@@ -127,7 +126,7 @@ func NewSchedulerMetrics(reg *obs.Registry) *SchedulerMetrics {
 		campaigns: make(map[string]*campaignSeries),
 	}
 	reg.CounterFunc("flow_async_sink_dropped_total",
-		"Events dropped by bounded async sinks (event log, placement log) under sustained overload.",
+		"Events dropped by bounded async sinks (the event log) under sustained overload.",
 		m.asyncDropped)
 	return m
 }

@@ -149,9 +149,11 @@ func (s *Scheduler) Events() *events.Hub { return s.hub }
 // rebuilds its record from its own log, so sequence numbers and stamps
 // continue where the crashed scheduler stopped (the hub continues the
 // sequence, Start the clock) and a monitor attaching after the restart
-// still replays the full campaign backlog. Task payloads do not survive
-// a restart (the log records transitions, not work): interrupted clients
-// re-submit, skipping completed tasks via `submit -resume`.
+// still replays the full campaign backlog. The restored stream is a
+// record, not a queue: no task is re-queued from it. Interrupted clients
+// re-submit, and `submit -resume` reads back from the log (whose received
+// and done events carry task and result payloads) what already finished,
+// so only the rest is dispatched again.
 func (s *Scheduler) RestoreEvents(evs []events.Event) error {
 	if s.ln != nil {
 		return fmt.Errorf("flow: RestoreEvents after Start")

@@ -46,7 +46,7 @@ func wireFrames() map[string]*message {
 		}},
 		msgSubscribe: {Type: msgSubscribe},
 		msgEvent: {Type: msgEvent, Event: &events.Event{Seq: 7, TimeNS: 1500, Type: events.TaskFailed,
-			Task: "DVU_00001", Worker: "w1", Err: "boom", Attempt: 2, Campaign: "dvu-full"}},
+			Task: "DVU_00001", Worker: "w1", Err: "boom", Attempt: 2, Campaign: "dvu-full", Payload: []byte("412.375")}},
 	}
 }
 

@@ -2,6 +2,7 @@ package msa
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -56,7 +57,10 @@ type GapParams struct {
 // DefaultGaps are BLOSUM62-appropriate penalties.
 var DefaultGaps = GapParams{Open: 11, Extend: 1}
 
-const negInf = int(-1) << 40
+// negInf stands for an impossible alignment state: -2⁴⁰ where int has 64
+// bits, -2²⁴ where it has 32, far below any score with room to subtract
+// gap penalties without wrapping.
+const negInf = int(-1) << (bits.UintSize/2 + 8)
 
 // dpScratch is the reusable working set of one alignment call: the three
 // Gotoh matrices as one flat backing array plus the traceback byte buffer.
