@@ -423,7 +423,7 @@ func (o *schedOptions) register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.resumeLog, "resume-log", false, "on restart, replay an existing -event-log first: the stream continues where the crashed scheduler stopped (a torn final record is discarded), so monitors still see the full campaign backlog and `submit -resume` can read back the results of completed tasks")
 	fs.IntVar(&o.maxRetries, "max-retries", 3, "requeue a task whose worker died at most this many times, then quarantine it with a terminal failed event (0 = requeue forever)")
 	fs.DurationVar(&o.heartbeatTimeout, "heartbeat-timeout", 0, "declare a worker dead after this long without a heartbeat or result and requeue its task (0 disables; workers must send -heartbeat at a few multiples below this)")
-	fs.IntVar(&o.eventBacklog, "event-backlog", 0, "retain at most this many events in memory for late-attaching monitors, evicting oldest-first with an explicit truncated marker (0 = unbounded: each event costs 128 B plus its strings and payload, over 130 MB for a paper-sized campaign's ~10^6 events). The bound is on memory only: the -event-log file is written behind a 32,768-event buffer, which under sustained overload drops events and then ends the file with a truncated marker")
+	fs.IntVar(&o.eventBacklog, "event-backlog", 0, "retain at most this many events in memory for late-attaching monitors, evicting oldest-first with an explicit truncated marker (0 = unbounded: each event costs 128 B plus its strings and payload, over 130 MB for a paper-sized campaign's ~10^6 events). The -event-log file is written by a follower of this same history, so unbounded it is complete however far the writer falls behind; bounded, a writer more than N events behind loses the evicted events and the file holds a truncated marker at the gap")
 	fs.IntVar(&o.batch, "batch", 0, "tasks per handout frame (acked in one frame back). 0: the scheduler sizes each handout itself — about 1 ms of handler time, estimated from the results each submitted wave has returned so far, at most 64 tasks; minute-long tasks go out one per worker, microsecond kernels ~20 at a time, and a task being retried after a worker death always travels alone. N >= 1: up to exactly N, whatever the tasks cost")
 	fs.StringVar(&o.policy, "policy", flow.PolicyFIFO, "queue policy: fifo (strict arrival order) or fair (round-robin handout across campaigns sharing the fleet; tasks name their campaign via submit -campaign)")
 	fs.IntVar(&o.quota, "quota", 0, "admit at most this many unfinished tasks per campaign, deferring the rest (and their submit ack) until earlier tasks settle; 0 = unlimited")

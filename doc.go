@@ -156,8 +156,10 @@
 // Every transition the loop makes is an events.Event — received → queued
 // → assigned → running → done | failed, plus worker join, leave and lost
 // — stamped scheduler-side, kept in a hub, persisted as JSONL (`sched
-// -event-log`, written off the dispatch path by events.AsyncSink) and
-// streamed to monitors, backlog first. One reducer, events.Fold,
+// -event-log`) and streamed to monitors, backlog first. The log is
+// written off the dispatch path by a follower of the hub's history, so
+// it holds every event the hub does; it gaps, at a truncated marker, only
+// when `-event-backlog` bounds the hub. One reducer, events.Fold,
 // interprets that state machine, and everything an operator reads is a
 // projection of it: `monitor`, `top`, the Prometheus series behind
 // `sched -http` (internal/obs), and events.ReplayEvents offline.

@@ -2,8 +2,8 @@ package events
 
 import (
 	"bytes"
-	"strings"
-	"sync"
+	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -59,78 +59,16 @@ func TestAsyncSinkDrainOnClose(t *testing.T) {
 	}
 }
 
-// TestAsyncSinkDropsAndMarker: a full buffer drops events (the emitter
-// must never stall) and Close surfaces the loss as one synthesized
-// Truncated marker carrying the count and the last offered stamp.
-func TestAsyncSinkDropsAndMarker(t *testing.T) {
-	var mu sync.Mutex
-	var got []Event
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	a := NewAsyncSink(func(e Event) {
-		mu.Lock()
-		got = append(got, e)
-		mu.Unlock()
-		select {
-		case <-started:
-		default:
-			close(started)
-		}
-		<-gate
-	}, 2)
-	// First event occupies the writer, two fill the buffer, the rest drop.
-	a.Sink(Event{Seq: 1, TimeNS: 10, Type: TaskReceived, Task: "t"})
-	<-started
-	for seq := uint64(2); seq <= 6; seq++ {
-		a.Sink(Event{Seq: seq, TimeNS: int64(seq * 10), Type: TaskReceived, Task: "t"})
-	}
-	if d := a.Dropped(); d == 0 {
-		t.Fatal("no drops against a blocked writer and a 2-deep buffer")
-	}
-	close(gate)
-	a.Close()
-	a.Close() // idempotent
-
-	mu.Lock()
-	defer mu.Unlock()
-	last := got[len(got)-1]
-	if last.Type != Truncated {
-		t.Fatalf("last event is %s, want a %s marker", last.Type, Truncated)
-	}
-	if last.Seq != 6 || last.TimeNS != 60 {
-		t.Fatalf("marker stamped Seq=%d TimeNS=%d, want the last offered event's 6/60", last.Seq, last.TimeNS)
-	}
-	if !strings.Contains(last.Err, "dropped by async sink") {
-		t.Fatalf("marker error %q does not state the loss", last.Err)
-	}
-	// Everything that was not dropped arrived, in order.
-	var want uint64
-	for _, e := range got[:len(got)-1] {
-		if e.Seq <= want {
-			t.Fatalf("out-of-order delivery: seq %d after %d", e.Seq, want)
-		}
-		want = e.Seq
-	}
-	if int(want) != 3+int(6-3-a.Dropped()) {
-		// 1 in-flight + 2 buffered before drops began; exact survivors
-		// depend on scheduling, so just require consistency.
-		t.Logf("survivors end at seq %d with %d dropped", want, a.Dropped())
-	}
-}
-
-// TestAsyncSinkNoDropsNoMarker: a clean run must not synthesize a marker
-// — the persisted log stays decodable as a complete contiguous stream.
+// TestAsyncSinkNoDropsNoMarker: a clean run writes no marker — the
+// persisted log stays decodable as a complete contiguous stream.
 func TestAsyncSinkNoDropsNoMarker(t *testing.T) {
 	h := NewHub()
 	var buf bytes.Buffer
-	a := h.AddAsyncSink(LogSink(&buf), 0)
+	h.AddAsyncSink(LogSink(&buf), 0)
 	for i := 0; i < 50; i++ {
 		h.Emit(Event{Type: TaskReceived, Task: "t"})
 	}
 	h.Close()
-	if d := a.Dropped(); d != 0 {
-		t.Fatalf("dropped %d events with a fast sink", d)
-	}
 	logged, err := ReadLog(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -143,23 +81,133 @@ func TestAsyncSinkNoDropsNoMarker(t *testing.T) {
 			t.Fatal("clean stream contains a truncated marker")
 		}
 	}
-	// Hub.Close already drained the sink; a later direct Close is a no-op.
-	a.Close()
+	// Hub.Close already waited for the follower; a second Close is a no-op.
+	h.Close()
 }
 
-// TestAddAsyncSinkOnClosedHub: registering on a closed hub returns an
-// already-closed sink instead of leaking its writer goroutine.
+// TestAddAsyncSinkOnClosedHub: registering on a closed hub starts no
+// follower, so nothing leaks and the sink function never runs.
 func TestAddAsyncSinkOnClosedHub(t *testing.T) {
 	h := NewHub()
+	h.Emit(Event{Type: TaskReceived, Task: "t"})
 	h.Close()
 	var called bool
-	a := h.AddAsyncSink(func(Event) { called = true }, 4)
-	a.Sink(Event{Seq: 1, Type: TaskReceived, Task: "t"}) // no-op after close
-	a.Close()
+	h.AddAsyncSink(func(Event) { called = true }, 4)
+	h.Emit(Event{Type: TaskReceived, Task: "t"}) // no-op after close
+	h.Close()
 	if called {
 		t.Fatal("sink function ran on a closed hub")
 	}
-	if a.Dropped() != 0 {
-		t.Fatalf("Dropped = %d on an unused sink", a.Dropped())
+}
+
+// TestAsyncSinkStartsAtNow: a follower registered mid-stream sees the
+// events emitted from then on, not the backlog a subscriber replays.
+func TestAsyncSinkStartsAtNow(t *testing.T) {
+	h := NewHub()
+	for i := 0; i < 3; i++ {
+		h.Emit(Event{Type: TaskReceived, Task: "before"})
+	}
+	var got []uint64
+	h.AddAsyncSink(func(e Event) { got = append(got, e.Seq) }, 0)
+	h.Emit(Event{Type: TaskReceived, Task: "after"})
+	h.Close()
+	if !reflect.DeepEqual(got, []uint64{4}) {
+		t.Fatalf("follower saw seqs %v, want [4]", got)
+	}
+}
+
+// stalledLog returns a sink writing the log to buf that stalls after its
+// first event until release is called; held is closed once it stalls.
+func stalledLog(buf *bytes.Buffer) (sink func(Event), held <-chan struct{}, release func()) {
+	write := LogSink(buf)
+	stalled, gate := make(chan struct{}), make(chan struct{})
+	first := true
+	sink = func(e Event) {
+		write(e)
+		if first {
+			first = false
+			close(stalled)
+			<-gate
+		}
+	}
+	return sink, stalled, func() { close(gate) }
+}
+
+// TestAsyncSinkBurstIsComplete: a 65,536-event burst (one large submit
+// frame) emitted while the writer is stalled reaches the log whole —
+// contiguous sequences, no truncated marker, a stream a fresh hub
+// restores from — because the follower reads the history the unbounded
+// hub keeps.
+func TestAsyncSinkBurstIsComplete(t *testing.T) {
+	h := NewHub()
+	var buf bytes.Buffer
+	sink, held, release := stalledLog(&buf)
+	h.AddAsyncSink(sink, 0)
+	payload := []byte("spec")
+	h.Emit(Event{Type: TaskReceived, Task: "t", Payload: payload})
+	<-held
+	for i := 1; i < 1<<16; i++ {
+		h.Emit(Event{Type: TaskReceived, Task: "t", Payload: payload})
+	}
+	release()
+	h.Close()
+	log, err := ReadLog(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := h.Snapshot()
+	if len(log) != len(want) {
+		t.Fatalf("log holds %d events, the hub %d", len(log), len(want))
+	}
+	for i := range log {
+		if log[i].Type == Truncated || log[i].Seq != uint64(i)+1 {
+			t.Fatalf("log record %d is %s at seq %d, want seq %d", i+1, log[i].Type, log[i].Seq, i+1)
+		}
+		if !sameEvent(log[i], want[i]) {
+			t.Fatalf("log record %d = %+v, the hub holds %+v", i+1, log[i], want[i])
+		}
+	}
+	if err := NewHub().Restore(log); err != nil {
+		t.Fatalf("a fresh hub refuses the log: %v", err)
+	}
+}
+
+// TestAsyncSinkBoundedGap: on a bounded hub a follower held back past the
+// limit writes one truncated marker where its events were evicted, then
+// the retained tail in order, and nothing twice.
+func TestAsyncSinkBoundedGap(t *testing.T) {
+	const limit, total = 100, 1000
+	h := NewHub()
+	h.SetLimit(limit)
+	var buf bytes.Buffer
+	sink, held, release := stalledLog(&buf)
+	h.AddAsyncSink(sink, 0)
+	h.Emit(Event{Type: TaskReceived, Task: "t"})
+	<-held
+	for i := 1; i < total; i++ {
+		h.Emit(Event{Type: TaskReceived, Task: "t"})
+	}
+	release()
+	h.Close()
+	log, err := ReadLog(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Event 1, the marker for events 2..total-limit, the last limit events.
+	if len(log) != 2+limit {
+		t.Fatalf("log holds %d records, want %d", len(log), 2+limit)
+	}
+	if log[0].Seq != 1 || log[0].Type != TaskReceived {
+		t.Fatalf("first record %+v, want event 1", log[0])
+	}
+	m := log[1]
+	wantErr := fmt.Sprintf("events: %d events evicted from bounded backlog", total-limit-1)
+	if m.Type != Truncated || m.Seq != total-limit || m.Err != wantErr {
+		t.Fatalf("gap record %+v, want a truncated marker at seq %d saying %q", m, total-limit, wantErr)
+	}
+	for i, e := range log[2:] {
+		if want := uint64(total - limit + 1 + i); e.Seq != want || e.Type != TaskReceived {
+			t.Fatalf("tail record %d = %+v, want seq %d", i, e, want)
+		}
 	}
 }

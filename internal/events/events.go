@@ -71,10 +71,11 @@ const (
 	// because it fell silent past the heartbeat deadline (wedged process,
 	// dead network path). Its in-flight task is requeued like worker_leave.
 	WorkerLost Type = "worker_lost"
-	// Truncated: a marker synthesized for a subscriber whose cursor points
-	// before the oldest event retained by a bounded hub backlog; Err says
-	// how many events were evicted. It is never emitted into a persisted
-	// log — only cursors observe it.
+	// Truncated: a marker synthesized for a cursor that points before the
+	// oldest event retained by a bounded hub backlog; Err says how many
+	// events were evicted. The hub never emits it, so a synchronous sink
+	// never sees one; a persisted log holds one exactly where its writer,
+	// a follower of the bounded history, lost events.
 	Truncated Type = "truncated"
 )
 
@@ -161,9 +162,10 @@ func (e *Event) Validate() error {
 // Hub is the scheduler-side event recorder: it stamps every emitted
 // event with a sequence number (and reads no clock: TimeNS is the
 // emitter's), retains the history (all of it by default, or a bounded
-// tail under SetLimit — so a subscriber that attaches mid-campaign
-// observes the same sequence as the persisted log), fans events out to
-// synchronous sinks, and wakes blocking subscriber cursors.
+// tail under SetLimit), fans events out to synchronous sinks, and wakes
+// the cursors that follow the history: live subscribers and the
+// persisted log's writer alike, so a subscriber that attaches
+// mid-campaign observes the same sequence as the log.
 //
 // The history is kept in fixed-size blocks of blockLen events: an event
 // stays where it was first written, appending never copies the events
@@ -175,10 +177,11 @@ func (e *Event) Validate() error {
 // Emit is safe for concurrent use, though the scheduler calls it from
 // its single event-loop goroutine; sinks run on the emitting goroutine
 // under the hub lock, in stream order — they must be fast and must never
-// block (RPCs and anything that can stall on I/O belong behind
-// AddAsyncSink, which keeps stream order while moving the work to a
-// dedicated writer goroutine). Sink errors are the sink's problem:
-// recording must never stall scheduling.
+// block. Anything that can stall on I/O belongs behind AddAsyncSink,
+// which follows the history on its own goroutine: it misses nothing an
+// unbounded hub holds, and gaps only on a bounded hub, at a Truncated
+// marker. Sink errors are the sink's problem: recording must never stall
+// scheduling.
 type Hub struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -186,9 +189,8 @@ type Hub struct {
 	sinks  []func(Event)
 	closed bool
 
-	// drains are the Close hooks of registered async sinks, run (outside
-	// the lock) by Hub.Close so buffered events are flushed before it
-	// returns.
+	// drains wait for the async sinks' followers, run (outside the lock)
+	// by Hub.Close so their backlogs are written before it returns.
 	drains []func()
 
 	// lastSeq is the sequence of the most recently stamped (or restored)
@@ -275,16 +277,48 @@ func (h *Hub) AddSink(fn func(Event)) {
 	h.sinks = append(h.sinks, fn)
 }
 
+// AddAsyncSink registers fn as a follower of the hub's history: one
+// goroutine reads a cursor positioned after the last event emitted so far
+// and calls fn for each event from then on, in stream order, off the
+// emitting goroutine — how `sched -event-log` writes its file without
+// putting I/O on the dispatch path. The follower reads the history the
+// hub already keeps, so it sees every event an unbounded hub emits
+// however far it falls behind; on a bounded hub (SetLimit) a follower
+// more than the limit behind gets the Truncated marker a late subscriber
+// gets, then the retained tail. Hub.Close waits until the follower has
+// handed fn every event emitted before it. On a closed hub fn is never
+// called. depth is unused; the benchmark module still passes one.
+func (h *Hub) AddAsyncSink(fn func(Event), depth int) {
+	if fn == nil {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed {
+		return
+	}
+	c := &Cursor{h: h, nextSeq: h.lastSeq + 1}
+	done := make(chan struct{})
+	h.drains = append(h.drains, func() { <-done })
+	go func() {
+		defer close(done)
+		for e, ok := c.Next(); ok; e, ok = c.Next() {
+			fn(e)
+		}
+	}()
+}
+
 // SetLimit bounds the in-memory backlog to at most n events, evicting
 // oldest-first (the hub-scaling fix for proteome-sized campaigns: a
 // 6,000-worker run emits millions of events, 128 B each plus their
 // strings and payloads, and the hub must not hold them all). A block
 // whose events are all evicted is cleared and reused as the next tail
 // block, so a bounded hub allocates nothing once its window has filled.
-// A cursor that falls behind the retained window receives a single
-// synthesized Truncated marker and resumes at the oldest retained event.
-// n <= 0 restores the default unbounded retention. Sinks (the persisted
-// JSONL log) are unaffected — they observe every event as it is emitted.
+// A cursor that falls behind the retained window, an async sink's
+// follower included, receives a single synthesized Truncated marker and
+// resumes at the oldest retained event. n <= 0 restores the default
+// unbounded retention. Synchronous sinks are unaffected — they observe
+// every event as it is emitted.
 func (h *Hub) SetLimit(n int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -379,10 +413,10 @@ func (h *Hub) Snapshot() []Event {
 }
 
 // Close wakes every blocked cursor; once the backlog is drained their
-// Next returns false. Registered async sinks are then drained and closed
-// (outside the hub lock), so when Close returns every event emitted
-// before it has been handed to every sink's underlying writer. Close is
-// idempotent and does not discard history.
+// Next returns false. Close then waits (outside the hub lock) for every
+// async sink's follower to drain, so when it returns every event emitted
+// before it has been handed to every sink. Close is idempotent and does
+// not discard history.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	h.closed = true

@@ -64,6 +64,30 @@ func FuzzReadLog(f *testing.F) {
 				t.Fatalf("resume reader paired %q, which no received event carried", spec)
 			}
 		}
+		// No pair spans a truncated marker: each one is also paired by the
+		// stretch of the log between two markers that holds it.
+		segment := map[string]bool{}
+		for start := 0; start <= len(evs); {
+			end := start
+			for end < len(evs) && evs[end].Type != Truncated {
+				end++
+			}
+			var buf bytes.Buffer
+			sink := LogSink(&buf)
+			for _, e := range evs[start:end] {
+				sink(e)
+			}
+			part, _ := CompletedFromLog(&buf)
+			for spec, res := range part {
+				segment[spec+"\x00"+string(res)] = true
+			}
+			start = end + 1
+		}
+		for spec, res := range done {
+			if !segment[spec+"\x00"+string(res)] {
+				t.Fatalf("resume reader paired %q with %q across a truncated marker", spec, res)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -162,12 +162,14 @@ func TestBoundedHubEmitAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkHubEmit is Hub.Emit with no sink attached, 65,536 events an
-// op: into a fresh unbounded hub (the default `sched`, whose history
-// grows for the whole campaign), and into one hub bounded to 4,096
-// events whose window has long filled (`sched -event-backlog 4096`).
-// allocs/op is gated exactly: unbounded, the 64 blocks, the block list's
-// 7 doublings and the hub itself; bounded, nothing.
+// BenchmarkHubEmit is Hub.Emit, 65,536 events an op: with no sink into a
+// fresh unbounded hub (the default `sched`, whose history grows for the
+// whole campaign), and into one hub bounded to 4,096 events whose window
+// has long filled (`sched -event-backlog 4096`); and into a fresh
+// unbounded hub an async sink follows (`sched -event-log`), its Close
+// inside the op, so the op ends only once the follower has handed every
+// event on. allocs/op is gated exactly: unbounded, the 64 blocks, the
+// block list's 7 doublings and the hub itself; bounded, nothing.
 func BenchmarkHubEmit(b *testing.B) {
 	const perOp = 1 << 16
 	emit := func(h *Hub) {
@@ -193,6 +195,26 @@ func BenchmarkHubEmit(b *testing.B) {
 			b.StartTimer()
 			return NewHub()
 		})
+	})
+	b.Run("follower", func(b *testing.B) {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		// A first follower off the clock leaves a goroutine to reuse, so
+		// the runtime's allocating one does not count at -benchtime 1x.
+		warm := NewHub()
+		warm.AddAsyncSink(func(Event) {}, 0)
+		warm.Close()
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			runtime.GC()
+			b.StartTimer()
+			h := NewHub()
+			h.AddAsyncSink(func(Event) {}, 0)
+			emit(h)
+			h.Close()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*perOp), "ns/event")
 	})
 	b.Run("bounded", func(b *testing.B) {
 		h := NewHub()

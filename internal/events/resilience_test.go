@@ -247,6 +247,28 @@ func TestCompletedFromLogReceivedTwice(t *testing.T) {
 	}
 }
 
+// TestCompletedFromLogGapEndsLifecycles: a truncated marker ends every
+// open lifecycle. X/m0 is received with its 16 GB spec; the gap swallows
+// that attempt's OOM failure and the receipt of the 64 GB spec; the 64 GB
+// result after the gap must not pair with the 16 GB spec, or a resume
+// would report the 64 GB result as a standard-node success. A lifecycle
+// wholly after the gap pairs as usual.
+func TestCompletedFromLogGapEndsLifecycles(t *testing.T) {
+	got, err := CompletedFromLog(logOf(
+		Event{Type: TaskReceived, Task: "X/m0", Payload: []byte("X/m0@16GB")},
+		Event{Type: Truncated, Err: "events: 2 events evicted from bounded backlog"},
+		Event{Type: TaskDone, Task: "X/m0", Worker: "w1", Payload: []byte("res-64GB")},
+		Event{Type: TaskReceived, Task: "Y/m0", Payload: []byte("Y/m0@16GB")},
+		Event{Type: TaskDone, Task: "Y/m0", Worker: "w1", Payload: []byte("res-Y")},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string][]byte{"Y/m0@16GB": []byte("res-Y")}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("CompletedFromLog = %q, want %q", got, want)
+	}
+}
+
 // TestCompletedFromLog: a log torn by a killed scheduler keeps
 // its intact prefix; a file that is not a log is an error.
 func TestCompletedFromLog(t *testing.T) {

@@ -18,8 +18,12 @@ import (
 // keyed by (campaign, task); failed and dropped events close a lifecycle
 // without a result. A (campaign, task) received again with another
 // payload while its first lifecycle is open pairs nothing, so a resumed
-// run dispatches it again; a gapped log (an overloaded async sink
-// dropped events) likewise loses pairs, never gains a wrong one.
+// run dispatches it again. A log has a gap only where a bounded hub
+// evicted events its writer had not reached, and a truncated marker
+// stands there: the marker ends every open lifecycle, because the gap may
+// have swallowed a lifecycle's end and the next one's start, and a done
+// after it would pair with the wrong payload. A gapped log loses pairs,
+// never gains a wrong one.
 //
 // A log torn mid-record by a killed scheduler is expected: the intact
 // prefix is used. Only a log yielding no events at all fails, so a wrong
@@ -42,6 +46,8 @@ func CompletedFromLog(r io.Reader) (map[string][]byte, error) {
 		e := &evs[i]
 		k := key{e.Campaign, e.Task}
 		switch e.Type {
+		case Truncated:
+			clear(open)
 		case TaskReceived:
 			if l := open[k]; l != nil {
 				l.open++

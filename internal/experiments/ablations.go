@@ -40,7 +40,6 @@ func Ablations(env *Env) (*AblationResult, error) {
 	dvu := env.Proteome(proteome.DVulgaris)
 	proteins := dvu.FilterMaxLen(2500)
 	gen := env.FeatureGen()
-	feats := map[string]*taskFeat{}
 	res := &AblationResult{
 		OrderWallHours:     map[string]float64{},
 		OrderSpreadMin:     map[string]float64{},
@@ -74,7 +73,6 @@ func Ablations(env *Env) (*AblationResult, error) {
 	}
 	perTask := make(map[string][fold.NumModels]pred, len(proteins))
 	for i, p := range proteins {
-		feats[p.Seq.ID] = &taskFeat{length: p.Seq.Len()}
 		perTask[p.Seq.ID] = rows[i]
 	}
 
@@ -222,8 +220,6 @@ func Ablations(env *Env) (*AblationResult, error) {
 	res.FullFeatureNH = ff.NodeHours
 	return res, nil
 }
-
-type taskFeat struct{ length int }
 
 // Render writes the ablation report.
 func (r *AblationResult) Render(w io.Writer) error {

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -121,46 +122,50 @@ func TestSchedulerEventsUseLabels(t *testing.T) {
 
 // TestEventLogMatchesHub: the JSONL event log decodes to exactly the
 // hub's history — the persisted artifact and the live stream are the
-// same record.
+// same record — with contiguous sequences and no truncated marker, so
+// it seeds a restarted scheduler's hub. The second case is one submit
+// frame far larger than the log writer keeps pace with (40,000 tasks,
+// some 160,000 events emitted in bursts): the writer follows the hub's
+// history, so however far it falls behind it loses nothing.
 func TestEventLogMatchesHub(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewScheduler()
-	s.EventLog = &buf
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	w := NewWorker("w00", echoHandler)
-	if err := w.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-	c, err := connectClient(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	if _, err := c.Map(makeTasks(6), nil); err != nil {
-		t.Fatal(err)
-	}
-	// The event log is written by an async sink; a clean Close drains
-	// every buffered event, which is exactly the guarantee under test:
-	// the persisted log still matches the hub record byte for byte.
-	s.Close()
+	for _, tc := range []struct{ tasks, workers int }{{6, 1}, {40000, 2}} {
+		t.Run(fmt.Sprintf("tasks=%d", tc.tasks), func(t *testing.T) {
+			if tc.tasks > 1000 && testing.Short() {
+				t.Skip("40,000 tasks over sockets (~12 s under -race): skipped under -short")
+			}
+			var buf bytes.Buffer
+			s := NewScheduler()
+			s.EventLog = &buf
+			_, _, c := startClusterOn(t, s, tc.workers, echoHandler)
+			if _, err := c.Map(makeTasks(tc.tasks), nil); err != nil {
+				t.Fatal(err)
+			}
+			// The event log is written by a follower of the hub's
+			// history; a clean Close waits for it to catch up, which is
+			// exactly the guarantee under test: the persisted log still
+			// matches the hub record byte for byte.
+			s.Close()
 
-	logged, err := events.ReadLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist := s.Events().Snapshot()
-	if len(logged) != len(hist) {
-		t.Fatalf("log has %d events, hub has %d", len(logged), len(hist))
-	}
-	for i := range hist {
-		if !reflect.DeepEqual(logged[i], hist[i]) {
-			t.Fatalf("event %d differs: log %+v, hub %+v", i, logged[i], hist[i])
-		}
+			logged, err := events.ReadLog(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hist := s.Events().Snapshot()
+			if len(logged) != len(hist) {
+				t.Fatalf("log has %d events, hub has %d", len(logged), len(hist))
+			}
+			for i := range hist {
+				if logged[i].Type == events.Truncated || logged[i].Seq != uint64(i)+1 {
+					t.Fatalf("log record %d is %s at seq %d, want seq %d", i+1, logged[i].Type, logged[i].Seq, i+1)
+				}
+				if !reflect.DeepEqual(logged[i], hist[i]) {
+					t.Fatalf("event %d differs: log %+v, hub %+v", i, logged[i], hist[i])
+				}
+			}
+			if err := events.NewHub().Restore(logged); err != nil {
+				t.Fatalf("a fresh hub refuses the log: %v", err)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package flow
 
 import (
 	"io"
-	"sync"
 
 	"repro/internal/events"
 	"repro/internal/obs"
@@ -61,10 +60,6 @@ type SchedulerMetrics struct {
 	// serializes emitters), so neither needs a lock of its own.
 	fold      *events.Fold
 	campaigns map[string]*campaignSeries
-
-	// dropFns reads AsyncSink drop totals at scrape time.
-	dropMu  sync.Mutex
-	dropFns []func() uint64
 }
 
 // campaignSeries is one campaign's resolved counters — a single map lookup
@@ -125,9 +120,6 @@ func NewSchedulerMetrics(reg *obs.Registry) *SchedulerMetrics {
 		fold:      events.NewFold(),
 		campaigns: make(map[string]*campaignSeries),
 	}
-	reg.CounterFunc("flow_async_sink_dropped_total",
-		"Events dropped by bounded async sinks (the event log) under sustained overload.",
-		m.asyncDropped)
 	return m
 }
 
@@ -137,24 +129,6 @@ func (m *SchedulerMetrics) Registry() *obs.Registry { return m.reg }
 // WritePrometheus renders one scrape of every series.
 func (m *SchedulerMetrics) WritePrometheus(w io.Writer) error {
 	return m.reg.WritePrometheus(w)
-}
-
-// AddDropSource registers a callback read at scrape time whose value joins
-// flow_async_sink_dropped_total (typically an events.AsyncSink.Dropped).
-func (m *SchedulerMetrics) AddDropSource(fn func() uint64) {
-	m.dropMu.Lock()
-	m.dropFns = append(m.dropFns, fn)
-	m.dropMu.Unlock()
-}
-
-func (m *SchedulerMetrics) asyncDropped() float64 {
-	m.dropMu.Lock()
-	defer m.dropMu.Unlock()
-	var n uint64
-	for _, fn := range m.dropFns {
-		n += fn()
-	}
-	return float64(n)
 }
 
 // campaign resolves the cached series struct for a campaign, creating it on

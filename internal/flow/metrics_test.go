@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -88,9 +87,8 @@ func TestSchedulerMetricsLiveCluster(t *testing.T) {
 		"flow_task_seconds_count":                                 "8",
 		// One observation per handout, of its size: however the scheduler
 		// cut the eight tasks into handouts, the sizes add up to eight.
-		"flow_handout_tasks_sum":        "8",
-		"flow_async_sink_dropped_total": "0",
-		"flow_outbox_overflows_total":   "0",
+		"flow_handout_tasks_sum":      "8",
+		"flow_outbox_overflows_total": "0",
 	} {
 		if got := metricValue(t, out, series); got != want {
 			t.Errorf("%s = %s, want %s", series, got, want)
@@ -224,43 +222,6 @@ func TestMetricsObserveDoesNotAllocate(t *testing.T) {
 	if got := metricValue(t, scrape(t, m), "flow_task_seconds_count"); got != "204" {
 		t.Fatalf("flow_task_seconds_count = %s, want 204 (102 waves, two tasks each)", got)
 	}
-}
-
-// TestAsyncSinkDroppedCounter surfaces events.AsyncSink's drop count as a
-// scrape-time counter (the satellite contract): a sink wedged past its
-// buffer drops, and the metric reads the sink's own tally.
-func TestAsyncSinkDroppedCounter(t *testing.T) {
-	hub := events.NewHub()
-	defer hub.Close()
-	block := make(chan struct{})
-	var once sync.Once
-	release := func() { once.Do(func() { close(block) }) }
-	defer release()
-	sink := hub.AddAsyncSink(func(events.Event) { <-block }, 2)
-
-	m := NewSchedulerMetrics(nil)
-	m.AddDropSource(sink.Dropped)
-
-	if got := metricValue(t, scrape(t, m), "flow_async_sink_dropped_total"); got != "0" {
-		t.Fatalf("drop counter = %s before overload, want 0", got)
-	}
-	// One event wedges the writer; the buffer holds 2; everything beyond
-	// must drop.
-	for i := 0; i < 10; i++ {
-		hub.Emit(events.Event{Type: events.TaskReceived, Task: fmt.Sprintf("t%d", i)})
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for sink.Dropped() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("async sink never dropped under overload")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	want := fmt.Sprintf("%d", sink.Dropped())
-	if got := metricValue(t, scrape(t, m), "flow_async_sink_dropped_total"); got != want {
-		t.Fatalf("drop counter = %s, want %s (the sink's own tally)", got, want)
-	}
-	release()
 }
 
 func TestSchedulerHealthz(t *testing.T) {

@@ -182,18 +182,17 @@ func (s *Scheduler) Start(addr string) (string, error) {
 		return "", fmt.Errorf("flow: scheduler listen: %w", err)
 	}
 	// The views attach before any event can flow. The file-backed view
-	// runs behind an async sink so its writes happen off the dispatch
-	// path: the event loop only enqueues, a writer goroutine performs
-	// the I/O in stream order, and Hub.Close (called from
-	// Scheduler.Close) drains whatever is buffered before returning — so
-	// a cleanly shut down scheduler persists its complete log. Only a
-	// crash, or a writer so slow the bounded buffer overflows, loses
-	// events (see events.AsyncSink).
+	// follows the hub's history on its own goroutine, so its writes
+	// happen off the dispatch path: the event loop only records, the
+	// follower performs the I/O in stream order however far behind it
+	// falls, and Hub.Close (called from Scheduler.Close) waits for it to
+	// catch up — so a cleanly shut down scheduler persists its complete
+	// log. Only a crash loses the unwritten tail, and only a bounded hub
+	// (`sched -event-backlog`) leaves a gap: a follower more than the
+	// bound behind writes a truncated marker where the evicted events
+	// were (see events.Hub.AddAsyncSink).
 	if s.EventLog != nil {
-		sink := s.hub.AddAsyncSink(events.LogSink(s.EventLog), 0)
-		if s.Metrics != nil {
-			s.Metrics.AddDropSource(sink.Dropped)
-		}
+		s.hub.AddAsyncSink(events.LogSink(s.EventLog), 0)
 	}
 	// The metrics view is synchronous — per-event work is a cached map hit
 	// plus atomic adds, cheap enough to ride the emit the dispatch path

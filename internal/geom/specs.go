@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // ResiduePose is the per-residue geometry SPECS needs: the Cα position and a
 // side-chain representative (centroid of side-chain heavy atoms; for glycine
@@ -124,55 +121,10 @@ func bestSuperposition(model, ref []Vec3) (*Superposition, error) {
 			for i := range idx {
 				idx[i] = start + i
 			}
-			sp := refineToSuperposition(model, ref, idx, d0)
-			if sp == nil {
-				continue
-			}
-			if s := scoreUnder(sp, model, ref, d0); s > bestScore {
-				bestScore = s
-				best = sp
+			if sp, s := refineAlignment(model, ref, idx, d0, d0+1.5); s > bestScore {
+				best, bestScore = sp, s
 			}
 		}
 	}
 	return best, nil
-}
-
-// refineToSuperposition mirrors refineAlignment but returns the best
-// superposition rather than the score.
-func refineToSuperposition(model, ref []Vec3, seed []int, d0 float64) *Superposition {
-	n := len(ref)
-	var best *Superposition
-	bestScore := math.Inf(-1)
-	cur := seed
-	dCut := d0 + 1.5
-	for iter := 0; iter < 20; iter++ {
-		if len(cur) < 3 {
-			break
-		}
-		mSub := make([]Vec3, len(cur))
-		rSub := make([]Vec3, len(cur))
-		for i, k := range cur {
-			mSub[i] = model[k]
-			rSub[i] = ref[k]
-		}
-		sp, err := Superpose(mSub, rSub)
-		if err != nil {
-			break
-		}
-		if s := scoreUnder(sp, model, ref, d0); s > bestScore {
-			bestScore = s
-			best = sp
-		}
-		next := make([]int, 0, n)
-		for k := 0; k < n; k++ {
-			if sp.Apply(model[k]).Dist(ref[k]) < dCut {
-				next = append(next, k)
-			}
-		}
-		if equalInts(next, cur) || len(next) < 3 {
-			break
-		}
-		cur = next
-	}
-	return best
 }

@@ -57,7 +57,9 @@ func TMScore(model, ref []Vec3) (float64, error) {
 			for i := range idx {
 				idx[i] = start + i
 			}
-			score := refineAlignment(model, ref, idx, d0)
+			// The reference implementation tries several distance
+			// cutoffs; d8 caps the largest one.
+			_, score := refineAlignment(model, ref, idx, d0, d0+2.5, d0+1.5, d0+0.5)
 			if score > best {
 				best = score
 			}
@@ -67,19 +69,17 @@ func TMScore(model, ref []Vec3) (float64, error) {
 }
 
 // refineAlignment runs the TM-score iterative refinement from an initial
-// residue subset: superpose on the subset, rescore all residues, rebuild the
-// subset from residues within a shrinking distance cutoff, and iterate to
-// convergence. Returns the best full-length score seen.
-func refineAlignment(model, ref []Vec3, seed []int, d0 float64) float64 {
+// residue subset, once per distance cutoff: superpose on the subset,
+// rescore all residues, rebuild the subset from the residues within the
+// cutoff, and iterate to convergence. It returns the superposition with
+// the best full-length score seen and that score (nil and 0 when no
+// subset could be superposed).
+func refineAlignment(model, ref []Vec3, seed []int, d0 float64, cutoffs ...float64) (*Superposition, float64) {
 	n := len(ref)
-	idx := seed
-	best := 0.0
-
-	// The reference implementation tries several distance cutoffs; d8 caps
-	// the largest one.
-	cutoffs := []float64{d0 + 2.5, d0 + 1.5, d0 + 0.5}
+	var best *Superposition
+	bestScore := 0.0
 	for _, dCut := range cutoffs {
-		cur := idx
+		cur := seed
 		for iter := 0; iter < 20; iter++ {
 			if len(cur) < 3 {
 				break
@@ -94,8 +94,8 @@ func refineAlignment(model, ref []Vec3, seed []int, d0 float64) float64 {
 			if err != nil {
 				break
 			}
-			if s := scoreUnder(sp, model, ref, d0); s > best {
-				best = s
+			if s := scoreUnder(sp, model, ref, d0); s > bestScore {
+				best, bestScore = sp, s
 			}
 			next := make([]int, 0, n)
 			for k := 0; k < n; k++ {
@@ -103,16 +103,13 @@ func refineAlignment(model, ref []Vec3, seed []int, d0 float64) float64 {
 					next = append(next, k)
 				}
 			}
-			if equalInts(next, cur) {
-				break
-			}
-			if len(next) < 3 {
+			if equalInts(next, cur) || len(next) < 3 {
 				break
 			}
 			cur = next
 		}
 	}
-	return best
+	return best, bestScore
 }
 
 // scoreUnder evaluates the TM-score sum for the whole chain under a given

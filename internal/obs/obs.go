@@ -100,8 +100,7 @@ type family struct {
 	mu     sync.RWMutex
 	series map[string]any // joined label values -> *Counter | *Gauge | *Histogram
 
-	single any            // unlabeled collector, nil for vecs and funcs
-	fn     func() float64 // scrape-time callback, nil otherwise
+	single any // unlabeled collector, nil for vecs
 
 	buckets []float64 // histogram upper bounds
 }
@@ -156,12 +155,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	h := &Histogram{upper: buckets, counts: make([]atomic.Uint64, len(buckets))}
 	r.register(&family{name: name, help: help, typ: kindHistogram, single: h, buckets: buckets})
 	return h
-}
-
-// CounterFunc registers a counter whose value is read at scrape time.
-// Used for counts owned elsewhere (e.g. an AsyncSink's drop total).
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.register(&family{name: name, help: help, typ: kindCounter, fn: fn})
 }
 
 // A CounterVec is a counter family partitioned by label values.
@@ -267,8 +260,6 @@ func (f *family) render(b *strings.Builder) {
 	fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.typ)
 	switch {
-	case f.fn != nil:
-		fmt.Fprintf(b, "%s %s\n", f.name, formatFloat(f.fn()))
 	case f.series != nil:
 		f.mu.RLock()
 		keys := make([]string, 0, len(f.series))

@@ -107,19 +107,6 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestFuncs(t *testing.T) {
-	r := NewRegistry()
-	n := 41.0
-	r.CounterFunc("dropped_total", "Drops.", func() float64 { n++; return n })
-	out := render(t, r)
-	if !strings.Contains(out, "dropped_total 42\n") {
-		t.Errorf("counter func not read at scrape time:\n%s", out)
-	}
-	if !strings.Contains(out, "# TYPE dropped_total counter") {
-		t.Errorf("counter func typed wrong:\n%s", out)
-	}
-}
-
 func TestEscaping(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("weird", "Help with \\ backslash\nand newline.", "name")
