@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -71,22 +72,13 @@ func e2eCluster(t *testing.T, n int) string {
 // -event-log for the observability tests).
 func e2eClusterArgs(t *testing.T, n int, schedArgs ...string) string {
 	t.Helper()
-	wires := make([]string, n)
-	return e2eClusterWires(t, wires, schedArgs...)
-}
-
-// e2eClusterWires is the mixed-fleet variant: one worker per entry of
-// wires, each dialing with that -wire codec ("" leaves the flag at its
-// binary default).
-func e2eClusterWires(t *testing.T, wires []string, schedArgs ...string) string {
-	t.Helper()
-	return e2eClusterFull(t, wires, nil, schedArgs...)
+	return e2eClusterFull(t, n, nil, schedArgs...)
 }
 
 // e2eClusterFull additionally passes extra flags to every worker — e.g.
 // a fast -heartbeat so a small scheduler -heartbeat-timeout doesn't
 // false-reap healthy workers in the fault-injection tests.
-func e2eClusterFull(t *testing.T, wires []string, workerArgs []string, schedArgs ...string) string {
+func e2eClusterFull(t *testing.T, n int, workerArgs []string, schedArgs ...string) string {
 	t.Helper()
 	if buildErr != nil {
 		t.Fatal(buildErr)
@@ -125,13 +117,9 @@ func e2eClusterFull(t *testing.T, wires []string, workerArgs []string, schedArgs
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	for i, wire := range wires {
+	for i := 0; i < n; i++ {
 		args := []string{"worker", "-scheduler-file", schedFile, "-id", fmt.Sprintf("e2e-w%d", i)}
-		if wire != "" {
-			args = append(args, "-wire", wire)
-		}
-		args = append(args, workerArgs...)
-		spawn("worker", args...)
+		spawn("worker", append(args, workerArgs...)...)
 	}
 	return schedFile
 }
@@ -155,6 +143,20 @@ func waitEvent(t *testing.T, path string, match func(events.Event) bool) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// wireFrame lays out a register or subscribe frame by hand, as the wire
+// carries it: a 4-byte big-endian body length, then the envelope's
+// fields in order — the type and worker ID as length-prefixed strings,
+// then no tasks, no results, no event, count 0, no campaign, no gauges.
+func wireFrame(typ, workerID string) []byte {
+	var body []byte
+	for _, s := range []string{typ, workerID} {
+		body = binary.AppendUvarint(body, uint64(len(s)))
+		body = append(body, s...)
+	}
+	body = append(body, 0, 0, 0, 0, 0, 0)
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
 }
 
 // run invokes the built proteomectl binary and returns its stdout.
@@ -196,23 +198,22 @@ func TestCampaignMultiProcess(t *testing.T) {
 	}
 }
 
-// TestCampaignCrossCodec is the wire-interop acceptance test: a mixed
-// fleet — binary workers and a JSON worker on one batching scheduler —
-// must produce campaign reports byte-identical to the in-process pool
-// executor whether the submitting client speaks JSON or binary, with a
-// JSON monitor attached throughout. The codec is pure transport; nothing
-// about it may leak into a reported number.
-func TestCampaignCrossCodec(t *testing.T) {
+// TestCampaignBatchedMonitorJSONL: a campaign on a scheduler fixed at
+// four tasks per handout (-batch 4), over workers started with the -wire
+// flag scripts pass, must produce a report byte-identical to the
+// in-process pool executor, with a `monitor -json` attached throughout
+// whose output replays as an event stream.
+func TestCampaignBatchedMonitorJSONL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
 	if buildErr != nil {
 		t.Fatal(buildErr)
 	}
-	schedFile := e2eClusterWires(t, []string{"binary", "binary", "json"}, "-batch", "4")
+	schedFile := e2eClusterFull(t, 3, []string{"-wire", "binary"}, "-batch", "4")
 
-	// A JSON monitor rides along for the whole test: a read-only peer on
-	// the other codec must coexist with binary dispatch traffic.
+	// A JSONL monitor rides along for the whole test: a read-only peer
+	// must coexist with batched dispatch traffic.
 	mon := osexec.Command(binPath, "monitor", "-scheduler-file", schedFile, "-json")
 	var monOut bytes.Buffer
 	mon.Stdout = &monOut
@@ -227,22 +228,18 @@ func TestCampaignCrossCodec(t *testing.T) {
 
 	campaign := []string{"-species", "DVU", "-preset", "genome", "-limit", "180", "-seed", "20220125"}
 
-	viaJSON := runBin(t, append([]string{"submit", "-scheduler-file", schedFile, "-wire", "json"}, campaign...)...)
-	viaBinary := runBin(t, append([]string{"submit", "-scheduler-file", schedFile, "-wire", "binary"}, campaign...)...)
+	remote := runBin(t, append([]string{"submit", "-scheduler-file", schedFile}, campaign...)...)
 	pool := runBin(t, append([]string{"run"}, campaign...)...)
 
-	if len(viaJSON) == 0 {
-		t.Fatal("mixed-fleet campaign produced no report")
+	if len(remote) == 0 {
+		t.Fatal("batched campaign produced no report")
 	}
-	if string(viaJSON) != string(pool) {
-		t.Errorf("JSON submit over the mixed fleet differs from pool executor:\n--- submit ---\n%s--- pool ---\n%s", viaJSON, pool)
-	}
-	if string(viaBinary) != string(pool) {
-		t.Errorf("binary submit over the mixed fleet differs from pool executor:\n--- submit ---\n%s--- pool ---\n%s", viaBinary, pool)
+	if string(remote) != string(pool) {
+		t.Errorf("submit over the batch-4 fleet differs from pool executor:\n--- submit ---\n%s--- pool ---\n%s", remote, pool)
 	}
 
 	// The monitor saw real traffic, decoded cleanly, and its JSONL output
-	// replays as a valid event stream covering both campaigns' tasks.
+	// replays as a valid event stream covering the campaign's tasks.
 	// (A short drain, then the kill may tear the final line mid-write —
 	// ReadLog's intact prefix is what the assertion runs against.)
 	time.Sleep(300 * time.Millisecond)
@@ -261,20 +258,19 @@ func TestCampaignCrossCodec(t *testing.T) {
 		}
 	}
 	if doneTasks == 0 {
-		t.Error("JSON monitor observed no completed tasks on the mixed fleet")
+		t.Error("monitor observed no completed tasks on the batched fleet")
 	}
 }
 
-// TestCampaignDefaultFlagsMixedWire is the documented deployment as an
-// operator types it — no -batch, no -wire on sched or submit, so handouts
-// size themselves and the client speaks binary — with one worker started
-// `-wire json` beside one left at the default. Both must serve the
-// campaign, and the report must be byte-identical to `proteomectl run`.
-func TestCampaignDefaultFlagsMixedWire(t *testing.T) {
+// TestCampaignDefaultFlags is the documented deployment as an operator
+// types it — no -batch and no -wire anywhere, so handouts size
+// themselves — with two workers. Both must serve the campaign, and the
+// report must be byte-identical to `proteomectl run`.
+func TestCampaignDefaultFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
-	schedFile := e2eClusterWires(t, []string{"json", ""})
+	schedFile := e2eCluster(t, 2)
 
 	// Every wave opens with one task to each free worker, so both serve
 	// provided both have joined when submit starts.
@@ -301,7 +297,7 @@ func TestCampaignDefaultFlagsMixedWire(t *testing.T) {
 		t.Fatal("campaign produced no report")
 	}
 	if string(remote) != string(local) {
-		t.Errorf("default submit over a json + binary fleet differs from run:\n--- submit ---\n%s--- run ---\n%s", remote, local)
+		t.Errorf("default submit differs from run:\n--- submit ---\n%s--- run ---\n%s", remote, local)
 	}
 
 	header, rows := readStatsCSV(t, stats)
@@ -311,7 +307,7 @@ func TestCampaignDefaultFlagsMixedWire(t *testing.T) {
 		served[row[col]]++
 	}
 	if len(served) != 2 || served["e2e-w0"] == 0 || served["e2e-w1"] == 0 {
-		t.Errorf("tasks served per worker = %v, want both e2e-w0 (json) and e2e-w1 (binary)", served)
+		t.Errorf("tasks served per worker = %v, want both e2e-w0 and e2e-w1", served)
 	}
 }
 
@@ -892,7 +888,7 @@ func TestSlowPeerFaultInjection(t *testing.T) {
 	// Healthy workers beat at a quarter of the reap deadline so only the
 	// silent wedge trips it; -write-timeout caps how long the scheduler
 	// tolerates the monitor's never-drained socket.
-	schedFile := e2eClusterFull(t, make([]string, 2), []string{"-heartbeat", "500ms"},
+	schedFile := e2eClusterFull(t, 2, []string{"-heartbeat", "500ms"},
 		"-event-log", eventLog, "-heartbeat-timeout", "2s", "-write-timeout", "2s")
 	sfData, err := os.ReadFile(schedFile)
 	if err != nil {
@@ -906,10 +902,10 @@ func TestSlowPeerFaultInjection(t *testing.T) {
 	campaign := []string{"-species", "DVU", "-preset", "reduced_dbs", "-limit", "150", "-seed", "7"}
 
 	// Attach the wedges before the submit starts, so they are live peers
-	// when dispatch starts: the wire hello and one JSON frame each, then
-	// radio silence with a shrunken receive buffer (anything the scheduler
+	// when dispatch starts: the wire hello and one frame each, then radio
+	// silence with a shrunken receive buffer (anything the scheduler
 	// writes blocks quickly instead of vanishing into kernel buffering).
-	wedge := func(frame string) {
+	wedge := func(frame []byte) {
 		t.Helper()
 		conn, err := net.Dial("tcp", sf.Address)
 		if err != nil {
@@ -919,12 +915,12 @@ func TestSlowPeerFaultInjection(t *testing.T) {
 			_ = tc.SetReadBuffer(4 << 10)
 		}
 		t.Cleanup(func() { conn.Close() })
-		if _, err := conn.Write([]byte("flow-wire json 5\n" + frame + "\n")); err != nil {
+		if _, err := conn.Write(append([]byte("flow-wire binary 5\n"), frame...)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wedge(`{"type":"register","worker_id":"e2e-wedged"}`)
-	wedge(`{"type":"subscribe"}`)
+	wedge(wireFrame("register", "e2e-wedged"))
+	wedge(wireFrame("subscribe", ""))
 	waitEvent(t, eventLog, func(e events.Event) bool {
 		return e.Type == events.WorkerJoin && e.Worker == "e2e-wedged"
 	})
@@ -1173,7 +1169,7 @@ func TestMetricsEndpointMatchesEventLog(t *testing.T) {
 	eventLog := filepath.Join(dir, "events.jsonl")
 	// Fast worker heartbeats so the gauge series converge within the poll
 	// window below.
-	schedFile := e2eClusterFull(t, make([]string, 2), []string{"-heartbeat", "500ms"},
+	schedFile := e2eClusterFull(t, 2, []string{"-heartbeat", "500ms"},
 		"-event-log", eventLog, "-http", "127.0.0.1:0")
 
 	sfData, err := os.ReadFile(schedFile)

@@ -145,17 +145,11 @@ commands:
                                 (live Prometheus series), /healthz (503
                                 once shutdown begins), /debug/pprof/
   worker (-connect A | -scheduler-file F) [-id ID] [-heartbeat D] [-dial-retry D]
-      [-wire binary|json]
                                 start a worker serving the campaign kernels;
-                                -dial-retry lets it start before the scheduler,
-                                -wire picks the wire codec (binary, the default,
-                                or json for a readable stream at about twice
-                                the framing cost; mixed -wire fleets share one
-                                scheduler)
+                                -dial-retry lets it start before the scheduler
   submit (-connect A | -scheduler-file F) -species C [-preset P] [-nodes N]
       [-seed S] [-limit K] [-stats F] [-timeline F]
-      [-resume F] [-dial-retry D] [-wire binary|json]
-      [-campaign NAME]
+      [-resume F] [-dial-retry D] [-campaign NAME]
                                 run the campaign on the remote cluster;
                                 workers return only the scalars the report
                                 needs (search seconds, prediction digests,
@@ -168,14 +162,13 @@ commands:
                                 report stays byte-identical), -campaign
                                 names the fair-share/quota namespace on a
                                 shared scheduler
-  monitor (-connect A | -scheduler-file F) [-json] [-wire binary|json]
-      [-campaign NAME]
+  monitor (-connect A | -scheduler-file F) [-json] [-campaign NAME]
                                 tail a running campaign live (queue depth,
                                 per-worker in-flight, throughput) from the
                                 scheduler's event stream; read-only;
                                 -campaign filters to one campaign's tasks
   top (-connect A | -scheduler-file F) [-interval D] [-metrics-snapshot]
-      [-wire binary|json] [-campaign NAME]
+      [-campaign NAME]
                                 refreshing dashboard over the same event
                                 stream: queue depth, per-campaign
                                 queued/running/done/failed, per-worker
@@ -362,8 +355,8 @@ func runCmd(args []string, stdout io.Writer) error {
 
 // connFlags is the scheduler-connection block shared by every command
 // that dials a running scheduler (worker, submit, monitor): the address
-// or scheduler file, the dial retry budget, and the wire codec — each
-// registered exactly once, here.
+// or scheduler file and the dial retry budget — each registered exactly
+// once, here — plus -wire, which names the one wire codec.
 type connFlags struct {
 	connect   string
 	schedFile string
@@ -375,7 +368,7 @@ func (c *connFlags) register(fs *flag.FlagSet, retryDefault time.Duration) {
 	fs.StringVar(&c.connect, "connect", "", "scheduler address (host:port)")
 	fs.StringVar(&c.schedFile, "scheduler-file", "", "scheduler file to read the address from")
 	fs.DurationVar(&c.dialRetry, "dial-retry", retryDefault, "keep retrying the scheduler (and a missing scheduler file) with backoff for this long (0 = one attempt)")
-	fs.StringVar(&c.wire, "wire", flow.WireBinary, "wire codec: binary (length-prefixed frames) or json (newline-delimited, readable with nc and jq, at roughly twice the scheduler CPU per task); peers with different -wire values interoperate on one scheduler, peers of different builds do not")
+	fs.StringVar(&c.wire, "wire", flow.WireBinary, "wire codec: binary (length-prefixed frames), the only one; every peer of one build speaks it, peers of different builds do not interoperate")
 }
 
 func (c *connFlags) validate(cmd string) error {
@@ -383,7 +376,7 @@ func (c *connFlags) validate(cmd string) error {
 		return fmt.Errorf("%s needs exactly one of -connect or -scheduler-file", cmd)
 	}
 	if !flow.ValidWire(c.wire) {
-		return fmt.Errorf("%s: unknown -wire %q (want json or binary)", cmd, c.wire)
+		return fmt.Errorf("%s: unknown -wire %q (the only codec is %s)", cmd, c.wire, flow.WireBinary)
 	}
 	return nil
 }
@@ -482,6 +475,13 @@ func schedCmd(args []string, stdout io.Writer) error {
 				return err
 			}
 		}
+		// A log the hub refuses (a gap, a truncated marker) is left as it
+		// is: the refusal comes before the file is rewritten.
+		if len(restored) > 0 {
+			if err := s.RestoreEvents(restored); err != nil {
+				return err
+			}
+		}
 		f, err := os.Create(o.eventLog)
 		if err != nil {
 			return err
@@ -493,9 +493,6 @@ func schedCmd(args []string, stdout io.Writer) error {
 			sink := events.LogSink(f)
 			for _, e := range restored {
 				sink(e)
-			}
-			if err := s.RestoreEvents(restored); err != nil {
-				return err
 			}
 			fmt.Fprintf(stdout, "resumed event log: %d events restored\n", len(restored))
 		}

@@ -252,6 +252,9 @@ func TestWorkerSubmitFlagValidation(t *testing.T) {
 	if err := monitorCmd([]string{"-connect", "a", "-wire", "msgpack"}, &buf); err == nil {
 		t.Error("monitor with unknown -wire succeeded")
 	}
+	if err := workerCmd([]string{"-connect", "a", "-wire", "json"}, &buf); err == nil || !strings.Contains(err.Error(), "binary") {
+		t.Errorf("worker with -wire json: err = %v, want a refusal naming the binary codec", err)
+	}
 }
 
 func readFASTAFile(path string) ([]seq.Sequence, error) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -148,5 +150,29 @@ func TestSchedCmdEventLogFlagValidation(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "nonexistent") {
 		t.Errorf("error %v does not name the bad path", err)
+	}
+}
+
+// TestSchedResumeLogRefusesTruncated: `sched -resume-log` on a log whose
+// truncated marker stands for one lost event — contiguous sequence
+// numbers, and still a gap — exits with the refusal and leaves the log
+// as it found it.
+func TestSchedResumeLogRefusesTruncated(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	var log bytes.Buffer
+	sink := events.LogSink(&log)
+	sink(events.Event{Seq: 1, Type: events.TaskReceived, Task: "a"})
+	sink(events.Event{Seq: 2, Type: events.Truncated, Err: "events: 1 events evicted from bounded backlog"})
+	sink(events.Event{Seq: 3, Type: events.TaskReceived, Task: "b"})
+	if err := os.WriteFile(path, log.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err := schedCmd([]string{"-listen", "127.0.0.1:0", "-event-log", path, "-resume-log"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "missing events") {
+		t.Fatalf("sched -resume-log on a truncated log: err = %v, want the refusal", err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, log.Bytes()) {
+		t.Errorf("refused log was rewritten:\n%s", got)
 	}
 }

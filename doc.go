@@ -72,28 +72,23 @@
 //
 // examples/dask_cluster/README.md is the operator's guide to every flag.
 //
-// One wire version. The paper starts scheduler, workers and client from
-// one software environment inside one batch job, and every peer here is
-// built from this tree, so the protocol has exactly one version
-// (wireVersion in internal/flow/codec.go) and every frame exactly one
-// shape. Each connection opens with a hello line, "flow-wire <codec>
+// One wire version, one codec. The paper starts scheduler, workers and
+// client from one software environment inside one batch job, and every
+// peer here is built from this tree, so the protocol has exactly one
+// version (wireVersion in internal/flow/codec.go), one codec — a
+// length-prefixed positional binary layout — and every frame exactly one
+// shape. Each connection opens with a hello line, "flow-wire binary
 // <version>", in the same write as its first frame
 // (TestHandshakeIsOneWrite). The scheduler refuses a connection whose
-// hello is missing, malformed, names an unknown codec or names another
+// hello is missing, malformed, names another codec or names another
 // version before it decodes a single frame, and nothing downstream
-// tolerates an absent field. The two
-// codecs — a length-prefixed binary layout, the default of every dialer
-// and of `-wire`, and newline-delimited JSON (`-wire json`) for a stream
-// a person can read — frame the same envelope and mix freely on one
-// scheduler. Tested by
-// TestAcceptCodecNegotiation and TestSchedulerRefusesPeerWithoutHello
-// (the refusal), TestWireGolden (the bytes of every frame type are pinned
-// per version: change them without bumping wireVersion and it fails),
-// TestCrossCodecCluster, TestCampaignCrossCodec and
-// TestCampaignDefaultFlagsMixedWire (mixed codecs),
+// tolerates an absent field. Tested by TestAcceptCodecNegotiation and
+// TestSchedulerRefusesPeerWithoutHello (the refusal), TestWireGolden
+// (the bytes of every frame type are pinned per version: change them
+// without bumping wireVersion and it fails),
 // TestBinaryDecodeRejectsCorruptFrames plus the fuzz targets
-// FuzzAcceptHello, FuzzDecodeMessage, FuzzDecodeBinaryFrame,
-// FuzzDecodeSpec and FuzzKernelPayload (untrusted bytes). The campaign
+// FuzzAcceptHello, FuzzDecodeBinaryFrame, FuzzDecodeSpec and
+// FuzzKernelPayload (untrusted bytes). The campaign
 // kernels' spec and result bytes are pinned per version as well
 // (TestKernelPayloadGolden).
 //

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -209,5 +210,38 @@ func TestAsyncSinkBoundedGap(t *testing.T) {
 		if want := uint64(total - limit + 1 + i); e.Seq != want || e.Type != TaskReceived {
 			t.Fatalf("tail record %d = %+v, want seq %d", i, e, want)
 		}
+	}
+}
+
+// TestRestoreRefusesOneEventGap: a truncated marker standing in for
+// exactly one evicted event takes that event's own sequence number, so
+// the log's sequence stays contiguous — and is still missing an event.
+// Restore must refuse it as it refuses any gap.
+func TestRestoreRefusesOneEventGap(t *testing.T) {
+	h := NewHub()
+	h.SetLimit(3)
+	var buf bytes.Buffer
+	sink, held, release := stalledLog(&buf)
+	h.AddAsyncSink(sink, 0)
+	h.Emit(Event{Type: TaskReceived, Task: "t"})
+	<-held
+	for i := 0; i < 4; i++ {
+		h.Emit(Event{Type: TaskReceived, Task: "t"})
+	}
+	release()
+	h.Close()
+	log, err := ReadLog(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqs []string
+	for _, e := range log {
+		seqs = append(seqs, fmt.Sprintf("%s@%d", e.Type, e.Seq))
+	}
+	if got, want := fmt.Sprint(seqs), "[received@1 truncated@2 received@3 received@4 received@5]"; got != want {
+		t.Fatalf("log = %s, want %s", got, want)
+	}
+	if err := NewHub().Restore(log); err == nil || !strings.Contains(err.Error(), "missing events") {
+		t.Fatalf("Restore of a log with a one-event gap: err = %v, want a refusal", err)
 	}
 }

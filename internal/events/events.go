@@ -351,8 +351,11 @@ func (h *Hub) evict() {
 // restarted `sched -event-log` replaying its own log), so sequence
 // numbers continue where the crashed scheduler stopped and late
 // subscribers still see the full campaign backlog. Events must be valid
-// with contiguous sequences; the hub must not have emitted yet. Restore
-// touches no time: continuing the stamps is the emitter's business.
+// with contiguous sequences and hold no Truncated marker — a marker
+// stands for events the log lost, and one standing for a single event
+// keeps the sequence contiguous, so the numbers alone cannot tell; the
+// hub must not have emitted yet. Restore touches no time: continuing the
+// stamps is the emitter's business.
 func (h *Hub) Restore(evs []Event) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -363,6 +366,9 @@ func (h *Hub) Restore(evs []Event) error {
 		e := &evs[i]
 		if err := e.Validate(); err != nil {
 			return fmt.Errorf("events: restoring event %d: %w", i+1, err)
+		}
+		if e.Type == Truncated {
+			return fmt.Errorf("events: restoring event %d: the log is missing events (%s)", i+1, e.Err)
 		}
 		want := uint64(i) + 1
 		if i > 0 {

@@ -29,7 +29,7 @@
 // byte-identical with tracing on or off, which
 // TestTable1ParallelMatchesSerial in internal/experiments and the
 // `submit -stats` runs of the cmd/proteomectl e2e suite
-// (TestCampaignDefaultFlagsMixedWire, TestMonitorMidCampaign) enforce end
+// (TestCampaignDefaultFlags, TestMonitorMidCampaign) enforce end
 // to end.
 package exec
 

@@ -13,26 +13,25 @@ import (
 
 // BenchmarkDispatchThroughput drives a fleet of in-process workers
 // through the scheduler dispatch hot path — submit, batched handout,
-// execute (no-op handler), batched ack, result forwarding — per codec
-// and per fleet size. The handler does no work, so the numbers isolate
-// the framing and scheduling cost the paper's 6,000-worker deployments
-// pay per task. The w256 and w1024 rows for both codecs are gated in CI
-// by cmd/benchguard against BENCH_BASELINE.json; w4096 approaches the
-// paper's per-batch scale and is for manual runs (CI skips it).
+// execute (no-op handler), batched ack, result forwarding — per fleet
+// size. The handler does no work, so the numbers isolate the framing and
+// scheduling cost the paper's 6,000-worker deployments pay per task. The
+// rows sit under a "binary" level, the codec's name, so their names stay
+// those the baseline has always gated. The w256 and w1024 rows are gated
+// in CI by cmd/benchguard against BENCH_BASELINE.json; w4096 approaches
+// the paper's per-batch scale and is for manual runs (CI skips it).
 func BenchmarkDispatchThroughput(b *testing.B) {
-	for _, wire := range []string{WireJSON, WireBinary} {
-		b.Run(wire, func(b *testing.B) {
-			for _, workers := range []int{256, 1024, 4096} {
-				b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-					benchDispatch(b, wire, workers, 16, false)
-				})
-			}
-		})
-	}
+	b.Run(WireBinary, func(b *testing.B) {
+		for _, workers := range []int{256, 1024, 4096} {
+			b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+				benchDispatch(b, workers, 16, false)
+			})
+		}
+	})
 }
 
 // BenchmarkDispatchSlowPeer is the wedged-peer run: the same 256-worker
-// fleet and task load as BenchmarkDispatchThroughput/*/w256, plus one
+// fleet and task load as BenchmarkDispatchThroughput/binary/w256, plus one
 // registered worker that never reads its connection (reaped by the
 // heartbeat sweep during warmup) and one monitor subscriber that never
 // drains its event stream (wedged for the whole timed region). Gated
@@ -41,11 +40,7 @@ func BenchmarkDispatchThroughput(b *testing.B) {
 // fleet's throughput. Healthy workers heartbeat so the sweep only reaps
 // the wedge.
 func BenchmarkDispatchSlowPeer(b *testing.B) {
-	for _, wire := range []string{WireJSON, WireBinary} {
-		b.Run(wire, func(b *testing.B) {
-			benchDispatch(b, wire, 256, 16, true)
-		})
-	}
+	b.Run(WireBinary, func(b *testing.B) { benchDispatch(b, 256, 16, true) })
 }
 
 // BenchmarkDispatchSelfSized is BenchmarkDispatchThroughput/binary/w256
@@ -54,7 +49,7 @@ func BenchmarkDispatchSlowPeer(b *testing.B) {
 // handouts every handout carries the 64-task cap. Gated like the other
 // dispatch rows.
 func BenchmarkDispatchSelfSized(b *testing.B) {
-	benchDispatch(b, WireBinary, 256, 0, false)
+	benchDispatch(b, 256, 0, false)
 }
 
 // BenchmarkDispatcherCore is the dispatch path with everything but the
@@ -160,7 +155,7 @@ func dispatcherCore(tb testing.TB, batch int) (*Scheduler, func()) {
 	return s, wave
 }
 
-func benchDispatch(b *testing.B, wire string, numWorkers, batch int, slowPeer bool) {
+func benchDispatch(b *testing.B, numWorkers, batch int, slowPeer bool) {
 	tasksPerOp := 8 * numWorkers
 	s := NewScheduler()
 	s.Batch = batch
@@ -195,16 +190,16 @@ func benchDispatch(b *testing.B, wire string, numWorkers, batch int, slowPeer bo
 		if slowPeer {
 			w.HeartbeatInterval = time.Second
 		}
-		if err := w.Dial(DialOptions{Addr: addr, Codec: wire}); err != nil {
+		if err := w.Dial(DialOptions{Addr: addr}); err != nil {
 			b.Fatal(err)
 		}
 		defer w.Close()
 	}
 	if slowPeer {
-		wedgeBenchPeer(b, addr, wire, msgRegister)
-		wedgeBenchPeer(b, addr, wire, msgSubscribe)
+		wedgeBenchPeer(b, addr, msgRegister)
+		wedgeBenchPeer(b, addr, msgSubscribe)
 	}
-	c, err := DialClient(DialOptions{Addr: addr, Codec: wire})
+	c, err := DialClient(DialOptions{Addr: addr})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -257,10 +252,10 @@ func benchDispatch(b *testing.B, wire string, numWorkers, batch int, slowPeer bo
 	b.ReportMetric(float64(tasksPerOp)*float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
 }
 
-// wedgeBenchPeer connects a peer speaking the benchmark's codec that
-// sends one hello frame (register or subscribe) and then never reads —
-// the non-draining connection the slow-peer benchmark is about.
-func wedgeBenchPeer(b *testing.B, addr, wire, kind string) {
+// wedgeBenchPeer connects a peer that sends one hello frame (register or
+// subscribe) and then never reads — the non-draining connection the
+// slow-peer benchmark is about.
+func wedgeBenchPeer(b *testing.B, addr, kind string) {
 	b.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -274,7 +269,7 @@ func wedgeBenchPeer(b *testing.B, addr, wire, kind string) {
 	if kind == msgRegister {
 		m.WorkerID = "wedged"
 	}
-	if _, err := handshake(conn, wire, &m); err != nil {
+	if _, err := handshake(conn, &m); err != nil {
 		b.Fatal(err)
 	}
 }

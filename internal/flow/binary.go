@@ -18,26 +18,32 @@ import (
 // must not drive a multi-gigabyte allocation.
 const maxBinaryFrame = 64 << 20
 
-// binaryCodec is the length-prefixed binary wire: each frame is a 4-byte
-// big-endian body length followed by a positional encoding of the message
-// envelope (varints for integers, length-prefixed strings and payloads,
-// 8 little-endian IEEE-754 bytes for floats, Unix seconds + nanoseconds
-// for times). Both directions reuse per-connection scratch buffers, so
-// steady-state encode and decode allocate only what must outlive the call
-// (strings and payload copies handed to the engine).
+// binaryCodec frames the wire envelope over one connection, the one
+// codec every peer speaks: each frame is a 4-byte big-endian body length
+// followed by a positional encoding of the message envelope (varints for
+// integers, length-prefixed strings and payloads, 8 little-endian
+// IEEE-754 bytes for floats, Unix seconds + nanoseconds for times).
+// Encode buffers frames (Flush hits the wire — write coalescing is the
+// point: one flush per ready-queue drain, not one syscall per message);
+// Decode blocks for the next frame and overwrites *m entirely. Both
+// directions reuse per-connection scratch buffers, so steady-state
+// encode and decode allocate only what must outlive the call (strings
+// and payload copies handed to the engine).
+//
+// One half is not safe for concurrent use, but the encode and decode
+// halves share no state at all — the header scratch included, split into
+// encHdr/decHdr — so one reader and one writer goroutine may share a
+// codec (worker heartbeats race the task loop's Decode).
 type binaryCodec struct {
 	r *bufio.Reader
 	w *bufio.Writer
 
 	// encBuf accumulates one frame body per Encode; decBuf holds one
 	// frame body per Decode. Reused across calls — decoded strings and
-	// byte payloads are copied out, never aliased into decBuf. The two
-	// halves share no state at all — including the header scratch, which
-	// is split into encHdr/decHdr — because the Codec contract lets one
-	// reader and one writer goroutine use Encode and Decode concurrently
-	// (worker heartbeats race the task loop's Decode). The headers live
-	// on the codec rather than the stack so the interface-taking I/O
-	// calls below do not force a per-frame heap allocation.
+	// byte payloads are copied out, never aliased into decBuf. The
+	// headers live on the codec rather than the stack so the
+	// interface-taking I/O calls below do not force a per-frame heap
+	// allocation.
 	encBuf []byte
 	decBuf []byte
 	encHdr [4]byte
@@ -47,8 +53,6 @@ type binaryCodec struct {
 func newBinaryCodec(r *bufio.Reader, w *bufio.Writer) *binaryCodec {
 	return &binaryCodec{r: r, w: w}
 }
-
-func (c *binaryCodec) Name() string { return WireBinary }
 
 func (c *binaryCodec) Encode(m *message) error {
 	b := appendMessage(c.encBuf[:0], m)
@@ -160,7 +164,7 @@ func appendEvent(b []byte, e *events.Event) []byte {
 // appendTime writes Unix seconds (varint) plus nanoseconds (uvarint).
 // This form is lossless for every time the engine stamps — including the
 // zero time, whose Unix seconds round-trip exactly where UnixNano would
-// overflow — and drops only the monotonic reading, as JSON does.
+// overflow — and drops only the monotonic reading.
 func appendTime(b []byte, t time.Time) []byte {
 	b = binary.AppendVarint(b, t.Unix())
 	return binary.AppendUvarint(b, uint64(t.Nanosecond()))

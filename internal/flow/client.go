@@ -27,7 +27,7 @@ const resultWriteTimeout = 30 * time.Second
 // completion records, optionally appending per-task statistics to a CSV.
 type Client struct {
 	conn  net.Conn
-	codec Codec
+	codec *binaryCodec
 
 	// ResultTimeout is the progress deadline of Map: the longest Map waits
 	// between consecutive scheduler messages before failing. Zero disables
@@ -45,8 +45,8 @@ type Client struct {
 }
 
 // DialClient connects a submitting client to the scheduler: the one dial
-// path, covering plain addresses, scheduler files, retry budgets, and
-// wire-codec selection. Its wire hello waits to leave with Map's submit
+// path, covering plain addresses, scheduler files and retry budgets. Its
+// wire hello waits to leave with Map's submit
 // frame. The returned client must be closed.
 func DialClient(opts DialOptions) (*Client, error) {
 	conn, codec, err := dialPeer(opts, "client", nil)

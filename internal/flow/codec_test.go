@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -165,7 +164,7 @@ func TestBinaryDecodeRejectsCorruptFrames(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecConcurrentHalves pins the Codec contract under -race:
+// TestBinaryCodecConcurrentHalves pins the codec's contract under -race:
 // one writer and one reader goroutine may share a codec (a worker's
 // heartbeat sends race its task loop's Decode; a monitor's event Encode
 // races its disconnect-detect Decode), so the encode and decode halves
@@ -179,7 +178,7 @@ func TestBinaryCodecConcurrentHalves(t *testing.T) {
 
 	const frames = 200
 	var wg sync.WaitGroup
-	send := func(c Codec, id string) {
+	send := func(c *binaryCodec, id string) {
 		defer wg.Done()
 		for i := 0; i < frames; i++ {
 			if err := c.Encode(&message{Type: msgHeartbeat, WorkerID: id}); err != nil {
@@ -192,7 +191,7 @@ func TestBinaryCodecConcurrentHalves(t *testing.T) {
 			}
 		}
 	}
-	recv := func(c Codec, want string) {
+	recv := func(c *binaryCodec, want string) {
 		defer wg.Done()
 		for i := 0; i < frames; i++ {
 			var m message
@@ -242,32 +241,38 @@ func TestBinaryLargeBatchRoundTrip(t *testing.T) {
 func TestAcceptCodecNegotiation(t *testing.T) {
 	discard := bufio.NewWriter(io.Discard)
 
-	// Each codec announces itself and the wire version, then frames; the
-	// first frame must survive the hello being read off the same buffer.
-	for _, wire := range []string{WireJSON, WireBinary} {
-		var buf bytes.Buffer
-		buf.WriteString(helloLine(wire))
-		enc, err := newCodec(wire, nil, bufio.NewWriter(&buf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Encode(&message{Type: msgRegister, WorkerID: wire}); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		c, err := acceptCodec(bufio.NewReader(&buf), discard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Name() != wire {
-			t.Fatalf("%s peer accepted as %q", wire, c.Name())
-		}
-		var m message
-		if err := c.Decode(&m); err != nil || m.Type != msgRegister || m.WorkerID != wire {
-			t.Fatalf("first %s frame lost behind the hello: %+v, %v", wire, m, err)
-		}
+	// The hello announces the codec and the wire version, then frames
+	// follow; the first frame must survive the hello being read off the
+	// same buffer.
+	var buf bytes.Buffer
+	buf.WriteString(helloLine())
+	enc := newBinaryCodec(nil, bufio.NewWriter(&buf))
+	if err := enc.Encode(&message{Type: msgRegister, WorkerID: "w1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := acceptCodec(bufio.NewReader(&buf), discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m message
+	if err := c.Decode(&m); err != nil || m.Type != msgRegister || m.WorkerID != "w1" {
+		t.Fatalf("first frame lost behind the hello: %+v, %v", m, err)
+	}
+
+	// A peer offering another codec at this build's version — the JSON
+	// hello of a build that still had one — is refused before its frame
+	// is read, and the error names the one codec this build speaks.
+	jsonPeer := fmt.Sprintf("%sjson %d\n", helloPrefix, wireVersion) + `{"type":"register","worker_id":"w"}` + "\n"
+	r := bufio.NewReader(strings.NewReader(jsonPeer))
+	if _, err := acceptCodec(r, discard); err == nil || !strings.Contains(err.Error(), `"json"`) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("speaks only %q", WireBinary)) {
+		t.Errorf("json hello: err = %v, want a refusal naming json and %s", err, WireBinary)
+	}
+	if rest, _ := io.ReadAll(r); !strings.HasPrefix(string(rest), `{"type":"register"`) {
+		t.Errorf("json hello: refusal consumed frame bytes, %q left", rest)
 	}
 
 	// Everything else is refused before any frame is decoded, and the
@@ -285,22 +290,23 @@ func TestAcceptCodecNegotiation(t *testing.T) {
 	}
 	// A peer of the previous or the next build is refused before its
 	// frame is read, with both versions named.
+	frame := string(binFrame(appendMessage(nil, &message{Type: msgRegister, WorkerID: "w"})))
 	for _, v := range []int{wireVersion - 1, wireVersion + 1} {
-		other := fmt.Sprintf("%s%s %d\n", helloPrefix, WireJSON, v) + `{"type":"register","worker_id":"w"}` + "\n"
+		other := fmt.Sprintf("%s%s %d\n", helloPrefix, WireBinary, v) + frame
 		r := bufio.NewReader(strings.NewReader(other))
 		_, err := acceptCodec(r, discard)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("offers wire version %q", fmt.Sprint(v))) ||
 			!strings.Contains(err.Error(), speaks) {
 			t.Errorf("version %d: err = %v, want offered and expected version named", v, err)
 		}
-		if rest, _ := io.ReadAll(r); !strings.HasPrefix(string(rest), `{"type":"register"`) {
+		if rest, _ := io.ReadAll(r); string(rest) != frame {
 			t.Errorf("version %d: refusal consumed frame bytes, %q left", v, rest)
 		}
 	}
 	if _, err := acceptCodec(bufio.NewReader(strings.NewReader(fmt.Sprintf("%smsgpack %d\n", helloPrefix, wireVersion))), discard); err == nil {
 		t.Error("unknown codec accepted")
 	}
-	if _, err := acceptCodec(bufio.NewReader(strings.NewReader(helloPrefix+WireJSON)), discard); err == nil {
+	if _, err := acceptCodec(bufio.NewReader(strings.NewReader(strings.TrimSuffix(helloLine(), "\n"))), discard); err == nil {
 		t.Error("hello without a newline accepted")
 	}
 }
@@ -310,35 +316,31 @@ func TestDialCodecStagesHello(t *testing.T) {
 	defer client.Close()
 	defer server.Close()
 
-	if _, err := handshake(client, "msgpack", nil); err == nil {
-		t.Error("handshake accepted an unknown codec")
+	if _, err := dial(DialOptions{Addr: "127.0.0.1:1", Codec: "json"}); err == nil || !strings.Contains(err.Error(), "json") {
+		t.Errorf("dial with codec json: err = %v, want the codec refused", err)
 	}
 
-	for _, wire := range []string{WireBinary, WireJSON} {
-		// With no first frame (a client's), the hello is staged, not
-		// flushed: it must travel with the submit, so it costs no extra
-		// packet.
-		c, err := handshake(client, wire, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			_ = c.Encode(&message{Type: msgSubmit, Tasks: []Task{{ID: "t"}}})
-			_ = c.Flush()
-		}()
-		r := bufio.NewReader(server)
-		line, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		if line != helloLine(wire) {
-			t.Fatalf("hello on the wire = %q, want %q", line, helloLine(wire))
-		}
-		var m message
-		frames, _ := newCodec(wire, r, nil)
-		if err := frames.Decode(&m); err != nil || m.Type != msgSubmit {
-			t.Fatalf("first %s frame after the hello: %+v, %v", wire, m, err)
-		}
+	// With no first frame (a client's), the hello is staged, not flushed:
+	// it must travel with the submit, so it costs no extra packet.
+	c, err := handshake(client, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		_ = c.Encode(&message{Type: msgSubmit, Tasks: []Task{{ID: "t"}}})
+		_ = c.Flush()
+	}()
+	r := bufio.NewReader(server)
+	line, err := r.ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line != helloLine() {
+		t.Fatalf("hello on the wire = %q, want %q", line, helloLine())
+	}
+	var m message
+	if err := newBinaryCodec(r, nil).Decode(&m); err != nil || m.Type != msgSubmit {
+		t.Fatalf("first frame after the hello: %+v, %v", m, err)
 	}
 }
 
@@ -359,109 +361,27 @@ func (c *writeCounter) SetWriteDeadline(time.Time) error { return nil }
 // the hello and the whole first frame (register, subscribe) reach the
 // connection in one write, the hello first.
 func TestHandshakeIsOneWrite(t *testing.T) {
-	for _, wire := range []string{WireBinary, WireJSON} {
-		for _, first := range []*message{
-			{Type: msgRegister, WorkerID: "w1"},
-			{Type: msgSubscribe},
-		} {
-			conn := &writeCounter{}
-			if _, err := handshake(conn, wire, first); err != nil {
-				t.Fatal(err)
-			}
-			if len(conn.writes) != 1 {
-				t.Fatalf("%s %s handshake took %d writes, want 1", wire, first.Type, len(conn.writes))
-			}
-			var frame bytes.Buffer
-			enc, _ := newCodec(wire, nil, bufio.NewWriter(&frame))
-			if err := enc.Encode(first); err != nil {
-				t.Fatal(err)
-			}
-			if err := enc.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if want := helloLine(wire) + frame.String(); string(conn.writes[0]) != want {
-				t.Errorf("%s %s handshake wrote %q, want hello and frame %q", wire, first.Type, conn.writes[0], want)
-			}
-		}
-	}
-}
-
-// TestCrossCodecCluster is the interop core of the wire redesign: binary
-// and JSON workers, a JSON submitting client, and a binary monitor all
-// share one scheduler, and the campaign behaves identically to a
-// single-codec fleet.
-func TestCrossCodecCluster(t *testing.T) {
-	s := NewScheduler()
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-
-	slow := func(task Task) (json.RawMessage, error) {
-		time.Sleep(2 * time.Millisecond)
-		return task.Payload, nil
-	}
-	workers := make([]*Worker, 0, 3)
-	for i, wire := range []string{WireBinary, WireBinary, WireJSON} {
-		w := NewWorker(fmt.Sprintf("%s-%d", wire, i), slow)
-		if err := w.Dial(DialOptions{Addr: addr, Codec: wire}); err != nil {
+	for _, first := range []*message{
+		{Type: msgRegister, WorkerID: "w1"},
+		{Type: msgSubscribe},
+	} {
+		conn := &writeCounter{}
+		if _, err := handshake(conn, first); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(w.Close)
-		workers = append(workers, w)
-	}
-
-	mon, err := DialMonitor(DialOptions{Addr: addr, Codec: WireBinary})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(mon.Close)
-	mon.ReadTimeout = 10 * time.Second
-
-	c, err := DialClient(DialOptions{Addr: addr, Codec: WireJSON})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-
-	tasks := makeTasks(30)
-	results, err := c.Map(tasks, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 30 {
-		t.Fatalf("got %d results, want 30", len(results))
-	}
-	for _, r := range results {
-		if r.Failed() {
-			t.Errorf("task %s failed: %s", r.TaskID, r.Err)
+		if len(conn.writes) != 1 {
+			t.Fatalf("%s handshake took %d writes, want 1", first.Type, len(conn.writes))
 		}
-	}
-	for _, w := range workers {
-		if w.Processed() == 0 {
-			t.Errorf("worker %s processed nothing; codec fleet not interoperating", w.ID)
-		}
-	}
-
-	// The binary monitor observes the same event stream a JSON monitor
-	// would: every task reaches done.
-	done := map[string]bool{}
-	for len(done) < 30 {
-		e, err := mon.Next()
-		if err != nil {
-			t.Fatalf("monitor stream ended early (%d/30 done): %v", len(done), err)
-		}
-		if e.Type == events.TaskDone {
-			done[e.Task] = true
+		if want := helloLine() + string(binFrame(appendMessage(nil, first))); string(conn.writes[0]) != want {
+			t.Errorf("%s handshake wrote %q, want hello and frame %q", first.Type, conn.writes[0], want)
 		}
 	}
 }
 
-// batchWorker is a hand-rolled JSON worker that records the size of every
+// batchWorker is a hand-rolled worker that records the size of every
 // handout frame, proving batched dispatch actually batches.
 type batchWorker struct {
-	rw *rawWorker
+	rw *rawPeer
 }
 
 func (bw *batchWorker) serve(t *testing.T, n int) (frameSizes []int) {
@@ -470,7 +390,7 @@ func (bw *batchWorker) serve(t *testing.T, n int) (frameSizes []int) {
 	served := 0
 	for served < n {
 		var m message
-		if err := bw.rw.dec.Decode(&m); err != nil {
+		if err := bw.rw.recv(&m); err != nil {
 			t.Fatalf("batch worker decode: %v", err)
 		}
 		if m.Type != msgTask {
@@ -485,7 +405,7 @@ func (bw *batchWorker) serve(t *testing.T, n int) (frameSizes []int) {
 		for i, task := range tasks {
 			results[i] = Result{TaskID: task.ID, WorkerID: "batcher", Start: time.Now(), End: time.Now()}
 		}
-		if err := bw.rw.enc.Encode(message{Type: msgResult, Results: results}); err != nil {
+		if err := bw.rw.send(&message{Type: msgResult, Results: results}); err != nil {
 			t.Fatalf("batch worker ack: %v", err)
 		}
 		served += len(tasks)
@@ -586,7 +506,7 @@ func TestBatchRequeueOnWorkerDeath(t *testing.T) {
 	_ = rw.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var m message
 	for {
-		if err := rw.dec.Decode(&m); err != nil {
+		if err := rw.recv(&m); err != nil {
 			t.Fatalf("doomed worker decode: %v", err)
 		}
 		if m.Type == msgTask {
@@ -602,7 +522,7 @@ func TestBatchRequeueOnWorkerDeath(t *testing.T) {
 		{TaskID: got[0].ID, WorkerID: "doomed", Start: time.Now(), End: time.Now()},
 		{TaskID: got[1].ID, WorkerID: "doomed", Start: time.Now(), End: time.Now()},
 	}
-	if err := rw.enc.Encode(message{Type: msgResult, Results: acked}); err != nil {
+	if err := rw.send(&message{Type: msgResult, Results: acked}); err != nil {
 		t.Fatal(err)
 	}
 	// Give the scheduler a moment to settle the partial ack before the

@@ -33,10 +33,8 @@ type DialOptions struct {
 	// exactly one attempt.
 	Retry time.Duration
 
-	// Codec names the wire codec this connection will speak: "" or
-	// WireBinary (the default), or WireJSON for a stream a person can
-	// read. The scheduler learns it from the hello, so peers choose
-	// independently.
+	// Codec names the wire codec: "" or WireBinary, the only one. Any
+	// other name is refused before dialing.
 	Codec string
 }
 
@@ -45,7 +43,7 @@ type DialOptions struct {
 // within one shared budget.
 func dial(opts DialOptions) (net.Conn, error) {
 	if !ValidWire(opts.Codec) {
-		return nil, fmt.Errorf("flow: unknown wire codec %q", opts.Codec)
+		return nil, fmt.Errorf("flow: unknown wire codec %q; this build speaks only %q", opts.Codec, WireBinary)
 	}
 	if (opts.Addr == "") == (opts.SchedulerFile == "") {
 		return nil, fmt.Errorf("flow: dial needs exactly one of Addr or SchedulerFile")
@@ -108,12 +106,12 @@ func backoff(what string, budget time.Duration, try func(left time.Duration) err
 // dialPeer is how every peer opens its connection: dial, then the
 // handshake with the peer's first frame (nil for a client, whose first
 // frame is its submit). who names the peer in errors.
-func dialPeer(opts DialOptions, who string, first *message) (net.Conn, Codec, error) {
+func dialPeer(opts DialOptions, who string, first *message) (net.Conn, *binaryCodec, error) {
 	conn, err := dial(opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("flow: %s dial: %w", who, err)
 	}
-	c, err := handshake(conn, opts.Codec, first)
+	c, err := handshake(conn, first)
 	if err != nil {
 		conn.Close()
 		return nil, nil, fmt.Errorf("flow: %s handshake: %w", who, err)

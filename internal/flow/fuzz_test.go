@@ -3,15 +3,14 @@ package flow
 import (
 	"bufio"
 	"bytes"
-	"encoding/base64"
 	"encoding/binary"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/bin"
@@ -93,129 +92,39 @@ func FuzzParseSchedulerFile(f *testing.F) {
 	})
 }
 
-// FuzzDecodeMessage hardens the wire-protocol decoder: the scheduler
-// classifies peers and routes tasks from attacker-controllable TCP bytes,
-// so any byte stream must decode to either an error or a message that
-// re-encodes losslessly (modulo JSON field order, which the re-decode
-// absorbs).
-func FuzzDecodeMessage(f *testing.F) {
-	// Payloads are opaque bytes, which the JSON codec carries as base64.
-	p64 := base64.StdEncoding.EncodeToString
-	seeds := specSeeds()
-	feature, infer, k := p64(seeds[0]), p64(seeds[1]), p64(seeds[3])
-	seconds := p64([]byte("412.375"))
-	f.Add([]byte(`{"type":"register","worker_id":"w1"}`))
-	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","weight":2.5,"payload":"` + k + `"}]}`))
-	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","enqueued_ns":1643068800000000000,"payload":"` + feature + `"}]}`))
-	f.Add([]byte(`{"type":"result","results":[{"task_id":"t1","worker_id":"w1","start":"2022-01-25T00:00:00Z","end":"2022-01-25T00:00:01Z","error":"boom"}]}`))
-	f.Add([]byte(`{"type":"result","results":[{"task_id":"t1","worker_id":"w1","enqueued_ns":1643068800000000000,"start":"2022-01-25T00:00:01Z","end":"2022-01-25T00:00:02Z","payload":"` + seconds + `"}]}`))
-	f.Add([]byte(`{"type":"submit","tasks":[{"id":"a"},{"id":"b"}]}`))
-	f.Add([]byte(`{"type":"submit","tasks":[{"id":"0","label":"DVU_00001/m2","payload":"` + infer + `"}]}`))
-	f.Add([]byte(`{"type":"accepted","count":2}`))
-	f.Add([]byte(`{"type":"subscribe"}`))
-	f.Add([]byte(`{"type":"event","event":{"seq":7,"t_ns":1500,"type":"assigned","task":"DVU_00001","worker":"w1"}}`))
-	f.Add([]byte(`{"type":"event","event":{"seq":8,"t_ns":1501,"type":"failed","task":"a/m3","worker":"w2","error":"boom"}}`))
-	f.Add([]byte(`{"type":"event","event":{"seq":1,"t_ns":0,"type":"worker_join","worker":"w1"}}`))
-	f.Add([]byte(`{"type":"heartbeat","worker_id":"w1"}`))
-	f.Add([]byte(`{"type":"heartbeat","worker_id":"w1","gauges":{"goroutines":9,"heap_bytes":1048576,"tasks_executed":42,"busy_ns":1500000000}}`))
-	f.Add([]byte(`{"type":"heartbeat","worker_id":"w1","gauges":{}}`))
-	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","label":"DVU_00001/m2","weight":312,"enqueued_ns":1,"payload":"` + infer + `","campaign":"dvu-full"}]}`))
-	f.Add([]byte(`{"type":"event","event":{"seq":3,"t_ns":9,"type":"queued","task":"a","attempt":1}}`))
-	f.Add([]byte(`{"type":"event","event":{"seq":4,"t_ns":10,"type":"quarantined","task":"a","attempt":3}}`))
-	f.Add([]byte(`{"type":"event","event":{"seq":5,"t_ns":11,"type":"worker_lost","worker":"w1","error":"silent"}}`))
-	f.Add([]byte(`{"type":"submit","campaign":"dvu-full","tasks":[{"id":"a"},{"id":"b","campaign":"rru-pilot"}]}`))
-	f.Add([]byte(`{"type":"task","tasks":[{"id":"t1","campaign":"dvu-full","payload":"` + k + `"}]}`))
-	f.Add([]byte(`{"type":"event","event":{"seq":9,"t_ns":12,"type":"done","task":"a","worker":"w1","campaign":"dvu-full"}}`))
-	f.Add([]byte(`{"type":"result","results":[{"task_id":"a","worker_id":"w1","start":"2022-01-25T00:00:00Z","end":"2022-01-25T00:00:01Z"},{"task_id":"b","worker_id":"w1","start":"2022-01-25T00:00:01Z","end":"2022-01-25T00:00:02Z","error":"boom"}]}`))
-	f.Add([]byte(`{"type":1}`))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`[`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var m message
-		if err := json.Unmarshal(data, &m); err != nil {
-			return
-		}
-		// Whatever decoded must survive an encode/decode round trip — the
-		// exact path every scheduler/worker/client hop takes.
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(m); err != nil {
-			t.Fatalf("re-encoding decoded message: %v", err)
-		}
-		var again message
-		if err := json.NewDecoder(&buf).Decode(&again); err != nil {
-			t.Fatalf("re-decoding encoded message: %v", err)
-		}
-		if again.Type != m.Type || again.WorkerID != m.WorkerID || again.Count != m.Count ||
-			again.Campaign != m.Campaign || len(again.Tasks) != len(m.Tasks) || len(again.Results) != len(m.Results) {
-			t.Fatalf("message changed across round trip: %+v != %+v", again, m)
-		}
-		// Everything the scheduler stamps or routes by rides the task: the
-		// trace label, the enqueue stamp and the campaign must survive every
-		// hop.
-		for i := range m.Tasks {
-			a, b := &m.Tasks[i], &again.Tasks[i]
-			if a.ID != b.ID || a.Label != b.Label || a.EnqueuedNS != b.EnqueuedNS ||
-				a.Campaign != b.Campaign || !bytes.Equal(a.Payload, b.Payload) {
-				t.Fatalf("task %d changed across round trip: %+v != %+v", i, *b, *a)
-			}
-		}
-		for i := range m.Results {
-			a, b := &m.Results[i], &again.Results[i]
-			if a.TaskID != b.TaskID || a.Err != b.Err || a.EnqueuedNS != b.EnqueuedNS || !bytes.Equal(a.Payload, b.Payload) {
-				t.Fatalf("result %d changed across round trip: %+v != %+v", i, *b, *a)
-			}
-		}
-		if (again.Event == nil) != (m.Event == nil) {
-			t.Fatalf("event pointer changed across round trip")
-		}
-		if m.Event != nil {
-			a, b := *m.Event, *again.Event
-			if !bytes.Equal(a.Payload, b.Payload) {
-				t.Fatalf("event payload changed across round trip: %q != %q", b.Payload, a.Payload)
-			}
-			a.Payload, b.Payload = nil, nil
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("event changed across round trip: %+v != %+v", b, a)
-			}
-		}
-		// Heartbeat-carried worker gauges: presence and values must survive
-		// the round trip.
-		if (again.Gauges == nil) != (m.Gauges == nil) {
-			t.Fatalf("gauges presence changed across round trip")
-		}
-		if m.Gauges != nil && *again.Gauges != *m.Gauges {
-			t.Fatalf("gauges changed across round trip: %+v != %+v", *again.Gauges, *m.Gauges)
-		}
-	})
-}
-
 // FuzzAcceptHello hardens the first thing the scheduler does with a new
 // connection, before any codec exists: whatever bytes a peer opens with,
 // acceptCodec must either refuse them or have read exactly the hello this
-// build sends for the codec it returns.
+// build sends. A hello naming another codec — the JSON one of earlier
+// builds — is refused with an error naming the one this build speaks.
 func FuzzAcceptHello(f *testing.F) {
-	f.Add([]byte(helloLine(WireJSON) + `{"type":"subscribe"}` + "\n"))
-	f.Add([]byte(helloLine(WireBinary)))
+	v := func(format string) []byte { return fmt.Appendf(nil, format, wireVersion) }
+	f.Add(append(v("flow-wire json %d\n"), `{"type":"subscribe"}`+"\n"...))
+	f.Add([]byte(helloLine()))
 	f.Add([]byte("flow-wire json\n"))
 	f.Add([]byte("flow-wire binary 0\n"))
 	// Near misses of this build's own hello.
-	v := func(format string) []byte { return fmt.Appendf(nil, format, wireVersion) }
 	f.Add(v("flow-wire binary %d \n"))
 	f.Add(v("flow-wire  %d\n"))
-	f.Add(v("flow-wire json 0%d\n"))
-	f.Add([]byte("flow-wire json 18446744073709551617\n"))
+	f.Add(v("flow-wire binary 0%d\n"))
+	f.Add([]byte("flow-wire binary 18446744073709551617\n"))
 	f.Add(v("flow-wire msgpack %d\n"))
 	f.Add([]byte(`{"type":"register","worker_id":"w1"}` + "\n"))
 	f.Add([]byte("GET /metrics HTTP/1.1\r\n\r\n"))
-	f.Add(v("flow-wire json %d"))
+	f.Add(v("flow-wire binary %d"))
 	f.Add([]byte{})
+	f.Add(append(v("flow-wire json %d\n"), binFrame(appendMessage(nil, &message{Type: msgRegister, WorkerID: "w1"}))...))
+	jsonHello := v("flow-wire json %d\n")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := acceptCodec(bufio.NewReader(bytes.NewReader(data)), bufio.NewWriter(io.Discard))
-		if err != nil {
+		_, err := acceptCodec(bufio.NewReader(bytes.NewReader(data)), bufio.NewWriter(io.Discard))
+		if bytes.HasPrefix(data, jsonHello) {
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(WireBinary)) {
+				t.Fatalf("json hello %q: err = %v, want a refusal naming %q", data, err, WireBinary)
+			}
 			return
 		}
-		if !bytes.HasPrefix(data, []byte(helloLine(c.Name()))) {
-			t.Fatalf("accepted %q as a %s peer of version %d", data, c.Name(), wireVersion)
+		if err == nil && !bytes.HasPrefix(data, []byte(helloLine())) {
+			t.Fatalf("accepted %q as a peer of version %d", data, wireVersion)
 		}
 	})
 }
@@ -264,10 +173,9 @@ func binaryCorpus() map[string][]byte {
 	}
 }
 
-// FuzzDecodeBinaryFrame hardens the binary wire decoder the same way
-// FuzzDecodeMessage hardens the JSON one: the scheduler decodes frames
-// from attacker-controllable TCP bytes, so any input must produce either
-// an error or a message whose canonical encoding is a fixed point —
+// FuzzDecodeBinaryFrame hardens the wire decoder: the scheduler decodes
+// frames from attacker-controllable TCP bytes, so any input must produce
+// either an error or a message whose canonical encoding is a fixed point —
 // encode(decode(data)) must decode again and re-encode to the same
 // bytes. (The input itself need not re-encode byte-identically: varints
 // have redundant non-minimal encodings the decoder accepts.)

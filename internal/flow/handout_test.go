@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -304,18 +303,14 @@ func TestForwardsCoalescePerClient(t *testing.T) {
 			}
 			t.Cleanup(s.Close)
 
-			type rawClient struct {
-				enc *json.Encoder
-				dec *json.Decoder
-			}
-			clients := make([]rawClient, len(tc.submits))
+			clients := make([]*rawPeer, len(tc.submits))
 			queuedSoFar := 0
-			submit := func(c rawClient, taskIDs ...string) {
+			submit := func(c *rawPeer, taskIDs ...string) {
 				tasks := make([]Task, len(taskIDs))
 				for j, id := range taskIDs {
 					tasks[j] = Task{ID: id}
 				}
-				if err := c.enc.Encode(&message{Type: msgSubmit, Tasks: tasks}); err != nil {
+				if err := c.send(&message{Type: msgSubmit, Tasks: tasks}); err != nil {
 					t.Fatal(err)
 				}
 				// Whoever acts next does so once these tasks are queued, so
@@ -324,9 +319,8 @@ func TestForwardsCoalescePerClient(t *testing.T) {
 				waitUntil(t, 10*time.Second, func() bool { return countEvents(s, events.TaskQueued) == queuedSoFar }, "submit to be queued")
 			}
 			for i, taskIDs := range tc.submits {
-				conn := dialJSON(t, addr)
-				_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-				clients[i] = rawClient{json.NewEncoder(conn), json.NewDecoder(bufio.NewReader(conn))}
+				clients[i] = dialRaw(t, addr, nil)
+				_ = clients[i].conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 				submit(clients[i], taskIDs...)
 			}
 
@@ -339,7 +333,7 @@ func TestForwardsCoalescePerClient(t *testing.T) {
 				for _, id := range acked {
 					ack.Results = append(ack.Results, Result{TaskID: id, WorkerID: "acker"})
 				}
-				if err := rw.enc.Encode(ack); err != nil {
+				if err := rw.send(&ack); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -354,7 +348,7 @@ func TestForwardsCoalescePerClient(t *testing.T) {
 				var got []string
 				for {
 					var m message
-					if err := c.dec.Decode(&m); err != nil {
+					if err := c.recv(&m); err != nil {
 						t.Fatalf("client %d after %v: %v", i, got, err)
 					}
 					if m.Type != msgResult {

@@ -258,7 +258,7 @@ func TestOutboxOverflowCounter(t *testing.T) {
 	// overflows.
 	us, them := net.Pipe()
 	t.Cleanup(func() { us.Close(); them.Close() })
-	ob := s.newOutbox(them, newJSONCodec(bufio.NewReader(them), bufio.NewWriter(them)))
+	ob := s.newOutbox(them, newBinaryCodec(bufio.NewReader(them), bufio.NewWriter(them)))
 	defer ob.shutdown()
 	deadline := time.Now().Add(5 * time.Second)
 	for stopped := false; !stopped; {

@@ -26,7 +26,7 @@ var ErrStreamEnd = errors.New("flow: monitor stream ended")
 // scheduling or a campaign report.
 type Monitor struct {
 	conn  net.Conn
-	codec Codec
+	codec *binaryCodec
 
 	// ReadTimeout, when set before the first Next, bounds how long Next
 	// waits for the next event. An idle campaign legitimately stays
@@ -46,7 +46,7 @@ type Monitor struct {
 }
 
 // DialMonitor connects a monitor through the unified dial options —
-// address or scheduler file, retry budget, and wire codec — and
+// address or scheduler file and retry budget — and
 // subscribes to the scheduler's event stream; the wire hello and the
 // subscribe leave in one write. The returned monitor must be closed.
 func DialMonitor(opts DialOptions) (*Monitor, error) {

@@ -2,7 +2,6 @@ package flow
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -31,7 +30,7 @@ func waitUntil(t *testing.T, timeout time.Duration, cond func() bool, desc strin
 // is no read pump, so the test fully controls which schedEvents exist and
 // in what order — it sends inWorkerGone itself where the pump would.
 func fakeWorkerConn(s *Scheduler, id string, sched net.Conn) *workerConn {
-	return &workerConn{id: id, ob: s.newOutbox(sched, newJSONCodec(bufio.NewReader(sched), bufio.NewWriter(sched)))}
+	return &workerConn{id: id, ob: s.newOutbox(sched, newBinaryCodec(bufio.NewReader(sched), bufio.NewWriter(sched)))}
 }
 
 // drainedWorkerConn is a fakeWorkerConn whose peer reads and discards
@@ -208,26 +207,25 @@ func TestMapDedupesDuplicateResults(t *testing.T) {
 		if err != nil {
 			return
 		}
-		enc := json.NewEncoder(conn)
 		var m message
 		if err := codec.Decode(&m); err != nil || m.Type != msgSubmit {
 			return
 		}
-		enc.Encode(&message{Type: msgAccepted, Count: len(m.Tasks)})
-		enc.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "a", Payload: []byte(`"first"`)}}})
+		codec.Encode(&message{Type: msgAccepted, Count: len(m.Tasks)})
+		codec.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "a", Payload: []byte(`"first"`)}}})
 		// A duplicate ack for a, then a result for a task never submitted:
 		// both must be ignored.
-		enc.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "a", Err: "late duplicate"}}})
-		enc.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "stranger"}}})
-		enc.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "b", Payload: []byte(`"second"`)}}})
+		codec.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "a", Err: "late duplicate"}}})
+		codec.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "stranger"}}})
+		codec.Encode(&message{Type: msgResult, Results: []Result{{TaskID: "b", Payload: []byte(`"second"`)}}})
+		codec.Flush()
 		// Hold the connection open so a premature extra read blocks
 		// instead of erroring.
 		var hold message
 		_ = codec.Decode(&hold)
 	}()
 
-	// The scripted scheduler above writes JSON whatever the hello says.
-	c, err := DialClient(DialOptions{Addr: ln.Addr().String(), Codec: WireJSON})
+	c, err := DialClient(DialOptions{Addr: ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,9 +262,8 @@ func TestQuotaDefersAdmissionAndAck(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 
-	conn := dialJSON(t, addr)
-	enc := json.NewEncoder(conn)
-	if err := enc.Encode(&message{Type: msgSubmit, Campaign: "solo", Tasks: []Task{
+	cl := dialRaw(t, addr, nil)
+	if err := cl.send(&message{Type: msgSubmit, Campaign: "solo", Tasks: []Task{
 		{ID: "q0", Payload: []byte(`1`)},
 		{ID: "q1", Payload: []byte(`2`)},
 	}}); err != nil {
@@ -275,11 +272,11 @@ func TestQuotaDefersAdmissionAndAck(t *testing.T) {
 
 	// No workers yet and the frame is over quota: the ack must be
 	// withheld. Nothing may arrive on the wire.
-	_ = conn.SetReadDeadline(time.Now().Add(250 * time.Millisecond))
-	if n, err := conn.Read(make([]byte, 1)); err == nil || n > 0 {
+	_ = cl.conn.SetReadDeadline(time.Now().Add(250 * time.Millisecond))
+	if n, err := cl.conn.Read(make([]byte, 1)); err == nil || n > 0 {
 		t.Fatal("scheduler acked a frame whose admission is still deferred")
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	_ = cl.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 
 	w := NewWorker("drainer", echoHandler)
 	if err := w.Connect(addr); err != nil {
@@ -287,11 +284,10 @@ func TestQuotaDefersAdmissionAndAck(t *testing.T) {
 	}
 	t.Cleanup(w.Close)
 
-	dec := json.NewDecoder(bufio.NewReader(conn))
 	var frames []message
 	for len(frames) < 3 {
 		var m message
-		if err := dec.Decode(&m); err != nil {
+		if err := cl.recv(&m); err != nil {
 			t.Fatalf("reading frame %d: %v", len(frames), err)
 		}
 		frames = append(frames, m)
@@ -339,8 +335,8 @@ func TestQuotaAckFollowsCoalescedResults(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 
-	conn := dialJSON(t, addr)
-	if err := json.NewEncoder(conn).Encode(&message{Type: msgSubmit, Campaign: "solo", Tasks: []Task{
+	cl := dialRaw(t, addr, nil)
+	if err := cl.send(&message{Type: msgSubmit, Campaign: "solo", Tasks: []Task{
 		{ID: "q0"}, {ID: "q1"}, {ID: "q2"}, {ID: "q3"},
 	}}); err != nil {
 		t.Fatal(err)
@@ -351,12 +347,11 @@ func TestQuotaAckFollowsCoalescedResults(t *testing.T) {
 	}
 	t.Cleanup(w.Close)
 
-	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	_ = cl.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var got []string
 	for len(got) < 3 {
 		var m message
-		if err := dec.Decode(&m); err != nil {
+		if err := cl.recv(&m); err != nil {
 			t.Fatalf("reading frame %d: %v", len(got), err)
 		}
 		frame := m.Type

@@ -39,12 +39,12 @@ var errOutboxStopped = errors.New("flow: outbox stopped")
 // the event loop never performs peer I/O itself.
 //
 // Concurrency: the codec is shared with the connection's read pump, which
-// is safe per the Codec contract (one reader + one writer goroutine). The
+// is safe because its encode and decode halves share nothing. The
 // writer is the only goroutine that encodes, and a frame belongs to it
 // from the moment it is enqueued: the enqueuer keeps no reference.
 type outbox struct {
 	conn    net.Conn
-	codec   Codec
+	codec   *binaryCodec
 	timeout time.Duration
 
 	ch       chan *message
@@ -60,7 +60,7 @@ type outbox struct {
 
 // newOutbox creates the queue and starts its writer goroutine, tracked by
 // the scheduler's WaitGroup and stopped by scheduler shutdown (parent).
-func (s *Scheduler) newOutbox(conn net.Conn, codec Codec) *outbox {
+func (s *Scheduler) newOutbox(conn net.Conn, codec *binaryCodec) *outbox {
 	depth := s.OutboxDepth
 	if depth <= 0 {
 		depth = DefaultOutboxDepth

@@ -3,7 +3,6 @@ package flow
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -31,12 +30,12 @@ func shrinkReadBuffer(t *testing.T, conn net.Conn) {
 // the wedged-but-connected peer whose handout frame can never drain.
 func wedgeWorker(t *testing.T, addr, id string) net.Conn {
 	t.Helper()
-	conn := dialJSON(t, addr)
-	shrinkReadBuffer(t, conn)
-	if err := json.NewEncoder(conn).Encode(message{Type: msgRegister, WorkerID: id}); err != nil {
+	p := dialRaw(t, addr, nil)
+	shrinkReadBuffer(t, p.conn)
+	if err := p.send(&message{Type: msgRegister, WorkerID: id}); err != nil {
 		t.Fatal(err)
 	}
-	return conn
+	return p.conn
 }
 
 // bulkTasks builds n tasks whose payloads are size bytes each, so one
@@ -172,9 +171,9 @@ func TestWedgedClientDoesNotStallScheduler(t *testing.T) {
 	if raceEnabled {
 		size = 16 << 10
 	}
-	wedged := dialJSON(t, addr)
-	shrinkReadBuffer(t, wedged)
-	if err := json.NewEncoder(wedged).Encode(message{Type: msgSubmit, Tasks: bulkTasks(150, size)}); err != nil {
+	wedged := dialRaw(t, addr, nil)
+	shrinkReadBuffer(t, wedged.conn)
+	if err := wedged.send(&message{Type: msgSubmit, Tasks: bulkTasks(150, size)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -240,9 +239,9 @@ func TestStalledMonitorDoesNotStallCampaign(t *testing.T) {
 
 	// Attach a monitor that subscribes and then never reads: the backlog
 	// wave above guarantees its outbox wedges immediately.
-	mon := dialJSON(t, addr)
-	shrinkReadBuffer(t, mon)
-	if err := json.NewEncoder(mon).Encode(message{Type: msgSubscribe}); err != nil {
+	mon := dialRaw(t, addr, nil)
+	shrinkReadBuffer(t, mon.conn)
+	if err := mon.send(&message{Type: msgSubscribe}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -334,7 +333,7 @@ func TestOutboxEnqueueAfterFailure(t *testing.T) {
 	// the second fills the queue, the third overflows.
 	sched, peer := net.Pipe()
 	t.Cleanup(func() { sched.Close(); peer.Close() })
-	ob := s.newOutbox(sched, newJSONCodec(bufio.NewReader(sched), bufio.NewWriter(sched)))
+	ob := s.newOutbox(sched, newBinaryCodec(bufio.NewReader(sched), bufio.NewWriter(sched)))
 	m := &message{Type: msgHeartbeat}
 	stopped := func() bool {
 		select {

@@ -37,20 +37,16 @@
 // is a FIFO ring; the queue round-robins over the lanes that hold tasks,
 // and under PolicyFIFO all tenants share one.
 //
-// Every connection opens with a one-line hello naming its codec and the
+// Every connection opens with a one-line hello naming the codec and the
 // wire version ("flow-wire binary 5"), staged in the same flush as the
 // first frame. The paper starts scheduler, workers and client from one
 // software environment inside one batch job, and so does this tree: the
-// protocol has exactly one version, a peer that offers none or another
-// is refused before any frame is decoded, and every frame has exactly
-// one shape. Two codecs frame the same envelope — a length-prefixed
-// binary layout (WireBinary, the default) and newline-delimited JSON
-// (WireJSON, for a stream a person can read) — and peers speaking
-// different codecs share one scheduler freely. Task and result payloads
-// are opaque bytes to the engine, carried verbatim by the binary codec
-// and as base64 by the JSON one; what they mean is between a submitter
-// and the kernel it names (see JobSpec). Only the standard library is
-// used.
+// protocol has exactly one version and one codec, a length-prefixed
+// positional binary layout, a peer that offers anything else is refused
+// before any frame is decoded, and every frame has exactly one shape.
+// Task and result payloads are opaque bytes to the engine, carried
+// verbatim; what they mean is between a submitter and the kernel it
+// names (see JobSpec). Only the standard library is used.
 package flow
 
 import (
@@ -66,48 +62,48 @@ import (
 // paper's high-memory rerun of out-of-memory targets is the campaign's
 // own second wave (core.InferenceStage), not something the scheduler does.
 type Task struct {
-	ID string `json:"id"`
+	ID string
 	// Label is the stable, human-meaningful trace identity of the task (a
 	// protein ID, a "target/m3" inference slot) — the same identity the
 	// processing-times CSV keys its rows by. The engine schedules by ID
 	// (unique per batch and client); the label only feeds the scheduler's
 	// structured event stream, so a monitor and an event log name tasks
 	// the way the submitting executor's trace does. Empty falls back to ID.
-	Label string `json:"label,omitempty"`
+	Label string
 	// Weight is used by scheduling policies (e.g. sequence length for the
 	// paper's longest-first sort); the engine itself does not interpret it.
-	Weight float64 `json:"weight,omitempty"`
+	Weight float64
 	// Payload is opaque bytes to the engine (a spec-serving worker reads
-	// a JobSpec envelope from it); the JSON codec carries it as base64.
-	Payload []byte `json:"payload,omitempty"`
+	// a JobSpec envelope from it).
+	Payload []byte
 	// EnqueuedNS is stamped by the scheduler (unix nanoseconds) when the
 	// task enters its queue and travels with the assignment so the worker
 	// can echo it in the Result — the queue-time half of the paper's
 	// per-task processing-times telemetry. Unix nanos rather than
-	// time.Time so an unstamped task (a client's submit) really omits the
-	// field on the wire. Clients leave it zero.
-	EnqueuedNS int64 `json:"enqueued_ns,omitempty"`
+	// time.Time: one varint on the wire, zero for an unstamped task (a
+	// client's submit). Clients leave it zero.
+	EnqueuedNS int64
 	// Campaign is the multi-tenant namespace of the task — the submitting
 	// campaign it belongs to, as on the paper's shared Summit scheduler
 	// where many submitters coexist on one worker fleet. The fair-share
 	// queue policy round-robins handout across campaigns, and admission
 	// quotas are charged per campaign. Usually inherited from the submit
 	// frame's Campaign; a task-level value wins.
-	Campaign string `json:"campaign,omitempty"`
+	Campaign string
 }
 
 // Result is the completion record of one task, including the timing fields
 // the paper's CSV collects: worker identity, the scheduler's enqueue
 // stamp, and the handler's start/end bracket.
 type Result struct {
-	TaskID     string    `json:"task_id"`
-	WorkerID   string    `json:"worker_id"`
-	EnqueuedNS int64     `json:"enqueued_ns,omitempty"`
-	Start      time.Time `json:"start"`
-	End        time.Time `json:"end"`
+	TaskID     string
+	WorkerID   string
+	EnqueuedNS int64
+	Start      time.Time
+	End        time.Time
 	// Payload is the handler's result, opaque bytes like Task.Payload.
-	Payload []byte `json:"payload,omitempty"`
-	Err     string `json:"error,omitempty"`
+	Payload []byte
+	Err     string
 }
 
 // Duration returns the task processing time.
@@ -131,26 +127,26 @@ func (r *Result) Failed() bool { return r.Err != "" }
 // changes the bytes pinned under testdata/wire and needs a new
 // wireVersion.
 type message struct {
-	Type string `json:"type"`
+	Type string
 	// register, heartbeat
-	WorkerID string `json:"worker_id,omitempty"`
+	WorkerID string
 	// submit (client → scheduler) and task (scheduler → worker): a handout
 	// carries one or more tasks (Scheduler.Batch).
-	Tasks []Task `json:"tasks,omitempty"`
+	Tasks []Task
 	// result: a worker acks a handout with one frame holding a record per
 	// task; the scheduler forwards each run of consecutive records owed to
 	// the same client as one frame.
-	Results []Result `json:"results,omitempty"`
+	Results []Result
 	// event stream (scheduler → monitor)
-	Event *events.Event `json:"event,omitempty"`
+	Event *events.Event
 	// accepted: how many tasks of a submit frame were admitted
-	Count int `json:"count,omitempty"`
+	Count int
 	// Campaign, on a submit frame, names the campaign every task in the
 	// frame belongs to (tasks carrying their own Campaign win).
-	Campaign string `json:"campaign,omitempty"`
+	Campaign string
 	// Gauges, on a heartbeat frame, carries the worker's runtime snapshot
 	// so the scheduler can expose per-worker occupancy.
-	Gauges *WorkerGauges `json:"gauges,omitempty"`
+	Gauges *WorkerGauges
 }
 
 // WorkerGauges is the worker-side runtime snapshot a heartbeat carries:
@@ -159,14 +155,14 @@ type message struct {
 // scheduler derives per-worker occupancy the way the paper's Fig 2 plots it.
 type WorkerGauges struct {
 	// Goroutines is runtime.NumGoroutine at sampling time.
-	Goroutines int `json:"goroutines"`
+	Goroutines int
 	// HeapBytes is the live heap (bytes of allocated, reachable objects).
-	HeapBytes uint64 `json:"heap_bytes"`
+	HeapBytes uint64
 	// TasksExecuted is the cumulative count of handler invocations.
-	TasksExecuted uint64 `json:"tasks_executed"`
+	TasksExecuted uint64
 	// BusyNS is cumulative nanoseconds spent inside task handlers; the
 	// delta between two beats over the beat interval is occupancy.
-	BusyNS int64 `json:"busy_ns"`
+	BusyNS int64
 }
 
 const (

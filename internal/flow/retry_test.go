@@ -1,10 +1,8 @@
 package flow
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"testing"
@@ -13,54 +11,58 @@ import (
 	"repro/internal/events"
 )
 
-// rawWorker is a hand-rolled worker connection for fault injection: it
-// registers and hands control to the test, bypassing the real Worker's
-// lifecycle (no heartbeats, no result sends unless the test says so).
-type rawWorker struct {
+// rawPeer is a hand-rolled connection for fault injection: the wire's
+// hello and frames with no lifecycle of its own — no heartbeats, no reads
+// or writes unless the test says so.
+type rawPeer struct {
 	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
+	c    *binaryCodec
 }
 
-// dialJSON opens a hand-rolled peer connection: a TCP dial plus the JSON
-// hello every connection must open with, closed again when the test ends.
-func dialJSON(t *testing.T, addr string) net.Conn {
+// dialRaw opens a hand-rolled peer connection: a TCP dial, the hello
+// every connection must open with and first behind it (nil leaves the
+// hello staged for the first send), closed again when the test ends.
+func dialRaw(t *testing.T, addr string, first *message) *rawPeer {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("raw peer dial: %v", err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if _, err := io.WriteString(conn, helloLine(WireJSON)); err != nil {
-		t.Fatalf("raw peer hello: %v", err)
+	c, err := handshake(conn, first)
+	if err != nil {
+		t.Fatalf("raw peer handshake: %v", err)
 	}
-	return conn
+	return &rawPeer{conn: conn, c: c}
 }
 
-func dialRawWorker(t *testing.T, addr, id string) *rawWorker {
+// send writes one frame and flushes it.
+func (p *rawPeer) send(m *message) error { return writeFrame(p.conn, p.c, 0, m) }
+
+// recv reads the next frame into *m.
+func (p *rawPeer) recv(m *message) error { return p.c.Decode(m) }
+
+// dialRawWorker registers a hand-rolled worker and hands control to the
+// test, bypassing the real Worker's lifecycle.
+func dialRawWorker(t *testing.T, addr, id string) *rawPeer {
 	t.Helper()
-	conn := dialJSON(t, addr)
-	rw := &rawWorker{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(bufio.NewReader(conn))}
-	if err := rw.enc.Encode(message{Type: msgRegister, WorkerID: id}); err != nil {
-		t.Fatalf("raw worker register: %v", err)
-	}
-	return rw
+	return dialRaw(t, addr, &message{Type: msgRegister, WorkerID: id})
 }
 
 // awaitTask blocks until the scheduler assigns a task.
-func (rw *rawWorker) awaitTask(t *testing.T) Task {
+func (rw *rawPeer) awaitTask(t *testing.T) Task {
 	t.Helper()
 	return rw.awaitHandout(t)[0]
 }
 
 // awaitHandout blocks until the scheduler sends a handout frame and
 // returns its tasks.
-func (rw *rawWorker) awaitHandout(t *testing.T) []Task {
+func (rw *rawPeer) awaitHandout(t *testing.T) []Task {
 	t.Helper()
 	_ = rw.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	for {
 		var m message
-		if err := rw.dec.Decode(&m); err != nil {
+		if err := rw.recv(&m); err != nil {
 			t.Fatalf("raw worker awaiting task: %v", err)
 		}
 		if m.Type == msgTask && len(m.Tasks) > 0 {

@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -87,7 +86,7 @@ func TestHandoutFailureRequeuesWholeBatch(t *testing.T) {
 	_ = rw.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var m message
 	for m.Type != msgTask {
-		if err := rw.dec.Decode(&m); err != nil {
+		if err := rw.recv(&m); err != nil {
 			t.Fatalf("witness decode: %v", err)
 		}
 	}
@@ -146,9 +145,8 @@ func TestDuplicateAckFromLiveWorker(t *testing.T) {
 
 	// A raw client, so every frame the scheduler forwards is visible (Map
 	// would hide a duplicate behind its own dedupe).
-	conn := dialJSON(t, addr)
-	enc, dec := json.NewEncoder(conn), json.NewDecoder(bufio.NewReader(conn))
-	if err := enc.Encode(&message{Type: msgSubmit, Tasks: makeTasks(3)}); err != nil {
+	cl := dialRaw(t, addr, nil)
+	if err := cl.send(&message{Type: msgSubmit, Tasks: makeTasks(3)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -157,7 +155,7 @@ func TestDuplicateAckFromLiveWorker(t *testing.T) {
 	first := rw.awaitTask(t)
 	ack := message{Type: msgResult, Results: []Result{{TaskID: first.ID, WorkerID: "echoing", Payload: []byte(`"once"`)}}}
 	for i := 0; i < 2; i++ { // the ack, and its duplicate
-		if err := rw.enc.Encode(ack); err != nil {
+		if err := rw.send(&ack); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +166,7 @@ func TestDuplicateAckFromLiveWorker(t *testing.T) {
 
 	// Had the duplicate enlisted the worker twice, the third task would
 	// have been handed to it on top of the second, before the second's ack.
-	if err := rw.enc.Encode(message{Type: msgResult, Results: []Result{{TaskID: second.ID, WorkerID: "echoing"}}}); err != nil {
+	if err := rw.send(&message{Type: msgResult, Results: []Result{{TaskID: second.ID, WorkerID: "echoing"}}}); err != nil {
 		t.Fatal(err)
 	}
 	third := rw.awaitTask(t)
@@ -185,11 +183,11 @@ func TestDuplicateAckFromLiveWorker(t *testing.T) {
 
 	// The client was sent the accepted ack and exactly one record per
 	// settled task.
-	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	_ = cl.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var forwarded []string
 	for len(forwarded) < 2 {
 		var m message
-		if err := dec.Decode(&m); err != nil {
+		if err := cl.recv(&m); err != nil {
 			t.Fatalf("client decode: %v", err)
 		}
 		for _, r := range m.Results {
@@ -203,7 +201,8 @@ func TestDuplicateAckFromLiveWorker(t *testing.T) {
 
 // TestSchedulerRefusesPeerWithoutHello: a peer that opens with a frame
 // instead of the versioned hello — any build from before the hello
-// existed — is disconnected without its frame being acted on.
+// existed — or with the hello of another version or codec is
+// disconnected without its frame being acted on.
 func TestSchedulerRefusesPeerWithoutHello(t *testing.T) {
 	s := NewScheduler()
 	addr, err := s.Start("127.0.0.1:0")
@@ -214,7 +213,8 @@ func TestSchedulerRefusesPeerWithoutHello(t *testing.T) {
 	for _, opening := range []string{
 		`{"type":"register","worker_id":"unversioned"}` + "\n",
 		helloPrefix + WireBinary + "\n",
-		fmt.Sprintf("%s%s %d\n", helloPrefix, WireJSON, wireVersion+1) + `{"type":"register","worker_id":"unversioned"}` + "\n",
+		fmt.Sprintf("%s%s %d\n", helloPrefix, WireBinary, wireVersion+1) + `{"type":"register","worker_id":"unversioned"}` + "\n",
+		fmt.Sprintf("%sjson %d\n", helloPrefix, wireVersion) + `{"type":"register","worker_id":"unversioned"}` + "\n",
 	} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -266,7 +266,7 @@ func TestSchedulerLeaksNoGoroutines(t *testing.T) {
 		return task.Payload, nil
 	}
 	for round := 0; round < 3; round++ {
-		c, err := DialClient(DialOptions{Addr: addr, Codec: []string{WireJSON, WireBinary}[round%2]})
+		c, err := DialClient(DialOptions{Addr: addr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func TestSchedulerLeaksNoGoroutines(t *testing.T) {
 		for i := range workers {
 			workers[i] = NewWorker(fmt.Sprintf("clean-%d-%d", round, i), slow)
 			workers[i].HeartbeatInterval = 5 * time.Millisecond
-			if err := workers[i].Dial(DialOptions{Addr: addr, Codec: []string{WireBinary, WireJSON}[i%2]}); err != nil {
+			if err := workers[i].Dial(DialOptions{Addr: addr}); err != nil {
 				t.Fatal(err)
 			}
 		}

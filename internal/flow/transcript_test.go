@@ -2,7 +2,6 @@ package flow
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -108,7 +107,7 @@ func (r *pipeRig) outbox() *outbox {
 	// Sized so that the reader never blocks on a script's worth of frames.
 	ch := make(chan message, 4096)
 	go func() {
-		dec := json.NewDecoder(far)
+		dec := newBinaryCodec(bufio.NewReader(far), nil)
 		for {
 			var m message
 			if err := dec.Decode(&m); err != nil {
@@ -117,7 +116,7 @@ func (r *pipeRig) outbox() *outbox {
 			ch <- m
 		}
 	}()
-	ob := r.s.newOutbox(sched, newJSONCodec(bufio.NewReader(sched), bufio.NewWriter(sched)))
+	ob := r.s.newOutbox(sched, newBinaryCodec(bufio.NewReader(sched), bufio.NewWriter(sched)))
 	r.frames[ob] = ch
 	return ob
 }

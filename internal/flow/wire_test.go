@@ -51,7 +51,7 @@ func wireFrames() map[string]*message {
 }
 
 // TestWireGolden pins the bytes of the hello and of one frame per message
-// type per codec. The protocol has one version and no tolerance for
+// type. The protocol has one version and no tolerance for
 // absent or extra fields, so the only thing that keeps two builds from
 // misreading each other is the version in the hello — which helps only if
 // it changes whenever the bytes do. The goldens live in a directory named
@@ -85,38 +85,29 @@ func TestWireGolden(t *testing.T) {
 				"Bump wireVersion in codec.go, then run `go test -update ./internal/flow`.\n got %q\nwant %q", name, wireVersion, got, want)
 		}
 	}
-	for _, wire := range []string{WireJSON, WireBinary} {
-		// Binary goldens are stored hex-encoded so the files diff as text.
-		text := func(b []byte) []byte { return b }
-		if wire == WireBinary {
-			text = func(b []byte) []byte { return append(hex.AppendEncode(nil, b), '\n') }
+	// Binary goldens are stored hex-encoded so the files diff as text.
+	check("hello.binary", []byte(helloLine()))
+	for typ, m := range wireFrames() {
+		var buf bytes.Buffer
+		c := newBinaryCodec(bufio.NewReader(&buf), bufio.NewWriter(&buf))
+		if err := c.Encode(m); err != nil {
+			t.Fatal(err)
 		}
-		check("hello."+wire, []byte(helloLine(wire)))
-		for typ, m := range wireFrames() {
-			var buf bytes.Buffer
-			c, err := newCodec(wire, bufio.NewReader(&buf), bufio.NewWriter(&buf))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Encode(m); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			check(typ+"."+wire, text(buf.Bytes()))
-			var back message
-			if err := c.Decode(&back); err != nil {
-				t.Fatalf("%s %s frame does not decode: %v", wire, typ, err)
-			}
-			// The binary decoder yields local times, the JSON one UTC.
-			for i := range back.Results {
-				back.Results[i].Start = back.Results[i].Start.UTC()
-				back.Results[i].End = back.Results[i].End.UTC()
-			}
-			if !reflect.DeepEqual(&back, m) {
-				t.Errorf("%s %s frame decodes to %+v, want %+v", wire, typ, &back, m)
-			}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		check(typ+".binary", append(hex.AppendEncode(nil, buf.Bytes()), '\n'))
+		var back message
+		if err := c.Decode(&back); err != nil {
+			t.Fatalf("%s frame does not decode: %v", typ, err)
+		}
+		// The decoder yields local times; wireFrames stamps UTC.
+		for i := range back.Results {
+			back.Results[i].Start = back.Results[i].Start.UTC()
+			back.Results[i].End = back.Results[i].End.UTC()
+		}
+		if !reflect.DeepEqual(&back, m) {
+			t.Errorf("%s frame decodes to %+v, want %+v", typ, &back, m)
 		}
 	}
 	// One version means one directory: goldens of a previous version are

@@ -28,7 +28,7 @@ type Worker struct {
 	HeartbeatInterval time.Duration
 
 	conn  net.Conn
-	codec Codec
+	codec *binaryCodec
 	wg    sync.WaitGroup
 
 	// writeMu serializes frames on the connection: the task loop's result
@@ -55,7 +55,7 @@ func NewWorker(id string, h Handler) *Worker {
 }
 
 // Dial registers with the scheduler through the unified dial options —
-// address or scheduler file, retry budget, and wire codec — and starts
+// address or scheduler file and retry budget — and starts
 // the task loop in the background. The wire hello and the registration
 // leave in one write.
 func (w *Worker) Dial(opts DialOptions) error {
