@@ -12,6 +12,16 @@
 //     with max 8; bumps 3.76 ± 12.74 with max 148);
 //   - a T1080 stand-in: the large target whose original-AlphaFold
 //     relaxation took ~4.5 hours.
+//
+// NewSet builds the set on up to GOMAXPROCS goroutines and stays bit for
+// bit the same at any width. Everything drawn from the set's one random
+// stream is drawn first, serially and in a fixed order: the 32 target
+// lengths, then one split of the stream per model. The 32 target folds
+// (each seeded by its index) and then the 160 models (each from its own
+// split) are built concurrently, each written only to its own index; the
+// models read the folds only once all of them are built. Planting a
+// model's violations recounts them after each pull through a
+// relax.ViolationTracker, which rescans only the atoms the pull moved.
 package casp
 
 import (
@@ -20,6 +30,7 @@ import (
 
 	"repro/internal/fold"
 	"repro/internal/geom"
+	"repro/internal/parallel"
 	"repro/internal/relax"
 	"repro/internal/rng"
 )
@@ -57,14 +68,15 @@ func (s *Set) ModelsOf(id string) []Model {
 	return out
 }
 
-// NewSet generates the benchmark deterministically.
+// NewSet generates the benchmark deterministically, the same at any
+// GOMAXPROCS (see the package doc).
 func NewSet(seed uint64) *Set {
 	r := rng.New(seed).SplitNamed("casp14")
-	s := &Set{}
+	s := &Set{Targets: make([]Target, 32)}
 
 	// 32 targets; lengths span the CASP14 range, with T1080 as the large
 	// outlier target (~1400 residues ≈ 11k heavy atoms).
-	for i := 0; i < 32; i++ {
+	for i := range s.Targets {
 		var length int
 		id := fmt.Sprintf("T%04d", 1024+i)
 		switch {
@@ -80,58 +92,63 @@ func NewSet(seed uint64) *Set {
 		default:
 			length = 500 + r.Intn(400)
 		}
-		target := Target{ID: id, Length: length}
 		// 19 of 32 have public crystals, deterministically the first 19
 		// after shuffling by index parity mix.
-		if (i*7+3)%32 < 19 {
-			target.HasCrystal = true
-			target.Crystal = fold.GenerateTopology(seed^(uint64(i)*2654435761+1), length)
-		}
-		s.Targets = append(s.Targets, target)
+		s.Targets[i] = Target{ID: id, Length: length, HasCrystal: (i*7+3)%32 < 19}
 	}
 
-	// Five models per target: the crystal (or a hidden native for
-	// crystal-less targets) perturbed by model error, plus planted
-	// violations with the paper's distribution.
-	for i := range s.Targets {
+	// Five models per target, each with its own stream.
+	const perTarget = 5
+	s.Models = make([]Model, perTarget*len(s.Targets))
+	streams := make([]rng.Source, len(s.Models))
+	for k := range s.Models {
+		t := &s.Targets[k/perTarget]
+		s.Models[k] = Model{TargetID: t.ID, ModelNum: k%perTarget + 1, HeavyAtoms: int(7.8 * float64(t.Length))}
+		streams[k] = r.SplitNamed(fmt.Sprintf("%s-m%d", t.ID, s.Models[k].ModelNum))
+	}
+
+	// Each target's native: its crystal, or a hidden native for
+	// crystal-less targets. Seeded by index, not by r.
+	natives := make([]*fold.Native, len(s.Targets))
+	_ = parallel.ForEach(0, len(natives), func(i int) error {
 		t := &s.Targets[i]
-		native := t.Crystal
-		if native == nil {
-			native = fold.GenerateTopology(seed^(uint64(i)*2654435761+1), t.Length)
+		natives[i] = fold.GenerateTopology(seed^(uint64(i)*2654435761+1), t.Length)
+		if t.HasCrystal {
+			t.Crystal = natives[i]
 		}
-		for m := 1; m <= 5; m++ {
-			mr := r.SplitNamed(fmt.Sprintf("%s-m%d", t.ID, m))
-			ca := geom.Clone(native.CA)
-			sc := geom.Clone(native.SC)
+		return nil
+	})
 
-			// Model error: smooth displacement, better models for lower m.
-			errScale := 0.6 + 0.5*float64(m-1) + 0.4*mr.Float64()
-			field := smoothNoise(&mr, t.Length)
-			for k := range ca {
-				d := field[k].Scale(errScale)
-				ca[k] = ca[k].Add(d)
-				sc[k] = sc[k].Add(d)
-			}
+	// Each model: the native perturbed by model error, plus planted
+	// violations with the paper's distribution.
+	_ = parallel.ForEach(0, len(s.Models), func(k int) error {
+		m := &s.Models[k]
+		native := natives[k/perTarget]
+		mr := &streams[k]
+		ca := geom.Clone(native.CA)
+		sc := geom.Clone(native.SC)
 
-			// Planted violations. Counts follow the paper's heavy-tailed
-			// distribution across the 160 models; one designated model
-			// carries the extreme tail (the paper's max was 148 bumps in a
-			// single structure).
-			clashes, bumps := sampleViolationCounts(&mr)
-			if i == 14 && m == 3 { // T1080: the paper's pathological model
-				clashes, bumps = 2, 130
-			}
-			plantViolations(&mr, ca, sc, clashes, bumps)
-
-			s.Models = append(s.Models, Model{
-				TargetID:   t.ID,
-				ModelNum:   m,
-				CA:         ca,
-				SC:         sc,
-				HeavyAtoms: int(7.8 * float64(t.Length)),
-			})
+		// Model error: smooth displacement, better models for lower m.
+		errScale := 0.6 + 0.5*float64(m.ModelNum-1) + 0.4*mr.Float64()
+		field := smoothNoise(mr, len(ca))
+		for i := range ca {
+			d := field[i].Scale(errScale)
+			ca[i] = ca[i].Add(d)
+			sc[i] = sc[i].Add(d)
 		}
-	}
+
+		// Planted violations. Counts follow the paper's heavy-tailed
+		// distribution across the 160 models; one designated model
+		// carries the extreme tail (the paper's max was 148 bumps in a
+		// single structure).
+		clashes, bumps := sampleViolationCounts(mr)
+		if m.TargetID == "T1080" && m.ModelNum == 3 { // T1080: the paper's pathological model
+			clashes, bumps = 2, 130
+		}
+		plantViolations(mr, ca, sc, clashes, bumps)
+		m.CA, m.SC = ca, sc
+		return nil
+	})
 	return s
 }
 
@@ -169,9 +186,11 @@ func plantViolations(r *rng.Source, ca, sc []geom.Vec3, clashes, bumps int) {
 	if n < 12 || clashes+bumps == 0 {
 		return
 	}
-	// cur is what ca measures now; it is recounted only after a pull
-	// changed ca, never for a plant that gave up or was reverted.
-	cur := relax.CountViolations(ca)
+	// cur is what ca measures now. The tracker recounts only the pairs
+	// whose atoms moved since it last counted, so a revert needs no count
+	// of its own: the next pull's Update sees both moves.
+	tr := relax.NewViolationTracker(ca)
+	cur := tr.Violations()
 	var caSnap, scSnap []geom.Vec3
 	plant := func(targetD float64, noNewClash bool) {
 		for tries := 0; tries < 300; tries++ {
@@ -199,7 +218,7 @@ func plantViolations(r *rng.Source, ca, sc []geom.Vec3, clashes, bumps int) {
 				ca[k] = ca[k].Add(shift)
 				sc[k] = sc[k].Add(shift)
 			}
-			pulled := relax.CountViolations(ca)
+			pulled := tr.Update(ca)
 			if noNewClash && pulled.Clashes > cur.Clashes {
 				copy(ca, caSnap)
 				copy(sc, scSnap)

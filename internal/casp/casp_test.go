@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -150,23 +151,31 @@ func setHash(s *Set) uint64 {
 }
 
 // TestSetPinned pins the generated set bit for bit: the published set
-// (experiments.DefaultSeed ^ 0xCA5B) and one other seed. plantViolations
-// decides every accepted plant from measured violation counts, so any
-// change to how or when it counts must reproduce these hashes.
+// (experiments.DefaultSeed ^ 0xCA5B) and one other seed, built on one
+// goroutine and on four. plantViolations decides every accepted plant from
+// measured violation counts, so any change to how or when it counts must
+// reproduce these hashes; NewSet builds targets and models concurrently,
+// so the width must not move them either. It runs under -short, so the
+// race detector sees the fan-out.
 func TestSetPinned(t *testing.T) {
-	for _, c := range []struct{ seed, want uint64 }{
-		{20220125 ^ 0xCA5B, 0x737edfad11cf97c6},
-		{7, 0x8ad2db15cc137d34},
-	} {
-		if got := setHash(NewSet(c.seed)); got != c.want {
-			t.Errorf("NewSet(%d) hash = %#016x, want %#016x", c.seed, got, c.want)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range []struct{ seed, want uint64 }{
+			{20220125 ^ 0xCA5B, 0x737edfad11cf97c6},
+			{7, 0x8ad2db15cc137d34},
+		} {
+			if got := setHash(NewSet(c.seed)); got != c.want {
+				t.Errorf("GOMAXPROCS %d: NewSet(%d) hash = %#016x, want %#016x", procs, c.seed, got, c.want)
+			}
 		}
 	}
 }
 
-// BenchmarkNewSet measures generating the whole benchmark set, the serial
-// prologue of every relaxation experiment; planting violations (pull,
-// recount, maybe revert) is nearly all of it.
+// BenchmarkNewSet measures generating the whole benchmark set, which every
+// relaxation experiment does before its pool starts. Target folds, then
+// models, fan out over GOMAXPROCS; the folds and planting violations (pull,
+// incremental recount, maybe revert) are most of it.
 func BenchmarkNewSet(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -285,7 +285,10 @@ func (h *Hub) AddSink(fn func(Event)) {
 // hub already keeps, so it sees every event an unbounded hub emits
 // however far it falls behind; on a bounded hub (SetLimit) a follower
 // more than the limit behind gets the Truncated marker a late subscriber
-// gets, then the retained tail. Hub.Close waits until the follower has
+// gets, then the retained tail. The follower takes the hub lock once per
+// batch, not once per event: it copies every event available (up to
+// followBatch) under one hold and calls fn on each outside it, so a slow
+// fn never holds up Emit. Hub.Close waits until the follower has
 // handed fn every event emitted before it. On a closed hub fn is never
 // called. depth is unused; the benchmark module still passes one.
 func (h *Hub) AddAsyncSink(fn func(Event), depth int) {
@@ -302,11 +305,19 @@ func (h *Hub) AddAsyncSink(fn func(Event), depth int) {
 	h.drains = append(h.drains, func() { <-done })
 	go func() {
 		defer close(done)
-		for e, ok := c.Next(); ok; e, ok = c.Next() {
-			fn(e)
+		// Copy what is there under one lock, hand it on outside it.
+		buf := make([]Event, followBatch)
+		for n := c.fill(buf); n > 0; n = c.fill(buf) {
+			for i := range buf[:n] {
+				fn(buf[i])
+			}
 		}
 	}()
 }
+
+// followBatch is the most events an async sink's follower copies out of
+// the history per hold of the hub lock (32 KB of events).
+const followBatch = 256
 
 // SetLimit bounds the in-memory backlog to at most n events, evicting
 // oldest-first (the hub-scaling fix for proteome-sized campaigns: a
@@ -460,38 +471,52 @@ type Cursor struct {
 // marker (Err states how many events are gone) and continues from the
 // oldest retained event.
 func (c *Cursor) Next() (Event, bool) {
+	var e [1]Event
+	if c.fill(e[:]) == 0 {
+		return Event{}, false
+	}
+	return e[0], true
+}
+
+// fill blocks as Next does, then copies into buf, under one hold of the
+// hub lock, the events successive Next calls would return, as many as are
+// available and fit. It returns how many it copied; 0 stands for Next's
+// ok=false.
+func (c *Cursor) fill(buf []Event) int {
 	h := c.h
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for {
 		if c.cancelled {
-			return Event{}, false
+			return 0
 		}
 		if c.nextSeq <= h.lastSeq && h.hist.n > 0 {
 			break
 		}
 		if h.closed {
-			return Event{}, false
+			return 0
 		}
 		h.cond.Wait()
 	}
+	n := 0
 	first := h.hist.at(0).Seq
 	if c.nextSeq < first {
 		// The events between the cursor and the retained window were
 		// evicted: surface that explicitly instead of silently jumping.
-		n := first - c.nextSeq
-		marker := Event{
+		buf[0] = Event{
 			Seq:    first - 1,
 			TimeNS: h.evictedNS,
 			Type:   Truncated,
-			Err:    fmt.Sprintf("events: %d events evicted from bounded backlog", n),
+			Err:    fmt.Sprintf("events: %d events evicted from bounded backlog", first-c.nextSeq),
 		}
 		c.nextSeq = first
-		return marker, true
+		n++
 	}
-	e := *h.hist.at(int(c.nextSeq - first))
-	c.nextSeq++
-	return e, true
+	for ; n < len(buf) && c.nextSeq <= h.lastSeq; n++ {
+		buf[n] = *h.hist.at(int(c.nextSeq - first))
+		c.nextSeq++
+	}
+	return n
 }
 
 // Cancel unblocks a pending Next and makes every future Next return

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/casp"
+	"repro/internal/metrics"
 	"repro/internal/proteome"
 	"repro/internal/relax"
 )
@@ -318,5 +320,61 @@ func TestProteomeCaching(t *testing.T) {
 	b := env.Proteome(proteome.DVulgaris)
 	if a != b {
 		t.Error("proteome not cached")
+	}
+}
+
+// TestViolationsReport pins Section 4.4 at DefaultSeed: the report as
+// rendered, and the before-relaxation summaries against a fresh count of
+// every model, since Violations takes them from the relaxations' own
+// counts. Skipped under -short (480 minimisations); CI's full-size pins
+// step runs it.
+func TestViolationsReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("480 minimisations")
+	}
+	env := testEnv(t)
+	res, err := Violations(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cb, bb []float64
+	for _, m := range casp.NewSet(env.Seed ^ 0xCA5B).Models {
+		v := relax.CountViolations(m.CA)
+		cb = append(cb, float64(v.Clashes))
+		bb = append(bb, float64(v.Bumps))
+	}
+	if want := metrics.Summarize(cb); res.ClashesBefore != want {
+		t.Errorf("clashes before = %+v, a fresh count gives %+v", res.ClashesBefore, want)
+	}
+	if want := metrics.Summarize(bb); res.BumpsBefore != want {
+		t.Errorf("bumps before = %+v, a fresh count gives %+v", res.BumpsBefore, want)
+	}
+	var out bytes.Buffer
+	if err := res.Render(&out); err != nil {
+		t.Fatal(err)
+	}
+	const want = "Sec 4.4: violation reduction over 160 CASP14-like models\n" +
+		"  before: clashes 0.13 ± 0.48 (max 3; paper 0.22 ± 1.09 max 8)\n" +
+		"          bumps   2.68 ± 8.02 (max 95; paper 3.76 ± 12.74 max 148)\n" +
+		"  after af2-original: clashes 0.00 (paper 0), bumps 0.12 ± 0.46 (max 3)\n" +
+		"  after openmm-cpu:  clashes 0.00 (paper 0), bumps 0.12 ± 0.46 (max 3)\n" +
+		"  after openmm-gpu:  clashes 0.00 (paper 0), bumps 0.12 ± 0.46 (max 3)\n" +
+		"  paper after-bumps: 2.12 ± 3.70 (AF2), 2.59 ± 5.34 (CPU), 2.71 ± 5.90 (GPU)\n"
+	if out.String() != want {
+		t.Errorf("Violations report:\n%s\nwant:\n%s", out.String(), want)
+	}
+}
+
+// BenchmarkViolations is experiments.Violations at the published seed
+// with Parallelism left at 0 (GOMAXPROCS): the relax_casp workload's
+// untraced body, 160 models x 3 relax protocols on the pool, with
+// casp.NewSet's build of the set before the pool starts.
+func BenchmarkViolations(b *testing.B) {
+	env := NewEnv(DefaultSeed)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Violations(env); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -315,7 +315,6 @@ func Violations(env *Env) (*ViolationsResult, error) {
 	}
 	outs, err := exec.Map(env.executor(), models, func(_ int, m *casp.Model) (violOut, error) {
 		var out violOut
-		out.before = relax.CountViolations(m.CA)
 		for pi, platform := range fig3Platforms {
 			opt := relax.DefaultOptions(platform)
 			opt.HeavyAtoms = m.HeavyAtoms
@@ -323,6 +322,7 @@ func Violations(env *Env) (*ViolationsResult, error) {
 			if err != nil {
 				return violOut{}, err
 			}
+			out.before = rr.Before // every protocol counts the same input
 			out.clashes[pi] = rr.After.Clashes
 			out.bumps[pi] = rr.After.Bumps
 		}

@@ -16,6 +16,15 @@
 // Cα–Cα < 3.6 Å) are defined on Cα distances, so this resolution carries
 // the full behaviour of the experiment.
 //
+// Violations are counted by one predicate (pairViolations) over the pairs
+// a cell grid offers: CountViolations rescans a whole trace, and
+// ViolationTracker keeps the count of a trace that moves a few atoms at a
+// time — it finds the moved atoms by comparing positions and recounts only
+// the pairs touching them, before and after the move. Relax counts the
+// input once (Result.Before) and, in the AF2 loop, the coordinates after
+// each round; the last round's count is Result.After, since the loop only
+// ever exits right after counting.
+//
 // The energy kernel finds non-bonded partners through a Verlet pair list:
 // every non-excluded pair within the repulsion cutoff plus a 2 Å skin,
 // rebuilt from an O(atoms) cell grid only once some atom has moved half
@@ -30,7 +39,6 @@ package relax
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/geom"
 )
@@ -141,19 +149,69 @@ func (s *System) SC() []geom.Vec3 {
 // Points are binned by floor(p/cell) per axis into cubic cells a little
 // over 2·reach wide, so everything within reach of a point is in its own
 // cell or, per axis, the one cell beyond the nearer face: eight cells.
-// An open-addressing table maps each occupied cell's coordinates to a
-// dense id (in order of first appearance) and a counting sort lays the
-// points out by id. Buffers are grow-only: steady-state rebinds allocate
-// nothing. Callers are promised no visiting order — CountViolations only
-// counts, and EnergyForces orders what it sums by itself.
+// A cellTable maps each occupied cell's coordinates to a dense id and a
+// counting sort lays the points out by id. Buffers are grow-only:
+// steady-state rebinds allocate nothing. Callers are promised no visiting
+// order — CountViolations only counts, and EnergyForces orders what it
+// sums by itself.
 type grid struct {
+	cellTable
 	cell  float64
-	id    []int32  // per point: dense id of its cell
-	cells [][3]int // per id: cell coordinates
-	table []int32  // id+1 per slot, 0 = empty; len is a power of two >= 2*points
-	start []int32  // the points of cell id are order[start[id]:start[id+1]]
+	id    []int32 // per point: dense id of its cell
+	start []int32 // the points of cell id are order[start[id]:start[id+1]]
 	order []int32
 	buf   []int32 // near's result
+}
+
+// cellTable maps cell coordinates to dense ids, in order of first
+// appearance, through an open-addressing table.
+type cellTable struct {
+	table []int32  // id+1 per slot, 0 = empty; len is a power of two
+	cells [][3]int // per id: cell coordinates
+}
+
+// reset empties the table and sizes it for at least n cells.
+func (t *cellTable) reset(n int) {
+	size := 4
+	for size < 2*n {
+		size <<= 1
+	}
+	t.table = grown(t.table, size)
+	clear(t.table)
+	if cap(t.cells) < n {
+		t.cells = make([][3]int, 0, n)
+	}
+	t.cells = t.cells[:0]
+}
+
+// slot returns the table slot of cell c: the one holding its id, or the
+// empty one where it belongs.
+func (t *cellTable) slot(c [3]int) int {
+	h := uint64(c[0])*0x9E3779B97F4A7C15 ^ uint64(c[1])*0xC2B2AE3D27D4EB4F ^ uint64(c[2])*0x165667B19E3779F9
+	mask := len(t.table) - 1
+	i := int(h>>32) & mask
+	for id := t.table[i]; id != 0 && t.cells[id-1] != c; id = t.table[i] {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// add returns the id of cell c, giving it the next id if it is new. The
+// table doubles once it is half full.
+func (t *cellTable) add(c [3]int) int32 {
+	sl := t.slot(c)
+	if id := t.table[sl]; id != 0 {
+		return id - 1
+	}
+	t.cells = append(t.cells, c)
+	t.table[sl] = int32(len(t.cells))
+	if 2*len(t.cells) > len(t.table) {
+		t.table = make([]int32, 2*len(t.table))
+		for id, c := range t.cells {
+			t.table[t.slot(c)] = int32(id + 1)
+		}
+	}
+	return int32(len(t.cells) - 1)
 }
 
 // grown returns buf with length n, reallocating only when it must.
@@ -173,30 +231,31 @@ func cellOf(p geom.Vec3, cell float64) [3]int {
 	}
 }
 
-// slot returns the table slot of cell c: the one holding its id, or the
-// empty one where it belongs.
-func (g *grid) slot(c [3]int) int {
-	h := uint64(c[0])*0x9E3779B97F4A7C15 ^ uint64(c[1])*0xC2B2AE3D27D4EB4F ^ uint64(c[2])*0x165667B19E3779F9
-	mask := len(g.table) - 1
-	i := int(h>>32) & mask
-	for t := g.table[i]; t != 0 && g.cells[t-1] != c; t = g.table[i] {
-		i = (i + 1) & mask
+// nearSide returns, per axis, the neighbour of p's cell c (of side cell)
+// beyond the face p is nearer to. With cell >= 2·reach, c and these
+// neighbours span the eight cells that can hold a point within reach of p.
+func nearSide(p geom.Vec3, c [3]int, cell float64) [3]int {
+	var side [3]int
+	for ax, x := range [3]float64{p.X, p.Y, p.Z} {
+		side[ax] = c[ax] - 1
+		if q := x / cell; q-math.Floor(q) >= 0.5 {
+			side[ax] = c[ax] + 1
+		}
 	}
-	return i
+	return side
 }
+
+// reachCell is the side of the cells a grid or cellList bins at for
+// queries within reach. The margin over 2·reach dwarfs the rounding of
+// p/cell (for |p| up to ~1e9 cells), so a query's choice of cells can
+// never cost a neighbour.
+func reachCell(reach float64) float64 { return 2 * reach * (1 + 1e-6) }
 
 // rebind repopulates the grid with pos, for queries within reach.
 func (g *grid) rebind(pos []geom.Vec3, reach float64) {
-	// The margin over 2·reach dwarfs the rounding of p/cell (for |p| up to
-	// ~1e9 cells), so near's choice of cells can never cost a neighbour.
-	g.cell = 2 * reach * (1 + 1e-6)
+	g.cell = reachCell(reach)
 	n := len(pos)
-	size := 4
-	for size < 2*n {
-		size <<= 1
-	}
-	g.table = grown(g.table, size)
-	clear(g.table)
+	g.reset(n)
 	g.id = grown(g.id, n)
 	g.order = grown(g.order, n)
 	g.buf = grown(g.buf, n)
@@ -205,18 +264,8 @@ func (g *grid) rebind(pos []geom.Vec3, reach float64) {
 	// cell's end — which is where cell id+1 begins.
 	g.start = grown(g.start, n+2)
 	clear(g.start)
-	if cap(g.cells) < n {
-		g.cells = make([][3]int, 0, n)
-	}
-	g.cells = g.cells[:0]
 	for i, p := range pos {
-		c := cellOf(p, g.cell)
-		sl := g.slot(c)
-		if g.table[sl] == 0 {
-			g.cells = append(g.cells, c)
-			g.table[sl] = int32(len(g.cells))
-		}
-		id := g.table[sl] - 1
+		id := g.add(cellOf(p, g.cell))
 		g.id[i] = id
 		g.start[id+2]++
 	}
@@ -234,13 +283,7 @@ func (g *grid) rebind(pos []geom.Vec3, reach float64) {
 // the next call.
 func (g *grid) near(i int, p geom.Vec3) []int32 {
 	c := g.cells[g.id[i]]
-	var side [3]int // per axis, the neighbour cell beyond the nearer face
-	for ax, x := range [3]float64{p.X, p.Y, p.Z} {
-		side[ax] = c[ax] - 1
-		if q := x / g.cell; q-math.Floor(q) >= 0.5 {
-			side[ax] = c[ax] + 1
-		}
-	}
+	side := nearSide(p, c, g.cell)
 	out := g.buf[:0]
 	for _, x := range [2]int{c[0], side[0]} {
 		for _, y := range [2]int{c[1], side[1]} {
@@ -253,10 +296,6 @@ func (g *grid) near(i int, p geom.Vec3) []int32 {
 	}
 	return out
 }
-
-// gridPool recycles grids for the package-level entry points
-// (CountViolations) that have no System to hang scratch off.
-var gridPool = sync.Pool{New: func() any { return new(grid) }}
 
 // addBond accumulates one harmonic bond term into forces, returning its
 // energy contribution (hoisted out of EnergyForces so the hot loop carries
@@ -418,34 +457,4 @@ func (s *System) excluded(a, b int) bool {
 	// geometrically constrained by it; exclude to avoid fighting the bond
 	// terms.
 	return diff == 1
-}
-
-// Violations are the CASP-style structural flaw counts of Section 3.2.3.
-type Violations struct {
-	Clashes int // Cα–Cα pairs closer than 1.9 Å
-	Bumps   int // Cα–Cα pairs closer than 3.6 Å (including clashes)
-}
-
-// CountViolations counts clashes and bumps over Cα pairs with sequence
-// separation of at least 2.
-func CountViolations(ca []geom.Vec3) Violations {
-	var v Violations
-	g := gridPool.Get().(*grid)
-	defer gridPool.Put(g)
-	g.rebind(ca, 3.6)
-	for i, p := range ca {
-		for _, j := range g.near(i, p) {
-			if int(j) < i+2 {
-				continue
-			}
-			d := p.Dist(ca[j])
-			if d < 1.9 {
-				v.Clashes++
-			}
-			if d < 3.6 {
-				v.Bumps++
-			}
-		}
-	}
-	return v
 }

@@ -98,10 +98,11 @@ func Relax(ca, sc []geom.Vec3, opt Options) (*Result, error) {
 		}
 		// AF2 original protocol: re-minimize while any violation remains.
 		// The Cα trace is extracted into system-owned scratch, not a fresh
-		// copy per round.
+		// copy per round. Every exit below follows this count, so it is
+		// the final coordinates' count too.
 		sys.ca = sys.CAInto(sys.ca)
-		v := CountViolations(sys.ca)
-		if (v.Clashes == 0 && v.Bumps == 0) || rounds >= opt.MaxRounds {
+		res.After = CountViolations(sys.ca)
+		if (res.After.Clashes == 0 && res.After.Bumps == 0) || rounds >= opt.MaxRounds {
 			break
 		}
 		// AF2 restarts minimization from the current coordinates with the
@@ -114,7 +115,9 @@ func Relax(ca, sc []geom.Vec3, opt Options) (*Result, error) {
 
 	res.CA = sys.CA()
 	res.SC = sys.SC()
-	res.After = CountViolations(res.CA)
+	if opt.Platform != PlatformAF2 {
+		res.After = CountViolations(res.CA)
+	}
 	res.Rounds = rounds
 	res.Steps = totalSteps
 	res.Seconds = ModelTime(opt.Platform, heavy, rounds)
