@@ -92,7 +92,7 @@ func TestInferenceStageDigest(t *testing.T) {
 // one op is InferenceStage over D. vulgaris's 3,205 targets (16,025
 // inference tasks) as experiments.Campaign configures it, on the pool at
 // Parallelism 2. Features are computed once, outside the timer, and every
-// op starts from an empty draw table.
+// op runs on a new engine, whose pool of draw records starts empty.
 func BenchmarkInferenceStage(b *testing.B) {
 	env := experiments.NewEnv(experiments.DefaultSeed)
 	proteins := env.Proteome(proteome.DVulgaris).FilterMaxLen(2500)

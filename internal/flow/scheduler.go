@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"os"
 	"sync"
@@ -319,6 +320,13 @@ func (s *Scheduler) serveConn(conn net.Conn) {
 	defer s.untrack(conn)
 	codec, err := acceptCodec(bufio.NewReader(conn), bufio.NewWriter(conn))
 	if err != nil {
+		// The peer itself reads only EOF, so say here why it was turned
+		// away, unless Close cut the hello short.
+		select {
+		case <-s.done:
+		default:
+			log.Printf("flow: scheduler refused peer %s: %v", conn.RemoteAddr(), err)
+		}
 		return
 	}
 

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -233,6 +235,59 @@ func TestSchedulerRefusesPeerWithoutHello(t *testing.T) {
 	}
 	if n := len(s.Events().Snapshot()); n != 0 {
 		t.Errorf("refused peers left %d events: %+v", n, s.Events().Snapshot())
+	}
+}
+
+// lockedBuffer is a log sink the test can read while the
+// scheduler's connection goroutines write to it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestSchedulerLogsRefusedPeer: the peer of a refused hello reads only EOF,
+// so the scheduler's log names the peer's address and why it was refused.
+func TestSchedulerLogsRefusedPeer(t *testing.T) {
+	var logged lockedBuffer
+	prev := log.Writer()
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(prev) })
+
+	s := NewScheduler()
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "%sjson %d\n", helloPrefix, wireVersion); err != nil {
+		t.Fatal(err)
+	}
+	// The scheduler logs before it closes the connection, so once the read
+	// ends the line is there.
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); n != 0 || err == nil {
+		t.Fatalf("read = %d, %v; want the connection closed", n, err)
+	}
+	line := logged.String()
+	if !strings.Contains(line, "refused peer "+conn.LocalAddr().String()+": ") || !strings.Contains(line, `wire codec "json"`) {
+		t.Errorf("log = %q, want a line naming %s and its json hello", line, conn.LocalAddr())
 	}
 }
 

@@ -10,14 +10,18 @@ import (
 )
 
 // TestInferAllocs pins what a summary-mode inference task allocates, the
-// unit the campaign runs 178,170 times: nothing when the target's draw
-// record is already in the engine's table, exactly the record on a miss,
-// and nothing more through core.InferDigest, the stage's task body.
+// unit the campaign runs 178,170 times: nothing once the engine's pool
+// holds a draw record, whether the call finds its target's record there or
+// refills another target's, and nothing more through core.InferDigest, the
+// stage's task body.
 func TestInferAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a random quarter of Puts, so a call may allocate a record")
+	}
 	e := fold.NewEngine(nil, 20220125)
 	feat := &msa.Features{Neff: 12, Depth: 13, Templates: []msa.TemplateHit{{ID: "t", Identity: 0.5, Coverage: 0.8}}}
 	task := fold.Task{ID: "DVU_00001", Length: 300, Features: feat, Preset: fold.Genome, NodeMemGB: 16}
-	if _, err := e.Infer(task); err != nil { // publishes the target's record
+	if _, err := e.Infer(task); err != nil { // pools the target's record
 		t.Fatal(err)
 	}
 	nextModel := func() { task.Model = (task.Model + 1) % fold.NumModels }
@@ -28,7 +32,7 @@ func TestInferAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("Infer with the draw record in the table: %v allocs per call, want 0", n)
+		t.Errorf("Infer with its target's draw record pooled: %v allocs per call, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		nextModel()
@@ -36,7 +40,7 @@ func TestInferAllocs(t *testing.T) {
 			t.Fatal(d, err)
 		}
 	}); n != 0 {
-		t.Errorf("core.InferDigest with the draw record in the table: %v allocs per call, want 0", n)
+		t.Errorf("core.InferDigest with its target's draw record pooled: %v allocs per call, want 0", n)
 	}
 
 	// AllocsPerRun makes one warm-up call besides the counted ones, and
@@ -53,7 +57,7 @@ func TestInferAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		next++
-	}); n != 1 {
-		t.Errorf("Infer on a draw-table miss: %v allocs per call, want 1 (the record)", n)
+	}); n != 0 {
+		t.Errorf("Infer refilling another target's draw record: %v allocs per call, want 0", n)
 	}
 }

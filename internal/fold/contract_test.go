@@ -25,8 +25,9 @@ const plddtUlps = 16
 // inferOracle is Infer as it was before the draw record held the field
 // magnitudes' powers: one powFixed call per evaluated residue per model,
 // and the recycling loop's distogram change summed pair by pair. It never
-// touches the draw table, so summary mode draws the sampled magnitudes and
-// estimator normals from the target's streams directly, as a miss does.
+// takes a pooled draw record, so summary mode draws the sampled magnitudes
+// and estimator normals from the target's streams directly, as a refill
+// does.
 func inferOracle(e *Engine, t Task) *Prediction {
 	mem := e.PeakMemGB(t.Preset, t.Length)
 	r := rng.New(e.Seed).SplitNamed("infer:" + t.ID)

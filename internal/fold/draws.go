@@ -13,32 +13,15 @@ const (
 	// summaryResidues caps the residues summary mode samples for pLDDT and
 	// pTMS; WantCoords evaluates every residue instead.
 	summaryResidues = 256
-	// drawTableSize is the number of per-target draw records an Engine
-	// keeps. Only about as many targets as there are workers are in flight
-	// at once, so slot collisions are rare. A record is one 6,528-byte
-	// allocation (the size class of its 6,200 bytes), so the full table
-	// holds under 1.7 MB; a summary-mode call that hits allocates nothing,
-	// and a miss allocates only its record. What the table saves depends on a
-	// target's models reaching the engine one after another: a model that
-	// starts while another model of its target is still filling the record
-	// misses and fills its own, field powers included. The in-process pool
-	// delivers them that way by construction — core.InferenceStage hands it
-	// a target's five models as one unit — so a target misses once at any
-	// pool width, plus the rare eviction by another in-flight target
-	// sharing its slot. Flow handouts can still split a target's models
-	// across workers or run them side by side, so flow workers miss more:
-	// 1.05 times per target (79 % of calls hit) on D. vulgaris with two
-	// worker processes on a 2-vCPU machine.
-	drawTableSize = 256
 )
 
 // targetDraws is what the five models of a target share: the randomness
 // that does not depend on the model index (they split the same "pairs",
 // "field" and "estimator" streams), and the pLDDT kernel's power of each
-// sampled field magnitude. A model that finds its target's record takes
-// them from it. A record is immutable once published. On the pool the
-// first of a target's models builds it and the next four, run back to
-// back on the same goroutine, hit it.
+// sampled field magnitude. The Infer call that takes a record from its
+// engine's pool owns it until it puts it back. core.InferenceStage runs a
+// target's five models back to back on one goroutine: the first refills a
+// record, and the next four take it back as it is.
 type targetDraws struct {
 	id     string // first, so the GC scans one pointer and not the array
 	seed   uint64
@@ -48,12 +31,10 @@ type targetDraws struct {
 	// draw order: the recycling loop moves every pair by the same error
 	// decrement, so the sum is all it needs of them.
 	pairSum float64
-	// vals holds, in the record's one allocation: min(length,
-	// summaryResidues) sampled field magnitudes |N·0.45+1|, then one more
-	// estimator normal than that (the last one is the pTMS estimator's),
-	// then each magnitude raised to shape. It is sized for the longest
-	// target: a slice sized by sampled() saves 13 % of InferenceStage's
-	// bytes for a second allocation per miss, and measured no faster.
+	// vals holds: min(length, summaryResidues) sampled field magnitudes
+	// |N·0.45+1|, then one more estimator normal than that (the last one is
+	// the pTMS estimator's), then each magnitude raised to shape. It is sized
+	// for the longest target, so a record refills in place for any target.
 	vals [3*summaryResidues + 1]float64
 }
 
@@ -72,19 +53,19 @@ func (d *targetDraws) magPows() []float64 {
 	return d.vals[2*n+1 : 3*n+1]
 }
 
-// drawsOf returns the model-independent draws of (seed, t.ID, t.Length)
-// with their powers at e.Cal.PLDDTShape. On a miss the caller's streams
-// are copied, not advanced, to build the record, which then replaces
-// whatever the slot held. Concurrent misses on one slot each build their
-// own record and the last store wins: records with equal keys are equal,
-// so no caller ever waits on another's fill.
+// drawsOf takes a record from e's pool, which the caller puts back when
+// done, and returns it holding the model-independent draws of (seed, t.ID,
+// t.Length) with their powers at e.Cal.PLDDTShape: as it is if its key
+// matches, else refilled in place from copies of the caller's streams.
 func (e *Engine) drawsOf(seed uint64, t Task, pairR, fieldR, noiseR rng.Source) *targetDraws {
 	shape := e.Cal.PLDDTShape
-	slot := &e.draws[drawSlot(t.ID, t.Length)]
-	if d := slot.Load(); d != nil && d.seed == seed && d.length == t.Length && d.shape == shape && d.id == t.ID {
+	d, _ := e.draws.Get().(*targetDraws)
+	if d == nil {
+		d = new(targetDraws)
+	} else if d.seed == seed && d.length == t.Length && d.shape == shape && d.id == t.ID {
 		return d
 	}
-	d := &targetDraws{id: t.ID, seed: seed, length: t.Length, shape: shape, pairSum: drawPairSum(pairR)}
+	d.id, d.seed, d.length, d.shape, d.pairSum = t.ID, seed, t.Length, shape, drawPairSum(pairR)
 	mags := d.fieldMags()
 	for i := range mags {
 		mags[i] = math.Abs(fieldR.NormFloat64()*0.45 + 1)
@@ -94,7 +75,6 @@ func (e *Engine) drawsOf(seed uint64, t Task, pairR, fieldR, noiseR rng.Source) 
 		est[i] = noiseR.NormFloat64()
 	}
 	powAll(d.magPows(), mags, shape)
-	slot.Store(d)
 	return d
 }
 
@@ -108,16 +88,4 @@ func drawPairSum(r rng.Source) float64 {
 		sum += math.Abs(r.NormFloat64()*0.5 + 1)
 	}
 	return sum
-}
-
-// drawSlot maps a target to its slot: FNV-1a over the ID, then the length.
-func drawSlot(id string, length int) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	h ^= uint64(length)
-	h *= 1099511628211
-	return int(h % drawTableSize)
 }

@@ -9,10 +9,10 @@ import (
 	"repro/internal/rng"
 )
 
-// TestInferDrawTableBitwise: whatever the table holds, and whoever filled
-// it, a prediction is bit-identical to the same call on a fresh engine —
-// sharing draws between the models of a target must never leak them
-// between targets, lengths, seeds or modes.
+// TestInferDrawTableBitwise: whatever record the engine's pool hands a
+// call, and whoever filled it, a prediction is bit-identical to the same
+// call on a fresh engine — sharing draws between the models of a target
+// must never leak them between targets, lengths, seeds or modes.
 func TestInferDrawTableBitwise(t *testing.T) {
 	const seed = 1234
 	prov := &SeededProvider{Seed: 99}
@@ -81,35 +81,21 @@ func TestInferDrawTableBitwise(t *testing.T) {
 		}
 	})
 
-	t.Run("two-ids-one-slot", func(t *testing.T) {
+	t.Run("two-ids-taking-turns", func(t *testing.T) {
+		// Each call meets the other target's record, so every one refills.
 		const length = 300
-		other := ""
-		for i := 0; other == ""; i++ {
-			if id := fmt.Sprintf("C%d", i); drawSlot(id, length) == drawSlot("A", length) {
-				other = id
-			}
-		}
 		e := NewEngine(prov, seed)
 		for round := 0; round < 3; round++ {
-			for _, id := range []string{"A", other} {
-				for m := 0; m < NumModels; m++ {
+			for m := 0; m < NumModels; m++ {
+				for _, id := range []string{"A", "B"} {
 					same(t, e, task(id, length, m, Genome))
 				}
 			}
 		}
-		if d := e.draws[drawSlot("A", length)].Load(); d == nil || d.id != other {
-			t.Fatalf("slot holds %+v, want the last target's record", d)
-		}
 	})
 
 	t.Run("one-id-two-lengths", func(t *testing.T) {
-		const short = 120 // below summaryResidues; the other is above it
-		long := 0
-		for l := 257; long == 0; l++ {
-			if drawSlot("L", l) == drawSlot("L", short) {
-				long = l
-			}
-		}
+		const short, long = 120, 300 // on both sides of summaryResidues
 		e := NewEngine(prov, seed)
 		for round := 0; round < 3; round++ {
 			for _, length := range []int{short, long} {
@@ -149,12 +135,19 @@ func TestInferDrawTableBitwise(t *testing.T) {
 			coords := task(id, length, 1, Genome)
 			coords.WantCoords = true
 			same(t, e, coords)
-			// ...and one before any summary call, which must leave the
-			// table as it found it.
+			// ...and one before any summary call, which must return no
+			// record to the pool.
 			coords.ID += "x"
 			same(t, e, coords)
-			if d := e.draws[drawSlot(coords.ID, length)].Load(); d != nil && d.id == coords.ID {
-				t.Fatalf("coordinate call for %s published a draw record", coords.ID)
+			var held []*targetDraws
+			for d, _ := e.draws.Get().(*targetDraws); d != nil; d, _ = e.draws.Get().(*targetDraws) {
+				if d.id == coords.ID {
+					t.Fatalf("coordinate call for %s returned a draw record to the pool", coords.ID)
+				}
+				held = append(held, d)
+			}
+			for _, d := range held {
+				e.draws.Put(d)
 			}
 			same(t, e, task(coords.ID, length, 2, Genome))
 			same(t, e, coords)

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/msa"
@@ -78,17 +78,16 @@ func DefaultCalibration() Calibration {
 
 // Engine runs surrogate AlphaFold inference. It is safe for concurrent use:
 // per-task randomness is derived from (Seed, target ID, model), and the only
-// state Infer writes is a memo of a pure function of (Seed, target ID,
-// length, Cal.PLDDTShape) — the draws a target's five models share and
-// the field magnitudes' powers — kept in a small direct-mapped table of
-// immutable records behind atomic pointers. A hit and a miss give
-// bit-identical predictions. An Engine must not be copied.
+// state Infer touches is a pool of records of what a target's five models
+// share, each refilled in place for the target that takes it: a reused
+// record and a refilled one give bit-identical predictions. An Engine must
+// not be copied.
 type Engine struct {
 	Provider NativeProvider
 	Seed     uint64
 	Cal      Calibration
 
-	draws [drawTableSize]atomic.Pointer[targetDraws]
+	draws sync.Pool // of *targetDraws
 }
 
 // NewEngine builds an engine with default calibration.
@@ -157,6 +156,33 @@ func (d *difficulty) domain(i int) int {
 	return min(i/d.domLen, d.nDom-1)
 }
 
+// sampleWalk yields, in sample order, the domain of the residue each sample
+// of Infer's residue loop stands for, i·length/sampled: i itself when every
+// residue is sampled, else i·length/summaryResidues, a division by a
+// constant. Those residues, and so their domains, never decrease, so the
+// walk steps past each domain's end instead of dividing. For a difficulty
+// from difficultyOf, at(i) is domain(i·length/sampled).
+type sampleWalk struct {
+	length, domLen, dom, last, end int  // end: the first residue past dom
+	scaled                         bool // sampled < length: sampled is summaryResidues
+}
+
+func (d *difficulty) walk(length, sampled int) sampleWalk {
+	return sampleWalk{length: length, domLen: d.domLen, last: d.nDom - 1, end: d.domLen, scaled: sampled < length}
+}
+
+func (w *sampleWalk) at(i int) int {
+	r := i
+	if w.scaled {
+		r = i * w.length / summaryResidues
+	}
+	for r >= w.end && w.dom < w.last {
+		w.dom++
+		w.end += w.domLen
+	}
+	return w.dom
+}
+
 // modelStreams names each model's stream, so a task derives it without
 // formatting a string.
 var modelStreams = [NumModels]string{"model:0", "model:1", "model:2", "model:3", "model:4"}
@@ -175,8 +201,8 @@ func (e *Engine) PeakMemGB(p Preset, length int) float64 {
 // Infer runs one task. The error is ErrOutOfMemory when the task cannot
 // fit; callers reroute such tasks to high-memory nodes as the paper did.
 // The prediction is returned by value: in summary mode it holds no
-// per-residue slices, and a call whose draw record is already in the table
-// allocates nothing (for a target ID of up to 26 bytes; a longer one costs
+// per-residue slices, and a call allocates nothing once the engine's pool
+// holds a draw record (for a target ID of up to 26 bytes; a longer one costs
 // one short string, its stream label).
 func (e *Engine) Infer(t Task) (Prediction, error) {
 	if t.Length <= 0 {
@@ -202,12 +228,13 @@ func (e *Engine) Infer(t Task) (Prediction, error) {
 	// Quality inputs: the sum of the pairs' sensitivities to the error
 	// field, the per-residue field magnitudes with their powers
 	// mag^PLDDTShape, and the estimator noise. Summary mode takes the
-	// sampled ones its target's models share from the draw table;
+	// sampled ones its target's models share from a pooled draw record;
 	// WantCoords draws the whole smoothed field and one noise value per
-	// residue from the same streams instead, and leaves the table alone.
+	// residue from the same streams instead, and leaves the pool alone.
 	var pairSum float64
 	var mags, magPows, noise, plddts []float64
 	var field []geom.Vec3
+	var draws *targetDraws
 	if t.WantCoords {
 		plddts = make([]float64, t.Length)
 		pairSum = drawPairSum(pairR)
@@ -223,7 +250,7 @@ func (e *Engine) Infer(t Task) (Prediction, error) {
 			noise[i] = noiseR.NormFloat64()
 		}
 	} else {
-		draws := e.drawsOf(seed, t, pairR, fieldR, noiseR)
+		draws = e.drawsOf(seed, t, pairR, fieldR, noiseR)
 		pairSum, mags, magPows, noise = draws.pairSum, draws.fieldMags(), draws.magPows(), draws.estimatorNormals()
 	}
 
@@ -274,9 +301,10 @@ func (e *Engine) Infer(t Task) (Prediction, error) {
 
 	var sumPLDDT, sumTM float64
 	var n70, n90 int
+	walk := diff.walk(t.Length, sampleN)
 	for i, mag := range mags {
 		local := mag * finalErr
-		dom := diff.domain(i * t.Length / sampleN)
+		dom := walk.at(i)
 		global := local + diff.domOff[dom]*finalErr
 
 		// The conversion keeps the product from fusing with the addition,
@@ -304,6 +332,9 @@ func (e *Engine) Infer(t Task) (Prediction, error) {
 	pred.FracAbove70 = float64(n70) / float64(sampleN)
 	pred.FracAbove90 = float64(n90) / float64(sampleN)
 	pred.PTMS = sumTM/float64(sampleN) + noise[sampleN]*e.Cal.PTMSNoise
+	if draws != nil { // the residue loop is done with it
+		e.draws.Put(draws)
+	}
 	if pred.PTMS > 1 {
 		pred.PTMS = 1
 	} else if pred.PTMS < 0 {

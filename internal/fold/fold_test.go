@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/msa"
+	"repro/internal/rng"
 	"repro/internal/seq"
 )
 
@@ -223,6 +224,36 @@ func TestInferDeterministic(t *testing.T) {
 	}
 }
 
+// TestSampleWalk holds the residue loop's domain walk to diff.domain over
+// every length from 1 to 3,000 — every multiple of 200, where the domain
+// count steps, and every multiple of each length's domLen among them — and
+// every sample in both modes: summary (min(L, summaryResidues) samples) and
+// coordinates (every residue, so every domain's first residue is met).
+func TestSampleWalk(t *testing.T) {
+	e := testEngine()
+	r := rng.New(5)
+	edges := 0
+	for length := 1; length <= 3000; length++ {
+		diff := e.difficultyOf(Task{ID: "walk", Length: length, Preset: Genome}, r.SplitNamed("difficulty"), r.SplitNamed("model"))
+		for _, sampled := range []int{min(length, summaryResidues), length} {
+			w := diff.walk(length, sampled)
+			for i := 0; i < sampled; i++ {
+				res := i * length / sampled
+				if res > 0 && res%diff.domLen == 0 {
+					edges++
+				}
+				if got, want := w.at(i), diff.domain(res); got != want {
+					t.Fatalf("length %d, %d samples: sample %d (residue %d) walked to domain %d, want %d",
+						length, sampled, i, res, got, want)
+				}
+			}
+		}
+	}
+	if edges == 0 {
+		t.Fatal("no sample fell on a domain boundary")
+	}
+}
+
 func TestInferValidation(t *testing.T) {
 	e := testEngine()
 	if _, err := e.Infer(Task{ID: "x", Length: 0, Model: 0, Preset: Genome}); err == nil {
@@ -429,36 +460,25 @@ func TestRanking(t *testing.T) {
 }
 
 // BenchmarkInferTarget times five summary-mode calls per op over 1,024
-// targets of 300 residues, four to a slot of the engine's draw table, on
-// both sides of what the table depends on. consecutive: one target's five
-// models back to back, as a serial worker meets them — each op opens with a
-// miss, since a target comes back only after three others have overwritten
-// its slot. interleaved: the four targets of a slot take turns model by
-// model, so every call misses, which is what a target's models cost when
-// they never find each other's record (all of them starting before any has
-// published it).
+// targets of 300 residues, on both sides of what a pooled draw record
+// depends on. consecutive: one target's five models back to back, as a
+// serial worker meets them — each op opens with a miss, since the record
+// the pool hands back is the previous target's, and its other four models
+// hit. interleaved: four targets take turns model by model, so every call
+// finds another target's record and refills it, which is what a target's
+// models cost when they never find each other's record.
 func BenchmarkInferTarget(b *testing.B) {
-	const length, perSlot = 300, 4
-	ids := make([][perSlot]string, drawTableSize)
-	filled := make([]int, drawTableSize)
-	for n, left := 0, perSlot*drawTableSize; left > 0; n++ {
-		id := fmt.Sprintf("bench%d", n)
-		if s := drawSlot(id, length); filled[s] < perSlot {
-			ids[s][filled[s]] = id
-			filled[s]++
-			left--
-		}
-	}
+	const length, targets, turns = 300, 1024, 4
 	feat := testFeatures(length, 15, 1)
 	for _, interleaved := range []bool{false, true} {
 		var calls []Task
-		for s := range ids {
-			for k := 0; k < perSlot*NumModels; k++ {
+		for g := 0; g < targets; g += turns {
+			for k := 0; k < turns*NumModels; k++ {
 				target, model := k/NumModels, k%NumModels
 				if interleaved {
-					target, model = k%perSlot, k/perSlot
+					target, model = k%turns, k/turns
 				}
-				calls = append(calls, Task{ID: ids[s][target], Length: length, Features: feat, Model: model, Preset: Genome, NodeMemGB: 16})
+				calls = append(calls, Task{ID: fmt.Sprintf("bench%d", g+target), Length: length, Features: feat, Model: model, Preset: Genome, NodeMemGB: 16})
 			}
 		}
 		name := "consecutive"
