@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"repro/internal/casp"
-	"repro/internal/geom"
 	"repro/internal/relax"
 )
 
@@ -42,7 +41,7 @@ func main() {
 		// Run the actual optimized minimization once for the violations.
 		opt := relax.DefaultOptions(relax.PlatformGPU)
 		opt.HeavyAtoms = m.HeavyAtoms
-		rr, err := relax.Relax(geom.Clone(m.CA), geom.Clone(m.SC), opt)
+		rr, err := relax.Relax(m.CA, m.SC, opt)
 		if err != nil {
 			log.Fatal(err)
 		}

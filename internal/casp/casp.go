@@ -103,7 +103,7 @@ func NewSet(seed uint64) *Set {
 	streams := make([]rng.Source, len(s.Models))
 	for k := range s.Models {
 		t := &s.Targets[k/perTarget]
-		s.Models[k] = Model{TargetID: t.ID, ModelNum: k%perTarget + 1, HeavyAtoms: int(7.8 * float64(t.Length))}
+		s.Models[k] = Model{TargetID: t.ID, ModelNum: k%perTarget + 1, HeavyAtoms: relax.HeavyAtoms(t.Length)}
 		streams[k] = r.SplitNamed(fmt.Sprintf("%s-m%d", t.ID, s.Models[k].ModelNum))
 	}
 

@@ -165,5 +165,5 @@ func (s RelaxSpec) Seconds() Seconds {
 }
 
 // RelaxHeavyAtoms is the heavy-atom count of the relax cost model for a
-// chain length (~7.8 heavy atoms per residue).
-func RelaxHeavyAtoms(length int) int { return int(7.8 * float64(length)) }
+// chain length: relax.HeavyAtoms.
+func RelaxHeavyAtoms(length int) int { return relax.HeavyAtoms(length) }

@@ -125,7 +125,7 @@ func TestFig2LoadBalance(t *testing.T) {
 
 func TestFig3NoQualityLoss(t *testing.T) {
 	if testing.Short() {
-		t.Skip("fig3 minimizes 38 structures three times")
+		t.Skip("fig3 minimizes 38 structures under two protocols")
 	}
 	env := testEnv(t)
 	res, err := Fig3(env)
@@ -171,6 +171,68 @@ func TestFig4SpeedupShape(t *testing.T) {
 	}
 	if res.T1080GPUMinutes > 5 {
 		t.Errorf("T1080 on GPU should be minutes, got %v", res.T1080GPUMinutes)
+	}
+}
+
+// TestFig3Report pins Fig 3 at DefaultSeed as rendered. Skipped under
+// -short (38 models through the AF2 and single-pass protocols); CI's
+// full-size pins step runs it.
+func TestFig3Report(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fig3 minimizes 38 structures under two protocols")
+	}
+	res, err := Fig3(testEnv(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := res.Render(&out); err != nil {
+		t.Fatal(err)
+	}
+	const want = "Fig 3: relaxed vs unrelaxed model quality (38 models, 19 crystal targets)\n" +
+		"Method        TM corr  SPECS corr  mean ΔSPECS   max TM drop\n" +
+		"------------  -------  ----------  ------------  -----------\n" +
+		"af2-original  0.9985   0.9953      +0.0004       0.0000\n" +
+		"openmm-cpu    0.9985   0.9953      +0.0004       0.0000\n" +
+		"openmm-gpu    0.9985   0.9953      +0.0004       0.0000\n" +
+		"paper: strong before/after correlation, no decreases, slight SPECS gains; all methods equivalent\n"
+	if out.String() != want {
+		t.Errorf("Fig 3 report:\n%s\nwant:\n%s", out.String(), want)
+	}
+}
+
+// TestFig4Report pins Fig 4 at DefaultSeed as rendered: the speedups, the
+// T1080 outlier and the large-system tail with its AF2 round counts.
+func TestFig4Report(t *testing.T) {
+	res, err := Fig4(testEnv(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := res.Render(&out); err != nil {
+		t.Fatal(err)
+	}
+	const want = "Fig 4: relaxation time vs heavy atoms (36 points)\n" +
+		"  GPU speedup   mean 14.6x, max 26.3x (paper: up to 14x)\n" +
+		"  CPU speedup   mean 3.5x\n" +
+		"  T1080 (AF2)   0.3 h (paper: ~4.5 h); GPU method 1.2 min\n" +
+		"Target  HeavyAtoms  AF2 s  CPU s  GPU s  AF2 rounds\n" +
+		"------  ----------  -----  -----  -----  ----------\n" +
+		"T1027   5998        570    189    42     1\n" +
+		"T1035   6864        649    215    47     1\n" +
+		"T1080   10920       1023   337    72     1\n" +
+		"T1080   10920       1023   337    72     1\n" +
+		"T1080   10920       1023   337    72     1\n" +
+		"T1080   10920       1023   337    72     1\n" +
+		"T1080   10920       1023   337    72     1\n" +
+		"T1039   5015        479    159    36     1\n" +
+		"T1043   4009        387    129    29     1\n" +
+		"T1047   5046        482    160    36     1\n" +
+		"T1051   6396        606    201    44     1\n" +
+		"T1054   4570        438    146    33     1\n" +
+		"T1055   6458        612    203    45     1\n"
+	if out.String() != want {
+		t.Errorf("Fig 4 report:\n%s\nwant:\n%s", out.String(), want)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fold"
-	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/proteome"
 	"repro/internal/relax"
@@ -318,7 +317,7 @@ func Violations(env *Env) (*ViolationsResult, error) {
 		for pi, platform := range fig3Platforms {
 			opt := relax.DefaultOptions(platform)
 			opt.HeavyAtoms = m.HeavyAtoms
-			rr, err := relax.Relax(geom.Clone(m.CA), geom.Clone(m.SC), opt)
+			rr, err := relax.Relax(m.CA, m.SC, opt)
 			if err != nil {
 				return violOut{}, err
 			}

@@ -16,18 +16,21 @@
 // Cα–Cα < 3.6 Å) are defined on Cα distances, so this resolution carries
 // the full behaviour of the experiment.
 //
+// Every neighbour query goes through one spatial index, cellList
+// (cells.go): the violation counts and the energy kernel's pair list alike.
+//
 // Violations are counted by one predicate (pairViolations) over the pairs
-// a cell grid offers: CountViolations rescans a whole trace, and
+// a cellList offers: CountViolations rescans a whole trace, and
 // ViolationTracker keeps the count of a trace that moves a few atoms at a
-// time — it finds the moved atoms by comparing positions and recounts only
-// the pairs touching them, before and after the move. Relax counts the
-// input once (Result.Before) and, in the AF2 loop, the coordinates after
-// each round; the last round's count is Result.After, since the loop only
-// ever exits right after counting.
+// time — it finds the moved atoms by comparing positions, rebins them in
+// its cellList, and recounts only the pairs touching them, before and
+// after the move. Relax counts the input once (Result.Before) and, in the
+// AF2 loop, the coordinates after each round; the last round's count is
+// Result.After, since the loop only ever exits right after counting.
 //
 // The energy kernel finds non-bonded partners through a Verlet pair list:
 // every non-excluded pair within the repulsion cutoff plus a 2 Å skin,
-// rebuilt from an O(atoms) cell grid only once some atom has moved half
+// rebuilt from an O(atoms) cellList only once some atom has moved half
 // the skin from where the list was built — a handful of times per
 // restrained minimization, not once per evaluation. The list changes
 // cost only: each atom's active pairs are summed in the order a scan of
@@ -76,8 +79,8 @@ type System struct {
 	Pos []geom.Vec3 // 2N atoms
 	Ref []geom.Vec3 // restraint reference (the unrelaxed input), 2N atoms
 
-	// Reusable per-system scratch: the Verlet pair list with the grid that
-	// builds it, and the minimizer's force/velocity buffers. The energy
+	// Reusable per-system scratch: the Verlet pair list with the cellList
+	// that builds it, and the minimizer's force/velocity buffers. The energy
 	// kernel runs thousands of times per relaxation, so these are allocated
 	// once per system, not once per call. A System is therefore not safe
 	// for concurrent use — the parallel execution layer gives each worker
@@ -87,7 +90,7 @@ type System struct {
 	// other at listPos, the positions it was built from; the pairs of atom
 	// a are pairs[pairOff[a]:pairOff[a+1]]. It stays valid until the cutoff
 	// changes or some atom strays moveLimit from its listPos.
-	nb         grid
+	nb         cellList
 	listCut    float64
 	listPos    []geom.Vec3
 	pairOff    []int32
@@ -140,159 +143,6 @@ func (s *System) SC() []geom.Vec3 {
 	out := make([]geom.Vec3, s.N)
 	for i := range out {
 		out[i] = s.Pos[2*i+1]
-	}
-	return out
-}
-
-// grid answers "which points can lie within reach of this one" for a fixed
-// reach, in O(points) time and memory however far apart the points lie.
-// Points are binned by floor(p/cell) per axis into cubic cells a little
-// over 2·reach wide, so everything within reach of a point is in its own
-// cell or, per axis, the one cell beyond the nearer face: eight cells.
-// A cellTable maps each occupied cell's coordinates to a dense id and a
-// counting sort lays the points out by id. Buffers are grow-only:
-// steady-state rebinds allocate nothing. Callers are promised no visiting
-// order — CountViolations only counts, and EnergyForces orders what it
-// sums by itself.
-type grid struct {
-	cellTable
-	cell  float64
-	id    []int32 // per point: dense id of its cell
-	start []int32 // the points of cell id are order[start[id]:start[id+1]]
-	order []int32
-	buf   []int32 // near's result
-}
-
-// cellTable maps cell coordinates to dense ids, in order of first
-// appearance, through an open-addressing table.
-type cellTable struct {
-	table []int32  // id+1 per slot, 0 = empty; len is a power of two
-	cells [][3]int // per id: cell coordinates
-}
-
-// reset empties the table and sizes it for at least n cells.
-func (t *cellTable) reset(n int) {
-	size := 4
-	for size < 2*n {
-		size <<= 1
-	}
-	t.table = grown(t.table, size)
-	clear(t.table)
-	if cap(t.cells) < n {
-		t.cells = make([][3]int, 0, n)
-	}
-	t.cells = t.cells[:0]
-}
-
-// slot returns the table slot of cell c: the one holding its id, or the
-// empty one where it belongs.
-func (t *cellTable) slot(c [3]int) int {
-	h := uint64(c[0])*0x9E3779B97F4A7C15 ^ uint64(c[1])*0xC2B2AE3D27D4EB4F ^ uint64(c[2])*0x165667B19E3779F9
-	mask := len(t.table) - 1
-	i := int(h>>32) & mask
-	for id := t.table[i]; id != 0 && t.cells[id-1] != c; id = t.table[i] {
-		i = (i + 1) & mask
-	}
-	return i
-}
-
-// add returns the id of cell c, giving it the next id if it is new. The
-// table doubles once it is half full.
-func (t *cellTable) add(c [3]int) int32 {
-	sl := t.slot(c)
-	if id := t.table[sl]; id != 0 {
-		return id - 1
-	}
-	t.cells = append(t.cells, c)
-	t.table[sl] = int32(len(t.cells))
-	if 2*len(t.cells) > len(t.table) {
-		t.table = make([]int32, 2*len(t.table))
-		for id, c := range t.cells {
-			t.table[t.slot(c)] = int32(id + 1)
-		}
-	}
-	return int32(len(t.cells) - 1)
-}
-
-// grown returns buf with length n, reallocating only when it must.
-func grown(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
-}
-
-// cellOf returns the coordinates of the cell of side cell that holds p.
-func cellOf(p geom.Vec3, cell float64) [3]int {
-	return [3]int{
-		int(math.Floor(p.X / cell)),
-		int(math.Floor(p.Y / cell)),
-		int(math.Floor(p.Z / cell)),
-	}
-}
-
-// nearSide returns, per axis, the neighbour of p's cell c (of side cell)
-// beyond the face p is nearer to. With cell >= 2·reach, c and these
-// neighbours span the eight cells that can hold a point within reach of p.
-func nearSide(p geom.Vec3, c [3]int, cell float64) [3]int {
-	var side [3]int
-	for ax, x := range [3]float64{p.X, p.Y, p.Z} {
-		side[ax] = c[ax] - 1
-		if q := x / cell; q-math.Floor(q) >= 0.5 {
-			side[ax] = c[ax] + 1
-		}
-	}
-	return side
-}
-
-// reachCell is the side of the cells a grid or cellList bins at for
-// queries within reach. The margin over 2·reach dwarfs the rounding of
-// p/cell (for |p| up to ~1e9 cells), so a query's choice of cells can
-// never cost a neighbour.
-func reachCell(reach float64) float64 { return 2 * reach * (1 + 1e-6) }
-
-// rebind repopulates the grid with pos, for queries within reach.
-func (g *grid) rebind(pos []geom.Vec3, reach float64) {
-	g.cell = reachCell(reach)
-	n := len(pos)
-	g.reset(n)
-	g.id = grown(g.id, n)
-	g.order = grown(g.order, n)
-	g.buf = grown(g.buf, n)
-	// start[id+2] counts cell id, the prefix sum turns start[id+1] into
-	// the cell's first slot in order, and the fill advances it to the
-	// cell's end — which is where cell id+1 begins.
-	g.start = grown(g.start, n+2)
-	clear(g.start)
-	for i, p := range pos {
-		id := g.add(cellOf(p, g.cell))
-		g.id[i] = id
-		g.start[id+2]++
-	}
-	for k := 1; k < len(g.cells)+2; k++ {
-		g.start[k] += g.start[k-1]
-	}
-	for i, id := range g.id {
-		g.order[g.start[id+1]] = int32(i)
-		g.start[id+1]++
-	}
-}
-
-// near returns every point that can lie within reach of point i, itself
-// included; p is the position i was bound at. The result is valid until
-// the next call.
-func (g *grid) near(i int, p geom.Vec3) []int32 {
-	c := g.cells[g.id[i]]
-	side := nearSide(p, c, g.cell)
-	out := g.buf[:0]
-	for _, x := range [2]int{c[0], side[0]} {
-		for _, y := range [2]int{c[1], side[1]} {
-			for _, z := range [2]int{c[2], side[2]} {
-				if t := g.table[g.slot([3]int{x, y, z})]; t != 0 {
-					out = append(out, g.order[g.start[t-1]:g.start[t]]...)
-				}
-			}
-		}
 	}
 	return out
 }
@@ -427,19 +277,23 @@ func (s *System) buildPairs(cut float64) {
 		s.pairs = make([]int32, 0, 8*n)
 		s.hits = make([]hit, 0, 16)
 	}
-	s.pairs = s.pairs[:0]
 	reach := cut + skin
-	g := &s.nb
-	g.rebind(s.Pos, reach)
+	s.nb.bind(s.Pos, reach)
+	next, pairs := s.nb.next, s.pairs[:0]
 	for a, pa := range s.Pos {
-		s.pairOff[a] = int32(len(s.pairs))
-		for _, b := range g.near(a, pa) {
-			if int(b) > a && !s.excluded(a, int(b)) && pa.Sub(s.Pos[b]).Norm2() < reach*reach {
-				s.pairs = append(s.pairs, b)
+		s.pairOff[a] = int32(len(pairs))
+		// Freshly bound lists run in descending index order, so each walk
+		// ends at the first point not above a.
+		for _, b := range s.nb.near(pa) {
+			for ; int(b) > a; b = next[b] {
+				if !s.excluded(a, int(b)) && pa.Sub(s.Pos[b]).Norm2() < reach*reach {
+					pairs = append(pairs, b)
+				}
 			}
 		}
 	}
-	s.pairOff[n] = int32(len(s.pairs))
+	s.pairs = pairs
+	s.pairOff[n] = int32(len(pairs))
 }
 
 // excluded reports whether the non-bonded term is skipped for an atom pair:

@@ -53,11 +53,15 @@ type Options struct {
 	Min      MinimizeOptions
 	Platform Platform
 	// HeavyAtoms is the all-atom size of the system for the time model; if
-	// zero it is estimated as 7.8 atoms per residue.
+	// zero it is estimated by HeavyAtoms.
 	HeavyAtoms int
 	// MaxRounds bounds the AF2 violation-retry loop.
 	MaxRounds int
 }
+
+// HeavyAtoms estimates the all-atom size of a chain of the given length,
+// 7.8 heavy atoms per residue.
+func HeavyAtoms(residues int) int { return int(7.8 * float64(residues)) }
 
 // DefaultOptions returns the paper-faithful configuration for a platform.
 func DefaultOptions(p Platform) Options {
@@ -82,7 +86,7 @@ func Relax(ca, sc []geom.Vec3, opt Options) (*Result, error) {
 	}
 	heavy := opt.HeavyAtoms
 	if heavy == 0 {
-		heavy = int(7.8 * float64(len(ca)))
+		heavy = HeavyAtoms(len(ca))
 	}
 
 	res := &Result{Before: CountViolations(ca)}

@@ -33,7 +33,7 @@ func benchSystem(b *testing.B, n int) *System {
 
 // BenchmarkEnergyForces measures the inner-loop kernel of the minimizer:
 // one full energy + gradient evaluation (bonds, restraints, and the
-// grid-accelerated non-bonded pass).
+// pair-list non-bonded pass).
 func BenchmarkEnergyForces(b *testing.B) {
 	s := benchSystem(b, 300)
 	forces := make([]geom.Vec3, len(s.Pos))

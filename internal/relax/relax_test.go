@@ -2,6 +2,7 @@ package relax
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/fold"
@@ -336,9 +337,9 @@ func BenchmarkEnergyForces300(b *testing.B) {
 	}
 }
 
-// TestGridSparseFallback: the grid costs O(points) however far apart the
-// points lie (the name dates from the dense layout's map fallback). Two
-// tight pairs 1e8 Å apart — a bounding box of ~(2.6e7)^3 cells — are each
+// TestGridSparseFallback: a cellList costs O(points) however far apart the
+// points lie (the name dates from a dense grid's map fallback). Two tight
+// pairs 1e8 Å apart — a bounding box of ~(1.4e7)^3 cells — are each
 // other's only neighbours, and no buffer outgrows the point count.
 func TestGridSparseFallback(t *testing.T) {
 	pos := []geom.Vec3{
@@ -347,23 +348,28 @@ func TestGridSparseFallback(t *testing.T) {
 		{X: 1e8, Y: 1e8, Z: 1e8},
 		{X: 1e8 + 1, Y: 1e8, Z: 1e8},
 	}
-	var g grid
-	g.rebind(pos, 3.6)
-	for i, want := range []int32{1, 0, 3, 2} {
-		var got []int32
-		for _, j := range g.near(i, pos[i]) {
-			if int(j) != i {
-				got = append(got, j)
+	var l cellList
+	near := func(p geom.Vec3) []int32 { // in index order
+		var out []int32
+		for _, b := range l.near(p) {
+			for ; b >= 0; b = l.next[b] {
+				out = append(out, b)
 			}
 		}
+		slices.Sort(out)
+		return out
+	}
+	l.bind(pos, 3.6)
+	for i, want := range []int32{1, 0, 3, 2} {
+		got := slices.DeleteFunc(near(pos[i]), func(j int32) bool { return int(j) == i })
 		if len(got) != 1 || got[0] != want {
 			t.Errorf("neighbors(%d) = %v, want [%d]", i, got, want)
 		}
 	}
-	for name, size := range map[string]int{"id": cap(g.id), "cells": cap(g.cells), "table": cap(g.table),
-		"start": cap(g.start), "order": cap(g.order), "buf": cap(g.buf)} {
+	for name, size := range map[string]int{"head": cap(l.head), "next": cap(l.next), "id": cap(l.id),
+		"cells": cap(l.cells), "table": cap(l.table)} {
 		if size > 4*len(pos) {
-			t.Errorf("grid.%s holds %d entries for %d points", name, size, len(pos))
+			t.Errorf("cellList.%s holds %d entries for %d points", name, size, len(pos))
 		}
 	}
 	if v := CountViolations(pos); v != (Violations{}) {
@@ -371,10 +377,10 @@ func TestGridSparseFallback(t *testing.T) {
 		t.Errorf("CountViolations = %+v, want none", v)
 	}
 
-	// Rebinding the same grid to a compact set forgets the old one.
+	// Binding the same cellList to a compact set forgets the old one.
 	compact := []geom.Vec3{{X: 0, Y: 0, Z: 0}, {X: 1, Y: 1, Z: 1}, {X: 50, Y: 0, Z: 0}}
-	g.rebind(compact, 3.6)
-	if got := g.near(0, compact[0]); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+	l.bind(compact, 3.6)
+	if got := near(compact[0]); !slices.Equal(got, []int32{0, 1}) {
 		t.Errorf("compact near(0) = %v, want [0 1]", got)
 	}
 }

@@ -29,25 +29,27 @@ func pairViolations(d float64) Violations {
 	return v
 }
 
-// gridPool recycles grids for the package-level entry points
+// cellPool recycles cellLists for the package-level entry points
 // (CountViolations) that have no System to hang scratch off.
-var gridPool = sync.Pool{New: func() any { return new(grid) }}
+var cellPool = sync.Pool{New: func() any { return new(cellList) }}
 
 // CountViolations counts clashes and bumps over Cα pairs with sequence
 // separation of at least 2.
 func CountViolations(ca []geom.Vec3) Violations {
 	var v Violations
-	g := gridPool.Get().(*grid)
-	defer gridPool.Put(g)
-	g.rebind(ca, violationReach)
+	l := cellPool.Get().(*cellList)
+	defer cellPool.Put(l)
+	l.bind(ca, violationReach)
+	next := l.next
 	for i, p := range ca {
-		for _, j := range g.near(i, p) {
-			if int(j) < i+2 {
-				continue
+		// Freshly bound lists run in descending index order, so each walk
+		// ends at the first point closer along the chain than i+2.
+		for _, j := range l.near(p) {
+			for ; int(j) >= i+2; j = next[j] {
+				pv := pairViolations(p.Dist(ca[j]))
+				v.Clashes += pv.Clashes
+				v.Bumps += pv.Bumps
 			}
-			pv := pairViolations(p.Dist(ca[j]))
-			v.Clashes += pv.Clashes
-			v.Bumps += pv.Bumps
 		}
 	}
 	return v
@@ -114,98 +116,14 @@ func (t *ViolationTracker) tally(sign int) {
 	for _, a := range t.moved {
 		p := t.pos[a]
 		for _, b := range t.cells.near(p) {
-			if b == a || b == a-1 || b == a+1 || t.inMoved[b] && b < a {
-				continue
-			}
-			pv := pairViolations(p.Dist(t.pos[b]))
-			t.v.Clashes += sign * pv.Clashes
-			t.v.Bumps += sign * pv.Bumps
-		}
-	}
-}
-
-// cellList bins points like grid, in cells a little over 2·reach wide,
-// but keeps each occupied cell's points in a linked list, so one point can
-// move in O(1) where grid would rebind them all. A cell keeps its id once
-// emptied.
-type cellList struct {
-	cellTable
-	cell       float64
-	head       []int32 // per cell id: its first point, -1 if none
-	next, prev []int32 // per point: its cell's next and previous points, -1 at the ends
-	id         []int32 // per point: its cell's id
-	buf        []int32 // near's result
-}
-
-// bind bins pos, for queries within reach.
-func (l *cellList) bind(pos []geom.Vec3, reach float64) {
-	n := len(pos)
-	l.cell = reachCell(reach)
-	l.reset(n)
-	if cap(l.head) < n {
-		l.head = make([]int32, 0, n)
-	}
-	l.head = l.head[:0]
-	l.next = grown(l.next, n)
-	l.prev = grown(l.prev, n)
-	l.id = grown(l.id, n)
-	if l.buf == nil {
-		l.buf = make([]int32, 0, 64) // a query meets a few dozen points
-	}
-	for i, p := range pos {
-		l.link(int32(i), cellOf(p, l.cell))
-	}
-}
-
-// link puts point a at the head of cell c's list.
-func (l *cellList) link(a int32, c [3]int) {
-	id := l.add(c)
-	for int(id) >= len(l.head) {
-		l.head = append(l.head, -1)
-	}
-	h := l.head[id]
-	l.id[a], l.prev[a], l.next[a] = id, -1, h
-	if h >= 0 {
-		l.prev[h] = a
-	}
-	l.head[id] = a
-}
-
-// move rebins point a, now at p, if it left its cell.
-func (l *cellList) move(a int32, p geom.Vec3) {
-	id, c := l.id[a], cellOf(p, l.cell)
-	if l.cells[id] == c {
-		return
-	}
-	prev, next := l.prev[a], l.next[a]
-	if prev >= 0 {
-		l.next[prev] = next
-	} else {
-		l.head[id] = next
-	}
-	if next >= 0 {
-		l.prev[next] = prev
-	}
-	l.link(a, c)
-}
-
-// near returns every point that can lie within reach of position p. The
-// result is valid until the next call.
-func (l *cellList) near(p geom.Vec3) []int32 {
-	c := cellOf(p, l.cell)
-	side := nearSide(p, c, l.cell)
-	out := l.buf[:0]
-	for _, x := range [2]int{c[0], side[0]} {
-		for _, y := range [2]int{c[1], side[1]} {
-			for _, z := range [2]int{c[2], side[2]} {
-				if t := l.table[l.slot([3]int{x, y, z})]; t != 0 {
-					for b := l.head[t-1]; b >= 0; b = l.next[b] {
-						out = append(out, b)
-					}
+			for ; b >= 0; b = t.cells.next[b] {
+				if b == a || b == a-1 || b == a+1 || t.inMoved[b] && b < a {
+					continue
 				}
+				pv := pairViolations(p.Dist(t.pos[b]))
+				t.v.Clashes += sign * pv.Clashes
+				t.v.Bumps += sign * pv.Bumps
 			}
 		}
 	}
-	l.buf = out
-	return out
 }

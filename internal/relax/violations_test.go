@@ -134,3 +134,30 @@ func TestViolationTrackerMatchesCount(t *testing.T) {
 		t.Errorf("%d reverts and %d bumps over %d pulls: the pulls exercise nothing", reverts, counted, pulls)
 	}
 }
+
+// TestRelaxLeavesInputs: Relax only reads ca and sc — NewSystem copies
+// them — so callers may relax shared models without cloning them. Both
+// protocols, the AF2 one over several rounds, leave every bit of the
+// inputs as it was.
+func TestRelaxLeavesInputs(t *testing.T) {
+	ca, sc := clashedChain(28, 150, 6, 40)
+	wantCA, wantSC := geom.Clone(ca), geom.Clone(sc)
+	bits := func(v geom.Vec3) [3]uint64 {
+		return [3]uint64{math.Float64bits(v.X), math.Float64bits(v.Y), math.Float64bits(v.Z)}
+	}
+	for _, p := range []Platform{PlatformAF2, PlatformCPU, PlatformGPU} {
+		res, err := Relax(ca, sc, DefaultOptions(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p == PlatformAF2 && res.Rounds < 2 {
+			t.Fatalf("AF2 protocol ran %d round; the case needs several", res.Rounds)
+		}
+		for i := range ca {
+			if bits(ca[i]) != bits(wantCA[i]) || bits(sc[i]) != bits(wantSC[i]) {
+				t.Fatalf("%v: residue %d input moved to CA %v SC %v from CA %v SC %v",
+					p, i, ca[i], sc[i], wantCA[i], wantSC[i])
+			}
+		}
+	}
+}
