@@ -915,7 +915,7 @@ func TestSlowPeerFaultInjection(t *testing.T) {
 			_ = tc.SetReadBuffer(4 << 10)
 		}
 		t.Cleanup(func() { conn.Close() })
-		if _, err := conn.Write(append([]byte("flow-wire binary 5\n"), frame...)); err != nil {
+		if _, err := conn.Write(append([]byte("flow-wire binary 6\n"), frame...)); err != nil {
 			t.Fatal(err)
 		}
 	}

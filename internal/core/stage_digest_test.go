@@ -17,14 +17,16 @@ import (
 // experiments.DefaultSeed under all four presets: every bit of every
 // prediction, plus each report's wall time and node-hours, as the engine
 // computes them with each sampled residue's mag^PLDDTShape taken from the
-// draw record. The engine's contract with its per-residue Pow oracle
-// (fold's TestInferContract) is wider: MeanPLDDT within a stated ulp
-// bound, every other field bit for bit. A change that claims bit-identical
-// output must leave both constants alone; one that moves pLDDT inside that
-// contract re-records both and passes TestInferContract.
+// draw record and every target-shared normal from rng's ziggurat sampler.
+// The engine's contract with its per-residue Pow oracle (fold's
+// TestInferContract) is wider: MeanPLDDT within a stated ulp bound, every
+// other field bit for bit. A change that claims bit-identical output must
+// leave both constants alone; one that moves pLDDT inside that contract
+// re-records both and passes TestInferContract, and one that changes the
+// streams re-records both and passes experiments' TestStreamEpochContract.
 const (
-	inferenceDigest      = "b3080eabee5cbf3756cfa803394bdc90f7bade5ec00adb4ce5354ed517866e11"
-	inferenceDigestShort = "815773895904d65d6f84c23989fea0358553b2c09a0eb875841fd471455cb002" // first 300 targets only, under -short
+	inferenceDigest      = "f3deb28c9e292a09aee14eab144689785cbba0a121d5c7f5626ce5e90bbe9318"
+	inferenceDigestShort = "504ca51253e158eaec351b0d47f6740998ae862b961a770e674fc3c4592add7f" // first 300 targets only, under -short
 )
 
 func TestInferenceStageDigest(t *testing.T) {

@@ -26,7 +26,7 @@ func ValidWire(name string) bool { return name == "" || name == WireBinary }
 // the bytes of any frame change (TestWireGolden fails until you do), or
 // those of a campaign kernel's spec or result (pinned by
 // TestKernelPayloadGolden in internal/experiments).
-const wireVersion = 5
+const wireVersion = 6
 
 // helloPrefix starts the hello line every dialer sends immediately after
 // connecting: "flow-wire binary <version>\n".

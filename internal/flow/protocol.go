@@ -38,7 +38,7 @@
 // and under PolicyFIFO all tenants share one.
 //
 // Every connection opens with a one-line hello naming the codec and the
-// wire version ("flow-wire binary 5"), staged in the same flush as the
+// wire version ("flow-wire binary 6"), staged in the same flush as the
 // first frame. The paper starts scheduler, workers and client from one
 // software environment inside one batch job, and so does this tree: the
 // protocol has exactly one version and one codec, a length-prefixed

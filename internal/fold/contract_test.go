@@ -37,7 +37,7 @@ func inferOracle(e *Engine, t Task) *Prediction {
 
 	pairs := make([]float64, distogramPairs)
 	for i := range pairs {
-		pairs[i] = math.Abs(pairR.NormFloat64()*0.5 + 1)
+		pairs[i] = math.Abs(float64(pairR.ZigguratNormal()*0.5) + 1)
 	}
 	var field []geom.Vec3
 	var mags, plddts []float64
@@ -51,12 +51,12 @@ func inferOracle(e *Engine, t Task) *Prediction {
 	} else {
 		mags = make([]float64, min(t.Length, summaryResidues))
 		for i := range mags {
-			mags[i] = math.Abs(fieldR.NormFloat64()*0.45 + 1)
+			mags[i] = math.Abs(float64(fieldR.ZigguratNormal()*0.45) + 1)
 		}
 	}
 	noise := make([]float64, len(mags)+1)
 	for i := range noise {
-		noise[i] = noiseR.NormFloat64()
+		noise[i] = noiseR.ZigguratNormal()
 	}
 
 	cap := t.Preset.RecycleCap(t.Length)

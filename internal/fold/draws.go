@@ -18,7 +18,9 @@ const (
 // targetDraws is what the five models of a target share: the randomness
 // that does not depend on the model index (they split the same "pairs",
 // "field" and "estimator" streams), and the pLDDT kernel's power of each
-// sampled field magnitude. The Infer call that takes a record from its
+// sampled field magnitude. Every normal N below is drawn by
+// rng.Source.ZigguratNormal, the sampler of all three streams in summary
+// and coordinate mode alike. The Infer call that takes a record from its
 // engine's pool owns it until it puts it back. core.InferenceStage runs a
 // target's five models back to back on one goroutine: the first refills a
 // record, and the next four take it back as it is.
@@ -56,7 +58,9 @@ func (d *targetDraws) magPows() []float64 {
 // drawsOf takes a record from e's pool, which the caller puts back when
 // done, and returns it holding the model-independent draws of (seed, t.ID,
 // t.Length) with their powers at e.Cal.PLDDTShape: as it is if its key
-// matches, else refilled in place from copies of the caller's streams.
+// matches, else refilled in place from copies of the caller's streams, each
+// normal by the ziggurat sampler. The float64 conversions keep each
+// product from fusing with the addition after it on any architecture.
 func (e *Engine) drawsOf(seed uint64, t Task, pairR, fieldR, noiseR rng.Source) *targetDraws {
 	shape := e.Cal.PLDDTShape
 	d, _ := e.draws.Get().(*targetDraws)
@@ -68,24 +72,24 @@ func (e *Engine) drawsOf(seed uint64, t Task, pairR, fieldR, noiseR rng.Source) 
 	d.id, d.seed, d.length, d.shape, d.pairSum = t.ID, seed, t.Length, shape, drawPairSum(pairR)
 	mags := d.fieldMags()
 	for i := range mags {
-		mags[i] = math.Abs(fieldR.NormFloat64()*0.45 + 1)
+		mags[i] = math.Abs(float64(fieldR.ZigguratNormal()*0.45) + 1)
 	}
 	est := d.estimatorNormals()
 	for i := range est {
-		est[i] = noiseR.NormFloat64()
+		est[i] = noiseR.ZigguratNormal()
 	}
 	powAll(d.magPows(), mags, shape)
 	return d
 }
 
 // drawPairSum draws the distogram pairs' sensitivities from its own copy of
-// r and returns their sum in draw order: a pair's distance change is
-// |Δ(d_ij)| ≈ |f_i - f_j| projected, and the realized magnitudes follow a
-// folded normal around 1.
+// r, through the ziggurat sampler, and returns their sum in draw order: a
+// pair's distance change is |Δ(d_ij)| ≈ |f_i - f_j| projected, and the
+// realized magnitudes follow a folded normal around 1.
 func drawPairSum(r rng.Source) float64 {
 	var sum float64
 	for range distogramPairs {
-		sum += math.Abs(r.NormFloat64()*0.5 + 1)
+		sum += math.Abs(float64(r.ZigguratNormal()*0.5) + 1)
 	}
 	return sum
 }

@@ -222,7 +222,9 @@ func (e *Engine) Infer(t Task) (Prediction, error) {
 	modelR := r.SplitNamed(modelStreams[t.Model])
 	diff := e.difficultyOf(t, r.SplitNamed("difficulty"), modelR)
 	// Only the model stream depends on t.Model; these three are the same
-	// for every model of the target, and so are their draws.
+	// for every model of the target, and so are their draws. Every normal
+	// they give is drawn by rng's ziggurat sampler; the model and "sc"
+	// streams keep the polar NormFloat64.
 	pairR, fieldR, noiseR := r.SplitNamed("pairs"), r.SplitNamed("field"), r.SplitNamed("estimator")
 
 	// Quality inputs: the sum of the pairs' sensitivities to the error
@@ -247,7 +249,7 @@ func (e *Engine) Infer(t Task) (Prediction, error) {
 		powAll(magPows, mags, e.Cal.PLDDTShape)
 		noise = make([]float64, t.Length+1)
 		for i := range noise {
-			noise[i] = noiseR.NormFloat64()
+			noise[i] = noiseR.ZigguratNormal()
 		}
 	} else {
 		draws = e.drawsOf(seed, t, pairR, fieldR, noiseR)
@@ -446,11 +448,12 @@ func (e *Engine) difficultyOf(t Task, targetR, modelR rng.Source) difficulty {
 
 // smoothField generates a per-residue displacement field with unit mean
 // magnitude, smoothed along the chain so displacement is spatially
-// correlated the way real model error is. It draws from its own copy of r.
+// correlated the way real model error is. It draws from its own copy of r,
+// through the ziggurat sampler.
 func smoothField(r rng.Source, n int) []geom.Vec3 {
 	raw := make([]geom.Vec3, n)
 	for i := range raw {
-		raw[i] = geom.Vec3{X: r.NormFloat64(), Y: r.NormFloat64(), Z: r.NormFloat64()}
+		raw[i] = geom.Vec3{X: r.ZigguratNormal(), Y: r.ZigguratNormal(), Z: r.ZigguratNormal()}
 	}
 	const w = 3 // smoothing half-window
 	out := make([]geom.Vec3, n)

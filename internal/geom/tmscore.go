@@ -73,35 +73,43 @@ func TMScore(model, ref []Vec3) (float64, error) {
 // rescore all residues, rebuild the subset from the residues within the
 // cutoff, and iterate to convergence. It returns the superposition with
 // the best full-length score seen and that score (nil and 0 when no
-// subset could be superposed).
+// subset could be superposed). Each residue's distance under a
+// superposition is computed once and serves both the score and the
+// cutoff. The subset alternates between two buffers allocated once per
+// call, so the previous subset (or seed, which is never written) is still
+// intact when the new one is compared with it.
 func refineAlignment(model, ref []Vec3, seed []int, d0 float64, cutoffs ...float64) (*Superposition, float64) {
 	n := len(ref)
 	var best *Superposition
 	bestScore := 0.0
+	mSub := make([]Vec3, n)
+	rSub := make([]Vec3, n)
+	bufs := [2][]int{make([]int, 0, n), make([]int, 0, n)}
 	for _, dCut := range cutoffs {
 		cur := seed
 		for iter := 0; iter < 20; iter++ {
 			if len(cur) < 3 {
 				break
 			}
-			mSub := make([]Vec3, len(cur))
-			rSub := make([]Vec3, len(cur))
 			for i, k := range cur {
 				mSub[i] = model[k]
 				rSub[i] = ref[k]
 			}
-			sp, err := Superpose(mSub, rSub)
+			sp, err := Superpose(mSub[:len(cur)], rSub[:len(cur)])
 			if err != nil {
 				break
 			}
-			if s := scoreUnder(sp, model, ref, d0); s > bestScore {
-				best, bestScore = sp, s
-			}
-			next := make([]int, 0, n)
-			for k := 0; k < n; k++ {
-				if sp.Apply(model[k]).Dist(ref[k]) < dCut {
+			next := bufs[iter%2][:0]
+			var sum float64
+			for k := range n {
+				d := sp.Apply(model[k]).Dist(ref[k])
+				sum += 1 / (1 + (d/d0)*(d/d0))
+				if d < dCut {
 					next = append(next, k)
 				}
+			}
+			if s := sum / float64(n); s > bestScore {
+				best, bestScore = sp, s
 			}
 			if equalInts(next, cur) || len(next) < 3 {
 				break

@@ -13,6 +13,15 @@
 // 64-bit state, passes BigCrush, and is trivially splittable by deriving a
 // new state from the current stream. It is not cryptographically secure,
 // which is irrelevant here.
+//
+// Normal deviates come from one of two samplers, chosen per stream.
+// ZigguratNormal serves the inference draws, the three streams a target's
+// models share in fold.Engine.Infer ("pairs", "field", "estimator"), which
+// are most of a campaign's normals. NormFloat64, the polar method, serves
+// the streams that build the world: proteome lengths through Gamma, the
+// CASP set, topologies, complexes and the per-model jitter. Those draws are
+// a small share of the cost, and moving them would re-draw the published
+// world (the CASP set among it) for no gain in wall time.
 package rng
 
 import "math"
@@ -80,7 +89,9 @@ func (s *Source) Float64() float64 {
 }
 
 // NormFloat64 returns a standard normal deviate using the Marsaglia polar
-// method.
+// method. It draws the world's streams (see the package comment): a change
+// of sampler here re-draws every generated proteome and the CASP set.
+// Inference draws through ZigguratNormal instead.
 func (s *Source) NormFloat64() float64 {
 	for {
 		u := 2*s.Float64() - 1
