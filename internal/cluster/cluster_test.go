@@ -128,19 +128,56 @@ func TestApplyOrderPolicies(t *testing.T) {
 }
 
 // TestApplyOrderMatchesSliceStable: ApplyOrder's result equals the one
-// sort.SliceStable gives with the less functions it used before, on a wave
-// where weights tie and (weight, ID) pairs repeat — only Duration tells
-// the duplicates apart, so a difference in stability shows.
+// sort.SliceStable gives with the less functions it used before. The waves
+// tie weights and repeat (weight, ID) pairs — only Duration tells the
+// duplicates apart, so a difference in stability shows — and cover the
+// weights an ordering by bit pattern gets wrong: −0 beside +0 (equal, so
+// their order is the IDs'), negatives, ±Inf and subnormals, plus the
+// slices of length 0, 1 and 2.
 func TestApplyOrderMatchesSliceStable(t *testing.T) {
 	r := rng.New(11)
-	tasks := make([]SimTask, 50000)
-	for i := range tasks {
-		tasks[i] = SimTask{
+	lengths := make([]SimTask, 50000)
+	for i := range lengths {
+		lengths[i] = SimTask{
 			ID:       fmt.Sprintf("T%d/m%d", r.Intn(4000), r.Intn(5)),
 			Weight:   float64(30 + r.Intn(300)),
 			Duration: float64(i),
 		}
 	}
+	checkApplyOrder(t, "lengths", lengths)
+
+	special := []float64{
+		math.Copysign(0, -1), 0, -1, -2.5, -1e300, 1, 2.5, 1e300,
+		math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		2 * math.SmallestNonzeroFloat64, 0x1p-1022, -0x1p-1023,
+	}
+	mixed := make([]SimTask, 20000)
+	for i := range mixed {
+		w := special[r.Intn(len(special))]
+		if r.Intn(4) == 0 {
+			w = float64(r.Intn(600) - 300)
+		}
+		mixed[i] = SimTask{ID: fmt.Sprintf("t%d", r.Intn(50)), Weight: w, Duration: float64(i)}
+	}
+	checkApplyOrder(t, "special weights", mixed)
+
+	checkApplyOrder(t, "empty", nil)
+	for i, a := range special {
+		checkApplyOrder(t, fmt.Sprintf("one %v", a), []SimTask{{ID: "a", Weight: a}})
+		for j, b := range special {
+			for _, ids := range [][2]string{{"a", "b"}, {"b", "a"}, {"a", "a"}} {
+				pair := []SimTask{{ID: ids[0], Weight: a, Duration: 0}, {ID: ids[1], Weight: b, Duration: 1}}
+				checkApplyOrder(t, fmt.Sprintf("pair %d,%d %v", i, j, ids), pair)
+			}
+		}
+	}
+}
+
+// checkApplyOrder compares ApplyOrder with sort.SliceStable under each
+// policy's former less function, weight bits included.
+func checkApplyOrder(t *testing.T, name string, tasks []SimTask) {
+	t.Helper()
 	less := map[OrderPolicy]func(a, b SimTask) bool{
 		LongestFirst: func(a, b SimTask) bool {
 			if a.Weight != b.Weight {
@@ -161,8 +198,8 @@ func TestApplyOrderMatchesSliceStable(t *testing.T) {
 		got := append([]SimTask(nil), tasks...)
 		ApplyOrder(got, p)
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v: position %d holds %+v, sort.SliceStable put %+v there", p, i, got[i], want[i])
+			if got[i] != want[i] || math.Float64bits(got[i].Weight) != math.Float64bits(want[i].Weight) {
+				t.Fatalf("%s, %v: position %d holds %+v, sort.SliceStable put %+v there", name, p, i, got[i], want[i])
 			}
 		}
 	}
