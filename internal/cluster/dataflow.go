@@ -8,8 +8,8 @@
 package cluster
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -195,24 +195,111 @@ func (p OrderPolicy) String() string {
 }
 
 // ApplyOrder sorts tasks in place per the policy (stable, ties by ID).
-// Weights are never NaN, so cmp.Compare orders them as < and > do.
+// Weights are never NaN; −0 and +0 are one weight, as they are to < and >.
+//
+// The sort is linear in the weight: an LSD radix pass over orderKey's
+// bytes, skipping every byte all keys share (a wave of integer lengths
+// varies in two or three), orders the tasks stably by weight, and only
+// each run of equal weight is then sorted stably by ID. The result is the
+// one slices.SortStableFunc gives under the (weight, ID) comparison.
 func ApplyOrder(tasks []SimTask, p OrderPolicy) {
-	switch p {
-	case LongestFirst:
-		slices.SortStableFunc(tasks, func(a, b SimTask) int {
-			if c := cmp.Compare(b.Weight, a.Weight); c != 0 {
-				return c
-			}
-			return strings.Compare(a.ID, b.ID)
-		})
-	case ShortestFirst:
-		slices.SortStableFunc(tasks, func(a, b SimTask) int {
-			if c := cmp.Compare(a.Weight, b.Weight); c != 0 {
-				return c
-			}
-			return strings.Compare(a.ID, b.ID)
-		})
+	if (p != LongestFirst && p != ShortestFirst) || len(tasks) < 2 {
+		return
 	}
+	keyed := make([]keyedIndex, len(tasks))
+	for i := range tasks {
+		keyed[i] = keyedIndex{key: orderKey(tasks[i].Weight, p == LongestFirst), index: i}
+	}
+	keyed = radixSort(keyed)
+
+	// Gather by following each cycle of the permutation in place; index
+	// is overwritten with the destination to mark a slot done.
+	for i := range keyed {
+		if keyed[i].index == i {
+			continue
+		}
+		held, j := tasks[i], i
+		for {
+			k := keyed[j].index
+			keyed[j].index = j
+			if k == i {
+				tasks[j] = held
+				break
+			}
+			tasks[j], j = tasks[k], k
+		}
+	}
+
+	byID := func(a, b SimTask) int { return strings.Compare(a.ID, b.ID) }
+	for lo := 0; lo < len(keyed); {
+		hi := lo + 1
+		for hi < len(keyed) && keyed[hi].key == keyed[lo].key {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortStableFunc(tasks[lo:hi], byID)
+		}
+		lo = hi
+	}
+}
+
+// keyedIndex is a task's position before ordering and its order key.
+type keyedIndex struct {
+	key   uint64
+	index int
+}
+
+// orderKey maps a non-NaN weight to a uint64 whose unsigned order is the
+// weight's ascending order (descending when longestFirst): −0 folds onto
+// +0, a negative weight's bits are inverted and a positive weight's sign
+// bit set, so every finite and infinite weight keeps its place.
+func orderKey(w float64, longestFirst bool) uint64 {
+	if w == 0 {
+		w = 0
+	}
+	k := math.Float64bits(w)
+	if k>>63 != 0 {
+		k = ^k
+	} else {
+		k |= 1 << 63
+	}
+	if longestFirst {
+		k = ^k
+	}
+	return k
+}
+
+// radixSort orders keyed stably by key, least significant byte first,
+// skipping every byte on which all keys agree. It returns whichever of
+// keyed and its scratch buffer holds the result.
+func radixSort(keyed []keyedIndex) []keyedIndex {
+	var counts [8][256]int
+	for _, e := range keyed {
+		for b := range 8 {
+			counts[b][byte(e.key>>(8*b))]++
+		}
+	}
+	var scratch []keyedIndex
+	for b := range 8 {
+		c := &counts[b]
+		if c[byte(keyed[0].key>>(8*b))] == len(keyed) {
+			continue
+		}
+		if scratch == nil {
+			scratch = make([]keyedIndex, len(keyed))
+		}
+		sum := 0
+		for d := range c {
+			c[d], sum = sum, sum+c[d]
+		}
+		for _, e := range keyed {
+			d := byte(e.key >> (8 * b))
+			scratch[c[d]] = e
+			c[d]++
+		}
+		keyed, scratch = scratch, keyed
+	}
+	return keyed
 }
 
 // WorkerTimeline returns the intervals of one worker in start order,

@@ -78,6 +78,12 @@ func (b *Batch) taskID(i int) string {
 // Executor runs batches of independent work items with the package-level
 // determinism contract. Implementations decide where the work runs
 // (in-process pool, flow workers); callers decide what runs.
+//
+// Both back ends run one batch at a time (Pool.Run, Flow.DispatchSpecs):
+// batches may be submitted from several goroutines, and each waits for the
+// batch ahead of it. So an item must never submit a batch to the executor
+// running it — that batch waits for its own parent and deadlocks. No
+// stage does; a nested fan-out needs an executor of its own.
 type Executor interface {
 	// Run executes b.Fn(i) for i in [0, b.N). On failure the lowest-index
 	// error is returned and the output of other indices must be

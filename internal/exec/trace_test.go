@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -161,6 +163,65 @@ func TestPoolGrainOneWorkerPerUnit(t *testing.T) {
 				t.Fatalf("workers=%d: unit %d ran on %s and %s", workers, i/grain, w, r.WorkerID)
 			}
 			unitWorker[i/grain] = r.WorkerID
+		}
+	}
+}
+
+// TestPoolRunsOneBatchAtATime: four goroutines share one Pool{Workers: 2}.
+// Its batches queue behind each other, so no more than two items ever run
+// at once, and no traced worker ID runs two items at once — the trace's
+// per-worker timelines and busy fractions stay true when callers share
+// the pool.
+func TestPoolRunsOneBatchAtATime(t *testing.T) {
+	const callers, items = 4, 8
+	pool := &Pool{Workers: 2}
+	trace := &Trace{}
+	pool.SetTrace(trace)
+	var running, peak atomic.Int64
+	item := func(int) error {
+		now := running.Add(1)
+		for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+		}
+		time.Sleep(time.Millisecond)
+		running.Add(-1)
+		return nil
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	errs := make([]error, callers)
+	for c := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			errs[c] = pool.Run(Batch{N: items, Fn: item, Kernel: fmt.Sprintf("caller%d", c)})
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for c, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", c, err)
+		}
+	}
+	if p := peak.Load(); p > 2 {
+		t.Errorf("%d items ran at once on a pool of 2 workers", p)
+	}
+	rows := trace.Rows()
+	if len(rows) != callers*items {
+		t.Fatalf("%d trace rows, want %d", len(rows), callers*items)
+	}
+	byWorker := map[string][]TaskStats{}
+	for _, r := range rows {
+		byWorker[r.WorkerID] = append(byWorker[r.WorkerID], r)
+	}
+	for w, rs := range byWorker {
+		for i, a := range rs {
+			for _, b := range rs[i+1:] {
+				if a.Start.Before(b.Finish) && b.Start.Before(a.Finish) {
+					t.Fatalf("%s ran %s/%s and %s/%s at once", w, a.Kernel, a.TaskID, b.Kernel, b.TaskID)
+				}
+			}
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -102,9 +104,12 @@ func TestFeaturesForParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCampaignParallelMatchesSerial runs one full species campaign (the
-// smallest proteome) at both parallelism settings and compares the
-// inference fan-out, high-memory retry wave, and relax accounting.
+// TestCampaignParallelMatchesSerial runs one full species campaign (S.
+// divinum, the largest proteome) at both parallelism settings and compares
+// the inference fan-out, high-memory retry wave, and relax accounting. It
+// then runs the four-species Campaign at both settings: at 8 the species
+// overlap on one shared pool, and the rendered report and both node-hour
+// totals must still match the serial loop's bit for bit.
 func TestCampaignParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-pipeline equivalence is not a -short test")
@@ -124,5 +129,35 @@ func TestCampaignParallelMatchesSerial(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, par) {
 		t.Errorf("SDivinum results differ:\nserial   %+v\nparallel %+v", serial, par)
+	}
+
+	campaign := func(workers int) (string, *CampaignResult) {
+		env := NewEnv(DefaultSeed)
+		env.Parallelism = workers
+		res, err := Campaign(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if err := res.Render(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String(), res
+	}
+	serialOut, serialRes := campaign(1)
+	parOut, parRes := campaign(8)
+	if serialOut != parOut {
+		t.Errorf("Campaign report at parallelism 8:\n%s\nserial:\n%s", parOut, serialOut)
+	}
+	for _, total := range []struct {
+		name        string
+		serial, par float64
+	}{
+		{"Summit", serialRes.SummitNodeHours, parRes.SummitNodeHours},
+		{"Andes", serialRes.AndesNodeHours, parRes.AndesNodeHours},
+	} {
+		if math.Float64bits(total.serial) != math.Float64bits(total.par) {
+			t.Errorf("%s node-hours at parallelism 8 = %v, serial %v", total.name, total.par, total.serial)
+		}
 	}
 }

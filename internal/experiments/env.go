@@ -25,7 +25,8 @@ type Env struct {
 	Engine   *fold.Engine
 	FS       fsim.Filesystem
 	// Parallelism bounds the host-side worker pool every experiment's
-	// compute fans out over (see internal/parallel). It never changes a
+	// compute fans out over (see internal/parallel), and Campaign's
+	// fan-out over species, which share that one pool. It never changes a
 	// reported number: results are collected in submission order, so runs
 	// at any value are byte-identical. <= 0 selects GOMAXPROCS; 1 forces
 	// the serial reference path the determinism tests compare against.

@@ -51,7 +51,8 @@ func (c *payloadCapture) DispatchSpecs(kernel string, specs [][]byte, _ []string
 // wireVersion (internal/flow/codec.go) is bumped and the goldens are
 // regenerated (`go test ./internal/experiments -run TestKernelPayloadGolden -update`).
 // The goldens are stored hex-encoded, one file per payload, so they diff
-// as text.
+// as text. They hold low bits of math.Exp as an FMA host rounds them, so
+// a host without FMA fails this test with no payload change.
 func TestKernelPayloadGolden(t *testing.T) {
 	RegisterCampaignKernels()
 	env := NewEnv(DefaultSeed)
@@ -92,9 +93,12 @@ func TestKernelPayloadGolden(t *testing.T) {
 				t.Fatalf("no golden %s (run `go test ./internal/experiments -run TestKernelPayloadGolden -update`): %v", name, err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("%s %s changed: a peer of the previous build would accept and misread it.\n"+
-					"Bump wireVersion in internal/flow/codec.go, then run `go test ./internal/experiments -run TestKernelPayloadGolden -update`.\n got %s\nwant %s",
-					kernel, part, got, want)
+				t.Errorf("kernel %s: its %s payload changed.\n"+
+					"If the kernel's output changed, a peer of the previous build would accept and misread it: "+
+					"bump wireVersion in internal/flow/codec.go, then run `go test ./internal/experiments -run TestKernelPayloadGolden -update`.\n"+
+					"A host without FMA (GODEBUG=cpu.fma=off, GOARCH=386, ppc64le) fails this too: its math.Exp rounds the low bits of %s's results differently. "+
+					"There the cause is the host, not the payload; bump and re-record nothing (see ROADMAP, portable bits).\n got %s\nwant %s",
+					kernel, part, kernel, got, want)
 			}
 		}
 	}

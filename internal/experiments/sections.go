@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fold"
 	"repro/internal/metrics"
+	"repro/internal/parallel"
 	"repro/internal/proteome"
 	"repro/internal/relax"
 )
@@ -505,25 +508,55 @@ type CampaignResult struct {
 	AndesNodeHours  float64
 }
 
-// Campaign runs the full four-species campaign end to end.
+// Campaign runs the full four-species campaign end to end. The proteomes
+// are built first, one after another (Env.Proteome is not safe for
+// concurrent use). Then the species run on up to Parallelism goroutines,
+// largest proteome first — the paper's longest-first policy, one level up
+// — and every species' stages share one executor. That executor runs one
+// batch at a time, so the species overlap only their serial simulator
+// tails with another species' batch, and Parallelism still bounds the
+// pool. Each report is kept by species, and the totals are summed
+// afterwards in PaperSpecies order, so every float adds in the same order
+// at any Parallelism.
 func Campaign(env *Env) (*CampaignResult, error) {
-	res := &CampaignResult{}
-	for _, sp := range proteome.PaperSpecies() {
-		p := env.Proteome(sp)
-		proteins := p.FilterMaxLen(2500)
-		cfg := env.config()
-		cfg.AndesNodes = 96
-		cfg.SummitNodes = 200
-		cfg.HighMemNodes = 4
-		rep, err := core.RunCampaign(env.Engine, env.FeatureGen(), proteins, env.FS, core.ReducedDatabase(), cfg)
+	species := proteome.PaperSpecies()
+	proteins := make([][]proteome.Protein, len(species))
+	for i, sp := range species {
+		proteins[i] = env.Proteome(sp).FilterMaxLen(2500)
+	}
+	cfg := env.config()
+	cfg.Executor = env.executor()
+	cfg.AndesNodes = 96
+	cfg.SummitNodes = 200
+	cfg.HighMemNodes = 4
+	gen := env.FeatureGen()
+
+	runOrder := make([]int, len(species))
+	for i := range runOrder {
+		runOrder[i] = i
+	}
+	slices.SortStableFunc(runOrder, func(a, b int) int { return cmp.Compare(len(proteins[b]), len(proteins[a])) })
+	reports := make([]*core.CampaignReport, len(species))
+	err := parallel.ForEach(env.Parallelism, len(runOrder), func(k int) error {
+		i := runOrder[k]
+		rep, err := core.RunCampaign(env.Engine, gen, proteins[i], env.FS, core.ReducedDatabase(), cfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: campaign %s: %w", sp.Code, err)
+			return fmt.Errorf("experiments: campaign %s: %w", species[i].Code, err)
 		}
+		reports[i] = rep
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	res := &CampaignResult{}
+	for i, sp := range species {
 		res.Species = append(res.Species, sp.Name)
-		res.Targets += len(proteins)
-		res.Completed += rep.Inference.Completed
-		res.SummitNodeHours += rep.Ledger.Total("summit")
-		res.AndesNodeHours += rep.Ledger.Total("andes")
+		res.Targets += len(proteins[i])
+		res.Completed += reports[i].Inference.Completed
+		res.SummitNodeHours += reports[i].Ledger.Total("summit")
+		res.AndesNodeHours += reports[i].Ledger.Total("andes")
 	}
 	sort.Strings(res.Species)
 	return res, nil

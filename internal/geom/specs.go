@@ -111,17 +111,14 @@ func bestSuperposition(model, ref []Vec3) (*Superposition, error) {
 	if n < 8 {
 		return best, nil
 	}
+	w := newRefineWork(n)
 	for fragLen := n / 2; fragLen >= 4; fragLen /= 2 {
 		step := fragLen / 2
 		if step < 1 {
 			step = 1
 		}
 		for start := 0; start+fragLen <= n; start += step {
-			idx := make([]int, fragLen)
-			for i := range idx {
-				idx[i] = start + i
-			}
-			if sp, s := refineAlignment(model, ref, idx, d0, d0+1.5); s > bestScore {
+			if sp, s := w.refine(model, ref, w.fragment(start, fragLen), d0, d0+1.5); s > bestScore {
 				best, bestScore = sp, s
 			}
 		}

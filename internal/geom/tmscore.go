@@ -45,6 +45,7 @@ func TMScore(model, ref []Vec3) (float64, error) {
 
 	d0 := D0(n)
 	best := 0.0
+	w := newRefineWork(n)
 
 	// Seed fragment lengths: n, n/2, n/4, ..., down to 4.
 	for fragLen := n; fragLen >= 4; fragLen /= 2 {
@@ -53,13 +54,9 @@ func TMScore(model, ref []Vec3) (float64, error) {
 			step = 1
 		}
 		for start := 0; start+fragLen <= n; start += step {
-			idx := make([]int, fragLen)
-			for i := range idx {
-				idx[i] = start + i
-			}
 			// The reference implementation tries several distance
 			// cutoffs; d8 caps the largest one.
-			_, score := refineAlignment(model, ref, idx, d0, d0+2.5, d0+1.5, d0+0.5)
+			_, score := w.refine(model, ref, w.fragment(start, fragLen), d0, d0+2.5, d0+1.5, d0+0.5)
 			if score > best {
 				best = score
 			}
@@ -68,23 +65,49 @@ func TMScore(model, ref []Vec3) (float64, error) {
 	return best, nil
 }
 
-// refineAlignment runs the TM-score iterative refinement from an initial
-// residue subset, once per distance cutoff: superpose on the subset,
-// rescore all residues, rebuild the subset from the residues within the
-// cutoff, and iterate to convergence. It returns the superposition with
-// the best full-length score seen and that score (nil and 0 when no
-// subset could be superposed). Each residue's distance under a
-// superposition is computed once and serves both the score and the
-// cutoff. The subset alternates between two buffers allocated once per
-// call, so the previous subset (or seed, which is never written) is still
-// intact when the new one is compared with it.
-func refineAlignment(model, ref []Vec3, seed []int, d0 float64, cutoffs ...float64) (*Superposition, float64) {
+// refineWork holds the buffers every seed of one TMScore or
+// bestSuperposition call refines in: the superposition subsets, the two
+// alternating residue subsets and the seed fragment, each allocated once
+// per call at the chain's length.
+type refineWork struct {
+	mSub, rSub []Vec3
+	bufs       [2][]int
+	seed       []int
+}
+
+func newRefineWork(n int) *refineWork {
+	return &refineWork{
+		mSub: make([]Vec3, n),
+		rSub: make([]Vec3, n),
+		bufs: [2][]int{make([]int, 0, n), make([]int, 0, n)},
+		seed: make([]int, n),
+	}
+}
+
+// fragment returns the seed of residues [start, start+length), valid
+// until the next call.
+func (w *refineWork) fragment(start, length int) []int {
+	seed := w.seed[:length]
+	for i := range seed {
+		seed[i] = start + i
+	}
+	return seed
+}
+
+// refine runs the TM-score iterative refinement from an initial residue
+// subset, once per distance cutoff: superpose on the subset, rescore all
+// residues, rebuild the subset from the residues within the cutoff, and
+// iterate to convergence. It returns the superposition with the best
+// full-length score seen and that score (nil and 0 when no subset could be
+// superposed). Each residue's distance under a superposition is computed
+// once and serves both the score and the cutoff. The subset alternates
+// between w's two buffers, so the previous subset (or seed, which is never
+// written) is still intact when the new one is compared with it.
+func (w *refineWork) refine(model, ref []Vec3, seed []int, d0 float64, cutoffs ...float64) (*Superposition, float64) {
 	n := len(ref)
 	var best *Superposition
 	bestScore := 0.0
-	mSub := make([]Vec3, n)
-	rSub := make([]Vec3, n)
-	bufs := [2][]int{make([]int, 0, n), make([]int, 0, n)}
+	mSub, rSub, bufs := w.mSub, w.rSub, w.bufs
 	for _, dCut := range cutoffs {
 		cur := seed
 		for iter := 0; iter < 20; iter++ {
