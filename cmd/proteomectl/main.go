@@ -31,8 +31,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
@@ -159,7 +162,8 @@ commands:
                                 -resume reads back from a scheduler event
                                 log the results of tasks an interrupted run
                                 finished and dispatches only the rest (the
-                                report stays byte-identical), -campaign
+                                report stays byte-identical; results of
+                                another kernel epoch are dropped), -campaign
                                 names the fair-share/quota namespace on a
                                 shared scheduler
   monitor (-connect A | -scheduler-file F) [-json] [-campaign NAME]
@@ -589,7 +593,7 @@ func (o *submitOptions) register(fs *flag.FlagSet) {
 	o.conn.register(fs, 10*time.Second)
 	fs.DurationVar(&o.resultTimeout, "result-timeout", flow.DefaultResultTimeout,
 		"fail when no result arrives for this long (0 disables); raise it when individual tasks run long")
-	fs.StringVar(&o.resume, "resume", "", "resume an interrupted campaign from a scheduler event log (sched -event-log): a task the log records done is not dispatched again, its result is read back from the log; the report is byte-identical to an uninterrupted run")
+	fs.StringVar(&o.resume, "resume", "", "resume an interrupted campaign from a scheduler event log (sched -event-log): a task the log records done is not dispatched again, its result is read back from the log; the report is byte-identical to an uninterrupted run. A result is reused only for the same spec bytes, which lead with the kernel's name and epoch (campaign/infer@1), so what a build of another kernel epoch logged is dropped, and stderr counts it")
 	fs.StringVar(&o.campaign, "campaign", "", "campaign name stamped on every submitted task: the fair-share lane and admission-quota namespace on a shared scheduler (sched -policy fair / -quota), and the monitor -campaign filter key; empty keeps single-tenant behavior")
 }
 
@@ -616,14 +620,14 @@ func submitCmd(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		done, err := events.CompletedFromLog(f)
+		done, note, err := resumeResults(f)
 		f.Close()
 		if err != nil {
 			return err
 		}
 		// Stderr, so the stdout report stays byte-identical to an
 		// uninterrupted run.
-		fmt.Fprintf(os.Stderr, "resume: %d task results read from the log; dispatching only the remainder\n", len(done))
+		fmt.Fprintln(os.Stderr, note)
 		cr.cfg.Resume = done
 	}
 	fl, err := exec.Connect(o.conn.dialOptions())
@@ -648,6 +652,38 @@ func submitCmd(args []string, stdout io.Writer) error {
 	}
 	printReport(stdout, cr, rep)
 	return cf.finishStats(trace)
+}
+
+// resumeResults reads the finished tasks (spec → result) of a scheduler
+// event log and keeps those of the kernels this build runs. A kernel name
+// carries its epoch, so a logged spec of any other name, another epoch of
+// one of ours included, could never match a spec this build submits; note
+// is the stderr line saying how many results were read, and how many were
+// dropped for which kernels.
+func resumeResults(r io.Reader) (done map[string][]byte, note string, err error) {
+	if done, err = events.CompletedFromLog(r); err != nil {
+		return nil, "", err
+	}
+	read := len(done)
+	stale := map[string]bool{}
+	for key := range done {
+		kernel := "(no spec envelope)"
+		if spec, err := flow.DecodeSpec([]byte(key)); err == nil {
+			kernel = spec.Kernel
+		}
+		switch kernel {
+		case core.KernelFeature, core.KernelInfer, core.KernelRelax:
+			continue
+		}
+		stale[kernel] = true
+		delete(done, key)
+	}
+	note = fmt.Sprintf("resume: %d task results read from the log", read)
+	if len(stale) > 0 {
+		note += fmt.Sprintf(", %d for kernels this build does not run: %s",
+			read-len(done), strings.Join(slices.Sorted(maps.Keys(stale)), ", "))
+	}
+	return done, note + "; dispatching only the remainder", nil
 }
 
 // monitorCmd attaches a read-only monitor to a running scheduler — the

@@ -11,7 +11,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/exec"
+	"repro/internal/flow"
 	"repro/internal/seq"
 )
 
@@ -254,6 +257,84 @@ func TestWorkerSubmitFlagValidation(t *testing.T) {
 	}
 	if err := workerCmd([]string{"-connect", "a", "-wire", "json"}, &buf); err == nil || !strings.Contains(err.Error(), "binary") {
 		t.Errorf("worker with -wire json: err = %v, want a refusal naming the binary codec", err)
+	}
+}
+
+// TestResumeResultsDropsOtherKernels: submit -resume keeps a logged result
+// only for a kernel this build runs, so a log that mixes this build's
+// epoch with a stale one resumes into this epoch's results alone, and the
+// stderr line counts what it dropped and names the kernels.
+func TestResumeResultsDropsOtherKernels(t *testing.T) {
+	type task struct{ kernel, id string }
+	for _, tc := range []struct {
+		name string
+		log  []task
+		kept []task
+		note string
+	}{
+		{
+			name: "current epoch only",
+			log:  []task{{core.KernelFeature, "a"}, {core.KernelInfer, "a/m0"}, {core.KernelRelax, "a"}},
+			kept: []task{{core.KernelFeature, "a"}, {core.KernelInfer, "a/m0"}, {core.KernelRelax, "a"}},
+			note: "resume: 3 task results read from the log; dispatching only the remainder",
+		},
+		{
+			name: "stale infer epoch",
+			log:  []task{{core.KernelFeature, "a"}, {"campaign/infer@0", "a/m0"}, {"campaign/infer@0", "a/m1"}, {core.KernelInfer, "a/m2"}},
+			kept: []task{{core.KernelFeature, "a"}, {core.KernelInfer, "a/m2"}},
+			note: "resume: 4 task results read from the log, 2 for kernels this build does not run: campaign/infer@0; dispatching only the remainder",
+		},
+		{
+			name: "every kernel stale",
+			log:  []task{{"campaign/relax@0", "a"}, {"campaign/feature", "a"}, {"campaign/infer@0", "a/m0"}},
+			note: "resume: 3 task results read from the log, 3 for kernels this build does not run: campaign/feature, campaign/infer@0, campaign/relax@0; dispatching only the remainder",
+		},
+		{
+			name: "payload without a spec envelope",
+			log:  []task{{"", "a"}, {core.KernelRelax, "a"}},
+			kept: []task{{core.KernelRelax, "a"}},
+			note: "resume: 2 task results read from the log, 1 for kernels this build does not run: (no spec envelope); dispatching only the remainder",
+		},
+		{
+			name: "empty log",
+			note: "resume: 0 task results read from the log; dispatching only the remainder",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A task's spec names its kernel; its args and result are its
+			// ID. A task of no kernel carries its ID with no envelope.
+			spec := func(k task) string {
+				if k.kernel == "" {
+					return k.id
+				}
+				b, err := flow.EncodeSpec(flow.JobSpec{Kernel: k.kernel, Args: []byte(k.id)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(b)
+			}
+			var log bytes.Buffer
+			sink := events.LogSink(&log)
+			for i, k := range tc.log {
+				label := k.kernel + " " + k.id
+				sink(events.Event{Seq: uint64(2 * i), Type: events.TaskReceived, Task: label, Payload: []byte(spec(k))})
+				sink(events.Event{Seq: uint64(2*i + 1), Type: events.TaskDone, Task: label, Worker: "w", Payload: []byte(k.id)})
+			}
+			done, note, err := resumeResults(&log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if note != tc.note {
+				t.Errorf("note = %q\nwant   %q", note, tc.note)
+			}
+			want := map[string][]byte{}
+			for _, k := range tc.kept {
+				want[spec(k)] = []byte(k.id)
+			}
+			if !reflect.DeepEqual(done, want) {
+				t.Errorf("kept %q, want %q", done, want)
+			}
+		})
 	}
 }
 

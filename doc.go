@@ -88,9 +88,16 @@
 // without bumping wireVersion and it fails),
 // TestBinaryDecodeRejectsCorruptFrames plus the fuzz targets
 // FuzzAcceptHello, FuzzDecodeBinaryFrame, FuzzDecodeSpec and
-// FuzzKernelPayload (untrusted bytes). The campaign
-// kernels' spec and result bytes are pinned per version as well
-// (TestKernelPayloadGolden).
+// FuzzKernelPayload (untrusted bytes). The wire version covers frame
+// bytes only. What a campaign kernel answers is pinned per kernel epoch,
+// not per version: each registered name ends in its epoch
+// ("campaign/infer@1", internal/core/remote.go), bumped when the kernel's
+// answer to the same spec bytes changes, and TestKernelPayloadGolden
+// fails until it is. The name leads every spec envelope, so a worker of
+// another epoch fails the task as an unknown kernel, and a `submit
+// -resume` log of another epoch matches no spec
+// (TestCampaignRemoteStaleWorkerRefuses,
+// TestCampaignRemoteResumeOtherEpoch).
 //
 // One dispatcher. All scheduler state lives in one value
 // (internal/flow/dispatcher.go) with a method per input — register,

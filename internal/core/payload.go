@@ -37,8 +37,9 @@ import (
 //
 // Every decoder accepts exactly the bytes its encoder writes: decoding and
 // re-encoding any accepted input gives the input back (FuzzKernelPayload).
-// A layout change must bump the flow wire version (TestKernelPayloadGolden
-// in internal/experiments pins one spec and one result per kernel).
+// A layout change must bump that kernel's epoch in remote.go
+// (TestKernelPayloadGolden in internal/experiments pins one spec and one
+// result per kernel).
 
 // Upper bounds of an encoded result, so a kernel encodes into one
 // allocation.

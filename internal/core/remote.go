@@ -14,16 +14,26 @@ import (
 // standalone worker process serves them through flow.SpecHandler; the
 // stages build the matching argument blocks below when the configured
 // executor dispatches specs instead of closures.
+//
+// Each name ends in its kernel's epoch, "@N". The rule is one: bump a
+// kernel's N when its answer to the same spec bytes changes (or the
+// layout of its spec or result does). Every spec envelope leads with the
+// name (flow.EncodeSpec), so builds of different epochs never mix: a
+// worker of another epoch fails the task with flow's "unknown kernel"
+// error, and a `submit -resume` log of another epoch matches no spec this
+// build submits. TestKernelPayloadGolden (internal/experiments) pins one
+// spec and one result per kernel and fails until the epoch is bumped; the
+// flow wire version covers frame bytes only.
 const (
 	// KernelFeature derives one protein's folding features and its
 	// contended filesystem search time.
-	KernelFeature = "campaign/feature"
+	KernelFeature = "campaign/feature@1"
 	// KernelInfer runs one (target, model) inference task and returns its
 	// PredictionDigest; an OOM outcome is a digest tagged OOM, exactly as
 	// the in-process closure reports it.
-	KernelInfer = "campaign/infer"
+	KernelInfer = "campaign/infer@1"
 	// KernelRelax computes one structure's modeled relaxation time.
-	KernelRelax = "campaign/relax"
+	KernelRelax = "campaign/relax@1"
 )
 
 // RemoteCampaign identifies the deterministic campaign world to remote

@@ -20,7 +20,7 @@ type TaskStats struct {
 	// TaskID is the stable, human-meaningful identity of the work item
 	// (a protein ID, a "target/m3" inference slot), not the wire task ID.
 	TaskID string
-	// Kernel names the batch ("campaign/feature", ...); empty for
+	// Kernel names the batch ("campaign/feature@1", ...); empty for
 	// untagged fan-outs (the experiment helpers).
 	Kernel string
 	// WorkerID identifies the placement: a pool worker ("pool-w003") or a

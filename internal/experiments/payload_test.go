@@ -45,14 +45,18 @@ func (c *payloadCapture) DispatchSpecs(kernel string, specs [][]byte, _ []string
 // TestKernelPayloadGolden pins the bytes of one spec and one result per
 // campaign kernel: the first D. vulgaris protein of `submit`'s campaign at
 // DefaultSeed, as the stages build the specs and the registered kernels
-// answer them. A worker and a submit of different builds share only the
-// wire version, so a payload change that keeps the version would be
-// accepted and misread. Change a payload and this test fails until
-// wireVersion (internal/flow/codec.go) is bumped and the goldens are
-// regenerated (`go test ./internal/experiments -run TestKernelPayloadGolden -update`).
+// answer them. A worker and a submit of different builds agree on what a
+// kernel answers only through its registered name, so a payload change
+// that keeps the name would be accepted and misread. Change a payload and
+// this test fails until that kernel's epoch (the "@N" of its name in
+// internal/core/remote.go) is bumped and the goldens are regenerated
+// (`go test ./internal/experiments -run TestKernelPayloadGolden -update`).
 // The goldens are stored hex-encoded, one file per payload, so they diff
-// as text. They hold low bits of math.Exp as an FMA host rounds them, so
-// a host without FMA fails this test with no payload change.
+// as text; a file is named after its kernel without the epoch, so a bump
+// shows as a content diff. Each kernel has a spec and a result subtest.
+// The spec holds seeds, IDs, presets and lengths, which no host rounds;
+// the result holds low bits of math.Exp as an FMA host rounds them, so a
+// host without FMA fails the result subtests with no payload change.
 func TestKernelPayloadGolden(t *testing.T) {
 	RegisterCampaignKernels()
 	env := NewEnv(DefaultSeed)
@@ -67,9 +71,6 @@ func TestKernelPayloadGolden(t *testing.T) {
 
 	dir := filepath.Join("testdata", "payloads")
 	if *updatePayloads {
-		if err := os.RemoveAll(dir); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -79,27 +80,36 @@ func TestKernelPayloadGolden(t *testing.T) {
 		if !ok {
 			t.Fatalf("campaign dispatched no %s spec", kernel)
 		}
-		for i, part := range []string{"spec", "result"} {
-			name := strings.ReplaceAll(kernel, "/", "_") + "." + part + ".hex"
-			path := filepath.Join(dir, name)
-			got := append(hex.AppendEncode(nil, pair[i]), '\n')
-			if *updatePayloads {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
+		base, _, _ := strings.Cut(strings.ReplaceAll(kernel, "/", "_"), "@")
+		t.Run(base, func(t *testing.T) {
+			for i, part := range []string{"spec", "result"} {
+				t.Run(part, func(t *testing.T) {
+					name := base + "." + part + ".hex"
+					path := filepath.Join(dir, name)
+					got := append(hex.AppendEncode(nil, pair[i]), '\n')
+					if *updatePayloads {
+						if err := os.WriteFile(path, got, 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+					want, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatalf("no golden %s (run `go test ./internal/experiments -run TestKernelPayloadGolden -update`): %v", name, err)
+					}
+					if bytes.Equal(got, want) {
+						return
+					}
+					host := ""
+					if part == "result" {
+						host = "A host without FMA (GODEBUG=cpu.fma=off, GOARCH=386, ppc64le) fails this too: its math.Exp rounds the low bits of " + kernel + "'s results differently. " +
+							"There the cause is the host, not the payload; bump and re-record nothing (see ROADMAP, portable bits).\n"
+					}
+					t.Errorf("kernel %s: its %s payload changed.\n"+
+						"If the kernel's spec layout or its answer to the same spec changed, a peer of the previous build would accept and misread it: "+
+						"bump that kernel's epoch in internal/core/remote.go, then run `go test ./internal/experiments -run TestKernelPayloadGolden -update`.\n"+
+						"%s got %s\nwant %s", kernel, part, host, got, want)
+				})
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("no golden %s (run `go test ./internal/experiments -run TestKernelPayloadGolden -update`): %v", name, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("kernel %s: its %s payload changed.\n"+
-					"If the kernel's output changed, a peer of the previous build would accept and misread it: "+
-					"bump wireVersion in internal/flow/codec.go, then run `go test ./internal/experiments -run TestKernelPayloadGolden -update`.\n"+
-					"A host without FMA (GODEBUG=cpu.fma=off, GOARCH=386, ppc64le) fails this too: its math.Exp rounds the low bits of %s's results differently. "+
-					"There the cause is the host, not the payload; bump and re-record nothing (see ROADMAP, portable bits).\n got %s\nwant %s",
-					kernel, part, kernel, got, want)
-			}
-		}
+		})
 	}
 }

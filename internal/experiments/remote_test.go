@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -322,6 +324,111 @@ func TestCampaignRemoteResumeHighMemory(t *testing.T) {
 		if row.Kernel != core.KernelInfer {
 			t.Errorf("logged %s task %s was dispatched", row.Kernel, row.TaskID)
 		}
+	}
+}
+
+// staleEpoch is a campaign kernel's name at epoch 0, the epoch before
+// every kernel's first.
+func staleEpoch(kernel string) string {
+	name, _, _ := strings.Cut(kernel, "@")
+	return name + "@0"
+}
+
+// TestCampaignRemoteResumeOtherEpoch resumes from a log whose every spec
+// names its kernel at another epoch, as a build before a kernel changed
+// its answer would have logged it. Nothing of it may be reused: the
+// resume dispatches every task a fresh run does and reports what the
+// fresh run reports.
+func TestCampaignRemoteResumeOtherEpoch(t *testing.T) {
+	env := NewEnv(DefaultSeed)
+	proteins := env.Proteome(proteome.DVulgaris).FilterMaxLen(2500)[:10]
+	cfg := core.DefaultConfig()
+	fresh, freshRows := resumedRun(t, env.Engine, env.FeatureGen(), env, proteins, cfg, nil)
+
+	stale := map[string][]byte{}
+	for key, res := range loggedRun(t, env, proteins, cfg) {
+		spec, err := flow.DecodeSpec([]byte(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Kernel = staleEpoch(spec.Kernel)
+		restamped, err := flow.EncodeSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale[string(restamped)] = res
+	}
+	if len(stale) == 0 {
+		t.Fatal("the logged run's log holds no results")
+	}
+	got, rows := resumedRun(t, env.Engine, env.FeatureGen(), env, proteins, cfg, stale)
+	checkRemoteReport(t, got, fresh)
+	if len(rows) != len(freshRows) {
+		t.Fatalf("resume from another epoch's log dispatched %d tasks, a fresh run %d", len(rows), len(freshRows))
+	}
+}
+
+// TestCampaignRemoteStaleWorkerRefuses: a worker whose kernels are
+// registered at another epoch must fail every task it is handed with
+// flow's unknown-kernel error, naming the kernel asked for and the ones
+// it has, and never answer one.
+func TestCampaignRemoteStaleWorkerRefuses(t *testing.T) {
+	reg := flow.NewRegistry()
+	for kernel, fn := range map[string]flow.KernelFunc{
+		core.KernelFeature: featureKernel, core.KernelInfer: inferKernel, core.KernelRelax: relaxKernel,
+	} {
+		if err := reg.Register(staleEpoch(kernel), fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sched := flow.NewScheduler()
+	addr, err := sched.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sched.Close)
+	w := flow.NewWorker("stale-w0", reg.Handler())
+	if err := w.Connect(addr); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	f, err := exec.Connect(flow.DialOptions{Addr: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+
+	env := NewEnv(DefaultSeed)
+	proteins := env.Proteome(proteome.DVulgaris).FilterMaxLen(2500)[:3]
+	rep, err := core.RunCampaign(env.Engine, env.FeatureGen(), proteins, env.FS, core.ReducedDatabase(), onRemote(core.DefaultConfig(), f))
+	if err == nil || rep != nil {
+		t.Fatalf("campaign on a stale-epoch worker returned report %v, err %v", rep, err)
+	}
+	want := fmt.Sprintf("unknown kernel %q (registered: %v)", core.KernelFeature, reg.Names())
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v\nwant it to contain %s", err, want)
+	}
+	for _, e := range sched.Events().Snapshot() {
+		if e.Type == events.TaskDone {
+			t.Errorf("the stale worker answered task %s", e.Task)
+		}
+	}
+}
+
+// TestCampaignKernelNames: each campaign kernel's name carries its epoch,
+// and a worker registers exactly those names.
+func TestCampaignKernelNames(t *testing.T) {
+	named := regexp.MustCompile(`^campaign/[a-z]+@[1-9][0-9]*$`)
+	want := []string{core.KernelFeature, core.KernelInfer, core.KernelRelax}
+	for _, kernel := range want {
+		if !named.MatchString(kernel) {
+			t.Errorf("kernel name %q does not match %s", kernel, named)
+		}
+	}
+	RegisterCampaignKernels()
+	slices.Sort(want)
+	if got := flow.DefaultRegistry().Names(); !slices.Equal(got, want) {
+		t.Errorf("RegisterCampaignKernels registers %q, want %q", got, want)
 	}
 }
 

@@ -23,9 +23,10 @@ func ValidWire(name string) bool { return name == "" || name == WireBinary }
 // is built from this tree, so there is no negotiation and no tolerance
 // for absent fields: a dialer states the version in its hello and the
 // scheduler refuses any other before decoding a frame. Bump it whenever
-// the bytes of any frame change (TestWireGolden fails until you do), or
-// those of a campaign kernel's spec or result (pinned by
-// TestKernelPayloadGolden in internal/experiments).
+// the bytes of any frame change (TestWireGolden fails until you do), and
+// only then: a task's payload and result are opaque bytes to the frames,
+// and what a kernel answers is versioned by the epoch in its registered
+// name, which leads every spec envelope.
 const wireVersion = 6
 
 // helloPrefix starts the hello line every dialer sends immediately after
