@@ -850,12 +850,13 @@ func predictCmd(args []string) error {
 	if err != nil {
 		return err
 	}
+	before := relax.CountViolations(pred.CA)
 	rr, err := relax.Relax(pred.CA, pred.SC, relax.DefaultOptions(relax.PlatformGPU))
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "%s: model %d, pLDDT %.1f, pTMS %.3f, %d recycles; violations %d->%d bumps\n",
-		*id, bestModel+1, pred.MeanPLDDT, pred.PTMS, pred.Recycles, rr.Before.Bumps, rr.After.Bumps)
+		*id, bestModel+1, pred.MeanPLDDT, pred.PTMS, pred.Recycles, before.Bumps, rr.After.Bumps)
 
 	model, err := pdb.FromTrace(target.Seq.ID, target.Seq.Residues, rr.CA, rr.SC, pred.PLDDT)
 	if err != nil {

@@ -50,7 +50,7 @@ func main() {
 		cpu := relax.ModelTime(relax.PlatformCPU, m.HeavyAtoms, 1)
 		gpu := relax.ModelTime(relax.PlatformGPU, m.HeavyAtoms, 1)
 		fmt.Printf("%-8s %6d %10d | %6d / %5d | %9.0f %9.0f %9.0f | %6.1fx\n",
-			tg.ID, tg.Length, m.HeavyAtoms, rr.Before.Bumps, rr.After.Bumps,
+			tg.ID, tg.Length, m.HeavyAtoms, before.Bumps, rr.After.Bumps,
 			af2, cpu, gpu, af2/gpu)
 	}
 

@@ -7,9 +7,10 @@
 // The protocol constants mirror the paper exactly: a harmonic positional
 // restraint on every heavy atom with force constant 10 kcal·mol⁻¹·Å⁻², and
 // minimization until the energy change between steps falls below
-// 2.39 kcal·mol⁻¹. Two protocols are provided: the original AlphaFold one
-// (minimize, count violations, repeat while violations remain) and the
-// paper's optimized one (a single minimization, no violation loop).
+// 2.39 kcal·mol⁻¹. Relax always runs with them, and runs one
+// protocol loop (minimize, count violations, repeat while violations
+// remain) whose round cap is the platform's: ten rounds for the original
+// AlphaFold protocol, one for the paper's optimized protocol.
 //
 // Structures are represented at the Cα + side-chain-centroid level; the
 // CASP violation definitions the paper uses (clash: Cα–Cα < 1.9 Å, bump:
@@ -24,9 +25,10 @@
 // ViolationTracker keeps the count of a trace that moves a few atoms at a
 // time — it finds the moved atoms by comparing positions, rebins them in
 // its cellList, and recounts only the pairs touching them, before and
-// after the move. Relax counts the input once (Result.Before) and, in the
-// AF2 loop, the coordinates after each round; the last round's count is
-// Result.After, since the loop only ever exits right after counting.
+// after the move. Relax counts only its output: its protocol loop counts
+// the coordinates after each round, and the last round's count is
+// Result.After, since the loop only ever exits right after counting. A
+// caller that wants the input's count calls CountViolations.
 //
 // The energy kernel finds non-bonded partners through a Verlet pair list:
 // every non-excluded pair within the repulsion cutoff plus a 2 Å skin,
@@ -99,7 +101,6 @@ type System struct {
 	listBuilds int // list builds so far, for tests
 	forces     []geom.Vec3
 	vel        []geom.Vec3
-	ca         []geom.Vec3
 }
 
 // NewSystem builds a system from Cα and side-chain traces.
@@ -120,13 +121,8 @@ func NewSystem(ca, sc []geom.Vec3, ff ForceField) (*System, error) {
 	return s, nil
 }
 
-// CA returns the current Cα trace.
-func (s *System) CA() []geom.Vec3 {
-	return s.CAInto(nil)
-}
-
 // CAInto writes the current Cα trace into dst (grown as needed) and
-// returns it, letting protocol loops reuse one buffer across rounds.
+// returns it, letting the protocol loop reuse one buffer across rounds.
 func (s *System) CAInto(dst []geom.Vec3) []geom.Vec3 {
 	if cap(dst) < s.N {
 		dst = make([]geom.Vec3, s.N)

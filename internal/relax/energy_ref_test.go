@@ -71,9 +71,10 @@ func energyForcesRef(s *System, forces []geom.Vec3) float64 {
 	return e
 }
 
-// fireRef is Minimize's FIRE loop over a caller-chosen energy kernel,
-// reporting every evaluation to observe (step 0 is the initial one).
-func fireRef(s *System, opt MinimizeOptions, energy func(*System, []geom.Vec3) float64,
+// fireRef is Minimize's FIRE loop, with its stopping rule, over a
+// caller-chosen energy kernel, reporting every evaluation to observe
+// (step 0 is the initial one).
+func fireRef(s *System, energy func(*System, []geom.Vec3) float64,
 	observe func(step int, e float64, forces []geom.Vec3)) MinimizeResult {
 	n := len(s.Pos)
 	forces := make([]geom.Vec3, n)
@@ -83,7 +84,7 @@ func fireRef(s *System, opt MinimizeOptions, energy func(*System, []geom.Vec3) f
 	observe(0, e, forces)
 	res := MinimizeResult{InitialEnergy: e, FinalEnergy: e}
 	prevAccepted := e
-	for step := 1; step <= opt.MaxSteps; step++ {
+	for step := 1; step <= maxSteps; step++ {
 		var p float64
 		for i := 0; i < n; i++ {
 			vel[i] = vel[i].Add(forces[i].Scale(dt))
@@ -118,7 +119,7 @@ func fireRef(s *System, opt MinimizeOptions, energy func(*System, []geom.Vec3) f
 		e = energy(s, forces)
 		observe(step, e, forces)
 		res.Steps, res.FinalEnergy = step, e
-		if p > 0 && prevAccepted-e >= 0 && prevAccepted-e < opt.ConvergeDE {
+		if p > 0 && prevAccepted-e >= 0 && prevAccepted-e < convergeDE {
 			res.Converged = true
 			break
 		}
@@ -197,11 +198,10 @@ func TestEnergyForcesMatchesReferenceEveryStep(t *testing.T) {
 			}
 			return s
 		}
-		opt := DefaultMinimizeOptions()
 		var want, got []evaluation
 		ref, list, live := build(), build(), build()
-		wantRes := fireRef(ref, opt, energyForcesRef, record(&want))
-		gotRes := fireRef(list, opt, (*System).EnergyForces, record(&got))
+		wantRes := fireRef(ref, energyForcesRef, record(&want))
+		gotRes := fireRef(list, (*System).EnergyForces, record(&got))
 		if gotRes != wantRes {
 			t.Fatalf("%s: result %+v, reference %+v", c.name, gotRes, wantRes)
 		}
@@ -211,7 +211,7 @@ func TestEnergyForcesMatchesReferenceEveryStep(t *testing.T) {
 			}
 			sameTrace(t, fmt.Sprintf("%s step %d forces", c.name, step), got[step].forces, want[step].forces)
 		}
-		if liveRes := Minimize(live, opt); liveRes != wantRes {
+		if liveRes := Minimize(live); liveRes != wantRes {
 			t.Fatalf("%s: Minimize %+v, reference %+v", c.name, liveRes, wantRes)
 		}
 		sameTrace(t, c.name+" final positions", live.Pos, ref.Pos)
@@ -222,26 +222,28 @@ func TestEnergyForcesMatchesReferenceEveryStep(t *testing.T) {
 	}
 }
 
-// relaxRef is Relax's protocol loop over the reference kernel.
+// relaxRef is Relax's protocol loop over the reference kernel, written
+// out on its own: the optimized platforms stop after one round, AF2 after
+// af2MaxRounds or on Relax's other exits.
 func relaxRef(t *testing.T, ca, sc []geom.Vec3, opt Options) *Result {
 	t.Helper()
-	sys, err := NewSystem(ca, sc, opt.FF)
+	sys, err := NewSystem(ca, sc, DefaultForceField())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &Result{Before: CountViolations(ca)}
+	res := &Result{}
 	for {
 		res.Rounds++
-		mr := fireRef(sys, opt.Min, energyForcesRef, func(int, float64, []geom.Vec3) {})
+		mr := fireRef(sys, energyForcesRef, func(int, float64, []geom.Vec3) {})
 		res.Steps += mr.Steps
 		res.Energy = mr.FinalEnergy
-		v := CountViolations(sys.CA())
+		v := CountViolations(sys.CAInto(nil))
 		if opt.Platform != PlatformAF2 || (v.Clashes == 0 && v.Bumps == 0) ||
-			res.Rounds >= opt.MaxRounds || (res.Rounds > 1 && mr.Steps <= 1) {
+			res.Rounds >= af2MaxRounds || (res.Rounds > 1 && mr.Steps <= 1) {
 			break
 		}
 	}
-	res.CA, res.SC = sys.CA(), sys.SC()
+	res.CA, res.SC = sys.CAInto(nil), sys.SC()
 	res.After = CountViolations(res.CA)
 	return res
 }

@@ -6,21 +6,16 @@ import (
 	"repro/internal/geom"
 )
 
-// MinimizeOptions control the optimizer.
-type MinimizeOptions struct {
-	// ConvergeDE stops when the energy decrease between consecutive
-	// accepted steps falls below this (2.39 kcal/mol in the paper, i.e.
-	// 10 kJ/mol).
-	ConvergeDE float64
-	// MaxSteps bounds the run ("unlimited" in the paper; a large default
-	// keeps tests finite).
-	MaxSteps int
-}
-
-// DefaultMinimizeOptions mirror the paper's protocol.
-func DefaultMinimizeOptions() MinimizeOptions {
-	return MinimizeOptions{ConvergeDE: 2.39, MaxSteps: 5000}
-}
+// The minimizer's stopping rule, the paper's protocol.
+const (
+	// convergeDE stops a minimization when the energy decrease between
+	// consecutive accepted steps falls below it: 2.39 kcal/mol, i.e.
+	// 10 kJ/mol.
+	convergeDE = 2.39
+	// maxSteps bounds a minimization ("unlimited" in the paper; a large
+	// bound keeps every run finite).
+	maxSteps = 5000
+)
 
 // MinimizeResult summarizes one energy minimization.
 type MinimizeResult struct {
@@ -31,9 +26,11 @@ type MinimizeResult struct {
 }
 
 // Minimize runs a FIRE (fast inertial relaxation engine) minimization of
-// the system in place. FIRE is the standard choice for removing bad
-// contacts: steepest-descent-like robustness with adaptive acceleration.
-func Minimize(s *System, opt MinimizeOptions) MinimizeResult {
+// the system in place, until the energy decrease between accepted steps
+// falls below 2.39 kcal/mol or after 5,000 steps. FIRE is the standard
+// choice for removing bad contacts: steepest-descent-like robustness with
+// adaptive acceleration.
+func Minimize(s *System) MinimizeResult {
 	n := len(s.Pos)
 	// Force/velocity buffers are system-owned scratch, reused across the
 	// protocol's minimization rounds. Velocities start at zero each round,
@@ -65,7 +62,7 @@ func Minimize(s *System, opt MinimizeOptions) MinimizeResult {
 	res := MinimizeResult{InitialEnergy: e, FinalEnergy: e}
 	prevAccepted := e
 
-	for step := 1; step <= opt.MaxSteps; step++ {
+	for step := 1; step <= maxSteps; step++ {
 		// Velocity Verlet half-kick + drift with force mixing (FIRE).
 		var p float64
 		for i := 0; i < n; i++ {
@@ -112,7 +109,7 @@ func Minimize(s *System, opt MinimizeOptions) MinimizeResult {
 		// Convergence: energy change between accepted steps below
 		// threshold, checked only while descending so the first uphill
 		// fluctuation does not end the run prematurely.
-		if p > 0 && prevAccepted-e >= 0 && prevAccepted-e < opt.ConvergeDE {
+		if p > 0 && prevAccepted-e >= 0 && prevAccepted-e < convergeDE {
 			res.Converged = true
 			break
 		}

@@ -1,10 +1,6 @@
 package relax
 
-import (
-	"fmt"
-
-	"repro/internal/geom"
-)
+import "repro/internal/geom"
 
 // Platform is where a relaxation runs; it selects the execution-time model
 // of Fig. 4.
@@ -37,7 +33,9 @@ func (p Platform) String() string {
 // Result is the outcome of relaxing one structure.
 type Result struct {
 	CA, SC []geom.Vec3
-	Before Violations
+	// After is the violation count of CA, taken by the protocol loop's
+	// last round. Relax does not count its input; a caller that reports
+	// a before-count calls CountViolations itself.
 	After  Violations
 	Rounds int // minimization rounds (1 for the optimized protocol)
 	Steps  int // total minimizer steps
@@ -47,40 +45,37 @@ type Result struct {
 	Seconds float64
 }
 
-// Options configure a relaxation run.
+// Options select the platform of a relaxation run; the force field and the
+// minimizer's constants are the paper's and are not options. A zero Options
+// is the AF2 protocol with the heavy-atom count estimated from the length.
 type Options struct {
-	FF       ForceField
-	Min      MinimizeOptions
 	Platform Platform
 	// HeavyAtoms is the all-atom size of the system for the time model; if
 	// zero it is estimated by HeavyAtoms.
 	HeavyAtoms int
-	// MaxRounds bounds the AF2 violation-retry loop.
-	MaxRounds int
 }
+
+// af2MaxRounds bounds the AF2 violation-retry loop.
+const af2MaxRounds = 10
 
 // HeavyAtoms estimates the all-atom size of a chain of the given length,
 // 7.8 heavy atoms per residue.
 func HeavyAtoms(residues int) int { return int(7.8 * float64(residues)) }
 
-// DefaultOptions returns the paper-faithful configuration for a platform.
+// DefaultOptions returns the paper-faithful configuration for a platform:
+// Options{Platform: p}.
 func DefaultOptions(p Platform) Options {
-	return Options{
-		FF:        DefaultForceField(),
-		Min:       DefaultMinimizeOptions(),
-		Platform:  p,
-		MaxRounds: 10,
-	}
+	return Options{Platform: p}
 }
 
-// Relax runs the appropriate protocol for the platform: the AF2 original
-// (minimize; while violations remain, minimize again) on PlatformAF2, and
-// the optimized single-minimization protocol otherwise.
+// Relax runs the paper's protocol loop under DefaultForceField: minimize,
+// count the violations of the result, and minimize again from there while
+// any remain, for at most ten rounds on PlatformAF2 (the AF2 original) and
+// one round on the other platforms (the optimized single-minimization
+// protocol). The loop also stops after a retry round of at most one
+// minimizer step.
 func Relax(ca, sc []geom.Vec3, opt Options) (*Result, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	sys, err := NewSystem(ca, sc, opt.FF)
+	sys, err := NewSystem(ca, sc, DefaultForceField())
 	if err != nil {
 		return nil, err
 	}
@@ -88,43 +83,34 @@ func Relax(ca, sc []geom.Vec3, opt Options) (*Result, error) {
 	if heavy == 0 {
 		heavy = HeavyAtoms(len(ca))
 	}
+	maxRounds := 1
+	if opt.Platform == PlatformAF2 {
+		maxRounds = af2MaxRounds
+	}
 
-	res := &Result{Before: CountViolations(ca)}
-	rounds := 0
-	totalSteps := 0
+	res := &Result{}
 	for {
-		rounds++
-		mr := Minimize(sys, opt.Min)
-		totalSteps += mr.Steps
+		res.Rounds++
+		mr := Minimize(sys)
+		res.Steps += mr.Steps
 		res.Energy = mr.FinalEnergy
-		if opt.Platform != PlatformAF2 {
-			break // optimized protocol: exactly one minimization
-		}
-		// AF2 original protocol: re-minimize while any violation remains.
-		// The Cα trace is extracted into system-owned scratch, not a fresh
-		// copy per round. Every exit below follows this count, so it is
-		// the final coordinates' count too.
-		sys.ca = sys.CAInto(sys.ca)
-		res.After = CountViolations(sys.ca)
-		if (res.After.Clashes == 0 && res.After.Bumps == 0) || rounds >= opt.MaxRounds {
+		// The Cα trace is extracted into one buffer reused across rounds.
+		// Every exit below follows this count, so it is the final
+		// coordinates' count.
+		res.CA = sys.CAInto(res.CA)
+		res.After = CountViolations(res.CA)
+		if res.After == (Violations{}) || res.Rounds >= maxRounds {
 			break
 		}
 		// AF2 restarts minimization from the current coordinates with the
 		// same restraints; with a deterministic minimizer extra rounds add
 		// time but converge quickly.
-		if rounds > 1 && mr.Steps <= 1 {
+		if res.Rounds > 1 && mr.Steps <= 1 {
 			break // fully converged; more rounds cannot help
 		}
 	}
-
-	res.CA = sys.CA()
 	res.SC = sys.SC()
-	if opt.Platform != PlatformAF2 {
-		res.After = CountViolations(res.CA)
-	}
-	res.Rounds = rounds
-	res.Steps = totalSteps
-	res.Seconds = ModelTime(opt.Platform, heavy, rounds)
+	res.Seconds = ModelTime(opt.Platform, heavy, res.Rounds)
 	return res, nil
 }
 
@@ -152,18 +138,4 @@ func ModelTime(p Platform, heavyAtoms, rounds int) float64 {
 		// AF2 original: CPU-bound with violation bookkeeping per round.
 		return float64(rounds) * (18.0 + 0.092*n)
 	}
-}
-
-// Validate sanity-checks an Options value.
-func (o *Options) Validate() error {
-	if o.Min.MaxSteps <= 0 {
-		return fmt.Errorf("relax: MaxSteps must be positive")
-	}
-	if o.Min.ConvergeDE <= 0 {
-		return fmt.Errorf("relax: ConvergeDE must be positive")
-	}
-	if o.MaxRounds <= 0 {
-		return fmt.Errorf("relax: MaxRounds must be positive")
-	}
-	return nil
 }

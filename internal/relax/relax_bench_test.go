@@ -52,7 +52,7 @@ func BenchmarkMinimize(b *testing.B) {
 		b.StopTimer()
 		s := benchSystem(b, 300)
 		b.StartTimer()
-		Minimize(s, DefaultMinimizeOptions())
+		Minimize(s)
 	}
 }
 
