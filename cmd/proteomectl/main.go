@@ -593,7 +593,7 @@ func (o *submitOptions) register(fs *flag.FlagSet) {
 	o.conn.register(fs, 10*time.Second)
 	fs.DurationVar(&o.resultTimeout, "result-timeout", flow.DefaultResultTimeout,
 		"fail when no result arrives for this long (0 disables); raise it when individual tasks run long")
-	fs.StringVar(&o.resume, "resume", "", "resume an interrupted campaign from a scheduler event log (sched -event-log): a task the log records done is not dispatched again, its result is read back from the log; the report is byte-identical to an uninterrupted run. A result is reused only for the same spec bytes, which lead with the kernel's name and epoch (campaign/infer@1), so what a build of another kernel epoch logged is dropped, and stderr counts it")
+	fs.StringVar(&o.resume, "resume", "", "resume an interrupted campaign from a scheduler event log (sched -event-log): a task the log records done is not dispatched again, its result is read back from the log; the report is byte-identical to an uninterrupted run. A result is reused only for the same spec bytes, which lead with the kernel's name and epoch (campaign/infer@2), so what a build of another kernel epoch logged is dropped, and stderr counts it")
 	fs.StringVar(&o.campaign, "campaign", "", "campaign name stamped on every submitted task: the fair-share lane and admission-quota namespace on a shared scheduler (sched -policy fair / -quota), and the monitor -campaign filter key; empty keeps single-tenant behavior")
 }
 

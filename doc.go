@@ -91,7 +91,7 @@
 // FuzzKernelPayload (untrusted bytes). The wire version covers frame
 // bytes only. What a campaign kernel answers is pinned per kernel epoch,
 // not per version: each registered name ends in its epoch
-// ("campaign/infer@1", internal/core/remote.go), bumped when the kernel's
+// ("campaign/infer@2", internal/core/remote.go), bumped when the kernel's
 // answer to the same spec bytes changes, and TestKernelPayloadGolden
 // fails until it is. The name leads every spec envelope, so a worker of
 // another epoch fails the task as an unknown kernel, and a `submit

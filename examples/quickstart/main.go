@@ -50,8 +50,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("quickstart: %d proteins of %s; models land in %s\n\n",
-		len(prot.Proteins), species.Name, outDir)
+	// The directory's name differs on every run, so it goes to stderr and
+	// stdout stays the same from run to run.
+	fmt.Fprintf(os.Stderr, "quickstart: models land in %s\n", outDir)
+	fmt.Printf("quickstart: %d proteins of %s\n\n", len(prot.Proteins), species.Name)
 	fmt.Printf("%-10s %4s %6s %6s %8s %8s %6s\n",
 		"ID", "LEN", "DEPTH", "Neff", "pLDDT", "pTMS", "BUMPS")
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -55,6 +56,13 @@ func BenchmarkApplyOrder(b *testing.B) {
 		}
 	}
 	tasks := make([]SimTask, len(wave))
+	// One call before the timer puts a wave-sized buffer in ApplyOrder's
+	// pool, as the campaign's earlier waves do. The loop runs on one P: a
+	// sync.Pool keeps its last item in a per-P slot other Ps cannot take,
+	// so with more than one P a migration between calls misses the pool.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	copy(tasks, wave)
+	ApplyOrder(tasks, LongestFirst)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -3,7 +3,9 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -203,6 +205,42 @@ func checkApplyOrder(t *testing.T, name string, tasks []SimTask) {
 			}
 		}
 	}
+}
+
+// TestApplyOrderConcurrent orders waves of different sizes on several
+// goroutines at once, as the campaign's species do, so the scratch buffers
+// ApplyOrder takes from its pool are never shared between two calls: each
+// result must equal its wave ordered alone.
+func TestApplyOrderConcurrent(t *testing.T) {
+	r := rng.New(5)
+	waves := make([][]SimTask, 8)
+	for w := range waves {
+		waves[w] = make([]SimTask, 500+w*700)
+		for i := range waves[w] {
+			waves[w][i] = SimTask{ID: fmt.Sprintf("t%d", r.Intn(300)), Weight: float64(r.Intn(50)), Duration: float64(i)}
+		}
+	}
+	want := make([][]SimTask, len(waves))
+	for w, wave := range waves {
+		want[w] = append([]SimTask(nil), wave...)
+		ApplyOrder(want[w], LongestFirst)
+	}
+	var wg sync.WaitGroup
+	for w, wave := range waves {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				got := append([]SimTask(nil), wave...)
+				ApplyOrder(got, LongestFirst)
+				if !slices.Equal(got, want[w]) {
+					t.Errorf("wave %d ordered concurrently differs from its serial order", w)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestStartupDelayShiftsEverything(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // SimTask is one task for the dataflow simulator: an identifier, the
@@ -206,11 +207,16 @@ func ApplyOrder(tasks []SimTask, p OrderPolicy) {
 	if (p != LongestFirst && p != ShortestFirst) || len(tasks) < 2 {
 		return
 	}
-	keyed := make([]keyedIndex, len(tasks))
+	buf := orderScratch.Get().(*[]keyedIndex)
+	defer orderScratch.Put(buf)
+	if cap(*buf) < 2*len(tasks) {
+		*buf = make([]keyedIndex, 2*len(tasks))
+	}
+	keyed, scratch := (*buf)[:len(tasks)], (*buf)[len(tasks):2*len(tasks)]
 	for i := range tasks {
 		keyed[i] = keyedIndex{key: orderKey(tasks[i].Weight, p == LongestFirst), index: i}
 	}
-	keyed = radixSort(keyed)
+	keyed = radixSort(keyed, scratch)
 
 	// Gather by following each cycle of the permutation in place; index
 	// is overwritten with the destination to mark a slot done.
@@ -243,6 +249,11 @@ func ApplyOrder(tasks []SimTask, p OrderPolicy) {
 	}
 }
 
+// orderScratch holds ApplyOrder's key/index pairs and its radix buffer,
+// two entries a task, for reuse: the campaign's species order their waves
+// on concurrent goroutines, each call with a buffer of its own.
+var orderScratch = sync.Pool{New: func() any { return new([]keyedIndex) }}
+
 // keyedIndex is a task's position before ordering and its order key.
 type keyedIndex struct {
 	key   uint64
@@ -270,23 +281,19 @@ func orderKey(w float64, longestFirst bool) uint64 {
 }
 
 // radixSort orders keyed stably by key, least significant byte first,
-// skipping every byte on which all keys agree. It returns whichever of
-// keyed and its scratch buffer holds the result.
-func radixSort(keyed []keyedIndex) []keyedIndex {
+// skipping every byte on which all keys agree. scratch is as long as
+// keyed; it returns whichever of the two holds the result.
+func radixSort(keyed, scratch []keyedIndex) []keyedIndex {
 	var counts [8][256]int
 	for _, e := range keyed {
 		for b := range 8 {
 			counts[b][byte(e.key>>(8*b))]++
 		}
 	}
-	var scratch []keyedIndex
 	for b := range 8 {
 		c := &counts[b]
 		if c[byte(keyed[0].key>>(8*b))] == len(keyed) {
 			continue
-		}
-		if scratch == nil {
-			scratch = make([]keyedIndex, len(keyed))
 		}
 		sum := 0
 		for d := range c {

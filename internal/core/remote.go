@@ -31,7 +31,7 @@ const (
 	// KernelInfer runs one (target, model) inference task and returns its
 	// PredictionDigest; an OOM outcome is a digest tagged OOM, exactly as
 	// the in-process closure reports it.
-	KernelInfer = "campaign/infer@1"
+	KernelInfer = "campaign/infer@2"
 	// KernelRelax computes one structure's modeled relaxation time.
 	KernelRelax = "campaign/relax@1"
 )

@@ -17,7 +17,9 @@ import (
 // experiments.DefaultSeed under all four presets: every bit of every
 // prediction, plus each report's wall time and node-hours, as the engine
 // computes them with each sampled residue's mag^PLDDTShape taken from the
-// draw record and every target-shared normal from rng's ziggurat sampler.
+// draw record, every target-shared normal from rng's ziggurat sampler, and
+// every exp, log and power through internal/fmath, so the constants hold
+// on amd64 with and without FMA and on 386.
 // The engine's contract with its per-residue Pow oracle (fold's
 // TestInferContract) is wider: MeanPLDDT within a stated ulp bound, every
 // other field bit for bit. A change that claims bit-identical output must
@@ -25,8 +27,8 @@ import (
 // re-records both and passes TestInferContract, and one that changes the
 // streams re-records both and passes experiments' TestStreamEpochContract.
 const (
-	inferenceDigest      = "f3deb28c9e292a09aee14eab144689785cbba0a121d5c7f5626ce5e90bbe9318"
-	inferenceDigestShort = "504ca51253e158eaec351b0d47f6740998ae862b961a770e674fc3c4592add7f" // first 300 targets only, under -short
+	inferenceDigest      = "9dc4c758745a2ce1975f9128061563a10f6bfabd534ca56a952f32618f59a199"
+	inferenceDigestShort = "c5c6175fe804a844ece137836790c5602cc306a8bf7a059e670d6da2ddc6b216" // first 300 targets only, under -short
 )
 
 func TestInferenceStageDigest(t *testing.T) {

@@ -88,7 +88,7 @@ func inferOracle(e *Engine, t Task) *Prediction {
 		Recycles: recycles, Converged: converged,
 		GPUSeconds: e.Cal.CostBase + e.Cal.CostScale*
 			float64(t.Preset.Ensembles)*(1+0.05*float64(t.Preset.Ensembles-1))*
-			float64(recycles+1)*math.Pow(float64(t.Length), 1.5),
+			float64(recycles+1)*lengthPow.pow(float64(t.Length)),
 		PeakMemGB: mem,
 	}
 

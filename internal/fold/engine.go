@@ -3,9 +3,9 @@ package fold
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
+	"repro/internal/fmath"
 	"repro/internal/geom"
 	"repro/internal/msa"
 	"repro/internal/rng"
@@ -189,7 +189,7 @@ var modelStreams = [NumModels]string{"model:0", "model:1", "model:2", "model:3",
 
 // err returns the expected mean displacement after r recycles.
 func (d *difficulty) err(r int) float64 {
-	return d.errInf + d.gap*math.Exp(-float64(r)/d.tau)
+	return d.errInf + float64(d.gap*fmath.Exp(-float64(r)/d.tau))
 }
 
 // PeakMemGB estimates inference memory for a preset and length.
@@ -287,7 +287,7 @@ func (e *Engine) Infer(t Task) (Prediction, error) {
 		Recycles: recycles, Converged: converged,
 		GPUSeconds: e.Cal.CostBase + e.Cal.CostScale*
 			float64(t.Preset.Ensembles)*(1+0.05*float64(t.Preset.Ensembles-1))*
-			float64(recycles+1)*math.Pow(float64(t.Length), 1.5),
+			float64(recycles+1)*lengthPow.pow(float64(t.Length)),
 		PeakMemGB: mem,
 	}
 
@@ -299,7 +299,7 @@ func (e *Engine) Infer(t Task) (Prediction, error) {
 	sampleN := len(mags)
 	// The kernel's power (mag·finalErr/PLDDTScale)^PLDDTShape factors into
 	// the residue's mag^PLDDTShape and this one power per model.
-	errPow := math.Pow(finalErr/e.Cal.PLDDTScale, e.Cal.PLDDTShape)
+	errPow := newPowFixed(e.Cal.PLDDTShape).pow(finalErr / e.Cal.PLDDTScale)
 
 	var sumPLDDT, sumTM float64
 	var n70, n90 int

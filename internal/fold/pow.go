@@ -1,24 +1,23 @@
 package fold
 
-import "math"
+import (
+	"math"
 
-// powFixed evaluates math.Pow(x, y) bit for bit for one y and many x,
-// doing once the exponent split math.Pow repeats on every call. Its caller
-// is powAll, which fills a draw record's field powers on a miss: 256 calls
-// per target (one per sampled residue), not per model.
-//
-// For y > 0 math.Pow takes yi, yf := math.Modf(y), moves yf into
-// [-0.5, 0.5] (yf > 0.5 gives yf-1 and yi+1), and returns
-// Ldexp(Exp(yf·Log(x)) · x1^yi, ae), where x1·2^xe = x from Frexp and the
-// power of x1 is renormalised by powers of two as it goes. When yi is 2
-// and x lies in [2^-300, 2^300], every scaling by a power of two is exact
-// and every product stays a normal number, so the rounding steps are
-// exactly those of Exp(yf·Log(x)) · (x·x). That covers the calibrated
-// pLDDT shape 1.8 and every y in (1.5, 2.5]; any other y or x goes to
-// math.Pow.
+	"repro/internal/fmath"
+)
+
+// powFixed evaluates x^y for one y and many x, doing once the exponent
+// split math.Pow repeats on every call: yi, yf := math.Modf(y), and
+// yf > 0.5 becomes yf−1 with yi+1, so |yf| ≤ 0.5. When yi is 1 or 2 (y in
+// (0.5, 2.5]) and x lies in [2^-300, 2^300], it returns
+// fmath.Exp(yf·fmath.Log(x))·x^yi, the product math.Pow forms, where x^yi
+// stays a normal number; any other y or x goes to math.Pow. The calibrated
+// pLDDT shape 1.8 (yi 2, yf −0.2) and GPUSeconds' 1.5 (yi 1, yf 0.5) take
+// the fast path. Its exp and log are the repo's own, so its bits are the
+// same on every host; they are within powUlps of math.Pow's.
 type powFixed struct {
 	y, yf float64
-	sq    bool // yi is 2 after math.Pow's adjustment
+	yi    int // 1 or 2 on the fast path, 0 for math.Pow
 }
 
 func newPowFixed(y float64) powFixed {
@@ -27,22 +26,49 @@ func newPowFixed(y float64) powFixed {
 		yf--
 		yi++
 	}
-	return powFixed{y: y, yf: yf, sq: y > 0 && yi == 2}
+	p := powFixed{y: y, yf: yf}
+	if y > 0 && (yi == 1 || yi == 2) {
+		p.yi = int(yi)
+	}
+	return p
 }
 
 func (p powFixed) pow(x float64) float64 {
-	if p.sq && x >= 0x1p-300 && x <= 0x1p300 {
-		// The conversion keeps a caller's addition from fusing with the
-		// product: math.Pow rounds its result before anyone adds to it.
-		return float64(math.Exp(p.yf*math.Log(x)) * (x * x))
-	}
-	return math.Pow(x, p.y)
+	return p.finish(x, p.exponent(x))
 }
 
-// powAll sets dst[i] to math.Pow(xs[i], y), bit for bit.
+// exponent is pow's first half, yf·log x.
+func (p powFixed) exponent(x float64) float64 {
+	return float64(p.yf * fmath.Log(x))
+}
+
+// finish is pow's second half: x^y from t = p.exponent(x).
+func (p powFixed) finish(x, t float64) float64 {
+	if p.yi == 0 || !(x >= 0x1p-300 && x <= 0x1p300) { // NaN fails both
+		return math.Pow(x, p.y)
+	}
+	xi := x
+	if p.yi == 2 {
+		xi = float64(x * x)
+	}
+	// The conversions keep each product from fusing with an addition,
+	// inside Exp or in a caller.
+	return float64(fmath.Exp(t) * xi)
+}
+
+// powAll sets dst[i] to newPowFixed(y).pow(xs[i]). It takes every log
+// first and every exp after: one pass doing both chains an exp on its log,
+// a longer dependency chain than the CPU overlaps across iterations, and
+// the two passes measured about a sixth faster on 256 field magnitudes.
 func powAll(dst, xs []float64, y float64) {
 	p := newPowFixed(y)
 	for i, x := range xs {
-		dst[i] = p.pow(x)
+		dst[i] = p.exponent(x)
+	}
+	for i, x := range xs {
+		dst[i] = p.finish(x, dst[i])
 	}
 }
+
+// lengthPow is GPUSeconds' power of the target length, L^1.5.
+var lengthPow = newPowFixed(1.5)

@@ -17,11 +17,14 @@
 // Normal deviates come from one of two samplers, chosen per stream.
 // ZigguratNormal serves the inference draws, the three streams a target's
 // models share in fold.Engine.Infer ("pairs", "field", "estimator"), which
-// are most of a campaign's normals. NormFloat64, the polar method, serves
-// the streams that build the world: proteome lengths through Gamma, the
-// CASP set, topologies, complexes and the per-model jitter. Those draws are
-// a small share of the cost, and moving them would re-draw the published
-// world (the CASP set among it) for no gain in wall time.
+// are most of a campaign's normals; its exp and log are internal/fmath's,
+// so those draws have the same bits on every host. NormFloat64, the polar
+// method, serves the streams that build the world: proteome lengths
+// through Gamma, the CASP set, topologies, complexes and the per-model
+// jitter. Those draws are a small share of the cost, and moving them would
+// re-draw the published world (the CASP set among it) for no gain in wall
+// time. NormFloat64, Gamma and Poisson stay on math's Log, Sqrt, Exp and
+// Pow.
 package rng
 
 import "math"

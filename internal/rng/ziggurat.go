@@ -4,13 +4,13 @@
 
 package rng
 
-import "math"
+import "repro/internal/fmath"
 
 // The ziggurat sampler is Marsaglia & Tsang's method ("The Ziggurat Method
 // for Generating Random Variables", JSS 5(8), 2000), ported from GOROOT's
 // math/rand/v2/normal.go with its 128-layer tables. The tables are literal
-// constants rather than computed at init: computing them calls math.Exp,
-// whose last bits depend on whether the host has FMA.
+// constants rather than computed at init, so they are math/rand/v2's own
+// bits whatever exp the host has.
 
 // zigR is where the base strip's tail starts: a draw beyond it comes from
 // Marsaglia's exponential tail method.
@@ -20,7 +20,8 @@ const zigR = 3.442619855899
 // Each draw takes one Uint64, split the way math/rand/v2 splits it: its low
 // 32 bits are the signed deviate, bits 32–38 its layer. About 99 % of draws
 // stop there, at one multiply and one compare; the rest fall in a layer's
-// wedge or the tail, draw further uniforms and call math.Exp or math.Log.
+// wedge or the tail, draw further uniforms and call fmath.Exp or
+// fmath.Log, the repo's own, so a draw's bits are the same on every host.
 //
 // fold.Engine.Infer draws every normal of its target-shared streams
 // ("pairs", "field", "estimator") here, about four times as fast as
@@ -38,8 +39,8 @@ func (s *Source) ZigguratNormal() float64 {
 		if i == 0 {
 			// The base strip: draw from the tail beyond zigR.
 			for {
-				x = float64(-math.Log(s.Float64()) * (1.0 / zigR))
-				y := -math.Log(s.Float64())
+				x = float64(-fmath.Log(s.Float64()) * (1.0 / zigR))
+				y := -fmath.Log(s.Float64())
 				if y+y >= x*x {
 					break
 				}
@@ -52,7 +53,7 @@ func (s *Source) ZigguratNormal() float64 {
 		// The wedge between the rectangle and the density. The inner
 		// conversion keeps the product from fusing with the addition, so
 		// every architecture rounds it the same way.
-		if zigF[i]+float32(float32(s.Float64())*(zigF[i-1]-zigF[i])) < float32(math.Exp(-.5*x*x)) {
+		if zigF[i]+float32(float32(s.Float64())*(zigF[i-1]-zigF[i])) < float32(fmath.Exp(float64(-.5*x*x))) {
 			return x
 		}
 	}
