@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/analysis"
@@ -33,104 +34,32 @@ type runner struct {
 }
 
 var runners = []runner{
-	{"table1", "Table 1: preset benchmark (559 sequences, 4 presets)", func(e *experiments.Env, w io.Writer) error {
-		r, err := experiments.Table1(e)
+	{"table1", "Table 1: preset benchmark (559 sequences, 4 presets)", report(experiments.Table1)},
+	{"fig2", "Fig 2: worker timeline distribution (1200 workers)", report(experiments.Fig2)},
+	{"fig3", "Fig 3: relaxation quality (TM / SPECS before vs after)", report(experiments.Fig3)},
+	{"fig4", "Fig 4: relaxation time vs heavy atoms, speedups", report(experiments.Fig4)},
+	{"features", "Sec 4.1: feature generation vs inference node-hours", report(experiments.FeatureGenExperiment)},
+	{"recycles", "Sec 4.2: recycle-improvement distribution", report(experiments.RecycleGains)},
+	{"sdivinum", "Sec 4.3.1: S. divinum proteome statistics", report(experiments.SDivinum)},
+	{"violations", "Sec 4.4: clash/bump reduction across methods", report(experiments.Violations)},
+	{"genomerelax", "Sec 4.5: genome-scale relaxation workflow", report(experiments.GenomeRelax)},
+	{"annotate", "Sec 4.6: hypothetical-protein structural annotation", report(experiments.Annotation)},
+	{"campaign", "Full 4-proteome campaign and node-hour budget", report(experiments.Campaign)},
+	{"ablations", "Design-choice ablations (ordering, granularity, replicas, recycles)", report(experiments.Ablations)},
+	{"gpusearch", "GPU-accelerated MSA search (conclusion's discussion)", report(experiments.GPUSearch)},
+	{"complex", "AF2Complex extension: all-vs-all interaction screen", report(experiments.ComplexScreen)},
+}
+
+// report adapts an experiment to the runner table: run it, then render its
+// report.
+func report[R interface{ Render(io.Writer) error }](f func(*experiments.Env) (R, error)) func(*experiments.Env, io.Writer) error {
+	return func(e *experiments.Env, w io.Writer) error {
+		r, err := f(e)
 		if err != nil {
 			return err
 		}
 		return r.Render(w)
-	}},
-	{"fig2", "Fig 2: worker timeline distribution (1200 workers)", func(e *experiments.Env, w io.Writer) error {
-		r, err := experiments.Fig2(e)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	}},
-	{"fig3", "Fig 3: relaxation quality (TM / SPECS before vs after)", func(e *experiments.Env, w io.Writer) error {
-		r, err := experiments.Fig3(e)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	}},
-	{"fig4", "Fig 4: relaxation time vs heavy atoms, speedups", func(e *experiments.Env, w io.Writer) error {
-		r, err := experiments.Fig4(e)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	}},
-	{"features", "Sec 4.1: feature generation vs inference node-hours", func(e *experiments.Env, w io.Writer) error {
-		r, err := experiments.FeatureGenExperiment(e)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	}},
-	{"recycles", "Sec 4.2: recycle-improvement distribution", func(e *experiments.Env, w io.Writer) error {
-		r, err := experiments.RecycleGains(e)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	}},
-	{"sdivinum", "Sec 4.3.1: S. divinum proteome statistics", func(e *experiments.Env, w io.Writer) error {
-		r, err := experiments.SDivinum(e)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	}},
-	{"violations", "Sec 4.4: clash/bump reduction across methods", func(e *experiments.Env, w io.Writer) error {
-		r, err := experiments.Violations(e)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	}},
-	{"genomerelax", "Sec 4.5: genome-scale relaxation workflow", func(e *experiments.Env, w io.Writer) error {
-		r, err := experiments.GenomeRelax(e)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	}},
-	{"annotate", "Sec 4.6: hypothetical-protein structural annotation", func(e *experiments.Env, w io.Writer) error {
-		r, err := experiments.Annotation(e)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	}},
-	{"campaign", "Full 4-proteome campaign and node-hour budget", func(e *experiments.Env, w io.Writer) error {
-		r, err := experiments.Campaign(e)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	}},
-	{"ablations", "Design-choice ablations (ordering, granularity, replicas, recycles)", func(e *experiments.Env, w io.Writer) error {
-		r, err := experiments.Ablations(e)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	}},
-	{"gpusearch", "GPU-accelerated MSA search (conclusion's discussion)", func(e *experiments.Env, w io.Writer) error {
-		r, err := experiments.GPUSearch(e)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	}},
-	{"complex", "AF2Complex extension: all-vs-all interaction screen", func(e *experiments.Env, w io.Writer) error {
-		r, err := experiments.ComplexScreen(e)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	}},
+	}
 }
 
 func main() {
@@ -158,18 +87,13 @@ func main() {
 	}
 	selected := runners
 	if name != "all" {
-		selected = nil
-		for _, r := range runners {
-			if r.name == name {
-				selected = []runner{r}
-				break
-			}
-		}
-		if selected == nil {
+		i := slices.IndexFunc(runners, func(r runner) bool { return r.name == name })
+		if i < 0 {
 			fmt.Fprintf(os.Stderr, "afbench: unknown experiment %q\n\n", name)
 			usage()
 			os.Exit(2)
 		}
+		selected = runners[i : i+1]
 	}
 	for i, r := range selected {
 		if i > 0 {

@@ -5,6 +5,8 @@ import (
 	"encoding/csv"
 	"errors"
 	"flag"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,7 +16,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/exec"
+	"repro/internal/experiments"
 	"repro/internal/flow"
+	"repro/internal/pdb"
+	"repro/internal/proteome"
 	"repro/internal/seq"
 )
 
@@ -60,7 +65,7 @@ func TestFindPreset(t *testing.T) {
 
 func TestSpeciesCmd(t *testing.T) {
 	var buf bytes.Buffer
-	if err := speciesCmd(&buf); err != nil {
+	if err := speciesCmd(nil, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -142,17 +147,18 @@ func TestCampaignFlagParseErrors(t *testing.T) {
 func TestHelpFlagIsNotAnError(t *testing.T) {
 	// fs.Parse surfaces -h as flag.ErrHelp; main exits 0 on it, so the
 	// command funcs must pass it through unwrapped.
-	var buf bytes.Buffer
-	for name, cmd := range map[string]func() error{
-		"generate": func() error { return generateCmd([]string{"-h"}, &buf) },
-		"run":      func() error { return runCmd([]string{"-h"}, &buf) },
-		"submit":   func() error { return submitCmd([]string{"-h"}, &buf) },
-		"worker":   func() error { return workerCmd([]string{"-h"}, &buf) },
-		"sched":    func() error { return schedCmd([]string{"-h"}, &buf) },
-	} {
-		if err := cmd(); !errors.Is(err, flag.ErrHelp) {
-			t.Errorf("%s -h returned %v, want flag.ErrHelp", name, err)
+	for _, c := range commands {
+		var buf bytes.Buffer
+		err := c.run([]string{"-h"}, &buf)
+		if !errors.Is(err, flag.ErrHelp) {
+			t.Errorf("%s -h returned %v, want flag.ErrHelp", c.name, err)
+		} else if code := exitCode(err); code != 0 {
+			t.Errorf("%s -h exits %d, want 0", c.name, code)
 		}
+	}
+	// species has no flags, so any flag is a flag error (exit 2).
+	if err := speciesCmd([]string{"-limit", "3"}, &bytes.Buffer{}); !errors.Is(err, errFlagParse) {
+		t.Errorf("species -limit 3 returned %v, want errFlagParse", err)
 	}
 }
 
@@ -198,6 +204,54 @@ func TestGenerateCmdErrors(t *testing.T) {
 	}
 	if err := generateCmd([]string{"-seed", "abc"}, &buf); err == nil {
 		t.Error("generate with bad seed succeeded")
+	}
+}
+
+// TestPredictCmd: predict writes its PDB to the writer it is given, one
+// residue per residue of the target.
+func TestPredictCmd(t *testing.T) {
+	var buf bytes.Buffer
+	if err := predictCmd([]string{"-species", "DVU", "-id", "DVU_00001"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	model, err := pdb.Read(&buf)
+	if err != nil {
+		t.Fatalf("predict output is not a PDB: %v", err)
+	}
+	sp, _ := proteome.SpeciesByCode("DVU")
+	want := 0
+	for _, p := range experiments.NewEnv(experiments.DefaultSeed).Proteome(sp).Proteins {
+		if p.Seq.ID == "DVU_00001" {
+			want = p.Seq.Len()
+		}
+	}
+	residues := map[int]bool{}
+	for _, a := range model.Atoms {
+		residues[a.ResSeq] = true
+	}
+	if want == 0 || len(residues) != want {
+		t.Errorf("predict wrote %d residues, want %d", len(residues), want)
+	}
+	if model.ID != "DVU_00001" {
+		t.Errorf("PDB title %q, want DVU_00001", model.ID)
+	}
+}
+
+// TestOutMissingDirFails: an -out file that cannot be created fails the
+// command instead of writing nowhere.
+func TestOutMissingDirFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "out")
+	for _, tc := range []struct {
+		cmd  func([]string, io.Writer) error
+		args []string
+	}{
+		{generateCmd, []string{"-out", path}},
+		{predictCmd, []string{"-id", "DVU_00001", "-out", path}},
+	} {
+		err := tc.cmd(tc.args, &bytes.Buffer{})
+		if !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%v: err = %v, want a missing-directory error", tc.args, err)
+		}
 	}
 }
 

@@ -1,18 +1,128 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/events"
 	"repro/internal/flow"
 )
+
+// watch is the attach step `monitor` and `top` share: it validates the
+// flags, dials a read-only monitor filtered to campaign, and closes it on
+// SIGINT/SIGTERM, which fails the blocking Next so the caller's loop ends
+// cleanly and prints once more. The returned func closes the monitor.
+func (c *connFlags) watch(cmd, campaign string) (*flow.Monitor, func(), error) {
+	if err := c.validate(cmd); err != nil {
+		return nil, nil, err
+	}
+	m, err := flow.DialMonitor(c.dialOptions())
+	if err != nil {
+		return nil, nil, err
+	}
+	m.Campaign = campaign
+	ctx, stop := signalContext()
+	go func() {
+		<-ctx.Done()
+		m.Close()
+	}()
+	return m, func() { stop(); m.Close() }, nil
+}
+
+// monitorCmd attaches a read-only monitor to a running scheduler — the
+// fourth terminal of the deployment. It needs no cooperation from the
+// submitting client: the scheduler replays its full event backlog, then
+// streams live transitions, and the monitor renders queue depth,
+// per-worker in-flight counts, and throughput as they change. Attaching
+// or detaching never perturbs the campaign (the report is byte-identical
+// with or without a monitor connected).
+func monitorCmd(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("monitor", flag.ContinueOnError)
+	var conn connFlags
+	conn.register(fs, 0)
+	jsonOut := fs.Bool("json", false, "print raw event records as JSONL (the sched -event-log format) instead of live summary lines")
+	campaign := fs.String("campaign", "", "only show task events for this campaign (submit -campaign); fleet-wide events (worker join/leave, truncation) always pass")
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	m, closeMonitor, err := conn.watch("monitor", *campaign)
+	if err != nil {
+		return err
+	}
+	defer closeMonitor()
+	return runMonitor(m, stdout, *jsonOut)
+}
+
+// eventSource is the stream runMonitor and runTop drain — flow.Monitor in
+// production, a scripted source in tests.
+type eventSource interface {
+	Next() (events.Event, error)
+}
+
+// runMonitor drains the monitor's event stream until the scheduler goes
+// away or the monitor is closed. In raw mode every event is echoed as
+// JSONL — byte-identical to the scheduler's -event-log file, which the
+// e2e suite exploits. Otherwise each event becomes one live summary line
+// followed by a closing throughput summary. A clean stream end
+// (scheduler shutdown, Ctrl-C detach — flow.ErrStreamEnd) is the normal
+// exit; any other error (invalid frame, abrupt reset) is surfaced, so a
+// truncated -json capture never masquerades as a complete log.
+func runMonitor(m eventSource, w io.Writer, raw bool) error {
+	if raw {
+		enc := json.NewEncoder(w)
+		for {
+			e, err := m.Next()
+			if err != nil {
+				if errors.Is(err, flow.ErrStreamEnd) {
+					return nil
+				}
+				return err
+			}
+			if err := enc.Encode(e); err != nil {
+				return err
+			}
+		}
+	}
+	f := events.NewFold()
+	for {
+		e, err := m.Next()
+		if err != nil {
+			if !errors.Is(err, flow.ErrStreamEnd) {
+				return err
+			}
+			break
+		}
+		f.Observe(&e)
+		subject := e.Task
+		if subject == "" {
+			subject = e.Worker
+		}
+		detail := ""
+		switch {
+		case e.Err != "":
+			detail = " err=" + e.Err
+		case e.Type.TaskScoped() && e.Worker != "":
+			detail = " worker=" + e.Worker
+		}
+		t := f.Total
+		fmt.Fprintf(w, "%12.3fs %-11s %-24s queue=%-5d busy=%-4d done=%-6d failed=%-3d workers=%d%s\n",
+			e.Seconds(), e.Type, subject,
+			t.Queued, t.Running, t.Done, t.Failed, f.Connected, detail)
+	}
+	t := f.Total
+	span := float64(f.NowNS-f.FirstNS) / 1e9
+	throughput := 0.0
+	if span > 0 {
+		throughput = float64(t.Done) / span
+	}
+	fmt.Fprintf(w, "monitor: %d received, %d done, %d failed, %d dropped over %.3f s (%.2f tasks/s)\n",
+		t.Received, t.Done, t.Failed, t.Dropped, span, throughput)
+	return nil
+}
 
 // topCmd is the cluster dashboard — the terminal answer to the Dask
 // dashboard the paper leans on for live campaign visibility. It attaches
@@ -33,24 +143,11 @@ func topCmd(args []string, stdout io.Writer) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if err := conn.validate("top"); err != nil {
-		return err
-	}
-	m, err := flow.DialMonitor(conn.dialOptions())
+	m, closeMonitor, err := conn.watch("top", *campaign)
 	if err != nil {
 		return err
 	}
-	m.Campaign = *campaign
-	defer m.Close()
-	// Detach on a signal, exactly like monitor: closing the monitor fails
-	// the blocking Next, the loop renders once more and exits cleanly.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	go func() {
-		<-sig
-		m.Close()
-	}()
+	defer closeMonitor()
 	return runTop(m, stdout, topOptions{interval: *interval, snapshot: *snapshot, clear: true})
 }
 

@@ -14,7 +14,8 @@
 //
 // # Layers
 //
-//	cmd/afbench        cmd/proteomectl (run | sched | worker | submit | monitor | top)
+//	cmd/afbench        cmd/proteomectl (species | generate | run | predict | sched |
+//	      │                   │         worker | submit | monitor | top)
 //	      │                   │
 //	      ▼                   ▼
 //	internal/experiments ─► internal/core        feature → inference → relax campaign

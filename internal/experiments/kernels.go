@@ -86,14 +86,7 @@ func (w *kernelWorld) protein(species, id string) (proteome.Protein, error) {
 	defer w.mu.Unlock()
 	idx, ok := w.byID[species]
 	if !ok {
-		var sp proteome.Species
-		found := false
-		for _, s := range proteome.PaperSpecies() {
-			if s.Code == species {
-				sp, found = s, true
-				break
-			}
-		}
+		sp, found := proteome.SpeciesByCode(species)
 		if !found {
 			return proteome.Protein{}, fmt.Errorf("experiments: unknown species %q in job spec", species)
 		}

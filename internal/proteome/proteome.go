@@ -81,6 +81,16 @@ func PaperSpecies() []Species {
 	return []Species{PMercurii, RRubrum, DVulgaris, SDivinum}
 }
 
+// SpeciesByCode returns the paper species whose Code is code.
+func SpeciesByCode(code string) (Species, bool) {
+	for _, sp := range PaperSpecies() {
+		if sp.Code == code {
+			return sp, true
+		}
+	}
+	return Species{}, false
+}
+
 // Universe is the shared pool of ancestral protein domains. Proteome
 // proteins and sequence-database entries are both derived from it by
 // mutation, which gives database searches real homology structure to find.
