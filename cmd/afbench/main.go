@@ -65,7 +65,7 @@ func report[R interface{ Render(io.Writer) error }](f func(*experiments.Env) (R,
 func main() {
 	seed := flag.Uint64("seed", experiments.DefaultSeed, "campaign seed (changing it changes every measured number)")
 	par := flag.Int("parallelism", 0, "host worker-pool size (0 = GOMAXPROCS, 1 = serial); results are identical at any value")
-	stats := flag.String("stats", "", "write the per-task processing-times CSV (task → worker placement, timings) for every fan-out to this file")
+	stats := flag.String("stats", "", "write the per-task processing-times CSV (task → worker placement, timings) for every fan-out to this file; an inference stage (fig2, recycles, annotate and ablations each run one) records one campaign/infer@N row per (target, model) task, named target/mN")
 	timeline := flag.String("timeline", "", "write the Fig-2-style worker-timeline SVG (the recorded fan-outs overlaid on the dataflow simulator's prediction for the same tasks) to this file")
 	flag.Usage = usage
 	flag.Parse()
@@ -114,6 +114,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: afbench [-seed N] [-parallelism N] [-stats F] [-timeline F] <experiment>")
+	flag.PrintDefaults()
 	fmt.Fprintln(os.Stderr, "experiments:")
 	for _, r := range runners {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", r.name, r.desc)

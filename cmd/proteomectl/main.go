@@ -101,12 +101,19 @@ var errFlagParse = errors.New("invalid command-line flags")
 
 // parseFlags normalizes FlagSet.Parse errors: help requests pass through
 // for a clean exit 0, anything else becomes errFlagParse (exit 2, no
-// duplicate message).
+// duplicate message). Every command takes flags only, so a positional
+// argument is a flag error too: Parse stops at the first one, and every
+// flag after it would otherwise be dropped without a word.
 func parseFlags(fs *flag.FlagSet, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
 		}
+		return errFlagParse
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(fs.Output(), "unexpected argument %q: %s takes flags only\n", fs.Arg(0), fs.Name())
+		fs.Usage()
 		return errFlagParse
 	}
 	return nil
@@ -118,19 +125,24 @@ func signalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
-// writeOut hands write the -out file, or stdout when path is empty. The
-// file's Close error is returned too, so a failed write-back fails.
-func writeOut(path string, stdout io.Writer, write func(io.Writer) error) error {
+// withOut runs run on the -out file, or on stdout when path is empty. The
+// file is created before run does any work, so a path that cannot be
+// created fails at once. The file's Close error is returned too, so a
+// failed write-back fails, and a failed run leaves no file behind.
+func withOut(path string, stdout io.Writer, run func(io.Writer) error) error {
 	if path == "" {
-		return write(stdout)
+		return run(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = write(f)
+	err = run(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
+	}
+	if err != nil {
+		_ = os.Remove(path) // best effort: err is what the caller reports
 	}
 	return err
 }

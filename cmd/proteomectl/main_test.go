@@ -155,6 +155,11 @@ func TestHelpFlagIsNotAnError(t *testing.T) {
 		} else if code := exitCode(err); code != 0 {
 			t.Errorf("%s -h exits %d, want 0", c.name, code)
 		}
+		// Every command takes flags only: a positional argument would
+		// stop Parse and drop every flag after it.
+		if err := c.run([]string{"stray"}, &buf); !errors.Is(err, errFlagParse) {
+			t.Errorf("%s stray returned %v, want errFlagParse", c.name, err)
+		}
 	}
 	// species has no flags, so any flag is a flag error (exit 2).
 	if err := speciesCmd([]string{"-limit", "3"}, &bytes.Buffer{}); !errors.Is(err, errFlagParse) {
@@ -247,11 +252,27 @@ func TestOutMissingDirFails(t *testing.T) {
 	}{
 		{generateCmd, []string{"-out", path}},
 		{predictCmd, []string{"-id", "DVU_00001", "-out", path}},
+		// The file is created before any work, so a bad -out fails
+		// before the unknown ID is looked up.
+		{predictCmd, []string{"-id", "NOPE", "-out", path}},
 	} {
 		err := tc.cmd(tc.args, &bytes.Buffer{})
 		if !errors.Is(err, fs.ErrNotExist) {
 			t.Errorf("%v: err = %v, want a missing-directory error", tc.args, err)
 		}
+	}
+}
+
+// TestPredictFailureLeavesNoFile: -out is created before the work, and a
+// run that then fails removes it again.
+func TestPredictFailureLeavesNoFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.pdb")
+	err := predictCmd([]string{"-id", "NOPE", "-out", path}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "no protein") {
+		t.Fatalf("err = %v, want no protein", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("failed predict left %s behind (stat: %v)", path, err)
 	}
 }
 

@@ -38,8 +38,9 @@ func generateCmd(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	p := experiments.NewEnv(*seedv).Proteome(sp)
-	return writeOut(*out, stdout, func(w io.Writer) error { return seq.WriteFASTA(w, p.Sequences()) })
+	return withOut(*out, stdout, func(w io.Writer) error {
+		return seq.WriteFASTA(w, experiments.NewEnv(*seedv).Proteome(sp).Sequences())
+	})
 }
 
 func predictCmd(args []string, stdout io.Writer) error {
@@ -58,11 +59,18 @@ func predictCmd(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	env := experiments.NewEnv(*seedv)
+	return withOut(*out, stdout, func(w io.Writer) error { return predict(w, sp, *id, *seedv) })
+}
+
+// predict folds one protein of sp's proteome at seed: five models, the
+// best by pTMS materialized with coordinates and relaxed, written to w as
+// PDB.
+func predict(w io.Writer, sp proteome.Species, id string, seed uint64) error {
+	env := experiments.NewEnv(seed)
 	p := env.Proteome(sp)
-	i := slices.IndexFunc(p.Proteins, func(pr proteome.Protein) bool { return pr.Seq.ID == *id })
+	i := slices.IndexFunc(p.Proteins, func(pr proteome.Protein) bool { return pr.Seq.ID == id })
 	if i < 0 {
-		return fmt.Errorf("no protein %q in %s", *id, sp.Code)
+		return fmt.Errorf("no protein %q in %s", id, sp.Code)
 	}
 	target := &p.Proteins[i]
 
@@ -97,11 +105,11 @@ func predictCmd(args []string, stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "%s: model %d, pLDDT %.1f, pTMS %.3f, %d recycles; violations %d->%d bumps\n",
-		*id, bestModel+1, pred.MeanPLDDT, pred.PTMS, pred.Recycles, before.Bumps, rr.After.Bumps)
+		id, bestModel+1, pred.MeanPLDDT, pred.PTMS, pred.Recycles, before.Bumps, rr.After.Bumps)
 
 	model, err := pdb.FromTrace(target.Seq.ID, target.Seq.Residues, rr.CA, rr.SC, pred.PLDDT)
 	if err != nil {
 		return err
 	}
-	return writeOut(*out, stdout, func(w io.Writer) error { return pdb.Write(w, model) })
+	return pdb.Write(w, model)
 }

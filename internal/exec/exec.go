@@ -6,11 +6,10 @@
 //
 // Every compute stage of the pipeline — feature generation, the
 // (target x model) inference fan-out, the high-memory retry wave,
-// relaxation, annotation, and the independent multi-wave dataflow
-// simulations — fans out through an Executor. The campaign stages go
-// through MapSpecResume, so the same campaign runs on the host pool or
-// across the scheduler/worker/client processes the paper deploys Dask as,
-// with byte-identical results.
+// relaxation and annotation — fans out through an Executor. The campaign
+// stages go through MapSpecResume, so the same campaign runs on the host
+// pool or across the scheduler/worker/client processes the paper deploys
+// Dask as, with byte-identical results.
 //
 // The determinism contract is the one internal/parallel established:
 //

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/fold"
 	"repro/internal/fsim"
 	"repro/internal/metrics"
@@ -35,10 +34,14 @@ type AblationResult struct {
 	ReducedFeatureNH, FullFeatureNH float64
 }
 
-// Ablations runs all ablation comparisons.
+// Ablations runs all ablation comparisons. The ordering, granularity and
+// workers-per-node ablations read the campaign's inference stage
+// (core.InferenceStage) on D. vulgaris with Config.HighMemNodes = 0: every
+// target must fit all five models in standard-node GPU memory. The stage's
+// longest-first wave on the default 32 nodes is the baseline, and each
+// variant below changes one thing about it.
 func Ablations(env *Env) (*AblationResult, error) {
-	dvu := env.Proteome(proteome.DVulgaris)
-	proteins := dvu.FilterMaxLen(2500)
+	proteins := env.Proteome(proteome.DVulgaris).FilterMaxLen(2500)
 	gen := env.FeatureGen()
 	res := &AblationResult{
 		OrderWallHours:     map[string]float64{},
@@ -47,118 +50,72 @@ func Ablations(env *Env) (*AblationResult, error) {
 		ReplicaWallHours:   map[int]float64{},
 	}
 
-	// Precompute per-(target,model) predictions once, fanned out over the
-	// worker pool (one item per protein, collected in submission order).
-	type pred struct {
-		dur  float64
-		ptms float64
-	}
-	rows, err := exec.Map(env.executor(), proteins, func(_ int, p proteome.Protein) ([fold.NumModels]pred, error) {
-		var row [fold.NumModels]pred
-		f, err := gen.Features(p)
-		if err != nil {
-			return row, err
-		}
-		for m := 0; m < fold.NumModels; m++ {
-			pr, err := env.Engine.Infer(foldTask(p, f, m))
-			if err != nil {
-				return row, err
-			}
-			row[m] = pred{dur: pr.GPUSeconds, ptms: pr.PTMS}
-		}
-		return row, nil
-	})
+	feats, err := env.FeaturesFor(proteins)
 	if err != nil {
 		return nil, err
 	}
-	perTask := make(map[string][fold.NumModels]pred, len(proteins))
-	for i, p := range proteins {
-		perTask[p.Seq.ID] = rows[i]
-	}
-
-	// --- Ordering ablation on (model,target) tasks, 32 nodes.
-	// Iterate the protein slice (not the map) so submission order is
-	// deterministic.
-	pairTasks := make([]cluster.SimTask, 0, len(proteins)*fold.NumModels)
-	for _, p := range proteins {
-		row := perTask[p.Seq.ID]
-		for m := 0; m < fold.NumModels; m++ {
-			pairTasks = append(pairTasks, cluster.SimTask{
-				ID:       fmt.Sprintf("%s/m%d", p.Seq.ID, m),
-				Weight:   float64(p.Seq.Len()),
-				Duration: row[m].dur,
-			})
-		}
-	}
-	opt := cluster.DataflowOptions{Workers: 32 * 6, DispatchOverhead: 1.5, StartupDelay: 300}
-	orders := []cluster.OrderPolicy{cluster.LongestFirst, cluster.ShortestFirst, cluster.SubmissionOrder}
-	orderWaves := make([]cluster.Wave, 0, len(orders))
-	for _, order := range orders {
-		tasks := append([]cluster.SimTask(nil), pairTasks...)
-		if order == cluster.SubmissionOrder {
-			r := newShuffleSource(env.Seed + 1)
-			r.Shuffle(len(tasks), func(i, j int) { tasks[i], tasks[j] = tasks[j], tasks[i] })
-		} else {
-			cluster.ApplyOrder(tasks, order)
-		}
-		orderWaves = append(orderWaves, cluster.Wave{Tasks: tasks, Opt: opt})
-	}
-	// The per-policy runs are independent, so they fan out as waves.
-	orderSims, err := cluster.SimulateWaves(env.executor(), orderWaves)
+	cfg := env.config()
+	cfg.HighMemNodes = 0
+	inf, err := core.InferenceStage(env.Engine, proteins, feats, cfg)
 	if err != nil {
 		return nil, err
 	}
-	for i, order := range orders {
-		res.OrderWallHours[order.String()] = orderSims[i].Makespan / 3600
-		res.OrderSpreadMin[order.String()] = orderSims[i].FinishSpread() / 60
-	}
-
-	// --- Granularity: whole-target tasks bundle all five models into one
-	// task, removing the paper's decomposition.
-	sorted := append([]cluster.SimTask(nil), pairTasks...)
-	cluster.ApplyOrder(sorted, cluster.LongestFirst)
-	simPair, err := cluster.SimulateDataflow(sorted, opt)
-	if err != nil {
-		return nil, err
-	}
-	res.PairWallHours = simPair.Makespan / 3600
-	wholeTasks := make([]cluster.SimTask, 0, len(proteins))
-	for _, p := range proteins {
-		row := perTask[p.Seq.ID]
+	// Whole-target tasks bundle all five models into one task, removing
+	// the paper's (model, target) decomposition.
+	wholeTasks := make([]cluster.SimTask, 0, len(inf.Targets))
+	for _, t := range inf.Targets {
+		if len(t.All) < fold.NumModels {
+			return nil, fmt.Errorf("experiments: ablations: %s: %d of %d models fit in GPU memory", t.ID, len(t.All), fold.NumModels)
+		}
 		var total float64
-		for m := 0; m < fold.NumModels; m++ {
-			total += row[m].dur
+		for _, p := range t.All {
+			total += p.GPUSeconds
 		}
-		wholeTasks = append(wholeTasks, cluster.SimTask{
-			ID: p.Seq.ID, Weight: float64(p.Seq.Len()), Duration: total,
-		})
+		wholeTasks = append(wholeTasks, cluster.SimTask{ID: t.ID, Weight: float64(t.Length), Duration: total})
 	}
 	cluster.ApplyOrder(wholeTasks, cluster.LongestFirst)
-	simWhole, err := cluster.SimulateDataflow(wholeTasks, opt)
-	if err != nil {
-		return nil, err
-	}
-	res.WholeTargetWallHours = simWhole.Makespan / 3600
 
-	// --- Workers per node: fewer workers per node means idle GPUs. The
-	// three widths are independent waves over the same sorted tasks.
-	perNodes := []int{1, 3, 6}
-	nodeWaves := make([]cluster.Wave, 0, len(perNodes))
-	for _, perNode := range perNodes {
-		nodeWaves = append(nodeWaves, cluster.Wave{
-			Tasks: append([]cluster.SimTask(nil), sorted...),
-			Opt: cluster.DataflowOptions{
-				Workers: 32 * perNode, DispatchOverhead: 1.5, StartupDelay: 300,
-			},
+	// pairTasks is in generation order (inf.Targets is in ID order, and
+	// IDs are zero-padded indices), which the submission-order shuffle
+	// starts from.
+	pairTasks := waveTasks(inf.Targets)
+	sorted := append([]cluster.SimTask(nil), pairTasks...)
+	cluster.ApplyOrder(sorted, cluster.LongestFirst)
+	shortest := append([]cluster.SimTask(nil), pairTasks...)
+	cluster.ApplyOrder(shortest, cluster.ShortestFirst)
+	shuffled := append([]cluster.SimTask(nil), pairTasks...)
+	r := newShuffleSource(env.Seed + 1)
+	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+	// Five variants of the baseline, each changing one thing: the order
+	// (shortest-first, shuffled), the granularity (whole targets) or the
+	// workers per node (1, 3).
+	variants := []struct {
+		tasks   []cluster.SimTask
+		perNode int
+	}{{shortest, 6}, {shuffled, 6}, {wholeTasks, 6}, {sorted, 1}, {sorted, 3}}
+	sims := make([]*cluster.SimResult, len(variants))
+	for i, v := range variants {
+		sims[i], err = cluster.SimulateDataflow(v.tasks, cluster.DataflowOptions{
+			Workers:          cfg.SummitNodes * v.perNode,
+			DispatchOverhead: cfg.DispatchOverhead,
+			StartupDelay:     cfg.StartupDelay,
 		})
+		if err != nil {
+			return nil, err
+		}
 	}
-	nodeSims, err := cluster.SimulateWaves(env.executor(), nodeWaves)
-	if err != nil {
-		return nil, err
+	for order, sim := range map[cluster.OrderPolicy]*cluster.SimResult{
+		cluster.LongestFirst: inf.Sim, cluster.ShortestFirst: sims[0], cluster.SubmissionOrder: sims[1],
+	} {
+		res.OrderWallHours[order.String()] = sim.Makespan / 3600
+		res.OrderSpreadMin[order.String()] = sim.FinishSpread() / 60
 	}
-	for i, perNode := range perNodes {
-		res.WorkersPerNodeWall[perNode] = nodeSims[i].Makespan / 3600
-	}
+	res.PairWallHours = inf.Sim.Makespan / 3600
+	res.WholeTargetWallHours = sims[2].Makespan / 3600
+	res.WorkersPerNodeWall[1] = sims[3].Makespan / 3600
+	res.WorkersPerNodeWall[3] = sims[4].Makespan / 3600
+	res.WorkersPerNodeWall[6] = inf.Sim.Makespan / 3600
 
 	// --- Replica sweep: wall hours of the feature stage per copy count.
 	for _, copies := range []int{1, 4, 8, 24} {
@@ -206,7 +163,7 @@ func Ablations(env *Env) (*AblationResult, error) {
 	}
 
 	// --- Reduced vs full library feature cost.
-	cfg := env.config()
+	cfg = env.config()
 	cfg.AndesNodes = 96
 	fr, err := core.FeatureStage(proteins, gen, env.FS, core.ReducedDatabase(), cfg)
 	if err != nil {

@@ -113,9 +113,12 @@ func ComplexScreen(env *Env) (*ComplexScreenResult, error) {
 	}
 	res.ScreenGPUHours = screenGPU / 3600
 
+	cfg := env.config()
 	cluster.ApplyOrder(tasks, cluster.LongestFirst)
 	sim, err := cluster.SimulateDataflow(tasks, cluster.DataflowOptions{
-		Workers: 32 * 6, DispatchOverhead: 1.5, StartupDelay: 300,
+		Workers:          cfg.SummitNodes * 6, // one worker per GPU, six a node
+		DispatchOverhead: cfg.DispatchOverhead,
+		StartupDelay:     cfg.StartupDelay,
 	})
 	if err != nil {
 		return nil, err

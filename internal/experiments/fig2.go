@@ -5,7 +5,7 @@ import (
 	"io"
 
 	"repro/internal/cluster"
-	"repro/internal/exec"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/proteome"
 )
@@ -30,71 +30,42 @@ type Fig2Result struct {
 	SampleIDs  []int
 }
 
-// Fig2 simulates the S. divinum inference wave on 200 nodes (1200 GPU
-// workers) under the genome preset, with tasks submitted longest-first, and
-// contrasts it with random submission order.
+// Fig2 runs the campaign's inference stage (core.InferenceStage) on the
+// S. divinum proteome with Config.SummitNodes = 200 (1,200 GPU workers) and
+// Config.HighMemNodes = 0, so a model that runs out of GPU memory is dropped
+// rather than retried. The stage's own longest-first wave is the figure;
+// the same tasks shuffled into a random submission order are the baseline.
 func Fig2(env *Env) (*Fig2Result, error) {
-	sd := env.Proteome(proteome.SDivinum)
-	proteins := sd.FilterMaxLen(2500)
-	gen := env.FeatureGen()
-
-	// One work item per protein (its five model inferences); per-protein
-	// task groups come back in submission order, so the flattened task list
-	// is identical to the serial loop's.
-	perProtein, err := exec.Map(env.executor(), proteins, func(_ int, p proteome.Protein) ([]cluster.SimTask, error) {
-		f, err := gen.Features(p)
-		if err != nil {
-			return nil, err
-		}
-		group := make([]cluster.SimTask, 0, 5)
-		for m := 0; m < 5; m++ {
-			pred, err := env.Engine.Infer(foldTask(p, f, m))
-			if err != nil {
-				continue // long-tail OOM handled elsewhere; skip here
-			}
-			group = append(group, cluster.SimTask{
-				ID:       fmt.Sprintf("%s/m%d", p.Seq.ID, m),
-				Weight:   float64(p.Seq.Len()),
-				Duration: pred.GPUSeconds,
-			})
-		}
-		return group, nil
-	})
+	proteins := env.Proteome(proteome.SDivinum).FilterMaxLen(2500)
+	feats, err := env.FeaturesFor(proteins)
 	if err != nil {
 		return nil, err
 	}
-	tasks := make([]cluster.SimTask, 0, len(proteins)*5)
-	for _, group := range perProtein {
-		tasks = append(tasks, group...)
+	cfg := env.config()
+	cfg.SummitNodes = 200
+	cfg.HighMemNodes = 0
+	inf, err := core.InferenceStage(env.Engine, proteins, feats, cfg)
+	if err != nil {
+		return nil, err
 	}
+	simSorted := inf.Sim
+	workers := len(simSorted.WorkerBusy)
 
-	const workers = 1200
-	opt := cluster.DataflowOptions{Workers: workers, DispatchOverhead: 1.5, StartupDelay: 300}
-
-	sorted := make([]cluster.SimTask, len(tasks))
-	copy(sorted, tasks)
-	cluster.ApplyOrder(sorted, cluster.LongestFirst)
-
-	random := make([]cluster.SimTask, len(tasks))
-	copy(random, tasks)
-	// Deterministic shuffle via the env seed.
+	// The shuffle's input order is generation order: waveTasks follows
+	// inf.Targets, which is in ID order, and IDs are zero-padded indices.
+	random := waveTasks(inf.Targets)
 	r := newShuffleSource(env.Seed)
 	r.Shuffle(len(random), func(i, j int) { random[i], random[j] = random[j], random[i] })
-
-	// The sorted and random waves are independent simulations of the same
-	// workload, so they run concurrently on the executor.
-	sims, err := cluster.SimulateWaves(env.executor(), []cluster.Wave{
-		{Tasks: sorted, Opt: opt},
-		{Tasks: random, Opt: opt},
+	simRandom, err := cluster.SimulateDataflow(random, cluster.DataflowOptions{
+		Workers: workers, DispatchOverhead: cfg.DispatchOverhead, StartupDelay: cfg.StartupDelay,
 	})
 	if err != nil {
 		return nil, err
 	}
-	simSorted, simRandom := sims[0], sims[1]
 
 	res := &Fig2Result{
 		Workers:               workers,
-		Tasks:                 len(tasks),
+		Tasks:                 len(random),
 		MakespanHours:         simSorted.Makespan / 3600,
 		FinishSpreadMin:       simSorted.FinishSpread() / 60,
 		Utilization:           simSorted.Utilization(),

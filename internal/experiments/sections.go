@@ -108,72 +108,47 @@ type RecycleGainsResult struct {
 }
 
 // RecycleGains runs the improvement-distribution analysis on the
-// 559-sequence benchmark.
+// 559-sequence benchmark: the campaign's inference stage
+// (core.InferenceStage) twice, with Config.Preset = ReducedDBs and then
+// Super, and Config.HighMemNodes = 0, so a model that runs out of GPU
+// memory is dropped rather than retried. A target's gain is its best super
+// model's pTMS over its best reduced_dbs model's.
 func RecycleGains(env *Env) (*RecycleGainsResult, error) {
 	bench := env.Benchmark559()
 	feats, err := env.FeaturesFor(bench)
 	if err != nil {
 		return nil, err
 	}
+	cfg := env.config()
+	cfg.HighMemNodes = 0
+	var stages [2]*core.InferenceReport
+	for i, preset := range []fold.Preset{fold.ReducedDBs, fold.Super} {
+		cfg.Preset = preset
+		if stages[i], err = core.InferenceStage(env.Engine, bench, feats, cfg); err != nil {
+			return nil, err
+		}
+	}
 	res := &RecycleGainsResult{Targets: len(bench)}
-	type gain struct {
-		delta    float64
-		recycles int
-		ok       bool
-	}
-	// Each protein runs its 2x5 preset-pair inferences on the worker pool;
-	// the gain statistics fold serially in submission order below.
-	perTarget, err := exec.Map(env.executor(), bench, func(_ int, p proteome.Protein) (gain, error) {
-		f := feats[p.Seq.ID]
-		var shortBest, longBest *fold.Prediction
-		for m := 0; m < fold.NumModels; m++ {
-			ts := foldTask(p, f, m)
-			ts.Preset = fold.ReducedDBs
-			ps, err := env.Engine.Infer(ts)
-			if err != nil {
-				continue
-			}
-			tl := foldTask(p, f, m)
-			tl.Preset = fold.Super
-			pl, err := env.Engine.Infer(tl)
-			if err != nil {
-				continue
-			}
-			if shortBest == nil || ps.PTMS > shortBest.PTMS {
-				shortBest = &ps
-			}
-			if longBest == nil || pl.PTMS > longBest.PTMS {
-				longBest = &pl
-			}
-		}
-		if shortBest == nil || longBest == nil {
-			return gain{}, nil
-		}
-		if d := longBest.PTMS - shortBest.PTMS; d > 0 {
-			return gain{delta: d, recycles: longBest.Recycles, ok: true}, nil
-		}
-		return gain{}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var gains []gain
-	for _, g := range perTarget {
-		if g.ok {
-			gains = append(gains, g)
-			res.TotalGain += g.delta
-		}
-	}
 	var bigGain, medGain, bigRecycles float64
 	var nBig, nMed int
-	for _, g := range gains {
-		if g.delta >= 0.1 {
-			bigGain += g.delta
-			bigRecycles += float64(g.recycles)
+	// Both stages list the same targets in ID order.
+	for i, short := range stages[0].Targets {
+		long := stages[1].Targets[i]
+		if short.Best == nil || long.Best == nil {
+			continue
+		}
+		d := long.Best.PTMS - short.Best.PTMS
+		if d <= 0 {
+			continue
+		}
+		res.TotalGain += d
+		if d >= 0.1 {
+			bigGain += d
+			bigRecycles += float64(long.Best.Recycles)
 			nBig++
 		}
-		if g.delta >= 0.05 {
-			medGain += g.delta
+		if d >= 0.05 {
+			medGain += d
 			nMed++
 		}
 	}
@@ -387,14 +362,13 @@ func GenomeRelax(env *Env) (*GenomeRelaxResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.RelaxNodes = 8
 	rel, err := core.RelaxStage(inf.Targets, cfg, relax.PlatformGPU)
 	if err != nil {
 		return nil, err
 	}
 	return &GenomeRelaxResult{
 		Structures:  rel.Structures,
-		Workers:     cfg.RelaxNodes * 6,
+		Workers:     len(rel.Sim.WorkerBusy),
 		WallMinutes: rel.WalltimeSec / 60,
 		NodeHours:   rel.NodeHours,
 	}, nil
@@ -418,9 +392,13 @@ type AnnotationResult struct {
 	NovelExampleTM float64
 }
 
-// Annotation runs the hypothetical-protein analysis: predict structures for
-// the 559 hypotheticals, search them against the pdb70 stand-in (85% family
-// coverage), and aggregate the annotation-transfer statistics.
+// Annotation runs the hypothetical-protein analysis on the 559
+// hypotheticals. The campaign's inference stage (core.InferenceStage, with
+// Config.HighMemNodes = 0, so a model that runs out of GPU memory is
+// dropped rather than retried) ranks each target's models by pTMS; the top
+// model is re-run with coordinates, searched against the pdb70 stand-in
+// (85% family coverage), and the annotation-transfer statistics are
+// aggregated.
 func Annotation(env *Env) (*AnnotationResult, error) {
 	hypos := env.Benchmark559()
 	feats, err := env.FeaturesFor(hypos)
@@ -437,30 +415,34 @@ func Annotation(env *Env) (*AnnotationResult, error) {
 	}
 	db := analysis.BuildPDB70(env.Universe, covered, env.Seed)
 
-	// Each protein's model ranking, coordinate materialization, and
-	// structure search run as one work item; annotations come back in
-	// submission order so the aggregate and the novel-example tie-breaks
-	// match the serial loop exactly.
+	cfg := env.config()
+	cfg.HighMemNodes = 0
+	inf, err := core.InferenceStage(env.Engine, hypos, feats, cfg)
+	if err != nil {
+		return nil, err
+	}
+	best := make(map[string]*fold.Prediction, len(inf.Targets))
+	for _, t := range inf.Targets {
+		best[t.ID] = t.Best
+	}
+
+	// Each protein's coordinate materialization and structure search run
+	// as one work item; annotations come back in submission order so the
+	// aggregate and the novel-example tie-breaks follow the benchmark's
+	// order.
 	res := &AnnotationResult{}
 	perProtein, err := exec.Map(env.executor(), hypos, func(_ int, p proteome.Protein) (*analysis.Annotation, error) {
-		// Rank the five models by pTMS and analyse the top one, as the
-		// paper's pipeline does.
-		bestModel, bestPTMS := 0, -1.0
-		for m := 0; m < fold.NumModels; m++ {
-			summary, err := env.Engine.Infer(foldTask(p, feats[p.Seq.ID], m))
-			if err != nil {
-				continue
-			}
-			if summary.PTMS > bestPTMS {
-				bestPTMS = summary.PTMS
-				bestModel = m
-			}
+		b := best[p.Seq.ID]
+		if b == nil {
+			return nil, nil // every model ran out of GPU memory
 		}
-		task := foldTask(p, feats[p.Seq.ID], bestModel)
+		// Re-run the top model by pTMS with coordinates and analyse it, as
+		// the paper's pipeline does.
+		task := foldTask(p, feats[p.Seq.ID], b.Model)
 		task.WantCoords = true
 		pred, err := env.Engine.Infer(task)
 		if err != nil {
-			return nil, nil // e.g. OOM: the target is skipped, as serially
+			return nil, err
 		}
 		return analysis.Annotate(db, p.Seq.ID, pred.CA, p.Seq.Residues, pred.MeanPLDDT)
 	})
